@@ -8,7 +8,7 @@
 //! provenance store (or the wire) could.
 
 use crate::provenance::ProvenanceObject;
-use crate::record::{checksum_message, InputRef, ProvenanceRecord, RecordKind};
+use crate::record::{checksum_message, ChecksumFormat, InputRef, ProvenanceRecord, RecordKind};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{Participant, ParticipantId};
 use tep_crypto::rsa::RsaError;
@@ -194,6 +194,7 @@ pub fn collusion_splice(
         &[&prev_checksum],
     );
     rec.checksum = late_colluder.sign(alg, &msg)?;
+    rec.checksum_format = ChecksumFormat::PerRecord;
     Ok(())
 }
 
@@ -253,6 +254,7 @@ pub fn forge_insertion(
         output_hash: fake_output_hash,
         annotation: Vec::new(),
         checksum,
+        checksum_format: ChecksumFormat::PerRecord,
     });
     Ok(())
 }

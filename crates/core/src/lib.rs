@@ -94,7 +94,7 @@ pub use parallel::{default_threads, parallel_map};
 pub use proof::{prove, ProofError, SubtreeProof};
 pub use provenance::{collect, ProvenanceObject};
 pub use query::{DbStats, EdgeIndex, ProvenanceQuery};
-pub use record::{InputRef, ProvenanceRecord, RecordKind};
+pub use record::{BatchChecksum, ChecksumFormat, InputRef, ProvenanceRecord, RecordKind};
 pub use slice::{
     BoundaryLink, Polynomial, QueryAnswer, QueryBounds, QueryOp, QuerySpec, SliceProof,
 };

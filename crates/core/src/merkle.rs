@@ -47,11 +47,11 @@ pub fn leaf_hash(alg: HashAlgorithm, oid: ObjectId, history_digest: &[u8]) -> Ve
 }
 
 /// Hash of an interior node over its (1 or 2) children, in order.
-pub(crate) fn combine(alg: HashAlgorithm, children: &[Vec<u8>]) -> Vec<u8> {
+pub(crate) fn combine(alg: HashAlgorithm, children: &[impl AsRef<[u8]>]) -> Vec<u8> {
     let mut h = alg.hasher();
     h.update(NODE_TAG);
     for c in children {
-        h.update(c);
+        h.update(c.as_ref());
     }
     h.finalize()
 }
@@ -191,21 +191,20 @@ impl ShardTree {
         Some(path)
     }
 
-    /// Recomputes the root from a leaf hash and its sibling path,
+    /// Recomputes the root a leaf hash and its sibling path fold up to,
     /// checking the path's **position** at every level: a `Some` sibling
     /// combines on the side `index` dictates, and a `None` entry is only
     /// legal where the tree shape for `leaf_count` really has an unpaired
-    /// tail node. Returns `true` iff the recombination lands on `root`.
-    pub fn verify_leaf_path(
+    /// tail node. `None` when the path does not fit that shape.
+    pub fn fold_leaf_path(
         alg: HashAlgorithm,
-        root: &[u8],
         leaf_count: u64,
         index: u64,
         leaf: &[u8],
         path: &[Option<Vec<u8>>],
-    ) -> bool {
+    ) -> Option<Vec<u8>> {
         if index >= leaf_count {
-            return false;
+            return None;
         }
         // Expected depth for this cardinality.
         let mut expected_depth = 0u32;
@@ -215,7 +214,7 @@ impl ShardTree {
             expected_depth += 1;
         }
         if path.len() != expected_depth as usize {
-            return false;
+            return None;
         }
         let mut h = leaf.to_vec();
         let mut idx = index;
@@ -226,17 +225,17 @@ impl ShardTree {
                     if idx.is_multiple_of(2) {
                         // A right sibling must actually exist at this level.
                         if idx + 1 >= count {
-                            return false;
+                            return None;
                         }
-                        h = combine(alg, &[h, sib.clone()]);
+                        h = combine(alg, &[&h, sib]);
                     } else {
-                        h = combine(alg, &[sib.clone(), h]);
+                        h = combine(alg, &[sib, &h]);
                     }
                 }
                 None => {
                     // Only the unpaired tail node may combine alone.
                     if !idx.is_multiple_of(2) || idx + 1 != count {
-                        return false;
+                        return None;
                     }
                     h = combine(alg, std::slice::from_ref(&h));
                 }
@@ -244,7 +243,19 @@ impl ShardTree {
             idx >>= 1;
             count = count.div_ceil(2);
         }
-        h == root
+        Some(h)
+    }
+
+    /// `true` iff [`Self::fold_leaf_path`] lands on `root`.
+    pub fn verify_leaf_path(
+        alg: HashAlgorithm,
+        root: &[u8],
+        leaf_count: u64,
+        index: u64,
+        leaf: &[u8],
+        path: &[Option<Vec<u8>>],
+    ) -> bool {
+        Self::fold_leaf_path(alg, leaf_count, index, leaf, path).as_deref() == Some(root)
     }
 
     /// This shard's [`AeSummary`] (what a root exchange ships).

@@ -4,7 +4,7 @@
 //! structure is respected: within one batch every record chains onto a
 //! *pre-batch* head, and distinct objects' chains never share state (§3.2 —
 //! per-object chaining is precisely what makes this safe). This module
-//! provides the fan-out primitive both [`crate::tracker::ProvenanceTracker::record_batch`]
+//! provides the fan-out primitive both [`crate::tracker::ProvenanceTracker::complex_per_record`]
 //! and [`crate::verify::Verifier::verify_all_parallel`] build on.
 //!
 //! Scheduling is dynamic: workers claim the next item off a shared atomic

@@ -15,7 +15,16 @@
 //! vary in length), every component of the signed message is
 //! length-prefixed under a domain-separation tag — the same binding with
 //! none of the splicing ambiguity.
+//!
+//! **Amortized signing.** The records one operation emits are mutually
+//! independent (one per touched object, each chaining onto that object's
+//! pre-operation head), so an operation that emits two or more signs
+//! **once**: the messages above become the leaves of a Merkle tree, the
+//! participant signs its root, and each record's checksum is a
+//! [`BatchChecksum`] — its leaf position, sibling path and the root
+//! signature — that verifies alone ([`ChecksumFormat::Batched`]).
 
+use crate::merkle::{leaf_hash, ShardTree};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{Participant, ParticipantId};
 use tep_crypto::rsa::RsaError;
@@ -23,11 +32,38 @@ use tep_model::encode::{DecodeError, Reader};
 use tep_model::ObjectId;
 use tep_storage::StoredRecord;
 
-/// Wire version of the record body encoding.
+/// Wire version of the record body encoding whose checksum is the
+/// participant's signature over the record's own [`checksum_message`].
 const RECORD_VERSION: u8 = 2;
+
+/// Same body, but the checksum is an encoded [`BatchChecksum`].
+const RECORD_VERSION_BATCHED: u8 = 3;
+
+/// Version byte leading every encoded [`BatchChecksum`].
+const BATCH_CHECKSUM_VERSION: u8 = 1;
 
 /// Domain tag of every signed checksum message.
 const MSG_TAG: &[u8] = b"TEP-CHECKSUM\x01";
+
+/// Domain tag of a batch leaf: the digest of one member's checksum message.
+const BATCH_LEAF_TAG: &[u8] = b"TEP-BATCH-LEAF\x01";
+
+/// Domain tag of the one message a batch's signature covers.
+const BATCH_ROOT_TAG: &[u8] = b"TEP-BATCH-ROOT\x01";
+
+/// How a record's `checksum` bytes are to be read. Carried explicitly (as
+/// the record body's version byte), never inferred from the checksum's
+/// length.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ChecksumFormat {
+    /// The participant's signature over the record's [`checksum_message`]
+    /// — the paper's scheme, one signature per record.
+    #[default]
+    PerRecord,
+    /// An encoded [`BatchChecksum`]: the record is one leaf of a Merkle
+    /// tree whose root the participant signed once for the whole operation.
+    Batched,
+}
 
 /// The kind of operation a record documents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,6 +146,128 @@ pub struct ProvenanceRecord {
     pub annotation: Vec<u8>,
     /// `S_SKp(…)` — the signed integrity checksum.
     pub checksum: Vec<u8>,
+    /// How `checksum` is to be read.
+    pub checksum_format: ChecksumFormat,
+}
+
+/// The checksum of one member of an amortized batch: where its leaf sits
+/// in the batch's Merkle tree, the siblings that fold it up to the root,
+/// and the participant's one signature over that root.
+///
+/// Encoding (integers big-endian), self-contained and canonical:
+///
+/// ```text
+/// version(u8 = 1) index(u32) count(u32) sibling* signature
+/// ```
+///
+/// One `sibling` digest per tree level at which the leaf's ancestor has
+/// one — which levels those are follows from `(index, count)` alone, so
+/// the path needs no length field and cannot exceed ⌈log₂ count⌉ entries.
+/// The signature is the remainder, last, so a store can hold the bytes
+/// every member of a batch shares once.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BatchChecksum {
+    /// Position of this record's leaf.
+    pub index: u32,
+    /// Leaves in the batch.
+    pub count: u32,
+    /// Sibling path in [`ShardTree::leaf_path`] form.
+    pub path: Vec<Option<Vec<u8>>>,
+    /// The participant's signature over the batch's one signed message
+    /// (`TEP-BATCH-ROOT`, alg, count, root).
+    pub signature: Vec<u8>,
+}
+
+/// Domain-separated digest of one member's [`checksum_message`]; the
+/// member's leaf is [`leaf_hash`] of its output object and this digest.
+fn batch_leaf_digest(alg: HashAlgorithm, message: &[u8]) -> Vec<u8> {
+    let mut h = alg.hasher();
+    h.update(BATCH_LEAF_TAG);
+    h.update(message);
+    h.finalize()
+}
+
+/// The one message a batch's signature covers.
+fn batch_root_message(alg: HashAlgorithm, count: u32, root: &[u8]) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(BATCH_ROOT_TAG.len() + 13 + root.len());
+    msg.extend_from_slice(BATCH_ROOT_TAG);
+    msg.push(alg.wire_id());
+    msg.extend_from_slice(&count.to_be_bytes());
+    msg.extend_from_slice(&(root.len() as u64).to_be_bytes());
+    msg.extend_from_slice(root);
+    msg
+}
+
+impl BatchChecksum {
+    /// Canonical encoding (see the type docs).
+    pub fn encode(&self) -> Vec<u8> {
+        let digests: usize = self.path.iter().flatten().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(9 + digests + self.signature.len());
+        out.push(BATCH_CHECKSUM_VERSION);
+        out.extend_from_slice(&self.index.to_be_bytes());
+        out.extend_from_slice(&self.count.to_be_bytes());
+        for sibling in self.path.iter().flatten() {
+            out.extend_from_slice(sibling);
+        }
+        out.extend_from_slice(&self.signature);
+        out
+    }
+
+    /// Decodes a checksum whose path digests are `alg`'s. Total on
+    /// arbitrary bytes.
+    pub fn decode(alg: HashAlgorithm, buf: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(buf);
+        let version = r.u8()?;
+        if version != BATCH_CHECKSUM_VERSION {
+            return Err(DecodeError::BadTag(version));
+        }
+        let index = r.u32()?;
+        let count = r.u32()?;
+        if index >= count {
+            return Err(DecodeError::BadTag(0xFD));
+        }
+        // At most 32 levels: the shape, not the input, sizes the path.
+        let mut path = Vec::new();
+        let (mut idx, mut width) = (index, count);
+        while width > 1 {
+            path.push(if idx ^ 1 < width {
+                Some(r.bytes(alg.output_len())?.to_vec())
+            } else {
+                None
+            });
+            idx >>= 1;
+            width = width.div_ceil(2);
+        }
+        let signature = r.bytes(r.remaining())?.to_vec();
+        if signature.is_empty() {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        Ok(BatchChecksum {
+            index,
+            count,
+            path,
+            signature,
+        })
+    }
+
+    /// The message `signature` must verify over if the record with output
+    /// object `oid` and checksum message `message` is the member this
+    /// checksum claims it is; `None` when the path does not fit the shape.
+    pub fn signed_message(
+        &self,
+        alg: HashAlgorithm,
+        oid: ObjectId,
+        message: &[u8],
+    ) -> Option<Vec<u8>> {
+        let root = ShardTree::fold_leaf_path(
+            alg,
+            self.count.into(),
+            self.index.into(),
+            &leaf_hash(alg, oid, &batch_leaf_digest(alg, message)),
+            &self.path,
+        )?;
+        Some(batch_root_message(alg, self.count, &root))
+    }
 }
 
 /// Assembles the canonical byte string the checksum signs.
@@ -216,18 +374,7 @@ impl ProvenanceRecord {
         prev_checksums: &[&[u8]],
     ) -> Result<Self, RsaError> {
         inputs.sort_by_key(|i| i.oid);
-        let msg = checksum_message(
-            alg,
-            kind,
-            seq_id,
-            &inputs,
-            output_oid,
-            &output_hash,
-            &annotation,
-            prev_checksums,
-        );
-        let checksum = signer.sign(alg, &msg)?;
-        Ok(ProvenanceRecord {
+        let mut record = ProvenanceRecord {
             seq_id,
             participant: signer.id(),
             kind,
@@ -235,8 +382,62 @@ impl ProvenanceRecord {
             output_oid,
             output_hash,
             annotation,
-            checksum,
-        })
+            checksum: Vec::new(),
+            checksum_format: ChecksumFormat::PerRecord,
+        };
+        record.checksum = signer.sign(alg, &record.message(alg, prev_checksums))?;
+        Ok(record)
+    }
+
+    /// This record's [`checksum_message`] over the given predecessor
+    /// checksums.
+    pub fn message(&self, alg: HashAlgorithm, prev_checksums: &[&[u8]]) -> Vec<u8> {
+        checksum_message(
+            alg,
+            self.kind,
+            self.seq_id,
+            &self.inputs,
+            self.output_oid,
+            &self.output_hash,
+            &self.annotation,
+            prev_checksums,
+        )
+    }
+
+    /// Signs a batch of unsigned records **once**: `messages[i]` is
+    /// `records[i]`'s [`Self::message`], the output objects are distinct
+    /// and number at most `u32::MAX`, and every record leaves with `signer`
+    /// as its participant and a [`BatchChecksum`]. Returns the length of
+    /// the signature all those checksums end with.
+    pub fn sign_batch(
+        alg: HashAlgorithm,
+        signer: &Participant,
+        records: &mut [ProvenanceRecord],
+        messages: &[Vec<u8>],
+    ) -> Result<usize, RsaError> {
+        let count = u32::try_from(records.len()).expect("batch size fits the u32 leaf count");
+        let leaves = records
+            .iter()
+            .zip(messages)
+            .map(|(r, m)| (r.output_oid, batch_leaf_digest(alg, m)))
+            .collect();
+        let tree = ShardTree::build(alg, leaves);
+        let signature = signer.sign(alg, &batch_root_message(alg, count, &tree.root()))?;
+        for r in records {
+            let index = tree
+                .oid_position(r.output_oid)
+                .expect("every member is a leaf");
+            r.participant = signer.id();
+            r.checksum_format = ChecksumFormat::Batched;
+            r.checksum = BatchChecksum {
+                index: u32::try_from(index).expect("a leaf index is below the u32 count"),
+                count,
+                path: tree.leaf_path(index).expect("index is in range"),
+                signature: signature.clone(),
+            }
+            .encode();
+        }
+        Ok(signature.len())
     }
 
     /// The annotation as UTF-8 text, if it is text.
@@ -273,7 +474,10 @@ impl ProvenanceRecord {
 
     fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.output_hash.len());
-        out.push(RECORD_VERSION);
+        out.push(match self.checksum_format {
+            ChecksumFormat::PerRecord => RECORD_VERSION,
+            ChecksumFormat::Batched => RECORD_VERSION_BATCHED,
+        });
         out.push(self.kind.wire_id());
         out.extend_from_slice(&self.seq_id.to_be_bytes());
         out.extend_from_slice(&self.participant.0.to_be_bytes());
@@ -300,10 +504,11 @@ impl ProvenanceRecord {
 
     fn decode_body(buf: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(buf);
-        let version = r.u8()?;
-        if version != RECORD_VERSION {
-            return Err(DecodeError::BadTag(version));
-        }
+        let checksum_format = match r.u8()? {
+            RECORD_VERSION => ChecksumFormat::PerRecord,
+            RECORD_VERSION_BATCHED => ChecksumFormat::Batched,
+            version => return Err(DecodeError::BadTag(version)),
+        };
         let kind = RecordKind::from_wire_id(r.u8()?).ok_or(DecodeError::BadTag(0xFE))?;
         let seq_id = r.u64()?;
         let participant = ParticipantId(r.u64()?);
@@ -336,6 +541,7 @@ impl ProvenanceRecord {
             output_hash,
             annotation,
             checksum: Vec::new(),
+            checksum_format,
         })
     }
 }

@@ -17,13 +17,19 @@
 //! sequence of insert/update/delete primitives into one transactional unit:
 //! one record per *touched object still present* (plus its ancestors),
 //! covering the object's before → after subtree states.
+//!
+//! **Amortized signing.** An operation that emits two or more records
+//! signs once for all of them ([`ProvenanceRecord::sign_batch`]); an
+//! operation that emits one record, and every aggregate, signs that record
+//! directly as the paper does. [`ProvenanceTracker::complex_per_record`]
+//! keeps the paper's one-signature-per-record scheme for any operation.
 
 use crate::chain::ChainHeads;
 use crate::error::CoreError;
 use crate::hashing::{HashCache, HashingStrategy};
 use crate::metrics::Metrics;
 use crate::parallel::parallel_map;
-use crate::record::{InputRef, ProvenanceRecord, RecordKind};
+use crate::record::{ChecksumFormat, InputRef, ProvenanceRecord, RecordKind};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,6 +77,16 @@ pub struct TrackerConfig {
     pub alg: HashAlgorithm,
     /// Basic vs Economical hashing (§4.3, Figure 7).
     pub strategy: HashingStrategy,
+}
+
+/// How the records of one complex operation get their checksums.
+#[derive(Clone, Copy)]
+enum Signing {
+    /// One signature for the whole operation when it emits two or more
+    /// records.
+    Amortized,
+    /// One signature per record, computed on `threads` workers.
+    PerRecord { threads: usize },
 }
 
 /// Outcome of a tracked complex operation.
@@ -374,25 +390,28 @@ impl ProvenanceTracker {
         ops: &[PrimitiveOp],
         annotation: &[u8],
     ) -> Result<ComplexReport, CoreError> {
-        self.complex_impl(signer, ops, annotation, 1)
+        self.complex_impl(signer, ops, annotation, Signing::Amortized)
     }
 
-    /// [`Self::complex`] with record signing fanned out across `threads`
-    /// workers (the batch half of the parallel crypto pipeline).
+    /// [`Self::complex_annotated`] under the paper's scheme: every record
+    /// carries its own signature ([`ChecksumFormat::PerRecord`], the format
+    /// of every record written before amortized signing existed), computed
+    /// on `threads` workers. This is what Figures 8–11 measure.
     ///
-    /// Sound because the records of one batch are mutually independent:
-    /// each touched object emits exactly one record, which chains onto that
-    /// object's *pre-batch* head — per-object chaining (§3.2) means no
-    /// record in the batch depends on another's checksum. Records are still
-    /// appended to the store in deterministic object order, so the produced
-    /// history is byte-identical to the sequential [`Self::complex`].
-    pub fn record_batch(
+    /// The fan-out is sound for the reason amortizing is: the records of
+    /// one operation are mutually independent — each touched object emits
+    /// exactly one record, which chains onto that object's *pre-operation*
+    /// head (per-object chaining, §3.2), so none depends on another's
+    /// checksum. Records are appended in deterministic object order
+    /// whatever the worker count.
+    pub fn complex_per_record(
         &mut self,
         signer: &Participant,
         ops: &[PrimitiveOp],
+        annotation: &[u8],
         threads: usize,
     ) -> Result<ComplexReport, CoreError> {
-        self.complex_impl(signer, ops, &[], threads)
+        self.complex_impl(signer, ops, annotation, Signing::PerRecord { threads })
     }
 
     fn complex_impl(
@@ -400,7 +419,7 @@ impl ProvenanceTracker {
         signer: &Participant,
         ops: &[PrimitiveOp],
         annotation: &[u8],
-        threads: usize,
+        signing: Signing,
     ) -> Result<ComplexReport, CoreError> {
         let mut metrics = Metrics::default();
 
@@ -516,10 +535,41 @@ impl ProvenanceTracker {
             });
         }
 
+        // Leaf hashing, tree building and checksum assembly of the
+        // amortized path count as signing time.
         let t = Instant::now();
         let alg = self.config.alg;
-        let signed: Vec<Result<ProvenanceRecord, tep_crypto::rsa::RsaError>> =
-            parallel_map(threads, &pending, |_, p| {
+        let amortize = matches!(signing, Signing::Amortized)
+            && pending.len() >= 2
+            && u32::try_from(pending.len()).is_ok();
+        let (signed, shared_tail) = if amortize {
+            let (mut records, messages): (Vec<ProvenanceRecord>, Vec<Vec<u8>>) = pending
+                .into_iter()
+                .map(|p| {
+                    let record = ProvenanceRecord {
+                        seq_id: p.seq,
+                        participant: signer.id(),
+                        kind: p.kind,
+                        inputs: p.inputs,
+                        output_oid: p.oid,
+                        output_hash: p.output_hash,
+                        annotation: annotation.to_vec(),
+                        checksum: Vec::new(),
+                        checksum_format: ChecksumFormat::Batched,
+                    };
+                    let prev_refs: Vec<&[u8]> = p.prev_checksum.iter().map(Vec::as_slice).collect();
+                    let message = record.message(alg, &prev_refs);
+                    (record, message)
+                })
+                .unzip();
+            let tail = ProvenanceRecord::sign_batch(alg, signer, &mut records, &messages)?;
+            (records, tail)
+        } else {
+            let threads = match signing {
+                Signing::PerRecord { threads } => threads,
+                Signing::Amortized => 1,
+            };
+            let signed = parallel_map(threads, &pending, |_, p| {
                 let prev_refs: Vec<&[u8]> = p.prev_checksum.iter().map(Vec::as_slice).collect();
                 ProvenanceRecord::create_annotated(
                     alg,
@@ -533,20 +583,21 @@ impl ProvenanceTracker {
                     &prev_refs,
                 )
             });
+            (signed.into_iter().collect::<Result<Vec<_>, _>>()?, 0)
+        };
         metrics.sign_ns += t.elapsed().as_nanos() as u64;
 
-        // Append in deterministic (object-id) order and advance heads.
+        // Append in deterministic (object-id) order — in one call, so the
+        // store holds a shared signature once — and advance heads.
+        let t = Instant::now();
+        let stored: Vec<_> = signed.iter().map(ProvenanceRecord::to_stored).collect();
+        metrics.row_bytes += stored.iter().map(|s| s.paper_row_bytes()).sum::<u64>();
+        metrics.records += stored.len() as u64;
+        self.db.append_batch(stored, shared_tail)?;
+        metrics.store_ns += t.elapsed().as_nanos() as u64;
         for record in signed {
-            let record = record?;
-            let oid = record.output_oid;
-            let seq = record.seq_id;
-            let t = Instant::now();
-            let stored = record.to_stored();
-            metrics.row_bytes += stored.paper_row_bytes();
-            self.db.append(stored)?;
-            metrics.store_ns += t.elapsed().as_nanos() as u64;
-            metrics.records += 1;
-            self.heads.advance(oid, seq, record.checksum);
+            self.heads
+                .advance(record.output_oid, record.seq_id, record.checksum);
         }
 
         // Deleted objects' chains are retired (§2.1 footnote 3).
@@ -947,11 +998,10 @@ mod tests {
     }
 
     #[test]
-    fn record_batch_bitwise_equals_sequential_complex() {
-        // Same op batch through complex() (serial signing) and
-        // record_batch() (parallel signing) must produce byte-identical
-        // provenance stores: signing is deterministic and records are
-        // appended in object order either way.
+    fn per_record_signing_is_bitwise_equal_at_any_worker_count() {
+        // The same operation signed per record on one worker and on four
+        // must produce byte-identical provenance stores: signing is
+        // deterministic and records are appended in object order either way.
         let run = |threads: usize| {
             let (mut t, p) = setup(HashingStrategy::Economical);
             let (root, _) = t.insert(&p, Value::text("db"), None).unwrap();
@@ -972,11 +1022,7 @@ mod tests {
                 }))
                 .chain(std::iter::once(PrimitiveOp::Delete { id: cells[5] }))
                 .collect();
-            let report = if threads == 1 {
-                t.complex(&p, &ops).unwrap()
-            } else {
-                t.record_batch(&p, &ops, threads).unwrap()
-            };
+            let report = t.complex_per_record(&p, &ops, &[], threads).unwrap();
             (t.db().all_records(), report.metrics.records)
         };
         let (serial, n1) = run(1);
@@ -1071,12 +1117,73 @@ mod tests {
 
     #[test]
     fn metrics_row_bytes_match_store() {
+        // 512-bit keys → 64-byte signatures → 76-byte paper rows.
+        const ROW: u64 = 4 + 4 + 4 + 64;
+        let child = |root| {
+            [PrimitiveOp::Insert {
+                id: None,
+                value: Value::Int(1),
+                parent: Some(root),
+            }]
+        };
+
+        // The paper's scheme: one signature per row.
         let (mut t, p) = setup(HashingStrategy::Economical);
         let (root, _) = t.insert(&p, Value::text("db"), None).unwrap();
-        let (_, m) = t.insert(&p, Value::Int(1), Some(root)).unwrap();
-        assert!(m.row_bytes > 0);
-        // 512-bit keys → 64-byte checksums → 76-byte paper rows.
-        assert_eq!(m.row_bytes, 2 * (4 + 4 + 4 + 64));
-        assert_eq!(t.db().paper_row_bytes(), m.row_bytes + (4 + 4 + 4 + 64));
+        let m = t
+            .complex_per_record(&p, &child(root), &[], 1)
+            .unwrap()
+            .metrics;
+        assert_eq!(m.row_bytes, 2 * ROW);
+        assert_eq!(t.db().paper_row_bytes(), m.row_bytes + ROW);
+
+        // A batch member's row is its self-contained row, own copy of the
+        // batch signature included: 9 header bytes and one 32-byte SHA-256
+        // sibling on top of the signature for each of two members. The
+        // store's total is the sum of those rows, although it holds the
+        // signature once.
+        let (mut t, p) = setup(HashingStrategy::Economical);
+        let (root, _) = t.insert(&p, Value::text("db"), None).unwrap();
+        let m = t.complex(&p, &child(root)).unwrap().metrics;
+        assert_eq!(m.row_bytes, 2 * (ROW + 9 + 32));
+        assert_eq!(t.db().paper_row_bytes(), m.row_bytes + ROW);
+        let stored: u64 = t
+            .db()
+            .all_records()
+            .iter()
+            .map(|r| r.paper_row_bytes())
+            .sum();
+        assert_eq!(t.db().paper_row_bytes(), stored);
+    }
+
+    #[test]
+    fn multi_record_operations_sign_once_and_single_record_ones_as_before() {
+        use crate::record::BatchChecksum;
+        let (mut t, p) = setup(HashingStrategy::Economical);
+        let (root, _) = t.insert(&p, Value::text("db"), None).unwrap();
+        let (row, _) = t.insert(&p, Value::Null, Some(root)).unwrap();
+        t.insert(&p, Value::Int(1), Some(row)).unwrap();
+        t.update(&p, root, Value::text("db2")).unwrap();
+
+        let records: Vec<ProvenanceRecord> = t
+            .db()
+            .all_records()
+            .iter()
+            .map(|s| ProvenanceRecord::from_stored(s).unwrap())
+            .collect();
+        let formats: Vec<ChecksumFormat> = records.iter().map(|r| r.checksum_format).collect();
+        use ChecksumFormat::{Batched as B, PerRecord as P};
+        assert_eq!(formats, [P, B, B, B, B, B, P]);
+
+        // The three-record insert: one signature, three positions.
+        let batch: Vec<BatchChecksum> = records[3..6]
+            .iter()
+            .map(|r| BatchChecksum::decode(ALG, &r.checksum).unwrap())
+            .collect();
+        for (i, c) in batch.iter().enumerate() {
+            assert_eq!((c.index, c.count), (i as u32, 3));
+            assert_eq!(c.signature, batch[0].signature);
+            assert_eq!(c.encode(), records[3 + i].checksum);
+        }
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::parallel::parallel_map;
 use crate::provenance::ProvenanceObject;
-use crate::record::{checksum_message, ProvenanceRecord, RecordKind};
+use crate::record::{BatchChecksum, ChecksumFormat, ProvenanceRecord, RecordKind};
 use crate::slice::{
     backward_closure, forward_closure, polynomial_over, AggEdge, QueryAnswer, QueryOp, SliceProof,
 };
@@ -1171,20 +1171,23 @@ fn check_record_signature(
         return;
     }
     let prev_refs: Vec<&[u8]> = prev_checksums.iter().map(Vec::as_slice).collect();
-    let msg = checksum_message(
-        alg,
-        r.kind,
-        r.seq_id,
-        &r.inputs,
-        r.output_oid,
-        &r.output_hash,
-        &r.annotation,
-        &prev_refs,
-    );
-    if keys
-        .verify_signature(r.participant, alg, &msg, &r.checksum)
-        .is_err()
-    {
+    let msg = r.message(alg, &prev_refs);
+    // A batch member proves itself: its path folds its own leaf up to the
+    // root the participant signed, so a bad index, path, leaf or signature
+    // fails this record and no other.
+    let genuine = match r.checksum_format {
+        ChecksumFormat::PerRecord => keys
+            .verify_signature(r.participant, alg, &msg, &r.checksum)
+            .is_ok(),
+        ChecksumFormat::Batched => BatchChecksum::decode(alg, &r.checksum).is_ok_and(|c| {
+            c.signed_message(alg, r.output_oid, &msg)
+                .is_some_and(|signed| {
+                    keys.verify_signature(r.participant, alg, &signed, &c.signature)
+                        .is_ok()
+                })
+        }),
+    };
+    if !genuine {
         issues.push(TamperEvidence::BadSignature {
             oid: r.output_oid,
             seq: r.seq_id,

@@ -39,6 +39,7 @@
 //! reading any archive.
 
 use crate::log::{AppendLog, LogError, FRAME_HEADER_LEN};
+use crate::provenance_db::self_contained_frames;
 use crate::vfs::Vfs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -213,13 +214,22 @@ pub fn compact_durable_log(
         .and_then(|p| CompactionStamp::from_bytes(p).ok());
     let records = &recovered.payloads[if prior.is_some() { 1 } else { 0 }..];
 
+    // Compaction moves frames out of their log context, so every record it
+    // rewrites — kept or archived — leaves self-contained: a signature-
+    // elided frame must not outlive the frame that carried its signature.
     let mut kept: Vec<Vec<u8>> = Vec::new();
     let mut excised: Vec<Vec<u8>> = Vec::new();
-    for (i, payload) in records.iter().enumerate() {
-        if keep(i, payload) {
-            kept.push(payload.clone());
+    let mut run_bytes = 0u64;
+    for (i, (raw, payload)) in records
+        .iter()
+        .zip(self_contained_frames(records))
+        .enumerate()
+    {
+        if keep(i, &payload) {
+            kept.push(payload);
         } else {
-            excised.push(payload.clone());
+            run_bytes += (FRAME_HEADER_LEN + raw.len()) as u64;
+            excised.push(payload);
         }
     }
 
@@ -247,10 +257,6 @@ pub fn compact_durable_log(
         });
     }
 
-    let run_bytes: u64 = excised
-        .iter()
-        .map(|p| (FRAME_HEADER_LEN + p.len()) as u64)
-        .sum();
     let generation = prior_gen + 1;
     let stamp = CompactionStamp {
         generation,

@@ -9,8 +9,29 @@
 //! Records are indexed by output object and kept in per-object `seqID`
 //! order. The store runs in-memory, optionally backed by a durable
 //! [`AppendLog`] with recovery on open.
+//!
+//! **Shared checksum tails.** The records of one amortized batch all end
+//! their checksum with the same signature. [`ProvenanceDb::append_batch`]
+//! writes and holds those bytes **once**: the batch's first log frame is an
+//! ordinary self-contained row, each later frame is the row *without* the
+//! tail plus a 7-byte trailer naming the tail it elides:
+//!
+//! ```text
+//! frame         := row                      (self-contained, as ever)
+//!                | row-sans-tail trailer    (signature-elided)
+//! trailer       := kind(u8 = 1) tail_len(u16) crc32(tail)(u32)
+//! ```
+//!
+//! A self-contained row has no trailing bytes, so the two cannot be
+//! confused. On open an elided frame takes its tail from the nearest
+//! preceding self-contained frame, checked against the trailer; if that
+//! frame is gone (quarantined), the row is kept with its checksum cut
+//! short, which the verifier reports against exactly that record. It is
+//! still one frame per record, and every read API returns self-contained
+//! [`StoredRecord`]s.
 
 use crate::archive::CompactionStamp;
+use crate::crc::crc32;
 use crate::log::{AppendLog, GapKind, LogError, LogGap};
 use crate::vfs::{real_vfs, Vfs};
 use parking_lot::RwLock;
@@ -41,7 +62,10 @@ impl StoredRecord {
     /// Size of the paper's four-column row for this record:
     /// `SeqID(4) + Participant(4) + Oid(4) + checksum` bytes.
     ///
-    /// This is the quantity Figures 9 and 11 plot as "space overhead".
+    /// This is the quantity Figures 9 and 11 plot as "space overhead". It
+    /// always counts the self-contained row — a member of an amortized
+    /// batch counts its own copy of the batch signature, as a recipient
+    /// receives it, although the store holds that signature once.
     pub fn paper_row_bytes(&self) -> u64 {
         4 + 4 + 4 + self.checksum.len() as u64
     }
@@ -59,36 +83,139 @@ impl StoredRecord {
     /// it — lets hot paths (tep-net PROV framing) reuse one scratch buffer
     /// instead of allocating a fresh `Vec` per record.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seq_id.to_be_bytes());
-        out.extend_from_slice(&self.participant.0.to_be_bytes());
-        out.extend_from_slice(&self.oid.raw().to_be_bytes());
-        out.extend_from_slice(&(self.checksum.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.checksum);
-        out.extend_from_slice(&(self.payload.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        Row::of(self).encode_into(out);
     }
 
     /// Decodes a row from its [`Self::to_bytes`] encoding.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
-        Self::decode(buf)
+        match decode_frame(buf)? {
+            (row, None) => Ok(row.to_record(&[])),
+            (_, Some(_)) => Err(DecodeError::TrailingBytes(ElidedTail::TRAILER_LEN)),
+        }
+    }
+}
+
+/// A borrowed view of a row: what frames encode and decode without copying.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    seq_id: u64,
+    participant: ParticipantId,
+    oid: ObjectId,
+    checksum: &'a [u8],
+    payload: &'a [u8],
+}
+
+impl<'a> Row<'a> {
+    fn of(record: &'a StoredRecord) -> Self {
+        Row {
+            seq_id: record.seq_id,
+            participant: record.participant,
+            oid: record.oid,
+            checksum: &record.checksum,
+            payload: &record.payload,
+        }
     }
 
-    fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let seq_id = r.u64()?;
-        let participant = ParticipantId(r.u64()?);
-        let oid = ObjectId(r.u64()?);
-        let checksum = r.len_prefixed()?.to_vec();
-        let payload = r.len_prefixed()?.to_vec();
-        r.expect_end()?;
-        Ok(StoredRecord {
-            seq_id,
-            participant,
-            oid,
-            checksum,
-            payload,
+    /// The owned row, its checksum completed by `tail`.
+    fn to_record(self, tail: &[u8]) -> StoredRecord {
+        StoredRecord {
+            seq_id: self.seq_id,
+            participant: self.participant,
+            oid: self.oid,
+            checksum: [self.checksum, tail].concat(),
+            payload: self.payload.to_vec(),
+        }
+    }
+
+    fn encode_into(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.seq_id.to_be_bytes());
+        out.extend_from_slice(&self.participant.0.to_be_bytes());
+        out.extend_from_slice(&self.oid.raw().to_be_bytes());
+        out.extend_from_slice(&(self.checksum.len() as u64).to_be_bytes());
+        out.extend_from_slice(self.checksum);
+        out.extend_from_slice(&(self.payload.len() as u64).to_be_bytes());
+        out.extend_from_slice(self.payload);
+    }
+}
+
+/// Decodes one log frame: a self-contained row, or a row whose checksum
+/// lacks the tail the returned trailer describes.
+fn decode_frame(buf: &[u8]) -> Result<(Row<'_>, Option<ElidedTail>), DecodeError> {
+    let mut r = Reader::new(buf);
+    let row = Row {
+        seq_id: r.u64()?,
+        participant: ParticipantId(r.u64()?),
+        oid: ObjectId(r.u64()?),
+        checksum: r.len_prefixed()?,
+        payload: r.len_prefixed()?,
+    };
+    if r.remaining() == 0 {
+        return Ok((row, None));
+    }
+    match r.u8()? {
+        ElidedTail::KIND => {}
+        kind => return Err(DecodeError::BadTag(kind)),
+    }
+    let len = u16::from_be_bytes(r.array()?);
+    let crc = r.u32()?;
+    r.expect_end()?;
+    Ok((row, Some(ElidedTail { len, crc })))
+}
+
+/// Trailer of a signature-elided frame: which bytes its row's checksum is
+/// missing (see the module docs).
+#[derive(Clone, Copy, PartialEq)]
+struct ElidedTail {
+    len: u16,
+    crc: u32,
+}
+
+impl ElidedTail {
+    const KIND: u8 = 1;
+    const TRAILER_LEN: usize = 7;
+
+    fn of(tail: &[u8]) -> Option<Self> {
+        let len = u16::try_from(tail.len()).ok()?;
+        Some(ElidedTail {
+            len,
+            crc: crc32(tail),
         })
     }
+
+    /// The elided bytes, if `carrier` (the checksum of the preceding
+    /// self-contained row) ends with them.
+    fn tail_of<'a>(&self, carrier: &'a [u8]) -> Option<&'a [u8]> {
+        let at = carrier.len().checked_sub(self.len.into())?;
+        Some(&carrier[at..]).filter(|tail| crc32(tail) == self.crc)
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(Self::KIND);
+        out.extend_from_slice(&self.len.to_be_bytes());
+        out.extend_from_slice(&self.crc.to_be_bytes());
+    }
+}
+
+/// Rewrites signature-elided record frames as self-contained rows, for
+/// consumers that move frames out of their log context (compaction). Frames
+/// that are already self-contained, are not records, or have lost their
+/// carrier pass through unchanged.
+pub(crate) fn self_contained_frames(frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut carrier: &[u8] = &[];
+    frames
+        .iter()
+        .map(|frame| match decode_frame(frame) {
+            Ok((row, None)) => {
+                carrier = row.checksum;
+                frame.clone()
+            }
+            Ok((row, Some(elided))) => match elided.tail_of(carrier) {
+                Some(tail) => row.to_record(tail).to_bytes(),
+                None => frame.clone(),
+            },
+            Err(_) => frame.clone(),
+        })
+        .collect()
 }
 
 /// Errors from the provenance store.
@@ -166,8 +293,80 @@ impl From<LogError> for StoreError {
     }
 }
 
+/// One stored row, packed into a slot no wider than a [`StoredRecord`].
+/// The row's checksum is `body[..own]` followed by `shared[from..]` (when
+/// there is a `shared`); its payload is `body[own..]`. An ordinary row is
+/// all `body`. The first row of a batch keeps its checksum in `shared`
+/// instead, and the later rows keep what they do not share in `body` and
+/// point into the first's `shared` — which is how a batch's signature is
+/// held once.
+struct Slot {
+    seq_id: u64,
+    participant: ParticipantId,
+    oid: ObjectId,
+    body: Box<[u8]>,
+    own: usize,
+    shared: Option<Arc<[u8]>>,
+    from: usize,
+}
+
+impl Slot {
+    /// A row whose checksum is `row.checksum` followed by `shared[from..]`.
+    fn new(row: Row<'_>, shared: Option<Arc<[u8]>>, from: usize) -> Self {
+        Slot {
+            seq_id: row.seq_id,
+            participant: row.participant,
+            oid: row.oid,
+            body: [row.checksum, row.payload].concat().into(),
+            own: row.checksum.len(),
+            shared,
+            from,
+        }
+    }
+
+    fn tail(&self) -> &[u8] {
+        self.shared.as_ref().map_or(&[], |s| &s[self.from..])
+    }
+
+    /// The self-contained row.
+    fn materialize(&self) -> StoredRecord {
+        let (own, payload) = self.body.split_at(self.own);
+        StoredRecord {
+            seq_id: self.seq_id,
+            participant: self.participant,
+            oid: self.oid,
+            checksum: match self.tail() {
+                // Ordinary rows are the common read: the plain copy `clone`
+                // made, without `concat`'s sizing pass.
+                [] => own.to_vec(),
+                tail => [own, tail].concat(),
+            },
+            payload: payload.to_vec(),
+        }
+    }
+
+    /// Of a self-contained row (one that points into no other): where the
+    /// tail `elided` names starts in its checksum, and that checksum as
+    /// bytes later rows can point into — moved out of `body` the first
+    /// time a later row asks.
+    fn share_tail(&mut self, elided: &ElidedTail) -> Option<(Arc<[u8]>, usize)> {
+        let checksum = match &self.shared {
+            Some(shared) => shared,
+            None => &self.body[..self.own],
+        };
+        let from = checksum.len() - elided.tail_of(checksum)?.len();
+        if self.shared.is_none() {
+            let (checksum, payload) = self.body.split_at(self.own);
+            self.shared = Some(checksum.into());
+            self.body = payload.into();
+            self.own = 0;
+        }
+        Some((Arc::clone(self.shared.as_ref()?), from))
+    }
+}
+
 struct Inner {
-    records: Vec<StoredRecord>,
+    records: Vec<Slot>,
     by_object: HashMap<ObjectId, Vec<u32>>,
     log: Option<AppendLog>,
     paper_row_bytes: u64,
@@ -266,9 +465,32 @@ impl ProvenanceDb {
             inner.recovery.compaction = Some(stamp);
             frames = &frames[1..];
         }
+        // An elided frame points into the checksum of the nearest preceding
+        // self-contained row, once that is checked against its trailer (one
+        // CRC per batch: later members naming the same tail reuse it).
+        let mut carrier: Option<usize> = None;
+        let mut batch: Option<(ElidedTail, Arc<[u8]>, usize)> = None;
         for frame in frames {
-            match StoredRecord::decode(frame) {
-                Ok(rec) => index_record(&mut inner, rec),
+            match decode_frame(frame) {
+                Ok((row, None)) => {
+                    carrier = Some(inner.records.len());
+                    batch = None;
+                    index_slot(&mut inner, Slot::new(row, None, 0));
+                }
+                Ok((row, Some(elided))) => {
+                    if batch.as_ref().map(|b| b.0) != Some(elided) {
+                        batch = carrier
+                            .and_then(|c| inner.records[c].share_tail(&elided))
+                            .map(|(shared, from)| (elided, shared, from));
+                    }
+                    // A row whose carrier is gone keeps its checksum cut
+                    // short: unverifiable, and reported as exactly that.
+                    let slot = match &batch {
+                        Some((_, shared, from)) => Slot::new(row, Some(Arc::clone(shared)), *from),
+                        None => Slot::new(row, None, 0),
+                    };
+                    index_slot(&mut inner, slot);
+                }
                 Err(_) => inner.recovery.decode_failures += 1,
             }
         }
@@ -289,7 +511,58 @@ impl ProvenanceDb {
         if let Some(log) = inner.log.as_mut() {
             log.append(&record.to_bytes())?;
         }
-        index_record(&mut inner, record);
+        index_slot(&mut inner, Slot::new(Row::of(&record), None, 0));
+        Ok(())
+    }
+
+    /// Appends the records of one batch, whose checksums all end with the
+    /// same `shared_tail` bytes (the batch signature): one log frame per
+    /// record as ever, but the tail is written once — with the first — and
+    /// held once in memory. Records that do not share such a tail are
+    /// appended one by one as [`Self::append`] would.
+    pub fn append_batch(
+        &self,
+        records: Vec<StoredRecord>,
+        shared_tail: usize,
+    ) -> Result<(), StoreError> {
+        let batch = records.first().and_then(|first| {
+            let from = first.checksum.len().checked_sub(shared_tail)?;
+            let tail = &first.checksum[from..];
+            let elided = ElidedTail::of(tail).filter(|_| !tail.is_empty())?;
+            let all_share = records.iter().all(|r| r.checksum.ends_with(tail));
+            all_share.then(|| (Arc::<[u8]>::from(&first.checksum[..]), from, elided))
+        });
+        let Some((shared, from, elided)) = batch else {
+            return records.into_iter().try_for_each(|r| self.append(r));
+        };
+        let mut inner = self.inner.write();
+        let mut frame = Vec::new();
+        for (i, record) in records.iter().enumerate() {
+            // The first member is an ordinary row whose checksum the others
+            // point into; they keep only what precedes the shared tail.
+            let (own, at) = match i {
+                0 => (0, 0),
+                _ => (record.checksum.len() - shared_tail, from),
+            };
+            let unshared = Row {
+                checksum: &record.checksum[..own],
+                ..Row::of(record)
+            };
+            if let Some(log) = inner.log.as_mut() {
+                frame.clear();
+                if i == 0 {
+                    record.encode_into(&mut frame);
+                } else {
+                    unshared.encode_into(&mut frame);
+                    elided.encode_into(&mut frame);
+                }
+                log.append(&frame)?;
+            }
+            index_slot(
+                &mut inner,
+                Slot::new(unshared, Some(Arc::clone(&shared)), at),
+            );
+        }
         Ok(())
     }
 
@@ -309,7 +582,7 @@ impl ProvenanceDb {
             .get(&oid)
             .map(|idxs| {
                 idxs.iter()
-                    .map(|&i| inner.records[i as usize].clone())
+                    .map(|&i| inner.records[i as usize].materialize())
                     .collect()
             })
             .unwrap_or_default();
@@ -323,8 +596,8 @@ impl ProvenanceDb {
         inner.by_object.get(&oid).and_then(|idxs| {
             idxs.iter()
                 .map(|&i| &inner.records[i as usize])
-                .max_by_key(|r| r.seq_id)
-                .cloned()
+                .max_by_key(|s| s.seq_id)
+                .map(Slot::materialize)
         })
     }
 
@@ -346,7 +619,7 @@ impl ProvenanceDb {
 
     /// Snapshot of every record in append order.
     pub fn all_records(&self) -> Vec<StoredRecord> {
-        self.inner.read().records.clone()
+        self.records_from(0)
     }
 
     /// Snapshot of the records at append positions `pos..`, in append
@@ -358,7 +631,7 @@ impl ProvenanceDb {
         inner
             .records
             .get(pos..)
-            .map(|s| s.to_vec())
+            .map(|s| s.iter().map(Slot::materialize).collect())
             .unwrap_or_default()
     }
 
@@ -378,11 +651,15 @@ impl ProvenanceDb {
             return Err(StoreError::DurableRetain);
         }
         let before = inner.records.len();
-        let kept: Vec<StoredRecord> = inner.records.drain(..).filter(|r| keep(r)).collect();
+        let kept: Vec<Slot> = inner
+            .records
+            .drain(..)
+            .filter(|s| keep(&s.materialize()))
+            .collect();
         inner.by_object.clear();
         inner.paper_row_bytes = 0;
-        for rec in kept {
-            index_record(&mut inner, rec);
+        for slot in kept {
+            index_slot(&mut inner, slot);
         }
         Ok(before - inner.records.len())
     }
@@ -406,11 +683,11 @@ impl ProvenanceDb {
     }
 }
 
-fn index_record(inner: &mut Inner, record: StoredRecord) {
+fn index_slot(inner: &mut Inner, slot: Slot) {
     let idx = inner.records.len() as u32;
-    inner.paper_row_bytes += record.paper_row_bytes();
-    inner.by_object.entry(record.oid).or_default().push(idx);
-    inner.records.push(record);
+    inner.paper_row_bytes += (4 + 4 + 4 + slot.own + slot.tail().len()) as u64;
+    inner.by_object.entry(slot.oid).or_default().push(idx);
+    inner.records.push(slot);
 }
 
 #[cfg(test)]
@@ -569,13 +846,85 @@ mod tests {
     fn record_encode_decode_roundtrip() {
         let r = rec(42, 7, 3);
         let encoded = r.to_bytes();
-        assert_eq!(StoredRecord::decode(&encoded).unwrap(), r);
+        assert_eq!(StoredRecord::from_bytes(&encoded).unwrap(), r);
         // Truncation is detected.
-        assert!(StoredRecord::decode(&encoded[..encoded.len() - 1]).is_err());
+        assert!(StoredRecord::from_bytes(&encoded[..encoded.len() - 1]).is_err());
         // Trailing bytes are detected.
         let mut extended = encoded.clone();
         extended.push(0);
-        assert!(StoredRecord::decode(&extended).is_err());
+        assert!(StoredRecord::from_bytes(&extended).is_err());
+    }
+
+    /// Three rows sharing a 128-byte checksum tail, as one batch.
+    fn batch(oid: u64) -> Vec<StoredRecord> {
+        (0..3u64)
+            .map(|i| {
+                let mut r = rec(oid + i, 0, 10);
+                r.checksum = vec![i as u8; 9 + 20 * i as usize];
+                r.checksum.extend_from_slice(&[0x5A; 128]);
+                r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_append_writes_the_shared_tail_once_and_reads_back_whole_rows() {
+        let path = temp_path("batch");
+        let _guard = Cleanup(path.clone());
+        let rows = batch(1);
+        let single = rec(9, 0, 10);
+        let full: u64 = rows.iter().map(|r| 8 + r.to_bytes().len() as u64).sum();
+        {
+            let db = ProvenanceDb::durable(&path).unwrap();
+            db.append_batch(rows.clone(), 128).unwrap();
+            db.append(single.clone()).unwrap();
+            db.sync().unwrap();
+            assert_eq!(db.all_records()[..3], rows[..]);
+        }
+        // One frame per record; the two later members trade the 128-byte
+        // tail for a 7-byte trailer.
+        let on_disk = std::fs::metadata(&path).unwrap().len();
+        let single_frame = 8 + single.to_bytes().len() as u64;
+        assert_eq!(on_disk, 12 + full - 2 * (128 - 7) + single_frame);
+        assert_eq!(AppendLog::open(&path).unwrap().payloads.len(), 4);
+
+        let db = ProvenanceDb::durable(&path).unwrap();
+        assert!(!db.recovery().is_degraded());
+        assert_eq!(db.all_records()[..3], rows[..]);
+        assert_eq!(db.latest_for(ObjectId(3)).unwrap(), rows[2]);
+        assert_eq!(db.records_for(ObjectId(9)), vec![single]);
+        // Paper rows count every member's own copy of the tail.
+        let rows_bytes: u64 = rows.iter().map(|r| r.paper_row_bytes()).sum();
+        assert_eq!(db.paper_row_bytes(), rows_bytes + 140);
+    }
+
+    #[test]
+    fn batch_append_without_a_common_tail_is_a_run_of_plain_appends() {
+        let path = temp_path("batch-plain");
+        let _guard = Cleanup(path.clone());
+        let mut rows = batch(1);
+        rows[1].checksum[40] ^= 1; // no longer ends like the others
+        let db = ProvenanceDb::durable(&path).unwrap();
+        db.append_batch(rows.clone(), 128).unwrap();
+        db.append_batch(batch(5), 0).unwrap();
+        db.append_batch(batch(8), 4096).unwrap();
+        db.sync().unwrap();
+        drop(db);
+        let frames = AppendLog::open(&path).unwrap().payloads;
+        let expect: Vec<StoredRecord> = [rows, batch(5), batch(8)].concat();
+        assert_eq!(frames.len(), expect.len());
+        for (frame, row) in frames.iter().zip(&expect) {
+            assert_eq!(&StoredRecord::from_bytes(frame).unwrap(), row);
+        }
+    }
+
+    #[test]
+    fn retain_keeps_batch_members_whole_without_their_first_frame() {
+        let db = ProvenanceDb::in_memory();
+        let rows = batch(1);
+        db.append_batch(rows.clone(), 128).unwrap();
+        assert_eq!(db.retain(|r| r.oid != ObjectId(1)).unwrap(), 1);
+        assert_eq!(db.all_records(), rows[1..]);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!    converges**: re-running the interrupted compaction completes,
 //!    rewrites any orphan archive, and the log keeps accepting appends.
 //!
+//! The sweep also runs over a log written in signature-sharing batches
+//! whose watermark lands **inside** a batch: the frame that carries the
+//! batch's signature is excised while frames that elide it are kept, so
+//! compaction must hand every record it moves — kept or archived — its own
+//! copy of the signature.
+//!
 //! The sweep seed comes from `TEP_CRASH_SEED` (default 2009) so CI can
 //! run a seed matrix.
 
@@ -24,7 +30,7 @@ use std::sync::Arc;
 use tep_model::{ObjectId, ParticipantId};
 use tep_storage::vfs::{FaultConfig, FaultVfs, Vfs};
 use tep_storage::{
-    archive_path_for, compact_durable_log, read_archive, ProvenanceDb, StoredRecord,
+    archive_path_for, compact_durable_log, read_archive, AppendLog, ProvenanceDb, StoredRecord,
 };
 
 const RECORDS: u64 = 24;
@@ -38,22 +44,37 @@ fn sweep_seed() -> u64 {
         .unwrap_or(2009)
 }
 
+/// Records per signature-sharing batch in the batched sweep: batch 3 is
+/// records 15..20, so `WATERMARK` cuts it after its first member.
+const BATCH: u64 = 5;
+const SHARED_TAIL: usize = 32;
+
+/// Record `seq`: 16 bytes of its own, then 32 bytes every member of its
+/// batch of `BATCH` shares.
 fn record(seq: u64) -> StoredRecord {
+    let mut checksum = vec![seq as u8; 16];
+    checksum.extend_from_slice(&[0xB0 + (seq / BATCH) as u8; SHARED_TAIL]);
     StoredRecord {
         seq_id: seq,
         participant: ParticipantId(1),
         oid: ObjectId(seq % 7),
-        checksum: vec![seq as u8; 48],
+        checksum,
         payload: vec![0x7E; 32],
     }
 }
 
-/// Seeds the log with `RECORDS` acknowledged (synced) records.
-fn seed_log(vfs: &Arc<FaultVfs>, path: &Path) {
+/// Seeds the log with `RECORDS` acknowledged (synced) records, appended
+/// one by one or in signature-sharing batches.
+fn seed_log(vfs: &Arc<FaultVfs>, path: &Path, batched: bool) {
     let dyn_vfs: Arc<dyn Vfs> = Arc::clone(vfs) as Arc<dyn Vfs>;
     let db = ProvenanceDb::durable_with(dyn_vfs, path).unwrap();
-    for seq in 0..RECORDS {
-        db.append(record(seq)).unwrap();
+    let all: Vec<StoredRecord> = (0..RECORDS).map(record).collect();
+    for batch in all.chunks(BATCH as usize) {
+        if batched {
+            db.append_batch(batch.to_vec(), SHARED_TAIL).unwrap();
+        } else {
+            batch.iter().for_each(|r| db.append(r.clone()).unwrap());
+        }
     }
     db.sync().unwrap();
 }
@@ -109,11 +130,34 @@ fn union_of_archives_and_live(vfs: &Arc<FaultVfs>, path: &Path) -> (Vec<Vec<u8>>
         }
     }
     all.extend(db.all_records().iter().map(|r| r.to_bytes()));
+    drop(db);
+    // Whatever compaction wrote stands alone: behind a stamp, every live
+    // frame decodes as a whole row with no help from a frame before it.
+    if stamp.is_some() {
+        let live = AppendLog::open_with(dyn_vfs, path).unwrap();
+        for (i, frame) in live.payloads[1..].iter().enumerate() {
+            let own = StoredRecord::from_bytes(frame)
+                .unwrap_or_else(|e| panic!("kept frame {i} is not self-contained: {e}"));
+            assert_eq!(
+                own.to_bytes(),
+                all[all.len() - (live.payloads.len() - 1) + i]
+            );
+        }
+    }
     (all, stamp.is_some())
 }
 
 #[test]
 fn compaction_survives_a_crash_at_every_operation() {
+    crash_sweep(false);
+}
+
+#[test]
+fn compaction_with_a_watermark_inside_a_batch_survives_crashes() {
+    crash_sweep(true);
+}
+
+fn crash_sweep(batched: bool) {
     let seed = sweep_seed();
     let path = Path::new("/compact.teplog");
     let expected: Vec<Vec<u8>> = (0..RECORDS).map(|s| record(s).to_bytes()).collect();
@@ -123,7 +167,7 @@ fn compaction_survives_a_crash_at_every_operation() {
         seed,
         ..FaultConfig::default()
     });
-    seed_log(&vfs, path);
+    seed_log(&vfs, path, batched);
     let setup_ops = vfs.ops();
     compact(&vfs, path).expect("dry run must succeed");
     let compact_ops = vfs.ops() - setup_ops;
@@ -133,12 +177,14 @@ fn compaction_survives_a_crash_at_every_operation() {
     );
 
     for crash_offset in 1..=compact_ops {
-        let ctx = format!("seed {seed}, crash at compaction op {crash_offset}/{compact_ops}");
+        let ctx = format!(
+            "seed {seed}, batched {batched}, crash at compaction op {crash_offset}/{compact_ops}"
+        );
         let vfs = FaultVfs::new(FaultConfig {
             seed: seed ^ (crash_offset << 3),
             ..FaultConfig::default()
         });
-        seed_log(&vfs, path);
+        seed_log(&vfs, path, batched);
         vfs.set_crash_at(Some(vfs.ops() + crash_offset));
         let result = compact(&vfs, path);
 
@@ -229,7 +275,7 @@ fn full_truncation_survives_crashes_too() {
         seed,
         ..FaultConfig::default()
     });
-    seed_log(&vfs, path);
+    seed_log(&vfs, path, false);
     let setup_ops = vfs.ops();
     full(&vfs).expect("dry run must succeed");
     let compact_ops = vfs.ops() - setup_ops;
@@ -240,7 +286,7 @@ fn full_truncation_survives_crashes_too() {
             seed: seed ^ (crash_offset << 4),
             ..FaultConfig::default()
         });
-        seed_log(&vfs, path);
+        seed_log(&vfs, path, false);
         vfs.set_crash_at(Some(vfs.ops() + crash_offset));
         let result = full(&vfs);
         assert!(vfs.crashed(), "{ctx}: crash never fired");

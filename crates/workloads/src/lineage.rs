@@ -27,7 +27,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Arc;
-use tep_core::{InputRef, ProvenanceRecord, RecordKind};
+use tep_core::{ChecksumFormat, InputRef, ProvenanceRecord, RecordKind};
 use tep_crypto::pki::ParticipantId;
 use tep_model::ObjectId;
 use tep_storage::ProvenanceDb;
@@ -153,6 +153,7 @@ pub fn build_lineage_db(records: u64, seed: u64) -> LineageDag {
             annotation: Vec::new(),
             // Sized like a 1024-bit RSA signature, cryptographically dummy.
             checksum: dummy_bytes(&mut rng, 128),
+            checksum_format: ChecksumFormat::PerRecord,
         };
         db.append(rec.to_stored()).expect("in-memory append");
     }

@@ -147,15 +147,15 @@ fn signer_world() -> &'static SignerWorld {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// `record_batch` with any worker count produces a provenance store
-    /// byte-identical to the serial `complex` path.
+    /// `complex_per_record` with any worker count produces a provenance
+    /// store byte-identical to its single-worker run.
     #[test]
     fn parallel_batch_signing_is_bit_identical(
         vals in prop::collection::vec(any::<i64>(), 1..10),
         threads in 2usize..6,
     ) {
         let w = signer_world();
-        let run = |parallel: Option<usize>| {
+        let run = |threads: usize| {
             let mut t = ProvenanceTracker::new(
                 TrackerConfig { alg: ALG, strategy: HashingStrategy::Economical },
                 Arc::new(ProvenanceDb::in_memory()),
@@ -170,12 +170,9 @@ proptest! {
                 .zip(&vals)
                 .map(|(&c, &v)| PrimitiveOp::Update { id: c, value: Value::Int(v ^ 1) })
                 .collect();
-            match parallel {
-                Some(n) => t.record_batch(&w.signer, &ops, n).unwrap(),
-                None => t.complex(&w.signer, &ops).unwrap(),
-            };
+            t.complex_per_record(&w.signer, &ops, &[], threads).unwrap();
             t.db().all_records()
         };
-        prop_assert_eq!(run(None), run(Some(threads)));
+        prop_assert_eq!(run(1), run(threads));
     }
 }

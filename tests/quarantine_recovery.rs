@@ -137,6 +137,101 @@ fn interior_corruption_quarantines_and_verifier_reports_the_gap() {
     assert_eq!(db.len(), 2);
 }
 
+/// A batch's signature is written once, in the batch's first frame. If
+/// the medium takes that frame, the other members are still on disk but
+/// have lost what vouched for them: each must surface as evidence against
+/// exactly that record — never a panic, never a silent "verified" — while
+/// batches written before and after are untouched.
+#[test]
+fn losing_the_frame_that_carries_a_batch_signature_is_attributed() {
+    let (signer, keys) = signer_and_keys();
+    let path = std::env::temp_dir().join(format!(
+        "tepdb-quarantine-{}-{}.teplog",
+        std::process::id(),
+        line!()
+    ));
+    let _ = fs::remove_file(&path);
+    let _cleanup = Cleanup(path.clone());
+
+    let (root, row, cell, cell2);
+    {
+        let db = Arc::new(ProvenanceDb::durable(&path).unwrap());
+        let mut tracker = ProvenanceTracker::new(
+            TrackerConfig {
+                alg: ALG,
+                ..Default::default()
+            },
+            Arc::clone(&db),
+        );
+        // Frames: [root] [root row] [root row cell] [root row cell2].
+        root = tracker.insert(&signer, Value::text("db"), None).unwrap().0;
+        row = tracker.insert(&signer, Value::Null, Some(root)).unwrap().0;
+        cell = tracker.insert(&signer, Value::Int(1), Some(row)).unwrap().0;
+        cell2 = tracker.insert(&signer, Value::Int(2), Some(row)).unwrap().0;
+        db.sync().unwrap();
+    }
+
+    // The third operation's first frame (root, seq 2) carries the signature
+    // that its row (seq 1) and cell (seq 0) frames elide.
+    let ranges = frame_ranges(&path);
+    assert_eq!(ranges.len(), 9);
+    let (start, end) = ranges[3];
+    assert!(
+        ranges[4].1 - ranges[4].0 < end - start,
+        "later members of a batch do not repeat the signature"
+    );
+    flip_byte(&path, start + 8 + (end - start - 8) / 2);
+
+    let verifier = Verifier::new(&keys, ALG);
+    let bad = |oid, seq| TamperEvidence::BadSignature { oid, seq };
+    for reopen in 0..2 {
+        let db = ProvenanceDb::durable(&path).unwrap();
+        let report = db.recovery();
+        // Degraded on the open that quarantines, clean afterwards; the
+        // evidence below is the same either way.
+        assert_eq!(report.is_degraded(), reopen == 0, "report: {report:?}");
+        assert_eq!(db.len(), 8, "one frame lost, its dependants kept");
+        let verdict = |oid| {
+            let prov = collect(&db, oid).unwrap();
+            let hash = prov.latest().unwrap().output_hash.clone();
+            verifier.verify_recovered(&hash, &prov, &report)
+        };
+
+        // The cell's only record is a member of the damaged batch.
+        let v = verdict(cell);
+        assert!(!v.verified());
+        assert!(v.issues.contains(&bad(cell, 0)), "{:?}", v.issues);
+        // The row: seq 0 (an earlier batch) stands, seq 1 lost its
+        // signature, and seq 2 chains onto seq 1's checksum.
+        let v = verdict(row);
+        assert!(!v.verified());
+        assert!(v.issues.contains(&bad(row, 1)), "{:?}", v.issues);
+        assert!(!v.issues.contains(&bad(row, 0)), "{:?}", v.issues);
+        // The root lost the record itself.
+        let v = verdict(root);
+        assert!(!v.verified());
+        assert!(
+            v.issues.iter().any(|i| matches!(
+                i,
+                TamperEvidence::BrokenChain { .. } | TamperEvidence::MissingRecord { .. }
+            )),
+            "{:?}",
+            v.issues
+        );
+        // The batch written afterwards is whole: its new cell verifies
+        // but for the store-wide quarantine notice of the first open.
+        let v = verdict(cell2);
+        assert!(
+            v.issues
+                .iter()
+                .all(|i| matches!(i, TamperEvidence::StorageQuarantine { .. })),
+            "{:?}",
+            v.issues
+        );
+        assert_eq!(v.verified(), reopen == 1);
+    }
+}
+
 #[test]
 fn append_log_open_no_longer_errors_on_interior_corruption() {
     // Regression guard for the old behaviour: `AppendLog::open` used to

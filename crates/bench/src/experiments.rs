@@ -792,7 +792,7 @@ pub fn run_net_loopback(cfg: &ExperimentConfig, fetches: u64, threads: usize) ->
 /// connections, with signature verification batched *across* connections.
 #[derive(Clone, Copy, Debug)]
 pub struct NetScaleResult {
-    /// Concurrent client threads (each reconnecting per fetch).
+    /// Concurrent client threads (each keeping one connection across its fetches).
     pub connections: usize,
     /// Objects fetched and verified in total, across all connections.
     pub objects: u64,
@@ -1971,7 +1971,6 @@ pub fn run_replication(
                         ..RetryPolicy::default()
                     };
                     s.spawn(move || {
-                        let mut fetcher = FanoutFetcher::new(&order, client_cfg);
                         loop {
                             let cur = remaining.load(Ordering::Relaxed);
                             if cur == 0
@@ -1989,6 +1988,12 @@ pub fn run_replication(
                                 }
                                 continue;
                             }
+                            // A replica's one slot is held for a fetch, not
+                            // across the think time: a fetcher per object
+                            // closes its kept connections when it drops, and
+                            // the rotation it would have carried moves here.
+                            let mut fetcher = FanoutFetcher::new(&order, client_cfg);
+                            order.rotate_left(1);
                             loop {
                                 match fetcher.fetch_verified(oid, &keys) {
                                     Ok(_) => break,
@@ -2000,6 +2005,7 @@ pub fn run_replication(
                                     Err(e) => panic!("replicated fetch failed terminally: {e:?}"),
                                 }
                             }
+                            drop(fetcher);
                             std::thread::sleep(FANOUT_THINK);
                         }
                     });

@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use tep_obs::{Counter, Registry};
+use tep_obs::{names, Counter, Registry};
 
 /// Timing/space breakdown of one or more tracked operations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,6 +75,8 @@ pub struct TransferCounters {
     bytes_received: AtomicU64,
     verify_failures: AtomicU64,
     retries: AtomicU64,
+    conn_reuses: AtomicU64,
+    stale_redials: AtomicU64,
     worker_panics: AtomicU64,
     obs: Option<TransferObs>,
 }
@@ -90,6 +92,8 @@ struct TransferObs {
     bytes_received: Counter,
     verify_failures: Counter,
     retries: Counter,
+    conn_reuses: Counter,
+    stale_redials: Counter,
     worker_panics: Counter,
 }
 
@@ -102,6 +106,8 @@ impl TransferObs {
             bytes_received: registry.counter("tep_net_bytes_received_total"),
             verify_failures: registry.counter("tep_net_verify_failures_total"),
             retries: registry.counter("tep_net_retries_total"),
+            conn_reuses: registry.counter(names::NET_CONN_REUSES),
+            stale_redials: registry.counter(names::NET_STALE_REDIALS),
             worker_panics: registry.counter("tep_net_worker_panics_total"),
         }
     }
@@ -122,6 +128,11 @@ pub struct TransferSnapshot {
     pub verify_failures: u64,
     /// Connect/read attempts that were retried after a failure.
     pub retries: u64,
+    /// Requests completed on a connection kept from an earlier request.
+    pub conn_reuses: u64,
+    /// Kept connections found dead before any response frame and replaced
+    /// with one immediate dial (not counted in `retries`).
+    pub stale_redials: u64,
     /// Server worker iterations that panicked and were isolated (the
     /// worker recovered and kept serving).
     pub worker_panics: u64,
@@ -178,6 +189,22 @@ impl TransferCounters {
         }
     }
 
+    /// Records a request completed on a kept connection.
+    pub fn conn_reuse(&self) {
+        self.conn_reuses.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.conn_reuses.inc();
+        }
+    }
+
+    /// Records a dead kept connection replaced by an immediate dial.
+    pub fn stale_redial(&self) {
+        self.stale_redials.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.stale_redials.inc();
+        }
+    }
+
     /// Records a worker panic that was caught and isolated.
     pub fn worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -200,6 +227,10 @@ impl TransferCounters {
         self.verify_failures
             .fetch_add(other.verify_failures, Ordering::Relaxed);
         self.retries.fetch_add(other.retries, Ordering::Relaxed);
+        self.conn_reuses
+            .fetch_add(other.conn_reuses, Ordering::Relaxed);
+        self.stale_redials
+            .fetch_add(other.stale_redials, Ordering::Relaxed);
         self.worker_panics
             .fetch_add(other.worker_panics, Ordering::Relaxed);
         if let Some(o) = &self.obs {
@@ -209,6 +240,8 @@ impl TransferCounters {
             o.bytes_received.add(other.bytes_received);
             o.verify_failures.add(other.verify_failures);
             o.retries.add(other.retries);
+            o.conn_reuses.add(other.conn_reuses);
+            o.stale_redials.add(other.stale_redials);
             o.worker_panics.add(other.worker_panics);
         }
     }
@@ -222,6 +255,8 @@ impl TransferCounters {
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
             verify_failures: self.verify_failures.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
+            conn_reuses: self.conn_reuses.load(Ordering::Relaxed),
+            stale_redials: self.stale_redials.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
         }
     }

@@ -28,6 +28,17 @@
 //! rejected as [`TamperEvidence::ResumeMismatch`] — and tamper evidence is
 //! **never** retried: a forged history does not become honest on the second
 //! download.
+//!
+//! A [`Client`] keeps its connection: dial, HELLO and the OFFER are paid
+//! once, and every later request runs on the same socket. The connection
+//! is kept **only** after a response that ended cleanly and verified; any
+//! error — retryable, terminal, a denial, tamper evidence — drops it, so a
+//! socket in an unknown state is never reused. A kept connection that
+//! turns out dead before the first frame of a response (the server
+//! idle-closed it, or restarted) is replaced by one immediate dial that is
+//! not a retry: every request is an idempotent read and nothing of the
+//! response had arrived. Once a response frame has arrived, a failure takes
+//! the checkpoint + RESUME + backoff path above.
 
 use std::fmt;
 use std::io;
@@ -136,7 +147,8 @@ pub struct FetchReport {
     pub records: u64,
     /// Data nodes received.
     pub nodes: u64,
-    /// The server's OFFER manifest from the final connection.
+    /// The manifest read when the connection this transfer finished on was
+    /// dialed (call [`Client::offer`] to refresh).
     pub offer: Vec<OfferEntry>,
     /// How many attempts continued a previous attempt via RESUME (0 for an
     /// uninterrupted transfer).
@@ -194,9 +206,11 @@ pub enum NetError {
     /// The provenance failed cryptographic verification — the transfer was
     /// rejected. **Never retried.**
     TamperDetected {
-        /// Wire frame index (0-based, per connection) of the first frame
-        /// that produced evidence; `None` when the evidence only appears
-        /// at end-of-transfer (e.g. an object/record hash mismatch).
+        /// Wire frame index (0-based, per connection — HELLO is frame 0 of
+        /// the connection the request ran on, so on a kept connection the
+        /// index keeps counting across requests) of the first frame that
+        /// produced evidence; `None` when the evidence only appears at
+        /// end-of-transfer (e.g. an object/record hash mismatch).
         frame: Option<u64>,
         /// All evidence accumulated up to the abort.
         issues: Vec<TamperEvidence>,
@@ -297,13 +311,17 @@ impl NetError {
     }
 }
 
-/// A provenance-fetching client for one server address.
+/// A provenance-fetching client for one server address. It owns at most
+/// one established connection, kept across requests (see the module docs)
+/// and closed by [`Client::disconnect`] or on drop.
 pub struct Client {
     addr: SocketAddr,
     cfg: ClientConfig,
     counters: Arc<TransferCounters>,
     registry: Option<Registry>,
     rng: StdRng,
+    /// The connection the last request ended cleanly on, if any.
+    conn: Option<Connection>,
 }
 
 impl Client {
@@ -315,6 +333,7 @@ impl Client {
             rng: StdRng::seed_from_u64(cfg.jitter_seed),
             counters: Arc::new(TransferCounters::new()),
             registry: None,
+            conn: None,
         }
     }
 
@@ -324,9 +343,17 @@ impl Client {
     /// counter (including [`EvidenceKind::MalformedStream`] for
     /// structurally bad DATA streams and [`EvidenceKind::ResumeMismatch`]
     /// for resume points the peer cannot or will not honor honestly).
+    /// Drops the kept connection: its frame reader tallies into the
+    /// counters this call replaces.
     pub fn attach_obs(&mut self, registry: &Registry) {
         self.counters = Arc::new(TransferCounters::observed(registry));
         self.registry = Some(registry.clone());
+        self.conn = None;
+    }
+
+    /// Closes the kept connection, if any; the next request dials.
+    pub fn disconnect(&mut self) {
+        self.conn = None;
     }
 
     /// Transfer counters accumulated across every attempt so far.
@@ -352,8 +379,11 @@ impl Client {
     }
 
     /// Connects and returns the server's OFFER manifest (with retry).
+    /// Always dials afresh — this is how a caller refreshes a stale
+    /// manifest — and keeps the new connection for later requests.
     pub fn offer(&mut self) -> Result<Vec<OfferEntry>, NetError> {
-        self.with_retry(|conn| conn.offer.clone().ok_or(NetError::Protocol("no OFFER")))
+        self.conn = None;
+        self.with_retry(|conn| Ok(conn.offer.clone()))
     }
 
     /// Runs a provenance query on the server and **re-verifies the slice
@@ -559,12 +589,13 @@ impl Client {
         })
     }
 
-    /// Runs `op` on a fresh connection, retrying transient failures with
-    /// decorrelated jitter until the attempt cap or the wall-clock deadline
-    /// is hit — whichever comes first. A server `Retry-After` hint floors
-    /// the jittered delay, but the final wait is clamped to the time left
-    /// before [`RetryPolicy::deadline`] so one oversized hint cannot park
-    /// the client past its own budget.
+    /// Runs `op` on the kept connection (or a fresh one), retrying transient
+    /// failures with decorrelated jitter until the attempt cap or the
+    /// wall-clock deadline is hit — whichever comes first. Every retry
+    /// dials: a failed attempt never leaves a connection behind. A server
+    /// `Retry-After` hint floors the jittered delay, but the final wait is
+    /// clamped to the time left before [`RetryPolicy::deadline`] so one
+    /// oversized hint cannot park the client past its own budget.
     fn with_retry<T>(
         &mut self,
         mut op: impl FnMut(&mut Connection) -> Result<T, NetError>,
@@ -575,8 +606,7 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let outcome = self.connect().and_then(|mut conn| op(&mut conn));
-            match outcome {
+            match self.attempt(&mut op) {
                 Ok(v) => return Ok(v),
                 Err(e)
                     if e.is_retryable()
@@ -592,6 +622,59 @@ impl Client {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// One attempt of `op`: on the kept connection when there is one, on a
+    /// fresh dial otherwise. The connection is put back only after `op`
+    /// returned `Ok`; every error path drops it.
+    ///
+    /// Stale redial: a *kept* connection that fails retryably before any
+    /// frame of the response arrived (or whose only frame is the server's
+    /// retryable ERR at dispatch) carried nothing of the answer, so it is
+    /// replaced by one immediate dial inside the same attempt — no sleep,
+    /// no `retries` increment. Anything later is the caller's retry path.
+    fn attempt<T>(
+        &mut self,
+        op: &mut impl FnMut(&mut Connection) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        if let Some(mut conn) = self.conn.take() {
+            let answered = conn.reader.frames();
+            // The previous request may have left a fetch-scaled timeout.
+            let outcome = conn
+                .set_read_timeout(self.cfg.read_timeout)
+                .and_then(|()| op(&mut conn));
+            match outcome {
+                Ok(v) => {
+                    self.counters.conn_reuse();
+                    self.conn = Some(conn);
+                    return Ok(v);
+                }
+                Err(e) if e.is_retryable() => {
+                    // The server's own retryable ERR is one frame, and
+                    // none of the answer.
+                    let arrived = conn.reader.frames() - answered;
+                    let of_the_answer = match e {
+                        NetError::Remote { .. } => arrived.saturating_sub(1),
+                        _ => arrived,
+                    };
+                    if of_the_answer > 0 {
+                        return Err(e);
+                    }
+                    self.counters.stale_redial();
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let mut conn = Connection::establish(
+            self.addr,
+            self.cfg.alg,
+            self.cfg.tenant,
+            self.cfg.read_timeout,
+            Arc::clone(&self.counters),
+        )?;
+        let v = op(&mut conn)?;
+        self.conn = Some(conn);
+        Ok(v)
     }
 
     /// Decorrelated jitter: `min(cap, uniform(base, prev * 3))`.
@@ -613,31 +696,50 @@ impl Client {
             .clamp(base.saturating_add(1), cap.saturating_add(1));
         Duration::from_millis(self.rng.gen_range(base..hi))
     }
+}
 
-    /// Dials the server and completes the HELLO exchange.
-    fn connect(&self) -> Result<Connection, NetError> {
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_read_timeout(Some(self.cfg.read_timeout))?;
+/// An established, HELLO-negotiated connection with its OFFER read.
+pub(crate) struct Connection {
+    pub(crate) reader: FrameReader<TcpStream>,
+    pub(crate) writer: FrameWriter<TcpStream>,
+    pub(crate) offer: Vec<OfferEntry>,
+    /// A control handle on the same socket as `reader`/`writer`, kept so
+    /// the read timeout can be set per request (`set_read_timeout` acts on
+    /// the shared fd, so the reader's clone sees the new value).
+    stream: TcpStream,
+}
+
+impl Connection {
+    /// Dials `addr`, completes the HELLO exchange for (`alg`, `tenant`) and
+    /// reads the OFFER. The one handshake in the crate: [`Client`] and
+    /// [`Replica`](crate::Replica) both come through here.
+    pub(crate) fn establish(
+        addr: SocketAddr,
+        alg: HashAlgorithm,
+        tenant: TenantId,
+        read_timeout: Duration,
+        counters: Arc<TransferCounters>,
+    ) -> Result<Connection, NetError> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(read_timeout))?;
         stream.set_nodelay(true)?;
         let control = stream.try_clone().map_err(WireError::Io)?;
         let mut reader = FrameReader::new(
             stream.try_clone().map_err(WireError::Io)?,
-            Arc::clone(&self.counters),
+            Arc::clone(&counters),
         );
-        let mut writer = FrameWriter::new(stream, Arc::clone(&self.counters));
+        let mut writer = FrameWriter::new(stream, counters);
         writer.write_message(&Message::Hello {
             version: WIRE_VERSION,
-            alg: self.cfg.alg,
-            tenant: self.cfg.tenant.raw(),
+            alg,
+            tenant: tenant.raw(),
         })?;
         match reader.read_message()? {
             Some(Message::Hello {
                 version,
-                alg,
-                tenant,
-            }) if version == WIRE_VERSION
-                && alg == self.cfg.alg
-                && tenant == self.cfg.tenant.raw() => {}
+                alg: theirs,
+                tenant: scope,
+            }) if version == WIRE_VERSION && theirs == alg && scope == tenant.raw() => {}
             Some(Message::Error {
                 code,
                 retry_after_ms,
@@ -651,7 +753,7 @@ impl Client {
             None => return Err(NetError::Interrupted),
         }
         let offer = match reader.read_message()? {
-            Some(Message::Offer { entries }) => Some(entries),
+            Some(Message::Offer { entries }) => entries,
             Some(Message::Error {
                 code,
                 retry_after_ms,
@@ -669,28 +771,15 @@ impl Client {
             stream: control,
         })
     }
-}
 
-/// An established, HELLO-negotiated connection.
-struct Connection {
-    reader: FrameReader<TcpStream>,
-    writer: FrameWriter<TcpStream>,
-    offer: Option<Vec<OfferEntry>>,
-    /// A control handle on the same socket as `reader`/`writer`, kept so
-    /// the fetch path can rescale the read timeout once the OFFER reveals
-    /// how large the transfer will be (`set_read_timeout` acts on the
-    /// shared fd, so the reader's clone sees the new value).
-    stream: TcpStream,
-}
+    /// Sets the per-read socket timeout for the request about to run.
+    pub(crate) fn set_read_timeout(&self, timeout: Duration) -> Result<(), NetError> {
+        Ok(self.stream.set_read_timeout(Some(timeout))?)
+    }
 
-impl Connection {
     /// Chain length the server's OFFER claims for `oid`, if offered.
     fn offered_records(&self, oid: ObjectId) -> Option<u64> {
-        self.offer
-            .as_ref()?
-            .iter()
-            .find(|e| e.oid == oid)
-            .map(|e| e.records)
+        self.offer.iter().find(|e| e.oid == oid).map(|e| e.records)
     }
 }
 
@@ -772,7 +861,7 @@ pub(crate) fn resume_mismatch(
     }
 }
 
-/// Opens the transfer on a fresh connection: RESUME from the session's
+/// Opens the transfer on an established connection: RESUME from the session's
 /// checkpoint when there is one, FETCH from scratch otherwise. Returns the
 /// verifier (restored or new) and the record offset the stream starts at.
 fn open_transfer<'a>(
@@ -865,11 +954,10 @@ fn fetch_on(
     registry: Option<&Registry>,
 ) -> Result<FetchReport, NetError> {
     // Rescale the socket timeout to the transfer's offered size before any
-    // stream frames are read. Connections are per-attempt, so the base
-    // timeout never needs restoring.
+    // stream frames are read; `Client::attempt` restores the base timeout
+    // before the next request on this connection.
     if let Some(records) = conn.offered_records(oid) {
-        conn.stream
-            .set_read_timeout(Some(scaled_read_timeout(cfg.read_timeout, records)))?;
+        conn.set_read_timeout(scaled_read_timeout(cfg.read_timeout, records))?;
     }
     let (mut verifier, start_records) =
         open_transfer(conn, oid, keys, cfg, session, counters, registry)?;
@@ -950,7 +1038,7 @@ fn fetch_on(
                     object_hash,
                     records,
                     nodes,
-                    offer: conn.offer.clone().unwrap_or_default(),
+                    offer: conn.offer.clone(),
                     resumed: session.resumed,
                     stream_digest,
                 });
@@ -992,8 +1080,7 @@ fn fetch_batched_on(
     registry: Option<&Registry>,
 ) -> Result<Verification, NetError> {
     if let Some(records) = conn.offered_records(oid) {
-        conn.stream
-            .set_read_timeout(Some(scaled_read_timeout(cfg.read_timeout, records)))?;
+        conn.set_read_timeout(scaled_read_timeout(cfg.read_timeout, records))?;
     }
     conn.writer.write_message(&Message::Fetch { oid })?;
     let mut records: Vec<ProvenanceRecord> = Vec::new();

@@ -26,10 +26,12 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+
+use crate::proxy::RelayGate;
 
 /// SplitMix64 — the same tiny deterministic generator `FaultVfs` uses, so
 /// net and storage chaos schedules are seeded the same way.
@@ -221,7 +223,7 @@ pub struct FaultPlan {
 /// A fault-injecting TCP proxy; dropping it stops the listener.
 pub struct FaultListener {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    gate: Arc<RelayGate>,
     fired: Arc<AtomicU64>,
     accept_thread: Option<JoinHandle<()>>,
 }
@@ -229,22 +231,28 @@ pub struct FaultListener {
 impl FaultListener {
     /// Spawns a proxy on an ephemeral localhost port relaying to
     /// `upstream`, injecting per `plan`. Connections are handled one at a
-    /// time (fault tests are sequential by nature).
+    /// time (fault tests are sequential by nature): a client that keeps its
+    /// connection holds the relay until it disconnects or is dropped, and a
+    /// second client is not served before then. [`FaultPlan::frame`] counts
+    /// per connection, so it indexes into the first request of a client
+    /// (or of each redial). Shutting the proxy down cuts the relay in
+    /// progress.
     pub fn spawn(upstream: SocketAddr, plan: FaultPlan) -> io::Result<FaultListener> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(RelayGate::default());
         let fired = Arc::new(AtomicU64::new(0));
-        let flag = Arc::clone(&shutdown);
+        let shared = Arc::clone(&gate);
         let count = Arc::clone(&fired);
         let accept_thread = thread::spawn(move || {
-            while !flag.load(Ordering::SeqCst) {
+            while !shared.stopping() {
                 match listener.accept() {
                     Ok((client, _)) => {
                         // Relay errors (peer hangups, timeouts) are the
                         // point of the exercise, not failures.
-                        let _ = relay(client, upstream, plan, &count);
+                        let _ = relay(client, upstream, plan, &count, &shared);
+                        shared.leave();
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         thread::sleep(Duration::from_millis(2));
@@ -255,7 +263,7 @@ impl FaultListener {
         });
         Ok(FaultListener {
             addr,
-            shutdown,
+            gate,
             fired,
             accept_thread: Some(accept_thread),
         })
@@ -271,13 +279,14 @@ impl FaultListener {
         self.fired.load(Ordering::SeqCst)
     }
 
-    /// Stops the listener and joins the accept thread.
+    /// Stops the listener, cuts the relay in progress, and joins the
+    /// accept thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.gate.stop();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -297,8 +306,10 @@ fn relay(
     upstream: SocketAddr,
     plan: FaultPlan,
     fired: &AtomicU64,
+    gate: &RelayGate,
 ) -> io::Result<()> {
     let server = TcpStream::connect(upstream)?;
+    gate.enter(&client, &server)?;
     client.set_read_timeout(Some(Duration::from_secs(10)))?;
     server.set_read_timeout(Some(Duration::from_secs(10)))?;
 

@@ -13,7 +13,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -35,32 +35,89 @@ pub enum ProxyAction {
 /// counting every message including HELLO/OFFER) and the decoded message.
 pub type Mutator = Box<dyn FnMut(u64, &Message) -> ProxyAction + Send>;
 
+/// A proxy's shutdown flag plus the sockets of the relay in progress,
+/// shared between the accept thread and the handle. A [`Client`] keeps its
+/// connection, so a relay lasts as long as the client does; stopping the
+/// proxy must cut it rather than wait out the client (or the server's idle
+/// timeout).
+///
+/// [`Client`]: crate::Client
+#[derive(Default)]
+pub(crate) struct RelayGate {
+    stopping: AtomicBool,
+    live: Mutex<Vec<TcpStream>>,
+}
+
+impl RelayGate {
+    pub(crate) fn stopping(&self) -> bool {
+        self.stopping.load(Ordering::SeqCst)
+    }
+
+    /// The registered sockets; a relay thread that panicked mid-update
+    /// must not wedge shutdown, and a list of sockets is valid at any point.
+    fn live(&self) -> MutexGuard<'_, Vec<TcpStream>> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers both ends of the relay about to run. A stop that raced
+    /// ahead of the registration is honoured here, so one side or the
+    /// other always cuts the sockets.
+    pub(crate) fn enter(&self, client: &TcpStream, server: &TcpStream) -> io::Result<()> {
+        let ends = vec![client.try_clone()?, server.try_clone()?];
+        *self.live() = ends;
+        if self.stopping() {
+            self.cut();
+        }
+        Ok(())
+    }
+
+    /// Forgets the finished relay's sockets.
+    pub(crate) fn leave(&self) {
+        self.live().clear();
+    }
+
+    /// Stops the accept loop and cuts the relay in progress, if any.
+    pub(crate) fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        self.cut();
+    }
+
+    fn cut(&self) {
+        for s in self.live().iter() {
+            let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+    }
+}
+
 /// A running man-in-the-middle proxy; dropping it stops the listener.
 pub struct TamperProxy {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    gate: Arc<RelayGate>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
 impl TamperProxy {
     /// Spawns a proxy on an ephemeral localhost port relaying to
     /// `upstream`. Connections are handled one at a time (attack tests are
-    /// sequential by nature).
+    /// sequential by nature): a client that keeps its connection holds the
+    /// relay until it disconnects or is dropped, and a second client is not
+    /// served before then. The mutator's frame index is per connection, so
+    /// it restarts at 0 only when a client dials again. Shutting the proxy
+    /// down cuts the relay in progress.
     pub fn spawn(upstream: SocketAddr, mut mutator: Mutator) -> io::Result<TamperProxy> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
+        let gate = Arc::new(RelayGate::default());
+        let shared = Arc::clone(&gate);
         let accept_thread = thread::spawn(move || {
-            while !flag.load(Ordering::SeqCst) {
+            while !shared.stopping() {
                 match listener.accept() {
                     Ok((client, _)) => {
-                        if let Err(e) = relay(client, upstream, &mut mutator) {
-                            // Relay errors (peer hangups, timeouts) are part
-                            // of normal attack-test operation.
-                            let _ = e;
-                        }
+                        // Relay errors (peer hangups, timeouts) are part
+                        // of normal attack-test operation.
+                        let _ = relay(client, upstream, &mut mutator, &shared);
+                        shared.leave();
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         thread::sleep(Duration::from_millis(2));
@@ -71,7 +128,7 @@ impl TamperProxy {
         });
         Ok(TamperProxy {
             addr,
-            shutdown,
+            gate,
             accept_thread: Some(accept_thread),
         })
     }
@@ -81,13 +138,14 @@ impl TamperProxy {
         self.addr
     }
 
-    /// Stops the listener and joins the accept thread.
+    /// Stops the listener, cuts the relay in progress, and joins the
+    /// accept thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.gate.stop();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -101,8 +159,14 @@ impl Drop for TamperProxy {
 }
 
 /// Relays one client connection through the mutator.
-fn relay(client: TcpStream, upstream: SocketAddr, mutator: &mut Mutator) -> io::Result<()> {
+fn relay(
+    client: TcpStream,
+    upstream: SocketAddr,
+    mutator: &mut Mutator,
+    gate: &RelayGate,
+) -> io::Result<()> {
     let server = TcpStream::connect(upstream)?;
+    gate.enter(&client, &server)?;
     client.set_read_timeout(Some(Duration::from_secs(10)))?;
     server.set_read_timeout(Some(Duration::from_secs(10)))?;
 

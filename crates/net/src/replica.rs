@@ -32,7 +32,7 @@
 //! terminal and is never masked by trying a different one.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -52,11 +52,8 @@ use tep_model::{ObjectId, TenantId};
 use tep_obs::{names, Counter, Histogram, Registry};
 use tep_storage::{CheckpointStore, ProvenanceDb, Vfs};
 
-use crate::client::{remote_error, resume_mismatch, scaled_read_timeout, NetError};
-use crate::wire::{
-    ErrorCode, FrameReader, FrameWriter, Message, OfferEntry, WireError, AE_SUMMARY_LEVEL,
-    WIRE_VERSION,
-};
+use crate::client::{remote_error, resume_mismatch, scaled_read_timeout, Connection, NetError};
+use crate::wire::{ErrorCode, Message, OfferEntry, WireError, AE_SUMMARY_LEVEL};
 use crate::{Client, ClientConfig};
 
 /// Tuning for one replica.
@@ -451,16 +448,13 @@ impl Replica {
     /// reconcile-by-content, batching durability as configured.
     fn sync_object(
         &self,
-        conn: &mut ReplicaConn,
+        conn: &mut Connection,
         entry: &OfferEntry,
         keys: &KeyDirectory,
         local: &mut HashMap<(ObjectId, u64), Vec<u8>>,
     ) -> Result<CatchUpReport, NetError> {
         let oid = entry.oid;
-        conn.stream.set_read_timeout(Some(scaled_read_timeout(
-            self.cfg.read_timeout,
-            entry.records,
-        )))?;
+        conn.set_read_timeout(scaled_read_timeout(self.cfg.read_timeout, entry.records))?;
         let ckpt = self.checkpoint_store(oid);
         let mut report = CatchUpReport::default();
 
@@ -716,64 +710,21 @@ impl Replica {
     }
 
     /// Dials the primary and completes the HELLO/OFFER exchange.
-    fn dial(&self) -> Result<ReplicaConn, NetError> {
-        let stream = TcpStream::connect(self.primary)?;
-        stream.set_read_timeout(Some(self.cfg.read_timeout))?;
-        stream.set_nodelay(true)?;
-        let control = stream.try_clone().map_err(WireError::Io)?;
-        let mut reader = FrameReader::new(
-            stream.try_clone().map_err(WireError::Io)?,
+    fn dial(&self) -> Result<Connection, NetError> {
+        Connection::establish(
+            self.primary,
+            self.cfg.alg,
+            TenantId::DEFAULT,
+            self.cfg.read_timeout,
             Arc::clone(&self.counters),
-        );
-        let mut writer = FrameWriter::new(stream, Arc::clone(&self.counters));
-        writer.write_message(&Message::Hello {
-            version: WIRE_VERSION,
-            alg: self.cfg.alg,
-            tenant: TenantId::DEFAULT.raw(),
-        })?;
-        match reader.read_message()? {
-            Some(Message::Hello { version, alg, .. })
-                if version == WIRE_VERSION && alg == self.cfg.alg => {}
-            Some(Message::Error {
-                code,
-                retry_after_ms,
-                detail,
-            }) => return Err(remote_error(code, retry_after_ms, detail)),
-            Some(_) => return Err(NetError::Protocol("expected HELLO")),
-            None => return Err(NetError::Interrupted),
-        }
-        let offer = match reader.read_message()? {
-            Some(Message::Offer { entries }) => entries,
-            Some(Message::Error {
-                code,
-                retry_after_ms,
-                detail,
-            }) => return Err(remote_error(code, retry_after_ms, detail)),
-            Some(_) => return Err(NetError::Protocol("expected OFFER")),
-            None => return Err(NetError::Interrupted),
-        };
-        Ok(ReplicaConn {
-            reader,
-            writer,
-            offer,
-            stream: control,
-        })
+        )
     }
-}
-
-/// An established replica→primary connection.
-struct ReplicaConn {
-    reader: FrameReader<TcpStream>,
-    writer: FrameWriter<TcpStream>,
-    offer: Vec<OfferEntry>,
-    /// Control handle for per-transfer read-timeout rescaling.
-    stream: TcpStream,
 }
 
 /// [`AeOracle`] over the wire: each summary/node request is one
 /// AE_REQ/AE_RESP round trip on an established connection.
 struct WireOracle<'a> {
-    conn: &'a mut ReplicaConn,
+    conn: &'a mut Connection,
     /// Signed-root bytes from the latest summary reply that carried one,
     /// with the `(hash, leaf_count)` of that reply — validated by
     /// [`Replica::pin_signed_root`] after the descent.

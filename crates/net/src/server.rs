@@ -13,8 +13,9 @@
 //! predecessor: connections arriving while the server already owns
 //! `min(shed_watermark, queue_depth)` active connections are refused with
 //! `ERR busy` *plus* a `Retry-After` hint scaled to the backlog, every
-//! connection is bounded by a wall-clock deadline (`ERR deadline` + close,
-//! resumable), and a peer that vanishes mid-transfer is counted in
+//! request is bounded by a wall-clock deadline (`ERR deadline` + close,
+//! resumable) while an idle timer bounds the silence between requests, and
+//! a peer that vanishes mid-transfer is counted in
 //! `tep_net_write_aborts_total` rather than folded into generic i/o noise.
 //!
 //! Fairness: per readiness wakeup each connection ingests a bounded number
@@ -182,11 +183,14 @@ pub struct ServerConfig {
     /// at the hard cap; the effective threshold is always
     /// `min(shed_watermark, queue_depth)`.
     pub shed_watermark: usize,
-    /// Wall-clock budget for one connection, covering every request served
-    /// on it. Exceeding it mid-stream sends `ERR deadline` and closes —
-    /// the client can reconnect and RESUME — so a slow-reading peer holds
-    /// a connection slot for a bounded time no matter how many frames
-    /// remain.
+    /// Wall-clock budget **per request** (the name predates kept
+    /// connections): armed when a request is dispatched, checked between
+    /// the frames of its reply. Exceeding it mid-stream sends
+    /// `ERR deadline` and closes — the client can reconnect and RESUME —
+    /// so a slow-reading peer holds a connection slot for a bounded time
+    /// no matter how many frames remain. A connection that keeps issuing
+    /// requests which each finish inside the budget lives on; how long it
+    /// may sit silent between them is [`Self::read_timeout`]'s job.
     pub connection_deadline: Duration,
 }
 
@@ -363,8 +367,8 @@ pub struct TenantSpec {
     /// *this tenant's* backlog — one tenant's connect storm cannot eat
     /// another tenant's slots.
     pub max_connections: usize,
-    /// Per-tenant wall-clock budget per connection; the effective
-    /// deadline is the tighter of this and the server-wide
+    /// Per-tenant wall-clock budget per request; the effective budget is
+    /// the tighter of this and the server-wide
     /// [`ServerConfig::connection_deadline`].
     pub deadline: Option<Duration>,
 }
@@ -394,7 +398,7 @@ impl TenantSpec {
         self
     }
 
-    /// Sets a per-tenant connection deadline budget.
+    /// Sets a per-tenant per-request deadline budget.
     pub fn with_deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
         self
@@ -583,16 +587,22 @@ struct Conn<S> {
     /// it. `None` until the handshake completes.
     tenant: Option<u64>,
     job: Option<StreamJob>,
-    /// `None` only for deadlines so large the Instant would overflow —
-    /// which means "effectively unbounded" anyway.
+    /// Wall-clock budget of one request: the server-wide
+    /// [`ServerConfig::connection_deadline`], tightened at HELLO by the
+    /// tenant's. `None` = unbounded.
+    budget: Option<Duration>,
+    /// When the request in progress runs out of `budget`: armed at accept
+    /// (for the handshake) and re-armed each time a request is dispatched.
+    /// `None` when unbounded, or for budgets so large the Instant would
+    /// overflow — which means "effectively unbounded" anyway.
     deadline: Option<Instant>,
     read_activity: Instant,
     write_activity: Instant,
 }
 
 impl<S: Read + Write> Conn<S> {
-    fn new(stream: S, deadline: Option<Instant>, now: Instant) -> Self {
-        Conn {
+    fn new(stream: S, budget: Option<Duration>, now: Instant) -> Self {
+        let mut conn = Conn {
             stream,
             state: ConnState::Handshake,
             refused: false,
@@ -605,14 +615,23 @@ impl<S: Read + Write> Conn<S> {
             scratch: Vec::new(),
             tenant: None,
             job: None,
-            deadline,
+            budget,
+            deadline: None,
             read_activity: now,
             write_activity: now,
-        }
+        };
+        conn.arm_deadline(now);
+        conn
     }
 
     fn pending_write(&self) -> usize {
         self.wbuf.len() - self.wpos
+    }
+
+    /// Starts the deadline clock: of the handshake at accept, then of each
+    /// request as it is dispatched.
+    fn arm_deadline(&mut self, now: Instant) {
+        self.deadline = self.budget.and_then(|b| now.checked_add(b));
     }
 
     /// Frames are only parsed before and between requests — never while a
@@ -820,7 +839,7 @@ fn past_deadline(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
 
-/// Tells the peer its connection ran out of wall-clock budget. The error
+/// Tells the peer its request ran out of wall-clock budget. The error
 /// is retryable client-side (reconnect + RESUME picks up where the stream
 /// stopped), so the hint is small and flat.
 fn refuse_deadline<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
@@ -829,7 +848,7 @@ fn refuse_deadline<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant)
         &Message::Error {
             code: ErrorCode::Deadline,
             retry_after_ms: 10,
-            detail: "connection deadline exceeded; reconnect and RESUME".into(),
+            detail: "request deadline exceeded; reconnect and RESUME".into(),
         },
         true,
         env,
@@ -857,8 +876,8 @@ fn dispatch<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
     }
 }
 
-/// The tighter of two optional deadlines (`None` = unbounded).
-fn tighter_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+/// The tighter of two optional budgets (`None` = unbounded).
+fn tighter_budget(a: Option<Duration>, b: Option<Duration>) -> Option<Duration> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, y) => x.or(y),
@@ -967,7 +986,8 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
     ten.active.fetch_add(1, Ordering::SeqCst);
     ten.connections.inc();
     conn.tenant = Some(tenant);
-    conn.deadline = tighter_deadline(conn.deadline, ten.deadline.and_then(|d| now.checked_add(d)));
+    conn.budget = tighter_budget(conn.budget, ten.deadline);
+    conn.arm_deadline(now);
     conn.queue_frame(
         &Message::Hello {
             version: WIRE_VERSION,
@@ -989,9 +1009,11 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
     conn.state = ConnState::Ready;
 }
 
-/// One request frame in the `Ready` state. The connection deadline is
-/// checked here — *after* the handshake, before dispatch — so even a
-/// zero-budget connection completes HELLO/OFFER and gets a protocol-level
+/// One request frame in the `Ready` state. The deadline is a per-request
+/// budget: it is re-armed here, so a kept connection serves any number of
+/// requests that each finish inside it. The check right after the re-arm
+/// only fires for a zero budget — *after* the handshake, before dispatch,
+/// so even that connection completes HELLO/OFFER and gets a protocol-level
 /// `ERR deadline` instead of a hang.
 fn on_request<S: Read + Write>(
     conn: &mut Conn<S>,
@@ -1000,6 +1022,7 @@ fn on_request<S: Read + Write>(
     ten: &TenantEnv,
     now: Instant,
 ) {
+    conn.arm_deadline(now);
     if past_deadline(conn.deadline) {
         refuse_deadline(conn, env, now);
         return;
@@ -1374,9 +1397,9 @@ fn next_data_chunk(job: &mut StreamJob) -> Vec<DataEntry> {
 
 /// Advances a streaming job: queues PROV/DATA/DONE frames until the job
 /// finishes or the write buffer reaches its high watermark (fairness —
-/// `POLLOUT` resumes it later). The connection deadline is checked
-/// between frames; exceeding it sends `ERR deadline` and closes, which a
-/// resuming client treats as a retryable cut.
+/// `POLLOUT` resumes it later). The request's deadline is checked between
+/// frames; exceeding it sends `ERR deadline` and closes, which a resuming
+/// client treats as a retryable cut.
 fn pump<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
     while !conn.closed && conn.state == ConnState::Streaming && conn.pending_write() < WBUF_HIGH {
         let Some(done_queued) = conn.job.as_ref().map(|j| j.done_queued) else {
@@ -1416,6 +1439,9 @@ fn pump<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
             StreamStep::Finished => {
                 conn.job = None;
                 conn.state = ConnState::Ready;
+                // The idle clock measures silence *between* requests: it
+                // starts when the reply ends, not when the request arrived.
+                conn.read_activity = now;
                 return;
             }
         }
@@ -1578,9 +1604,8 @@ impl EventLoop {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let deadline = Instant::now().checked_add(self.cfg.connection_deadline);
                     let active = self.conns.iter().filter(|c| !c.refused).count();
-                    let mut conn = Conn::new(stream, deadline, now);
+                    let mut conn = Conn::new(stream, Some(self.cfg.connection_deadline), now);
                     if active >= self.cfg.effective_watermark() {
                         // Best-effort `ERR busy` + `Retry-After` so the
                         // refused client sees a protocol answer (and a
@@ -2328,30 +2353,34 @@ mod tests {
         ));
     }
 
+    /// A synthetic job big enough to out-run the write high watermark
+    /// (600 × 1 KiB of DATA against `WBUF_HIGH` = 256 KiB).
+    fn watermark_job(target: ObjectId) -> StreamJob {
+        StreamJob {
+            prov: ProvenanceObject {
+                target,
+                records: Vec::new(),
+            },
+            data: vec![
+                DataEntry {
+                    depth: 0,
+                    id: ObjectId(1),
+                    value: Value::Text("x".repeat(1024)),
+                };
+                600
+            ],
+            next_record: 0,
+            data_pos: 0,
+            done_queued: false,
+        }
+    }
+
     #[test]
     fn streaming_pauses_at_the_write_high_watermark() {
         let (env, root) = test_env();
         let mut conn = handshaken(&env);
         conn.stream.blocked = true;
-        // A synthetic job big enough to out-run the watermark.
-        let big = vec![
-            DataEntry {
-                depth: 0,
-                id: ObjectId(1),
-                value: Value::Text("x".repeat(1024)),
-            };
-            600
-        ];
-        conn.job = Some(StreamJob {
-            prov: ProvenanceObject {
-                target: root,
-                records: Vec::new(),
-            },
-            data: big,
-            next_record: 0,
-            data_pos: 0,
-            done_queued: false,
-        });
+        conn.job = Some(watermark_job(root));
         conn.state = ConnState::Streaming;
         pump(&mut conn, &env, Instant::now());
         // Paused: job unfinished, backlog parked just past the watermark.
@@ -2463,9 +2492,10 @@ mod tests {
     #[test]
     fn requests_after_deadline_get_a_retryable_deadline_error() {
         let (env, root) = test_env();
-        // Deadline already spent — but the handshake must still complete
-        // so the client gets a protocol-level answer, not a hang.
-        let mut conn = Conn::new(FakeStream::default(), Some(Instant::now()), Instant::now());
+        // A zero budget is spent the moment a request is dispatched — but
+        // the handshake must still complete so the client gets a
+        // protocol-level answer, not a hang.
+        let mut conn = Conn::new(FakeStream::default(), Some(Duration::ZERO), Instant::now());
         conn.stream.to_read.push_back(frame(&hello()));
         drive(&mut conn, &env);
         assert_eq!(conn.state, ConnState::Ready);
@@ -2486,6 +2516,54 @@ mod tests {
             }
             other => panic!("expected ERR deadline, got {other:?}"),
         }
+    }
+
+    /// The deadline is a per-request budget: a connection older than the
+    /// budget keeps serving requests that each finish inside it, while a
+    /// single request that outlives it is still cut with `ERR deadline`.
+    #[test]
+    fn deadline_budget_is_per_request_not_per_connection() {
+        let (env, root) = test_env();
+        let budget = Duration::from_millis(40);
+        let mut conn = Conn::new(FakeStream::default(), Some(budget), Instant::now());
+        conn.stream.to_read.push_back(frame(&hello()));
+        drive(&mut conn, &env);
+        for _ in 0..2 {
+            // Each request starts with the connection already older than
+            // the whole budget.
+            thread::sleep(budget + Duration::from_millis(10));
+            conn.stream
+                .to_read
+                .push_back(frame(&Message::Fetch { oid: root }));
+            drive(&mut conn, &env);
+            assert_eq!(conn.state, ConnState::Ready);
+            assert!(matches!(
+                written_messages(&conn).last(),
+                Some(Message::Done { .. })
+            ));
+        }
+        assert_eq!(env.obs.deadline_closes.value(), 0);
+
+        // One request that stalls (peer not reading) past its own budget.
+        conn.stream.blocked = true;
+        conn.arm_deadline(Instant::now());
+        conn.job = Some(watermark_job(root));
+        conn.state = ConnState::Streaming;
+        pump(&mut conn, &env, Instant::now());
+        assert_eq!(conn.state, ConnState::Streaming, "paused at the watermark");
+        thread::sleep(budget + Duration::from_millis(10));
+        conn.stream.blocked = false;
+        conn.flush(&env.obs, Instant::now());
+        pump(&mut conn, &env, Instant::now());
+        assert!(conn.closed);
+        assert_eq!(env.obs.deadline_closes.value(), 1);
+        assert!(matches!(
+            written_messages(&conn).last(),
+            Some(Message::Error {
+                code: ErrorCode::Deadline,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -97,8 +97,8 @@ pub enum ErrorCode {
     /// A RESUME offset/digest does not match the server's history — the
     /// claimed prefix is not byte-identical to what the server would send.
     ResumeMismatch,
-    /// The connection exceeded the server's per-connection deadline and
-    /// was closed; reconnect (and resume) to continue.
+    /// A request exceeded the server's per-request deadline and the
+    /// connection was closed; reconnect (and resume) to continue.
     Deadline,
     /// The tenant named in HELLO is unknown to (or disabled at) this
     /// server. **Non-retryable**, unlike `Busy`: no amount of backoff

@@ -193,7 +193,11 @@ fn honest_transfer_is_accepted_and_hash_matches_sender() {
 
     // Counters saw real traffic and no failures.
     let snap = cl.counters();
-    assert!(snap.frames_sent >= 4, "2× HELLO+FETCH at minimum");
+    assert_eq!(
+        snap.frames_sent, 3,
+        "one HELLO, two FETCHes: the second fetch reuses the connection"
+    );
+    assert_eq!(snap.conn_reuses, 1);
     assert!(snap.frames_received > snap.frames_sent);
     assert!(snap.bytes_received > snap.bytes_sent);
     assert_eq!(snap.verify_failures, 0);

@@ -769,9 +769,15 @@ fn fetch_fanout_rotates_fails_over_and_never_masks_evidence() {
         fan.fetch_verified(w.a, &w.keys).unwrap();
     }
     for (i, reg) in registries.iter().enumerate() {
-        assert!(
-            reg.counter_value("tep_net_connections_total") >= 2,
+        assert_eq!(
+            reg.counter_value("tep_net_fetches_total"),
+            2,
             "replica {i} never served its share of the rotation"
+        );
+        assert_eq!(
+            reg.counter_value("tep_net_connections_total"),
+            1,
+            "replica {i}: the endpoint's client keeps its connection"
         );
     }
 

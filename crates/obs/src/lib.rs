@@ -716,11 +716,15 @@ mod tests {
     fn event_loop_metrics_exposition_snapshot() {
         let reg = Registry::new();
         let wakeups = reg.counter(names::NET_EPOLL_WAKEUPS);
+        let reuses = reg.counter(names::NET_CONN_REUSES);
+        let redials = reg.counter(names::NET_STALE_REDIALS);
         let open = reg.gauge(names::NET_OPEN_CONNECTIONS);
         let batch = reg.histogram(names::NET_BATCH_VERIFY_SIZE, &[1, 8, 64]);
         let turnaround = reg.latency_histogram(names::NET_FRAME_TURNAROUND);
 
         wakeups.add(7);
+        reuses.add(119);
+        redials.inc();
         open.add(3);
         open.sub(1);
         batch.observe(1);
@@ -738,6 +742,8 @@ tep_net_batch_verify_size_bucket{le=\"64\"} 3
 tep_net_batch_verify_size_bucket{le=\"+Inf\"} 4
 tep_net_batch_verify_size_sum 270
 tep_net_batch_verify_size_count 4
+# TYPE tep_net_conn_reuses_total counter
+tep_net_conn_reuses_total 119
 # TYPE tep_net_epoll_wakeups_total counter
 tep_net_epoll_wakeups_total 7
 # TYPE tep_net_frame_turnaround_ns histogram
@@ -749,6 +755,8 @@ tep_net_frame_turnaround_ns_bucket{le=\"250\"} 1
         );
         assert!(text.contains("# TYPE tep_net_open_connections gauge\ntep_net_open_connections 2"));
         assert!(text.contains("tep_net_frame_turnaround_ns_count 1"));
+        assert!(text
+            .contains("# TYPE tep_net_stale_redials_total counter\ntep_net_stale_redials_total 1"));
     }
 
     #[test]

@@ -67,6 +67,15 @@ pub const NET_TENANT_QUOTA_SHEDS: &str = "tep_net_tenant_quota_sheds_total";
 /// panic counts in `render_text`.
 pub const NET_WRITE_ABORTS: &str = "tep_net_write_aborts_total";
 
+/// Requests a client completed on a connection it had kept from an
+/// earlier request (no dial, no HELLO, no OFFER paid).
+pub const NET_CONN_REUSES: &str = "tep_net_conn_reuses_total";
+
+/// Kept connections a client found dead before any response frame arrived
+/// (peer idle-closed, server restarted) and replaced with one immediate
+/// dial — not a retry: no backoff, no attempt consumed.
+pub const NET_STALE_REDIALS: &str = "tep_net_stale_redials_total";
+
 /// Readiness wakeups: one per return from the event loop's `poll(2)` call.
 /// Wall-clock dependent (a stalled peer wakes nobody; a chatty one wakes
 /// the loop often), so this counter is **excluded** from the seeded

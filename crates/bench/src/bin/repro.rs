@@ -3,10 +3,7 @@
 //! ```text
 //! repro [--all] [--table1] [--fig6] [--fig7] [--fig8] [--fig9]
 //!       [--fig10] [--fig11] [--large [ROWS|paper]] [--chaining] [--verify-cost]
-//!       [--net] [--net-scale [CONNS]] [--crash] [--resume] [--replication]
-//!       [--query [RECORDS]] [--compaction [RECORDS]] [--tenants [N]] [--json]
-//!       [--runs N]
-//!       [--key-bits N] [--alg sha1|sha256] [--seed N] [--csv]
+//!       [--ablation] [--runs N] [--key-bits N] [--alg sha1|sha256] [--seed N] [--csv]
 //! ```
 //!
 //! With no experiment flags, runs everything at laptop-friendly defaults
@@ -33,15 +30,6 @@ struct Args {
     chaining: bool,
     verify_cost: bool,
     ablation: bool,
-    net: bool,
-    net_scale: Option<usize>,
-    crash: bool,
-    resume: bool,
-    replication: bool,
-    query: Option<u64>,
-    compaction: Option<u64>,
-    tenants: Option<usize>,
-    json: bool,
     csv: bool,
     all: bool,
     cfg: ExperimentConfig,
@@ -66,52 +54,6 @@ fn parse_args() -> Result<Args, String> {
             "--chaining" => args.chaining = true,
             "--verify-cost" => args.verify_cost = true,
             "--ablation" => args.ablation = true,
-            "--net" => args.net = true,
-            "--net-scale" => {
-                let conns = match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        v.parse()
-                            .map_err(|_| format!("bad connection count: {v}"))?
-                    }
-                    _ => 64,
-                };
-                args.net_scale = Some(conns);
-            }
-            "--crash" => args.crash = true,
-            "--resume" => args.resume = true,
-            "--replication" => args.replication = true,
-            "--query" => {
-                let records = match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        v.parse().map_err(|_| format!("bad record count: {v}"))?
-                    }
-                    _ => 1_000_000,
-                };
-                args.query = Some(records);
-            }
-            "--compaction" => {
-                let records = match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        v.parse().map_err(|_| format!("bad record count: {v}"))?
-                    }
-                    _ => 100_000,
-                };
-                args.compaction = Some(records);
-            }
-            "--tenants" => {
-                let n = match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        v.parse().map_err(|_| format!("bad tenant count: {v}"))?
-                    }
-                    _ => 4,
-                };
-                args.tenants = Some(n);
-            }
-            "--json" => args.json = true,
             "--large" => {
                 let rows = match it.peek() {
                     Some(v) if !v.starts_with("--") => {
@@ -152,16 +94,7 @@ fn parse_args() -> Result<Args, String> {
         || args.large.is_some()
         || args.chaining
         || args.verify_cost
-        || args.ablation
-        || args.net
-        || args.net_scale.is_some()
-        || args.crash
-        || args.resume
-        || args.replication
-        || args.query.is_some()
-        || args.compaction.is_some()
-        || args.tenants.is_some()
-        || args.json;
+        || args.ablation;
     if args.all || !experiments_requested {
         args.table1 = true;
         args.fig6 = true;
@@ -174,14 +107,6 @@ fn parse_args() -> Result<Args, String> {
         args.chaining = true;
         args.verify_cost = true;
         args.ablation = true;
-        args.net = true;
-        args.net_scale.get_or_insert(64);
-        args.crash = true;
-        args.resume = true;
-        args.replication = true;
-        args.query.get_or_insert(1_000_000);
-        args.compaction.get_or_insert(100_000);
-        args.tenants.get_or_insert(4);
     }
     Ok(args)
 }
@@ -213,7 +138,7 @@ fn main() -> ExitCode {
                 "usage: repro [--all] [--table1] [--fig6] [--fig7] [--fig8] [--fig9] [--fig10] [--fig11]"
             );
             eprintln!(
-                "             [--large [ROWS|paper]] [--chaining] [--verify-cost] [--net] [--net-scale [CONNS]] [--crash] [--resume] [--replication] [--query [RECORDS]] [--compaction [RECORDS]] [--tenants [N]] [--json]"
+                "             [--large [ROWS|paper]] [--chaining] [--verify-cost] [--ablation]"
             );
             eprintln!(
                 "             [--runs N] [--key-bits N] [--alg sha1|sha256] [--seed N] [--csv]"
@@ -463,267 +388,6 @@ fn main() -> ExitCode {
             &t,
             args.csv,
         );
-    }
-
-    if args.net {
-        let r = run_net_loopback(&cfg, (cfg.runs as u64 * 8).max(16), 4);
-        let mut t = TextTable::new(&["mode", "clients", "objects/s", "MiB/s"]);
-        t.row(&[
-            "serial".into(),
-            "1".into(),
-            format!("{:.1}", r.serial_objects_per_sec),
-            format!("{:.2}", r.serial_mib_per_sec),
-        ]);
-        t.row(&[
-            "parallel".into(),
-            r.threads.to_string(),
-            format!("{:.1}", r.parallel_objects_per_sec),
-            format!("{:.2}", r.parallel_mib_per_sec),
-        ]);
-        emit(
-            &format!(
-                "Provenance exchange over loopback TCP ({} records + {} nodes per object, verified on receive)",
-                r.records_per_object, r.nodes_per_object
-            ),
-            &t,
-            args.csv,
-        );
-    }
-
-    if let Some(conns) = args.net_scale {
-        let r = run_net_scale(&cfg, conns, (conns as u64) * 8);
-        let mut t = TextTable::new(&["connections", "objects", "objects/s", "MiB/s", "p99 (ms)"]);
-        t.row(&[
-            r.connections.to_string(),
-            r.objects.to_string(),
-            format!("{:.1}", r.objects_per_sec),
-            format!("{:.2}", r.mib_per_sec),
-            format!("{:.1}", r.p99_latency_ms),
-        ]);
-        emit(
-            &format!(
-                "Event-loop fan-in with cross-connection batch verify ({} records per object)",
-                r.records_per_object
-            ),
-            &t,
-            args.csv,
-        );
-    }
-
-    if args.crash {
-        let r = run_recovery(&cfg, (cfg.runs as u64 * 1000).max(2000));
-        let mut t = TextTable::new(&[
-            "records",
-            "clean reopen (ms)",
-            "records/s",
-            "torn-tail reopen (ms)",
-            "quarantine reopen (ms)",
-        ]);
-        t.row(&[
-            r.records.to_string(),
-            format!("{:.2}", r.clean_reopen_ms),
-            format!("{:.0}", r.clean_records_per_sec),
-            format!("{:.2}", r.torn_reopen_ms),
-            format!("{:.2}", r.quarantine_reopen_ms),
-        ]);
-        emit(
-            "Durable-store crash recovery: reopen cost by damage class",
-            &t,
-            args.csv,
-        );
-    }
-
-    if args.resume {
-        let r = run_resume_savings(&cfg, (cfg.runs as u64 * 2000).clamp(1000, 10_000));
-        let mut t = TextTable::new(&[
-            "cut at",
-            "resumed (bytes)",
-            "restart (bytes)",
-            "saved (bytes)",
-        ]);
-        for cut in &r.cuts {
-            t.row(&[
-                format!("{}%", cut.cut_pct),
-                cut.resumed_bytes.to_string(),
-                cut.restart_bytes.to_string(),
-                cut.saved_bytes.to_string(),
-            ]);
-        }
-        emit(
-            &format!(
-                "RESUME vs restart-from-zero ({} records, {} bytes uncut)",
-                r.records, r.full_transfer_bytes
-            ),
-            &t,
-            args.csv,
-        );
-    }
-
-    if args.replication {
-        let r = run_replication(
-            &cfg,
-            (cfg.runs as u64 * 128).clamp(256, 2048),
-            100_000,
-            (cfg.runs as u64 * 40).clamp(120, 600),
-        );
-        let mut t = TextTable::new(&["divergence at leaf", "rounds", "bound (depth+2)"]);
-        for p in &r.ae_rounds {
-            t.row(&[
-                p.position.to_string(),
-                p.rounds.to_string(),
-                r.ae_rounds_bound.to_string(),
-            ]);
-        }
-        emit(
-            &format!(
-                "Replication: anti-entropy descent over a {}-object shard (depth {}; converged audit = {} round)",
-                r.ae_leaves, r.ae_depth, r.converged_rounds
-            ),
-            &t,
-            args.csv,
-        );
-        let mut t = TextTable::new(&["replicas", "objects", "objects/s", "sheds", "scaling"]);
-        let base = r.fanout.first().map_or(1.0, |p| p.objects_per_sec);
-        for p in &r.fanout {
-            t.row(&[
-                p.replicas.to_string(),
-                p.objects.to_string(),
-                format!("{:.1}", p.objects_per_sec),
-                p.sheds.to_string(),
-                format!("{:.2}x", p.objects_per_sec / base),
-            ]);
-        }
-        emit(
-            &format!(
-                "Replication: verified-read fan-out ({} closed-loop clients, capacity {} conn/replica; catch-up {:.0} records/s over {} records)",
-                r.fanout_clients, r.fanout_capacity, r.catchup_records_per_sec, r.catchup_records
-            ),
-            &t,
-            args.csv,
-        );
-    }
-
-    if let Some(records) = args.query {
-        let r = run_query(&cfg, records);
-        let mut t = TextTable::new(&["operator", "queries", "ops/s", "p99 (ms)", "slice records"]);
-        for o in &r.ops {
-            t.row(&[
-                o.op.to_string(),
-                o.queries.to_string(),
-                format!("{:.1}", o.ops_per_sec),
-                format!("{:.3}", o.p99_ms),
-                format!("{:.1}", o.mean_slice_records),
-            ]);
-        }
-        emit(
-            &format!(
-                "tep-query: verifiable slices over a {}-record lineage DAG ({} objects, {} participants; generated in {:.0} ms, index built in {:.0} ms)",
-                r.records, r.objects, r.participants, r.generate_ms, r.index_build_ms
-            ),
-            &t,
-            args.csv,
-        );
-    }
-
-    if let Some(records) = args.compaction {
-        let r = run_compaction(&cfg, records);
-        let mut t = TextTable::new(&[
-            "records",
-            "bytes before",
-            "bytes after",
-            "ratio",
-            "excised",
-            "kept",
-            "seal (ms)",
-            "compact (ms)",
-            "reopen (ms)",
-        ]);
-        t.row(&[
-            (r.records + r.tail_records).to_string(),
-            r.bytes_before.to_string(),
-            r.bytes_after.to_string(),
-            format!("{:.2}x", r.ratio),
-            r.excised_frames.to_string(),
-            r.kept_frames.to_string(),
-            format!("{:.2}", r.seal_ms),
-            format!("{:.2}", r.compact_ms),
-            format!("{:.2}", r.reopen_ms),
-        ]);
-        emit(
-            &format!(
-                "Checkpointed log compaction ({} sealed records + {} tail)",
-                r.records, r.tail_records
-            ),
-            &t,
-            args.csv,
-        );
-        let mut t = TextTable::new(&["proofs", "prove p99 (us)", "verify p99 (us)"]);
-        t.row(&[
-            r.denial_proofs.to_string(),
-            format!("{:.1}", r.denial_prove_p99_us),
-            format!("{:.1}", r.denial_verify_p99_us),
-        ]);
-        emit(
-            &format!(
-                "Signed non-membership proofs over the {}-record shard tree",
-                r.records
-            ),
-            &t,
-            args.csv,
-        );
-    }
-
-    if let Some(n) = args.tenants {
-        let r = run_tenants(&cfg, n);
-        let mut t = TextTable::new(&[
-            "phase",
-            "objects/s",
-            "t1 p99 (us)",
-            "attacker sheds",
-            "victim sheds",
-        ]);
-        t.row(&[
-            "solo".to_string(),
-            format!("{:.1}", r.solo_objects_per_sec),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-        ]);
-        t.row(&[
-            "shared".to_string(),
-            format!("{:.1}", r.shared_objects_per_sec),
-            format!("{:.1}", r.shared_p99_us),
-            "-".to_string(),
-            "-".to_string(),
-        ]);
-        t.row(&[
-            "attacked".to_string(),
-            "-".to_string(),
-            format!("{:.1}", r.attacked_p99_us),
-            r.attacker_sheds.to_string(),
-            r.victim_sheds.to_string(),
-        ]);
-        emit(
-            &format!(
-                "Multi-tenant fairness ({} tenants, {}-record chains, {} fetches/tenant)",
-                r.tenants, r.records_per_tenant, r.fetches_per_tenant
-            ),
-            &t,
-            args.csv,
-        );
-    }
-
-    if args.json {
-        let baseline = run_baseline(&cfg);
-        let json = baseline.to_json();
-        let path = "BENCH_baseline.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("== hot-path baseline ==\n{json}wrote {path}"),
-            Err(e) => {
-                eprintln!("repro: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     ExitCode::SUCCESS

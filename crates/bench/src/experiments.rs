@@ -1,5 +1,5 @@
 //! Experiment runners regenerating every table and figure of the paper's
-//! evaluation (§5), plus the extension experiments DESIGN.md calls out.
+//! evaluation (§5).
 //!
 //! Each `run_*` function is pure measurement machinery shared by the
 //! `repro` binary (which prints paper-style tables) and the Criterion
@@ -9,13 +9,13 @@ use crate::stats::{ns_to_ms, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tep_core::hashing::{forest_hash, HashCache, HashingStrategy};
 use tep_core::prelude::*;
 use tep_core::Metrics;
 use tep_crypto::pki::Participant;
 use tep_model::{Forest, ObjectId};
-use tep_storage::{quarantine_path, ProvenanceDb, StoredRecord};
+use tep_storage::ProvenanceDb;
 use tep_workloads::{
     paper_database, setup_a_updates, setup_b_delete_rows, setup_b_insert_rows,
     setup_b_update_cells, setup_c_mix, stream_title_database, ComplexOp, MixSpec, TablePlan,
@@ -664,1849 +664,6 @@ pub fn table1_forest(seed: u64) -> (Forest, ObjectId) {
     (db.forest, db.root)
 }
 
-// ---------------------------------------------------------------------------
-// Network loopback transfer throughput (tep-net)
-// ---------------------------------------------------------------------------
-
-/// Throughput of fully-verified provenance transfers over loopback TCP.
-#[derive(Clone, Copy, Debug)]
-pub struct NetLoopbackResult {
-    /// Verified fetches performed in the serial pass.
-    pub fetches: u64,
-    /// Provenance records per transferred object.
-    pub records_per_object: u64,
-    /// Data nodes per transferred object.
-    pub nodes_per_object: u64,
-    /// Single-client verified objects per second.
-    pub serial_objects_per_sec: f64,
-    /// Single-client wire throughput, MiB/s received.
-    pub serial_mib_per_sec: f64,
-    /// Concurrent client threads in the parallel pass.
-    pub threads: usize,
-    /// Aggregate verified objects per second with `threads` clients.
-    pub parallel_objects_per_sec: f64,
-    /// Aggregate wire throughput with `threads` clients, MiB/s.
-    pub parallel_mib_per_sec: f64,
-}
-
-/// Serves a mid-size compound object from an in-process `tep-net` server
-/// and fetches it with full streaming verification — once from a single
-/// client, then the same total fetch count split over `threads` concurrent
-/// clients. Every fetch re-verifies every record signature and recomputes
-/// the object hash, so this measures the *verified* transfer path, not raw
-/// socket throughput.
-pub fn run_net_loopback(cfg: &ExperimentConfig, fetches: u64, threads: usize) -> NetLoopbackResult {
-    use tep_net::{serve, Catalog, Client, ClientConfig, ServerConfig};
-
-    let threads = threads.max(1);
-    let (signer, keys) = cfg.make_signer();
-    let db = Arc::new(ProvenanceDb::in_memory());
-    let mut tracker = ProvenanceTracker::new(
-        TrackerConfig {
-            alg: cfg.alg,
-            strategy: HashingStrategy::Economical,
-        },
-        Arc::clone(&db),
-    );
-    let (root, _) = tracker
-        .insert(&signer, tep_model::Value::text("bench-db"), None)
-        .unwrap();
-    let (table, _) = tracker
-        .insert(&signer, tep_model::Value::text("t0"), Some(root))
-        .unwrap();
-    for r in 0..32i64 {
-        let (row, _) = tracker
-            .insert(&signer, tep_model::Value::Null, Some(table))
-            .unwrap();
-        for c in 0..4i64 {
-            tracker
-                .insert(&signer, tep_model::Value::Int(r * 4 + c), Some(row))
-                .unwrap();
-        }
-    }
-    let catalog = Arc::new(Catalog::new(
-        tracker.forest().clone(),
-        db,
-        cfg.alg,
-        vec![root],
-    ));
-    let server = serve(
-        catalog,
-        "127.0.0.1:0".parse().unwrap(),
-        ServerConfig {
-            workers: threads,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.addr();
-
-    // One client performing `n` verified fetches; returns (bytes received,
-    // records/object, nodes/object).
-    let fetch_loop = |n: u64| -> (u64, u64, u64) {
-        let mut client = Client::new(addr, ClientConfig::new(cfg.alg));
-        let (mut recs, mut nodes) = (0u64, 0u64);
-        for _ in 0..n {
-            let rep = client.fetch_verified(root, &keys).unwrap();
-            recs = rep.records;
-            nodes = rep.nodes;
-        }
-        (client.counters().bytes_received, recs, nodes)
-    };
-
-    let t = Instant::now();
-    let (bytes, records_per_object, nodes_per_object) = fetch_loop(fetches);
-    let serial = t.elapsed().as_secs_f64();
-
-    let per_thread = (fetches / threads as u64).max(1);
-    let fetch_loop = &fetch_loop;
-    let t = Instant::now();
-    let par_bytes: u64 = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| s.spawn(move || fetch_loop(per_thread).0))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    });
-    let parallel = t.elapsed().as_secs_f64();
-    let par_fetches = per_thread * threads as u64;
-    server.shutdown();
-
-    const MIB: f64 = (1u64 << 20) as f64;
-    NetLoopbackResult {
-        fetches,
-        records_per_object,
-        nodes_per_object,
-        serial_objects_per_sec: fetches as f64 / serial,
-        serial_mib_per_sec: bytes as f64 / MIB / serial,
-        threads,
-        parallel_objects_per_sec: par_fetches as f64 / parallel,
-        parallel_mib_per_sec: par_bytes as f64 / MIB / parallel,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Net scale — event-loop fan-in with cross-connection batch verify
-// ---------------------------------------------------------------------------
-
-/// Throughput of the event-loop server under many concurrent client
-/// connections, with signature verification batched *across* connections.
-#[derive(Clone, Copy, Debug)]
-pub struct NetScaleResult {
-    /// Concurrent client threads (each keeping one connection across its fetches).
-    pub connections: usize,
-    /// Objects fetched and verified in total, across all connections.
-    pub objects: u64,
-    /// Provenance records per object.
-    pub records_per_object: u64,
-    /// Aggregate verified objects per second.
-    pub objects_per_sec: f64,
-    /// Aggregate wire throughput, MiB/s received.
-    pub mib_per_sec: f64,
-    /// p99 per-fetch latency — connect, handshake, stream, and the batched
-    /// verification verdict — in milliseconds (bucketed upper bound).
-    pub p99_latency_ms: f64,
-}
-
-/// Latency buckets for the per-fetch histogram, in milliseconds.
-const NET_SCALE_LAT_MS: [u64; 14] = [
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10_000, 30_000,
-];
-
-/// Fans `connections` client threads into one event-loop server, each
-/// fetching a small update-chained object in a loop and submitting the
-/// arrived provenance to a **shared** [`tep_core::VerifyBatcher`] (the
-/// cross-connection batch-verify path). Small objects on purpose: this
-/// experiment measures connection fan-in, event-loop turnaround, and
-/// batching overhead — `net_loopback` covers bulk streaming of a large
-/// object.
-pub fn run_net_scale(cfg: &ExperimentConfig, connections: usize, objects: u64) -> NetScaleResult {
-    use tep_core::{BatcherConfig, VerifyBatcher};
-    use tep_net::{serve, Catalog, Client, ClientConfig, RetryPolicy, ServerConfig};
-    use tep_obs::Registry;
-
-    let connections = connections.max(1);
-    let per_conn = (objects / connections as u64).max(1);
-    let (signer, keys) = cfg.make_signer();
-    let db = Arc::new(ProvenanceDb::in_memory());
-    let mut tracker = ProvenanceTracker::new(
-        TrackerConfig {
-            alg: cfg.alg,
-            strategy: HashingStrategy::Economical,
-        },
-        Arc::clone(&db),
-    );
-    let (chain, _) = tracker
-        .insert(&signer, tep_model::Value::Int(0), None)
-        .unwrap();
-    for i in 1..12i64 {
-        tracker
-            .update(&signer, chain, tep_model::Value::Int(i))
-            .unwrap();
-    }
-    let catalog = Arc::new(Catalog::new(
-        tracker.forest().clone(),
-        db,
-        cfg.alg,
-        vec![chain],
-    ));
-    let server = serve(
-        catalog,
-        "127.0.0.1:0".parse().unwrap(),
-        ServerConfig {
-            queue_depth: connections * 2,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-            connection_deadline: Duration::from_secs(30),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.addr();
-
-    let keys = Arc::new(keys);
-    let batcher = VerifyBatcher::new(Arc::clone(&keys), cfg.alg, BatcherConfig::default(), None);
-    let registry = Registry::new();
-
-    let t = Instant::now();
-    let (bytes, records_per_object) = std::thread::scope(|s| {
-        let batcher = &batcher;
-        let registry = &registry;
-        let handles: Vec<_> = (0..connections)
-            .map(|_| {
-                s.spawn(move || {
-                    let lat = registry.histogram("tep_bench_net_scale_fetch_ms", &NET_SCALE_LAT_MS);
-                    let mut c = ClientConfig::new(cfg.alg);
-                    c.read_timeout = Duration::from_secs(10);
-                    c.retry = RetryPolicy {
-                        max_attempts: 5,
-                        base: Duration::from_millis(1),
-                        cap: Duration::from_millis(20),
-                        ..RetryPolicy::default()
-                    };
-                    let mut client = Client::new(addr, c);
-                    let mut records = 0u64;
-                    for _ in 0..per_conn {
-                        let t = Instant::now();
-                        let v = client
-                            .fetch_batched(chain, batcher)
-                            .expect("net-scale fetch failed");
-                        lat.observe(t.elapsed().as_millis() as u64);
-                        records = v.records_checked as u64;
-                    }
-                    (client.counters().bytes_received, records)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("net-scale client thread panicked"))
-            .fold((0u64, 0u64), |(bytes, _), (b, r)| (bytes + b, r))
-    });
-    let secs = t.elapsed().as_secs_f64();
-    server.shutdown();
-    drop(batcher);
-
-    let lat = registry.histogram("tep_bench_net_scale_fetch_ms", &NET_SCALE_LAT_MS);
-    let total = per_conn * connections as u64;
-    const MIB: f64 = (1u64 << 20) as f64;
-    NetScaleResult {
-        connections,
-        objects: total,
-        records_per_object,
-        objects_per_sec: total as f64 / secs,
-        mib_per_sec: bytes as f64 / MIB / secs,
-        p99_latency_ms: lat
-            .quantile(0.99)
-            .unwrap_or(*NET_SCALE_LAT_MS.last().unwrap()) as f64,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Verifiable query throughput (`repro --query`)
-// ---------------------------------------------------------------------------
-
-/// Per-operator throughput of the query engine.
-#[derive(Clone, Debug)]
-pub struct QueryOpStats {
-    /// Operator name (`ancestors`, `descendants`, `lineage`, `audit`,
-    /// `polynomial`).
-    pub op: &'static str,
-    /// Queries executed.
-    pub queries: u64,
-    /// Proof-producing queries per second.
-    pub ops_per_sec: f64,
-    /// p99 per-query latency in milliseconds (bucketed upper bound).
-    pub p99_ms: f64,
-    /// Mean records per answered slice.
-    pub mean_slice_records: f64,
-}
-
-/// `repro --query`: tep-query over a seeded lineage DAG.
-#[derive(Clone, Debug)]
-pub struct QueryBenchResult {
-    /// Records in the generated DAG.
-    pub records: u64,
-    /// Distinct objects.
-    pub objects: u64,
-    /// Participants records are attributed to.
-    pub participants: u64,
-    /// Wall time to generate the DAG (not a tep-query cost — reported so
-    /// headline runs can separate setup from measurement).
-    pub generate_ms: f64,
-    /// One-shot secondary-index build over the full log, in ms.
-    pub index_build_ms: f64,
-    /// Per-operator stats, in [`tep_core::slice::QueryOp::ALL`] order.
-    pub ops: Vec<QueryOpStats>,
-}
-
-/// Latency buckets for per-query latency, in microseconds.
-const QUERY_LAT_US: [u64; 16] = [
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10_000, 25_000, 100_000, 1_000_000,
-];
-
-/// Builds a `records`-record lineage DAG (`tep_workloads::lineage`), builds
-/// the secondary indexes once over the whole log, then drives every query
-/// operator over rotating targets: ancestors/descendants/lineage/polynomial
-/// against sampled cluster-closing objects (worst-case closures for the
-/// DAG's shape), audits against rotating participants. Every query
-/// materializes its full [`tep_core::slice::SliceProof`] — this measures
-/// the cost of *provable* answers, not bare traversals.
-pub fn run_query(cfg: &ExperimentConfig, records: u64) -> QueryBenchResult {
-    use tep_core::slice::{QueryBounds, QueryOp, QuerySpec};
-    use tep_obs::Registry;
-    use tep_query::QueryEngine;
-    use tep_workloads::build_lineage_db;
-
-    let t = Instant::now();
-    let dag = build_lineage_db(records, cfg.seed);
-    let generate_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let registry = Registry::new();
-    let mut engine = QueryEngine::new(Arc::clone(&dag.db), cfg.alg);
-    engine.attach_obs(&registry);
-    let t = Instant::now();
-    engine.sync();
-    let index_build_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let iters = ((cfg.runs as u64) * 64).clamp(64, 512);
-    let ops = QueryOp::ALL
-        .iter()
-        .map(|&op| {
-            let name = op.name();
-            let lat = registry.histogram(&format!("tep_bench_query_{name}_us"), &QUERY_LAT_US);
-            let mut slice_records = 0u64;
-            let t = Instant::now();
-            for i in 0..iters {
-                let spec = match op {
-                    QueryOp::AuditSlice => {
-                        QuerySpec::audit(tep_crypto::pki::ParticipantId(1 + i % dag.participants))
-                    }
-                    // Forward queries start at cluster roots (everything
-                    // downstream), backward ones at cluster closers
-                    // (everything upstream).
-                    QueryOp::Descendants => QuerySpec {
-                        op,
-                        target: dag.roots[(i as usize) % dag.roots.len()],
-                        participant: None,
-                        bounds: QueryBounds::default(),
-                    },
-                    _ => QuerySpec {
-                        op,
-                        target: dag.targets[(i as usize) % dag.targets.len()],
-                        participant: None,
-                        bounds: QueryBounds::default(),
-                    },
-                };
-                let q = Instant::now();
-                let proof = engine
-                    .execute(&spec)
-                    .expect("query bench: slice exceeded the engine cap");
-                lat.observe(q.elapsed().as_micros() as u64);
-                slice_records += proof.records.len() as u64;
-            }
-            let secs = t.elapsed().as_secs_f64();
-            QueryOpStats {
-                op: name,
-                queries: iters,
-                ops_per_sec: iters as f64 / secs,
-                p99_ms: lat.quantile(0.99).unwrap_or(*QUERY_LAT_US.last().unwrap()) as f64 / 1e3,
-                mean_slice_records: slice_records as f64 / iters as f64,
-            }
-        })
-        .collect();
-
-    QueryBenchResult {
-        records: dag.records,
-        objects: dag.objects,
-        participants: dag.participants,
-        generate_ms,
-        index_build_ms,
-        ops,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Crash-recovery cost (`repro --crash`)
-// ---------------------------------------------------------------------------
-
-/// Durable-store reopen cost on the real filesystem, for the three recovery
-/// paths: clean, torn tail (truncate), interior corruption (quarantine +
-/// atomic rewrite).
-#[derive(Clone, Debug)]
-pub struct RecoveryResult {
-    /// Records in the store when each reopen ran.
-    pub records: u64,
-    /// Reopen latency of a cleanly closed store (ms).
-    pub clean_reopen_ms: f64,
-    /// Records recovered per second on the clean reopen.
-    pub clean_records_per_sec: f64,
-    /// Reopen latency with a torn tail frame to truncate (ms).
-    pub torn_reopen_ms: f64,
-    /// Reopen latency with one interior corrupt frame — sidecar write plus
-    /// atomic rewrite of the whole log (ms).
-    pub quarantine_reopen_ms: f64,
-}
-
-/// Builds a `records`-record durable store, then times the three reopen
-/// paths. Recovery cost is CRC scanning and rewriting, so the records carry
-/// realistic sizes (128-byte checksum, 64-byte payload) but no signatures.
-pub fn run_recovery(cfg: &ExperimentConfig, records: u64) -> RecoveryResult {
-    let path = std::env::temp_dir().join(format!(
-        "tep-bench-recovery-{}-{}.teplog",
-        std::process::id(),
-        cfg.seed
-    ));
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(quarantine_path(&path));
-
-    {
-        let db = ProvenanceDb::durable(&path).unwrap();
-        for seq in 0..records {
-            db.append(StoredRecord {
-                seq_id: seq,
-                participant: ParticipantId(1),
-                oid: ObjectId(seq % 97),
-                checksum: vec![0xC5; 128],
-                payload: vec![0x7E; 64],
-            })
-            .unwrap();
-        }
-        db.sync().unwrap();
-    }
-
-    let time_reopen = |label: &str| {
-        let t = Instant::now();
-        let db =
-            ProvenanceDb::durable(&path).unwrap_or_else(|e| panic!("{label} reopen failed: {e}"));
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(db.len() as u64, records, "{label} reopen lost records");
-        ms
-    };
-
-    let clean_reopen_ms = time_reopen("clean");
-    let clean_records_per_sec = records as f64 / (clean_reopen_ms / 1e3);
-
-    // Torn tail: a partial frame header past the last synced frame, as a
-    // crash mid-append would leave.
-    {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        f.write_all(&[0xDE, 0xAD, 0xBE]).unwrap();
-    }
-    let torn_reopen_ms = time_reopen("torn-tail");
-
-    // Interior corruption: flip a byte in the middle record's frame, which
-    // forces the quarantine + full atomic rewrite path.
-    {
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mut at = 12usize;
-        let mut frame = 0u64;
-        while at + 8 <= bytes.len() && frame < records / 2 {
-            let len = u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-            at += 8 + len;
-            frame += 1;
-        }
-        bytes[at + 8] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-    }
-    let t = Instant::now();
-    let db = ProvenanceDb::durable(&path).unwrap();
-    let quarantine_reopen_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        db.len() as u64,
-        records - 1,
-        "exactly one record quarantined"
-    );
-    drop(db);
-
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(quarantine_path(&path));
-    RecoveryResult {
-        records,
-        clean_reopen_ms,
-        clean_records_per_sec,
-        torn_reopen_ms,
-        quarantine_reopen_ms,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpointed compaction + authenticated denial (`repro --compaction`)
-// ---------------------------------------------------------------------------
-
-/// Cost and payoff of checkpoint-anchored log compaction, plus the
-/// latency of building and verifying signed non-membership proofs over
-/// the pre-compaction shard tree.
-#[derive(Clone, Debug)]
-pub struct CompactionBenchResult {
-    /// Records in the log when the checkpoint was sealed.
-    pub records: u64,
-    /// Records appended after the seal (survive compaction).
-    pub tail_records: u64,
-    /// Live-log bytes before compaction.
-    pub bytes_before: u64,
-    /// Live-log bytes after (stamp + surviving tail).
-    pub bytes_after: u64,
-    /// `bytes_before / bytes_after` — the acceptance floor is 2×.
-    pub ratio: f64,
-    /// Frames excised into the cold archive.
-    pub excised_frames: u64,
-    /// Frames kept in the live log.
-    pub kept_frames: u64,
-    /// Capture + seal + persist latency (one RSA sign) in ms.
-    pub seal_ms: f64,
-    /// Archive + truncate + stamp latency in ms.
-    pub compact_ms: f64,
-    /// Reopen latency of the compacted log in ms.
-    pub reopen_ms: f64,
-    /// Denial proofs built and verified for the latency distribution.
-    pub denial_proofs: u64,
-    /// p99 of building one gap proof (µs; pure hashing, no signature).
-    pub denial_prove_p99_us: f64,
-    /// p99 of fully verifying one signed denial (µs; one RSA public-key
-    /// operation + two authenticated sibling paths).
-    pub denial_verify_p99_us: f64,
-}
-
-fn p99_us(mut ns: Vec<u64>) -> f64 {
-    ns.sort_unstable();
-    let idx = (ns.len().saturating_sub(1)) * 99 / 100;
-    ns.get(idx).copied().unwrap_or(0) as f64 / 1e3
-}
-
-/// Builds a `records`-record durable log (objects hold ~8-record chains,
-/// even-numbered IDs only, so odd IDs are provably absent), measures the
-/// denial-proof pipeline over its shard tree, then seals a checkpoint,
-/// appends a 1% tail, compacts, and reopens. Records carry realistic
-/// sizes but no signatures — compaction cost is framing and I/O; the one
-/// real signature is the checkpoint seal (and each denial verify pays a
-/// real RSA public-key operation).
-pub fn run_compaction(cfg: &ExperimentConfig, records: u64) -> CompactionBenchResult {
-    use tep_core::denial::{DenialProof, SignedDenial, SignedRoot};
-    use tep_core::merkle::shard_tree_of;
-    use tep_core::{checkpoint_path, compact_log, seal_checkpoint};
-    use tep_storage::{RealVfs, Vfs};
-
-    let (signer, keys) = cfg.make_signer();
-    let path = std::env::temp_dir().join(format!(
-        "tep-bench-compaction-{}-{}.teplog",
-        std::process::id(),
-        cfg.seed
-    ));
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(checkpoint_path(&path));
-    let vfs: Arc<dyn Vfs> = Arc::new(RealVfs);
-
-    let nobj = (records / 8).max(1);
-    {
-        let db = ProvenanceDb::durable_with(vfs.clone(), &path).unwrap();
-        for seq in 0..records {
-            db.append(StoredRecord {
-                seq_id: seq / nobj,
-                participant: ParticipantId(1),
-                oid: ObjectId((seq % nobj) * 2),
-                checksum: vec![0xC5; 128],
-                payload: vec![0x7E; 64],
-            })
-            .unwrap();
-        }
-        db.sync().unwrap();
-
-        // Denial latency over the full pre-compaction tree: prove and
-        // verify non-membership of odd (absent) IDs.
-        let tree = shard_tree_of(cfg.alg, &db);
-        let root = SignedRoot::sign(&tree, records, &signer).unwrap();
-        let iters = (cfg.runs as u64 * 100).clamp(200, 2_000);
-        let mut prove_ns = Vec::with_capacity(iters as usize);
-        let mut verify_ns = Vec::with_capacity(iters as usize);
-        for i in 0..iters {
-            let absent = ObjectId((i % nobj) * 2 + 1);
-            let t = Instant::now();
-            let proof = DenialProof::prove(&tree, absent).expect("odd IDs are absent");
-            prove_ns.push(t.elapsed().as_nanos() as u64);
-            let denial = SignedDenial {
-                root: root.clone(),
-                proof,
-            };
-            let t = Instant::now();
-            denial.check(&keys).expect("honest denial verifies");
-            verify_ns.push(t.elapsed().as_nanos() as u64);
-        }
-        drop(db);
-
-        let bytes_before = std::fs::metadata(&path).unwrap().len();
-        let t = Instant::now();
-        seal_checkpoint(vfs.clone(), &path, cfg.alg, &signer).unwrap();
-        let seal_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        // A 1% tail appended after the seal survives compaction.
-        let tail_records = (records / 100).max(1);
-        let db = ProvenanceDb::durable_with(vfs.clone(), &path).unwrap();
-        for seq in 0..tail_records {
-            db.append(StoredRecord {
-                seq_id: records / nobj + seq / nobj,
-                participant: ParticipantId(1),
-                oid: ObjectId((seq % nobj) * 2),
-                checksum: vec![0xC5; 128],
-                payload: vec![0x7E; 64],
-            })
-            .unwrap();
-        }
-        db.sync().unwrap();
-        drop(db);
-
-        let t = Instant::now();
-        let (_sealed, report) = compact_log(vfs.clone(), &path).unwrap();
-        let compact_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let db = ProvenanceDb::durable_with(vfs.clone(), &path).unwrap();
-        let reopen_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(db.len() as u64, tail_records, "compaction lost the tail");
-        assert_eq!(db.recovery().corruption_gaps(), 0);
-        drop(db);
-        let bytes_after = std::fs::metadata(&path).unwrap().len();
-
-        let archive = report.archive_path.clone();
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(checkpoint_path(&path));
-        if let Some(a) = archive {
-            let _ = std::fs::remove_file(a);
-        }
-
-        CompactionBenchResult {
-            records,
-            tail_records,
-            bytes_before,
-            bytes_after,
-            ratio: bytes_before as f64 / bytes_after.max(1) as f64,
-            excised_frames: report.excised_frames,
-            kept_frames: report.kept_frames,
-            seal_ms,
-            compact_ms,
-            reopen_ms,
-            denial_proofs: iters,
-            denial_prove_p99_us: p99_us(prove_ns),
-            denial_verify_p99_us: p99_us(verify_ns),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-tenant fairness (`repro --tenants`)
-// ---------------------------------------------------------------------------
-
-/// Fairness of the tenant bulkheads (DESIGN.md §14): what sharing one
-/// server with N−1 siblings — one of them hammering its own exhausted
-/// connection quota — costs a well-behaved tenant.
-#[derive(Clone, Copy, Debug)]
-pub struct TenantBenchResult {
-    /// Tenants served, each with its own PKI signer, shard, and catalog.
-    pub tenants: usize,
-    /// Records in each tenant's update chain.
-    pub records_per_tenant: u64,
-    /// Verified fetches each honest tenant performs per phase.
-    pub fetches_per_tenant: u64,
-    /// Tenant 1 alone against a single-tenant server, objects/s.
-    pub solo_objects_per_sec: f64,
-    /// All tenants fetching concurrently, aggregate objects/s.
-    pub shared_objects_per_sec: f64,
-    /// Tenant 1's p99 verified-fetch latency during the shared phase (µs).
-    pub shared_p99_us: f64,
-    /// Tenant 1's p99 while the attacker tenant sheds in a loop (µs).
-    pub attacked_p99_us: f64,
-    /// Quota sheds carrying the attacker's label after the attack phase.
-    pub attacker_sheds: u64,
-    /// Quota sheds carrying tenant 1's label — the bulkhead demands zero.
-    pub victim_sheds: u64,
-}
-
-/// Three phases over one sharded deployment: tenant 1 alone (`solo`),
-/// every tenant fetching concurrently (`shared`), and the same honest
-/// load while the highest-numbered tenant hammers a deliberately
-/// exhausted one-connection quota (`attacked`) — every attacker dial is
-/// refused at HELLO with the tenant-scaled `ERR busy`, so the attack
-/// costs the server one admission round-trip per attempt and the
-/// attacker's labeled shed counter records each one. Tenant 1's
-/// latency distribution is measured in both contended phases; its own
-/// shed label must stay at zero.
-pub fn run_tenants(cfg: &ExperimentConfig, tenants: usize) -> TenantBenchResult {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use tep_core::metrics::TransferCounters;
-    use tep_core::tenant::TenantDirectory;
-    use tep_model::TenantId;
-    use tep_net::wire::{FrameReader, FrameWriter, Message, WIRE_VERSION};
-    use tep_net::{
-        serve_tenants, Catalog, Client, ClientConfig, RetryPolicy, ServerConfig, TenantSpec,
-    };
-    use tep_obs::{names, Registry};
-    use tep_storage::vfs::{FaultConfig, FaultVfs};
-    use tep_storage::{TenantShards, Vfs};
-
-    const RECORDS: u64 = 12;
-    let tenants = tenants.max(2);
-    let fetches = (cfg.runs as u64 * 30).clamp(60, 300);
-    let ids: Vec<TenantId> = (1..=tenants as u64).map(TenantId).collect();
-    let victim = ids[0];
-    let attacker = *ids.last().unwrap();
-
-    // Identity + sharded store: one PKI-minted signer and one independent
-    // shard per tenant, on deterministic in-memory disks.
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7E4A_F41B);
-    let key_bits = cfg.key_bits.max(512);
-    let ca = CertificateAuthority::new(key_bits, cfg.alg, &mut rng);
-    let mut dir = TenantDirectory::new(&ca);
-    for &t in &ids {
-        dir.mint(&ca, t, key_bits, &mut rng);
-    }
-    let shards = TenantShards::open_with(
-        "/tenants-bench",
-        ids.iter()
-            .map(|&t| (t, FaultVfs::new(FaultConfig::default()) as Arc<dyn Vfs>)),
-    );
-    let mut chains = Vec::with_capacity(tenants);
-    let mut catalogs = Vec::with_capacity(tenants);
-    for &t in &ids {
-        let signer = dir.signer(t).unwrap();
-        let db = shards.shard(t).unwrap();
-        let mut tracker = ProvenanceTracker::new(
-            TrackerConfig {
-                alg: cfg.alg,
-                strategy: HashingStrategy::Economical,
-            },
-            Arc::clone(&db),
-        );
-        let (chain, _) = tracker
-            .insert(&signer, tep_model::Value::Int(0), None)
-            .unwrap();
-        for i in 1..RECORDS as i64 {
-            tracker
-                .update(&signer, chain, tep_model::Value::Int(i))
-                .unwrap();
-        }
-        db.sync().unwrap();
-        chains.push(chain);
-        catalogs.push(Arc::new(Catalog::new(
-            tracker.forest().clone(),
-            db,
-            cfg.alg,
-            vec![chain],
-        )));
-    }
-
-    let server_cfg = || ServerConfig {
-        read_timeout: Duration::from_secs(30),
-        write_timeout: Duration::from_secs(30),
-        connection_deadline: Duration::from_secs(30),
-        ..ServerConfig::default()
-    };
-    let client_for = |addr: std::net::SocketAddr, t: TenantId, max_attempts: u32| {
-        let mut c = ClientConfig::for_tenant(cfg.alg, t);
-        c.read_timeout = Duration::from_secs(10);
-        c.retry = RetryPolicy {
-            max_attempts,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(10),
-            ..RetryPolicy::default()
-        };
-        Client::new(addr, c)
-    };
-
-    // Phase 1 — solo: tenant 1 alone on a single-tenant server.
-    let server = serve_tenants(
-        vec![TenantSpec::new(victim, Arc::clone(&catalogs[0]))],
-        "127.0.0.1:0".parse().unwrap(),
-        server_cfg(),
-        Registry::new(),
-    )
-    .unwrap();
-    let mut cl = client_for(server.addr(), victim, 3);
-    let t = Instant::now();
-    for _ in 0..fetches {
-        let rep = cl
-            .fetch_verified(chains[0], dir.keys(victim).unwrap())
-            .unwrap();
-        assert!(rep.verification.verified());
-    }
-    let solo_objects_per_sec = fetches as f64 / t.elapsed().as_secs_f64();
-    server.shutdown();
-
-    // Phases 2 + 3 share one server hosting every tenant; the attacker's
-    // spec carries a one-connection quota so its hammer can only shed
-    // against its own bulkhead.
-    let registry = Registry::new();
-    let specs: Vec<TenantSpec> = ids
-        .iter()
-        .zip(&catalogs)
-        .map(|(&t, c)| {
-            let s = TenantSpec::new(t, Arc::clone(c));
-            if t == attacker {
-                s.with_max_connections(1)
-            } else {
-                s
-            }
-        })
-        .collect();
-    let server = serve_tenants(
-        specs,
-        "127.0.0.1:0".parse().unwrap(),
-        server_cfg(),
-        registry.clone(),
-    )
-    .unwrap();
-    let addr = server.addr();
-
-    // One tenant's closed-loop fetch run, per-fetch latency in ns.
-    let fetch_loop = |t: TenantId, chain: ObjectId| -> Vec<u64> {
-        let mut cl = client_for(addr, t, 3);
-        let keys = dir.keys(t).unwrap();
-        let mut ns = Vec::with_capacity(fetches as usize);
-        for _ in 0..fetches {
-            let t0 = Instant::now();
-            let rep = cl.fetch_verified(chain, keys).unwrap();
-            ns.push(t0.elapsed().as_nanos() as u64);
-            assert!(rep.verification.verified());
-        }
-        ns
-    };
-
-    // Phase 2 — shared: every tenant fetching concurrently.
-    let t = Instant::now();
-    let shared_lat: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let fetch_loop = &fetch_loop;
-        let handles: Vec<_> = ids
-            .iter()
-            .zip(&chains)
-            .map(|(&t, &chain)| s.spawn(move || fetch_loop(t, chain)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let shared_objects_per_sec = (fetches * tenants as u64) as f64 / t.elapsed().as_secs_f64();
-    let shared_p99_us = p99_us(shared_lat[0].clone());
-
-    // Phase 3 — attacked: hold the attacker's only quota slot open, then
-    // hammer single-attempt fetches against it while the honest tenants
-    // re-run the shared loop.
-    let _held = {
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let counters = Arc::new(TransferCounters::new());
-        let mut writer = FrameWriter::new(stream.try_clone().unwrap(), Arc::clone(&counters));
-        let mut reader = FrameReader::new(stream, counters);
-        writer
-            .write_message(&Message::Hello {
-                version: WIRE_VERSION,
-                alg: cfg.alg,
-                tenant: attacker.raw(),
-            })
-            .unwrap();
-        match reader.read_message().unwrap() {
-            Some(Message::Hello { .. }) => {}
-            other => panic!("held attacker connection was not admitted: {other:?}"),
-        }
-        (reader, writer)
-    };
-    let stop = AtomicBool::new(false);
-    let attacked_lat: Vec<u64> = std::thread::scope(|s| {
-        let fetch_loop = &fetch_loop;
-        let (stop, dir, chains, client_for) = (&stop, &dir, &chains, &client_for);
-        let hammer = s.spawn(move || {
-            let keys = dir.keys(attacker).unwrap();
-            while !stop.load(Ordering::Relaxed) {
-                let mut cl = client_for(addr, attacker, 1);
-                let _ = cl.fetch_verified(*chains.last().unwrap(), keys);
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        let honest: Vec<_> = ids[..tenants - 1]
-            .iter()
-            .zip(chains)
-            .map(|(&t, &chain)| s.spawn(move || fetch_loop(t, chain)))
-            .collect();
-        let lats: Vec<Vec<u64>> = honest.into_iter().map(|h| h.join().unwrap()).collect();
-        stop.store(true, Ordering::Relaxed);
-        hammer.join().unwrap();
-        lats.into_iter().next().unwrap()
-    });
-    let attacked_p99_us = p99_us(attacked_lat);
-
-    let attacker_sheds = registry.counter_value(&names::with_tenant(
-        names::NET_TENANT_QUOTA_SHEDS,
-        attacker.raw(),
-    ));
-    let victim_sheds = registry.counter_value(&names::with_tenant(
-        names::NET_TENANT_QUOTA_SHEDS,
-        victim.raw(),
-    ));
-    server.shutdown();
-    assert!(
-        attacker_sheds > 0,
-        "the attacker's hammer never hit its quota — the attack phase measured nothing"
-    );
-    assert_eq!(
-        victim_sheds, 0,
-        "quota sheds bled across the bulkhead onto the victim's label"
-    );
-
-    TenantBenchResult {
-        tenants,
-        records_per_tenant: RECORDS,
-        fetches_per_tenant: fetches,
-        solo_objects_per_sec,
-        shared_objects_per_sec,
-        shared_p99_us,
-        attacked_p99_us,
-        attacker_sheds,
-        victim_sheds,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Resume savings: RESUME vs restart-from-zero after a mid-transfer cut
-// ---------------------------------------------------------------------------
-
-/// One cut point of the resume-savings experiment.
-#[derive(Clone, Copy, Debug)]
-pub struct ResumeCut {
-    /// Where the transfer was cut, as a percentage of its records.
-    pub cut_pct: u64,
-    /// Total bytes received across all attempts with RESUME enabled.
-    pub resumed_bytes: u64,
-    /// Total bytes received across all attempts when every retry restarts
-    /// from record zero.
-    pub restart_bytes: u64,
-    /// `restart_bytes - resumed_bytes`: the wire traffic RESUME avoided.
-    pub saved_bytes: i64,
-}
-
-/// Wire-traffic cost of recovering an interrupted transfer, with and
-/// without the RESUME protocol.
-#[derive(Clone, Debug)]
-pub struct ResumeSavings {
-    /// Provenance records in the transferred object's history.
-    pub records: u64,
-    /// Bytes received by one uninterrupted verified fetch.
-    pub full_transfer_bytes: u64,
-    /// One row per cut point (25/50/75% of the record stream).
-    pub cuts: Vec<ResumeCut>,
-}
-
-/// Builds a `records`-long single-object update chain, serves it over
-/// loopback, and cuts the transfer at 25/50/75% of its PROV stream with a
-/// one-shot fault proxy. Each cut runs twice — once with a resuming client
-/// (reconnect + RESUME from the last verified record) and once with resume
-/// disabled (retry refetches from record zero) — and reports total bytes
-/// received for each, i.e. what the checkpoint protocol saves on the wire.
-pub fn run_resume_savings(cfg: &ExperimentConfig, records: u64) -> ResumeSavings {
-    use tep_net::{
-        serve, Catalog, Client, ClientConfig, FaultKind, FaultListener, FaultPlan, RetryPolicy,
-        ServerConfig,
-    };
-
-    let records = records.max(8);
-    let (signer, keys) = cfg.make_signer();
-    let db = Arc::new(ProvenanceDb::in_memory());
-    let mut tracker = ProvenanceTracker::new(
-        TrackerConfig {
-            alg: cfg.alg,
-            strategy: HashingStrategy::Economical,
-        },
-        Arc::clone(&db),
-    );
-    let (chain, _) = tracker
-        .insert(&signer, tep_model::Value::Int(0), None)
-        .unwrap();
-    for i in 1..records as i64 {
-        tracker
-            .update(&signer, chain, tep_model::Value::Int(i))
-            .unwrap();
-    }
-    let catalog = Arc::new(Catalog::new(
-        tracker.forest().clone(),
-        db,
-        cfg.alg,
-        vec![chain],
-    ));
-    let server = serve(
-        catalog,
-        "127.0.0.1:0".parse().unwrap(),
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let addr = server.addr();
-
-    let make_client = |addr, resume| {
-        let mut c = ClientConfig::new(cfg.alg);
-        c.resume = resume;
-        c.read_timeout = Duration::from_secs(5);
-        c.retry = RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(5),
-            ..RetryPolicy::default()
-        };
-        Client::new(addr, c)
-    };
-
-    // The uncut reference transfer.
-    let mut cl = make_client(addr, true);
-    let full = cl.fetch_verified(chain, &keys).unwrap();
-    assert_eq!(full.records, records);
-    let full_transfer_bytes = cl.counters().bytes_received;
-
-    // Cut after 25/50/75% of the PROV frames (downstream frame layout:
-    // HELLO = 0, OFFER = 1, PROV = 2..2+records, DATA, DONE), then measure
-    // total bytes to a verified finish with and without RESUME.
-    let cuts = [25u64, 50, 75]
-        .into_iter()
-        .map(|cut_pct| {
-            let cut_frame = 2 + records * cut_pct / 100;
-            let mut bytes_with = [0u64; 2];
-            for (i, resume) in [true, false].into_iter().enumerate() {
-                let fl = FaultListener::spawn(
-                    addr,
-                    FaultPlan {
-                        kind: FaultKind::CutBoundary,
-                        frame: cut_frame,
-                        seed: cut_pct,
-                        once: true,
-                    },
-                )
-                .unwrap();
-                let mut cl = make_client(fl.addr(), resume);
-                let rep = cl.fetch_verified(chain, &keys).unwrap();
-                assert_eq!(rep.records, records, "cut at {cut_pct}% came up short");
-                assert_eq!(rep.object_hash, full.object_hash);
-                assert_eq!(rep.resumed > 0, resume, "cut at {cut_pct}%");
-                bytes_with[i] = cl.counters().bytes_received;
-                fl.shutdown();
-            }
-            let [resumed_bytes, restart_bytes] = bytes_with;
-            ResumeCut {
-                cut_pct,
-                resumed_bytes,
-                restart_bytes,
-                saved_bytes: restart_bytes as i64 - resumed_bytes as i64,
-            }
-        })
-        .collect();
-    server.shutdown();
-
-    ResumeSavings {
-        records,
-        full_transfer_bytes,
-        cuts,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Replication — catch-up throughput, anti-entropy descent, read fan-out
-// ---------------------------------------------------------------------------
-
-/// One anti-entropy descent against a peer diverging at one leaf.
-#[derive(Clone, Copy, Debug)]
-pub struct AeRoundsPoint {
-    /// Leaf index of the single divergent object.
-    pub position: u64,
-    /// Round trips `locate_divergence` spent pinpointing it.
-    pub rounds: u64,
-}
-
-/// One read-scaling point: the same closed-loop client pool fanned out
-/// over `replicas` capacity-limited servers.
-#[derive(Clone, Copy, Debug)]
-pub struct FanoutPoint {
-    /// Replica servers in the rotation.
-    pub replicas: usize,
-    /// Verified fetches completed by the pool.
-    pub objects: u64,
-    /// Aggregate verified objects per second.
-    pub objects_per_sec: f64,
-    /// Connections refused with `ERR busy` at the capacity watermark —
-    /// each refusal costs a client a `Retry-After` backoff sleep, which
-    /// is where the single-replica configuration loses its throughput.
-    pub sheds: u64,
-}
-
-/// Replication measurements: replica catch-up throughput, Merkle
-/// anti-entropy descent cost vs divergence position, and verified-read
-/// scaling across capacity-limited replicas.
-#[derive(Clone, Debug)]
-pub struct ReplicationBenchResult {
-    /// Objects the replica synchronized during catch-up.
-    pub catchup_objects: u64,
-    /// Records verified, appended, and fsynced during catch-up.
-    pub catchup_records: u64,
-    /// Catch-up throughput — verify-on-receive + append + batched fsync +
-    /// sealed-checkpoint write per batch — in records/s.
-    pub catchup_records_per_sec: f64,
-    /// Anti-entropy round trips for the caught-up (converged) pair — the
-    /// steady-state cost of one audit, always 1.
-    pub converged_rounds: u64,
-    /// Leaves in the synthetic divergence-sweep shard.
-    pub ae_leaves: u64,
-    /// Shard tree depth (the `log2 n` term of the descent bound).
-    pub ae_depth: u32,
-    /// The bound every descent must respect: `depth + 2` (summary
-    /// exchange + per-level probe + leaf probe).
-    pub ae_rounds_bound: u64,
-    /// Descent cost at each divergence position across the leaf space.
-    pub ae_rounds: Vec<AeRoundsPoint>,
-    /// Closed-loop client threads in the fan-out pool.
-    pub fanout_clients: usize,
-    /// Per-replica concurrent-connection capacity (shed watermark).
-    pub fanout_capacity: usize,
-    /// Read scaling at 1, 2, and 4 replicas.
-    pub fanout: Vec<FanoutPoint>,
-}
-
-/// Client threads in the fan-out pool — oversubscribes the single-replica
-/// configuration 8:1 and exactly matches the aggregate capacity of four.
-const FANOUT_CLIENTS: usize = 8;
-
-/// Concurrent connections each replica serves before shedding. One slot
-/// per replica makes "replicas" the unit of read capacity.
-const FANOUT_CAPACITY: usize = 1;
-
-/// Think time between a client's fetches. Closed-loop clients with think
-/// time keep the pool from re-grabbing a just-released slot instantly,
-/// which would let two threads monopolize a single replica and hide the
-/// capacity bottleneck the experiment measures.
-const FANOUT_THINK: Duration = Duration::from_millis(6);
-
-/// Measures the three replication paths DESIGN.md §12 commits to:
-///
-/// 1. **Catch-up**: a fresh replica (durable log + sealed-verifier
-///    checkpoints on a deterministic in-memory disk) tails a primary
-///    serving `catchup_records` across 16 chains, then runs one
-///    anti-entropy audit (which must converge in a single round trip).
-/// 2. **Anti-entropy descent**: `locate_divergence` against an
-///    `ae_leaves`-object shard whose peer diverges at one leaf, swept
-///    across divergence positions {0, n/4, n/2, 3n/4, n-1}. Synthetic
-///    leaf digests (no signing) so the measurement is the descent, not
-///    key generation; each descent is asserted ≤ `depth + 2` rounds.
-/// 3. **Read fan-out**: 8 closed-loop clients fetch-verify through a
-///    [`tep_net::FanoutFetcher`] over 1, 2, and 4 replicas, each replica
-///    shedding beyond 1 concurrent connection. Replicas add connection
-///    capacity: the 1-replica pool burns wall-clock in `Retry-After`
-///    backoff, the 4-replica pool almost never sheds.
-pub fn run_replication(
-    cfg: &ExperimentConfig,
-    catchup_records: u64,
-    ae_leaves: u64,
-    fanout_objects: u64,
-) -> ReplicationBenchResult {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use tep_core::merkle::{locate_divergence, AeOutcome, ShardTree, TreeOracle};
-    use tep_net::{
-        serve, serve_with_registry, AeStatus, Catalog, ClientConfig, FanoutFetcher, Replica,
-        ReplicaConfig, RetryPolicy, ServerConfig,
-    };
-    use tep_obs::Registry;
-    use tep_storage::vfs::{FaultConfig, FaultVfs};
-
-    // --- Catch-up throughput -----------------------------------------
-    let (signer, keys) = cfg.make_signer();
-    let db = Arc::new(ProvenanceDb::in_memory());
-    let mut tracker = ProvenanceTracker::new(
-        TrackerConfig {
-            alg: cfg.alg,
-            strategy: HashingStrategy::Economical,
-        },
-        Arc::clone(&db),
-    );
-    let chains = 16u64;
-    let per_chain = (catchup_records / chains).max(2);
-    let mut offered = Vec::new();
-    for c in 0..chains {
-        let (oid, _) = tracker
-            .insert(&signer, tep_model::Value::Int(c as i64), None)
-            .unwrap();
-        for i in 1..per_chain {
-            tracker
-                .update(&signer, oid, tep_model::Value::Int(i as i64))
-                .unwrap();
-        }
-        offered.push(oid);
-    }
-    let catalog = || {
-        Arc::new(Catalog::new(
-            tracker.forest().clone(),
-            Arc::clone(&db),
-            cfg.alg,
-            offered.clone(),
-        ))
-    };
-    let primary = serve(
-        catalog(),
-        "127.0.0.1:0".parse().unwrap(),
-        ServerConfig::default(),
-    )
-    .unwrap();
-
-    let vfs = FaultVfs::new(FaultConfig {
-        seed: cfg.seed,
-        ..FaultConfig::default()
-    });
-    let replica_db = Arc::new(
-        ProvenanceDb::durable_with(vfs.clone(), std::path::Path::new("/replica.teplog")).unwrap(),
-    );
-    let replica = Replica::new(
-        primary.addr(),
-        ReplicaConfig::new(cfg.alg),
-        replica_db,
-        vfs,
-        std::path::PathBuf::from("/ckpt"),
-    );
-    let t = Instant::now();
-    let report = replica.catch_up(&keys).unwrap();
-    let catchup_secs = t.elapsed().as_secs_f64();
-    let ae = replica.anti_entropy(&keys).unwrap();
-    assert!(
-        matches!(ae.status, AeStatus::Converged),
-        "caught-up replica must audit clean: {:?}",
-        ae.status
-    );
-    primary.shutdown();
-
-    // --- Anti-entropy descent vs divergence position -----------------
-    let n = ae_leaves.max(2);
-    let leaf = |i: u64, tag: u8| {
-        let mut buf = [0u8; 9];
-        buf[..8].copy_from_slice(&i.to_be_bytes());
-        buf[8] = tag;
-        (ObjectId(i), cfg.alg.digest(&buf))
-    };
-    let local = ShardTree::build(cfg.alg, (0..n).map(|i| leaf(i, 0)).collect());
-    let ae_depth = local.depth();
-    let ae_rounds_bound = ae_depth as u64 + 2;
-    let mut positions = vec![0, n / 4, n / 2, 3 * n / 4, n - 1];
-    positions.dedup();
-    let ae_rounds = positions
-        .iter()
-        .map(|&p| {
-            let peer =
-                ShardTree::build(cfg.alg, (0..n).map(|i| leaf(i, u8::from(i == p))).collect());
-            let mut oracle = TreeOracle::new(&peer);
-            match locate_divergence(&local, &mut oracle).unwrap() {
-                AeOutcome::Diverged { index, rounds, .. } => {
-                    assert_eq!(index, p, "descent located the wrong leaf");
-                    assert!(
-                        rounds <= ae_rounds_bound,
-                        "divergence at {p}: {rounds} rounds exceeds bound {ae_rounds_bound}"
-                    );
-                    AeRoundsPoint {
-                        position: p,
-                        rounds,
-                    }
-                }
-                other => panic!("expected Diverged at leaf {p}, got {other:?}"),
-            }
-        })
-        .collect();
-
-    // --- Read fan-out across capacity-limited replicas ---------------
-    let keys = Arc::new(keys);
-    let fanout = [1usize, 2, 4]
-        .iter()
-        .map(|&replicas| {
-            let registry = Registry::new();
-            let servers: Vec<_> = (0..replicas)
-                .map(|_| {
-                    serve_with_registry(
-                        catalog(),
-                        "127.0.0.1:0".parse().unwrap(),
-                        ServerConfig {
-                            shed_watermark: FANOUT_CAPACITY,
-                            ..ServerConfig::default()
-                        },
-                        registry.clone(),
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let addrs: Vec<std::net::SocketAddr> = servers.iter().map(|s| s.addr()).collect();
-            let remaining = AtomicU64::new(fanout_objects);
-            let t = Instant::now();
-            std::thread::scope(|s| {
-                for tid in 0..FANOUT_CLIENTS {
-                    let mut order = addrs.clone();
-                    let shift = tid % order.len();
-                    order.rotate_left(shift);
-                    let keys = Arc::clone(&keys);
-                    let remaining = &remaining;
-                    let oid = offered[tid % offered.len()];
-                    let mut client_cfg = ClientConfig::new(cfg.alg);
-                    client_cfg.jitter_seed = cfg.seed ^ tid as u64;
-                    // No in-client retries: a shed endpoint fails over to
-                    // the next replica in rotation immediately; only a
-                    // full rotation of refusals costs a backoff sleep.
-                    client_cfg.retry = RetryPolicy {
-                        max_attempts: 1,
-                        ..RetryPolicy::default()
-                    };
-                    s.spawn(move || {
-                        loop {
-                            let cur = remaining.load(Ordering::Relaxed);
-                            if cur == 0
-                                || remaining
-                                    .compare_exchange(
-                                        cur,
-                                        cur - 1,
-                                        Ordering::Relaxed,
-                                        Ordering::Relaxed,
-                                    )
-                                    .is_err()
-                            {
-                                if cur == 0 {
-                                    return;
-                                }
-                                continue;
-                            }
-                            // A replica's one slot is held for a fetch, not
-                            // across the think time: a fetcher per object
-                            // closes its kept connections when it drops, and
-                            // the rotation it would have carried moves here.
-                            let mut fetcher = FanoutFetcher::new(&order, client_cfg);
-                            order.rotate_left(1);
-                            loop {
-                                match fetcher.fetch_verified(oid, &keys) {
-                                    Ok(_) => break,
-                                    Err(e) if e.is_retryable() => std::thread::sleep(
-                                        e.retry_after()
-                                            .unwrap_or(Duration::from_millis(5))
-                                            .min(Duration::from_millis(100)),
-                                    ),
-                                    Err(e) => panic!("replicated fetch failed terminally: {e:?}"),
-                                }
-                            }
-                            drop(fetcher);
-                            std::thread::sleep(FANOUT_THINK);
-                        }
-                    });
-                }
-            });
-            let secs = t.elapsed().as_secs_f64();
-            let sheds = registry.counter_value(tep_obs::names::NET_SHED);
-            for server in servers {
-                server.shutdown();
-            }
-            FanoutPoint {
-                replicas,
-                objects: fanout_objects,
-                objects_per_sec: fanout_objects as f64 / secs,
-                sheds,
-            }
-        })
-        .collect();
-
-    ReplicationBenchResult {
-        catchup_objects: report.objects,
-        catchup_records: report.new_records,
-        catchup_records_per_sec: report.new_records as f64 / catchup_secs,
-        converged_rounds: ae.rounds,
-        ae_leaves: n,
-        ae_depth,
-        ae_rounds_bound,
-        ae_rounds,
-        fanout_clients: FANOUT_CLIENTS,
-        fanout_capacity: FANOUT_CAPACITY,
-        fanout,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Machine-readable hot-path baseline (`repro --json`)
-// ---------------------------------------------------------------------------
-
-/// Throughput of the four hot paths, in machine-comparable units.
-#[derive(Clone, Debug)]
-pub struct BaselineResult {
-    /// Hash algorithm the signature paths used.
-    pub alg: HashAlgorithm,
-    /// RSA modulus bits.
-    pub key_bits: usize,
-    /// RNG seed the measurement ran under.
-    pub seed: u64,
-    /// RSA-PKCS#1 signatures per second (private-key operation).
-    pub sign_per_sec: f64,
-    /// Signature verifications per second (public-key operation).
-    pub verify_per_sec: f64,
-    /// Bulk SHA-1 throughput, MiB/s.
-    pub sha1_mib_per_sec: f64,
-    /// Bulk SHA-256 throughput, MiB/s.
-    pub sha256_mib_per_sec: f64,
-    /// Full per-operation provenance-record cost (µs): incremental rehash +
-    /// sign + store for one tracked cell update, Economical strategy.
-    pub record_cost_us: f64,
-    /// Verified loopback transfer throughput (`tep-net`).
-    pub net: NetLoopbackResult,
-    /// Event-loop fan-in throughput with cross-connection batch verify
-    /// (`tep-net` + `tep_core::VerifyBatcher`).
-    pub net_scale: NetScaleResult,
-    /// Durable-store recovery cost (`tep-storage`).
-    pub recovery: RecoveryResult,
-    /// Wire bytes saved by RESUME vs restart-from-zero after mid-transfer
-    /// cuts (`tep-net`).
-    pub resume: ResumeSavings,
-    /// Verifiable query throughput over a lineage DAG (`tep-query`).
-    pub query: QueryBenchResult,
-    /// Replica catch-up, anti-entropy descent, and read fan-out
-    /// (`tep-net` replication).
-    pub replication: ReplicationBenchResult,
-    /// Checkpointed log compaction and signed denial-proof latency
-    /// (`tep-core` gc + denial; `repro --compaction` runs the headline
-    /// 100k-record version).
-    pub compaction: CompactionBenchResult,
-    /// Multi-tenant fairness: solo vs shared vs under-attack throughput
-    /// and victim latency over one sharded deployment (`tep-net`
-    /// bulkheads; `repro --tenants` runs a configurable tenant count).
-    pub tenants: TenantBenchResult,
-    /// Deterministic metric counts from a small fully instrumented workload
-    /// spanning every layer (see [`run_instrumented_metrics`]). Counter
-    /// values and histogram counts only — no timing sums — so two runs with
-    /// the same seed produce identical values.
-    pub metrics: Vec<(String, u64)>,
-}
-
-impl BaselineResult {
-    /// Renders the result as a stable, hand-rolled JSON document.
-    pub fn to_json(&self) -> String {
-        let mut metrics = String::new();
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                metrics.push(',');
-            }
-            // Labeled names embed quotes (`…{tenant="t0"}`) that must be
-            // escaped to keep the document valid JSON.
-            let key = name.replace('\\', "\\\\").replace('"', "\\\"");
-            metrics.push_str(&format!("\n    \"{key}\": {value}"));
-        }
-        let query_ops = self
-            .query
-            .ops
-            .iter()
-            .map(|o| {
-                format!(
-                    "\"{}\": {{ \"queries\": {}, \"ops_per_sec\": {:.1}, \"p99_ms\": {:.3}, \
-                     \"mean_slice_records\": {:.1} }}",
-                    o.op, o.queries, o.ops_per_sec, o.p99_ms, o.mean_slice_records
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let cuts = self
-            .resume
-            .cuts
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{ \"cut_pct\": {}, \"resumed_bytes\": {}, \"restart_bytes\": {}, \
-                     \"saved_bytes\": {} }}",
-                    c.cut_pct, c.resumed_bytes, c.restart_bytes, c.saved_bytes
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let ae_rounds = self
-            .replication
-            .ae_rounds
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{ \"position\": {}, \"rounds\": {} }}",
-                    p.position, p.rounds
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let fanout = self
-            .replication
-            .fanout
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{ \"replicas\": {}, \"objects\": {}, \"objects_per_sec\": {:.1}, \
-                     \"sheds\": {} }}",
-                    p.replicas, p.objects, p.objects_per_sec, p.sheds
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n  \"alg\": \"{:?}\",\n  \"key_bits\": {},\n  \"seed\": {},\n  \
-             \"sign_per_sec\": {:.1},\n  \"verify_per_sec\": {:.1},\n  \
-             \"hash_mib_per_sec\": {{ \"sha1\": {:.1}, \"sha256\": {:.1} }},\n  \
-             \"record_cost_us\": {:.2},\n  \
-             \"net_loopback\": {{ \"records_per_object\": {}, \"nodes_per_object\": {}, \
-             \"serial_objects_per_sec\": {:.1}, \"serial_mib_per_sec\": {:.2}, \
-             \"threads\": {}, \"parallel_objects_per_sec\": {:.1}, \
-             \"parallel_mib_per_sec\": {:.2} }},\n  \
-             \"net_scale\": {{ \"connections\": {}, \"objects\": {}, \
-             \"records_per_object\": {}, \"objects_per_sec\": {:.1}, \
-             \"mib_per_sec\": {:.2}, \"p99_latency_ms\": {:.1} }},\n  \
-             \"recovery\": {{ \"records\": {}, \"clean_reopen_ms\": {:.2}, \
-             \"clean_records_per_sec\": {:.1}, \"torn_reopen_ms\": {:.2}, \
-             \"quarantine_reopen_ms\": {:.2} }},\n  \
-             \"resume\": {{ \"records\": {}, \"full_transfer_bytes\": {}, \
-             \"cuts\": [{cuts}] }},\n  \
-             \"query\": {{ \"records\": {}, \"objects\": {}, \"participants\": {}, \
-             \"index_build_ms\": {:.2}, \"ops\": {{ {query_ops} }} }},\n  \
-             \"replication\": {{ \"catchup_objects\": {}, \"catchup_records\": {}, \
-             \"catchup_records_per_sec\": {:.1}, \"converged_rounds\": {}, \
-             \"ae_leaves\": {}, \"ae_depth\": {}, \"ae_rounds_bound\": {}, \
-             \"ae_rounds\": [{ae_rounds}], \"fanout_clients\": {}, \
-             \"fanout_capacity\": {}, \"fanout\": [{fanout}] }},\n  \
-             \"compaction\": {{ \"records\": {}, \"tail_records\": {}, \
-             \"bytes_before\": {}, \"bytes_after\": {}, \"ratio\": {:.2}, \
-             \"excised_frames\": {}, \"kept_frames\": {}, \"seal_ms\": {:.2}, \
-             \"compact_ms\": {:.2}, \"reopen_ms\": {:.2}, \"denial_proofs\": {}, \
-             \"denial_prove_p99_us\": {:.1}, \"denial_verify_p99_us\": {:.1} }},\n  \
-             \"tenants\": {{ \"tenants\": {}, \"records_per_tenant\": {}, \
-             \"fetches_per_tenant\": {}, \"solo_objects_per_sec\": {:.1}, \
-             \"shared_objects_per_sec\": {:.1}, \"shared_p99_us\": {:.1}, \
-             \"attacked_p99_us\": {:.1}, \"attacker_sheds\": {}, \
-             \"victim_sheds\": {} }},\n  \
-             \"metrics\": {{{metrics}\n  }}\n}}\n",
-            self.alg,
-            self.key_bits,
-            self.seed,
-            self.sign_per_sec,
-            self.verify_per_sec,
-            self.sha1_mib_per_sec,
-            self.sha256_mib_per_sec,
-            self.record_cost_us,
-            self.net.records_per_object,
-            self.net.nodes_per_object,
-            self.net.serial_objects_per_sec,
-            self.net.serial_mib_per_sec,
-            self.net.threads,
-            self.net.parallel_objects_per_sec,
-            self.net.parallel_mib_per_sec,
-            self.net_scale.connections,
-            self.net_scale.objects,
-            self.net_scale.records_per_object,
-            self.net_scale.objects_per_sec,
-            self.net_scale.mib_per_sec,
-            self.net_scale.p99_latency_ms,
-            self.recovery.records,
-            self.recovery.clean_reopen_ms,
-            self.recovery.clean_records_per_sec,
-            self.recovery.torn_reopen_ms,
-            self.recovery.quarantine_reopen_ms,
-            self.resume.records,
-            self.resume.full_transfer_bytes,
-            self.query.records,
-            self.query.objects,
-            self.query.participants,
-            self.query.index_build_ms,
-            self.replication.catchup_objects,
-            self.replication.catchup_records,
-            self.replication.catchup_records_per_sec,
-            self.replication.converged_rounds,
-            self.replication.ae_leaves,
-            self.replication.ae_depth,
-            self.replication.ae_rounds_bound,
-            self.replication.fanout_clients,
-            self.replication.fanout_capacity,
-            self.compaction.records,
-            self.compaction.tail_records,
-            self.compaction.bytes_before,
-            self.compaction.bytes_after,
-            self.compaction.ratio,
-            self.compaction.excised_frames,
-            self.compaction.kept_frames,
-            self.compaction.seal_ms,
-            self.compaction.compact_ms,
-            self.compaction.reopen_ms,
-            self.compaction.denial_proofs,
-            self.compaction.denial_prove_p99_us,
-            self.compaction.denial_verify_p99_us,
-            self.tenants.tenants,
-            self.tenants.records_per_tenant,
-            self.tenants.fetches_per_tenant,
-            self.tenants.solo_objects_per_sec,
-            self.tenants.shared_objects_per_sec,
-            self.tenants.shared_p99_us,
-            self.tenants.attacked_p99_us,
-            self.tenants.attacker_sheds,
-            self.tenants.victim_sheds,
-        )
-    }
-}
-
-/// Runs a small, fully instrumented workload spanning every layer —
-/// sign/verify (crypto), tracked inserts/updates and batch verification
-/// (core), a durable store behind an [`tep_storage::ObservedVfs`]
-/// (storage), and one verified loopback fetch (net) — all recording into a
-/// single registry. Returns the registry's deterministic counts (counter
-/// values and histogram observation counts; histogram entries are suffixed
-/// `_count`), sorted by name. Two runs with the same seed return identical
-/// values, which is what the seed-determinism regression test pins.
-pub fn run_instrumented_metrics(cfg: &ExperimentConfig) -> Vec<(String, u64)> {
-    use tep_net::{serve_with_registry, Catalog, Client, ClientConfig, ServerConfig};
-    use tep_obs::{MetricValue, Registry};
-    use tep_storage::vfs::{FaultConfig, FaultVfs};
-    use tep_storage::{record_recovery, ObservedVfs};
-
-    let registry = Registry::new();
-    let span = registry.span("instrumented_workload");
-
-    // Crypto: signer + key directory with latency instrumentation.
-    let (mut signer, mut keys) = cfg.make_signer();
-    signer.attach_obs(&registry);
-    keys.attach_obs(&registry);
-
-    // Storage: a durable store on a deterministic in-memory disk, every I/O
-    // operation counted by the ObservedVfs decorator.
-    let vfs = ObservedVfs::wrap(FaultVfs::new(FaultConfig::default()), &registry);
-    let db =
-        Arc::new(ProvenanceDb::durable_with(vfs, std::path::Path::new("/metrics.teplog")).unwrap());
-    record_recovery(&registry, &db.recovery());
-
-    // Core: a tracked mini-database (root → table → 4 rows × 2 cells) with
-    // cache/tracker instrumentation, then a round of cell updates.
-    let mut tracker = ProvenanceTracker::new(
-        TrackerConfig {
-            alg: cfg.alg,
-            strategy: HashingStrategy::Economical,
-        },
-        Arc::clone(&db),
-    );
-    tracker.attach_obs(&registry);
-    let (root, _) = tracker
-        .insert(&signer, tep_model::Value::text("metrics-db"), None)
-        .unwrap();
-    let (table, _) = tracker
-        .insert(&signer, tep_model::Value::text("t0"), Some(root))
-        .unwrap();
-    let mut cells = Vec::new();
-    for r in 0..4i64 {
-        let (row, _) = tracker
-            .insert(&signer, tep_model::Value::Null, Some(table))
-            .unwrap();
-        for c in 0..2i64 {
-            let (cell, _) = tracker
-                .insert(&signer, tep_model::Value::Int(r * 2 + c), Some(row))
-                .unwrap();
-            cells.push(cell);
-        }
-    }
-    for (i, &cell) in cells.iter().enumerate() {
-        tracker
-            .update(&signer, cell, tep_model::Value::Int(100 + i as i64))
-            .unwrap();
-    }
-    db.sync().unwrap();
-
-    // Batch verification of the root object's full history.
-    let prov = tep_core::provenance::collect(&db, root).unwrap();
-    let hash = tracker.object_hash(root).unwrap();
-    let mut verifier = Verifier::new(&keys, cfg.alg);
-    verifier.attach_obs(&registry);
-    assert!(verifier.verify(&hash, &prov).verified());
-
-    // Net: one verified loopback fetch, server and client recording into
-    // the same registry (connections, frames, bytes, streaming verify).
-    let catalog = Arc::new(Catalog::new(
-        tracker.forest().clone(),
-        Arc::clone(&db),
-        cfg.alg,
-        vec![root],
-    ));
-    let server = serve_with_registry(
-        catalog,
-        "127.0.0.1:0".parse().unwrap(),
-        ServerConfig::default(),
-        registry.clone(),
-    )
-    .unwrap();
-    let mut client = Client::new(server.addr(), ClientConfig::new(cfg.alg));
-    client.attach_obs(&registry);
-    let report = client.fetch_verified(root, &keys).unwrap();
-    assert!(report.verification.verified());
-
-    // Query: two verifiable QUERY/QRESULT round-trips through the same
-    // server (whose engine records into the same registry) — ancestors of
-    // the root and an audit of the signer — each slice proof re-verified
-    // on receive. Deterministic: the workload above is seeded, so the
-    // query counters and slice-size histogram counts are pinned too.
-    use tep_core::slice::{QueryOp, QuerySpec};
-    let rep = client
-        .query(&QuerySpec::new(QueryOp::Ancestors, root), &keys)
-        .unwrap();
-    assert!(rep.verification.verified());
-    let rep = client.query(&QuerySpec::audit(signer.id()), &keys).unwrap();
-    assert!(rep.verification.verified());
-    server.shutdown();
-    span.finish();
-
-    registry
-        .snapshot()
-        .into_iter()
-        // The event loop's wakeup counter ticks with wall time (every
-        // `poll(2)` return, including idle timeout ticks), not with the
-        // seeded workload — it is the one metric in the registry two
-        // same-seed runs legitimately disagree on (see
-        // `tep_obs::names::NET_EPOLL_WAKEUPS`).
-        .filter(|s| s.name != tep_obs::names::NET_EPOLL_WAKEUPS)
-        .map(|s| {
-            let count = s.value.deterministic_count();
-            let name = match s.value {
-                MetricValue::Histogram { .. } => format!("{}_count", s.name),
-                _ => s.name,
-            };
-            (name, count)
-        })
-        .collect()
-}
-
-/// Measures the four hot paths the perf work targets: signing, verification,
-/// bulk hashing, and the end-to-end per-record cost of one tracked update.
-pub fn run_baseline(cfg: &ExperimentConfig) -> BaselineResult {
-    let (signer, keys) = cfg.make_signer();
-    let msg = [0xA5u8; 64];
-
-    // Private-key path: PKCS#1 v1.5 sign.
-    let sign_iters = (cfg.runs * 16).max(32);
-    let t = Instant::now();
-    let mut sig = Vec::new();
-    for _ in 0..sign_iters {
-        sig = signer.sign(cfg.alg, &msg).unwrap();
-    }
-    let sign_per_sec = sign_iters as f64 / t.elapsed().as_secs_f64();
-
-    // Public-key path: verify the signature we just made.
-    let pk = keys.public_key(signer.id()).unwrap();
-    let verify_iters = sign_iters * 8;
-    let t = Instant::now();
-    for _ in 0..verify_iters {
-        pk.verify(cfg.alg, &msg, &sig).unwrap();
-    }
-    let verify_per_sec = verify_iters as f64 / t.elapsed().as_secs_f64();
-
-    // Bulk compression throughput, both algorithms.
-    let buf = vec![0x5Au8; 4 << 20];
-    let mib_per_sec = |alg: HashAlgorithm| {
-        let reps = 4;
-        let t = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(alg.digest(&buf));
-        }
-        (reps * buf.len()) as f64 / (1u64 << 20) as f64 / t.elapsed().as_secs_f64()
-    };
-    let sha1_mib_per_sec = mib_per_sec(HashAlgorithm::Sha1);
-    let sha256_mib_per_sec = mib_per_sec(HashAlgorithm::Sha256);
-
-    // End-to-end record cost: one tracked cell update under the Economical
-    // strategy (dirty-path rehash + sign + store).
-    let mut tracker = ProvenanceTracker::new(
-        TrackerConfig {
-            alg: cfg.alg,
-            strategy: HashingStrategy::Economical,
-        },
-        Arc::new(ProvenanceDb::in_memory()),
-    );
-    let (root, _) = tracker
-        .insert(&signer, tep_model::Value::text("db"), None)
-        .unwrap();
-    let cells: Vec<ObjectId> = (0..100)
-        .map(|i| {
-            tracker
-                .insert(&signer, tep_model::Value::Int(i), Some(root))
-                .unwrap()
-                .0
-        })
-        .collect();
-    let t = Instant::now();
-    for (i, &cell) in cells.iter().enumerate() {
-        tracker
-            .update(&signer, cell, tep_model::Value::Int(i as i64 + 1))
-            .unwrap();
-    }
-    let record_cost_us = t.elapsed().as_secs_f64() * 1e6 / cells.len() as f64;
-
-    // Verified network transfer over loopback, serial and 4-way.
-    let net = run_net_loopback(cfg, (cfg.runs as u64 * 4).max(8), 4);
-
-    // Event-loop fan-in: 64 concurrent connections batch-verifying small
-    // objects through one shared VerifyBatcher.
-    let net_scale = run_net_scale(cfg, 64, 512);
-
-    // Durable-store recovery cost on the real filesystem.
-    let recovery = run_recovery(cfg, (cfg.runs as u64 * 1000).max(2000));
-
-    // RESUME vs restart-from-zero wire savings (10k-record chain at the
-    // default run count).
-    let resume = run_resume_savings(cfg, (cfg.runs as u64 * 2000).clamp(1000, 10_000));
-
-    // Verifiable queries over a mid-size lineage DAG (`repro --query` runs
-    // the headline 1M-record version).
-    let query = run_query(cfg, (cfg.runs as u64 * 10_000).clamp(20_000, 100_000));
-
-    // Replica catch-up, Merkle anti-entropy on a 100k-object shard, and
-    // verified-read fan-out at 1/2/4 capacity-limited replicas.
-    let replication = run_replication(
-        cfg,
-        (cfg.runs as u64 * 128).clamp(256, 1024),
-        100_000,
-        (cfg.runs as u64 * 40).clamp(120, 400),
-    );
-
-    // Checkpoint seal → compact → reopen, plus denial-proof p99s, at a
-    // reduced size (`repro --compaction` runs the headline 100k version).
-    let compaction = run_compaction(cfg, (cfg.runs as u64 * 5000).clamp(10_000, 100_000));
-
-    // Multi-tenant fairness at the default four tenants (`repro --tenants`
-    // runs a configurable count).
-    let tenants = run_tenants(cfg, 4);
-
-    BaselineResult {
-        alg: cfg.alg,
-        key_bits: cfg.key_bits,
-        seed: cfg.seed,
-        sign_per_sec,
-        verify_per_sec,
-        sha1_mib_per_sec,
-        sha256_mib_per_sec,
-        record_cost_us,
-        net,
-        net_scale,
-        recovery,
-        resume,
-        query,
-        replication,
-        compaction,
-        tenants,
-        metrics: run_instrumented_metrics(cfg),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2614,87 +771,5 @@ mod tests {
         let r = run_chaining(&cfg, 2, 3);
         assert!(r.local_ms > 0.0);
         assert!(r.global_ms > 0.0);
-    }
-
-    #[test]
-    fn net_scale_verifies_every_object_across_connections() {
-        let cfg = tiny_cfg();
-        let r = run_net_scale(&cfg, 4, 8);
-        assert_eq!(r.connections, 4);
-        assert_eq!(r.objects, 8);
-        assert_eq!(r.records_per_object, 12);
-        assert!(r.objects_per_sec > 0.0);
-        assert!(r.mib_per_sec > 0.0);
-        assert!(r.p99_latency_ms > 0.0);
-    }
-
-    #[test]
-    fn query_bench_covers_every_operator() {
-        let cfg = tiny_cfg();
-        let r = run_query(&cfg, 4_000);
-        assert_eq!(r.records, 4_000);
-        assert!(r.objects > 0);
-        assert_eq!(r.ops.len(), 5);
-        for o in &r.ops {
-            assert!(o.queries > 0, "{}: no queries ran", o.op);
-            assert!(o.ops_per_sec > 0.0, "{}: zero throughput", o.op);
-            assert!(o.mean_slice_records >= 1.0, "{}: empty slices", o.op);
-        }
-        // Backward queries over cluster closers must pull real closures,
-        // not single records.
-        let lineage = r.ops.iter().find(|o| o.op == "lineage").unwrap();
-        assert!(lineage.mean_slice_records > 2.0);
-    }
-
-    #[test]
-    fn replication_bench_converges_and_respects_descent_bound() {
-        let cfg = tiny_cfg();
-        let r = run_replication(&cfg, 64, 1 << 10, 24);
-        // Catch-up: 16 chains of 4 records, all new on a fresh replica.
-        assert_eq!(r.catchup_objects, 16);
-        assert_eq!(r.catchup_records, 64);
-        assert!(r.catchup_records_per_sec > 0.0);
-        assert_eq!(r.converged_rounds, 1);
-        // Descent: a 1024-leaf shard is 10 deep, bound 12, and every
-        // swept position stays within it (asserted inside the runner too).
-        assert_eq!(r.ae_leaves, 1 << 10);
-        assert_eq!(r.ae_depth, 10);
-        assert_eq!(r.ae_rounds_bound, 12);
-        assert_eq!(r.ae_rounds.len(), 5);
-        assert!(r.ae_rounds.iter().all(|p| p.rounds <= r.ae_rounds_bound));
-        // Fan-out: all three points complete the full fetch count.
-        assert_eq!(r.fanout.len(), 3);
-        for p in &r.fanout {
-            assert_eq!(p.objects, 24);
-            assert!(
-                p.objects_per_sec > 0.0,
-                "{} replicas: no progress",
-                p.replicas
-            );
-        }
-    }
-
-    #[test]
-    fn resume_saves_bytes_at_every_cut_point() {
-        let cfg = tiny_cfg();
-        let r = run_resume_savings(&cfg, 64);
-        assert_eq!(r.records, 64);
-        assert!(r.full_transfer_bytes > 0);
-        assert_eq!(r.cuts.len(), 3);
-        for cut in &r.cuts {
-            assert!(
-                cut.resumed_bytes < cut.restart_bytes,
-                "cut at {}%: resumed {} should be below restart {}",
-                cut.cut_pct,
-                cut.resumed_bytes,
-                cut.restart_bytes
-            );
-            assert_eq!(
-                cut.saved_bytes,
-                cut.restart_bytes as i64 - cut.resumed_bytes as i64
-            );
-        }
-        // Deeper cuts preserve more of the already-transferred prefix.
-        assert!(r.cuts[2].saved_bytes >= r.cuts[0].saved_bytes);
     }
 }

@@ -52,7 +52,6 @@
 
 pub mod atomic;
 pub mod attack;
-pub mod batch;
 pub mod chain;
 pub mod checkpoint;
 pub mod denial;
@@ -74,7 +73,6 @@ pub mod tracker;
 pub mod verify;
 
 pub use atomic::AtomicLedger;
-pub use batch::{BatcherConfig, VerifyBatcher, VerifyTicket};
 pub use checkpoint::{Checkpoint, SealedCheckpoint, TrustAnchor};
 pub use denial::{
     DenialFault, DenialLeaf, DenialProof, RangeProof, SignedDenial, SignedRange, SignedRoot,

@@ -4,8 +4,8 @@
 //! structure is respected: within one batch every record chains onto a
 //! *pre-batch* head, and distinct objects' chains never share state (§3.2 —
 //! per-object chaining is precisely what makes this safe). This module
-//! provides the fan-out primitive both [`crate::tracker::ProvenanceTracker::complex_per_record`]
-//! and [`crate::verify::Verifier::verify_all_parallel`] build on.
+//! provides the fan-out primitive
+//! [`crate::tracker::ProvenanceTracker::complex_per_record`] builds on.
 //!
 //! Scheduling is dynamic: workers claim the next item off a shared atomic
 //! counter, so a straggler item (say, one object with a 100-record chain

@@ -18,7 +18,6 @@
 //! All violations found are reported, not just the first, so attack
 //! forensics can see the full blast radius.
 
-use crate::parallel::parallel_map;
 use crate::provenance::ProvenanceObject;
 use crate::record::{BatchChecksum, ChecksumFormat, ProvenanceRecord, RecordKind};
 use crate::slice::{
@@ -713,23 +712,6 @@ impl<'a> Verifier<'a> {
             v.issues.push(evidence);
         }
         v
-    }
-
-    /// Verifies many `(object hash, provenance object)` pairs concurrently
-    /// on `threads` workers, returning one [`Verification`] per pair in
-    /// input order.
-    ///
-    /// Each pair is an independent read-only computation over the shared
-    /// [`KeyDirectory`] — distinct objects' chains share no mutable state
-    /// (§3.2 per-object chaining) — so the verdicts are exactly those of
-    /// calling [`Self::verify`] sequentially; only operations on the *same*
-    /// object must stay within one job.
-    pub fn verify_all_parallel(
-        &self,
-        jobs: &[(Vec<u8>, ProvenanceObject)],
-        threads: usize,
-    ) -> Vec<Verification> {
-        parallel_map(threads, jobs, |_, (hash, prov)| self.verify(hash, prov))
     }
 
     /// Re-verifies a query [`SliceProof`] without trusting the server that
@@ -1772,54 +1754,6 @@ mod tests {
         assert!(v
             .issues
             .contains(&TamperEvidence::DuplicateRecord { oid: a, seq: 1 }));
-    }
-
-    #[test]
-    fn parallel_verdicts_identical_to_sequential() {
-        let mut w = world();
-        // A mix of honest and tampered histories across several objects.
-        let mut oids = Vec::new();
-        for i in 0..6 {
-            let (a, _) = w.tracker.insert(&w.alice, Value::Int(i), None).unwrap();
-            w.tracker.update(&w.bob, a, Value::Int(i + 100)).unwrap();
-            oids.push(a);
-        }
-        let (agg, _) = w
-            .tracker
-            .aggregate(
-                &w.bob,
-                &[oids[0], oids[1]],
-                Value::Int(0),
-                AggregateMode::Atomic,
-            )
-            .unwrap();
-        oids.push(agg);
-
-        let mut jobs: Vec<(Vec<u8>, ProvenanceObject)> = oids
-            .iter()
-            .map(|&oid| {
-                (
-                    w.tracker.object_hash(oid).unwrap(),
-                    collect(w.tracker.db(), oid).unwrap(),
-                )
-            })
-            .collect();
-        // Tamper with two of them in different ways.
-        jobs[2].0[0] ^= 0xFF; // output mismatch
-        jobs[4].1.records[0].checksum[3] ^= 0x01; // bad signature
-
-        let verifier = Verifier::new(&w.keys, ALG);
-        let sequential: Vec<Verification> =
-            jobs.iter().map(|(h, p)| verifier.verify(h, p)).collect();
-        for threads in [1, 2, 8] {
-            let parallel = verifier.verify_all_parallel(&jobs, threads);
-            assert_eq!(parallel.len(), sequential.len());
-            for (par, seq) in parallel.iter().zip(&sequential) {
-                assert_eq!(par.issues, seq.issues);
-                assert_eq!(par.records_checked, seq.records_checked);
-                assert_eq!(par.participants, seq.participants);
-            }
-        }
     }
 
     /// Issue lists as order-independent multisets (batch iterates HashMaps,

@@ -55,7 +55,7 @@ use tep_core::streaming::{DepthStreamHasher, StreamError};
 use tep_core::verify::{
     EvidenceCounters, EvidenceKind, StreamingVerifier, TamperEvidence, Verification, Verifier,
 };
-use tep_core::{ProvenanceObject, ProvenanceRecord, VerifyBatcher};
+use tep_core::ProvenanceRecord;
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::KeyDirectory;
 use tep_model::{ObjectId, TenantId};
@@ -561,34 +561,6 @@ impl Client {
         })
     }
 
-    /// Fetches `oid` and hands verification to a cross-connection
-    /// [`VerifyBatcher`] instead of checking records inline: the records
-    /// are collected, the object hash is recomputed from the delivered
-    /// data, and the `(hash, provenance)` pair is submitted to `batcher`,
-    /// blocking only on this transfer's own [ticket]. Many client threads
-    /// sharing one batcher amortize signature checks into micro-batches —
-    /// the throughput path the `net_scale` benchmark measures.
-    ///
-    /// Trade-off versus [`fetch_verified`](Self::fetch_verified):
-    /// tampering is still always detected (same verifier, same verdicts),
-    /// but only *after* the whole object has arrived, with no per-frame
-    /// attribution and no checkpoint/RESUME — a retryable failure
-    /// refetches from record zero.
-    ///
-    /// [ticket]: tep_core::VerifyTicket
-    pub fn fetch_batched(
-        &mut self,
-        oid: ObjectId,
-        batcher: &VerifyBatcher,
-    ) -> Result<Verification, NetError> {
-        let cfg = self.cfg;
-        let counters = Arc::clone(&self.counters);
-        let registry = self.registry.clone();
-        self.with_retry(move |conn| {
-            fetch_batched_on(conn, oid, cfg, &counters, batcher, registry.as_ref())
-        })
-    }
-
     /// Runs `op` on the kept connection (or a fresh one), retrying transient
     /// failures with decorrelated jitter until the attempt cap or the
     /// wall-clock deadline is hit — whichever comes first. Every retry
@@ -1065,108 +1037,6 @@ fn fetch_on(
         }
     }
     Err(failure)
-}
-
-/// One batched-verify attempt: stream the object, recompute the object
-/// hash, submit `(hash, provenance)` to the batcher, and relay its
-/// verdict. Unlike [`fetch_on`] there is no per-frame verification and no
-/// checkpointing — the verifier runs once, inside the batcher's collector.
-fn fetch_batched_on(
-    conn: &mut Connection,
-    oid: ObjectId,
-    cfg: ClientConfig,
-    counters: &Arc<TransferCounters>,
-    batcher: &VerifyBatcher,
-    registry: Option<&Registry>,
-) -> Result<Verification, NetError> {
-    if let Some(records) = conn.offered_records(oid) {
-        conn.set_read_timeout(scaled_read_timeout(cfg.read_timeout, records))?;
-    }
-    conn.writer.write_message(&Message::Fetch { oid })?;
-    let mut records: Vec<ProvenanceRecord> = Vec::new();
-    let mut hasher = DepthStreamHasher::new(cfg.alg);
-    let mut seen_data = false;
-    loop {
-        let frame = conn.reader.frames();
-        let msg = match conn.reader.read_message() {
-            Ok(Some(m)) => m,
-            Ok(None) => return Err(NetError::Interrupted),
-            Err(e) => return Err(NetError::Wire(e)),
-        };
-        match msg {
-            Message::Prov { record } => {
-                if seen_data {
-                    return Err(NetError::Protocol("PROV after DATA"));
-                }
-                records.push(
-                    ProvenanceRecord::from_stored(&record)
-                        .map_err(|e| NetError::Wire(WireError::Decode(e)))?,
-                );
-            }
-            Message::Data { entries } => {
-                seen_data = true;
-                for e in &entries {
-                    if let Err(error) = hasher.push(e.depth as usize, e.id, &e.value) {
-                        counters.verify_failure();
-                        record_malformed_stream(registry);
-                        return Err(NetError::MalformedStream { frame, error });
-                    }
-                }
-            }
-            Message::Done {
-                records: sent_records,
-                nodes: sent_nodes,
-            } => {
-                let nodes = hasher.node_count();
-                let (object_hash, _) = match hasher.finish() {
-                    Ok(h) => h,
-                    Err(error) => {
-                        counters.verify_failure();
-                        record_malformed_stream(registry);
-                        return Err(NetError::MalformedStream { frame, error });
-                    }
-                };
-                if sent_records != records.len() as u64 || sent_nodes != nodes {
-                    return Err(NetError::Protocol("DONE totals disagree with transfer"));
-                }
-                // The verifier expects collect()-order: (object, seqID).
-                records.sort_by_key(|r| (r.output_oid, r.seq_id));
-                let ticket = batcher.submit(
-                    object_hash,
-                    ProvenanceObject {
-                        target: oid,
-                        records,
-                    },
-                );
-                let verification = ticket
-                    .wait()
-                    .ok_or(NetError::Protocol("verify batcher shut down"))?;
-                if !verification.verified() {
-                    counters.verify_failure();
-                    return Err(NetError::TamperDetected {
-                        frame: None,
-                        issues: verification.issues,
-                    });
-                }
-                return Ok(verification);
-            }
-            Message::Denial { .. } => {
-                // A batched fetch carries no key directory, so the proof
-                // cannot be vouched for here; refuse it rather than treat
-                // an unverified claim as an honest not-found. Non-
-                // retryable — use fetch_verified for denial-aware misses.
-                return Err(NetError::Protocol(
-                    "DENIAL on a batched fetch; use fetch_verified to check the proof",
-                ));
-            }
-            Message::Error {
-                code,
-                retry_after_ms,
-                detail,
-            } => return Err(remote_error(code, retry_after_ms, detail)),
-            _ => return Err(NetError::Protocol("unexpected message during transfer")),
-        }
-    }
 }
 
 /// Counts a structurally malformed DATA stream under the unified evidence

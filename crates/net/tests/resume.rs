@@ -90,9 +90,11 @@ fn start_server() -> tep_net::ServerHandle {
     .unwrap()
 }
 
-/// A resuming client with fast failure detection and tiny backoff.
-fn resume_client(addr: SocketAddr) -> Client {
+/// A client with fast failure detection and tiny backoff; `resume = false`
+/// makes every retry refetch from record zero.
+fn client_with(addr: SocketAddr, resume: bool) -> Client {
     let mut cfg = ClientConfig::new(ALG);
+    cfg.resume = resume;
     cfg.read_timeout = Duration::from_millis(800);
     cfg.retry = RetryPolicy {
         max_attempts: 4,
@@ -101,6 +103,10 @@ fn resume_client(addr: SocketAddr) -> Client {
         ..RetryPolicy::default()
     };
     Client::new(addr, cfg)
+}
+
+fn resume_client(addr: SocketAddr) -> Client {
+    client_with(addr, true)
 }
 
 /// The server-side rolling digest over the first `k` records, recomputed
@@ -127,17 +133,21 @@ fn cut_transfer_resumes_and_matches_uncut_baseline() {
     // Cut at a PROV frame, at the DATA frame, and at DONE: every resumed
     // transfer must deliver the byte-identical record sequence (equal
     // rolling digests), the same totals, and the same recomputed hash.
+    let mut last_saving = 0;
     for cut_frame in [3, 7, 2 + records, 2 + records + 1] {
-        let fl = FaultListener::spawn(
-            srv.addr(),
-            FaultPlan {
-                kind: FaultKind::CutBoundary,
-                frame: cut_frame,
-                seed: cut_frame,
-                once: true,
-            },
-        )
-        .unwrap();
+        let cut = || {
+            FaultListener::spawn(
+                srv.addr(),
+                FaultPlan {
+                    kind: FaultKind::CutBoundary,
+                    frame: cut_frame,
+                    seed: cut_frame,
+                    once: true,
+                },
+            )
+            .unwrap()
+        };
+        let fl = cut();
         let mut cl = resume_client(fl.addr());
         let rep = cl.fetch_verified(w.chain, &w.keys).unwrap();
         assert_eq!(fl.fired(), 1, "cut at frame {cut_frame} never fired");
@@ -154,6 +164,28 @@ fn cut_transfer_resumes_and_matches_uncut_baseline() {
         );
         assert_eq!(cl.counters().retries, 1);
         fl.shutdown();
+
+        // What RESUME buys on the wire: the same cut against a client that
+        // refetches from record zero costs strictly more bytes, and the
+        // later the cut, the more verified prefix there is to not resend.
+        let fl = cut();
+        let mut refetch = client_with(fl.addr(), false);
+        refetch.fetch_verified(w.chain, &w.keys).unwrap();
+        fl.shutdown();
+        let (resumed, refetched) = (
+            cl.counters().bytes_received,
+            refetch.counters().bytes_received,
+        );
+        assert!(
+            resumed < refetched,
+            "cut at {cut_frame}: resumed {resumed} B, refetched {refetched} B"
+        );
+        let saving = refetched - resumed;
+        assert!(
+            saving >= last_saving,
+            "cut at {cut_frame}: saving fell from {last_saving} B to {saving} B"
+        );
+        last_saving = saving;
     }
     assert!(
         srv.registry().counter_value(names::NET_RESUMES) >= 4,
@@ -176,16 +208,7 @@ fn resume_disabled_refetches_from_zero_and_still_verifies() {
         },
     )
     .unwrap();
-    let mut cfg = ClientConfig::new(ALG);
-    cfg.resume = false;
-    cfg.read_timeout = Duration::from_millis(800);
-    cfg.retry = RetryPolicy {
-        max_attempts: 4,
-        base: Duration::from_millis(1),
-        cap: Duration::from_millis(5),
-        ..RetryPolicy::default()
-    };
-    let mut cl = Client::new(fl.addr(), cfg);
+    let mut cl = client_with(fl.addr(), false);
     let rep = cl.fetch_verified(w.chain, &w.keys).unwrap();
     assert_eq!(rep.resumed, 0, "resume is off; the retry starts over");
     assert_eq!(rep.object_hash, w.chain_hash);

@@ -719,7 +719,6 @@ mod tests {
         let reuses = reg.counter(names::NET_CONN_REUSES);
         let redials = reg.counter(names::NET_STALE_REDIALS);
         let open = reg.gauge(names::NET_OPEN_CONNECTIONS);
-        let batch = reg.histogram(names::NET_BATCH_VERIFY_SIZE, &[1, 8, 64]);
         let turnaround = reg.latency_histogram(names::NET_FRAME_TURNAROUND);
 
         wakeups.add(7);
@@ -727,21 +726,10 @@ mod tests {
         redials.inc();
         open.add(3);
         open.sub(1);
-        batch.observe(1);
-        batch.observe(5);
-        batch.observe(64);
-        batch.observe(200);
         turnaround.observe(250);
 
         let text = reg.render_text();
         let expected = "\
-# TYPE tep_net_batch_verify_size histogram
-tep_net_batch_verify_size_bucket{le=\"1\"} 1
-tep_net_batch_verify_size_bucket{le=\"8\"} 2
-tep_net_batch_verify_size_bucket{le=\"64\"} 3
-tep_net_batch_verify_size_bucket{le=\"+Inf\"} 4
-tep_net_batch_verify_size_sum 270
-tep_net_batch_verify_size_count 4
 # TYPE tep_net_conn_reuses_total counter
 tep_net_conn_reuses_total 119
 # TYPE tep_net_epoll_wakeups_total counter

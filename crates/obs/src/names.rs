@@ -82,10 +82,6 @@ pub const NET_STALE_REDIALS: &str = "tep_net_stale_redials_total";
 /// deterministic metrics block — it exists for live dashboards only.
 pub const NET_EPOLL_WAKEUPS: &str = "tep_net_epoll_wakeups_total";
 
-/// Cross-connection verify batcher: histogram of jobs per micro-batch
-/// handed to `verify_all_parallel` (size watermark = bucket ceiling).
-pub const NET_BATCH_VERIFY_SIZE: &str = "tep_net_batch_verify_size";
-
 /// Gauge of connections the event loop currently owns, across every
 /// state (handshake, ready, streaming, draining).
 pub const NET_OPEN_CONNECTIONS: &str = "tep_net_open_connections";

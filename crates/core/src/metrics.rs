@@ -213,39 +213,6 @@ impl TransferCounters {
         }
     }
 
-    /// Folds another endpoint's counters into this one (e.g. per-connection
-    /// into per-server totals).
-    pub fn merge(&self, other: &TransferSnapshot) {
-        self.frames_sent
-            .fetch_add(other.frames_sent, Ordering::Relaxed);
-        self.frames_received
-            .fetch_add(other.frames_received, Ordering::Relaxed);
-        self.bytes_sent
-            .fetch_add(other.bytes_sent, Ordering::Relaxed);
-        self.bytes_received
-            .fetch_add(other.bytes_received, Ordering::Relaxed);
-        self.verify_failures
-            .fetch_add(other.verify_failures, Ordering::Relaxed);
-        self.retries.fetch_add(other.retries, Ordering::Relaxed);
-        self.conn_reuses
-            .fetch_add(other.conn_reuses, Ordering::Relaxed);
-        self.stale_redials
-            .fetch_add(other.stale_redials, Ordering::Relaxed);
-        self.worker_panics
-            .fetch_add(other.worker_panics, Ordering::Relaxed);
-        if let Some(o) = &self.obs {
-            o.frames_sent.add(other.frames_sent);
-            o.frames_received.add(other.frames_received);
-            o.bytes_sent.add(other.bytes_sent);
-            o.bytes_received.add(other.bytes_received);
-            o.verify_failures.add(other.verify_failures);
-            o.retries.add(other.retries);
-            o.conn_reuses.add(other.conn_reuses);
-            o.stale_redials.add(other.stale_redials);
-            o.worker_panics.add(other.worker_panics);
-        }
-    }
-
     /// Reads all counters at once.
     pub fn snapshot(&self) -> TransferSnapshot {
         TransferSnapshot {
@@ -267,7 +234,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transfer_counters_accumulate_and_merge() {
+    fn transfer_counters_accumulate() {
         let c = TransferCounters::new();
         c.frame_sent(100);
         c.frame_sent(28);
@@ -282,12 +249,6 @@ mod tests {
         assert_eq!(snap.bytes_received, 64);
         assert_eq!(snap.verify_failures, 1);
         assert_eq!(snap.retries, 2);
-
-        let totals = TransferCounters::new();
-        totals.merge(&snap);
-        totals.merge(&snap);
-        assert_eq!(totals.snapshot().bytes_sent, 256);
-        assert_eq!(totals.snapshot().retries, 4);
     }
 
     #[test]

@@ -1,6 +1,13 @@
 //! Fetching client: connect/read retry with decorrelated-jitter backoff,
 //! **streaming verify-on-receive**, and checkpointed resume.
 //!
+//! This module is the receiving side of the transfer protocol, once:
+//! [`fetch_on`] is the only function in the crate that opens a transfer
+//! and reads its PROV / DATA / DONE / DENIAL / ERR frames. [`Client`] runs
+//! it with an in-memory checkpoint and nothing to keep;
+//! [`Replica`](crate::Replica) runs the same function with a durable
+//! checkpoint and a [`RecordSink`] that reconciles with its store.
+//!
 //! Every PROV frame is pushed into a `tep-core`
 //! [`StreamingVerifier`](tep_core::verify::StreamingVerifier) the moment it
 //! arrives; the transfer is aborted at the **first** frame that produces
@@ -60,6 +67,7 @@ use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::KeyDirectory;
 use tep_model::{ObjectId, TenantId};
 use tep_obs::Registry;
+use tep_storage::StoredRecord;
 
 use crate::wire::{
     ErrorCode, FrameReader, FrameWriter, Message, OfferEntry, WireError, WIRE_VERSION,
@@ -366,13 +374,8 @@ impl Client {
     pub fn stats(&mut self) -> Result<String, NetError> {
         self.with_retry(|conn| {
             conn.writer.write_message(&Message::StatsRequest)?;
-            match conn.reader.read_message()? {
-                Some(Message::Stats { text }) => Ok(text),
-                Some(Message::Error {
-                    code,
-                    retry_after_ms,
-                    detail,
-                }) => Err(remote_error(code, retry_after_ms, detail)),
+            match conn.read_reply()? {
+                Message::Stats { text } => Ok(text),
                 _ => Err(NetError::Protocol("expected STATS")),
             }
         })
@@ -398,40 +401,29 @@ impl Client {
         spec: &QuerySpec,
         keys: &KeyDirectory,
     ) -> Result<QueryReport, NetError> {
-        let cfg = self.cfg;
-        let counters = Arc::clone(&self.counters);
-        let registry = self.registry.clone();
-        self.with_retry(move |conn| {
+        self.with_retry(|conn| {
             conn.writer.write_message(&Message::Query { spec: *spec })?;
             let frame = conn.reader.frames();
-            match conn.reader.read_message()? {
-                Some(Message::QResult { proof }) => {
+            match conn.read_reply()? {
+                Message::QResult { proof } => {
                     let Ok(proof) = SliceProof::from_bytes(&proof) else {
                         // The frame CRC passed, so these bytes are what the
                         // server sent — a non-canonical or truncated proof
                         // is a lie, not line noise.
-                        counters.verify_failure();
-                        record_malformed_stream(registry.as_ref());
+                        conn.evidence(EvidenceKind::MalformedStream);
                         return Err(NetError::Protocol("QRESULT proof failed to decode"));
                     };
                     if proof.spec != *spec {
                         // An answer to a different question than asked.
-                        counters.verify_failure();
-                        if let Some(reg) = registry.as_ref() {
-                            EvidenceCounters::new(reg).record(EvidenceKind::OutputMismatch);
-                        }
+                        conn.evidence(EvidenceKind::OutputMismatch);
                         return Err(NetError::TamperDetected {
                             frame: Some(frame),
                             issues: vec![TamperEvidence::OutputMismatch { oid: spec.target }],
                         });
                     }
-                    let mut verifier = Verifier::new(keys, cfg.alg);
-                    if let Some(reg) = registry.as_ref() {
-                        verifier.attach_obs(reg);
-                    }
-                    let verification = verifier.verify_slice(&proof);
+                    let verification = conn.verifier(keys).verify_slice(&proof);
                     if !verification.verified() {
-                        counters.verify_failure();
+                        conn.counters.verify_failure();
                         return Err(NetError::TamperDetected {
                             frame: Some(frame),
                             issues: verification.issues,
@@ -442,22 +434,10 @@ impl Client {
                         verification,
                     })
                 }
-                Some(Message::Denial { proof }) => Err(denial_outcome(
-                    &proof,
-                    spec.target,
-                    keys,
-                    cfg.alg,
-                    frame,
-                    &counters,
-                    registry.as_ref(),
-                )),
-                Some(Message::Error {
-                    code,
-                    retry_after_ms,
-                    detail,
-                }) => Err(remote_error(code, retry_after_ms, detail)),
-                Some(_) => Err(NetError::Protocol("expected QRESULT")),
-                None => Err(NetError::Interrupted),
+                Message::Denial { proof } => {
+                    Err(conn.denial_outcome(&proof, spec.target, keys, frame))
+                }
+                _ => Err(NetError::Protocol("expected QRESULT")),
             }
         })
     }
@@ -476,60 +456,40 @@ impl Client {
         hi: ObjectId,
         keys: &KeyDirectory,
     ) -> Result<RangeReport, NetError> {
-        let cfg = self.cfg;
-        let counters = Arc::clone(&self.counters);
-        let registry = self.registry.clone();
-        self.with_retry(move |conn| {
+        self.with_retry(|conn| {
             conn.writer.write_message(&Message::RangeReq { lo, hi })?;
             let frame = conn.reader.frames();
-            match conn.reader.read_message()? {
-                Some(Message::RangeResp { oids, proof }) => {
-                    let forged = || {
-                        counters.verify_failure();
-                        if let Some(reg) = registry.as_ref() {
-                            EvidenceCounters::new(reg).record(EvidenceKind::ForgedDenial);
-                        }
-                        NetError::TamperDetected {
-                            frame: Some(frame),
-                            issues: vec![TamperEvidence::ForgedDenial { oid: lo }],
-                        }
-                    };
-                    let Ok(range) = SignedRange::from_bytes(&proof) else {
-                        return Err(forged());
-                    };
-                    if range.proof.lo != lo || range.proof.hi != hi {
-                        // An answer to a different question than asked.
-                        return Err(forged());
-                    }
-                    let mut verifier = Verifier::new(keys, cfg.alg);
-                    if let Some(reg) = registry.as_ref() {
-                        verifier.attach_obs(reg);
-                    }
-                    // verify_range records failing evidence itself —
-                    // including a member the proof covers but the answer
-                    // omits (IncompleteResponse).
-                    let verification = verifier.verify_range(&range, &oids);
-                    if !verification.verified() {
-                        counters.verify_failure();
-                        return Err(NetError::TamperDetected {
-                            frame: Some(frame),
-                            issues: verification.issues,
-                        });
-                    }
-                    Ok(RangeReport {
-                        members: oids,
-                        log_records: range.root.log_records,
-                        verification,
-                    })
-                }
-                Some(Message::Error {
-                    code,
-                    retry_after_ms,
-                    detail,
-                }) => Err(remote_error(code, retry_after_ms, detail)),
-                Some(_) => Err(NetError::Protocol("expected RANGE_RESP")),
-                None => Err(NetError::Interrupted),
+            let Message::RangeResp { oids, proof } = conn.read_reply()? else {
+                return Err(NetError::Protocol("expected RANGE_RESP"));
+            };
+            // A proof that does not decode, or that answers a different
+            // question than asked.
+            let Some(range) = SignedRange::from_bytes(&proof)
+                .ok()
+                .filter(|r| r.proof.lo == lo && r.proof.hi == hi)
+            else {
+                conn.evidence(EvidenceKind::ForgedDenial);
+                return Err(NetError::TamperDetected {
+                    frame: Some(frame),
+                    issues: vec![TamperEvidence::ForgedDenial { oid: lo }],
+                });
+            };
+            // verify_range records failing evidence itself — including a
+            // member the proof covers but the answer omits
+            // (IncompleteResponse).
+            let verification = conn.verifier(keys).verify_range(&range, &oids);
+            if !verification.verified() {
+                conn.counters.verify_failure();
+                return Err(NetError::TamperDetected {
+                    frame: Some(frame),
+                    issues: verification.issues,
+                });
             }
+            Ok(RangeReport {
+                members: oids,
+                log_records: range.root.log_records,
+                verification,
+            })
         })
     }
 
@@ -544,20 +504,45 @@ impl Client {
         oid: ObjectId,
         keys: &KeyDirectory,
     ) -> Result<FetchReport, NetError> {
-        let cfg = self.cfg;
-        let counters = Arc::clone(&self.counters);
-        let registry = self.registry.clone();
-        let mut session = FetchSession::default();
-        self.with_retry(move |conn| {
-            fetch_on(
-                conn,
-                oid,
-                keys,
-                cfg,
-                &mut session,
-                &counters,
-                registry.as_ref(),
-            )
+        let resume = self.cfg.resume;
+        // Resume state carried across the attempts of this call: the
+        // verifier of the last interrupted attempt, sealed, and how many
+        // attempts continued a previous one.
+        let mut checkpoint: Option<Vec<u8>> = None;
+        let mut resumed = 0u32;
+        self.with_retry(|conn| {
+            // The blob was sealed by our own verifier an attempt ago; if it
+            // no longer opens, local state is damaged — fall back to a full
+            // fetch rather than claiming a prefix we cannot prove.
+            let restored = checkpoint
+                .take()
+                .and_then(|blob| StreamingVerifier::restore(keys, &blob).ok());
+            match fetch_on(conn, oid, keys, restored, &mut ()) {
+                Ok(transfer) => Ok(FetchReport {
+                    records: transfer.verification.records_checked as u64,
+                    verification: transfer.verification,
+                    object_hash: transfer.object_hash,
+                    nodes: transfer.nodes,
+                    offer: conn.offer.clone(),
+                    resumed: resumed + u32::from(transfer.resumed),
+                    stream_digest: transfer.stream_digest,
+                }),
+                Err(cut) => {
+                    resumed += u32::from(cut.resumed);
+                    // A retryable interruption after verified records: seal
+                    // the verifier so the next attempt can prove where this
+                    // one stopped. Tamper evidence never reaches here
+                    // retryably, and a tainted verifier refuses to
+                    // checkpoint anyway.
+                    if resume && cut.error.is_retryable() {
+                        checkpoint = cut
+                            .verifier
+                            .filter(|v| v.records_checked() > 0)
+                            .and_then(|v| v.checkpoint());
+                    }
+                    Err(cut.error)
+                }
+            }
         })
     }
 
@@ -643,6 +628,7 @@ impl Client {
             self.cfg.tenant,
             self.cfg.read_timeout,
             Arc::clone(&self.counters),
+            self.registry.clone(),
         )?;
         let v = op(&mut conn)?;
         self.conn = Some(conn);
@@ -670,7 +656,9 @@ impl Client {
     }
 }
 
-/// An established, HELLO-negotiated connection with its OFFER read.
+/// An established, HELLO-negotiated connection with its OFFER read, and
+/// the accounts of the endpoint that dialed it: what it verifies with and
+/// where its traffic, verification failures and evidence are counted.
 pub(crate) struct Connection {
     pub(crate) reader: FrameReader<TcpStream>,
     pub(crate) writer: FrameWriter<TcpStream>,
@@ -679,6 +667,11 @@ pub(crate) struct Connection {
     /// the read timeout can be set per request (`set_read_timeout` acts on
     /// the shared fd, so the reader's clone sees the new value).
     stream: TcpStream,
+    alg: HashAlgorithm,
+    /// The dialer's base per-read timeout; a transfer rescales it.
+    read_timeout: Duration,
+    counters: Arc<TransferCounters>,
+    registry: Option<Registry>,
 }
 
 impl Connection {
@@ -691,61 +684,69 @@ impl Connection {
         tenant: TenantId,
         read_timeout: Duration,
         counters: Arc<TransferCounters>,
+        registry: Option<Registry>,
     ) -> Result<Connection, NetError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(read_timeout))?;
         stream.set_nodelay(true)?;
         let control = stream.try_clone().map_err(WireError::Io)?;
-        let mut reader = FrameReader::new(
+        let reader = FrameReader::new(
             stream.try_clone().map_err(WireError::Io)?,
             Arc::clone(&counters),
         );
-        let mut writer = FrameWriter::new(stream, counters);
-        writer.write_message(&Message::Hello {
+        let mut conn = Connection {
+            reader,
+            writer: FrameWriter::new(stream, Arc::clone(&counters)),
+            offer: Vec::new(),
+            stream: control,
+            alg,
+            read_timeout,
+            counters,
+            registry,
+        };
+        conn.writer.write_message(&Message::Hello {
             version: WIRE_VERSION,
             alg,
             tenant: tenant.raw(),
         })?;
-        match reader.read_message()? {
-            Some(Message::Hello {
+        match conn.read_reply()? {
+            Message::Hello {
                 version,
                 alg: theirs,
                 tenant: scope,
-            }) if version == WIRE_VERSION && theirs == alg && scope == tenant.raw() => {}
-            Some(Message::Error {
-                code,
-                retry_after_ms,
-                detail,
-            }) => {
-                return Err(remote_error(code, retry_after_ms, detail));
-            }
-            Some(_) => return Err(NetError::Protocol("expected HELLO")),
-            // EOF before the handshake: the peer (or the path) dropped the
-            // connection before saying anything — transient, retryable.
-            None => return Err(NetError::Interrupted),
+            } if version == WIRE_VERSION && theirs == alg && scope == tenant.raw() => {}
+            _ => return Err(NetError::Protocol("expected HELLO")),
         }
-        let offer = match reader.read_message()? {
-            Some(Message::Offer { entries }) => entries,
+        match conn.read_reply()? {
+            Message::Offer { entries } => conn.offer = entries,
+            _ => return Err(NetError::Protocol("expected OFFER")),
+        }
+        Ok(conn)
+    }
+
+    /// Reads the reply to a request. The two outcomes every request shares
+    /// are settled here — the server's ERR is [`NetError::Remote`], a close
+    /// at the frame boundary (the peer or the path hung up: transient) is
+    /// [`NetError::Interrupted`] — and the caller matches the one message
+    /// it asked for.
+    pub(crate) fn read_reply(&mut self) -> Result<Message, NetError> {
+        match self.reader.read_message()? {
             Some(Message::Error {
                 code,
                 retry_after_ms,
                 detail,
-            }) => {
-                return Err(remote_error(code, retry_after_ms, detail));
-            }
-            Some(_) => return Err(NetError::Protocol("expected OFFER")),
-            None => return Err(NetError::Interrupted),
-        };
-        Ok(Connection {
-            reader,
-            writer,
-            offer,
-            stream: control,
-        })
+            }) => Err(NetError::Remote {
+                code,
+                retry_after: (retry_after_ms > 0).then(|| Duration::from_millis(retry_after_ms)),
+                detail,
+            }),
+            Some(msg) => Ok(msg),
+            None => Err(NetError::Interrupted),
+        }
     }
 
     /// Sets the per-read socket timeout for the request about to run.
-    pub(crate) fn set_read_timeout(&self, timeout: Duration) -> Result<(), NetError> {
+    fn set_read_timeout(&self, timeout: Duration) -> Result<(), NetError> {
         Ok(self.stream.set_read_timeout(Some(timeout))?)
     }
 
@@ -753,16 +754,85 @@ impl Connection {
     fn offered_records(&self, oid: ObjectId) -> Option<u64> {
         self.offer.iter().find(|e| e.oid == oid).map(|e| e.records)
     }
-}
 
-/// Resume state carried across the attempts of one `fetch_verified` call.
-#[derive(Default)]
-struct FetchSession {
-    /// Sealed verifier checkpoint + verified-record count from the last
-    /// interrupted attempt, if any.
-    checkpoint: Option<(Vec<u8>, u64)>,
-    /// Attempts that successfully resumed a previous attempt.
-    resumed: u32,
+    /// Counts one rejected response and the `kind` of evidence it carried
+    /// (`tep_core_evidence_<kind>_total`) — for the evidence this endpoint
+    /// finds itself; what a verifier finds, the verifier records.
+    fn evidence(&self, kind: EvidenceKind) {
+        self.counters.verify_failure();
+        if let Some(reg) = &self.registry {
+            EvidenceCounters::new(reg).record(kind);
+        }
+    }
+
+    /// A batch verifier over `keys`, recording into this endpoint's registry.
+    fn verifier<'k>(&self, keys: &'k KeyDirectory) -> Verifier<'k> {
+        let mut verifier = Verifier::new(keys, self.alg);
+        if let Some(reg) = &self.registry {
+            verifier.attach_obs(reg);
+        }
+        verifier
+    }
+
+    /// Builds the terminal [`TamperEvidence::ResumeMismatch`] rejection: the
+    /// peer either refused a checkpoint this endpoint verified
+    /// record-by-record, or confirmed a resume point it cannot prove. Either
+    /// way the two ends disagree about history, which is an R2/R3 violation,
+    /// not a retry.
+    fn resume_mismatch(&self, oid: ObjectId, claimed: u64, confirmed: u64, frame: u64) -> NetError {
+        self.evidence(EvidenceKind::ResumeMismatch);
+        NetError::TamperDetected {
+            frame: Some(frame),
+            issues: vec![TamperEvidence::ResumeMismatch {
+                oid,
+                claimed,
+                confirmed,
+            }],
+        }
+    }
+
+    /// Settles a DENIAL frame received in place of the provenance of `oid`.
+    ///
+    /// A denial is only as good as its proof: the bytes must decode, the
+    /// proof must be *about* the requested object (a replayed denial for
+    /// some other absent ID proves nothing), the root signature must verify,
+    /// and the gap must authenticate under the signed root. A proof that
+    /// clears every check is an honest not-found ([`NetError::Denied`]);
+    /// anything less is [`TamperEvidence::ForgedDenial`]. Both are terminal
+    /// — an honest absence will not appear on retry, and a forged one must
+    /// not be laundered through one.
+    fn denial_outcome(
+        &self,
+        bytes: &[u8],
+        oid: ObjectId,
+        keys: &KeyDirectory,
+        frame: u64,
+    ) -> NetError {
+        let Some(denial) = SignedDenial::from_bytes(bytes)
+            .ok()
+            .filter(|d| d.proof.absent == oid)
+        else {
+            self.evidence(EvidenceKind::ForgedDenial);
+            return NetError::TamperDetected {
+                frame: Some(frame),
+                issues: vec![TamperEvidence::ForgedDenial { oid }],
+            };
+        };
+        // verify_denial records failing evidence into the registry itself.
+        let verification = self.verifier(keys).verify_denial(&denial);
+        if verification.verified() {
+            NetError::Denied {
+                oid,
+                log_records: denial.root.log_records,
+            }
+        } else {
+            self.counters.verify_failure();
+            NetError::TamperDetected {
+                frame: Some(frame),
+                issues: verification.issues,
+            }
+        }
+    }
 }
 
 /// Per-read socket timeout for a transfer the OFFER says carries
@@ -798,307 +868,237 @@ fn clamp_retry_wait(delay: Duration, hint: Option<Duration>, remaining: Duration
     hint.map_or(delay, |h| delay.max(h)).min(remaining)
 }
 
-/// Converts a wire ERR into [`NetError::Remote`], decoding the hint.
-pub(crate) fn remote_error(code: ErrorCode, retry_after_ms: u64, detail: String) -> NetError {
-    NetError::Remote {
-        code,
-        retry_after: (retry_after_ms > 0).then(|| Duration::from_millis(retry_after_ms)),
-        detail,
+/// What a receiver does with the records of a transfer beyond verifying
+/// them; [`fetch_on`] calls it around each verification and before the
+/// verdict. A fetching client keeps nothing, so its sink is `()`.
+pub(crate) trait RecordSink {
+    /// `record` arrived in `frame` and the verifier has not seen it yet. An
+    /// error ends the transfer there.
+    fn arriving(&mut self, _record: &StoredRecord, _frame: u64) -> Result<(), NetError> {
+        Ok(())
+    }
+
+    /// `record` verified clean; `verifier` has absorbed it.
+    fn verified(
+        &mut self,
+        _record: StoredRecord,
+        _verifier: &StreamingVerifier<'_>,
+    ) -> Result<(), NetError> {
+        Ok(())
+    }
+
+    /// DONE arrived: make durable whatever has to be before the verdict on
+    /// the transfer as a whole.
+    fn before_verdict(&mut self, _verifier: &StreamingVerifier<'_>) -> Result<(), NetError> {
+        Ok(())
     }
 }
 
-/// Builds the terminal [`TamperEvidence::ResumeMismatch`] rejection: the
-/// peer either refused a checkpoint this client verified record-by-record,
-/// or confirmed a resume point it cannot prove. Either way the two ends
-/// disagree about history, which is an R2/R3 violation, not a retry.
-pub(crate) fn resume_mismatch(
-    oid: ObjectId,
-    claimed: u64,
-    confirmed: u64,
-    frame: u64,
-    counters: &Arc<TransferCounters>,
-    registry: Option<&Registry>,
-) -> NetError {
-    counters.verify_failure();
-    if let Some(reg) = registry {
-        EvidenceCounters::new(reg).record(EvidenceKind::ResumeMismatch);
-    }
-    NetError::TamperDetected {
-        frame: Some(frame),
-        issues: vec![TamperEvidence::ResumeMismatch {
-            oid,
-            claimed,
-            confirmed,
-        }],
-    }
+impl RecordSink for () {}
+
+/// A transfer that reached DONE and verified.
+pub(crate) struct Transfer {
+    /// The verifier's verdict (always `verified()`).
+    pub(crate) verification: Verification,
+    /// The object hash recomputed from the delivered data.
+    pub(crate) object_hash: Vec<u8>,
+    /// Data nodes received.
+    pub(crate) nodes: u64,
+    /// The rolling record-stream digest over every verified record.
+    pub(crate) stream_digest: Vec<u8>,
+    /// Whether the transfer continued from the caller's verifier via RESUME.
+    pub(crate) resumed: bool,
 }
 
-/// Opens the transfer on an established connection: RESUME from the session's
-/// checkpoint when there is one, FETCH from scratch otherwise. Returns the
-/// verifier (restored or new) and the record offset the stream starts at.
-fn open_transfer<'a>(
+/// A transfer attempt that failed (boxed by [`fetch_on`]: it carries a
+/// whole verifier, and only the failure path should pay for that).
+pub(crate) struct Cut<'k> {
+    pub(crate) error: NetError,
+    /// The verifier as far as the attempt got, so a caller that retries can
+    /// seal it and open the next attempt with RESUME; `None` once the
+    /// verdict consumed it.
+    pub(crate) verifier: Option<StreamingVerifier<'k>>,
+    /// Whether the attempt got as far as a confirmed RESUME.
+    pub(crate) resumed: bool,
+}
+
+/// The receiving side of one transfer attempt on an established connection —
+/// the only place in the crate that opens a transfer and reads its frames.
+/// Opens with RESUME at the position `resume_from` proves (a verifier the
+/// caller restored from a sealed checkpoint), or with FETCH from record zero
+/// without one; streams PROV frames through the verifier and `sink` and DATA
+/// frames through the subtree hasher; settles at DONE. Whoever the receiver
+/// is, a record is believed only after it verified, the object hash only as
+/// recomputed from the delivered bytes, and a DENIAL only after its proof
+/// checked out.
+pub(crate) fn fetch_on<'k>(
     conn: &mut Connection,
     oid: ObjectId,
-    keys: &'a KeyDirectory,
-    cfg: ClientConfig,
-    session: &mut FetchSession,
-    counters: &Arc<TransferCounters>,
-    registry: Option<&Registry>,
-) -> Result<(StreamingVerifier<'a>, u64), NetError> {
-    if cfg.resume {
-        if let Some((blob, claimed)) = session.checkpoint.take() {
-            // The blob was sealed by our own verifier an attempt ago; if it
-            // no longer opens, local state is damaged — fall back to a full
-            // fetch rather than claiming a prefix we cannot prove.
-            if let Ok(mut verifier) = StreamingVerifier::restore(keys, &blob) {
-                if let Some(reg) = registry {
-                    verifier.attach_obs(reg);
-                }
-                let digest = verifier.stream_digest().to_vec();
-                conn.writer.write_message(&Message::Resume {
-                    oid,
-                    records: claimed,
-                    digest: digest.clone(),
-                })?;
-                let frame = conn.reader.frames();
-                return match conn.reader.read_message()? {
-                    Some(Message::ResumeOk {
-                        records: confirmed,
-                        digest: theirs,
-                    }) => {
-                        if confirmed != claimed || theirs != digest {
-                            // The server "accepted" a resume point it
-                            // cannot prove — it is lying about history.
-                            Err(resume_mismatch(
-                                oid, claimed, confirmed, frame, counters, registry,
-                            ))
-                        } else {
-                            session.resumed += 1;
-                            Ok((verifier, claimed))
-                        }
-                    }
-                    Some(Message::Error {
-                        code: ErrorCode::ResumeMismatch,
-                        ..
-                    }) => {
-                        // The server's history diverged from the prefix we
-                        // verified — or it rewrote it. Terminal evidence.
-                        Err(resume_mismatch(oid, claimed, 0, frame, counters, registry))
-                    }
-                    Some(Message::Error {
-                        code,
-                        retry_after_ms,
-                        detail,
-                    }) => Err(remote_error(code, retry_after_ms, detail)),
-                    Some(Message::Denial { proof }) => {
-                        // The object this client once verified records for
-                        // is now provably absent (e.g. pruned upstream).
-                        // The denial still has to prove itself.
-                        Err(denial_outcome(
-                            &proof, oid, keys, cfg.alg, frame, counters, registry,
-                        ))
-                    }
-                    Some(_) | None => Err(NetError::Protocol("expected RESUME_OK")),
-                };
-            }
-        }
-    }
-    conn.writer.write_message(&Message::Fetch { oid })?;
-    let mut verifier = StreamingVerifier::new(keys, cfg.alg, oid);
-    if let Some(reg) = registry {
+    keys: &'k KeyDirectory,
+    resume_from: Option<StreamingVerifier<'k>>,
+    sink: &mut impl RecordSink,
+) -> Result<Transfer, Box<Cut<'k>>> {
+    let resuming = resume_from.is_some();
+    let mut verifier = resume_from.unwrap_or_else(|| StreamingVerifier::new(keys, conn.alg, oid));
+    // A restored verifier comes back without instrumentation.
+    if let Some(reg) = &conn.registry {
         verifier.attach_obs(reg);
     }
-    Ok((verifier, 0))
+    let mut resumed = false;
+    let streamed = open_transfer(conn, oid, keys, resuming.then_some(&verifier)).and_then(|r| {
+        resumed = r;
+        stream_to_done(conn, oid, keys, &mut verifier, sink)
+    });
+    let (object_hash, nodes, totals_agree) = match streamed {
+        Ok(done) => done,
+        Err(error) => {
+            return Err(Box::new(Cut {
+                error,
+                verifier: Some(verifier),
+                resumed,
+            }))
+        }
+    };
+    // Verify FIRST: if frames were removed in flight, the evidence (broken
+    // chains, missing records) matters more than the bare count mismatch.
+    let stream_digest = verifier.stream_digest().to_vec();
+    let verification = verifier.finish(&object_hash);
+    let terminal = |error| {
+        Box::new(Cut {
+            error,
+            verifier: None,
+            resumed,
+        })
+    };
+    if !verification.verified() {
+        conn.counters.verify_failure();
+        return Err(terminal(NetError::TamperDetected {
+            frame: None,
+            issues: verification.issues,
+        }));
+    }
+    if !totals_agree {
+        return Err(terminal(NetError::Protocol(
+            "DONE totals disagree with transfer",
+        )));
+    }
+    Ok(Transfer {
+        verification,
+        object_hash,
+        nodes,
+        stream_digest,
+        resumed,
+    })
 }
 
-/// One attempt on an established connection: opens (or resumes) the
-/// transfer, streams PROV frames through the verifier and DATA frames
-/// through the subtree hasher, and settles at DONE. On a *retryable*
-/// failure after at least one verified record, the verifier state is
-/// sealed into the session so the next attempt can RESUME.
-fn fetch_on(
+/// Opens the transfer: RESUME at the position `resume_from` has verified up
+/// to, proven by its rolling stream digest, or FETCH without one. `Ok(true)`
+/// means the server confirmed exactly that position.
+fn open_transfer(
     conn: &mut Connection,
     oid: ObjectId,
     keys: &KeyDirectory,
-    cfg: ClientConfig,
-    session: &mut FetchSession,
-    counters: &Arc<TransferCounters>,
-    registry: Option<&Registry>,
-) -> Result<FetchReport, NetError> {
+    resume_from: Option<&StreamingVerifier<'_>>,
+) -> Result<bool, NetError> {
     // Rescale the socket timeout to the transfer's offered size before any
     // stream frames are read; `Client::attempt` restores the base timeout
     // before the next request on this connection.
     if let Some(records) = conn.offered_records(oid) {
-        conn.set_read_timeout(scaled_read_timeout(cfg.read_timeout, records))?;
+        conn.set_read_timeout(scaled_read_timeout(conn.read_timeout, records))?;
     }
-    let (mut verifier, start_records) =
-        open_transfer(conn, oid, keys, cfg, session, counters, registry)?;
-    let mut hasher = DepthStreamHasher::new(cfg.alg);
-    let mut records = start_records;
-    let mut seen_data = false;
+    let Some(verifier) = resume_from else {
+        conn.writer.write_message(&Message::Fetch { oid })?;
+        return Ok(false);
+    };
+    let claimed = verifier.records_checked() as u64;
+    let digest = verifier.stream_digest().to_vec();
+    conn.writer.write_message(&Message::Resume {
+        oid,
+        records: claimed,
+        digest: digest.clone(),
+    })?;
+    let frame = conn.reader.frames();
+    match conn.read_reply() {
+        Ok(Message::ResumeOk {
+            records: confirmed,
+            digest: theirs,
+        }) => {
+            if confirmed != claimed || theirs != digest {
+                // The server "accepted" a resume point it cannot prove — it
+                // is lying about history.
+                Err(conn.resume_mismatch(oid, claimed, confirmed, frame))
+            } else {
+                Ok(true)
+            }
+        }
+        // The server's history diverged from the prefix we verified — or it
+        // rewrote it. Terminal evidence.
+        Err(NetError::Remote {
+            code: ErrorCode::ResumeMismatch,
+            ..
+        }) => Err(conn.resume_mismatch(oid, claimed, 0, frame)),
+        // The object this receiver once verified records for is now provably
+        // absent (e.g. pruned upstream). The denial still has to prove
+        // itself.
+        Ok(Message::Denial { proof }) => Err(conn.denial_outcome(&proof, oid, keys, frame)),
+        Ok(_) => Err(NetError::Protocol("expected RESUME_OK")),
+        Err(e) => Err(e),
+    }
+}
 
-    let failure: NetError = loop {
+/// Reads the opened transfer to its DONE frame. Returns the object hash
+/// recomputed from the DATA frames, the node count, and whether DONE's
+/// totals agree with what arrived.
+fn stream_to_done(
+    conn: &mut Connection,
+    oid: ObjectId,
+    keys: &KeyDirectory,
+    verifier: &mut StreamingVerifier<'_>,
+    sink: &mut impl RecordSink,
+) -> Result<(Vec<u8>, u64, bool), NetError> {
+    let mut hasher = DepthStreamHasher::new(conn.alg);
+    let mut seen_data = false;
+    loop {
         let frame = conn.reader.frames(); // index of the frame about to arrive
-        let msg = match conn.reader.read_message() {
-            Ok(Some(m)) => m,
-            Ok(None) => break NetError::Interrupted,
-            Err(e) => break NetError::Wire(e),
-        };
-        match msg {
+        match conn.read_reply()? {
             Message::Prov { record } => {
                 if seen_data {
-                    break NetError::Protocol("PROV after DATA");
+                    return Err(NetError::Protocol("PROV after DATA"));
                 }
-                let rec = match ProvenanceRecord::from_stored(&record) {
-                    Ok(r) => r,
-                    Err(e) => break NetError::Wire(WireError::Decode(e)),
-                };
-                records += 1;
+                let rec = ProvenanceRecord::from_stored(&record)
+                    .map_err(|e| NetError::Wire(WireError::Decode(e)))?;
+                sink.arriving(&record, frame)?;
                 if verifier.push_record(&rec) > 0 {
-                    counters.verify_failure();
-                    break NetError::TamperDetected {
+                    conn.counters.verify_failure();
+                    return Err(NetError::TamperDetected {
                         frame: Some(frame),
                         issues: verifier.issues().to_vec(),
-                    };
+                    });
                 }
+                sink.verified(record, verifier)?;
             }
             Message::Data { entries } => {
                 seen_data = true;
-                let mut bad = None;
                 for e in &entries {
                     if let Err(error) = hasher.push(e.depth as usize, e.id, &e.value) {
-                        bad = Some(error);
-                        break;
-                    }
-                }
-                if let Some(error) = bad {
-                    counters.verify_failure();
-                    record_malformed_stream(registry);
-                    break NetError::MalformedStream { frame, error };
-                }
-            }
-            Message::Done {
-                records: sent_records,
-                nodes: sent_nodes,
-            } => {
-                let nodes = hasher.node_count();
-                let (object_hash, _) = match hasher.finish() {
-                    Ok(h) => h,
-                    Err(error) => {
-                        counters.verify_failure();
-                        record_malformed_stream(registry);
+                        conn.evidence(EvidenceKind::MalformedStream);
                         return Err(NetError::MalformedStream { frame, error });
                     }
-                };
-                // Verify FIRST: if frames were removed in flight, the
-                // evidence (broken chains, missing records) matters more
-                // than the bare count mismatch.
-                let stream_digest = verifier.stream_digest().to_vec();
-                let verification = verifier.finish(&object_hash);
-                if !verification.verified() {
-                    counters.verify_failure();
-                    return Err(NetError::TamperDetected {
-                        frame: None,
-                        issues: verification.issues,
-                    });
                 }
-                if sent_records != records || sent_nodes != nodes {
-                    return Err(NetError::Protocol("DONE totals disagree with transfer"));
-                }
-                return Ok(FetchReport {
-                    verification,
-                    object_hash,
-                    records,
-                    nodes,
-                    offer: conn.offer.clone(),
-                    resumed: session.resumed,
-                    stream_digest,
-                });
             }
-            Message::Denial { proof } => {
-                break denial_outcome(&proof, oid, keys, cfg.alg, frame, counters, registry)
+            Message::Done { records, nodes } => {
+                let received = hasher.node_count();
+                let (object_hash, _) = hasher.finish().map_err(|error| {
+                    conn.evidence(EvidenceKind::MalformedStream);
+                    NetError::MalformedStream { frame, error }
+                })?;
+                sink.before_verdict(verifier)?;
+                let totals_agree =
+                    records == verifier.records_checked() as u64 && nodes == received;
+                return Ok((object_hash, received, totals_agree));
             }
-            Message::Error {
-                code,
-                retry_after_ms,
-                detail,
-            } => break remote_error(code, retry_after_ms, detail),
-            _ => break NetError::Protocol("unexpected message during transfer"),
-        }
-    };
-
-    // A retryable interruption after verified records: seal the verifier so
-    // the next attempt can prove where this one stopped. Tamper evidence
-    // never reaches here retryably, and a tainted verifier refuses to
-    // checkpoint anyway.
-    if cfg.resume && failure.is_retryable() && records > 0 {
-        if let Some(blob) = verifier.checkpoint() {
-            session.checkpoint = Some((blob, records));
-        }
-    }
-    Err(failure)
-}
-
-/// Counts a structurally malformed DATA stream under the unified evidence
-/// schema (`tep_core_evidence_malformed_stream_total`) — the one detection
-/// surface with no [`TamperEvidence`] variant of its own.
-fn record_malformed_stream(registry: Option<&Registry>) {
-    if let Some(reg) = registry {
-        EvidenceCounters::new(reg).record(EvidenceKind::MalformedStream);
-    }
-}
-
-/// Settles a DENIAL frame received in place of the provenance of `oid`.
-///
-/// A denial is only as good as its proof: the bytes must decode, the
-/// proof must be *about* the requested object (a replayed denial for some
-/// other absent ID proves nothing), the root signature must verify, and
-/// the gap must authenticate under the signed root. A proof that clears
-/// every check is an honest not-found ([`NetError::Denied`]); anything
-/// less is [`TamperEvidence::ForgedDenial`]. Both are terminal — an
-/// honest absence will not appear on retry, and a forged one must not be
-/// laundered through one.
-fn denial_outcome(
-    bytes: &[u8],
-    oid: ObjectId,
-    keys: &KeyDirectory,
-    alg: HashAlgorithm,
-    frame: u64,
-    counters: &TransferCounters,
-    registry: Option<&Registry>,
-) -> NetError {
-    let forged = || {
-        counters.verify_failure();
-        if let Some(reg) = registry {
-            EvidenceCounters::new(reg).record(EvidenceKind::ForgedDenial);
-        }
-        NetError::TamperDetected {
-            frame: Some(frame),
-            issues: vec![TamperEvidence::ForgedDenial { oid }],
-        }
-    };
-    let Ok(denial) = SignedDenial::from_bytes(bytes) else {
-        return forged();
-    };
-    if denial.proof.absent != oid {
-        return forged();
-    }
-    let mut verifier = Verifier::new(keys, alg);
-    if let Some(reg) = registry {
-        verifier.attach_obs(reg);
-    }
-    // verify_denial records failing evidence into the registry itself.
-    let verification = verifier.verify_denial(&denial);
-    if verification.verified() {
-        NetError::Denied {
-            oid,
-            log_records: denial.root.log_records,
-        }
-    } else {
-        counters.verify_failure();
-        NetError::TamperDetected {
-            frame: Some(frame),
-            issues: verification.issues,
+            Message::Denial { proof } => return Err(conn.denial_outcome(&proof, oid, keys, frame)),
+            _ => return Err(NetError::Protocol("unexpected message during transfer")),
         }
     }
 }

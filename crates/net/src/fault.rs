@@ -25,13 +25,13 @@
 //! replayed exactly from its seed.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
-use crate::proxy::RelayGate;
+use crate::proxy::Relay;
 
 /// SplitMix64 — the same tiny deterministic generator `FaultVfs` uses, so
 /// net and storage chaos schedules are seeded the same way.
@@ -222,10 +222,8 @@ pub struct FaultPlan {
 
 /// A fault-injecting TCP proxy; dropping it stops the listener.
 pub struct FaultListener {
-    addr: SocketAddr,
-    gate: Arc<RelayGate>,
+    relay: Relay,
     fired: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl FaultListener {
@@ -238,40 +236,17 @@ impl FaultListener {
     /// (or of each redial). Shutting the proxy down cuts the relay in
     /// progress.
     pub fn spawn(upstream: SocketAddr, plan: FaultPlan) -> io::Result<FaultListener> {
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let gate = Arc::new(RelayGate::default());
         let fired = Arc::new(AtomicU64::new(0));
-        let shared = Arc::clone(&gate);
         let count = Arc::clone(&fired);
-        let accept_thread = thread::spawn(move || {
-            while !shared.stopping() {
-                match listener.accept() {
-                    Ok((client, _)) => {
-                        // Relay errors (peer hangups, timeouts) are the
-                        // point of the exercise, not failures.
-                        let _ = relay(client, upstream, plan, &count, &shared);
-                        shared.leave();
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => thread::sleep(Duration::from_millis(2)),
-                }
-            }
-        });
-        Ok(FaultListener {
-            addr,
-            gate,
-            fired,
-            accept_thread: Some(accept_thread),
-        })
+        let relay = Relay::spawn(upstream, move |server, client| {
+            downlink(server, client, plan, &count)
+        })?;
+        Ok(FaultListener { relay, fired })
     }
 
     /// The proxy's listening address — point the client here.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.relay.addr()
     }
 
     /// How many times the scheduled fault has fired so far.
@@ -280,61 +255,21 @@ impl FaultListener {
     }
 
     /// Stops the listener, cuts the relay in progress, and joins the
-    /// accept thread.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.gate.stop();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// accept thread — which is what dropping the relay does.
+    pub fn shutdown(self) {}
 }
 
-impl Drop for FaultListener {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Relays one client connection, frame-aligned downstream, firing the
-/// plan's fault at its scheduled frame. Returns when either side closes.
-fn relay(
-    client: TcpStream,
-    upstream: SocketAddr,
+/// The server→client leg of one relayed connection: a raw frame-aligned
+/// copy, firing the plan's fault at its scheduled frame. The relay reads
+/// each frame's 8-byte header (len ‖ crc) and payload off the upstream
+/// socket, so it always knows where boundaries are — no decoding, no
+/// re-framing, and a bit flip here reaches the client byte-for-byte.
+fn downlink(
+    server: &TcpStream,
+    client: &TcpStream,
     plan: FaultPlan,
     fired: &AtomicU64,
-    gate: &RelayGate,
 ) -> io::Result<()> {
-    let server = TcpStream::connect(upstream)?;
-    gate.enter(&client, &server)?;
-    client.set_read_timeout(Some(Duration::from_secs(10)))?;
-    server.set_read_timeout(Some(Duration::from_secs(10)))?;
-
-    // Client→server: verbatim byte copy on its own thread.
-    let mut c2s_src = client.try_clone()?;
-    let mut c2s_dst = server.try_clone()?;
-    let uplink = thread::spawn(move || {
-        let mut buf = [0u8; 4096];
-        loop {
-            match c2s_src.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    if c2s_dst.write_all(&buf[..n]).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-        let _ = c2s_dst.shutdown(std::net::Shutdown::Write);
-    });
-
-    // Server→client: raw frame-aligned copy. The relay reads each frame's
-    // 8-byte header (len ‖ crc) and payload off the upstream socket, so it
-    // always knows where boundaries are — no decoding, no re-framing, and
-    // a bit flip here reaches the client byte-for-byte.
     let mut src = server.try_clone()?;
     let mut dst = client.try_clone()?;
     let mut seed = plan.seed;
@@ -396,8 +331,6 @@ fn relay(
         }
         frame += 1;
     }
-    let _ = client.shutdown(std::net::Shutdown::Write);
-    let _ = uplink.join();
     Ok(())
 }
 

@@ -15,19 +15,22 @@
 //!   per-connection state machine, vectored writes, bounded concurrency,
 //!   graceful shutdown) serving objects out of a
 //!   [`tep_storage::ProvenanceDb`] + data forest.
-//! * [`client`] — a retrying client (decorrelated-jitter backoff) that
-//!   performs **streaming verify-on-receive**: every provenance record is
-//!   checked the moment its frame arrives, the object hash is recomputed
-//!   from the delivered data, and the transfer is rejected at the first
-//!   bad frame — with the frame number in the report.
+//! * [`client`] — the receiving side of a transfer, once: **streaming
+//!   verify-on-receive**, where every provenance record is checked the
+//!   moment its frame arrives, the object hash is recomputed from the
+//!   delivered data, and the transfer is rejected at the first bad frame —
+//!   with the frame number in the report. [`Client`] wraps it in a kept
+//!   connection and retries with decorrelated-jitter backoff.
 //! * [`proxy`] — a man-in-the-middle harness that tampers with frames *in
 //!   flight* (recomputing the CRC, as a real attacker would) so tests can
 //!   demonstrate the R1–R5 guarantees hold on the wire.
 //! * [`replica`] — primary→replica replication: a replica tails the
-//!   primary's record log with verify-on-receive (resuming crash-safe
-//!   from durable sealed-verifier checkpoints), runs periodic Merkle
-//!   anti-entropy over the object-id space to locate divergence in
-//!   O(log n) round trips, and fans verified reads out across replicas.
+//!   primary's record log through that same receiving side, opened from
+//!   durable sealed-verifier checkpoints (crash-safe resume) and streamed
+//!   into a sink that reconciles with, and appends to, its own store; it
+//!   runs periodic Merkle anti-entropy over the object-id space to locate
+//!   divergence in O(log n) round trips, and fans verified reads out
+//!   across replicas.
 //! * [`fault`] — deterministic seeded fault injection (the network twin of
 //!   `tep_storage::vfs::FaultVfs`): [`fault::FaultStream`] crashes the
 //!   codec at any byte, [`fault::FaultListener`] crashes a live TCP path

@@ -43,13 +43,13 @@ pub type Mutator = Box<dyn FnMut(u64, &Message) -> ProxyAction + Send>;
 ///
 /// [`Client`]: crate::Client
 #[derive(Default)]
-pub(crate) struct RelayGate {
+struct RelayGate {
     stopping: AtomicBool,
     live: Mutex<Vec<TcpStream>>,
 }
 
 impl RelayGate {
-    pub(crate) fn stopping(&self) -> bool {
+    fn stopping(&self) -> bool {
         self.stopping.load(Ordering::SeqCst)
     }
 
@@ -62,7 +62,7 @@ impl RelayGate {
     /// Registers both ends of the relay about to run. A stop that raced
     /// ahead of the registration is honoured here, so one side or the
     /// other always cuts the sockets.
-    pub(crate) fn enter(&self, client: &TcpStream, server: &TcpStream) -> io::Result<()> {
+    fn enter(&self, client: &TcpStream, server: &TcpStream) -> io::Result<()> {
         let ends = vec![client.try_clone()?, server.try_clone()?];
         *self.live() = ends;
         if self.stopping() {
@@ -72,12 +72,12 @@ impl RelayGate {
     }
 
     /// Forgets the finished relay's sockets.
-    pub(crate) fn leave(&self) {
+    fn leave(&self) {
         self.live().clear();
     }
 
     /// Stops the accept loop and cuts the relay in progress, if any.
-    pub(crate) fn stop(&self) {
+    fn stop(&self) {
         self.stopping.store(true, Ordering::SeqCst);
         self.cut();
     }
@@ -89,22 +89,27 @@ impl RelayGate {
     }
 }
 
-/// A running man-in-the-middle proxy; dropping it stops the listener.
-pub struct TamperProxy {
+/// The relay both test proxies ([`TamperProxy`] and
+/// [`FaultListener`](crate::FaultListener)) are built on: a listener on an
+/// ephemeral localhost port that relays one connection at a time to an
+/// upstream server — client→server verbatim, server→client however the
+/// proxy's downlink decides. Dropping it stops the listener, cuts the relay
+/// in progress and joins the accept thread.
+pub(crate) struct Relay {
     addr: SocketAddr,
     gate: Arc<RelayGate>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
-impl TamperProxy {
-    /// Spawns a proxy on an ephemeral localhost port relaying to
-    /// `upstream`. Connections are handled one at a time (attack tests are
-    /// sequential by nature): a client that keeps its connection holds the
-    /// relay until it disconnects or is dropped, and a second client is not
-    /// served before then. The mutator's frame index is per connection, so
-    /// it restarts at 0 only when a client dials again. Shutting the proxy
-    /// down cuts the relay in progress.
-    pub fn spawn(upstream: SocketAddr, mut mutator: Mutator) -> io::Result<TamperProxy> {
+impl Relay {
+    /// Spawns the relay. `downlink(server, client)` carries the
+    /// server→client leg of one connection and returns when either side is
+    /// done; its errors (peer hangups, timeouts) are part of normal test
+    /// operation and end that connection only.
+    pub(crate) fn spawn(
+        upstream: SocketAddr,
+        mut downlink: impl FnMut(&TcpStream, &TcpStream) -> io::Result<()> + Send + 'static,
+    ) -> io::Result<Relay> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -114,37 +119,28 @@ impl TamperProxy {
             while !shared.stopping() {
                 match listener.accept() {
                     Ok((client, _)) => {
-                        // Relay errors (peer hangups, timeouts) are part
-                        // of normal attack-test operation.
-                        let _ = relay(client, upstream, &mut mutator, &shared);
+                        let _ = relay(client, upstream, &shared, &mut downlink);
                         shared.leave();
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
                     }
                     Err(_) => thread::sleep(Duration::from_millis(2)),
                 }
             }
         });
-        Ok(TamperProxy {
+        Ok(Relay {
             addr,
             gate,
             accept_thread: Some(accept_thread),
         })
     }
 
-    /// The proxy's listening address — point the client here.
-    pub fn addr(&self) -> SocketAddr {
+    /// The listening address — point the client here.
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
+}
 
-    /// Stops the listener, cuts the relay in progress, and joins the
-    /// accept thread.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
+impl Drop for Relay {
+    fn drop(&mut self) {
         self.gate.stop();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -152,18 +148,13 @@ impl TamperProxy {
     }
 }
 
-impl Drop for TamperProxy {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Relays one client connection through the mutator.
+/// Relays one client connection: the uplink on its own thread, the downlink
+/// on this one.
 fn relay(
     client: TcpStream,
     upstream: SocketAddr,
-    mutator: &mut Mutator,
     gate: &RelayGate,
+    downlink: &mut impl FnMut(&TcpStream, &TcpStream) -> io::Result<()>,
 ) -> io::Result<()> {
     let server = TcpStream::connect(upstream)?;
     gate.enter(&client, &server)?;
@@ -188,24 +179,55 @@ fn relay(
         let _ = c2s_dst.shutdown(std::net::Shutdown::Write);
     });
 
-    // Server→client: decode, mutate, re-frame (fresh, valid CRC).
-    let scratch = Arc::new(TransferCounters::new());
-    let mut reader = FrameReader::new(server, Arc::clone(&scratch));
-    let mut writer = FrameWriter::new(client.try_clone()?, scratch);
-    let mut frame = 0u64;
-    while let Ok(Some(msg)) = reader.read_message() {
-        let action = mutator(frame, &msg);
-        frame += 1;
-        let result = match action {
-            ProxyAction::Forward => writer.write_message(&msg),
-            ProxyAction::Replace(replacement) => writer.write_message(&replacement),
-            ProxyAction::Drop => continue,
-        };
-        if result.is_err() {
-            break;
-        }
-    }
+    let _ = downlink(&server, &client);
     let _ = client.shutdown(std::net::Shutdown::Write);
     let _ = uplink.join();
     Ok(())
+}
+
+/// A running man-in-the-middle proxy; dropping it stops the listener.
+pub struct TamperProxy {
+    relay: Relay,
+}
+
+impl TamperProxy {
+    /// Spawns a proxy on an ephemeral localhost port relaying to
+    /// `upstream`. Connections are handled one at a time (attack tests are
+    /// sequential by nature): a client that keeps its connection holds the
+    /// relay until it disconnects or is dropped, and a second client is not
+    /// served before then. The mutator's frame index is per connection, so
+    /// it restarts at 0 only when a client dials again. Shutting the proxy
+    /// down cuts the relay in progress.
+    pub fn spawn(upstream: SocketAddr, mut mutator: Mutator) -> io::Result<TamperProxy> {
+        // Server→client: decode, mutate, re-frame (fresh, valid CRC).
+        let relay = Relay::spawn(upstream, move |server, client| {
+            let scratch = Arc::new(TransferCounters::new());
+            let mut reader = FrameReader::new(server.try_clone()?, Arc::clone(&scratch));
+            let mut writer = FrameWriter::new(client.try_clone()?, scratch);
+            let mut frame = 0u64;
+            while let Ok(Some(msg)) = reader.read_message() {
+                let action = mutator(frame, &msg);
+                frame += 1;
+                let result = match action {
+                    ProxyAction::Forward => writer.write_message(&msg),
+                    ProxyAction::Replace(replacement) => writer.write_message(&replacement),
+                    ProxyAction::Drop => continue,
+                };
+                if result.is_err() {
+                    break;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(TamperProxy { relay })
+    }
+
+    /// The proxy's listening address — point the client here.
+    pub fn addr(&self) -> SocketAddr {
+        self.relay.addr()
+    }
+
+    /// Stops the listener, cuts the relay in progress, and joins the
+    /// accept thread — which is what dropping the relay does.
+    pub fn shutdown(self) {}
 }

@@ -3,21 +3,25 @@
 //!
 //! A replica is a *recipient* in the paper's threat model (§2.2) that
 //! happens to keep what it receives: it tails the primary's record log
-//! over the ordinary FETCH/RESUME wire protocol, verifying every record
-//! on receipt exactly as [`Client::fetch_verified`](crate::Client) does,
-//! and persists what it verified into its own durable
-//! [`ProvenanceDb`]. Nothing the primary says is trusted:
+//! over the ordinary FETCH/RESUME wire protocol and persists what it
+//! verified into its own durable [`ProvenanceDb`]. The transfer itself —
+//! opening it, reading its frames, verifying on receipt, the verdict — is
+//! the client's ([`fetch_on`], the one [`Client::fetch_verified`](crate::Client)
+//! runs); this module supplies what a replica adds to it. Nothing the
+//! primary says is trusted:
 //!
-//! * **Catch-up** ([`Replica::catch_up`]) streams each offered object,
-//!   resuming from a sealed [`StreamingVerifier`] checkpoint persisted
-//!   through the storage [`Vfs`] seam ([`CheckpointStore`]) — a power
-//!   cycle mid-catch-up resumes from the last *durable, verified* offset
-//!   with a RESUME proof-of-position, never re-trusting records it
+//! * **Catch-up** ([`Replica::catch_up`]) runs that transfer for each
+//!   offered object, opened from a sealed [`StreamingVerifier`] checkpoint
+//!   persisted through the storage [`Vfs`] seam ([`CheckpointStore`]) — a
+//!   power cycle mid-catch-up resumes from the last *durable, verified*
+//!   offset with a RESUME proof-of-position, never re-trusting records it
 //!   already checked and never claiming records it cannot prove.
-//! * **Reconcile-by-content**: an arriving record that is byte-identical
-//!   to a local one is re-verified and skipped; one that *differs* from
-//!   verified local state is [`TamperEvidence::ReplicaDivergence`] — the
-//!   replica never overwrites verified history to "converge".
+//! * **Reconcile-by-content** (the transfer's record sink): an arriving
+//!   record that is byte-identical to a local one is re-verified and
+//!   skipped; one that *differs* from verified local state is
+//!   [`TamperEvidence::ReplicaDivergence`] — the replica never overwrites
+//!   verified history to "converge"; a new one is appended once verified,
+//!   the log fsynced before the checkpoint that covers it.
 //! * **Anti-entropy** ([`Replica::anti_entropy`]) exchanges Merkle roots
 //!   over the object-id space ([`tep_core::merkle`]) and descends only
 //!   into mismatching subtrees, locating a divergent object in O(log n)
@@ -43,17 +47,16 @@ use tep_core::merkle::{
 };
 use tep_core::metrics::TransferCounters;
 use tep_core::provenance::collect;
-use tep_core::streaming::{DepthStreamHasher, RecordStreamDigest};
+use tep_core::streaming::RecordStreamDigest;
 use tep_core::verify::{EvidenceCounters, EvidenceKind, StreamingVerifier, TamperEvidence};
-use tep_core::ProvenanceRecord;
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::KeyDirectory;
 use tep_model::{ObjectId, TenantId};
 use tep_obs::{names, Counter, Histogram, Registry};
-use tep_storage::{CheckpointStore, ProvenanceDb, Vfs};
+use tep_storage::{CheckpointStore, ProvenanceDb, StoredRecord, Vfs};
 
-use crate::client::{remote_error, resume_mismatch, scaled_read_timeout, Connection, NetError};
-use crate::wire::{ErrorCode, Message, OfferEntry, WireError, AE_SUMMARY_LEVEL};
+use crate::client::{fetch_on, Connection, NetError, RecordSink};
+use crate::wire::{Message, WireError, AE_SUMMARY_LEVEL};
 use crate::{Client, ClientConfig};
 
 /// Tuning for one replica.
@@ -240,11 +243,11 @@ impl Replica {
     /// would earn; local verified state is left untouched.
     pub fn catch_up(&self, keys: &KeyDirectory) -> Result<CatchUpReport, NetError> {
         let mut conn = self.dial()?;
-        let offer = conn.offer.clone();
+        let offered: Vec<ObjectId> = conn.offer.iter().map(|e| e.oid).collect();
         let mut local = self.local_index();
         let mut report = CatchUpReport::default();
-        for entry in &offer {
-            let one = self.sync_object(&mut conn, entry, keys, &mut local)?;
+        for oid in offered {
+            let one = self.sync_object(&mut conn, oid, keys, &mut local)?;
             report.absorb(one);
             report.objects += 1;
         }
@@ -422,14 +425,11 @@ impl Replica {
     ) -> Result<CatchUpReport, NetError> {
         self.checkpoint_store(oid).clear()?;
         let mut conn = self.dial()?;
-        let entry = conn
-            .offer
-            .iter()
-            .find(|e| e.oid == oid)
-            .cloned()
-            .ok_or(NetError::Protocol("divergent object is not offered"))?;
+        if !conn.offer.iter().any(|e| e.oid == oid) {
+            return Err(NetError::Protocol("divergent object is not offered"));
+        }
         let mut local = self.local_index();
-        match self.sync_object(&mut conn, &entry, keys, &mut local) {
+        match self.sync_object(&mut conn, oid, keys, &mut local) {
             Ok(r) => Ok(r),
             Err(NetError::TamperDetected { frame, mut issues }) => {
                 // Attribute the located depth on divergence evidence.
@@ -444,221 +444,48 @@ impl Replica {
         }
     }
 
-    /// Streams one offered object through verify-on-receive with
-    /// reconcile-by-content, batching durability as configured.
+    /// Synchronizes one offered object: the client's transfer
+    /// ([`fetch_on`]) opened from this replica's durable checkpoint and
+    /// streamed into a [`Reconciler`].
     fn sync_object(
         &self,
         conn: &mut Connection,
-        entry: &OfferEntry,
+        oid: ObjectId,
         keys: &KeyDirectory,
-        local: &mut HashMap<(ObjectId, u64), Vec<u8>>,
+        local: &mut LocalIndex,
     ) -> Result<CatchUpReport, NetError> {
-        let oid = entry.oid;
-        conn.set_read_timeout(scaled_read_timeout(self.cfg.read_timeout, entry.records))?;
         let ckpt = self.checkpoint_store(oid);
-        let mut report = CatchUpReport::default();
-
-        // Open: RESUME from a durable checkpoint when one restores AND
-        // still describes locally durable history, FETCH from zero
-        // otherwise. A checkpoint that fails to load or open is local
-        // damage, honestly treated as "start over" — never evidence. The
-        // local-history check matters after storage damage: a quarantined
-        // record leaves a hole the (still cryptographically valid)
-        // checkpoint would otherwise hide behind its resume proof forever.
-        let mut verifier: StreamingVerifier<'_>;
-        let mut streamed: u64;
+        // RESUME from the durable checkpoint when one restores AND still
+        // describes locally durable history, FETCH from zero otherwise. A
+        // checkpoint that fails to load or open is local damage, honestly
+        // treated as "start over" — never evidence. The local-history
+        // check matters after storage damage: a quarantined record leaves
+        // a hole the (still cryptographically valid) checkpoint would
+        // otherwise hide behind its resume proof forever.
         let restored = ckpt
             .load()?
             .and_then(|blob| StreamingVerifier::restore(keys, &blob).ok())
             .filter(|v| self.checkpoint_covers_local(oid, v));
-        match restored {
-            Some(v) => {
-                let claimed = v.records_checked() as u64;
-                let digest = v.stream_digest().to_vec();
-                conn.writer.write_message(&Message::Resume {
-                    oid,
-                    records: claimed,
-                    digest: digest.clone(),
-                })?;
-                let frame = conn.reader.frames();
-                match conn.reader.read_message()? {
-                    Some(Message::ResumeOk {
-                        records: confirmed,
-                        digest: theirs,
-                    }) => {
-                        if confirmed != claimed || theirs != digest {
-                            return Err(resume_mismatch(
-                                oid,
-                                claimed,
-                                confirmed,
-                                frame,
-                                &self.counters,
-                                self.registry.as_ref(),
-                            ));
-                        }
-                        report.resumed += 1;
-                        if let Some(obs) = &self.obs {
-                            obs.checkpoint_resumes.inc();
-                        }
-                        verifier = v;
-                        streamed = claimed;
-                    }
-                    Some(Message::Error {
-                        code: ErrorCode::ResumeMismatch,
-                        ..
-                    }) => {
-                        return Err(resume_mismatch(
-                            oid,
-                            claimed,
-                            0,
-                            frame,
-                            &self.counters,
-                            self.registry.as_ref(),
-                        ));
-                    }
-                    Some(Message::Error {
-                        code,
-                        retry_after_ms,
-                        detail,
-                    }) => return Err(remote_error(code, retry_after_ms, detail)),
-                    Some(_) => return Err(NetError::Protocol("expected RESUME_OK")),
-                    None => return Err(NetError::Interrupted),
-                }
-            }
-            None => {
-                conn.writer.write_message(&Message::Fetch { oid })?;
-                verifier = StreamingVerifier::new(keys, self.cfg.alg, oid);
-                if let Some(reg) = &self.registry {
-                    verifier.attach_obs(reg);
-                }
-                streamed = 0;
+        let mut sink = Reconciler {
+            replica: self,
+            ckpt,
+            local,
+            report: CatchUpReport::default(),
+            pending: 0,
+        };
+        let outcome = fetch_on(conn, oid, keys, restored, &mut sink);
+        let resumed = match &outcome {
+            Ok(transfer) => transfer.resumed,
+            Err(cut) => cut.resumed,
+        };
+        if resumed {
+            sink.report.resumed += 1;
+            if let Some(obs) = &self.obs {
+                obs.checkpoint_resumes.inc();
             }
         }
-
-        let mut hasher = DepthStreamHasher::new(self.cfg.alg);
-        let mut pending: u64 = 0;
-        loop {
-            let frame = conn.reader.frames();
-            let msg = match conn.reader.read_message() {
-                Ok(Some(m)) => m,
-                Ok(None) => return Err(NetError::Interrupted),
-                Err(e) => return Err(NetError::Wire(e)),
-            };
-            match msg {
-                Message::Prov { record } => {
-                    let rec = ProvenanceRecord::from_stored(&record)
-                        .map_err(|e| NetError::Wire(WireError::Decode(e)))?;
-                    streamed += 1;
-                    let key = (record.oid, record.seq_id);
-                    let bytes = record.to_bytes();
-                    match local.get(&key) {
-                        Some(mine) if *mine == bytes => {
-                            // Already durable and byte-identical: re-verify
-                            // into the rolling state, skip the append.
-                            if verifier.push_record(&rec) > 0 {
-                                self.counters.verify_failure();
-                                return Err(NetError::TamperDetected {
-                                    frame: Some(frame),
-                                    issues: verifier.issues().to_vec(),
-                                });
-                            }
-                            report.reverified += 1;
-                        }
-                        Some(_) => {
-                            // The primary's history conflicts with verified
-                            // local state. Never overwritten.
-                            self.record_evidence(EvidenceKind::ReplicaDivergence);
-                            return Err(NetError::TamperDetected {
-                                frame: Some(frame),
-                                issues: vec![TamperEvidence::ReplicaDivergence {
-                                    oid: key.0,
-                                    depth: 0,
-                                }],
-                            });
-                        }
-                        None => {
-                            if verifier.push_record(&rec) > 0 {
-                                self.counters.verify_failure();
-                                return Err(NetError::TamperDetected {
-                                    frame: Some(frame),
-                                    issues: verifier.issues().to_vec(),
-                                });
-                            }
-                            self.db.append(record).map_err(store_error)?;
-                            local.insert(key, bytes);
-                            report.new_records += 1;
-                            pending += 1;
-                            if pending >= self.cfg.batch {
-                                self.flush(&ckpt, &verifier, &mut pending)?;
-                            }
-                        }
-                    }
-                }
-                Message::Data { entries } => {
-                    for e in &entries {
-                        if hasher.push(e.depth as usize, e.id, &e.value).is_err() {
-                            self.counters.verify_failure();
-                            self.record_evidence(EvidenceKind::MalformedStream);
-                            return Err(NetError::Protocol("malformed replica data stream"));
-                        }
-                    }
-                }
-                Message::Done {
-                    records: sent_records,
-                    nodes: sent_nodes,
-                } => {
-                    let nodes = hasher.node_count();
-                    let Ok((object_hash, _)) = hasher.finish() else {
-                        self.counters.verify_failure();
-                        self.record_evidence(EvidenceKind::MalformedStream);
-                        return Err(NetError::Protocol("malformed replica data stream"));
-                    };
-                    // Durability *before* the final verdict: everything
-                    // appended was individually verified, and the sealed
-                    // checkpoint must never outrun the fsynced log.
-                    self.flush(&ckpt, &verifier, &mut pending)?;
-                    let verification = verifier.finish(&object_hash);
-                    if !verification.verified() {
-                        self.counters.verify_failure();
-                        return Err(NetError::TamperDetected {
-                            frame: None,
-                            issues: verification.issues,
-                        });
-                    }
-                    if sent_records != streamed || sent_nodes != nodes {
-                        return Err(NetError::Protocol("DONE totals disagree with transfer"));
-                    }
-                    return Ok(report);
-                }
-                Message::Error {
-                    code,
-                    retry_after_ms,
-                    detail,
-                } => return Err(remote_error(code, retry_after_ms, detail)),
-                _ => return Err(NetError::Protocol("unexpected message during transfer")),
-            }
-        }
-    }
-
-    /// Fsyncs the record log, then seals and persists the verifier state
-    /// that covers it. Crash between the two steps leaves the checkpoint
-    /// *behind* the log — the safe direction, reconciled by content on the
-    /// next catch-up.
-    fn flush(
-        &self,
-        ckpt: &CheckpointStore,
-        verifier: &StreamingVerifier<'_>,
-        pending: &mut u64,
-    ) -> Result<(), NetError> {
-        self.db.sync().map_err(store_error)?;
-        if let Some(blob) = verifier.checkpoint() {
-            ckpt.save(&blob)?;
-        }
-        if let Some(obs) = &self.obs {
-            obs.catchup_records.add(*pending);
-        }
-        *pending = 0;
-        Ok(())
+        outcome.map_err(|cut| cut.error)?;
+        Ok(sink.report)
     }
 
     /// `true` when the sealed checkpoint's verified prefix is still
@@ -686,8 +513,7 @@ impl Replica {
         d.current() == v.stream_digest()
     }
 
-    /// Byte index of everything locally durable, keyed by record slot.
-    fn local_index(&self) -> HashMap<(ObjectId, u64), Vec<u8>> {
+    fn local_index(&self) -> LocalIndex {
         self.db
             .all_records()
             .into_iter()
@@ -717,7 +543,94 @@ impl Replica {
             TenantId::DEFAULT,
             self.cfg.read_timeout,
             Arc::clone(&self.counters),
+            self.registry.clone(),
         )
+    }
+}
+
+/// Byte index of everything locally durable, keyed by record slot.
+type LocalIndex = HashMap<(ObjectId, u64), Vec<u8>>;
+
+/// The replica's side of a transfer: reconcile each arriving record with
+/// local history by content, append the verified new ones, and keep the log
+/// durable ahead of the checkpoint that covers it.
+struct Reconciler<'a> {
+    replica: &'a Replica,
+    ckpt: CheckpointStore,
+    local: &'a mut LocalIndex,
+    report: CatchUpReport,
+    /// New records appended since the last flush.
+    pending: u64,
+}
+
+impl Reconciler<'_> {
+    /// Fsyncs the record log, then seals and persists the verifier state
+    /// that covers it. Crash between the two steps leaves the checkpoint
+    /// *behind* the log — the safe direction, reconciled by content on the
+    /// next catch-up.
+    fn flush(&mut self, verifier: &StreamingVerifier<'_>) -> Result<(), NetError> {
+        self.replica.db.sync().map_err(store_error)?;
+        if let Some(blob) = verifier.checkpoint() {
+            self.ckpt.save(&blob)?;
+        }
+        if let Some(obs) = &self.replica.obs {
+            obs.catchup_records.add(self.pending);
+        }
+        self.pending = 0;
+        Ok(())
+    }
+}
+
+impl RecordSink for Reconciler<'_> {
+    /// A record that differs from the verified local one in its slot is
+    /// evidence before the verifier sees it: the primary's history
+    /// conflicts with verified local state, which is never overwritten.
+    fn arriving(&mut self, record: &StoredRecord, frame: u64) -> Result<(), NetError> {
+        match self.local.get(&(record.oid, record.seq_id)) {
+            Some(mine) if *mine != record.to_bytes() => {
+                self.replica
+                    .record_evidence(EvidenceKind::ReplicaDivergence);
+                Err(NetError::TamperDetected {
+                    frame: Some(frame),
+                    issues: vec![TamperEvidence::ReplicaDivergence {
+                        oid: record.oid,
+                        depth: 0,
+                    }],
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Already durable (and, having passed `arriving`, byte-identical): the
+    /// verifier re-verified it into its rolling state, skip the append.
+    /// Absent: append, and flush once a batch is pending.
+    fn verified(
+        &mut self,
+        record: StoredRecord,
+        verifier: &StreamingVerifier<'_>,
+    ) -> Result<(), NetError> {
+        let key = (record.oid, record.seq_id);
+        if self.local.contains_key(&key) {
+            self.report.reverified += 1;
+            return Ok(());
+        }
+        let bytes = record.to_bytes();
+        self.replica.db.append(record).map_err(store_error)?;
+        self.local.insert(key, bytes);
+        self.report.new_records += 1;
+        self.pending += 1;
+        if self.pending >= self.replica.cfg.batch {
+            self.flush(verifier)?;
+        }
+        Ok(())
+    }
+
+    /// Durability *before* the final verdict: everything appended was
+    /// individually verified, and the sealed checkpoint must never outrun
+    /// the fsynced log.
+    fn before_verdict(&mut self, verifier: &StreamingVerifier<'_>) -> Result<(), NetError> {
+        self.flush(verifier)
     }
 }
 

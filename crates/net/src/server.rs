@@ -738,6 +738,31 @@ impl<S: Read + Write> Conn<S> {
         }
     }
 
+    /// Refuses the request in progress with `ERR code`. The reply is owed
+    /// like any other (abortable) and the connection stays usable.
+    fn refuse(&mut self, code: ErrorCode, detail: impl Into<String>, env: &Env, now: Instant) {
+        self.refuse_with(code, 0, detail, true, env, now);
+    }
+
+    /// Queues `ERR code`, with a `Retry-After` hint when `retry_after_ms`
+    /// is non-zero. Whether the connection then closes is the caller's call.
+    fn refuse_with(
+        &mut self,
+        code: ErrorCode,
+        retry_after_ms: u64,
+        detail: impl Into<String>,
+        abortable: bool,
+        env: &Env,
+        now: Instant,
+    ) {
+        let refusal = Message::Error {
+            code,
+            retry_after_ms,
+            detail: detail.into(),
+        };
+        self.queue_frame(&refusal, abortable, env, now);
+    }
+
     /// Drains the write backlog as far as the socket allows.
     fn flush(&mut self, obs: &ServerObs, now: Instant) {
         while !self.closed && self.pending_write() > 0 {
@@ -844,12 +869,10 @@ fn past_deadline(deadline: Option<Instant>) -> bool {
 /// stopped), so the hint is small and flat.
 fn refuse_deadline<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
     env.obs.deadline_closes.inc();
-    conn.queue_frame(
-        &Message::Error {
-            code: ErrorCode::Deadline,
-            retry_after_ms: 10,
-            detail: "request deadline exceeded; reconnect and RESUME".into(),
-        },
+    conn.refuse_with(
+        ErrorCode::Deadline,
+        10,
+        "request deadline exceeded; reconnect and RESUME",
         true,
         env,
         now,
@@ -900,26 +923,15 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
         tenant,
     } = msg
     else {
-        conn.queue_frame(
-            &Message::Error {
-                code: ErrorCode::BadRequest,
-                retry_after_ms: 0,
-                detail: "expected HELLO".into(),
-            },
-            false,
-            env,
-            now,
-        );
+        conn.refuse_with(ErrorCode::BadRequest, 0, "expected HELLO", false, env, now);
         conn.drain_then_close();
         return;
     };
     if version != WIRE_VERSION {
-        conn.queue_frame(
-            &Message::Error {
-                code: ErrorCode::VersionMismatch,
-                retry_after_ms: 0,
-                detail: format!("server speaks v{WIRE_VERSION}, client sent v{version}"),
-            },
+        conn.refuse_with(
+            ErrorCode::VersionMismatch,
+            0,
+            format!("server speaks v{WIRE_VERSION}, client sent v{version}"),
             false,
             env,
             now,
@@ -933,12 +945,10 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
             // Unprovisioned and disabled are deliberately the same answer:
             // a probe cannot distinguish "never existed" from "suspended".
             env.obs.tenant_rejections.inc();
-            conn.queue_frame(
-                &Message::Error {
-                    code: ErrorCode::UnknownTenant,
-                    retry_after_ms: 0,
-                    detail: format!("tenant t{tenant} is not provisioned here"),
-                },
+            conn.refuse_with(
+                ErrorCode::UnknownTenant,
+                0,
+                format!("tenant t{tenant} is not provisioned here"),
                 false,
                 env,
                 now,
@@ -948,15 +958,13 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
         }
     };
     if alg != ten.catalog.alg() {
-        conn.queue_frame(
-            &Message::Error {
-                code: ErrorCode::VersionMismatch,
-                retry_after_ms: 0,
-                detail: format!(
-                    "tenant t{tenant} serves {:?}, client sent {alg:?}",
-                    ten.catalog.alg()
-                ),
-            },
+        conn.refuse_with(
+            ErrorCode::VersionMismatch,
+            0,
+            format!(
+                "tenant t{tenant} serves {:?}, client sent {alg:?}",
+                ten.catalog.alg()
+            ),
             false,
             env,
             now,
@@ -970,12 +978,10 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
         env.obs.tenant_quota_sheds.inc();
         ten.shed.inc();
         ten.quota_sheds.inc();
-        conn.queue_frame(
-            &Message::Error {
-                code: ErrorCode::Busy,
-                retry_after_ms: shed_retry_after_ms(active),
-                detail: format!("tenant t{tenant} connection quota reached"),
-            },
+        conn.refuse_with(
+            ErrorCode::Busy,
+            shed_retry_after_ms(active),
+            format!("tenant t{tenant} connection quota reached"),
             false,
             env,
             now,
@@ -1045,13 +1051,9 @@ fn on_request<S: Read + Write>(
             };
             let total = prov.records.len() as u64;
             if records > total {
-                conn.queue_frame(
-                    &Message::Error {
-                        code: ErrorCode::ResumeMismatch,
-                        retry_after_ms: 0,
-                        detail: format!("resume offset {records} beyond end of stream ({total})"),
-                    },
-                    true,
+                conn.refuse(
+                    ErrorCode::ResumeMismatch,
+                    format!("resume offset {records} beyond end of stream ({total})"),
                     env,
                     now,
                 );
@@ -1062,13 +1064,9 @@ fn on_request<S: Read + Write>(
                 ours.push(&record.to_stored().to_bytes());
             }
             if ours.current() != digest.as_slice() {
-                conn.queue_frame(
-                    &Message::Error {
-                        code: ErrorCode::ResumeMismatch,
-                        retry_after_ms: 0,
-                        detail: format!("record-stream digest disagrees at offset {records}"),
-                    },
-                    true,
+                conn.refuse(
+                    ErrorCode::ResumeMismatch,
+                    format!("record-stream digest disagrees at offset {records}"),
                     env,
                     now,
                 );
@@ -1105,14 +1103,9 @@ fn on_request<S: Read + Write>(
                     // type byte + proof) so the client verifies an atomic
                     // unit; an answer past the cap is refused, not split.
                     if bytes.len() + 1 > MAX_FRAME {
-                        conn.queue_frame(
-                            &Message::Error {
-                                code: ErrorCode::BadRequest,
-                                retry_after_ms: 0,
-                                detail: "slice proof exceeds frame cap; tighten the query bounds"
-                                    .into(),
-                            },
-                            true,
+                        conn.refuse(
+                            ErrorCode::BadRequest,
+                            "slice proof exceeds frame cap; tighten the query bounds",
                             env,
                             now,
                         );
@@ -1132,16 +1125,7 @@ fn on_request<S: Read + Write>(
                             ErrorCode::BadRequest
                         }
                     };
-                    conn.queue_frame(
-                        &Message::Error {
-                            code,
-                            retry_after_ms: 0,
-                            detail: e.to_string(),
-                        },
-                        true,
-                        env,
-                        now,
-                    );
+                    conn.refuse(code, e.to_string(), env, now);
                 }
             }
         }
@@ -1174,13 +1158,9 @@ fn on_request<S: Read + Write>(
             };
             match reply {
                 Some(resp) => conn.queue_frame(&resp, true, env, now),
-                None => conn.queue_frame(
-                    &Message::Error {
-                        code: ErrorCode::BadRequest,
-                        retry_after_ms: 0,
-                        detail: format!("no anti-entropy node at level {level} index {index}"),
-                    },
-                    true,
+                None => conn.refuse(
+                    ErrorCode::BadRequest,
+                    format!("no anti-entropy node at level {level} index {index}"),
                     env,
                     now,
                 ),
@@ -1188,27 +1168,18 @@ fn on_request<S: Read + Write>(
         }
         Message::RangeReq { lo, hi } => {
             if lo > hi {
-                conn.queue_frame(
-                    &Message::Error {
-                        code: ErrorCode::BadRequest,
-                        retry_after_ms: 0,
-                        detail: format!("range lower bound {lo} exceeds upper bound {hi}"),
-                    },
-                    true,
+                conn.refuse(
+                    ErrorCode::BadRequest,
+                    format!("range lower bound {lo} exceeds upper bound {hi}"),
                     env,
                     now,
                 );
                 return;
             }
             if ten.catalog.signer.is_none() {
-                conn.queue_frame(
-                    &Message::Error {
-                        code: ErrorCode::BadRequest,
-                        retry_after_ms: 0,
-                        detail: "server has no signing identity; completeness proofs unavailable"
-                            .into(),
-                    },
-                    true,
+                conn.refuse(
+                    ErrorCode::BadRequest,
+                    "server has no signing identity; completeness proofs unavailable",
                     env,
                     now,
                 );
@@ -1216,13 +1187,9 @@ fn on_request<S: Read + Write>(
             }
             let tree = ten.shard_tree();
             let Some(root) = ten.signed_root(&tree) else {
-                conn.queue_frame(
-                    &Message::Error {
-                        code: ErrorCode::BadRequest,
-                        retry_after_ms: 0,
-                        detail: "signing the shard root failed".into(),
-                    },
-                    true,
+                conn.refuse(
+                    ErrorCode::BadRequest,
+                    "signing the shard root failed",
                     env,
                     now,
                 );
@@ -1235,13 +1202,9 @@ fn on_request<S: Read + Write>(
             let oids: Vec<ObjectId> = range.proof.members.iter().map(|m| m.oid).collect();
             let bytes = range.to_bytes();
             if bytes.len() + oids.len() * 8 + 16 > MAX_FRAME {
-                conn.queue_frame(
-                    &Message::Error {
-                        code: ErrorCode::BadRequest,
-                        retry_after_ms: 0,
-                        detail: "range proof exceeds frame cap; tighten the bounds".into(),
-                    },
-                    true,
+                conn.refuse(
+                    ErrorCode::BadRequest,
+                    "range proof exceeds frame cap; tighten the bounds",
                     env,
                     now,
                 );
@@ -1251,12 +1214,10 @@ fn on_request<S: Read + Write>(
             conn.queue_frame(&Message::RangeResp { oids, proof: bytes }, true, env, now);
         }
         _ => {
-            conn.queue_frame(
-                &Message::Error {
-                    code: ErrorCode::BadRequest,
-                    retry_after_ms: 0,
-                    detail: "expected FETCH, RESUME, QUERY, RANGE, AE, or STATS".into(),
-                },
+            conn.refuse_with(
+                ErrorCode::BadRequest,
+                0,
+                "expected FETCH, RESUME, QUERY, RANGE, AE, or STATS",
                 false,
                 env,
                 now,
@@ -1318,13 +1279,9 @@ fn lookup<S: Read + Write>(
 ) -> Option<ProvenanceObject> {
     if !ten.catalog.is_offered(oid) || !ten.catalog.forest.contains(oid) {
         if !deny(conn, oid, env, ten, now) {
-            conn.queue_frame(
-                &Message::Error {
-                    code: ErrorCode::UnknownObject,
-                    retry_after_ms: 0,
-                    detail: format!("object {oid} is not offered"),
-                },
-                true,
+            conn.refuse(
+                ErrorCode::UnknownObject,
+                format!("object {oid} is not offered"),
                 env,
                 now,
             );
@@ -1335,13 +1292,9 @@ fn lookup<S: Read + Write>(
         Ok(p) => Some(p),
         Err(_) => {
             if !deny(conn, oid, env, ten, now) {
-                conn.queue_frame(
-                    &Message::Error {
-                        code: ErrorCode::UnknownObject,
-                        retry_after_ms: 0,
-                        detail: format!("object {oid} has no provenance"),
-                    },
-                    true,
+                conn.refuse(
+                    ErrorCode::UnknownObject,
+                    format!("object {oid} has no provenance"),
                     env,
                     now,
                 );
@@ -1614,12 +1567,10 @@ impl EventLoop {
                         self.env.obs.busy_rejections.inc();
                         self.env.obs.shed.inc();
                         conn.refused = true;
-                        conn.queue_frame(
-                            &Message::Error {
-                                code: ErrorCode::Busy,
-                                retry_after_ms: shed_retry_after_ms(active),
-                                detail: "accept queue full".into(),
-                            },
+                        conn.refuse_with(
+                            ErrorCode::Busy,
+                            shed_retry_after_ms(active),
+                            "accept queue full",
                             false,
                             &self.env,
                             now,

@@ -35,7 +35,7 @@ use tep_crypto::pki::{CertificateAuthority, KeyDirectory, Participant, Participa
 use tep_model::{AggregateMode, ObjectId, Value};
 use tep_net::wire::Message;
 use tep_net::{
-    serve, serve_with_registry, AeStatus, Catalog, ClientConfig, FanoutFetcher, FaultKind,
+    serve, serve_with_registry, AeStatus, Catalog, Client, ClientConfig, FanoutFetcher, FaultKind,
     FaultListener, FaultPlan, NetError, ProxyAction, Replica, ReplicaConfig, ServerConfig,
     ServerHandle, TamperProxy,
 };
@@ -524,6 +524,175 @@ fn tampered_catch_up_stream_is_attributed_and_never_persisted() {
     // Whatever was persisted before the abort is verified history.
     assert_verified_subset(repl.db(), &w.db);
     proxy.shutdown();
+    srv.shutdown();
+}
+
+/// A DENIAL has to prove itself to a replica exactly as it does to a
+/// client: a man-in-the-middle answering the catch-up FETCH with a denial
+/// whose proof is garbage earns `ForgedDenial`, counted once, and nothing
+/// is appended.
+#[test]
+fn forged_denial_during_catch_up_is_attributed_and_nothing_is_appended() {
+    let w = build_primary(1000);
+    let srv = w.serve();
+    let mut replaced = false;
+    let proxy = TamperProxy::spawn(
+        srv.addr(),
+        Box::new(move |_frame, msg| match msg {
+            Message::Prov { .. } if !replaced => {
+                replaced = true;
+                ProxyAction::Replace(Message::Denial {
+                    proof: vec![0xDE; 48],
+                })
+            }
+            _ => ProxyAction::Forward,
+        }),
+    )
+    .unwrap();
+
+    let reg = Registry::new();
+    let (mut repl, _vfs) = fresh_replica(proxy.addr(), FaultConfig::default());
+    repl.attach_obs(&reg);
+    let err = repl.catch_up(&w.keys).unwrap_err();
+    assert_eq!(evidence_kinds(&err), vec![EvidenceKind::ForgedDenial]);
+    assert_eq!(
+        evidence_counts(&reg),
+        vec![("tep_core_evidence_forged_denial_total".to_string(), 1)]
+    );
+    assert_eq!(
+        repl.db().len(),
+        0,
+        "a forged denial must not persist anything"
+    );
+    proxy.shutdown();
+    srv.shutdown();
+}
+
+/// Evidence found *after* a catch-up resumed from its durable checkpoint
+/// reaches the counters like any other: the restored verifier reports into
+/// the replica's registry.
+#[test]
+fn tamper_after_a_checkpoint_resume_is_counted_exactly_once() {
+    let mut w = build_primary(1000);
+    let srv = w.serve();
+    let (repl, vfs) = fresh_replica(srv.addr(), FaultConfig::default());
+    repl.catch_up(&w.keys).unwrap();
+    srv.shutdown();
+
+    // The primary moves on; the newest record is the one tampered in flight.
+    for i in 0..3i64 {
+        w.tracker
+            .update(&w.signer, w.a, Value::Int(2000 + i))
+            .unwrap();
+    }
+    let last = collect(&w.db, w.a)
+        .unwrap()
+        .records
+        .last()
+        .cloned()
+        .unwrap();
+    let srv = w.serve();
+    let proxy = TamperProxy::spawn(
+        srv.addr(),
+        tamper_mutator(Tamper::FlipOutputHash {
+            oid: last.output_oid,
+            seq: last.seq_id,
+        }),
+    )
+    .unwrap();
+
+    let reg = Registry::new();
+    let before = record_set(repl.db());
+    let mut resumed = rebind(&repl, &vfs, proxy.addr());
+    resumed.attach_obs(&reg);
+    let err = resumed.catch_up(&w.keys).unwrap_err();
+    assert_eq!(evidence_kinds(&err), vec![EvidenceKind::BadSignature]);
+    assert_eq!(
+        reg.counter_value("tep_net_repl_checkpoint_resumes_total"),
+        1,
+        "the tampered object's transfer must have opened with RESUME"
+    );
+    assert_eq!(
+        evidence_counts(&reg),
+        vec![("tep_core_evidence_bad_signature_total".to_string(), 1)]
+    );
+    // The two clean records ahead of the flipped one were verified and kept.
+    assert_eq!(resumed.db().len(), before.len() + 2);
+    assert_verified_subset(resumed.db(), &w.db);
+    proxy.shutdown();
+    srv.shutdown();
+}
+
+/// Two ways to bend the stream's shape, each refused by a replica with the
+/// very rejection a fetching client gives (same variant, same frame): a
+/// PROV frame after the DATA frames, and a DATA frame whose depth tags
+/// skip a level — the latter counted as `malformed_stream` evidence.
+#[test]
+fn misshapen_streams_are_refused_by_a_replica_exactly_as_by_a_client() {
+    let w = build_primary(1000);
+    let srv = w.serve();
+    type Scenario = (&'static str, fn() -> tep_net::proxy::Mutator, u64);
+    let scenarios: [Scenario; 2] = [
+        (
+            "PROV after DATA",
+            || {
+                let mut first_prov = None;
+                Box::new(move |_frame, msg| match msg {
+                    Message::Prov { .. } if first_prov.is_none() => {
+                        first_prov = Some(msg.clone());
+                        ProxyAction::Forward
+                    }
+                    Message::Done { .. } => ProxyAction::Replace(first_prov.clone().unwrap()),
+                    _ => ProxyAction::Forward,
+                })
+            },
+            0,
+        ),
+        (
+            "malformed data stream",
+            || {
+                Box::new(|_frame, msg| {
+                    let Message::Data { entries } = msg else {
+                        return ProxyAction::Forward;
+                    };
+                    let mut entries = entries.clone();
+                    entries[0].depth = 3;
+                    ProxyAction::Replace(Message::Data { entries })
+                })
+            },
+            1,
+        ),
+    ];
+    for (name, mutator, malformed_evidence) in scenarios {
+        let proxy = TamperProxy::spawn(srv.addr(), mutator()).unwrap();
+        let mut client = Client::new(proxy.addr(), ClientConfig::new(ALG));
+        let to_client = client.fetch_verified(w.a, &w.keys).unwrap_err();
+        drop(client);
+        proxy.shutdown();
+
+        let proxy = TamperProxy::spawn(srv.addr(), mutator()).unwrap();
+        let reg = Registry::new();
+        let (mut repl, _vfs) = fresh_replica(proxy.addr(), FaultConfig::default());
+        repl.attach_obs(&reg);
+        let to_replica = repl.catch_up(&w.keys).unwrap_err();
+        proxy.shutdown();
+
+        assert!(
+            format!("{to_replica}").contains(name),
+            "{name}: got {to_replica}"
+        );
+        assert_eq!(
+            format!("{to_replica:?}"),
+            format!("{to_client:?}"),
+            "{name}"
+        );
+        assert_eq!(
+            reg.counter_value("tep_core_evidence_malformed_stream_total"),
+            malformed_evidence,
+            "{name}"
+        );
+        assert_verified_subset(repl.db(), &w.db);
+    }
     srv.shutdown();
 }
 

@@ -432,6 +432,87 @@ fn forged_resume_ok_is_tamper_evidence_and_never_retried() {
     srv.shutdown();
 }
 
+/// Relays one client connection to `upstream` frame by frame, request then
+/// reply; with `hang_up_on_resume`, closes both sides the moment the
+/// client's RESUME has been read — a cut at the frame boundary, with the
+/// client waiting for RESUME_OK.
+fn relay_scripted(client: TcpStream, upstream: SocketAddr, hang_up_on_resume: bool) {
+    let counters = Arc::new(TransferCounters::new());
+    let server = TcpStream::connect(upstream).unwrap();
+    let mut from_client = FrameReader::new(client.try_clone().unwrap(), Arc::clone(&counters));
+    let mut to_client = FrameWriter::new(client, Arc::clone(&counters));
+    let mut from_server = FrameReader::new(server.try_clone().unwrap(), Arc::clone(&counters));
+    let mut to_server = FrameWriter::new(server, counters);
+    while let Ok(Some(request)) = from_client.read_message() {
+        if hang_up_on_resume && matches!(request, Message::Resume { .. }) {
+            return;
+        }
+        if to_server.write_message(&request).is_err() {
+            return;
+        }
+        loop {
+            let Ok(Some(reply)) = from_server.read_message() else {
+                return;
+            };
+            let last = matches!(
+                (&request, &reply),
+                (Message::Hello { .. }, Message::Offer { .. })
+                    | (_, Message::Done { .. } | Message::Error { .. })
+            );
+            if to_client.write_message(&reply).is_err() {
+                return;
+            }
+            if last {
+                break;
+            }
+        }
+    }
+}
+
+/// A cut while the client waits for RESUME_OK is a cut like any other
+/// (DESIGN §6.6): `Interrupted`, retried, and the checkpoint that opened
+/// the failed attempt opens the next one too.
+#[test]
+fn cut_while_awaiting_resume_ok_is_retried_and_still_resumes() {
+    let w = world();
+    let srv = start_server();
+    // Connection 1 is cut after four verified records, so connection 2
+    // opens with RESUME — and is hung up on; connection 3 goes through.
+    let fl = FaultListener::spawn(
+        srv.addr(),
+        FaultPlan {
+            kind: FaultKind::CutBoundary,
+            frame: 6,
+            seed: 6,
+            once: true,
+        },
+    )
+    .unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let upstream = fl.addr();
+    let script = std::thread::spawn(move || {
+        for connection in 1..=3 {
+            let (client, _) = listener.accept().unwrap();
+            relay_scripted(client, upstream, connection == 2);
+        }
+    });
+
+    let mut cl = resume_client(addr);
+    let rep = cl
+        .fetch_verified(w.chain, &w.keys)
+        .expect("a cut awaiting RESUME_OK must be retried, not terminal");
+    assert_eq!(rep.resumed, 1, "the third connection resumes");
+    assert_eq!(rep.records, w.prov.records.len() as u64);
+    assert_eq!(rep.object_hash, w.chain_hash);
+    assert_eq!(cl.counters().retries, 2);
+    assert_eq!(srv.registry().counter_value(names::NET_RESUMES), 1);
+    drop(cl);
+    script.join().unwrap();
+    fl.shutdown();
+    srv.shutdown();
+}
+
 #[test]
 fn shed_watermark_refuses_with_busy_and_retry_after_hint() {
     let w = world();

@@ -8,8 +8,9 @@
 //!   CRC-framed log on a [`FaultVfs`], power-cycle, reopen, re-collect,
 //!   and verify via [`Verifier::verify_recovered`];
 //! * **wire** — serve the honest catalog and replay the tamper in flight
-//!   through a [`TamperProxy`], letting the client's streaming verifier
-//!   catch it;
+//!   through a [`TamperProxy`], letting the receiver's streaming verifier
+//!   catch it — once with a fetching [`Client`] as the receiver, once with
+//!   a [`Replica`] catching up;
 //! * **query slice** — plant the tamper inside a [`SliceProof`] answering a
 //!   lineage query over the same history, and let the recipient's
 //!   [`Verifier::verify_slice`] attribute it;
@@ -479,6 +480,30 @@ fn wire_mutator(w: &World, attack: &Attack) -> Option<Mutator> {
     }
 }
 
+/// Whoever receives a transfer gets the same scrutiny (§2.2): the wire
+/// surface runs each attack against a fetching client and against a fresh
+/// replica catching up into a durable store. Both return the rejection.
+type Receiver = fn(&World, SocketAddr, &Registry) -> Result<(), NetError>;
+
+fn receivers() -> [(&'static str, Receiver); 2] {
+    [
+        ("client", |w, addr, reg| {
+            let mut client = Client::new(addr, ClientConfig::new(ALG));
+            client.attach_obs(reg);
+            client.fetch_verified(w.doc, &w.keys).map(drop)
+        }),
+        ("replica", |w, addr, reg| {
+            let vfs = FaultVfs::new(FaultConfig::default());
+            let log = Path::new("/wire-replica.teplog");
+            let db = Arc::new(ProvenanceDb::durable_with(vfs.clone(), log).unwrap());
+            let ckpts = PathBuf::from("/wire-ckpt");
+            let mut repl = Replica::new(addr, ReplicaConfig::new(ALG), db, vfs, ckpts);
+            repl.attach_obs(reg);
+            repl.catch_up(&w.keys).map(drop)
+        }),
+    ]
+}
+
 #[test]
 fn wire_surface_detects_every_expressible_attack() {
     let w = world();
@@ -490,33 +515,34 @@ fn wire_surface_detects_every_expressible_attack() {
     .unwrap();
     let mut covered = 0;
     for case in cases() {
-        let Some(mutator) = wire_mutator(w, &case.attack) else {
+        if wire_mutator(w, &case.attack).is_none() {
             continue;
-        };
-        covered += 1;
-        let ctx = format!("{} ({}, wire)", case.guarantee, case.name);
-        let proxy = TamperProxy::spawn(srv.addr(), mutator).unwrap();
-        let reg = Registry::new();
-        let mut client = Client::new(proxy.addr(), ClientConfig::new(ALG));
-        client.attach_obs(&reg);
-        match client.fetch_verified(w.doc, &w.keys) {
-            Err(NetError::TamperDetected { issues, .. }) => {
-                assert!(
-                    issues.iter().any(|i| i.kind() == case.expect),
-                    "{ctx}: expected {:?} among {:?}",
-                    case.expect,
-                    issues,
-                );
-                assert_evidence_counters(&reg, &issues, &ctx);
-            }
-            other => panic!("{ctx}: expected TamperDetected, got {other:?}"),
         }
-        assert_eq!(
-            reg.counter_value("tep_net_verify_failures_total"),
-            1,
-            "{ctx}: transfer failure not counted",
-        );
-        proxy.shutdown();
+        covered += 1;
+        for (receiver, receive) in receivers() {
+            let ctx = format!("{} ({}, wire, {receiver})", case.guarantee, case.name);
+            let mutator = wire_mutator(w, &case.attack).unwrap();
+            let proxy = TamperProxy::spawn(srv.addr(), mutator).unwrap();
+            let reg = Registry::new();
+            match receive(w, proxy.addr(), &reg) {
+                Err(NetError::TamperDetected { issues, .. }) => {
+                    assert!(
+                        issues.iter().any(|i| i.kind() == case.expect),
+                        "{ctx}: expected {:?} among {:?}",
+                        case.expect,
+                        issues,
+                    );
+                    assert_evidence_counters(&reg, &issues, &ctx);
+                }
+                other => panic!("{ctx}: expected TamperDetected, got {other:?}"),
+            }
+            assert_eq!(
+                reg.counter_value("tep_net_verify_failures_total"),
+                1,
+                "{ctx}: transfer failure not counted",
+            );
+            proxy.shutdown();
+        }
     }
     // R1 (×3), R2, R4, R5, R7, R8 all have wire forms.
     assert_eq!(covered, 8, "wire coverage shrank");

@@ -819,8 +819,8 @@ impl<'a> Verifier<'a> {
                 |oid, seq| {
                     index
                         .get(&(oid, seq))
-                        .map(|p| p.checksum.clone())
-                        .or_else(|| boundary.get(&(oid, seq)).map(|c| c.to_vec()))
+                        .map(|p| p.checksum.as_slice())
+                        .or_else(|| boundary.get(&(oid, seq)).copied())
                 },
                 &mut v.issues,
             );
@@ -987,12 +987,12 @@ impl<'a> Verifier<'a> {
             |oid, seq| {
                 index
                     .get(&(oid, seq))
-                    .map(|p| p.checksum.clone())
+                    .map(|p| p.checksum.as_slice())
                     .or_else(|| {
                         prior
                             .get(&oid)
                             .filter(|(s, _)| *s == seq)
-                            .map(|(_, c)| c.clone())
+                            .map(|(_, c)| c.as_slice())
                     })
             },
             &mut v.issues,
@@ -1120,14 +1120,14 @@ fn check_record_shape(r: &ProvenanceRecord, issues: &mut Vec<TamperEvidence>) {
 /// Checks one record's checksum signature, resolving predecessor checksums
 /// through `lookup_prev`; missing predecessors are R2/R7 evidence and skip
 /// the signature check (it could not possibly pass).
-fn check_record_signature(
+fn check_record_signature<'a>(
     keys: &KeyDirectory,
     alg: HashAlgorithm,
     r: &ProvenanceRecord,
-    lookup_prev: impl Fn(ObjectId, u64) -> Option<Vec<u8>>,
+    lookup_prev: impl Fn(ObjectId, u64) -> Option<&'a [u8]>,
     issues: &mut Vec<TamperEvidence>,
 ) {
-    let mut prev_checksums: Vec<Vec<u8>> = Vec::new();
+    let mut prev_checksums: Vec<&[u8]> = Vec::new();
     let mut resolvable = true;
     for input in &r.inputs {
         let Some(prev) = input.prev_seq else { continue };
@@ -1152,8 +1152,7 @@ fn check_record_signature(
         });
         return;
     }
-    let prev_refs: Vec<&[u8]> = prev_checksums.iter().map(Vec::as_slice).collect();
-    let msg = r.message(alg, &prev_refs);
+    let msg = r.message(alg, &prev_checksums);
     // A batch member proves itself: its path folds its own leaf up to the
     // root the participant signed, so a bad index, path, leaf or signature
     // fails this record and no other.
@@ -1311,7 +1310,7 @@ impl<'a> StreamingVerifier<'a> {
             self.keys,
             self.alg,
             r,
-            |oid, seq| checksums.get(&(oid, seq)).cloned(),
+            |oid, seq| checksums.get(&(oid, seq)).map(Vec::as_slice),
             &mut self.issues,
         );
 

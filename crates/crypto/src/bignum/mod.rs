@@ -11,7 +11,6 @@
 //! maintain this invariant.
 
 mod div;
-mod karatsuba;
 mod modular;
 mod ops;
 mod prime;
@@ -119,12 +118,15 @@ impl BigUint {
     ///
     /// Returns `None` if the value does not fit in `len` bytes.
     pub fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
-        let raw = self.to_bytes_be();
-        if raw.len() > len {
+        if self.bit_len().div_ceil(8) > len {
             return None;
         }
-        let mut out = vec![0u8; len - raw.len()];
-        out.extend_from_slice(&raw);
+        let mut out = vec![0u8; len];
+        // Limb i fills the i-th 8-byte chunk from the end; a short leading
+        // chunk takes the limb's low bytes (its high ones are zero: it fits).
+        for (chunk, limb) in out.rchunks_mut(8).zip(&self.limbs) {
+            chunk.copy_from_slice(&limb.to_be_bytes()[8 - chunk.len()..]);
+        }
         Some(out)
     }
 

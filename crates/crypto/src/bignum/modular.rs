@@ -4,10 +4,30 @@
 //! [`MontgomeryCtx`] implements the CIOS (coarsely integrated operand
 //! scanning) variant of Montgomery multiplication over `u64` limbs, which is
 //! what makes RSA signing practical without external crypto crates. Odd
-//! moduli only — exactly what RSA and Miller–Rabin need; `modpow` falls back
-//! to division-based reduction for even moduli so it stays total.
+//! moduli only — exactly what RSA and Miller–Rabin need; `BigUint::modpow`
+//! splits an even modulus into its odd part and a power of two so it stays
+//! total.
+//!
+//! There is one CIOS body ([`cios`]). A modulus of 4, 8, 16 or 32 limbs —
+//! the prime and modulus widths of RSA-512/1024/2048 — enters it through
+//! [`cios_fixed`], where the limb count is a compile-time constant and the
+//! inner loops unroll (a 16-limb product takes 0.7× the time it takes
+//! through the run-time-width entry: EXPERIMENTS.md "Crypto kernel"); every
+//! other width runs the same body on run-time lengths. An exponentiation
+//! keeps its operands in stack buffers up to [`STACK_LIMBS`] limbs and
+//! ping-pongs the accumulator between two of them, so it allocates nothing
+//! below that width.
 
 use super::BigUint;
+
+/// Widest modulus whose exponentiation scratch lives on the stack
+/// (2048 bits); wider ones fall back to one heap buffer.
+const STACK_LIMBS: usize = 32;
+
+/// Sliding-window width for exponents too long for the binary ladder: the
+/// table holds the 16 odd powers `base^1, base^3, … base^31`.
+const WINDOW: usize = 5;
+const TABLE: usize = 1 << (WINDOW - 1);
 
 /// Precomputed Montgomery-domain parameters for a fixed odd modulus.
 #[derive(Clone, Debug)]
@@ -15,8 +35,8 @@ pub struct MontgomeryCtx {
     n: BigUint,
     /// `-n[0]^{-1} mod 2^64`.
     n0inv: u64,
-    /// `R^2 mod n` where `R = 2^(64·k)`.
-    rr: BigUint,
+    /// `R^2 mod n` where `R = 2^(64·k)`, padded to `k` limbs.
+    rr: Vec<u64>,
 }
 
 impl MontgomeryCtx {
@@ -29,7 +49,8 @@ impl MontgomeryCtx {
         assert!(!n.is_one() && !n.is_zero(), "modulus must exceed 1");
         let k = n.limbs.len();
         let n0inv = inv64(n.limbs[0]).wrapping_neg();
-        let rr = BigUint::one().shl_bits(128 * k).rem_ref(n);
+        let mut rr = BigUint::one().shl_bits(128 * k).rem_ref(n).limbs;
+        rr.resize(k, 0);
         MontgomeryCtx {
             n: n.clone(),
             n0inv,
@@ -49,155 +70,231 @@ impl MontgomeryCtx {
 
     /// Converts `x < n` into the Montgomery domain (`x·R mod n`).
     pub fn to_mont(&self, x: &BigUint) -> Vec<u64> {
-        let mut xl = x.limbs.clone();
-        xl.resize(self.n.limbs.len(), 0);
-        let mut rr = self.rr.limbs.clone();
-        rr.resize(self.n.limbs.len(), 0);
-        self.mont_mul(&xl, &rr)
+        let k = self.limb_count();
+        let (mut stack, mut heap) = ([0u64; STACK_LIMBS], Vec::new());
+        let mut out = vec![0u64; k];
+        self.to_mont_into(x, scratch(&mut stack, &mut heap, k), &mut out);
+        out
+    }
+
+    /// `out = x·R mod n` for any `x` (reduced first if `x >= n`); `padded`
+    /// is `k` limbs of scratch.
+    fn to_mont_into(&self, x: &BigUint, padded: &mut [u64], out: &mut [u64]) {
+        let reduced;
+        let x = if x < &self.n {
+            x
+        } else {
+            reduced = x.rem_ref(&self.n);
+            &reduced
+        };
+        padded.fill(0);
+        padded[..x.limbs.len()].copy_from_slice(&x.limbs);
+        self.mont_mul(padded, &self.rr, out);
     }
 
     /// Converts a Montgomery-domain value back to the ordinary domain.
     pub fn from_mont(&self, x: &[u64]) -> BigUint {
-        let one = {
-            let mut v = vec![0u64; self.n.limbs.len()];
-            v[0] = 1;
-            v
-        };
-        BigUint::from_limbs(self.mont_mul(x, &one))
+        let k = self.limb_count();
+        let (mut stack, mut heap) = ([0u64; 2 * STACK_LIMBS], Vec::new());
+        let (one, out) = scratch(&mut stack, &mut heap, 2 * k).split_at_mut(k);
+        one[0] = 1;
+        self.mont_mul(x, one, out);
+        BigUint::from_limbs(out.to_vec())
     }
 
-    /// CIOS Montgomery multiplication: returns `a·b·R^{-1} mod n`.
+    /// CIOS Montgomery multiplication: `out = a·b·R^{-1} mod n`.
     ///
-    /// `a` and `b` must be `k`-limb slices with values `< n`.
-    pub fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.n.limbs.len();
-        let mut t = vec![0u64; k + 2];
-        self.mont_mul_scratch(a, b, &mut t);
-        t.truncate(k);
-        t
+    /// `a`, `b` and `out` are `k`-limb slices, `a` and `b` with values `< n`.
+    /// The limb count selects the compiled width; nothing is allocated.
+    ///
+    /// # Panics
+    /// Panics if a slice is not exactly `k` limbs.
+    pub fn mont_mul(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        let (n, n0inv) = (&self.n.limbs[..], self.n0inv);
+        match n.len() {
+            4 => cios_fixed::<4>(a, b, n, n0inv, out),
+            8 => cios_fixed::<8>(a, b, n, n0inv, out),
+            16 => cios_fixed::<16>(a, b, n, n0inv, out),
+            32 => cios_fixed::<32>(a, b, n, n0inv, out),
+            _ => cios(a, b, n, n0inv, out),
+        }
     }
 
-    /// Allocation-free CIOS Montgomery multiplication into caller scratch.
-    ///
-    /// `t` must be `k + 2` limbs; on return the product `a·b·R^{-1} mod n`
-    /// occupies `t[..k]`. Exponentiation loops call this thousands of times
-    /// per RSA operation, so keeping the scratch buffer out of the allocator
-    /// is a large constant-factor win on the sign/verify hot path.
-    pub fn mont_mul_scratch(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
-        let k = self.n.limbs.len();
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        debug_assert_eq!(t.len(), k + 2);
-        let n = &self.n.limbs;
-        t.fill(0);
-        for &ai in a.iter() {
-            // t += ai * b
-            let mut c = 0u128;
-            for j in 0..k {
-                let s = t[j] as u128 + (ai as u128) * (b[j] as u128) + c;
-                t[j] = s as u64;
-                c = s >> 64;
-            }
-            let s = t[k] as u128 + c;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-
-            // Reduce: make t divisible by 2^64 and shift down one limb.
-            let m = t[0].wrapping_mul(self.n0inv);
-            let s = t[0] as u128 + (m as u128) * (n[0] as u128);
-            let mut c = s >> 64;
-            for j in 1..k {
-                let s = t[j] as u128 + (m as u128) * (n[j] as u128) + c;
-                t[j - 1] = s as u64;
-                c = s >> 64;
-            }
-            let s = t[k] as u128 + c;
-            t[k - 1] = s as u64;
-            t[k] = t[k + 1] + (s >> 64) as u64;
-            t[k + 1] = 0;
-        }
-
-        // Conditional final subtraction keeps the result < n.
-        let needs_sub = t[k] != 0 || ge(&t[..k], n);
-        if needs_sub {
-            let mut borrow = 0u64;
-            for j in 0..k {
-                let (d1, b1) = t[j].overflowing_sub(n[j]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                t[j] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-        }
+    /// [`Self::mont_mul`] through the run-time-width entry whatever the
+    /// limb count (test/bench hook: the two entries must agree limb for
+    /// limb).
+    #[doc(hidden)]
+    pub fn mont_mul_any_width(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        cios(a, b, &self.n.limbs, self.n0inv, out)
     }
 
     /// Modular exponentiation `base^exp mod n` using this precomputed
     /// context.
+    pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        if exp.is_zero() {
+            return BigUint::one();
+        }
+        let (mut stack, mut heap) = ([0u64; STACK_LIMBS], Vec::new());
+        let x = scratch(&mut stack, &mut heap, self.limb_count());
+        self.pow_mont(base, exp, x);
+        self.from_mont(x)
+    }
+
+    /// `out = base^exp · R mod n`: the power, left in the Montgomery domain
+    /// (Miller–Rabin keeps squaring it there). `exp` must be nonzero.
     ///
     /// Strategy selection:
     /// - small exponents (≤ 32 bits, e.g. the RSA public exponent 65537)
     ///   use plain left-to-right square-and-multiply — building a window
     ///   table would cost more multiplications than it saves;
-    /// - larger exponents use a 4-bit fixed window.
+    /// - larger exponents (the CRT half-exponents, Miller–Rabin's `d`) use
+    ///   a 5-bit sliding window over a table of odd powers.
     ///
-    /// All Montgomery products run through [`Self::mont_mul_scratch`] with
-    /// two reused buffers, so an entire exponentiation performs O(1)
-    /// allocations.
-    pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one();
-        }
-        let k = self.n.limbs.len();
-        let base = base.rem_ref(&self.n);
-        let mont_base = self.to_mont(&base);
-        let mut scratch = vec![0u64; k + 2];
+    /// Either way the accumulator alternates between two buffers, one
+    /// product reading the one and writing the other, and every buffer is
+    /// carved from one stack array up to [`STACK_LIMBS`] limbs.
+    pub(crate) fn pow_mont(&self, base: &BigUint, exp: &BigUint, out: &mut [u64]) {
+        assert!(!exp.is_zero(), "pow_mont exponent must be nonzero");
+        let k = self.limb_count();
         let e_bits = exp.bit_len();
+        let (mut stack, mut heap) = ([0u64; (TABLE + 2) * STACK_LIMBS], Vec::new());
+        // The ladder needs the base alone; the window, its odd powers.
+        let powers = if e_bits <= 32 { 1 } else { TABLE };
+        let (table, rest) =
+            scratch(&mut stack, &mut heap, (powers + 2) * k).split_at_mut(powers * k);
+        let (mut acc, mut tmp) = rest.split_at_mut(k);
+        // One product, then the roles of the two buffers swap.
+        macro_rules! step {
+            ($b:expr) => {{
+                self.mont_mul(acc, $b, tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            }};
+        }
+        self.to_mont_into(base, tmp, &mut table[..k]);
 
-        let mut acc: Vec<u64>;
         if e_bits <= 32 {
             // Binary ladder: e_bits-1 squarings + (popcount-1) multiplies.
-            acc = mont_base.clone();
+            acc.copy_from_slice(table);
             for i in (0..e_bits - 1).rev() {
-                self.mont_mul_scratch(&acc, &acc, &mut scratch);
-                acc.copy_from_slice(&scratch[..k]);
+                step!(acc);
                 if exp.bit(i) {
-                    self.mont_mul_scratch(&acc, &mont_base, &mut scratch);
-                    acc.copy_from_slice(&scratch[..k]);
+                    step!(table);
                 }
             }
         } else {
-            const WINDOW: usize = 4;
-            // Table of base^1 .. base^(2^W - 1) in the Montgomery domain
-            // (index 0 is never multiplied in).
-            let mut table: Vec<Vec<u64>> = Vec::with_capacity(1 << WINDOW);
-            table.push(self.to_mont(&BigUint::one()));
-            table.push(mont_base);
-            for i in 2..(1 << WINDOW) {
-                self.mont_mul_scratch(&table[i - 1], &table[1], &mut scratch);
-                table.push(scratch[..k].to_vec());
+            // table[i] = base^(2i+1), built from base^2 (held in `tmp`).
+            self.mont_mul(&table[..k], &table[..k], tmp);
+            for i in 1..TABLE {
+                let (done, next) = table.split_at_mut(i * k);
+                self.mont_mul(&done[(i - 1) * k..], tmp, &mut next[..k]);
             }
-
-            // Process the exponent in 4-bit chunks, most significant first.
-            // Squaring the initial `1` for leading chunks is a no-op, so no
-            // "started" bookkeeping is needed.
-            let chunks = e_bits.div_ceil(WINDOW);
-            acc = table[0].clone();
-            for chunk in (0..chunks).rev() {
-                for _ in 0..WINDOW {
-                    self.mont_mul_scratch(&acc, &acc, &mut scratch);
-                    acc.copy_from_slice(&scratch[..k]);
+            // Left to right: a zero bit is one squaring; a one bit opens the
+            // longest window of at most WINDOW bits that ends in a one, which
+            // costs its length in squarings and one multiply by an odd power.
+            let mut rem = e_bits; // unprocessed bits are exp[..rem]
+            let mut started = false;
+            while rem > 0 {
+                if !exp.bit(rem - 1) {
+                    step!(acc);
+                    rem -= 1;
+                    continue;
                 }
-                let mut digit = 0usize;
-                for b in (0..WINDOW).rev() {
-                    digit = (digit << 1) | exp.bit(chunk * WINDOW + b) as usize;
+                let mut low = rem.saturating_sub(WINDOW);
+                while !exp.bit(low) {
+                    low += 1;
                 }
-                if digit != 0 {
-                    self.mont_mul_scratch(&acc, &table[digit], &mut scratch);
-                    acc.copy_from_slice(&scratch[..k]);
+                let digit = (low..rem)
+                    .rev()
+                    .fold(0, |d, i| (d << 1) | exp.bit(i) as usize);
+                let power = &table[(digit >> 1) * k..][..k];
+                if started {
+                    for _ in low..rem {
+                        step!(acc);
+                    }
+                    step!(power);
+                } else {
+                    acc.copy_from_slice(power);
+                    started = true;
                 }
+                rem = low;
             }
         }
-        self.from_mont(&acc)
+        out.copy_from_slice(acc);
     }
+}
+
+/// `len` zeroed limbs: the front of `stack` (fresh, all zero) if it is long
+/// enough, else `heap` (fresh, empty) grown to fit.
+fn scratch<'a>(stack: &'a mut [u64], heap: &'a mut Vec<u64>, len: usize) -> &'a mut [u64] {
+    if len <= stack.len() {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0);
+        heap
+    }
+}
+
+/// The CIOS body: `out = a·b·R^{-1} mod n` over `k = n.len()` limbs, for
+/// `a, b < n`. The running sum is `out` plus one carry word (`top`); each
+/// outer step adds `a[i]·b`, then adds the multiple of `n` that zeroes the
+/// low limb and shifts down one limb.
+#[inline(always)]
+fn cios(a: &[u64], b: &[u64], n: &[u64], n0inv: u64, out: &mut [u64]) {
+    let k = n.len();
+    // Checked once here so the loops below index without bounds checks.
+    assert!(
+        k > 0 && a.len() == k && b.len() == k && out.len() == k,
+        "Montgomery operands must match the modulus width"
+    );
+    out.fill(0);
+    let mut top = 0u64;
+    for &ai in a {
+        // out:top += ai * b
+        let mut c = 0u128;
+        for j in 0..k {
+            let s = out[j] as u128 + (ai as u128) * (b[j] as u128) + c;
+            out[j] = s as u64;
+            c = s >> 64;
+        }
+        let hi = top as u128 + c;
+
+        // Reduce: make the sum divisible by 2^64 and shift down one limb.
+        let m = out[0].wrapping_mul(n0inv);
+        let mut c = (out[0] as u128 + (m as u128) * (n[0] as u128)) >> 64;
+        for j in 1..k {
+            let s = out[j] as u128 + (m as u128) * (n[j] as u128) + c;
+            out[j - 1] = s as u64;
+            c = s >> 64;
+        }
+        let s = (hi as u64) as u128 + c;
+        out[k - 1] = s as u64;
+        top = (hi >> 64) as u64 + (s >> 64) as u64;
+    }
+
+    // Conditional final subtraction keeps the result < n.
+    if top != 0 || ge(out, n) {
+        let mut borrow = 0u64;
+        for j in 0..k {
+            let (d1, b1) = out[j].overflowing_sub(n[j]);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            out[j] = d2;
+            borrow = (b1 as u64) + (b2 as u64);
+        }
+    }
+}
+
+/// [`cios`] compiled for one limb count: the conversions to `[u64; K]` are
+/// what tell the compiler the width.
+fn cios_fixed<const K: usize>(a: &[u64], b: &[u64], n: &[u64], n0inv: u64, out: &mut [u64]) {
+    let (Ok(a), Ok(b), Ok(n), Ok(out)) = (
+        <&[u64; K]>::try_from(a),
+        <&[u64; K]>::try_from(b),
+        <&[u64; K]>::try_from(n),
+        <&mut [u64; K]>::try_from(out),
+    ) else {
+        panic!("Montgomery operands must match the modulus width");
+    };
+    cios(a, b, n, n0inv, out)
 }
 
 /// Limb-slice comparison `a >= b` for equal-length slices.
@@ -462,7 +559,9 @@ mod tests {
         let b = BigUint::from_hex("fedcba0987654321aabb").unwrap();
         let am = ctx.to_mont(&a);
         let bm = ctx.to_mont(&b);
-        let prod = ctx.from_mont(&ctx.mont_mul(&am, &bm));
+        let mut pm = vec![0u64; ctx.limb_count()];
+        ctx.mont_mul(&am, &bm, &mut pm);
+        let prod = ctx.from_mont(&pm);
         assert_eq!(prod, a.mul_ref(&b).rem_ref(&m));
     }
 

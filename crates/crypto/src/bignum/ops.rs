@@ -50,13 +50,26 @@ impl BigUint {
             .expect("BigUint subtraction underflow")
     }
 
-    /// Multiplication: schoolbook for small operands, Karatsuba once both
-    /// sides reach the crossover (32 limbs).
+    /// Schoolbook multiplication, O(n·m) in the limb counts. Key generation
+    /// and the CRT recombination multiply at most 16 × 16 limbs (RSA-2048);
+    /// the hot path never comes here — it is Montgomery's.
     pub fn mul_ref(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }
-        BigUint::from_limbs(super::karatsuba::mul_limbs(&self.limbs, &other.limbs))
+        let (a, b) = (&self.limbs, &other.limbs);
+        let mut out = vec![0u64; a.len() + b.len()];
+        for (i, &ai) in a.iter().enumerate() {
+            let mut carry = 0u128;
+            for (j, &bj) in b.iter().enumerate() {
+                let t = (ai as u128) * (bj as u128) + (out[i + j] as u128) + carry;
+                out[i + j] = t as u64;
+                carry = t >> 64;
+            }
+            // The row's top limb is still zero: rows below i end at i + b.len() - 1.
+            out[i + b.len()] = carry as u64;
+        }
+        BigUint::from_limbs(out)
     }
 
     /// `self * m` for a single limb `m`.

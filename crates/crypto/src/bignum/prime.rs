@@ -4,7 +4,7 @@
 //! before running Miller–Rabin rounds with random bases — the standard
 //! recipe for generating RSA primes.
 
-use super::BigUint;
+use super::{BigUint, MontgomeryCtx};
 use rand::RngCore;
 
 /// Trial-division table: all primes below 1000.
@@ -92,15 +92,25 @@ pub fn is_probable_prime(n: &BigUint, rounds: u32, rng: &mut dyn RngCore) -> boo
     let two = BigUint::from_u64(2);
     let bound = n_minus_1.sub_ref(&two); // bases drawn from [2, n-2]
 
+    // One context per candidate; `x` stays in the Montgomery domain, where
+    // values below `n` still have exactly one representation, so it is
+    // compared against the Montgomery forms of 1 and n − 1.
+    let ctx = MontgomeryCtx::new(n);
+    let one_m = ctx.to_mont(&BigUint::one());
+    let minus_one_m = ctx.to_mont(&n_minus_1);
+    let mut x = vec![0u64; ctx.limb_count()];
+    let mut sq = x.clone();
+
     'witness: for _ in 0..rounds {
         let a = BigUint::random_below(&bound, rng).add_ref(&two);
-        let mut x = a.modpow(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        ctx.pow_mont(&a, &d, &mut x);
+        if x == one_m || x == minus_one_m {
             continue;
         }
         for _ in 0..s.saturating_sub(1) {
-            x = x.modpow(&two, n);
-            if x == n_minus_1 {
+            ctx.mont_mul(&x, &x, &mut sq);
+            std::mem::swap(&mut x, &mut sq);
+            if x == minus_one_m {
                 continue 'witness;
             }
         }

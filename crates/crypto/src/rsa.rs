@@ -6,6 +6,13 @@
 //! signature cost dominates every checksum the provenance layer produces, so
 //! this matters for the Figure 8/10 reproductions.
 //!
+//! Both directions are one [`MontgomeryCtx::modpow`] (two for CRT) plus a
+//! fixed handful of allocations for the byte ↔ integer conversions: the
+//! exponentiation itself runs in stack buffers at the width compiled for
+//! the key size (8 / 16 limbs for an RSA-1024 prime / modulus), and the
+//! contexts live on the keys, immutable, so keys shared by `Arc` across
+//! verifier threads need no lock.
+//!
 //! A 1024-bit key yields 128-byte signatures, matching the paper's
 //! `Checksum binary(128)` column byte-for-byte.
 
@@ -340,7 +347,7 @@ fn emsa_pkcs1_v15_encode(
     message: &[u8],
     em_len: usize,
 ) -> Result<Vec<u8>, RsaError> {
-    let hash = alg.digest(message);
+    let hash = alg.digest_fixed(message);
     let prefix = digest_info_prefix(alg);
     let t_len = prefix.len() + hash.len();
     if em_len < t_len + 11 {
@@ -352,7 +359,7 @@ fn emsa_pkcs1_v15_encode(
     em.resize(em_len - t_len - 1, 0xff);
     em.push(0x00);
     em.extend_from_slice(prefix);
-    em.extend_from_slice(&hash);
+    em.extend_from_slice(hash.as_slice());
     debug_assert_eq!(em.len(), em_len);
     Ok(em)
 }
@@ -439,11 +446,46 @@ mod tests {
 
     #[test]
     fn crt_matches_plain_exponentiation() {
-        let kp = keypair();
-        let m = BigUint::from_hex("123456789abcdef00fedcba987654321").unwrap();
-        let crt = kp.secret().private_op(&m);
-        let plain = kp.secret().private_op_no_crt(&m);
-        assert_eq!(crt, plain);
+        // 512 bits: 4-limb primes, 8-limb modulus; 1024 bits: 8 and 16.
+        for bits in [512, 1024] {
+            let kp = KeyPair::generate(bits, &mut StdRng::seed_from_u64(7));
+            let m = BigUint::from_hex("123456789abcdef00fedcba987654321").unwrap();
+            let crt = kp.secret().private_op(&m);
+            let plain = kp.secret().private_op_no_crt(&m);
+            assert_eq!(crt, plain, "{bits}-bit key");
+            assert_eq!(plain, m.modpow_naive(&kp.secret().d, kp.public().n()));
+        }
+    }
+
+    #[test]
+    fn known_answer_seeded_1024_bit_key() {
+        // Key generation draws from the RNG in a fixed order and PKCS#1 v1.5
+        // is deterministic, so a seeded key pins its signatures. The expected
+        // digests are not this kernel's own output: they were produced by the
+        // run-time-width one it replaced (commit aedf44b), so a bug at the
+        // 8- or 16-limb width fails here, in this crate's own tests.
+        let kp = KeyPair::generate(1024, &mut StdRng::seed_from_u64(2009));
+        let sha256_hex = |bytes: &[u8]| crate::hex::to_hex(&crate::sha256::Sha256::digest(bytes));
+        assert_eq!(
+            sha256_hex(&kp.public().to_bytes()),
+            "759ccdb74757f18969656ab90cac72edd7c4c58eeed178700d736bb9ad01fb48"
+        );
+        for (alg, expected) in [
+            (
+                HashAlgorithm::Sha1,
+                "5c988421f836468b8a215a8c7ff4370dd7ea0bbefbc418fdbba9d6d819a1581e",
+            ),
+            (
+                HashAlgorithm::Sha256,
+                "8e6875f1754b3709d1e4e5e1c40bdeae0cfbad9e5d5f62cd0f079905336546d1",
+            ),
+        ] {
+            let sig = kp.sign(alg, b"tamper-evident provenance").unwrap();
+            assert_eq!(sha256_hex(&sig), expected, "{alg:?}");
+            kp.public()
+                .verify(alg, b"tamper-evident provenance", &sig)
+                .unwrap();
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! implementation silently relies on.
 
 use proptest::prelude::*;
+use tep_crypto::bignum::MontgomeryCtx;
 use tep_crypto::BigUint;
 
 /// Strategy: a BigUint with up to `max_limbs` random limbs.
@@ -14,6 +15,85 @@ fn biguint(max_limbs: usize) -> impl Strategy<Value = BigUint> {
 /// Strategy: a nonzero BigUint.
 fn biguint_nonzero(max_limbs: usize) -> impl Strategy<Value = BigUint> {
     biguint(max_limbs).prop_filter("nonzero", |n| !n.is_zero())
+}
+
+/// Limb counts on both sides of every width the Montgomery kernel is
+/// compiled for (4, 8, 16, 32), plus the smallest; always exercised.
+const EDGE_WIDTHS: [usize; 14] = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33];
+
+/// An odd `k`-limb modulus > 1 cut from `limbs` (33 random limbs). With
+/// `saturated` the top limb is `u64::MAX`, so products overflow `k` limbs
+/// (the kernel's carry word is set) and the final subtraction fires.
+fn odd_modulus(limbs: &[u64], k: usize, saturated: bool) -> BigUint {
+    let mut m = limbs[..k].to_vec();
+    m[0] |= 1;
+    m[k - 1] = if saturated { u64::MAX } else { m[k - 1] | 2 };
+    BigUint::from_limbs(m)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `modpow` against the division-based oracle at every edge width and one
+    /// random width, with exponents on both strategies (65537 and a short one
+    /// take the binary ladder, a modulus-width one the sliding window) and
+    /// bases at the edges of the residue range.
+    #[test]
+    fn modpow_matches_naive_at_every_width(
+        limbs in prop::collection::vec(any::<u64>(), 33),
+        base in biguint(34),
+        exp in prop::collection::vec(any::<u64>(), 33),
+        random_width in 1usize..=33,
+        saturated in any::<bool>(),
+    ) {
+        for k in EDGE_WIDTHS.into_iter().chain([random_width]) {
+            let m = odd_modulus(&limbs, k, saturated);
+            let m_minus_1 = m.sub_ref(&BigUint::one());
+            let exps = [
+                BigUint::from_u64(65537),
+                BigUint::from_u64(exp[0] >> 40),
+                BigUint::from_limbs(exp[..k].to_vec()),
+            ];
+            let bases = [
+                BigUint::zero(),
+                BigUint::one(),
+                m_minus_1.clone(),
+                m.clone(),
+                m.add_ref(&m_minus_1),
+                base.clone(), // usually wider than m
+                base.rem_ref(&m),
+            ];
+            for e in &exps {
+                for b in &bases {
+                    prop_assert_eq!(b.modpow(e, &m), b.modpow_naive(e, &m), "k={} e={} b={}", k, e, b);
+                }
+            }
+        }
+    }
+
+    /// The fixed-width entry and the any-width body are one algorithm: same
+    /// limbs out, and the product they agree on is the right one.
+    #[test]
+    fn mont_mul_entries_agree(
+        limbs in prop::collection::vec(any::<u64>(), 33),
+        a in biguint(33),
+        b in biguint(33),
+        saturated in any::<bool>(),
+    ) {
+        for k in EDGE_WIDTHS {
+            let m = odd_modulus(&limbs, k, saturated);
+            let ctx = MontgomeryCtx::new(&m);
+            let m_minus_1 = m.sub_ref(&BigUint::one());
+            for (a, b) in [(a.rem_ref(&m), b.rem_ref(&m)), (m_minus_1.clone(), m_minus_1.clone())] {
+                let (am, bm) = (ctx.to_mont(&a), ctx.to_mont(&b));
+                let (mut dispatched, mut any_width) = (vec![0u64; k], vec![0u64; k]);
+                ctx.mont_mul(&am, &bm, &mut dispatched);
+                ctx.mont_mul_any_width(&am, &bm, &mut any_width);
+                prop_assert_eq!(&dispatched, &any_width, "k={}", k);
+                prop_assert_eq!(ctx.from_mont(&dispatched), a.mul_ref(&b).rem_ref(&m), "k={}", k);
+            }
+        }
+    }
 }
 
 proptest! {

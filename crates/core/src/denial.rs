@@ -38,9 +38,6 @@ const ROOT_SIGN_TAG: &[u8] = b"tep-root-sign\x01";
 pub enum DenialFault {
     /// The root signature does not verify against the claimed signer.
     BadRootSignature,
-    /// The denial targets an ID the proof itself shows to be present, or
-    /// the witnesses do not straddle the target.
-    TargetCovered,
     /// A witness leaf's sibling path does not recombine to the signed
     /// root at its claimed position.
     BadPath,
@@ -60,7 +57,6 @@ impl std::fmt::Display for DenialFault {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DenialFault::BadRootSignature => write!(f, "root signature does not verify"),
-            DenialFault::TargetCovered => write!(f, "denial target is covered by a leaf"),
             DenialFault::BadPath => write!(f, "sibling path fails authentication"),
             DenialFault::NotAdjacent => write!(f, "witness leaves are not adjacent"),
             DenialFault::OrderViolation => write!(f, "leaf order contradicts the claim"),
@@ -201,64 +197,26 @@ impl DenialProof {
         })
     }
 
-    /// Verifies the gap claim against a root: both witnesses authenticate
-    /// at their positions, they are adjacent, and they straddle `absent`.
+    /// Verifies the gap claim against a root: it is exactly a
+    /// completeness proof for `[absent, absent]` with no members — the
+    /// witnesses authenticate at their positions, are adjacent (or pin a
+    /// shard edge), and straddle `absent`.
     pub fn check(
         &self,
         alg: HashAlgorithm,
         root: &[u8],
         leaf_count: u64,
     ) -> Result<(), DenialFault> {
-        if leaf_count == 0 {
-            // An empty shard denies everything; the root must be the
-            // canonical empty root and no witnesses may be presented.
-            if self.pred.is_some() || self.succ.is_some() {
-                return Err(DenialFault::MissingWitness);
-            }
-            if root != ShardTree::empty_root(alg) {
-                return Err(DenialFault::BadPath);
-            }
-            return Ok(());
-        }
-        match (&self.pred, &self.succ) {
-            (None, None) => Err(DenialFault::MissingWitness),
-            (None, Some(succ)) => {
-                if succ.index != 0 {
-                    return Err(DenialFault::MissingWitness);
-                }
-                if !succ.check(alg, root, leaf_count) {
-                    return Err(DenialFault::BadPath);
-                }
-                if self.absent >= succ.oid {
-                    return Err(DenialFault::OrderViolation);
-                }
-                Ok(())
-            }
-            (Some(pred), None) => {
-                if pred.index + 1 != leaf_count {
-                    return Err(DenialFault::MissingWitness);
-                }
-                if !pred.check(alg, root, leaf_count) {
-                    return Err(DenialFault::BadPath);
-                }
-                if self.absent <= pred.oid {
-                    return Err(DenialFault::OrderViolation);
-                }
-                Ok(())
-            }
-            (Some(pred), Some(succ)) => {
-                if succ.index != pred.index + 1 {
-                    return Err(DenialFault::NotAdjacent);
-                }
-                if !pred.check(alg, root, leaf_count) || !succ.check(alg, root, leaf_count) {
-                    return Err(DenialFault::BadPath);
-                }
-                if !(pred.oid < self.absent && self.absent < succ.oid) {
-                    return Err(DenialFault::OrderViolation);
-                }
-                Ok(())
-            }
-        }
+        let gap = RangeProof {
+            lo: self.absent,
+            hi: self.absent,
+            members: Vec::new(),
+            pred: self.pred.clone(),
+            succ: self.succ.clone(),
+        };
+        // No member is presented, so none can be proven: the range check
+        // passing *is* the gap claim.
+        gap.check(alg, root, leaf_count).map(drop)
     }
 
     /// Canonical encoding.
@@ -758,6 +716,35 @@ mod tests {
         assert_eq!(
             proof.check(ALG, &root, t.leaf_count()),
             Err(DenialFault::NotAdjacent)
+        );
+    }
+
+    #[test]
+    fn dropped_witnesses_rejected() {
+        let t = tree(&[2, 4, 6]);
+        let (root, n) = (t.root(), t.leaf_count());
+        // Every honest shape minus a witness leaves a hole a leaf could
+        // hide in.
+        for absent in [1u64, 5, 7] {
+            let honest = DenialProof::prove(&t, ObjectId(absent)).unwrap();
+            for (pred, succ) in [(None, honest.succ.clone()), (honest.pred.clone(), None)] {
+                let cut = DenialProof {
+                    absent: ObjectId(absent),
+                    pred,
+                    succ,
+                };
+                if cut != honest {
+                    assert!(cut.check(ALG, &root, n).is_err(), "absent={absent}");
+                }
+            }
+        }
+        // …and an empty shard admits no witnesses at all.
+        let empty = tree(&[]);
+        let mut proof = DenialProof::prove(&empty, ObjectId(1)).unwrap();
+        proof.succ = DenialLeaf::witness(&t, 0);
+        assert_eq!(
+            proof.check(ALG, &empty.root(), 0),
+            Err(DenialFault::MissingWitness)
         );
     }
 

@@ -196,16 +196,6 @@ pub fn compact_log(
     Ok((sealed, report))
 }
 
-/// Convenience: prunes everything not reachable from the forest's current
-/// roots (the natural "live set" for a tracker-managed database).
-pub fn prune_to_forest(
-    db: &ProvenanceDb,
-    forest: &tep_model::Forest,
-) -> Result<PruneReport, CoreError> {
-    let live: Vec<ObjectId> = forest.ids().collect();
-    prune(db, &live)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

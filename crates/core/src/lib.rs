@@ -64,7 +64,6 @@ pub mod metrics;
 pub mod parallel;
 pub mod proof;
 pub mod provenance;
-pub mod query;
 pub mod record;
 pub mod slice;
 pub mod streaming;
@@ -91,7 +90,6 @@ pub use metrics::{Metrics, TransferCounters, TransferSnapshot};
 pub use parallel::{default_threads, parallel_map};
 pub use proof::{prove, ProofError, SubtreeProof};
 pub use provenance::{collect, ProvenanceObject};
-pub use query::{DbStats, EdgeIndex, ProvenanceQuery};
 pub use record::{BatchChecksum, ChecksumFormat, InputRef, ProvenanceRecord, RecordKind};
 pub use slice::{
     BoundaryLink, Polynomial, QueryAnswer, QueryBounds, QueryOp, QuerySpec, SliceProof,
@@ -111,7 +109,6 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::hashing::HashingStrategy;
     pub use crate::provenance::{collect, ProvenanceObject};
-    pub use crate::query::ProvenanceQuery;
     pub use crate::slice::{QueryOp, QuerySpec, SliceProof};
     pub use crate::tenant::{federated_verify, FederatedReport, TenantDirectory};
     pub use crate::tracker::{ProvenanceTracker, TrackerConfig};

@@ -60,8 +60,9 @@ impl std::fmt::Display for StreamError {
 impl std::error::Error for StreamError {}
 
 /// Incrementally computes `h(subtree(A))` for one node whose children are
-/// supplied as already-computed hashes, in `ObjectId` order.
-pub struct StreamingNodeHasher {
+/// supplied as already-computed hashes, in `ObjectId` order — the fold
+/// every public hasher here is built from.
+struct StreamingNodeHasher {
     hasher: Hasher,
     child_count: u64,
     last_child: Option<ObjectId>,
@@ -69,7 +70,7 @@ pub struct StreamingNodeHasher {
 
 impl StreamingNodeHasher {
     /// Starts hashing node `(id, value)`.
-    pub fn new(alg: HashAlgorithm, id: ObjectId, value: &Value) -> Self {
+    fn new(alg: HashAlgorithm, id: ObjectId, value: &Value) -> Self {
         let mut hasher = alg.hasher();
         hasher.update(&node_prefix(id, value));
         StreamingNodeHasher {
@@ -80,7 +81,7 @@ impl StreamingNodeHasher {
     }
 
     /// Folds in the next child's subtree hash.
-    pub fn add_child(&mut self, child: ObjectId, hash: &[u8]) -> Result<(), StreamError> {
+    fn add_child(&mut self, child: ObjectId, hash: &[u8]) -> Result<(), StreamError> {
         if let Some(prev) = self.last_child {
             if child <= prev {
                 return Err(StreamError::OutOfOrderChild { prev, next: child });
@@ -93,12 +94,12 @@ impl StreamingNodeHasher {
     }
 
     /// Number of children folded so far.
-    pub fn child_count(&self) -> u64 {
+    fn child_count(&self) -> u64 {
         self.child_count
     }
 
     /// Finishes: returns `h(subtree)` for this node.
-    pub fn finish(mut self) -> Vec<u8> {
+    fn finish(mut self) -> Vec<u8> {
         self.hasher.update(&self.child_count.to_be_bytes());
         self.hasher.finalize()
     }
@@ -222,11 +223,11 @@ impl StreamingDatabaseHasher {
 /// stream of `(depth, id, value)` entries — the shape `tep-net` DATA frames
 /// carry, and the natural order a sender produces by walking its forest.
 ///
-/// The hasher keeps one [`StreamingNodeHasher`] per level of the current
+/// The hasher keeps one node hasher per level of the current
 /// root-to-leaf path, so memory is O(tree depth), never O(tree size). An
 /// entry at depth `d` first folds every open node deeper than `d` into its
 /// parent, then opens a new node as a child of the node at depth `d - 1`.
-/// Sibling order is enforced by [`StreamingNodeHasher::add_child`], so a
+/// Sibling order is enforced as each child is folded in, so a
 /// reordered or duplicated stream fails instead of hashing to something
 /// unexpected.
 ///

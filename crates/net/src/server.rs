@@ -11,8 +11,7 @@
 //!
 //! Graceful degradation under load is unchanged from the worker-pool
 //! predecessor: connections arriving while the server already owns
-//! `min(shed_watermark, queue_depth)` active connections are refused with
-//! `ERR busy` *plus* a `Retry-After` hint scaled to the backlog, every
+//! `queue_depth` active connections are refused with `ERR busy` *plus* a `Retry-After` hint scaled to the backlog, every
 //! request is bounded by a wall-clock deadline (`ERR deadline` + close,
 //! resumable) while an idle timer bounds the silence between requests, and
 //! a peer that vanishes mid-transfer is counted in
@@ -163,12 +162,9 @@ impl Catalog {
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Retained for configuration compatibility with the worker-pool
-    /// server this event loop replaced. The loop is single-threaded (one
-    /// thread multiplexes every connection), so the value is ignored.
-    pub workers: usize,
-    /// Maximum connections the event loop serves concurrently; beyond
-    /// this, new connections are refused with `ERR busy`.
+    /// Maximum connections the event loop serves concurrently: a
+    /// connection arriving while the server already owns this many is
+    /// refused at accept with `ERR busy` and a `Retry-After` hint.
     pub queue_depth: usize,
     /// How long a connection may sit idle (no request bytes arriving)
     /// before it is closed.
@@ -176,13 +172,6 @@ pub struct ServerConfig {
     /// How long an outbound backlog may make zero progress (peer not
     /// reading) before the connection is closed.
     pub write_timeout: Duration,
-    /// Load-shedding watermark: connections arriving while the server
-    /// already owns this many (or more) active connections are refused
-    /// with `ERR busy` and a `Retry-After` hint, *before* the hard
-    /// `queue_depth` cap is hit. Defaults to `usize::MAX`, i.e. shed only
-    /// at the hard cap; the effective threshold is always
-    /// `min(shed_watermark, queue_depth)`.
-    pub shed_watermark: usize,
     /// Wall-clock budget **per request** (the name predates kept
     /// connections): armed when a request is dispatched, checked between
     /// the frames of its reply. Exceeding it mid-stream sends
@@ -197,20 +186,11 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: 4,
             queue_depth: 32,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            shed_watermark: usize::MAX,
             connection_deadline: Duration::from_secs(30),
         }
-    }
-}
-
-impl ServerConfig {
-    /// The active-connection count at which new connections are refused.
-    fn effective_watermark(&self) -> usize {
-        self.shed_watermark.min(self.queue_depth)
     }
 }
 
@@ -1559,7 +1539,7 @@ impl EventLoop {
                     let _ = stream.set_nodelay(true);
                     let active = self.conns.iter().filter(|c| !c.refused).count();
                     let mut conn = Conn::new(stream, Some(self.cfg.connection_deadline), now);
-                    if active >= self.cfg.effective_watermark() {
+                    if active >= self.cfg.queue_depth {
                         // Best-effort `ERR busy` + `Retry-After` so the
                         // refused client sees a protocol answer (and a
                         // backoff hint scaled to the backlog) rather than
@@ -1822,16 +1802,6 @@ mod tests {
         assert_eq!(shed_retry_after_ms(3), 100);
         assert_eq!(shed_retry_after_ms(1_000_000), 1_000);
         assert_eq!(shed_retry_after_ms(usize::MAX), 1_000);
-    }
-
-    #[test]
-    fn effective_watermark_never_exceeds_the_hard_cap() {
-        let mut cfg = ServerConfig::default();
-        assert_eq!(cfg.effective_watermark(), cfg.queue_depth);
-        cfg.shed_watermark = 4;
-        assert_eq!(cfg.effective_watermark(), 4);
-        cfg.queue_depth = 2;
-        assert_eq!(cfg.effective_watermark(), 2);
     }
 
     // ── Connection state machine against scripted streams ──────────────

@@ -514,7 +514,6 @@ fn thousand_connection_soak_settles_every_outcome() {
             read_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(60),
             connection_deadline: Duration::from_secs(60),
-            ..ServerConfig::default()
         },
     )
     .unwrap();

@@ -458,7 +458,6 @@ fn busy_server_refuses_with_protocol_error() {
     // queue_depth 0: the accept loop refuses every connection with ERR
     // busy instead of queueing it.
     let cfg = ServerConfig {
-        workers: 1,
         queue_depth: 0,
         ..ServerConfig::default()
     };

@@ -517,7 +517,7 @@ fn cut_while_awaiting_resume_ok_is_retried_and_still_resumes() {
 fn shed_watermark_refuses_with_busy_and_retry_after_hint() {
     let w = world();
     let cfg = ServerConfig {
-        shed_watermark: 0,
+        queue_depth: 0,
         ..ServerConfig::default()
     };
     let srv = serve(Arc::clone(&w.catalog), "127.0.0.1:0".parse().unwrap(), cfg).unwrap();

@@ -294,7 +294,7 @@ impl QueryEngine {
                 let mut queue = VecDeque::from([(spec.target, 0u32)]);
                 let mut kept: BTreeSet<(ObjectId, u64)> = BTreeSet::new();
                 while let Some((cur, d)) = queue.pop_front() {
-                    for &(consumer, seq) in ix.edges().consumers_of(cur) {
+                    for &(consumer, seq) in ix.consumers_of(cur) {
                         if !spec.bounds.seq_in_range(seq) {
                             continue;
                         }

@@ -3,9 +3,11 @@
 //!
 //! A [`QueryIndex`] tails the append-ordered record log
 //! ([`ProvenanceDb::records_from`]) and maintains two structures the query
-//! operators need: the reverse derivation-edge index
-//! ([`tep_core::EdgeIndex`]) and a by-participant posting list. Syncing
-//! after `n` fresh appends costs O(n), never a log rescan.
+//! operators need: a by-participant posting list and the reverse
+//! derivation-edge index (object → the aggregates that consumed it). Both
+//! are filled in one pass over the fresh tail under one watermark, so
+//! syncing after `n` fresh appends costs O(n), never a log rescan, and the
+//! two can never disagree about how far the log has been read.
 //!
 //! The index can be persisted to a **sidecar file** next to the log
 //! (`<log>.tepidx`) so a restarted process resumes from the watermark
@@ -19,9 +21,9 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use tep_core::EdgeIndex;
+use tep_core::{ProvenanceRecord, RecordKind};
 use tep_crypto::pki::ParticipantId;
-use tep_model::encode::Reader;
+use tep_model::encode::{DecodeError, Reader};
 use tep_model::ObjectId;
 use tep_storage::crc::frame_crc;
 use tep_storage::ProvenanceDb;
@@ -52,14 +54,20 @@ fn sidecar_tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
+/// Per-key lists of record slots `(object, seq_id)` in append order — the
+/// shape of both indexes.
+type Postings<K> = BTreeMap<K, Vec<(ObjectId, u64)>>;
+
 /// The secondary indexes the query engine answers from. See the module
 /// docs for the sync and persistence model.
 #[derive(Clone, Debug, Default)]
 pub struct QueryIndex {
     synced: usize,
     last_checksum: Vec<u8>,
-    by_participant: BTreeMap<ParticipantId, Vec<(ObjectId, u64)>>,
-    edges: EdgeIndex,
+    by_participant: Postings<ParticipantId>,
+    /// Reverse derivation edges: object → the aggregate records
+    /// `(output, seq_id)` that consumed it.
+    consumers: Postings<ObjectId>,
 }
 
 impl QueryIndex {
@@ -70,6 +78,11 @@ impl QueryIndex {
 
     /// Indexes every record appended since the last sync. Returns how
     /// many records were read.
+    ///
+    /// Undecodable records still get their posting (the storage columns
+    /// carry the participant) but contribute no edges — attributing damage
+    /// is the verifier's job; the index answers questions about what *can*
+    /// be read.
     pub fn sync(&mut self, db: &ProvenanceDb) -> usize {
         let fresh = db.records_from(self.synced);
         for stored in &fresh {
@@ -77,11 +90,22 @@ impl QueryIndex {
                 .entry(stored.participant)
                 .or_default()
                 .push((stored.oid, stored.seq_id));
-            self.last_checksum.clear();
-            self.last_checksum.extend_from_slice(&stored.checksum);
+            let Ok(rec) = ProvenanceRecord::from_stored(stored) else {
+                continue;
+            };
+            if rec.kind == RecordKind::Aggregate {
+                for input in rec.inputs.iter().filter(|i| i.oid != rec.output_oid) {
+                    self.consumers
+                        .entry(input.oid)
+                        .or_default()
+                        .push((rec.output_oid, rec.seq_id));
+                }
+            }
+        }
+        if let Some(last) = fresh.last() {
+            self.last_checksum.clone_from(&last.checksum);
         }
         self.synced += fresh.len();
-        self.edges.sync(db);
         fresh.len()
     }
 
@@ -90,9 +114,10 @@ impl QueryIndex {
         self.synced
     }
 
-    /// The reverse derivation-edge index.
-    pub fn edges(&self) -> &EdgeIndex {
-        &self.edges
+    /// The aggregate records `(output, seq_id)` that consumed `oid`, in
+    /// append order.
+    pub(crate) fn consumers_of(&self, oid: ObjectId) -> &[(ObjectId, u64)] {
+        self.consumers.get(&oid).map_or(&[], Vec::as_slice)
     }
 
     /// Records authored by `participant`, as `(object, seq_id)` in append
@@ -115,25 +140,8 @@ impl QueryIndex {
         body.extend_from_slice(&(self.synced as u64).to_be_bytes());
         body.extend_from_slice(&(self.last_checksum.len() as u64).to_be_bytes());
         body.extend_from_slice(&self.last_checksum);
-        body.extend_from_slice(&(self.by_participant.len() as u64).to_be_bytes());
-        for (pid, posts) in &self.by_participant {
-            body.extend_from_slice(&pid.0.to_be_bytes());
-            body.extend_from_slice(&(posts.len() as u64).to_be_bytes());
-            for &(oid, seq) in posts {
-                body.extend_from_slice(&oid.raw().to_be_bytes());
-                body.extend_from_slice(&seq.to_be_bytes());
-            }
-        }
-        let edge_sources: Vec<_> = self.edges.iter().collect();
-        body.extend_from_slice(&(edge_sources.len() as u64).to_be_bytes());
-        for (oid, consumers) in edge_sources {
-            body.extend_from_slice(&oid.raw().to_be_bytes());
-            body.extend_from_slice(&(consumers.len() as u64).to_be_bytes());
-            for &(consumer, seq) in consumers {
-                body.extend_from_slice(&consumer.raw().to_be_bytes());
-                body.extend_from_slice(&seq.to_be_bytes());
-            }
-        }
+        put_postings(&mut body, &self.by_participant, |p| p.0);
+        put_postings(&mut body, &self.consumers, ObjectId::raw);
 
         let len = body.len() as u32;
         let crc = frame_crc(len, &body);
@@ -159,39 +167,16 @@ impl QueryIndex {
         if body.len() != len as usize || frame_crc(len, body) != crc {
             return None;
         }
-        let parse = || -> Result<QueryIndex, tep_model::encode::DecodeError> {
+        let parse = || -> Result<QueryIndex, DecodeError> {
             let mut r = Reader::new(body);
-            let synced = r.u64()? as usize;
-            let last_checksum = r.len_prefixed()?.to_vec();
-            let np = r.u64()? as usize;
-            let mut by_participant = BTreeMap::new();
-            for _ in 0..np {
-                let pid = ParticipantId(r.u64()?);
-                let n = r.u64()? as usize;
-                let mut posts = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    posts.push((ObjectId(r.u64()?), r.u64()?));
-                }
-                by_participant.insert(pid, posts);
-            }
-            let ns = r.u64()? as usize;
-            let mut edge_entries = Vec::with_capacity(ns.min(4096));
-            for _ in 0..ns {
-                let oid = ObjectId(r.u64()?);
-                let n = r.u64()? as usize;
-                let mut consumers = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    consumers.push((ObjectId(r.u64()?), r.u64()?));
-                }
-                edge_entries.push((oid, consumers));
-            }
+            let ix = QueryIndex {
+                synced: r.u64()? as usize,
+                last_checksum: r.len_prefixed()?.to_vec(),
+                by_participant: read_postings(&mut r, ParticipantId)?,
+                consumers: read_postings(&mut r, ObjectId)?,
+            };
             r.expect_end()?;
-            Ok(QueryIndex {
-                synced,
-                last_checksum,
-                by_participant,
-                edges: EdgeIndex::from_parts(synced, edge_entries),
-            })
+            Ok(ix)
         };
         parse().ok()
     }
@@ -231,6 +216,38 @@ impl QueryIndex {
     }
 }
 
+/// Appends one posting map: entry count, then per key the key, the list
+/// length and its `(object, seq_id)` pairs, all big-endian `u64`.
+fn put_postings<K: Copy>(body: &mut Vec<u8>, map: &Postings<K>, key: impl Fn(K) -> u64) {
+    body.extend_from_slice(&(map.len() as u64).to_be_bytes());
+    for (&k, posts) in map {
+        body.extend_from_slice(&key(k).to_be_bytes());
+        body.extend_from_slice(&(posts.len() as u64).to_be_bytes());
+        for &(oid, seq) in posts {
+            body.extend_from_slice(&oid.raw().to_be_bytes());
+            body.extend_from_slice(&seq.to_be_bytes());
+        }
+    }
+}
+
+/// Reads one [`put_postings`] map.
+fn read_postings<K: Ord>(
+    r: &mut Reader<'_>,
+    key: impl Fn(u64) -> K,
+) -> Result<Postings<K>, DecodeError> {
+    let mut map = BTreeMap::new();
+    for _ in 0..r.u64()? {
+        let k = key(r.u64()?);
+        let n = r.u64()? as usize;
+        let mut posts = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            posts.push((ObjectId(r.u64()?), r.u64()?));
+        }
+        map.insert(k, posts);
+    }
+    Ok(map)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,5 +282,56 @@ mod tests {
         let sb = Path::new("/root/tenant-2.log");
         assert_ne!(sidecar_path(sa), sidecar_path(sb));
         assert_eq!(sidecar_path(sa), PathBuf::from("/root/tenant-1.log.tepidx"));
+    }
+
+    #[test]
+    fn edge_index_syncs_incrementally() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::sync::Arc;
+        use tep_core::{ProvenanceTracker, TrackerConfig};
+        use tep_crypto::digest::HashAlgorithm;
+        use tep_crypto::pki::CertificateAuthority;
+        use tep_model::{AggregateMode, Value};
+
+        let mut rng = StdRng::seed_from_u64(17);
+        let ca = CertificateAuthority::new(512, HashAlgorithm::Sha256, &mut rng);
+        let alice = ca.enroll(ParticipantId(1), 512, &mut rng);
+        let db = Arc::new(ProvenanceDb::in_memory());
+        let mut t = ProvenanceTracker::new(TrackerConfig::default(), Arc::clone(&db));
+        let (a, _) = t.insert(&alice, Value::Int(1), None).unwrap();
+        let (b, _) = t.insert(&alice, Value::Int(2), None).unwrap();
+        let (c, _) = t
+            .aggregate(&alice, &[a, b], Value::Int(3), AggregateMode::Atomic)
+            .unwrap();
+        let mut ix = QueryIndex::new();
+        let first = ix.sync(&db);
+        assert_eq!(first, db.len());
+        // Aggregate seq = 1 + max input seq: c is (a,b) at seq 1.
+        assert_eq!(ix.consumers_of(a), &[(c, 1)]);
+        assert_eq!(ix.consumers_of(b), &[(c, 1)]);
+        assert_eq!(ix.consumers.values().map(Vec::len).sum::<usize>(), 2);
+
+        // Appending more records only reads the tail.
+        let (d, _) = t
+            .aggregate(&alice, &[a, c], Value::Int(4), AggregateMode::Atomic)
+            .unwrap();
+        let second = ix.sync(&db);
+        assert_eq!(first + second, db.len());
+        assert_eq!(ix.consumers_of(a), &[(c, 1), (d, 2)]);
+        assert_eq!(ix.consumers_of(c), &[(d, 2)]);
+        assert!(ix.consumers_of(d).is_empty());
+        assert_eq!(ix.sync(&db), 0);
+        assert_eq!(ix.synced(), db.len());
+
+        // Postings and edges advanced under the one watermark: the index
+        // built in two syncs is byte-identical to one built in one go, and
+        // the edges survive a sidecar roundtrip.
+        assert_eq!(ix.by_participant(alice.id()).len(), db.len());
+        let mut at_once = QueryIndex::new();
+        at_once.sync(&db);
+        assert_eq!(ix.to_bytes(), at_once.to_bytes());
+        let back = QueryIndex::from_bytes(&ix.to_bytes()).unwrap();
+        assert_eq!(back.consumers_of(a), &[(c, 1), (d, 2)]);
     }
 }

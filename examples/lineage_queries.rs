@@ -13,8 +13,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use tepdb::core::checkpoint::TrustAnchor;
-use tepdb::core::{gc, ProvenanceQuery};
+use tepdb::core::gc;
 use tepdb::prelude::*;
+use tepdb::query::{QueryAnswer, QueryBounds, QueryEngine};
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
 
@@ -30,7 +31,8 @@ fn main() {
     }
 
     // --- The pipeline -------------------------------------------------------
-    let mut ledger = AtomicLedger::new(ALG, Arc::new(ProvenanceDb::in_memory()));
+    let db = Arc::new(ProvenanceDb::in_memory());
+    let mut ledger = AtomicLedger::new(ALG, Arc::clone(&db));
     // Three raw sensor readings.
     let raw: Vec<_> = (0..3)
         .map(|i| {
@@ -49,33 +51,43 @@ fn main() {
     let scratch = ledger.insert(&cleaner, Value::text("notes")).unwrap();
 
     // --- Audit queries -------------------------------------------------------
-    let q = ProvenanceQuery::new(ledger.db());
+    // Every answer arrives as a slice proof, and is believed only once it
+    // re-verifies against the checksum chain.
+    let engine = QueryEngine::new(Arc::clone(&db), ALG);
+    let verifier = Verifier::new(&keys, ALG);
+    let one_hop = |op: QueryOp, target: ObjectId| -> Vec<ObjectId> {
+        let spec = QuerySpec {
+            bounds: QueryBounds {
+                max_depth: Some(1),
+                ..QueryBounds::default()
+            },
+            ..QuerySpec::new(op, target)
+        };
+        let proof = engine.execute(&spec).unwrap();
+        assert!(verifier.verify_slice(&proof).verified());
+        match proof.answer {
+            QueryAnswer::Objects(oids) => oids,
+            other => unreachable!("{op} answers objects, got {other:?}"),
+        }
+    };
     println!("== audit queries ==");
+    let latest = db.latest_for(published).unwrap();
     println!(
-        "published value {published} last touched by {:?}",
-        q.blame(published).unwrap()
+        "published value {published} last touched by {} (seq {})",
+        latest.participant, latest.seq_id
     );
+    let sources = one_hop(QueryOp::Ancestors, published);
+    println!("where did it come from: {sources:?}");
+    assert!(sources.contains(&raw[1]));
     println!(
-        "derives from: {:?}",
-        q.derivation_sources(published).unwrap()
-    );
-    assert!(q.derives_from(published, raw[1]).unwrap());
-    println!(
-        "participants in its lineage chain for raw[1]: {:?}",
-        q.participants_of(raw[1]).unwrap()
-    );
-    println!("consumers of raw[0]: {:?}", q.consumers_of(raw[0]));
-    let stats = q.stats().unwrap();
-    println!(
-        "store: {} records / {} objects / {} participants / {} row bytes",
-        stats.records, stats.objects, stats.participants, stats.row_bytes
+        "who consumed raw[0]: {:?}",
+        one_hop(QueryOp::Descendants, raw[0])
     );
 
     // --- Repeat-recipient anchoring ------------------------------------------
     println!("\n== trust anchor ==");
     let prov = ledger.provenance_of(published).unwrap();
     let hash = ledger.object_hash(published).unwrap();
-    let verifier = Verifier::new(&keys, ALG);
     assert!(verifier.verify(&hash, &prov).verified());
     let anchor = TrustAnchor::capture(&prov).unwrap();
     println!(

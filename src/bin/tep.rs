@@ -23,9 +23,10 @@
 //!                                     verify a proof (optionally a value)
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 use std::sync::Arc;
-use tepdb::core::{collect, gc, ProvenanceQuery, Verifier};
+use tepdb::core::{collect, gc, ProvenanceRecord, RecordKind, Verifier};
 use tepdb::crypto::hex;
 use tepdb::crypto::Keyring;
 use tepdb::prelude::*;
@@ -115,17 +116,25 @@ fn stats(args: &[String]) -> Result<(), String> {
         open_db(Some(path))?
     };
 
-    let q = ProvenanceQuery::new(&db);
-    let stats = q.stats().map_err(|e| e.to_string())?;
-    println!("records:      {}", stats.records);
-    println!("objects:      {}", stats.objects);
-    println!("inserts:      {}", stats.inserts);
-    println!("updates:      {}", stats.updates);
-    println!("aggregates:   {}", stats.aggregates);
-    println!("participants: {}", stats.participants);
-    println!("row bytes:    {}", stats.row_bytes);
+    let (mut inserts, mut updates, mut aggregates) = (0, 0, 0);
+    let mut activity: BTreeMap<ParticipantId, usize> = BTreeMap::new();
+    for stored in db.all_records() {
+        match decode(&stored)?.kind {
+            RecordKind::Insert => inserts += 1,
+            RecordKind::Update => updates += 1,
+            RecordKind::Aggregate => aggregates += 1,
+        }
+        *activity.entry(stored.participant).or_insert(0) += 1;
+    }
+    println!("records:      {}", db.len());
+    println!("objects:      {}", db.object_ids().len());
+    println!("inserts:      {inserts}");
+    println!("updates:      {updates}");
+    println!("aggregates:   {aggregates}");
+    println!("participants: {}", activity.len());
+    println!("row bytes:    {}", db.paper_row_bytes());
     println!("\nactivity:");
-    for (p, n) in q.activity() {
+    for (p, n) in activity {
         println!("  {p}: {n} record(s)");
     }
     if with_metrics {
@@ -135,9 +144,18 @@ fn stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Decodes one stored record, with the store's corruption message.
+fn decode(stored: &StoredRecord) -> Result<ProvenanceRecord, String> {
+    ProvenanceRecord::from_stored(stored).map_err(|e| CoreError::from(e).to_string())
+}
+
+/// One object's decoded history, in `seqID` order.
+fn history_of(db: &ProvenanceDb, oid: ObjectId) -> Result<Vec<ProvenanceRecord>, String> {
+    db.records_for(oid).iter().map(decode).collect()
+}
+
 fn history(db: ProvenanceDb, oid: ObjectId) -> Result<(), String> {
-    let q = ProvenanceQuery::new(&db);
-    let records = q.history_of(oid).map_err(|e| e.to_string())?;
+    let records = history_of(&db, oid)?;
     if records.is_empty() {
         return Err(format!("no records for {oid}"));
     }
@@ -169,10 +187,12 @@ fn history(db: ProvenanceDb, oid: ObjectId) -> Result<(), String> {
 }
 
 fn blame(db: ProvenanceDb, oid: ObjectId) -> Result<(), String> {
-    let q = ProvenanceQuery::new(&db);
-    match q.blame(oid) {
-        Some((p, seq)) => {
-            println!("{oid} last modified by {p} (record seq {seq})");
+    match db.latest_for(oid) {
+        Some(r) => {
+            println!(
+                "{oid} last modified by {} (record seq {})",
+                r.participant, r.seq_id
+            );
             Ok(())
         }
         None => Err(format!("no records for {oid}")),
@@ -180,8 +200,10 @@ fn blame(db: ProvenanceDb, oid: ObjectId) -> Result<(), String> {
 }
 
 fn participants(db: ProvenanceDb, oid: ObjectId) -> Result<(), String> {
-    let q = ProvenanceQuery::new(&db);
-    let ps = q.participants_of(oid).map_err(|e| e.to_string())?;
+    let ps: BTreeSet<ParticipantId> = history_of(&db, oid)?
+        .into_iter()
+        .map(|r| r.participant)
+        .collect();
     if ps.is_empty() {
         return Err(format!("no records for {oid}"));
     }

@@ -5,10 +5,11 @@
 //! checksum semantics — bump the record version and document the deviation
 //! in DESIGN.md §5a (and regenerate the constant only then, knowingly).
 //!
-//! There are two pins. The history built through the per-record entry point
+//! Two pins cover the records. The history built through the per-record entry point
 //! must still hash to the constant captured before amortized signing
 //! existed — that is the proof the v2 format did not move. The same
-//! history built through `complex` pins the v3 batch-member format.
+//! history built through `complex` pins the v3 batch-member format. A third
+//! pin freezes the bytes of the query-index sidecar (`TEPIDX`) over both.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,6 +17,7 @@ use std::sync::Arc;
 use tepdb::crypto::hex::to_hex;
 use tepdb::crypto::sha256::Sha256;
 use tepdb::prelude::*;
+use tepdb::query::QueryIndex;
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
 
@@ -130,4 +132,33 @@ fn batch_checksum_semantics_golden_pin() {
     // and the aggregate in this history are still v2.
     const GOLDEN: &str = "7a1718a4f626d403287a8d94e08c8ca8af88021adffcf4c0e7ed81f7d5e3d000";
     assert_eq!(digest, GOLDEN, "batch checksum/wire semantics changed");
+}
+
+#[test]
+fn query_index_sidecar_golden_pin() {
+    // The TEPIDX sidecar is an on-disk format too: a restarted process
+    // loads what an older build saved. Captured before the reverse-edge
+    // index moved into `QueryIndex`, so that refactor provably wrote the
+    // same bytes.
+    for (scheme, golden) in [
+        (
+            Scheme::PerRecord,
+            "10ad4880810960f1891c5c0ba03cbceeab58cd2b24025f56ccf3d9bce205111c",
+        ),
+        (
+            Scheme::Amortized,
+            "dffbc42a5650e06abca254cd5e087cb41ff1b82bc2516ec4eefdc4b28bf1420d",
+        ),
+    ] {
+        let db = golden_history(scheme);
+        let mut ix = QueryIndex::new();
+        ix.sync(&db);
+        let mut h = Sha256::new();
+        h.update(&ix.to_bytes());
+        assert_eq!(
+            to_hex(&h.finalize()),
+            golden,
+            "TEPIDX sidecar bytes changed"
+        );
+    }
 }

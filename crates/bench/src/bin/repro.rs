@@ -388,6 +388,19 @@ fn main() -> ExitCode {
             &t,
             args.csv,
         );
+        let mut t = TextTable::new(&["kernel/limbs", "per call (us)", "ci95"]);
+        for r in &run_kernel_cost(&cfg) {
+            t.row(&[
+                r.name.clone(),
+                format!("{:.3}", r.op_us.mean),
+                format!("{:.3}", r.op_us.ci95),
+            ]);
+        }
+        emit(
+            "Extension: Montgomery kernel cost by operand width",
+            &t,
+            args.csv,
+        );
     }
 
     ExitCode::SUCCESS

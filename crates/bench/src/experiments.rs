@@ -1,20 +1,18 @@
 //! Experiment runners regenerating every table and figure of the paper's
 //! evaluation (§5).
 //!
-//! Each `run_*` function is pure measurement machinery shared by the
-//! `repro` binary (which prints paper-style tables) and the Criterion
-//! benches (which wrap the same code for statistically rigorous timing).
+//! Each `run_*` function is pure measurement machinery; the `repro` binary
+//! prints its rows as paper-style tables (mean of N runs with 95% CIs).
 
 use crate::stats::{ns_to_ms, Summary};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 use tep_core::hashing::{forest_hash, HashCache, HashingStrategy};
 use tep_core::prelude::*;
 use tep_core::Metrics;
 use tep_crypto::pki::Participant;
-use tep_model::{Forest, ObjectId};
 use tep_storage::ProvenanceDb;
 use tep_workloads::{
     paper_database, setup_a_updates, setup_b_delete_rows, setup_b_insert_rows,
@@ -116,7 +114,7 @@ pub struct Fig7Row {
 
 /// The paper's Setup A sweep: 1 update; 400n updates in 400n rows
 /// (n = 1…10); 4000n updates in 4000 rows (n = 2…8).
-pub fn fig7_cell_counts() -> Vec<(usize, usize)> {
+pub(crate) fn fig7_cell_counts() -> Vec<(usize, usize)> {
     let mut out = vec![(1usize, 1usize)];
     for n in 1..=10 {
         out.push((400 * n, 400 * n));
@@ -134,7 +132,7 @@ pub fn run_fig7(cfg: &ExperimentConfig) -> Vec<Fig7Row> {
 }
 
 /// Figure 7 measurement for specific `(cells, rows)` points.
-pub fn run_fig7_points(cfg: &ExperimentConfig, points: &[(usize, usize)]) -> Vec<Fig7Row> {
+pub(crate) fn run_fig7_points(cfg: &ExperimentConfig, points: &[(usize, usize)]) -> Vec<Fig7Row> {
     points
         .iter()
         .copied()
@@ -234,7 +232,7 @@ pub struct SetupBRow {
 }
 
 /// Runs one Setup B workload once, returning accumulated metrics.
-pub fn run_setup_b_once(
+pub(crate) fn run_setup_b_once(
     cfg: &ExperimentConfig,
     signer: &Participant,
     workload: SetupBWorkload,
@@ -308,7 +306,7 @@ pub struct SetupCRow {
 }
 
 /// Runs one Setup C mix once.
-pub fn run_setup_c_once(
+pub(crate) fn run_setup_c_once(
     cfg: &ExperimentConfig,
     signer: &Participant,
     mix: MixSpec,
@@ -409,18 +407,6 @@ pub struct ChainingResult {
     pub global_ms: f64,
 }
 
-impl ChainingResult {
-    /// Updates per second achieved by each thread under local chaining.
-    pub fn local_ops_per_thread_per_sec(&self) -> f64 {
-        self.ops_per_thread as f64 / (self.local_ms / 1e3)
-    }
-
-    /// Updates per second achieved by each thread under global chaining.
-    pub fn global_ops_per_thread_per_sec(&self) -> f64 {
-        self.ops_per_thread as f64 / (self.global_ms / 1e3)
-    }
-}
-
 /// Busy-waits for exactly `d`. `thread::sleep` rounds up to the OS timer
 /// granularity and jitters with scheduler load (±15% swings observed at
 /// 200µs), which drowned out the local-vs-global signal; a calibrated spin
@@ -460,11 +446,12 @@ pub fn run_chaining(
 
 /// The simulated per-record commit latency (durable write / repository
 /// round-trip) that chaining order forces to serialize.
-pub const CHAINING_COMMIT_LATENCY: std::time::Duration = std::time::Duration::from_micros(200);
+pub(crate) const CHAINING_COMMIT_LATENCY: std::time::Duration =
+    std::time::Duration::from_micros(200);
 
 /// Enrolls one participant per worker thread, deterministically from
 /// `cfg.seed`.
-pub fn chaining_participants(cfg: &ExperimentConfig, threads: usize) -> Vec<Participant> {
+pub(crate) fn chaining_participants(cfg: &ExperimentConfig, threads: usize) -> Vec<Participant> {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC4A1);
     let ca = CertificateAuthority::new(cfg.key_bits.max(512), cfg.alg, &mut rng);
     (0..threads)
@@ -475,7 +462,7 @@ pub fn chaining_participants(cfg: &ExperimentConfig, threads: usize) -> Vec<Part
 /// Local chains: each participant owns an object; chains never contend
 /// (one ledger per thread, as §3.2 describes). Commit latency overlaps
 /// across participants. Returns wall time in ms.
-pub fn chaining_local_ms(
+pub(crate) fn chaining_local_ms(
     cfg: &ExperimentConfig,
     participants: &[Participant],
     ops_per_thread: usize,
@@ -499,12 +486,12 @@ pub fn chaining_local_ms(
 /// Global chain: one shared ledger and one shared object — every record
 /// must take the lock, extend the single chain, and commit before the
 /// next participant can chain onto it. Returns wall time in ms.
-pub fn chaining_global_ms(
+pub(crate) fn chaining_global_ms(
     cfg: &ExperimentConfig,
     participants: &[Participant],
     ops_per_thread: usize,
 ) -> f64 {
-    use parking_lot::Mutex;
+    use std::sync::{Mutex, PoisonError};
 
     let ledger = Mutex::new(AtomicLedger::new(
         cfg.alg,
@@ -512,6 +499,7 @@ pub fn chaining_global_ms(
     ));
     let obj = ledger
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .insert(&participants[0], tep_model::Value::Int(0))
         .unwrap();
     let t = Instant::now();
@@ -520,7 +508,7 @@ pub fn chaining_global_ms(
             let ledger = &ledger;
             s.spawn(move || {
                 for i in 0..ops_per_thread as i64 {
-                    let mut guard = ledger.lock();
+                    let mut guard = ledger.lock().unwrap_or_else(PoisonError::into_inner);
                     guard.update(p, obj, tep_model::Value::Int(i)).unwrap();
                     // The commit is part of the critical section: the next
                     // record needs this record's (durable) checksum.
@@ -658,10 +646,68 @@ pub fn run_verify_cost(cfg: &ExperimentConfig, lens: &[usize]) -> Vec<VerifyRow>
         .collect()
 }
 
-/// Builds a bare forest for hashing micro-experiments (used by benches).
-pub fn table1_forest(seed: u64) -> (Forest, ObjectId) {
-    let db = paper_database(1, seed);
-    (db.forest, db.root)
+/// One kernel-cost data point.
+#[derive(Clone, Debug)]
+pub struct KernelRow {
+    /// `mont_mul/<limbs>` or `modpow_65537/<limbs>`.
+    pub name: String,
+    /// Time per call (µs).
+    pub op_us: Summary,
+}
+
+/// Times the kernel under every signature check: one Montgomery product at
+/// the limb counts of an RSA-1024 prime (8), an RSA-1024 modulus / RSA-2048
+/// prime (16) and an RSA-2048 modulus (32), and the public-exponent ladder
+/// (16 squarings + 1 multiply + the two domain conversions) a verification
+/// is made of. Each of `cfg.runs` samples is the mean over a fixed batch of
+/// calls, after one unrecorded warm-up batch.
+pub fn run_kernel_cost(cfg: &ExperimentConfig) -> Vec<KernelRow> {
+    use std::hint::black_box;
+    use tep_crypto::bignum::{BigUint, MontgomeryCtx};
+
+    fn per_call_us(runs: usize, calls: u32, mut f: impl FnMut()) -> Summary {
+        let samples: Vec<f64> = (0..=runs)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..calls {
+                    f();
+                }
+                t.elapsed().as_nanos() as f64 / 1e3 / f64::from(calls)
+            })
+            .collect();
+        Summary::of(&samples[1..])
+    }
+
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut out = Vec::new();
+    for limbs in [8usize, 16, 32] {
+        let mut n: Vec<u64> = (0..limbs).map(|_| rng.next_u64()).collect();
+        n[0] |= 1;
+        n[limbs - 1] |= 1 << 63;
+        let n = BigUint::from_limbs(n);
+        let ctx = MontgomeryCtx::new(&n);
+        let x = BigUint::random_below(&n, &mut rng);
+        let a = ctx.to_mont(&x);
+        let b = ctx.to_mont(&BigUint::random_below(&n, &mut rng));
+        let mut prod = vec![0u64; limbs];
+        out.push(KernelRow {
+            name: format!("mont_mul/{limbs}"),
+            op_us: per_call_us(cfg.runs, 20_000, || {
+                ctx.mont_mul(black_box(&a), black_box(&b), &mut prod);
+                black_box(prod[0]);
+            }),
+        });
+        if limbs >= 16 {
+            let e = BigUint::from_u64(65537);
+            out.push(KernelRow {
+                name: format!("modpow_65537/{limbs}"),
+                op_us: per_call_us(cfg.runs, 1_000, || {
+                    black_box(ctx.modpow(black_box(&x), &e));
+                }),
+            });
+        }
+    }
+    out
 }
 
 #[cfg(test)]

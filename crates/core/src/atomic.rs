@@ -191,7 +191,7 @@ impl AtomicLedger {
     /// the *original* value of `A` (seq 0) after `A` has moved on. Each
     /// input is `(object, seqID)` naming the version whose record hash and
     /// checksum are chained.
-    pub fn aggregate_versions(
+    pub(crate) fn aggregate_versions(
         &mut self,
         signer: &Participant,
         inputs: &[(ObjectId, u64)],

@@ -10,7 +10,7 @@ use tep_model::ObjectId;
 
 /// The latest record of one object's chain.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Head {
+pub(crate) struct Head {
     /// `seqID` of the latest record.
     pub seq: u64,
     /// Checksum bytes of the latest record (chained into the next one).
@@ -19,46 +19,36 @@ pub struct Head {
 
 /// Chain heads for all live objects.
 #[derive(Clone, Debug, Default)]
-pub struct ChainHeads {
+pub(crate) struct ChainHeads {
     heads: HashMap<ObjectId, Head>,
 }
 
 impl ChainHeads {
     /// Creates an empty head table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Current head for `oid`, if it has any records.
-    pub fn get(&self, oid: ObjectId) -> Option<&Head> {
+    pub(crate) fn get(&self, oid: ObjectId) -> Option<&Head> {
         self.heads.get(&oid)
     }
 
     /// The `seqID` the next record for `oid` should carry: `head + 1`, or
     /// `0` for a fresh chain (§2.1 numbering).
-    pub fn next_seq(&self, oid: ObjectId) -> u64 {
+    pub(crate) fn next_seq(&self, oid: ObjectId) -> u64 {
         self.heads.get(&oid).map_or(0, |h| h.seq + 1)
     }
 
     /// Advances `oid`'s chain to a new head.
-    pub fn advance(&mut self, oid: ObjectId, seq: u64, checksum: Vec<u8>) {
+    pub(crate) fn advance(&mut self, oid: ObjectId, seq: u64, checksum: Vec<u8>) {
         self.heads.insert(oid, Head { seq, checksum });
     }
 
     /// Drops `oid`'s chain (after deletion its provenance object is no
     /// longer relevant — §2.1 footnote 3).
-    pub fn remove(&mut self, oid: ObjectId) -> Option<Head> {
+    pub(crate) fn remove(&mut self, oid: ObjectId) -> Option<Head> {
         self.heads.remove(&oid)
-    }
-
-    /// Number of live chains.
-    pub fn len(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// `true` when no chains exist.
-    pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
     }
 }
 
@@ -92,6 +82,6 @@ mod tests {
         let removed = heads.remove(ObjectId(1)).unwrap();
         assert_eq!(removed.seq, 4);
         assert_eq!(heads.next_seq(ObjectId(1)), 0);
-        assert!(heads.is_empty());
+        assert!(heads.get(ObjectId(1)).is_none());
     }
 }

@@ -234,15 +234,6 @@ impl SealedCheckpoint {
             .is_ok()
     }
 
-    /// The anchor for `oid`, if the checkpoint covered it.
-    pub fn anchor_for(&self, oid: ObjectId) -> Option<&TrustAnchor> {
-        self.checkpoint
-            .anchors
-            .binary_search_by_key(&oid, |a| a.oid)
-            .ok()
-            .map(|i| &self.checkpoint.anchors[i])
-    }
-
     /// Stable byte encoding.
     pub fn to_bytes(&self) -> Vec<u8> {
         let ckpt = self.checkpoint.to_bytes();

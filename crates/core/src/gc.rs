@@ -8,7 +8,7 @@
 //!
 //! Reachability matters: a deleted object's records must be **kept** if a
 //! live object was aggregated from it — pruning them would break the live
-//! object's DAG. [`plan_retention`] therefore reuses the same reverse
+//! object's DAG. `plan_retention` therefore reuses the same reverse
 //! traversal as provenance collection.
 
 //! ## Checkpoint-anchored log compaction
@@ -50,7 +50,7 @@ pub struct PruneReport {
 ///
 /// Objects in `live` without any provenance records are skipped (nothing to
 /// retain for them).
-pub fn plan_retention(
+pub(crate) fn plan_retention(
     db: &ProvenanceDb,
     live: &[ObjectId],
 ) -> Result<HashSet<(ObjectId, u64)>, CoreError> {
@@ -99,7 +99,7 @@ pub fn prune_into(
 }
 
 /// Sidecar path of the sealed checkpoint for the log at `path`.
-pub fn checkpoint_path(path: &Path) -> PathBuf {
+pub(crate) fn checkpoint_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".checkpoint");
     PathBuf::from(os)
@@ -110,7 +110,7 @@ fn io_err(e: std::io::Error) -> CoreError {
 }
 
 /// Captures and seals a [`Checkpoint`] over the durable log at `path`,
-/// persisting it atomically to [`checkpoint_path`]. The log itself is
+/// persisting it atomically to `checkpoint_path`. The log itself is
 /// untouched; a later [`compact_log`] truncates up to this checkpoint.
 ///
 /// Sealing and compacting are deliberately separate steps: records
@@ -141,7 +141,7 @@ pub fn seal_checkpoint(
 /// exists. Decode failures are surfaced, not treated as absence — a
 /// half-written or tampered sidecar should be looked at, and the sealed
 /// blob's signature (checked by the caller) handles malice.
-pub fn load_checkpoint(
+pub(crate) fn load_checkpoint(
     vfs: Arc<dyn Vfs>,
     path: impl AsRef<Path>,
 ) -> Result<Option<SealedCheckpoint>, CoreError> {

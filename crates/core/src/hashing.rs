@@ -113,33 +113,14 @@ impl HashCache {
         self.hashes.is_empty()
     }
 
-    /// Nodes hashed since the last [`Self::reset_counter`].
+    /// Nodes hashed since the counter was last reset.
     pub fn nodes_hashed(&self) -> u64 {
         self.nodes_hashed
     }
 
     /// Resets the work counter (start of a measured phase).
-    pub fn reset_counter(&mut self) {
+    pub(crate) fn reset_counter(&mut self) {
         self.nodes_hashed = 0;
-    }
-
-    /// Drops a cached entry (the node was deleted or dirtied).
-    pub fn invalidate(&mut self, id: ObjectId) {
-        if self.hashes.remove(&id).is_some() {
-            self.count_evictions(1);
-        }
-    }
-
-    /// Dirties `id` and every ancestor — the invalidation an update/insert/
-    /// delete at `id` requires.
-    pub fn invalidate_path(&mut self, forest: &Forest, id: ObjectId) {
-        let mut evicted = u64::from(self.hashes.remove(&id).is_some());
-        let mut cur = forest.node(id).and_then(|n| n.parent());
-        while let Some(p) = cur {
-            evicted += u64::from(self.hashes.remove(&p).is_some());
-            cur = forest.node(p).and_then(|n| n.parent());
-        }
-        self.count_evictions(evicted);
     }
 
     /// Drains the forest's dirty log and applies exactly the invalidations
@@ -164,12 +145,12 @@ impl HashCache {
         }
     }
 
-    /// `invalidate_path` with an early exit for batch draining: evictions
-    /// always remove whole root paths and a computed node always has its
-    /// full subtree cached, so once an *ancestor* turns out to be already
-    /// absent the rest of its path is absent too. (The start node is evicted
-    /// unconditionally — a freshly inserted node is absent while its
-    /// ancestors still hold stale entries.)
+    /// Evicts `id` and its root path, with an early exit for batch
+    /// draining: evictions always remove whole root paths and a computed
+    /// node always has its full subtree cached, so once an *ancestor*
+    /// turns out to be already absent the rest of its path is absent too.
+    /// (The start node is evicted unconditionally — a freshly inserted
+    /// node is absent while its ancestors still hold stale entries.)
     fn evict_path(&mut self, forest: &Forest, id: ObjectId) {
         let mut evicted = u64::from(self.hashes.remove(&id).is_some());
         let mut cur = forest.node(id).and_then(|n| n.parent());
@@ -247,24 +228,6 @@ impl HashCache {
             obs.misses.add(misses);
         }
         self.hashes[&id].to_vec()
-    }
-
-    /// Full recompute of `subtree(id)` ignoring the cache (Basic walk).
-    /// The cache is repopulated with the fresh values.
-    pub fn recompute_subtree(&mut self, forest: &Forest, id: ObjectId) -> Vec<u8> {
-        let mut evicted = 0u64;
-        for n in forest.subtree_ids(id) {
-            evicted += u64::from(self.hashes.remove(&n).is_some());
-        }
-        self.count_evictions(evicted);
-        self.get_or_compute(forest, id)
-    }
-
-    /// Drops cache entries for ids no longer in the forest.
-    pub fn retain_live(&mut self, forest: &Forest) {
-        let before = self.hashes.len();
-        self.hashes.retain(|id, _| forest.contains(*id));
-        self.count_evictions((before - self.hashes.len()) as u64);
     }
 }
 
@@ -345,46 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn cache_reuses_child_hashes() {
-        let (mut f, a, b, _, d) = small_tree();
-        let mut cache = HashCache::new(ALG);
-        cache.get_or_compute(&f, a);
-        assert_eq!(cache.nodes_hashed(), 4);
-
-        // Update D: invalidate D's path (D, B, A); C's hash is reused.
-        cache.reset_counter();
-        f.update(d, Value::text("d2")).unwrap();
-        cache.invalidate_path(&f, d);
-        assert_eq!(cache.len(), 1); // only C remains cached
-        let economical = cache.get_or_compute(&f, a);
-        assert_eq!(cache.nodes_hashed(), 3); // D, B, A — not C
-
-        // Must equal a from-scratch recompute.
-        assert_eq!(economical, subtree_hash(ALG, &f, a));
-        let _ = b;
-    }
-
-    #[test]
-    fn recompute_subtree_matches_fresh() {
-        let (mut f, a, _, c, _) = small_tree();
-        let mut cache = HashCache::new(ALG);
-        cache.get_or_compute(&f, a);
-        f.update(c, Value::text("c2")).unwrap();
-        // Basic walk: full recompute ignores the (now stale) cache.
-        let recomputed = cache.recompute_subtree(&f, a);
-        assert_eq!(recomputed, subtree_hash(ALG, &f, a));
-    }
-
-    #[test]
-    fn stale_cache_detected_by_invalidate_path() {
+    fn stale_cache_detected_until_sync() {
         let (mut f, a, _, _, d) = small_tree();
         let mut cache = HashCache::new(ALG);
         let stale = cache.get_or_compute(&f, a);
         f.update(d, Value::text("d2")).unwrap();
         // Without invalidation the cache would (wrongly) return the old value;
-        // invalidate_path is what keeps Economical correct.
+        // draining the dirty log is what keeps Economical correct.
         assert_eq!(cache.get_or_compute(&f, a), stale);
-        cache.invalidate_path(&f, d);
+        cache.sync(&mut f);
         assert_ne!(cache.get_or_compute(&f, a), stale);
     }
 
@@ -420,7 +352,7 @@ mod tests {
         let mut cache = HashCache::new(ALG);
         let h = forest_hash(ALG, &f, &mut cache);
         f.update(r1, Value::Int(99)).unwrap();
-        cache.invalidate_path(&f, r1);
+        cache.sync(&mut f);
         assert_ne!(forest_hash(ALG, &f, &mut cache), h);
     }
 
@@ -471,16 +403,5 @@ mod tests {
         // Iterative traversal must handle a 50k-deep chain.
         let h = subtree_hash(ALG, &f, root);
         assert_eq!(h.len(), 32);
-    }
-
-    #[test]
-    fn retain_live_prunes_deleted() {
-        let (mut f, a, _, c, _) = small_tree();
-        let mut cache = HashCache::new(ALG);
-        cache.get_or_compute(&f, a);
-        f.delete(c).unwrap();
-        cache.retain_live(&f);
-        assert!(cache.get(c).is_none());
-        assert_eq!(cache.len(), 3);
     }
 }

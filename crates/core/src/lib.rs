@@ -11,7 +11,7 @@
 //!
 //! | Paper section | Module |
 //! |---|---|
-//! | §2.1 provenance model | [`record`], [`chain`], [`provenance`] |
+//! | §2.1 provenance model | [`record`], `chain`, [`provenance`] |
 //! | §3 atomic objects, Fig. 3 | [`atomic`] |
 //! | §3 checksum verification, §3.1 R1–R8 | [`verify`] |
 //! | §2.2 threat model (attack simulation) | [`attack`] |
@@ -47,12 +47,13 @@
 //! assert!(verification.verified());
 //! ```
 
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod atomic;
 pub mod attack;
-pub mod chain;
+mod chain;
 pub mod checkpoint;
 pub mod denial;
 pub mod error;
@@ -61,7 +62,7 @@ pub mod gc;
 pub mod hashing;
 pub mod merkle;
 pub mod metrics;
-pub mod parallel;
+mod parallel;
 pub mod proof;
 pub mod provenance;
 pub mod record;
@@ -78,25 +79,20 @@ pub use denial::{
 };
 pub use error::CoreError;
 pub use export::to_opm_json;
-pub use gc::{
-    checkpoint_path, compact_log, load_checkpoint, prune, prune_into, seal_checkpoint, PruneReport,
-};
+pub use gc::{compact_log, prune, prune_into, seal_checkpoint, PruneReport};
 pub use hashing::{hash_atom, subtree_hash, HashCache, HashingStrategy};
 pub use merkle::{
     leaf_hash, locate_divergence, shard_tree_of, AeError, AeNodeInfo, AeOracle, AeOutcome,
-    AeSummary, ShardTree, TreeOracle,
+    AeSummary, ShardTree,
 };
 pub use metrics::{Metrics, TransferCounters, TransferSnapshot};
-pub use parallel::{default_threads, parallel_map};
 pub use proof::{prove, ProofError, SubtreeProof};
 pub use provenance::{collect, ProvenanceObject};
 pub use record::{BatchChecksum, ChecksumFormat, InputRef, ProvenanceRecord, RecordKind};
 pub use slice::{
     BoundaryLink, Polynomial, QueryAnswer, QueryBounds, QueryOp, QuerySpec, SliceProof,
 };
-pub use tenant::{
-    federated_verify, FederatedReport, TenantDirectory, TenantEvidenceCounters, TenantReport,
-};
+pub use tenant::{federated_verify, FederatedReport, TenantDirectory, TenantReport};
 pub use tracker::{ComplexReport, ProvenanceTracker, TrackerConfig};
 pub use verify::{
     EvidenceCounters, EvidenceKind, StreamingVerifier, TamperEvidence, Verification, Verifier,

@@ -18,10 +18,9 @@
 //! man-in-the-middle mutating anti-entropy frames.
 //!
 //! The oracle seam ([`AeOracle`]) abstracts *where* the remote tree
-//! lives: tep-net implements it over AE_REQ/AE_RESP wire frames, while
-//! [`TreeOracle`] answers from an in-process tree for tests and for the
-//! 100k-object round-trip benchmarks, where signing real records would
-//! drown the measurement.
+//! lives: tep-net implements it over AE_REQ/AE_RESP wire frames, and this
+//! module's tests answer from an in-process tree (down to 100k-object
+//! shards, where signing real records would drown the measurement).
 
 use crate::streaming::RecordStreamDigest;
 use tep_crypto::digest::HashAlgorithm;
@@ -103,7 +102,7 @@ impl ShardTree {
 
     /// The well-defined root of an **empty** shard (the tagged empty
     /// hash), against which non-membership in an empty tree verifies.
-    pub fn empty_root(alg: HashAlgorithm) -> Vec<u8> {
+    pub(crate) fn empty_root(alg: HashAlgorithm) -> Vec<u8> {
         alg.digest(EMPTY_TAG)
     }
 
@@ -154,12 +153,12 @@ impl ShardTree {
     }
 
     /// The object at leaf `index`, if in range.
-    pub fn leaf_oid(&self, index: u64) -> Option<ObjectId> {
+    pub(crate) fn leaf_oid(&self, index: u64) -> Option<ObjectId> {
         self.oids.get(index as usize).copied()
     }
 
     /// The history digest (leaf-hash preimage) at leaf `index`.
-    pub fn leaf_digest(&self, index: u64) -> Option<&[u8]> {
+    pub(crate) fn leaf_digest(&self, index: u64) -> Option<&[u8]> {
         self.digests.get(index as usize).map(Vec::as_slice)
     }
 
@@ -167,7 +166,7 @@ impl ShardTree {
     /// present, `Err(insertion_point)` when absent — the two adjacent
     /// leaves around an insertion point are exactly a non-membership
     /// proof's witnesses.
-    pub fn oid_position(&self, oid: ObjectId) -> Result<u64, u64> {
+    pub(crate) fn oid_position(&self, oid: ObjectId) -> Result<u64, u64> {
         self.oids
             .binary_search(&oid)
             .map(|i| i as u64)
@@ -177,7 +176,7 @@ impl ShardTree {
     /// The authenticated sibling path from leaf `index` to the root: one
     /// entry per level below the root, `Some(sibling_hash)` when the node
     /// has a sibling at that level and `None` when it is an odd tail
-    /// hashed alone. Verify with [`ShardTree::verify_leaf_path`].
+    /// hashed alone. Verify with `ShardTree::verify_leaf_path`.
     pub fn leaf_path(&self, index: u64) -> Option<Vec<Option<Vec<u8>>>> {
         if index >= self.leaf_count() {
             return None;
@@ -196,7 +195,7 @@ impl ShardTree {
     /// combines on the side `index` dictates, and a `None` entry is only
     /// legal where the tree shape for `leaf_count` really has an unpaired
     /// tail node. `None` when the path does not fit that shape.
-    pub fn fold_leaf_path(
+    pub(crate) fn fold_leaf_path(
         alg: HashAlgorithm,
         leaf_count: u64,
         index: u64,
@@ -247,7 +246,7 @@ impl ShardTree {
     }
 
     /// `true` iff [`Self::fold_leaf_path`] lands on `root`.
-    pub fn verify_leaf_path(
+    pub(crate) fn verify_leaf_path(
         alg: HashAlgorithm,
         root: &[u8],
         leaf_count: u64,
@@ -349,38 +348,13 @@ impl std::fmt::Display for AeError {
 
 impl std::error::Error for AeError {}
 
-/// Where the remote tree's answers come from: wire frames (tep-net) or an
-/// in-process [`TreeOracle`].
+/// Where the remote tree's answers come from: wire frames (tep-net) or,
+/// in tests, an in-process tree.
 pub trait AeOracle {
     /// The peer's root exchange (one round trip).
     fn summary(&mut self) -> Result<AeSummary, AeError>;
     /// The peer's node at `(level, index)` (one round trip).
     fn node(&mut self, level: u32, index: u64) -> Result<AeNodeInfo, AeError>;
-}
-
-/// An [`AeOracle`] answering from a local [`ShardTree`] — the "remote"
-/// side of tests and benchmarks, with zero transport cost.
-pub struct TreeOracle<'a> {
-    tree: &'a ShardTree,
-}
-
-impl<'a> TreeOracle<'a> {
-    /// Wraps `tree` as the remote peer.
-    pub fn new(tree: &'a ShardTree) -> Self {
-        TreeOracle { tree }
-    }
-}
-
-impl AeOracle for TreeOracle<'_> {
-    fn summary(&mut self) -> Result<AeSummary, AeError> {
-        Ok(self.tree.summary())
-    }
-
-    fn node(&mut self, level: u32, index: u64) -> Result<AeNodeInfo, AeError> {
-        self.tree
-            .node_info(level, index)
-            .ok_or_else(|| AeError::Protocol(format!("no node at level {level} index {index}")))
-    }
 }
 
 /// The verdict of one anti-entropy pass.
@@ -527,6 +501,31 @@ mod tests {
     use super::*;
 
     const ALG: HashAlgorithm = HashAlgorithm::Sha256;
+
+    /// An [`AeOracle`] answering from a local [`ShardTree`] — the "remote"
+    /// side of these tests, with zero transport cost.
+    struct TreeOracle<'a> {
+        tree: &'a ShardTree,
+    }
+
+    impl<'a> TreeOracle<'a> {
+        /// Wraps `tree` as the remote peer.
+        fn new(tree: &'a ShardTree) -> Self {
+            TreeOracle { tree }
+        }
+    }
+
+    impl AeOracle for TreeOracle<'_> {
+        fn summary(&mut self) -> Result<AeSummary, AeError> {
+            Ok(self.tree.summary())
+        }
+
+        fn node(&mut self, level: u32, index: u64) -> Result<AeNodeInfo, AeError> {
+            self.tree
+                .node_info(level, index)
+                .ok_or_else(|| AeError::Protocol(format!("no node at level {level} index {index}")))
+        }
+    }
 
     fn shard(n: u64) -> Vec<(ObjectId, Vec<u8>)> {
         (0..n)

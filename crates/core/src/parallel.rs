@@ -16,20 +16,13 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The machine's available parallelism (1 if it cannot be determined).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Applies `f` to every item of `items` across `threads` self-scheduling
 /// workers and returns the results in item order.
 ///
 /// `threads` is clamped to `1..=items.len()`; with one thread (or one item)
 /// this degenerates to a plain sequential map with zero overhead. A panic
 /// in `f` is propagated to the caller after all workers stop.
-pub fn parallel_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -104,11 +97,6 @@ mod tests {
         assert_eq!(parallel_map(0, &[7u8], |_, &x| x), vec![7]);
         // More threads than items.
         assert_eq!(parallel_map(64, &[1u8, 2], |_, &x| x), vec![1, 2]);
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
     }
 
     #[test]

@@ -127,7 +127,11 @@ pub fn prove(
 impl SubtreeProof {
     /// Folds the proof from `target_hash` up and checks it against the
     /// trusted `root_hash`.
-    pub fn verify_hash(&self, target_hash: &[u8], root_hash: &[u8]) -> Result<(), ProofError> {
+    pub(crate) fn verify_hash(
+        &self,
+        target_hash: &[u8],
+        root_hash: &[u8],
+    ) -> Result<(), ProofError> {
         let mut h = target_hash.to_vec();
         for step in &self.steps {
             let mut hasher = self.alg.hasher();

@@ -253,7 +253,7 @@ impl BatchChecksum {
     /// The message `signature` must verify over if the record with output
     /// object `oid` and checksum message `message` is the member this
     /// checksum claims it is; `None` when the path does not fit the shape.
-    pub fn signed_message(
+    pub(crate) fn signed_message(
         &self,
         alg: HashAlgorithm,
         oid: ObjectId,
@@ -362,7 +362,7 @@ impl ProvenanceRecord {
     /// operation annotation into the signed checksum (footnote 4's
     /// white-box operation log).
     #[allow(clippy::too_many_arguments)]
-    pub fn create_annotated(
+    pub(crate) fn create_annotated(
         alg: HashAlgorithm,
         signer: &Participant,
         kind: RecordKind,
@@ -409,7 +409,7 @@ impl ProvenanceRecord {
     /// and number at most `u32::MAX`, and every record leaves with `signer`
     /// as its participant and a [`BatchChecksum`]. Returns the length of
     /// the signature all those checksums end with.
-    pub fn sign_batch(
+    pub(crate) fn sign_batch(
         alg: HashAlgorithm,
         signer: &Participant,
         records: &mut [ProvenanceRecord],

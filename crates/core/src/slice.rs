@@ -48,7 +48,7 @@ const SLICE_MAGIC: &[u8] = b"TEPSLICE\x01";
 /// term count per level; both the query engine and the verifier truncate
 /// the canonical form identically past this bound, so answer comparison
 /// stays meaningful while adversarial blowup stays bounded.
-pub const MAX_POLY_TERMS: usize = 4096;
+pub(crate) const MAX_POLY_TERMS: usize = 4096;
 
 /// The query operator a slice answers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -326,18 +326,6 @@ impl Polynomial {
             total = total.saturating_add(term);
         }
         total
-    }
-
-    /// The distinct variables (source objects) appearing, sorted.
-    pub fn variables(&self) -> Vec<ObjectId> {
-        let mut out: Vec<ObjectId> = self
-            .terms
-            .iter()
-            .flat_map(|(m, _)| m.iter().map(|&(o, _)| o))
-            .collect();
-        out.sort();
-        out.dedup();
-        out
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -625,7 +613,7 @@ pub fn backward_closure(
 }
 
 /// One aggregate's object-level edge: `(output, seq_id, input objects)`.
-pub type AggEdge = (ObjectId, u64, Vec<ObjectId>);
+pub(crate) type AggEdge = (ObjectId, u64, Vec<ObjectId>);
 
 /// Forward (descendant) reachability from `target` over aggregate edges.
 /// `aggs` must be sorted by `(output, seq)`; that order is topological
@@ -633,7 +621,7 @@ pub type AggEdge = (ObjectId, u64, Vec<ObjectId>);
 /// inputs, so a single pass computes minimum depths. Returns the indices
 /// of in-bounds reachable aggregates and the visited-object depth map
 /// (which includes `target` at depth 0).
-pub fn forward_closure(
+pub(crate) fn forward_closure(
     bounds: &QueryBounds,
     target: ObjectId,
     aggs: &[AggEdge],
@@ -753,7 +741,6 @@ mod tests {
         let s = sq.add(&xy);
         assert_eq!(s.terms.len(), 2);
         assert_eq!(s.eval(|_| 2), 4 + 4);
-        assert_eq!(s.variables(), vec![ObjectId(1), ObjectId(2)]);
         // Multiplication is commutative in canonical form.
         assert_eq!(x.mul(&y), y.mul(&x));
         // Display is stable.

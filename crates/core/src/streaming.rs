@@ -307,7 +307,7 @@ impl DepthStreamHasher {
 // ---------------------------------------------------------------------------
 
 /// Magic bytes opening every sealed verifier checkpoint (family + version).
-pub const CHECKPOINT_MAGIC: [u8; 8] = *b"TEPCKPT\x01";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 8] = *b"TEPCKPT\x01";
 
 /// Domain-separation tag for the rolling record-stream digest.
 const STREAM_DIGEST_TAG: &[u8] = b"tep-resume-stream\x01";
@@ -365,7 +365,7 @@ impl RecordStreamDigest {
 /// Why a sealed checkpoint blob was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The blob does not start with [`CHECKPOINT_MAGIC`].
+    /// The blob does not start with `CHECKPOINT_MAGIC`.
     BadMagic,
     /// The blob names a hash algorithm this build does not know.
     UnknownAlgorithm(u8),
@@ -404,7 +404,7 @@ impl From<DecodeError> for CheckpointError {
 
 /// A record slot `(oid, seq_id)` — the key every per-record table in a
 /// checkpoint (and in the verifier it restores) is indexed by.
-pub type RecordSlot = (ObjectId, u64);
+pub(crate) type RecordSlot = (ObjectId, u64);
 
 /// The full resumable state of a
 /// [`StreamingVerifier`](crate::verify::StreamingVerifier), with a
@@ -418,7 +418,7 @@ pub type RecordSlot = (ObjectId, u64);
 /// The encoding is deterministic (maps are serialized in sorted key order)
 /// so equal states seal to identical bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VerifierCheckpoint {
+pub(crate) struct VerifierCheckpoint {
     /// Hash algorithm of the verification session.
     pub alg: HashAlgorithm,
     /// The object whose history is being verified.
@@ -458,7 +458,7 @@ fn read_key(r: &mut Reader<'_>) -> Result<(ObjectId, u64), DecodeError> {
 
 impl VerifierCheckpoint {
     /// Serializes and seals the checkpoint: `magic ‖ body ‖ digest(magic ‖ body)`.
-    pub fn seal(&self) -> Vec<u8> {
+    pub(crate) fn seal(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.checksums.len() * 64);
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         out.push(self.alg.wire_id());
@@ -506,7 +506,7 @@ impl VerifierCheckpoint {
     /// Parses and authenticates a sealed blob. Every failure mode —
     /// truncation, bit flips, trailing garbage, internal contradictions —
     /// is an error; no partially trusted checkpoint is ever returned.
-    pub fn open(blob: &[u8]) -> Result<Self, CheckpointError> {
+    pub(crate) fn open(blob: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::new(blob);
         let magic: [u8; 8] = r.array()?;
         if magic != CHECKPOINT_MAGIC {

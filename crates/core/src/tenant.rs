@@ -33,7 +33,7 @@ use tep_storage::TenantShards;
 /// tenant-signer ids can never collide with ordinary workload
 /// participants (which use small ids) and the tenant is recoverable
 /// from the id for attribution.
-pub const TENANT_SIGNER_BASE: u64 = 0x7E4A_0000_0000_0000;
+pub(crate) const TENANT_SIGNER_BASE: u64 = 0x7E4A_0000_0000_0000;
 
 /// One tenant's identity material and admission state.
 struct TenantEntry {
@@ -83,13 +83,13 @@ impl TenantDirectory {
     /// The deterministic signer identity of `tenant` — the key
     /// derivation is pure (tenant id → participant id), so any party
     /// can attribute a signature to its tenant without a lookup.
-    pub fn signer_id(tenant: TenantId) -> ParticipantId {
+    pub(crate) fn signer_id(tenant: TenantId) -> ParticipantId {
         ParticipantId(TENANT_SIGNER_BASE | tenant.raw())
     }
 
     /// Mints `tenant`'s signing identity from the PKI: generates a
     /// fresh key pair, has `ca` certify it under
-    /// [`TenantDirectory::signer_id`], and starts the tenant enabled.
+    /// `TenantDirectory::signer_id`, and starts the tenant enabled.
     /// Re-minting an existing tenant rotates its key.
     pub fn mint(
         &mut self,
@@ -170,13 +170,13 @@ impl TenantDirectory {
 /// in the unlabeled aggregate (recorded by the verify paths) and
 /// attributed to the tenant it hit.
 #[derive(Clone)]
-pub struct TenantEvidenceCounters {
+pub(crate) struct TenantEvidenceCounters {
     counters: Vec<Counter>,
 }
 
 impl TenantEvidenceCounters {
     /// Registers (or re-resolves) `tenant`'s labeled counters.
-    pub fn new(registry: &Registry, tenant: TenantId) -> TenantEvidenceCounters {
+    pub(crate) fn new(registry: &Registry, tenant: TenantId) -> TenantEvidenceCounters {
         TenantEvidenceCounters {
             counters: EvidenceKind::ALL
                 .iter()
@@ -186,12 +186,12 @@ impl TenantEvidenceCounters {
     }
 
     /// Counts one piece of evidence of `kind` against the tenant.
-    pub fn record(&self, kind: EvidenceKind) {
+    pub(crate) fn record(&self, kind: EvidenceKind) {
         self.counters[kind as usize].inc();
     }
 
     /// Counts every issue in `issues` by kind.
-    pub fn record_issues(&self, issues: &[TamperEvidence]) {
+    pub(crate) fn record_issues(&self, issues: &[TamperEvidence]) {
         for issue in issues {
             self.record(issue.kind());
         }
@@ -260,7 +260,7 @@ impl FederatedReport {
 /// object verified under the same keys.
 ///
 /// When `registry` is given, every issue is recorded into that tenant's
-/// labeled evidence counters ([`TenantEvidenceCounters`]) — exact
+/// labeled evidence counters (`TenantEvidenceCounters`) — exact
 /// attribution, no cross-tenant bleed.
 pub fn federated_verify(
     dir: &TenantDirectory,

@@ -3,7 +3,7 @@
 //!
 //! This is the participant-side engine of the paper. It owns the back-end
 //! database (a [`Forest`]), a [`HashCache`] implementing the Basic or
-//! Economical hashing strategy (§4.3), the per-object [`ChainHeads`]
+//! Economical hashing strategy (§4.3), the per-object `ChainHeads`
 //! (§3.2), and appends [`tep_storage::StoredRecord`] rows to a
 //! [`ProvenanceDb`].
 //!
@@ -19,7 +19,7 @@
 //! covering the object's before → after subtree states.
 //!
 //! **Amortized signing.** An operation that emits two or more records
-//! signs once for all of them ([`ProvenanceRecord::sign_batch`]); an
+//! signs once for all of them (`ProvenanceRecord::sign_batch`); an
 //! operation that emits one record, and every aggregate, signs that record
 //! directly as the paper does. [`ProvenanceTracker::complex_per_record`]
 //! keeps the paper's one-signature-per-record scheme for any operation.

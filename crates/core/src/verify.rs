@@ -165,7 +165,7 @@ impl EvidenceCounters {
     }
 
     /// Counts every issue in `issues` by kind.
-    pub fn record_issues(&self, issues: &[TamperEvidence]) {
+    pub(crate) fn record_issues(&self, issues: &[TamperEvidence]) {
         for issue in issues {
             self.record(issue.kind());
         }
@@ -1352,10 +1352,9 @@ impl<'a> StreamingVerifier<'a> {
     }
 
     /// Serializes the verifier's full state into a sealed, self-
-    /// authenticating blob (see
-    /// [`VerifierCheckpoint`](crate::streaming::VerifierCheckpoint)), or
-    /// `None` if any tamper evidence has been found — evidence is
-    /// terminal, never suspended and resumed past.
+    /// authenticating blob (see `VerifierCheckpoint`), or `None` if any
+    /// tamper evidence has been found — evidence is terminal, never
+    /// suspended and resumed past.
     pub fn checkpoint(&self) -> Option<Vec<u8>> {
         if !self.issues.is_empty() {
             return None;

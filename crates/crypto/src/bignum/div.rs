@@ -29,7 +29,7 @@ impl BigUint {
     }
 
     /// `self / m` (floor).
-    pub fn div_ref(&self, m: &BigUint) -> BigUint {
+    pub(crate) fn div_ref(&self, m: &BigUint) -> BigUint {
         self.div_rem(m).0
     }
 }

@@ -16,7 +16,7 @@ mod ops;
 mod prime;
 
 pub use modular::MontgomeryCtx;
-pub use prime::{gen_prime, is_probable_prime};
+pub(crate) use prime::gen_prime;
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -63,17 +63,6 @@ impl BigUint {
         }
     }
 
-    /// Constructs from a `u128`.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        let mut n = BigUint {
-            limbs: vec![lo, hi],
-        };
-        n.normalize();
-        n
-    }
-
     /// Constructs from little-endian limbs (normalizing trailing zeros).
     pub fn from_limbs(limbs: Vec<u64>) -> Self {
         let mut n = BigUint { limbs };
@@ -117,7 +106,7 @@ impl BigUint {
     /// Serializes as big-endian bytes, left-padded with zeros to `len`.
     ///
     /// Returns `None` if the value does not fit in `len` bytes.
-    pub fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
+    pub(crate) fn to_bytes_be_padded(&self, len: usize) -> Option<Vec<u8>> {
         if self.bit_len().div_ceil(8) > len {
             return None;
         }
@@ -146,7 +135,7 @@ impl BigUint {
     }
 
     /// Number of significant bits (0 for zero).
-    pub fn bit_len(&self) -> usize {
+    pub(crate) fn bit_len(&self) -> usize {
         match self.limbs.last() {
             None => 0,
             Some(&top) => self.limbs.len() * 64 - top.leading_zeros() as usize,
@@ -157,11 +146,6 @@ impl BigUint {
     pub fn bit(&self, i: usize) -> bool {
         let (limb, off) = (i / 64, i % 64);
         self.limbs.get(limb).is_some_and(|&l| (l >> off) & 1 == 1)
-    }
-
-    /// The low 64 bits of the value.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
     }
 
     /// Borrowed view of the limb slice (little-endian).
@@ -281,15 +265,8 @@ mod tests {
     fn from_u64_roundtrip() {
         for v in [0u64, 1, 2, 255, 256, u64::MAX] {
             let n = BigUint::from_u64(v);
-            assert_eq!(n.low_u64(), v);
+            assert_eq!(n.limbs().first().copied().unwrap_or(0), v);
         }
-    }
-
-    #[test]
-    fn from_u128_splits_limbs() {
-        let v = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128;
-        let n = BigUint::from_u128(v);
-        assert_eq!(n.limbs(), &[0xfedc_ba98_7654_3210, 0x0123_4567_89ab_cdef]);
     }
 
     #[test]

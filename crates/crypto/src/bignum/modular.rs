@@ -59,13 +59,8 @@ impl MontgomeryCtx {
     }
 
     /// Number of limbs in the modulus.
-    pub fn limb_count(&self) -> usize {
+    pub(crate) fn limb_count(&self) -> usize {
         self.n.limbs.len()
-    }
-
-    /// The modulus.
-    pub fn modulus(&self) -> &BigUint {
-        &self.n
     }
 
     /// Converts `x < n` into the Montgomery domain (`x·R mod n`).

@@ -72,24 +72,6 @@ impl BigUint {
         BigUint::from_limbs(out)
     }
 
-    /// `self * m` for a single limb `m`.
-    pub fn mul_u64(&self, m: u64) -> BigUint {
-        if m == 0 || self.is_zero() {
-            return BigUint::zero();
-        }
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry = 0u128;
-        for &a in &self.limbs {
-            let t = (a as u128) * (m as u128) + carry;
-            out.push(t as u64);
-            carry = t >> 64;
-        }
-        if carry != 0 {
-            out.push(carry as u64);
-        }
-        BigUint::from_limbs(out)
-    }
-
     /// `self << bits`.
     pub fn shl_bits(&self, bits: usize) -> BigUint {
         if self.is_zero() || bits == 0 {
@@ -114,7 +96,7 @@ impl BigUint {
     }
 
     /// `self >> bits`.
-    pub fn shr_bits(&self, bits: usize) -> BigUint {
+    pub(crate) fn shr_bits(&self, bits: usize) -> BigUint {
         let limb_shift = bits / 64;
         if limb_shift >= self.limbs.len() {
             return BigUint::zero();
@@ -238,12 +220,6 @@ mod tests {
         let sq = &a * &a;
         // (2^64-1)^2 = 2^128 - 2^65 + 1
         assert_eq!(sq.limbs(), &[1, u64::MAX - 1]);
-    }
-
-    #[test]
-    fn mul_u64_matches_mul() {
-        let a = BigUint::from_limbs(vec![0x1234_5678, 0x9abc_def0, 7]);
-        assert_eq!(a.mul_u64(12345), &a * &n(12345));
     }
 
     #[test]

@@ -23,7 +23,7 @@ const SMALL_PRIMES: &[u64] = &[
 impl BigUint {
     /// Uniformly random value with exactly `bits` significant bits
     /// (the top bit is always set); `bits == 0` yields zero.
-    pub fn random_bits(bits: usize, rng: &mut dyn RngCore) -> BigUint {
+    pub(crate) fn random_bits(bits: usize, rng: &mut dyn RngCore) -> BigUint {
         if bits == 0 {
             return BigUint::zero();
         }
@@ -66,7 +66,7 @@ impl BigUint {
 /// Miller–Rabin probabilistic primality test with `rounds` random bases.
 ///
 /// A composite passes all rounds with probability at most `4^-rounds`.
-pub fn is_probable_prime(n: &BigUint, rounds: u32, rng: &mut dyn RngCore) -> bool {
+pub(crate) fn is_probable_prime(n: &BigUint, rounds: u32, rng: &mut dyn RngCore) -> bool {
     if n.is_zero() || n.is_one() {
         return false;
     }
@@ -126,7 +126,7 @@ pub fn is_probable_prime(n: &BigUint, rounds: u32, rng: &mut dyn RngCore) -> boo
 ///
 /// # Panics
 /// Panics if `bits < 8`.
-pub fn gen_prime(bits: usize, rng: &mut dyn RngCore) -> BigUint {
+pub(crate) fn gen_prime(bits: usize, rng: &mut dyn RngCore) -> BigUint {
     assert!(bits >= 8, "prime size too small: {bits} bits");
     loop {
         let mut candidate = BigUint::random_bits(bits, rng);

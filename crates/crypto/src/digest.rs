@@ -27,7 +27,7 @@ impl Digest {
     ///
     /// # Panics
     /// Panics if `bytes` is longer than 32 bytes.
-    pub fn from_slice(bytes: &[u8]) -> Self {
+    pub(crate) fn from_slice(bytes: &[u8]) -> Self {
         assert!(bytes.len() <= SHA256_OUTPUT_LEN, "digest too long");
         let mut out = Digest {
             len: bytes.len() as u8,
@@ -178,14 +178,6 @@ impl Hasher {
         }
     }
 
-    /// Finishes and returns the digest as an inline [`Digest`].
-    pub fn finalize_fixed(self) -> Digest {
-        match self {
-            Hasher::Sha1(h) => h.finalize().into(),
-            Hasher::Sha256(h) => h.finalize().into(),
-        }
-    }
-
     /// The algorithm this hasher runs.
     pub fn algorithm(&self) -> HashAlgorithm {
         match self {
@@ -233,9 +225,6 @@ mod tests {
             assert_eq!(fixed.as_slice(), alg.digest(b"inline").as_slice());
             assert_eq!(fixed.len(), alg.output_len());
             assert!(!fixed.is_empty());
-            let mut h = alg.hasher();
-            h.update(b"inline");
-            assert_eq!(h.finalize_fixed(), fixed);
         }
         assert_ne!(
             HashAlgorithm::Sha256.digest_fixed(b"a"),

@@ -7,7 +7,7 @@
 //!
 //! * [`bignum`] — arbitrary-precision unsigned integers with Montgomery
 //!   modular exponentiation and Miller–Rabin prime generation.
-//! * [`sha1`] / [`sha256`] — FIPS-180 hash functions; [`digest`] selects
+//! * `sha1` / [`sha256`] — FIPS-180 hash functions; [`digest`] selects
 //!   between them at runtime.
 //! * [`rsa`] — PKCS#1 v1.5 signatures with CRT acceleration (the `S_SKp(·)`
 //!   primitive of every provenance checksum).
@@ -18,6 +18,7 @@
 //! evaluation (20-byte digests, 128-byte checksums); SHA-256 and 2048-bit
 //! keys are the recommended defaults for anything real.
 
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -26,7 +27,7 @@ pub mod digest;
 pub mod hex;
 pub mod pki;
 pub mod rsa;
-pub mod sha1;
+pub(crate) mod sha1;
 pub mod sha256;
 
 pub use bignum::BigUint;
@@ -34,4 +35,4 @@ pub use digest::{HashAlgorithm, Hasher};
 pub use pki::{
     Certificate, CertificateAuthority, KeyDirectory, Keyring, Participant, ParticipantId, PkiError,
 };
-pub use rsa::{KeyPair, RsaError, RsaPrivateKey, RsaPublicKey};
+pub use rsa::{KeyPair, RsaError, RsaPublicKey};

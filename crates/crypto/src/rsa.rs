@@ -104,7 +104,7 @@ impl RsaPublicKey {
     }
 
     /// Modulus size in bytes (also the signature length).
-    pub fn modulus_len(&self) -> usize {
+    pub(crate) fn modulus_len(&self) -> usize {
         self.n.bit_len().div_ceil(8)
     }
 
@@ -195,9 +195,8 @@ fn read_len_prefixed(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
 /// Wrapped in [`Arc`] by [`KeyPair`] so participants can share it cheaply
 /// across threads.
 #[derive(Clone)]
-pub struct RsaPrivateKey {
+pub(crate) struct RsaPrivateKey {
     public: RsaPublicKey,
-    d: BigUint,
     p: BigUint,
     q: BigUint,
     dp: BigUint,
@@ -221,12 +220,12 @@ impl fmt::Debug for RsaPrivateKey {
 
 impl RsaPrivateKey {
     /// The corresponding public key.
-    pub fn public(&self) -> &RsaPublicKey {
+    pub(crate) fn public(&self) -> &RsaPublicKey {
         &self.public
     }
 
     /// Signs `message` with PKCS#1 v1.5 over the given hash.
-    pub fn sign(&self, alg: HashAlgorithm, message: &[u8]) -> Result<Vec<u8>, RsaError> {
+    pub(crate) fn sign(&self, alg: HashAlgorithm, message: &[u8]) -> Result<Vec<u8>, RsaError> {
         let k = self.public.modulus_len();
         let em = emsa_pkcs1_v15_encode(alg, message, k)?;
         let m = BigUint::from_bytes_be(&em);
@@ -250,12 +249,6 @@ impl RsaPrivateKey {
         };
         let h = self.qinv.mul_ref(&diff).rem_ref(&self.p);
         m2.add_ref(&h.mul_ref(&self.q))
-    }
-
-    /// Slow non-CRT private operation, kept for cross-checking in tests.
-    #[doc(hidden)]
-    pub fn private_op_no_crt(&self, m: &BigUint) -> BigUint {
-        m.modpow(&self.d, &self.public.n)
     }
 }
 
@@ -311,7 +304,6 @@ impl KeyPair {
             return KeyPair {
                 secret: Arc::new(RsaPrivateKey {
                     public,
-                    d,
                     p,
                     q,
                     dp,
@@ -329,12 +321,7 @@ impl KeyPair {
         self.secret.public()
     }
 
-    /// The private half.
-    pub fn secret(&self) -> &RsaPrivateKey {
-        &self.secret
-    }
-
-    /// Signs `message`; see [`RsaPrivateKey::sign`].
+    /// Signs `message` with PKCS#1 v1.5 over the given hash.
     pub fn sign(&self, alg: HashAlgorithm, message: &[u8]) -> Result<Vec<u8>, RsaError> {
         self.secret.sign(alg, message)
     }
@@ -444,16 +431,25 @@ mod tests {
             .is_err());
     }
 
+    /// The private exponent `d`, re-derived from `p` and `q`: the CRT path
+    /// is checked against plain `m^d mod n`, which signing never needs.
+    fn private_exponent(key: &RsaPrivateKey) -> BigUint {
+        let one = BigUint::one();
+        let phi = key.p.sub_ref(&one).mul_ref(&key.q.sub_ref(&one));
+        key.public.e.modinv(&phi).expect("e is invertible mod phi")
+    }
+
     #[test]
     fn crt_matches_plain_exponentiation() {
         // 512 bits: 4-limb primes, 8-limb modulus; 1024 bits: 8 and 16.
         for bits in [512, 1024] {
             let kp = KeyPair::generate(bits, &mut StdRng::seed_from_u64(7));
             let m = BigUint::from_hex("123456789abcdef00fedcba987654321").unwrap();
-            let crt = kp.secret().private_op(&m);
-            let plain = kp.secret().private_op_no_crt(&m);
+            let d = private_exponent(&kp.secret);
+            let crt = kp.secret.private_op(&m);
+            let plain = m.modpow(&d, kp.public().n());
             assert_eq!(crt, plain, "{bits}-bit key");
-            assert_eq!(plain, m.modpow_naive(&kp.secret().d, kp.public().n()));
+            assert_eq!(plain, m.modpow_naive(&d, kp.public().n()));
         }
     }
 
@@ -539,8 +535,8 @@ mod tests {
     #[test]
     fn debug_does_not_leak_secrets() {
         let kp = keypair();
-        let dbg = format!("{:?}", kp.secret());
+        let dbg = format!("{:?}", kp.secret);
         assert!(dbg.contains("modulus_bits"));
-        assert!(!dbg.contains(&kp.secret().d.to_hex()));
+        assert!(!dbg.contains(&kp.secret.p.to_hex()));
     }
 }

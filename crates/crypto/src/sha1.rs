@@ -6,7 +6,7 @@
 //! should select [`crate::digest::HashAlgorithm::Sha256`].
 
 /// Digest size in bytes.
-pub const SHA1_OUTPUT_LEN: usize = 20;
+pub(crate) const SHA1_OUTPUT_LEN: usize = 20;
 
 const H0: [u32; 5] = [
     0x6745_2301,

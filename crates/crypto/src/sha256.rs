@@ -2,7 +2,7 @@
 //! checksums.
 
 /// Digest size in bytes.
-pub const SHA256_OUTPUT_LEN: usize = 32;
+pub(crate) const SHA256_OUTPUT_LEN: usize = 32;
 
 const H0: [u32; 8] = [
     0x6a09_e667,
@@ -92,7 +92,7 @@ impl Sha256 {
     }
 
     /// One-shot digest: full blocks are compressed directly from `data` and
-    /// the padded tail is built on the stack (see [`crate::sha1::Sha1::digest`]
+    /// the padded tail is built on the stack (see `Sha1::digest`
     /// for why the fixed overhead matters on short provenance inputs).
     pub fn digest(data: &[u8]) -> [u8; SHA256_OUTPUT_LEN] {
         let mut state = H0;

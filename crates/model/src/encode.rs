@@ -13,14 +13,13 @@
 //! The same encoding doubles as the storage wire format for values.
 
 use crate::id::ObjectId;
-use crate::node::Node;
 use crate::value::{CanonicalF64, Value};
 use std::fmt;
 
 /// Domain tag for `h(A, val)` atom hashes.
-pub const TAG_ATOM: u8 = 0xA1;
+pub(crate) const TAG_ATOM: u8 = 0xA1;
 /// Domain tag for compound-object node headers (Fig. 5 triples).
-pub const TAG_NODE: u8 = 0xA2;
+pub(crate) const TAG_NODE: u8 = 0xA2;
 
 const VAL_NULL: u8 = 0x00;
 const VAL_BOOL: u8 = 0x01;
@@ -215,11 +214,6 @@ pub fn node_prefix_into(id: ObjectId, value: &Value, out: &mut Vec<u8>) {
     encode_value(value, out);
 }
 
-/// Canonical prefix taken straight from a [`Node`].
-pub fn node_prefix_of(node: &Node) -> Vec<u8> {
-    node_prefix(node.id(), node.value())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,15 +301,6 @@ mod tests {
         assert_ne!(a, c);
         // Atom and node prefixes never collide (distinct domain tags).
         assert_ne!(a, atom_preimage(ObjectId(1), &Value::text("v")));
-    }
-
-    #[test]
-    fn node_prefix_of_matches_parts() {
-        use crate::forest::Forest;
-        let mut f = Forest::new();
-        let root = f.insert(Value::text("r"), None).unwrap();
-        let node = f.node(root).unwrap();
-        assert_eq!(node_prefix_of(node), node_prefix(root, &Value::text("r")));
     }
 
     #[test]

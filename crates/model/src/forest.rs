@@ -294,7 +294,7 @@ impl Forest {
 
     /// Deep-copies `subtree(src)` under `parent` with fresh ids; returns the
     /// id of the copy's root.
-    pub fn deep_copy(&mut self, src: ObjectId, parent: Option<ObjectId>) -> ObjectId {
+    pub(crate) fn deep_copy(&mut self, src: ObjectId, parent: Option<ObjectId>) -> ObjectId {
         let value = self
             .nodes
             .get(&src)
@@ -319,12 +319,6 @@ impl Forest {
             cur = self.nodes.get(&p).and_then(Node::parent);
         }
         out
-    }
-
-    /// The root of the tree containing `id`.
-    pub fn root_of(&self, id: ObjectId) -> Result<ObjectId, ModelError> {
-        self.get(id)?;
-        Ok(self.ancestors(id).last().copied().unwrap_or(id))
     }
 
     /// Subtree ids in DFS pre-order (children in `ObjectId` order).
@@ -448,8 +442,6 @@ mod tests {
         let (f, a, b, _, d) = sample();
         assert_eq!(f.ancestors(d), vec![b, a]);
         assert_eq!(f.ancestors(a), Vec::<ObjectId>::new());
-        assert_eq!(f.root_of(d).unwrap(), a);
-        assert_eq!(f.root_of(a).unwrap(), a);
     }
 
     #[test]

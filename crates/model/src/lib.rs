@@ -15,6 +15,7 @@
 //! * [`relational`] — helpers for the paper's depth-4 relational view
 //!   (database → tables → rows → cells).
 
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 

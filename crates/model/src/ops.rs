@@ -77,18 +77,6 @@ pub enum OpOutcome {
     },
 }
 
-impl OpOutcome {
-    /// The object the outcome is "about" (the output object for aggregates).
-    pub fn primary_object(&self) -> ObjectId {
-        match self {
-            OpOutcome::Inserted(id) => *id,
-            OpOutcome::Deleted { id, .. } => *id,
-            OpOutcome::Updated { id, .. } => *id,
-            OpOutcome::Aggregated { output, .. } => *output,
-        }
-    }
-}
-
 impl PrimitiveOp {
     /// Applies the operation to `forest`.
     pub fn apply(&self, forest: &mut Forest) -> Result<OpOutcome, ModelError> {

@@ -43,7 +43,7 @@ pub fn create_root(forest: &mut Forest, name: &str) -> ObjectId {
 }
 
 /// Creates an empty table under `root`.
-pub fn create_table(
+pub(crate) fn create_table(
     forest: &mut Forest,
     root: ObjectId,
     name: &str,
@@ -52,12 +52,12 @@ pub fn create_table(
 }
 
 /// Appends a row (a `Null`-valued structural node) to `table`.
-pub fn create_row(forest: &mut Forest, table: ObjectId) -> Result<ObjectId, ModelError> {
+pub(crate) fn create_row(forest: &mut Forest, table: ObjectId) -> Result<ObjectId, ModelError> {
     forest.insert(Value::Null, Some(table))
 }
 
 /// Appends a cell with `value` to `row`.
-pub fn create_cell(
+pub(crate) fn create_cell(
     forest: &mut Forest,
     row: ObjectId,
     value: Value,
@@ -87,20 +87,6 @@ pub fn build_table(
         rows.push(RowHandle { id: row, cells });
     }
     Ok(TableHandle { id: table, rows })
-}
-
-/// Appends a fully-populated row to an existing table, returning its handle.
-pub fn append_row(
-    forest: &mut Forest,
-    table: ObjectId,
-    values: &[Value],
-) -> Result<RowHandle, ModelError> {
-    let row = create_row(forest, table)?;
-    let mut cells = Vec::with_capacity(values.len());
-    for v in values {
-        cells.push(create_cell(forest, row, v.clone())?);
-    }
-    Ok(RowHandle { id: row, cells })
 }
 
 #[cfg(test)]
@@ -137,16 +123,5 @@ mod tests {
         let root = create_root(&mut f, "db");
         build_table(&mut f, root, "t1", 4000, 8, |_, _| Value::Int(0)).unwrap();
         assert_eq!(f.len(), 36_002);
-    }
-
-    #[test]
-    fn append_row_extends_table() {
-        let mut f = Forest::new();
-        let root = create_root(&mut f, "db");
-        let t = build_table(&mut f, root, "t", 1, 2, |_, _| Value::Int(0)).unwrap();
-        let row = append_row(&mut f, t.id, &[Value::Int(7), Value::Int(8)]).unwrap();
-        assert_eq!(f.node(t.id).unwrap().child_count(), 2);
-        assert_eq!(row.cells.len(), 2);
-        assert_eq!(f.node(row.cells[0]).unwrap().value(), &Value::Int(7));
     }
 }

@@ -33,18 +33,6 @@ impl Value {
     pub fn text(s: impl Into<String>) -> Self {
         Value::Text(s.into())
     }
-
-    /// Human-readable type name (diagnostics).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Real(_) => "real",
-            Value::Text(_) => "text",
-            Value::Bytes(_) => "bytes",
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -161,13 +149,6 @@ mod tests {
         assert_eq!(Value::from(5i64), Value::Int(5));
         assert_eq!(Value::from("hi"), Value::Text("hi".into()));
         assert_eq!(Value::from(true), Value::Bool(true));
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(Value::Null.type_name(), "null");
-        assert_eq!(Value::Int(1).type_name(), "int");
-        assert_eq!(Value::text("x").type_name(), "text");
     }
 
     #[test]

@@ -850,7 +850,7 @@ impl Connection {
 /// that a genuinely wedged stream is detected well inside any realistic
 /// stall-injection window (e.g. 350ms base + 12 records = 374ms, still
 /// far under a 600ms stall).
-pub fn scaled_read_timeout(base: Duration, records: u64) -> Duration {
+pub(crate) fn scaled_read_timeout(base: Duration, records: u64) -> Duration {
     const PER_RECORD_MS: u64 = 2;
     const RECORD_CAP: u64 = 10_000;
     base.saturating_add(Duration::from_millis(

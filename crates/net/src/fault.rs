@@ -3,9 +3,10 @@
 //!
 //! Two layers, mirroring how faults actually strike:
 //!
-//! * [`FaultStream`] wraps any `Read + Write` byte stream and fires one
-//!   scheduled fault at the Nth I/O operation: a connection reset, a clean
-//!   EOF, a read timeout, a seeded bit flip, or a short read/write. Because
+//! * This module's tests wrap a `Read + Write` byte stream in a
+//!   `FaultStream` that fires one scheduled fault at the Nth I/O
+//!   operation: a connection reset, a clean EOF, a read timeout, a seeded
+//!   bit flip, or a short read/write. Because
 //!   `wire::FrameReader`/`FrameWriter` are generic over the stream, every
 //!   codec path can be crashed at every byte boundary in a plain unit test
 //!   — no sockets, no threads, no timing.
@@ -41,143 +42,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-// ---------------------------------------------------------------------------
-// FaultStream: byte-level faults for unit-testing the codec
-// ---------------------------------------------------------------------------
-
-/// The fault a [`FaultStream`] fires at its scheduled operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamFault {
-    /// Fail the op with `io::ErrorKind::ConnectionReset`.
-    Reset,
-    /// Read returns 0 bytes (EOF); writes report `BrokenPipe`.
-    Eof,
-    /// Fail the op with `io::ErrorKind::TimedOut` — what a socket read
-    /// returns when the peer stalls past the read timeout.
-    TimedOut,
-    /// Flip one seeded bit in the bytes the op delivers (reads only;
-    /// writes pass through).
-    BitFlip,
-    /// Deliver only a seeded 1..=len prefix of the op's buffer. Callers
-    /// using `read_exact`/`write_all` must survive this without
-    /// corruption.
-    Short,
-}
-
-/// When and how a [`FaultStream`] misbehaves.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamFaultPlan {
-    /// The fault to fire.
-    pub fault: StreamFault,
-    /// The 0-based I/O operation (reads and writes share one counter) at
-    /// which to fire. `Short` keeps firing from this op onward (a slow
-    /// link is not a one-shot event); the others fire once.
-    pub at_op: u64,
-    /// Seed for the fault's randomness (bit position, prefix length).
-    pub seed: u64,
-}
-
-/// A `Read + Write` wrapper that injects one deterministic, scheduled
-/// fault. See the module docs.
-pub struct FaultStream<S> {
-    inner: S,
-    plan: StreamFaultPlan,
-    rng: u64,
-    op: u64,
-    fired: bool,
-}
-
-impl<S> FaultStream<S> {
-    /// Wraps `inner` with `plan`.
-    pub fn new(inner: S, plan: StreamFaultPlan) -> Self {
-        FaultStream {
-            inner,
-            plan,
-            rng: plan.seed ^ 0x243F_6A88_85A3_08D3,
-            op: 0,
-            fired: false,
-        }
-    }
-
-    /// Whether the scheduled fault has fired yet.
-    pub fn fired(&self) -> bool {
-        self.fired
-    }
-
-    /// The wrapped stream back (for inspecting what was actually written).
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// True if this op is the scheduled one (or past it, for `Short`).
-    fn due(&self) -> bool {
-        if self.plan.fault == StreamFault::Short {
-            self.op >= self.plan.at_op
-        } else {
-            self.op == self.plan.at_op && !self.fired
-        }
-    }
-}
-
-impl<S: Read> Read for FaultStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let due = self.due();
-        self.op += 1;
-        if !due {
-            return self.inner.read(buf);
-        }
-        self.fired = true;
-        match self.plan.fault {
-            StreamFault::Reset => Err(io::ErrorKind::ConnectionReset.into()),
-            StreamFault::Eof => Ok(0),
-            StreamFault::TimedOut => Err(io::ErrorKind::TimedOut.into()),
-            StreamFault::BitFlip => {
-                let n = self.inner.read(buf)?;
-                if n > 0 {
-                    let bit = splitmix64(&mut self.rng) as usize % (n * 8);
-                    buf[bit / 8] ^= 1 << (bit % 8);
-                }
-                Ok(n)
-            }
-            StreamFault::Short => {
-                if buf.is_empty() {
-                    return self.inner.read(buf);
-                }
-                let take = 1 + splitmix64(&mut self.rng) as usize % buf.len();
-                self.inner.read(&mut buf[..take])
-            }
-        }
-    }
-}
-
-impl<S: Write> Write for FaultStream<S> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let due = self.due();
-        self.op += 1;
-        if !due {
-            return self.inner.write(buf);
-        }
-        self.fired = true;
-        match self.plan.fault {
-            StreamFault::Reset => Err(io::ErrorKind::ConnectionReset.into()),
-            StreamFault::Eof => Err(io::ErrorKind::BrokenPipe.into()),
-            StreamFault::TimedOut => Err(io::ErrorKind::TimedOut.into()),
-            StreamFault::BitFlip => self.inner.write(buf),
-            StreamFault::Short => {
-                if buf.is_empty() {
-                    return self.inner.write(buf);
-                }
-                let take = 1 + splitmix64(&mut self.rng) as usize % buf.len();
-                self.inner.write(&buf[..take])
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -357,6 +221,134 @@ mod tests {
     use std::sync::Arc;
     use tep_core::metrics::TransferCounters;
     use tep_model::ObjectId;
+
+    /// The fault a [`FaultStream`] fires at its scheduled operation.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum StreamFault {
+        /// Fail the op with `io::ErrorKind::ConnectionReset`.
+        Reset,
+        /// Read returns 0 bytes (EOF); writes report `BrokenPipe`.
+        Eof,
+        /// Fail the op with `io::ErrorKind::TimedOut` — what a socket read
+        /// returns when the peer stalls past the read timeout.
+        TimedOut,
+        /// Flip one seeded bit in the bytes the op delivers (reads only;
+        /// writes pass through).
+        BitFlip,
+        /// Deliver only a seeded 1..=len prefix of the op's buffer. Callers
+        /// using `read_exact`/`write_all` must survive this without
+        /// corruption.
+        Short,
+    }
+
+    /// When and how a [`FaultStream`] misbehaves.
+    #[derive(Clone, Copy, Debug)]
+    struct StreamFaultPlan {
+        /// The fault to fire.
+        fault: StreamFault,
+        /// The 0-based I/O operation (reads and writes share one counter) at
+        /// which to fire. `Short` keeps firing from this op onward (a slow
+        /// link is not a one-shot event); the others fire once.
+        at_op: u64,
+        /// Seed for the fault's randomness (bit position, prefix length).
+        seed: u64,
+    }
+
+    /// A `Read + Write` wrapper that injects one deterministic, scheduled
+    /// fault. See the module docs.
+    struct FaultStream<S> {
+        inner: S,
+        plan: StreamFaultPlan,
+        rng: u64,
+        op: u64,
+        fired: bool,
+    }
+
+    impl<S> FaultStream<S> {
+        /// Wraps `inner` with `plan`.
+        fn new(inner: S, plan: StreamFaultPlan) -> Self {
+            FaultStream {
+                inner,
+                plan,
+                rng: plan.seed ^ 0x243F_6A88_85A3_08D3,
+                op: 0,
+                fired: false,
+            }
+        }
+
+        /// The wrapped stream back (for inspecting what was actually written).
+        fn into_inner(self) -> S {
+            self.inner
+        }
+
+        /// True if this op is the scheduled one (or past it, for `Short`).
+        fn due(&self) -> bool {
+            if self.plan.fault == StreamFault::Short {
+                self.op >= self.plan.at_op
+            } else {
+                self.op == self.plan.at_op && !self.fired
+            }
+        }
+    }
+
+    impl<S: Read> Read for FaultStream<S> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let due = self.due();
+            self.op += 1;
+            if !due {
+                return self.inner.read(buf);
+            }
+            self.fired = true;
+            match self.plan.fault {
+                StreamFault::Reset => Err(io::ErrorKind::ConnectionReset.into()),
+                StreamFault::Eof => Ok(0),
+                StreamFault::TimedOut => Err(io::ErrorKind::TimedOut.into()),
+                StreamFault::BitFlip => {
+                    let n = self.inner.read(buf)?;
+                    if n > 0 {
+                        let bit = splitmix64(&mut self.rng) as usize % (n * 8);
+                        buf[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    Ok(n)
+                }
+                StreamFault::Short => {
+                    if buf.is_empty() {
+                        return self.inner.read(buf);
+                    }
+                    let take = 1 + splitmix64(&mut self.rng) as usize % buf.len();
+                    self.inner.read(&mut buf[..take])
+                }
+            }
+        }
+    }
+
+    impl<S: Write> Write for FaultStream<S> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let due = self.due();
+            self.op += 1;
+            if !due {
+                return self.inner.write(buf);
+            }
+            self.fired = true;
+            match self.plan.fault {
+                StreamFault::Reset => Err(io::ErrorKind::ConnectionReset.into()),
+                StreamFault::Eof => Err(io::ErrorKind::BrokenPipe.into()),
+                StreamFault::TimedOut => Err(io::ErrorKind::TimedOut.into()),
+                StreamFault::BitFlip => self.inner.write(buf),
+                StreamFault::Short => {
+                    if buf.is_empty() {
+                        return self.inner.write(buf);
+                    }
+                    let take = 1 + splitmix64(&mut self.rng) as usize % buf.len();
+                    self.inner.write(&buf[..take])
+                }
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
 
     fn counters() -> Arc<TransferCounters> {
         Arc::new(TransferCounters::new())

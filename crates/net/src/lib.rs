@@ -11,7 +11,7 @@
 //!   encoding, hardened against hostile input (allocation caps, strict
 //!   decoding).
 //! * [`server`] — a std-only readiness-driven event-loop server
-//!   (nonblocking sockets multiplexed over raw `poll(2)` via [`sys`],
+//!   (nonblocking sockets multiplexed over raw `poll(2)` via `sys`,
 //!   per-connection state machine, vectored writes, bounded concurrency,
 //!   graceful shutdown) serving objects out of a
 //!   [`tep_storage::ProvenanceDb`] + data forest.
@@ -29,12 +29,11 @@
 //!   durable sealed-verifier checkpoints (crash-safe resume) and streamed
 //!   into a sink that reconciles with, and appends to, its own store; it
 //!   runs periodic Merkle anti-entropy over the object-id space to locate
-//!   divergence in O(log n) round trips, and fans verified reads out
-//!   across replicas.
+//!   divergence in O(log n) round trips.
 //! * [`fault`] — deterministic seeded fault injection (the network twin of
-//!   `tep_storage::vfs::FaultVfs`): [`fault::FaultStream`] crashes the
-//!   codec at any byte, [`fault::FaultListener`] crashes a live TCP path
-//!   at any frame — resets, torn frames, bit flips, stalls.
+//!   `tep_storage::vfs::FaultVfs`): [`fault::FaultListener`] crashes a
+//!   live TCP path at any frame — resets, torn frames, bit flips, stalls —
+//!   and the module's tests crash the codec at any byte.
 //!
 //! Beyond full transfers, QUERY/QRESULT frames serve *verifiable query
 //! answers*: the server runs a `tep_query::QueryEngine` over its record
@@ -52,6 +51,7 @@
 //! Per-connection traffic and verification counters come from
 //! [`tep_core::metrics::TransferCounters`].
 
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 // Unsafe is denied crate-wide; the single exception is the `sys` module,
 // which wraps the raw `poll(2)` syscall behind a safe API and opts in with
@@ -63,16 +63,15 @@ pub mod fault;
 pub mod proxy;
 pub mod replica;
 pub mod server;
-pub mod sys;
+pub(crate) mod sys;
 pub mod wire;
 
 pub use client::{
-    scaled_read_timeout, Client, ClientConfig, FetchReport, NetError, QueryReport, RangeReport,
-    RetryPolicy,
+    Client, ClientConfig, FetchReport, NetError, QueryReport, RangeReport, RetryPolicy,
 };
-pub use fault::{FaultKind, FaultListener, FaultPlan, FaultStream, StreamFault, StreamFaultPlan};
+pub use fault::{FaultKind, FaultListener, FaultPlan};
 pub use proxy::{ProxyAction, TamperProxy};
-pub use replica::{AeReport, AeStatus, CatchUpReport, FanoutFetcher, Replica, ReplicaConfig};
+pub use replica::{AeReport, AeStatus, CatchUpReport, Replica, ReplicaConfig};
 pub use server::{
     serve, serve_tenants, serve_with_registry, Catalog, ServerConfig, ServerHandle, TenantSpec,
 };

@@ -29,11 +29,6 @@
 //!   conflicting history yields the same attributed evidence pipeline as
 //!   a wire attacker; a peer whose tree nodes fail self-authentication
 //!   is [`TamperEvidence::ForgedRoot`].
-//!
-//! Read scaling rides on the same machinery: [`FanoutFetcher`] spreads
-//! `fetch_verified` calls round-robin across replicas, failing over on
-//! *retryable* errors only — tamper evidence from any replica is
-//! terminal and is never masked by trying a different one.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -57,7 +52,6 @@ use tep_storage::{CheckpointStore, ProvenanceDb, StoredRecord, Vfs};
 
 use crate::client::{fetch_on, Connection, NetError, RecordSink};
 use crate::wire::{Message, WireError, AE_SUMMARY_LEVEL};
-use crate::{Client, ClientConfig};
 
 /// Tuning for one replica.
 #[derive(Clone, Copy, Debug)]
@@ -704,67 +698,4 @@ impl AeOracle for WireOracle<'_> {
 
 fn store_error(e: tep_storage::StoreError) -> NetError {
     NetError::Wire(WireError::Io(std::io::Error::other(e.to_string())))
-}
-
-/// Round-robin fan-out of verified fetches across replica endpoints.
-///
-/// Failover happens on *retryable* errors only: a replica that returns
-/// tamper evidence (or any other terminal verdict) terminates the fetch —
-/// rotating to a "cleaner" peer would mask the evidence.
-pub struct FanoutFetcher {
-    clients: Vec<Client>,
-    next: usize,
-}
-
-impl FanoutFetcher {
-    /// A fetcher over `addrs`, one client per endpoint.
-    pub fn new(addrs: &[SocketAddr], cfg: ClientConfig) -> Self {
-        FanoutFetcher {
-            clients: addrs.iter().map(|&a| Client::new(a, cfg)).collect(),
-            next: 0,
-        }
-    }
-
-    /// Attaches one shared registry to every underlying client.
-    pub fn attach_obs(&mut self, registry: &Registry) {
-        for c in &mut self.clients {
-            c.attach_obs(registry);
-        }
-    }
-
-    /// Endpoints in rotation.
-    pub fn len(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// `true` when constructed over zero endpoints (every fetch fails).
-    pub fn is_empty(&self) -> bool {
-        self.clients.is_empty()
-    }
-
-    /// Fetches `oid` from the next endpoint in rotation, failing over to
-    /// the remaining endpoints on retryable errors. The first terminal
-    /// error — tamper evidence above all — is returned immediately.
-    pub fn fetch_verified(
-        &mut self,
-        oid: ObjectId,
-        keys: &KeyDirectory,
-    ) -> Result<crate::FetchReport, NetError> {
-        if self.clients.is_empty() {
-            return Err(NetError::Protocol("no replica endpoints configured"));
-        }
-        let n = self.clients.len();
-        let start = self.next;
-        self.next = (self.next + 1) % n;
-        let mut last: Option<NetError> = None;
-        for i in 0..n {
-            let idx = (start + i) % n;
-            match self.clients[idx].fetch_verified(oid, keys) {
-                Ok(r) => return Ok(r),
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or(NetError::Protocol("no replica endpoints configured")))
-    }
 }

@@ -1,7 +1,7 @@
 //! Readiness-driven event-loop TCP server for provenance exchange.
 //!
 //! std-only: a single thread multiplexes the listener and every live
-//! connection over raw `poll(2)` (see [`crate::sys`] — no mio/tokio).
+//! connection over raw `poll(2)` (see `sys` — no mio/tokio).
 //! Each connection is a nonblocking socket owned by a [`Conn`] state
 //! machine (`Handshake → Ready → Streaming → Draining`) with its own read
 //! and write buffers; outbound frames are scatter-gathered onto the socket
@@ -118,7 +118,7 @@ impl Catalog {
     }
 
     /// The OFFER manifest.
-    pub fn offer_entries(&self) -> Vec<OfferEntry> {
+    pub(crate) fn offer_entries(&self) -> Vec<OfferEntry> {
         self.offered
             .iter()
             .map(|&oid| OfferEntry {
@@ -375,12 +375,6 @@ impl TenantSpec {
     /// Caps concurrently admitted connections for this tenant.
     pub fn with_max_connections(mut self, n: usize) -> Self {
         self.max_connections = n;
-        self
-    }
-
-    /// Sets a per-tenant per-request deadline budget.
-    pub fn with_deadline(mut self, d: Duration) -> Self {
-        self.deadline = Some(d);
         self
     }
 }
@@ -2109,11 +2103,9 @@ mod tests {
     #[test]
     fn tenant_deadline_budget_tightens_the_connection_deadline() {
         let (catalog, root) = shared_world();
-        let (env, root) = test_env_with(
-            vec![TenantSpec::new(TenantId::DEFAULT, Arc::clone(catalog))
-                .with_deadline(Duration::from_millis(0))],
-            *root,
-        );
+        let mut spec = TenantSpec::new(TenantId::DEFAULT, Arc::clone(catalog));
+        spec.deadline = Some(Duration::from_millis(0));
+        let (env, root) = test_env_with(vec![spec], *root);
         // No accept-time deadline at all: the tenant budget alone binds.
         let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
         conn.stream.to_read.push_back(frame(&hello()));

@@ -21,21 +21,21 @@ use std::time::Duration;
 
 /// `POLLIN`: data is readable (or a peer close is pending — `read` will
 /// return 0).
-pub const POLLIN: i16 = 0x001;
+pub(crate) const POLLIN: i16 = 0x001;
 /// `POLLOUT`: the socket can accept writes without blocking.
-pub const POLLOUT: i16 = 0x004;
+pub(crate) const POLLOUT: i16 = 0x004;
 /// `POLLERR`: an error condition (revents only; never requested).
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// `POLLHUP`: the peer hung up (revents only; never requested).
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// `POLLNVAL`: the fd is not open (revents only; never requested).
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 /// One entry of the `poll(2)` interest set, layout-compatible with the C
 /// `struct pollfd`.
 #[repr(C)]
 #[derive(Clone, Copy, Debug)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     /// The file descriptor to watch.
     pub fd: RawFd,
     /// Requested events (`POLLIN` / `POLLOUT` bitmask).
@@ -46,7 +46,7 @@ pub struct PollFd {
 
 impl PollFd {
     /// An interest-set entry for `fd` watching `events`.
-    pub fn new(fd: RawFd, events: i16) -> Self {
+    pub(crate) fn new(fd: RawFd, events: i16) -> Self {
         PollFd {
             fd,
             events,
@@ -55,28 +55,23 @@ impl PollFd {
     }
 
     /// The kernel reported the fd readable.
-    pub fn readable(&self) -> bool {
+    pub(crate) fn readable(&self) -> bool {
         self.revents & POLLIN != 0
     }
 
     /// The kernel reported the fd writable.
-    pub fn writable(&self) -> bool {
+    pub(crate) fn writable(&self) -> bool {
         self.revents & POLLOUT != 0
     }
 
     /// The kernel reported an error or invalid-fd condition.
-    pub fn error(&self) -> bool {
+    pub(crate) fn error(&self) -> bool {
         self.revents & (POLLERR | POLLNVAL) != 0
     }
 
     /// The kernel reported the peer hung up.
-    pub fn hangup(&self) -> bool {
+    pub(crate) fn hangup(&self) -> bool {
         self.revents & POLLHUP != 0
-    }
-
-    /// Any event at all (readiness, error, or hangup).
-    pub fn any(&self) -> bool {
-        self.revents != 0
     }
 }
 
@@ -95,7 +90,7 @@ extern "C" {
 /// timeout). `EINTR` is retried internally. Timeouts longer than `i32::MAX`
 /// milliseconds are clamped (about 24 days — effectively unbounded for a
 /// server tick).
-pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+pub(crate) fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
     let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as std::ffi::c_int;
     loop {
         // SAFETY: `fds` is a live, exclusively-borrowed slice of
@@ -165,7 +160,7 @@ mod tests {
         let start = Instant::now();
         let n = poll_fds(&mut fds, Duration::from_millis(20)).expect("poll");
         assert_eq!(n, 0);
-        assert!(!fds[0].any());
+        assert_eq!(fds[0].revents, 0);
         assert!(start.elapsed() >= Duration::from_millis(15));
     }
 

@@ -41,7 +41,7 @@ use tep_storage::crc::frame_crc;
 use tep_storage::StoredRecord;
 
 /// Magic bytes opening every HELLO body (protocol family + format version).
-pub const WIRE_MAGIC: [u8; 8] = *b"TEPNET\x00\x01";
+pub(crate) const WIRE_MAGIC: [u8; 8] = *b"TEPNET\x00\x01";
 
 /// Protocol version negotiated in HELLO. v2 added RESUME/RESUME_OK and the
 /// ERR `retry_after_ms` hint; v3 added DENIAL, RANGE_REQ/RANGE_RESP and
@@ -57,7 +57,7 @@ pub const MAX_FRAME: usize = 1 << 20;
 
 /// Soft target for DATA frame payload size; the server flushes a chunk
 /// once it crosses this many encoded bytes.
-pub const DATA_CHUNK_BYTES: usize = 32 * 1024;
+pub(crate) const DATA_CHUNK_BYTES: usize = 32 * 1024;
 
 const TYPE_HELLO: u8 = 0x01;
 const TYPE_OFFER: u8 = 0x02;
@@ -743,12 +743,6 @@ impl<R: Read> FrameReader<R> {
         self.frames
     }
 
-    /// Current capacity of the reusable payload buffer (pinned by the
-    /// no-alloc regression test: it must stop growing once warm).
-    pub fn payload_capacity(&self) -> usize {
-        self.payload.capacity()
-    }
-
     /// Reads the next message. `Ok(None)` means the peer closed the stream
     /// cleanly *between* frames; EOF inside a frame is [`WireError::Truncated`].
     pub fn read_message(&mut self) -> Result<Option<Message>, WireError> {
@@ -829,12 +823,6 @@ impl<W: Write> FrameWriter<W> {
         self.inner
     }
 
-    /// Current capacity of the reusable frame buffer (pinned by the
-    /// no-alloc regression test: it must stop growing once warm).
-    pub fn scratch_capacity(&self) -> usize {
-        self.scratch.capacity()
-    }
-
     /// Frames and sends one message.
     pub fn write_message(&mut self, msg: &Message) -> Result<(), WireError> {
         frame_message_into(msg, &mut self.scratch);
@@ -849,7 +837,7 @@ impl<W: Write> FrameWriter<W> {
 /// `msg`, reusing the buffer's capacity: the 8-byte header is reserved up
 /// front, the payload encoded directly behind it, and the length/CRC
 /// patched into the reservation — no intermediate payload `Vec`.
-pub fn frame_message_into(msg: &Message, frame: &mut Vec<u8>) {
+pub(crate) fn frame_message_into(msg: &Message, frame: &mut Vec<u8>) {
     frame.clear();
     frame.extend_from_slice(&[0u8; 8]);
     encode_message_into(msg, frame);
@@ -1138,7 +1126,7 @@ mod tests {
         for m in &msgs {
             w.write_message(m).unwrap();
         }
-        let warm_cap = w.scratch_capacity();
+        let warm_cap = w.scratch.capacity();
         assert!(warm_cap > 0);
         // Steady state: 100 more rounds of identical traffic, zero growth.
         for _ in 0..100 {
@@ -1146,7 +1134,7 @@ mod tests {
                 w.write_message(m).unwrap();
             }
             assert_eq!(
-                w.scratch_capacity(),
+                w.scratch.capacity(),
                 warm_cap,
                 "encode scratch grew after warm-up — a per-frame allocation crept back in"
             );
@@ -1158,11 +1146,11 @@ mod tests {
         for _ in 0..msgs.len() {
             r.read_message().unwrap().unwrap();
         }
-        let warm_cap = r.payload_capacity();
+        let warm_cap = r.payload.capacity();
         assert!(warm_cap > 0);
         while let Some(_m) = r.read_message().unwrap() {
             assert_eq!(
-                r.payload_capacity(),
+                r.payload.capacity(),
                 warm_cap,
                 "decode payload buffer grew after warm-up"
             );

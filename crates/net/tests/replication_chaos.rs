@@ -1,5 +1,5 @@
-//! Replication chaos: primary→replica catch-up, Merkle anti-entropy, and
-//! read fan-out under partitions, power cycles, and lying peers.
+//! Replication chaos: primary→replica catch-up and Merkle anti-entropy
+//! under partitions, power cycles, and lying peers.
 //!
 //! The invariant under test extends the chaos-soak quartet to replicas:
 //! **every** seeded run must end either
@@ -35,9 +35,8 @@ use tep_crypto::pki::{CertificateAuthority, KeyDirectory, Participant, Participa
 use tep_model::{AggregateMode, ObjectId, Value};
 use tep_net::wire::Message;
 use tep_net::{
-    serve, serve_with_registry, AeStatus, Catalog, Client, ClientConfig, FanoutFetcher, FaultKind,
-    FaultListener, FaultPlan, NetError, ProxyAction, Replica, ReplicaConfig, ServerConfig,
-    ServerHandle, TamperProxy,
+    serve, AeStatus, Catalog, Client, ClientConfig, FaultKind, FaultListener, FaultPlan, NetError,
+    ProxyAction, Replica, ReplicaConfig, ServerConfig, ServerHandle, TamperProxy,
 };
 use tep_obs::Registry;
 use tep_storage::vfs::{FaultConfig, FaultVfs};
@@ -104,21 +103,25 @@ impl PrimaryWorld {
     /// Serves a fresh catalog snapshot (rebuilt so post-construction
     /// appends are visible to new servers).
     fn serve(&self) -> ServerHandle {
+        self.serve_records(&self.db)
+    }
+
+    /// Serves the primary's data forest with the provenance records of
+    /// `db` — the primary's own, or a replica's verified copy (the data
+    /// forest is shared; replicating it is out of scope).
+    fn serve_records(&self, db: &Arc<ProvenanceDb>) -> ServerHandle {
+        let catalog = Catalog::new(
+            self.tracker.forest().clone(),
+            Arc::clone(db),
+            ALG,
+            self.offered.clone(),
+        );
         serve(
-            self.catalog(),
+            Arc::new(catalog),
             "127.0.0.1:0".parse().unwrap(),
             ServerConfig::default(),
         )
         .unwrap()
-    }
-
-    fn catalog(&self) -> Arc<Catalog> {
-        Arc::new(Catalog::new(
-            self.tracker.forest().clone(),
-            Arc::clone(&self.db),
-            ALG,
-            self.offered.clone(),
-        ))
     }
 }
 
@@ -270,6 +273,22 @@ fn clean_catch_up_converges_byte_identically() {
     assert_eq!(again.new_records, 0);
     assert_eq!(again.resumed, 3);
     assert_eq!(again.reverified, 0);
+
+    // The caught-up copy serves reads: a client fetching from it verifies
+    // the very record stream the primary serves.
+    let rsrv = w.serve_records(repl.db());
+    for oid in &w.offered {
+        let from_primary = Client::new(srv.addr(), ClientConfig::new(ALG))
+            .fetch_verified(*oid, &w.keys)
+            .unwrap();
+        let from_replica = Client::new(rsrv.addr(), ClientConfig::new(ALG))
+            .fetch_verified(*oid, &w.keys)
+            .unwrap();
+        assert!(from_replica.verification.verified());
+        assert_eq!(from_replica.records, from_primary.records);
+        assert_eq!(from_replica.stream_digest, from_primary.stream_digest);
+    }
+    rsrv.shutdown();
     srv.shutdown();
 }
 
@@ -895,96 +914,4 @@ fn bit_flipped_replica_log_is_quarantined_then_self_heals() {
         );
     }
     srv.shutdown();
-}
-
-/// FETCH fan-out: reads rotate across replica endpoints, fail over on
-/// retryable errors (a dead endpoint), and *never* fail over past tamper
-/// evidence.
-#[test]
-fn fetch_fanout_rotates_fails_over_and_never_masks_evidence() {
-    let w = build_primary(1000);
-    let psrv = w.serve();
-
-    // Two replicas, each serving its own verified copy of the records
-    // (the data forest is shared — replicating it is out of scope).
-    let mut servers = Vec::new();
-    let mut registries = Vec::new();
-    for _ in 0..2 {
-        let (repl, _vfs) = fresh_replica(psrv.addr(), FaultConfig::default());
-        repl.catch_up(&w.keys).unwrap();
-        let reg = Registry::new();
-        let catalog = Arc::new(Catalog::new(
-            w.tracker.forest().clone(),
-            Arc::clone(repl.db()),
-            ALG,
-            w.offered.clone(),
-        ));
-        let srv = serve_with_registry(
-            catalog,
-            "127.0.0.1:0".parse().unwrap(),
-            ServerConfig::default(),
-            reg.clone(),
-        )
-        .unwrap();
-        servers.push(srv);
-        registries.push(reg);
-    }
-    let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.addr()).collect();
-
-    // Rotation: four fetches over two replicas touch both.
-    let mut fan = FanoutFetcher::new(&addrs, ClientConfig::new(ALG));
-    assert_eq!(fan.len(), 2);
-    for _ in 0..4 {
-        fan.fetch_verified(w.a, &w.keys).unwrap();
-    }
-    for (i, reg) in registries.iter().enumerate() {
-        assert_eq!(
-            reg.counter_value("tep_net_fetches_total"),
-            2,
-            "replica {i} never served its share of the rotation"
-        );
-        assert_eq!(
-            reg.counter_value("tep_net_connections_total"),
-            1,
-            "replica {i}: the endpoint's client keeps its connection"
-        );
-    }
-
-    // Failover: a dead endpoint is retryable, the fetch still verifies.
-    let dead = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap()
-    };
-    let mut fan = FanoutFetcher::new(&[dead, addrs[0]], ClientConfig::new(ALG));
-    fan.fetch_verified(w.a, &w.keys).unwrap();
-
-    // Evidence is terminal: a tampering endpoint first in rotation must
-    // surface its evidence, not be papered over by the honest replica.
-    let last = collect(&w.db, w.a)
-        .unwrap()
-        .records
-        .last()
-        .cloned()
-        .unwrap();
-    let proxy = TamperProxy::spawn(
-        addrs[0],
-        tamper_mutator(Tamper::FlipOutputHash {
-            oid: last.output_oid,
-            seq: last.seq_id,
-        }),
-    )
-    .unwrap();
-    let mut cfg = ClientConfig::new(ALG);
-    cfg.retry.max_attempts = 1;
-    let mut fan = FanoutFetcher::new(&[proxy.addr(), addrs[1]], cfg);
-    let err = fan.fetch_verified(w.a, &w.keys).unwrap_err();
-    assert!(
-        !evidence_kinds(&err).is_empty(),
-        "fan-out masked tamper evidence by rotating away from it"
-    );
-    proxy.shutdown();
-    for s in servers {
-        s.shutdown();
-    }
-    psrv.shutdown();
 }

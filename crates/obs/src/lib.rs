@@ -27,6 +27,7 @@
 //! DESIGN.md §"Observability"; registration is idempotent (same name ⇒ same
 //! handle) so layers can attach independently without coordination.
 
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -148,10 +148,6 @@ pub const NET_REPL_ROLE: &str = "tep_net_repl_role";
 /// `QueryOp::counter_name`).
 pub const QUERY_REQUESTS: &str = "tep_query_requests_total";
 
-/// Completeness-proven range listings served by the query engine
-/// (`QueryEngine::execute_range`).
-pub const QUERY_RANGE_REQUESTS: &str = "tep_query_range_requests_total";
-
 /// Histogram of records shipped per slice proof — the size of the
 /// verifiable evidence a query answer drags along.
 pub const QUERY_SLICE_RECORDS: &str = "tep_query_slice_records";

@@ -7,12 +7,11 @@
 //! and the engine cannot accidentally answer something it can't prove.
 
 use crate::index::QueryIndex;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use tep_core::slice::{
     backward_closure, polynomial_over, BoundaryLink, QueryAnswer, QueryOp, QuerySpec, SliceProof,
@@ -26,7 +25,7 @@ use tep_storage::ProvenanceDb;
 /// Hard cap on records per slice. Keeps a single answer's proof bounded
 /// in memory and under the wire's frame cap; a query whose closure is
 /// larger must be narrowed with depth/seq bounds.
-pub const MAX_SLICE_RECORDS: usize = 2048;
+pub(crate) const MAX_SLICE_RECORDS: usize = 2048;
 
 /// Bucket bounds for the slice-size histogram: powers of two up to the
 /// record cap.
@@ -41,7 +40,7 @@ pub enum QueryError {
     UnknownObject(ObjectId),
     /// An audit query without a participant.
     MissingParticipant,
-    /// The result closure exceeds [`MAX_SLICE_RECORDS`]; narrow the
+    /// The result closure exceeds `MAX_SLICE_RECORDS`; narrow the
     /// bounds.
     SliceTooLarge {
         /// The cap that was exceeded.
@@ -66,7 +65,6 @@ impl std::error::Error for QueryError {}
 /// tep-obs instrumentation for the query layer.
 struct QueryObs {
     requests: Counter,
-    range_requests: Counter,
     per_op: Vec<Counter>,
     slice_records: Histogram,
     index_build_ns: Histogram,
@@ -77,7 +75,6 @@ impl QueryObs {
     fn new(registry: &Registry) -> Self {
         QueryObs {
             requests: registry.counter(names::QUERY_REQUESTS),
-            range_requests: registry.counter(names::QUERY_RANGE_REQUESTS),
             per_op: QueryOp::ALL
                 .iter()
                 .map(|op| registry.counter(&op.counter_name()))
@@ -172,10 +169,16 @@ impl QueryEngine {
         self.alg
     }
 
+    /// The index, recovering from poison: a query that panicked while
+    /// holding it must not wedge the engine.
+    fn index(&self) -> MutexGuard<'_, QueryIndex> {
+        self.index.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Syncs the indexes with the store, returning how many fresh records
     /// were indexed. Called implicitly by [`Self::execute`].
     pub fn sync(&self) -> usize {
-        self.sync_index(&mut self.index.lock())
+        self.sync_index(&mut self.index())
     }
 
     fn sync_index(&self, ix: &mut QueryIndex) -> usize {
@@ -196,32 +199,9 @@ impl QueryEngine {
     /// Writes the index sidecar, if this engine was built with one.
     pub fn save_index(&self) -> io::Result<()> {
         match &self.sidecar {
-            Some(path) => self.index.lock().save(path),
+            Some(path) => self.index().save(path),
             None => Ok(()),
         }
-    }
-
-    /// Lists every object with records in `[lo, hi]` (bounds normalized:
-    /// swapped when given backwards), paired with a **completeness
-    /// proof** over the store's current shard tree: the member set is
-    /// exactly the run of leaves the proof authenticates, with
-    /// straddling boundary witnesses pinning both edges. A recipient
-    /// re-verifies with `RangeProof::check` (or, over the wire, the
-    /// signed-root form via `Verifier::verify_range`) — the engine
-    /// cannot withhold a match without the proof failing.
-    pub fn execute_range(
-        &self,
-        lo: ObjectId,
-        hi: ObjectId,
-    ) -> (Vec<ObjectId>, tep_core::denial::RangeProof) {
-        if let Some(obs) = &self.obs {
-            obs.range_requests.inc();
-        }
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        let tree = tep_core::merkle::shard_tree_of(self.alg, &self.db);
-        let proof = tep_core::denial::RangeProof::prove(&tree, lo, hi);
-        let members = proof.members.iter().map(|m| m.oid).collect();
-        (members, proof)
     }
 
     /// Executes `spec`, returning a self-contained [`SliceProof`] the
@@ -233,7 +213,7 @@ impl QueryEngine {
                 obs.per_op[i].inc();
             }
         }
-        let mut ix = self.index.lock();
+        let mut ix = self.index();
         self.sync_index(&mut ix);
         let proof = self.execute_with(&ix, spec)?;
         if let Some(obs) = &self.obs {

@@ -207,7 +207,7 @@ impl QueryIndex {
     /// failure (absent file, corrupt bytes, stale binding) yields a fresh
     /// empty index instead. Either way the caller should [`Self::sync`]
     /// afterwards to pick up the tail.
-    pub fn load_or_default(path: &Path, db: &ProvenanceDb) -> Self {
+    pub(crate) fn load_or_default(path: &Path, db: &ProvenanceDb) -> Self {
         std::fs::read(path)
             .ok()
             .and_then(|bytes| QueryIndex::from_bytes(&bytes))

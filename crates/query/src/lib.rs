@@ -47,13 +47,14 @@
 //! assert!(v.verified());
 //! ```
 
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod index;
 
-pub use engine::{QueryEngine, QueryError, MAX_SLICE_RECORDS};
+pub use engine::{QueryEngine, QueryError};
 pub use index::{sidecar_path, QueryIndex};
 // Re-export the shared query vocabulary so wire/CLI callers need only
 // one crate in scope.

@@ -5,7 +5,7 @@
 //! story — that is what the cryptographic provenance checksums are for.
 
 /// Initial (and final-XOR) CRC-32 state.
-pub const CRC_INIT: u32 = 0xFFFF_FFFF;
+pub(crate) const CRC_INIT: u32 = 0xFFFF_FFFF;
 
 /// Table-driven CRC-32 with the IEEE polynomial (reflected, 0xEDB88320).
 pub fn crc32(data: &[u8]) -> u32 {
@@ -14,7 +14,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Streaming update: feed `state` from a previous call (start with
 /// `0xFFFF_FFFF`), finish by XOR-ing with `0xFFFF_FFFF`.
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+pub(crate) fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     for &b in data {
         let idx = ((state ^ b as u32) & 0xFF) as usize;
         state = TABLE[idx] ^ (state >> 8);

@@ -15,7 +15,7 @@
 //!   distinct from the cryptographic tamper-evidence layer).
 //! * [`log`] — a CRC-framed append-only log with torn-write recovery, the
 //!   durability primitive.
-//! * [`provenance_db`] — the provenance record store: the paper's
+//! * `provenance_db` — the provenance record store: the paper's
 //!   `⟨SeqID, Participant, Oid, Checksum(128)⟩` rows plus the full record
 //!   payload, indexed by object, optionally durable.
 //! * [`tenant_shards`] — tenant-sharded storage: one independent append
@@ -31,6 +31,7 @@
 //! measurements, which only time checksum generation and provenance-row
 //! storage.
 
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -38,8 +39,8 @@ pub mod archive;
 pub mod checkpoint_store;
 pub mod crc;
 pub mod log;
-pub mod obs_vfs;
-pub mod provenance_db;
+pub(crate) mod obs_vfs;
+pub(crate) mod provenance_db;
 pub mod snapshot;
 pub mod tenant_shards;
 pub mod vfs;

@@ -136,7 +136,6 @@ pub struct AppendLog {
     writer: BufWriter<Box<dyn VirtualFile>>,
     path: PathBuf,
     end_offset: u64,
-    frames: u64,
 }
 
 /// The sidecar path corrupt ranges of `path` are quarantined into.
@@ -235,7 +234,6 @@ impl AppendLog {
             writer: BufWriter::new(file),
             path,
             end_offset: HEADER_LEN,
-            frames: 0,
         })
     }
 
@@ -271,13 +269,11 @@ impl AppendLog {
                 file.set_len(end_offset)?;
             }
             file.seek(SeekFrom::Start(end_offset))?;
-            let frames = scan.payloads.len() as u64;
             return Ok(RecoveredLog {
                 log: AppendLog {
                     writer: BufWriter::new(file),
                     path,
                     end_offset,
-                    frames,
                 },
                 payloads: scan.payloads,
                 truncated_bytes: scan.truncated_bytes,
@@ -306,13 +302,11 @@ impl AppendLog {
                 .map(|p| (FRAME_HEADER_LEN + p.len()) as u64)
                 .sum::<u64>();
         file.seek(SeekFrom::Start(end_offset))?;
-        let frames = scan.payloads.len() as u64;
         Ok(RecoveredLog {
             log: AppendLog {
                 writer: BufWriter::new(file),
                 path,
                 end_offset,
-                frames,
             },
             payloads: scan.payloads,
             truncated_bytes: scan.truncated_bytes,
@@ -466,7 +460,6 @@ impl AppendLog {
             .write_all(&frame_crc(payload.len() as u32, payload).to_be_bytes())?;
         self.writer.write_all(payload)?;
         self.end_offset += (FRAME_HEADER_LEN + payload.len()) as u64;
-        self.frames += 1;
         Ok(offset)
     }
 
@@ -483,13 +476,8 @@ impl AppendLog {
         Ok(())
     }
 
-    /// Number of frames appended (including recovered ones).
-    pub fn frame_count(&self) -> u64 {
-        self.frames
-    }
-
     /// Current end-of-log offset in bytes.
-    pub fn len_bytes(&self) -> u64 {
+    pub(crate) fn len_bytes(&self) -> u64 {
         self.end_offset
     }
 
@@ -534,7 +522,6 @@ mod tests {
             log.append(b"").unwrap();
             log.append(&vec![7u8; 10_000]).unwrap();
             log.sync().unwrap();
-            assert_eq!(log.frame_count(), 3);
         }
         let rec = AppendLog::open(&path).unwrap();
         assert_eq!(rec.truncated_bytes, 0);
@@ -543,7 +530,6 @@ mod tests {
         assert_eq!(rec.payloads[0], b"alpha");
         assert_eq!(rec.payloads[1], b"");
         assert_eq!(rec.payloads[2].len(), 10_000);
-        assert_eq!(rec.log.frame_count(), 3);
     }
 
     #[test]

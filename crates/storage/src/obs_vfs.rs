@@ -83,8 +83,8 @@ impl VfsObs {
 }
 
 /// A [`Vfs`] decorator that records `tep_storage_*` metrics for every
-/// operation performed through it. See the [module docs](self) for the
-/// metric schema.
+/// operation performed through it. The module docs of `obs_vfs.rs` give
+/// the metric schema.
 pub struct ObservedVfs {
     inner: Arc<dyn Vfs>,
     obs: VfsObs,

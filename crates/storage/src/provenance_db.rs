@@ -34,10 +34,9 @@ use crate::archive::CompactionStamp;
 use crate::crc::crc32;
 use crate::log::{AppendLog, GapKind, LogError, LogGap};
 use crate::vfs::{real_vfs, Vfs};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use tep_model::encode::{DecodeError, Reader};
 use tep_model::ObjectId;
 use tep_model::ParticipantId;
@@ -499,15 +498,26 @@ impl ProvenanceDb {
         })
     }
 
+    /// Shared access, recovering from poison: a thread that panicked while
+    /// holding the lock must not wedge every later query.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access, recovering from poison like [`Self::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// What recovery found when this store was opened (all-zero for
     /// in-memory stores and clean opens).
     pub fn recovery(&self) -> RecoveryReport {
-        self.inner.read().recovery.clone()
+        self.read().recovery.clone()
     }
 
     /// Appends a record (durably if the store is durable).
     pub fn append(&self, record: StoredRecord) -> Result<(), StoreError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if let Some(log) = inner.log.as_mut() {
             log.append(&record.to_bytes())?;
         }
@@ -535,7 +545,7 @@ impl ProvenanceDb {
         let Some((shared, from, elided)) = batch else {
             return records.into_iter().try_for_each(|r| self.append(r));
         };
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let mut frame = Vec::new();
         for (i, record) in records.iter().enumerate() {
             // The first member is an ordinary row whose checksum the others
@@ -568,7 +578,7 @@ impl ProvenanceDb {
 
     /// Flushes and fsyncs the durable log (no-op for in-memory stores).
     pub fn sync(&self) -> Result<(), StoreError> {
-        if let Some(log) = self.inner.write().log.as_mut() {
+        if let Some(log) = self.write().log.as_mut() {
             log.sync()?;
         }
         Ok(())
@@ -576,7 +586,7 @@ impl ProvenanceDb {
 
     /// All records for `oid`, sorted by `seq_id` (ties keep append order).
     pub fn records_for(&self, oid: ObjectId) -> Vec<StoredRecord> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let mut out: Vec<StoredRecord> = inner
             .by_object
             .get(&oid)
@@ -592,7 +602,7 @@ impl ProvenanceDb {
 
     /// The most recent record (greatest `seq_id`) for `oid`.
     pub fn latest_for(&self, oid: ObjectId) -> Option<StoredRecord> {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner.by_object.get(&oid).and_then(|idxs| {
             idxs.iter()
                 .map(|&i| &inner.records[i as usize])
@@ -603,7 +613,7 @@ impl ProvenanceDb {
 
     /// Total number of stored records.
     pub fn len(&self) -> usize {
-        self.inner.read().records.len()
+        self.read().records.len()
     }
 
     /// `true` when no records are stored.
@@ -614,7 +624,7 @@ impl ProvenanceDb {
     /// Sum of [`StoredRecord::paper_row_bytes`] over all records — the
     /// space-overhead metric of Figures 9 and 11.
     pub fn paper_row_bytes(&self) -> u64 {
-        self.inner.read().paper_row_bytes
+        self.read().paper_row_bytes
     }
 
     /// Snapshot of every record in append order.
@@ -627,7 +637,7 @@ impl ProvenanceDb {
     /// without rescanning the whole log. An out-of-range `pos` yields an
     /// empty vec.
     pub fn records_from(&self, pos: usize) -> Vec<StoredRecord> {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner
             .records
             .get(pos..)
@@ -637,7 +647,7 @@ impl ProvenanceDb {
 
     /// Ids of all objects that have at least one record.
     pub fn object_ids(&self) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self.inner.read().by_object.keys().copied().collect();
+        let mut ids: Vec<ObjectId> = self.read().by_object.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -646,7 +656,7 @@ impl ProvenanceDb {
     /// how many were removed. Fails on durable stores (an append-only log
     /// cannot be edited in place — use [`Self::compact_into`]).
     pub fn retain(&self, keep: impl Fn(&StoredRecord) -> bool) -> Result<usize, StoreError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if inner.log.is_some() {
             return Err(StoreError::DurableRetain);
         }
@@ -979,6 +989,24 @@ mod tests {
             reopened.object_ids(),
             vec![ObjectId(1), ObjectId(3), ObjectId(5)]
         );
+    }
+
+    #[test]
+    fn a_panic_under_the_write_lock_does_not_wedge_the_store() {
+        let db = Arc::new(ProvenanceDb::in_memory());
+        db.append(rec(1, 0, 10)).unwrap();
+        let held = Arc::clone(&db);
+        let died = std::thread::spawn(move || {
+            let _inner = held.write();
+            panic!("writer dies holding the lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(db.inner.is_poisoned());
+        assert_eq!(db.len(), 1);
+        assert_eq!(db.latest_for(ObjectId(1)).unwrap().seq_id, 0);
+        db.append(rec(1, 1, 10)).unwrap();
+        assert_eq!(db.records_for(ObjectId(1)).len(), 2);
     }
 
     #[test]

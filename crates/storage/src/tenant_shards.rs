@@ -120,11 +120,6 @@ impl TenantShards {
     pub fn recovery(&self, tenant: TenantId) -> Option<RecoveryReport> {
         self.shard(tenant).map(|db| db.recovery())
     }
-
-    /// Path of `tenant`'s shard log (whether or not it opened).
-    pub fn path_of(&self, tenant: TenantId) -> PathBuf {
-        shard_path(&self.root, tenant)
-    }
 }
 
 #[cfg(test)]

@@ -23,11 +23,10 @@
 //! out-of-order corruption is covered separately by the bit-flip property
 //! tests in `tests/log_recovery_props.rs`.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An open file handle, abstracted over the backing store.
 ///
@@ -156,13 +155,7 @@ pub struct FaultConfig {
 }
 
 /// Message carried by every error a frozen (crashed) [`FaultVfs`] returns.
-pub const POWER_LOSS_MSG: &str = "simulated power loss";
-
-/// `true` if `e` is the simulated-power-loss error a crashed [`FaultVfs`]
-/// returns (directly or wrapped in another error's message).
-pub fn is_power_loss(e: &io::Error) -> bool {
-    e.to_string().contains(POWER_LOSS_MSG)
-}
+pub(crate) const POWER_LOSS_MSG: &str = "simulated power loss";
 
 fn power_loss_err() -> io::Error {
     io::Error::other(POWER_LOSS_MSG)
@@ -256,6 +249,12 @@ impl State {
     }
 }
 
+/// Locks the simulated disk, recovering from poison: a harness thread
+/// that panicked while holding it must not wedge the assertions after it.
+fn lock(state: &Mutex<State>) -> MutexGuard<'_, State> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A deterministic in-memory disk with configurable fault injection.
 ///
 /// ```
@@ -297,22 +296,22 @@ impl FaultVfs {
     /// Mutating operations performed so far (the crash-point space a
     /// harness sweeps).
     pub fn ops(&self) -> u64 {
-        self.state.lock().ops
+        lock(&self.state).ops
     }
 
     /// `sync_data` calls attempted so far.
     pub fn syncs(&self) -> u64 {
-        self.state.lock().syncs
+        lock(&self.state).syncs
     }
 
     /// `true` once the simulated power cut has happened.
     pub fn crashed(&self) -> bool {
-        self.state.lock().crashed
+        lock(&self.state).crashed
     }
 
     /// Re-arms (or disarms) the crash point without resetting the disk.
     pub fn set_crash_at(&self, op: Option<u64>) {
-        self.state.lock().cfg.crash_at_op = op;
+        lock(&self.state).cfg.crash_at_op = op;
     }
 
     /// Simulates the machine rebooting after a power cut: the visible image
@@ -321,7 +320,7 @@ impl FaultVfs {
     /// at a seeded byte offset. The disk unfreezes; the crash point is
     /// disarmed so recovery code can run.
     pub fn power_cycle(&self) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
 
         // Directory entries: the journal preserves order, so a prefix of
         // the pending ops survives.
@@ -390,14 +389,14 @@ impl FaultVfs {
     /// The visible bytes of `path`, if it exists (for byte-identical
     /// recovery assertions).
     pub fn file_bytes(&self, path: &Path) -> Option<Vec<u8>> {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         let id = s.dir.get(path)?;
         Some(s.files[id].data.clone())
     }
 
     /// All visible file names, sorted.
     pub fn list(&self) -> Vec<PathBuf> {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         let mut v: Vec<PathBuf> = s.dir.keys().cloned().collect();
         v.sort();
         v
@@ -406,7 +405,7 @@ impl FaultVfs {
     /// Flips one byte of `path`'s visible **and** durable image (simulated
     /// media corruption, below the page-cache model).
     pub fn corrupt_byte(&self, path: &Path, offset: usize) -> bool {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         let Some(&id) = s.dir.get(path) else {
             return false;
         };
@@ -449,7 +448,7 @@ fn apply_mutation(img: &mut Vec<u8>, m: &Mutation, tear_at: Option<usize>) {
 
 impl Vfs for FaultVfs {
     fn create_new(&self, path: &Path) -> io::Result<Box<dyn VirtualFile>> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.check_alive()?;
         if s.dir.contains_key(path) {
             return Err(io::Error::new(
@@ -471,7 +470,7 @@ impl Vfs for FaultVfs {
     }
 
     fn open_rw(&self, path: &Path) -> io::Result<Box<dyn VirtualFile>> {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         s.check_alive()?;
         let id = *s.dir.get(path).ok_or_else(|| {
             io::Error::new(
@@ -487,11 +486,11 @@ impl Vfs for FaultVfs {
     }
 
     fn exists(&self, path: &Path) -> bool {
-        self.state.lock().dir.contains_key(path)
+        lock(&self.state).dir.contains_key(path)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.mutating_op()?;
         let id = s.dir.remove(from).ok_or_else(|| {
             io::Error::new(
@@ -506,7 +505,7 @@ impl Vfs for FaultVfs {
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.mutating_op()?;
         s.dir.remove(path).ok_or_else(|| {
             io::Error::new(
@@ -521,7 +520,7 @@ impl Vfs for FaultVfs {
     fn sync_parent_dir(&self, _path: &Path) -> io::Result<()> {
         // The simulator models a single directory; syncing it makes every
         // pending namespace operation durable.
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.mutating_op()?;
         s.durable_dir = s.dir.clone();
         s.pending_dir.clear();
@@ -537,7 +536,7 @@ struct FaultFile {
 
 impl Read for FaultFile {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         s.check_alive()?;
         let f = s
             .files
@@ -557,7 +556,7 @@ impl Write for FaultFile {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.check_alive()?;
         // Short write: consume only a seeded 1..=len prefix.
         let n = if s.cfg.short_writes && buf.len() > 1 {
@@ -603,13 +602,13 @@ impl Write for FaultFile {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.state.lock().check_alive()
+        lock(&self.state).check_alive()
     }
 }
 
 impl Seek for FaultFile {
     fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-        let s = self.state.lock();
+        let s = lock(&self.state);
         s.check_alive()?;
         let len = s
             .files
@@ -635,7 +634,7 @@ impl Seek for FaultFile {
 
 impl VirtualFile for FaultFile {
     fn sync_data(&mut self) -> io::Result<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.check_alive()?;
         s.syncs += 1;
         let syncs = s.syncs;
@@ -657,7 +656,7 @@ impl VirtualFile for FaultFile {
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.mutating_op()?;
         let f = s
             .files
@@ -728,7 +727,7 @@ mod tests {
         });
         let mut f = vfs.create_new(&p("/a")).unwrap(); // op 1
         let err = f.write_all(b"x").unwrap_err(); // op 2: boom
-        assert!(is_power_loss(&err), "{err}");
+        assert_eq!(err.to_string(), POWER_LOSS_MSG);
         assert!(vfs.crashed());
         // Everything fails until power_cycle.
         assert!(vfs.create_new(&p("/b")).is_err());
@@ -911,6 +910,25 @@ mod tests {
         vfs.power_cycle();
         let bytes = vfs.file_bytes(&p("/a")).unwrap();
         assert_eq!(bytes[2], b'c' ^ 0xFF);
+    }
+
+    #[test]
+    fn a_panic_under_the_state_lock_does_not_wedge_the_disk() {
+        let vfs = FaultVfs::new(FaultConfig::default());
+        let mut f = vfs.create_new(&p("/a")).unwrap();
+        f.write_all(b"kept").unwrap();
+        let held = Arc::clone(&vfs);
+        let died = std::thread::spawn(move || {
+            let _state = lock(&held.state);
+            panic!("harness thread dies holding the disk");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(vfs.state.is_poisoned());
+        assert_eq!(vfs.file_bytes(&p("/a")).unwrap(), b"kept");
+        f.write_all(b"!").unwrap();
+        f.sync_data().unwrap();
+        assert_eq!(vfs.syncs(), 1);
     }
 
     #[test]

@@ -21,10 +21,10 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// The default chaos seed matrix (shared with the crash harness in CI).
-pub const DEFAULT_CHAOS_SEEDS: [u64; 3] = [1, 2009, 31337];
+pub(crate) const DEFAULT_CHAOS_SEEDS: [u64; 3] = [1, 2009, 31337];
 
 /// Seeds to sweep: the value of env var `var` if set and parseable as one
-/// `u64`, otherwise the full [`DEFAULT_CHAOS_SEEDS`] matrix.
+/// `u64`, otherwise the full `DEFAULT_CHAOS_SEEDS` matrix.
 pub fn seeds_from_env(var: &str) -> Vec<u64> {
     match std::env::var(var).ok().and_then(|s| s.parse().ok()) {
         Some(one) => vec![one],

@@ -92,14 +92,6 @@ impl CrashWorkload {
         ops.push(CrashOp::Sync);
         CrashWorkload { ops }
     }
-
-    /// Number of `Append` steps.
-    pub fn appends(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, CrashOp::Append(_)))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -122,14 +114,21 @@ mod tests {
         );
     }
 
+    fn appends(w: &CrashWorkload) -> usize {
+        w.ops
+            .iter()
+            .filter(|op| matches!(op, CrashOp::Append(_)))
+            .count()
+    }
+
     #[test]
     fn workload_ends_with_sync_and_counts_appends() {
         let w = CrashWorkload::frames(1, 25);
-        assert_eq!(w.appends(), 25);
+        assert_eq!(appends(&w), 25);
         assert_eq!(w.ops.last(), Some(&CrashOp::Sync));
 
         let r = CrashWorkload::records(1, 25);
-        assert_eq!(r.appends(), 25);
+        assert_eq!(appends(&r), 25);
         // Record payloads decode back to records.
         for op in &r.ops {
             if let CrashOp::Append(bytes) = op {

@@ -20,7 +20,7 @@ const FIRST_ROW_BASE: u64 = 2;
 
 /// One generated row of the Title table.
 #[derive(Clone, Debug, PartialEq)]
-pub struct TitleRow {
+pub(crate) struct TitleRow {
     /// Structural row node id.
     pub row_id: ObjectId,
     /// `(cell id, value)` pairs: Document ID then Title, ids increasing.
@@ -28,14 +28,14 @@ pub struct TitleRow {
 }
 
 /// Lazily generates Title-table rows with deterministic ids and contents.
-pub struct TitleRowIter {
+pub(crate) struct TitleRowIter {
     next: u64,
     rows: u64,
 }
 
 impl TitleRowIter {
     /// Iterator over `rows` generated rows.
-    pub fn new(rows: u64) -> Self {
+    pub(crate) fn new(rows: u64) -> Self {
         TitleRowIter { next: 0, rows }
     }
 }
@@ -96,11 +96,6 @@ pub fn stream_title_database(alg: HashAlgorithm, rows: u64) -> TitleHashResult {
     TitleHashResult { hash, nodes }
 }
 
-/// Node count for a Title database of `rows` rows (3 per row + table + root).
-pub fn title_node_count(rows: u64) -> u64 {
-    rows * 3 + 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,6 +103,12 @@ mod tests {
     use tep_model::Forest;
 
     const ALG: HashAlgorithm = HashAlgorithm::Sha1;
+
+    /// Node count for a Title database of `rows` rows (3 per row + table +
+    /// root).
+    fn title_node_count(rows: u64) -> u64 {
+        rows * 3 + 2
+    }
 
     #[test]
     fn paper_row_count_implies_paper_node_count() {

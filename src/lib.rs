@@ -56,6 +56,7 @@
 //! assert!(Verifier::new(&keys, HashAlgorithm::Sha256).verify(&hash, &prov).verified());
 //! ```
 
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 

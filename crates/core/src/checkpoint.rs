@@ -11,8 +11,9 @@
 //! `(object, seqID, checksum)` of a record known to be genuine. At the next
 //! verification, the provenance must still *contain* that exact record —
 //! truncation or splicing across the anchor becomes detectable
-//! ([`TamperEvidence::AnchorViolation`]). This is the natural
-//! "remember-the-head" extension the paper leaves as engineering.
+//! ([`TamperEvidence::AnchorViolation`](crate::verify::TamperEvidence::AnchorViolation)).
+//! This is the natural "remember-the-head" extension the paper leaves as
+//! engineering.
 //!
 //! ## Sealed compaction checkpoints
 //!
@@ -22,18 +23,20 @@
 //! head), stamped with the cumulative record count. Once
 //! [sealed](Checkpoint::seal) by the serving participant, records at or
 //! before the checkpoint can be truncated into a cold archive — a later
-//! recipient verifies the surviving chain *through* the checkpoint
-//! ([`Verifier::verify_through_checkpoint`]): a chain-start whose
-//! predecessor was excised resolves structurally and cryptographically
-//! against the anchored checksum, so R2/R3 continuity is attested across
-//! the compaction boundary instead of silently waived. A checkpoint that
-//! conflicts with the presented records (or whose seal fails) is
-//! [`TamperEvidence::CheckpointMismatch`].
+//! recipient verifies the surviving chain *through* the checkpoint: a
+//! chain-start whose predecessor was excised resolves structurally and
+//! cryptographically against the anchored checksum, so R2/R3 continuity is
+//! attested across the compaction boundary instead of silently waived. A
+//! checkpoint that conflicts with the presented records (or whose seal
+//! fails) is `CheckpointMismatch`.
+//!
+//! This module holds the types and their encodings only. Both checks are
+//! inputs to the one verifier fold in [`crate::verify`]
+//! ([`Verifier::verify_with_anchors`](crate::verify::Verifier::verify_with_anchors),
+//! [`Verifier::verify_through_checkpoint`](crate::verify::Verifier::verify_through_checkpoint)).
 
 use crate::merkle::shard_tree_of;
 use crate::provenance::ProvenanceObject;
-use crate::verify::{TamperEvidence, Verification, Verifier};
-use std::collections::HashMap;
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{KeyDirectory, Participant, ParticipantId};
 use tep_model::encode::{DecodeError, Reader};
@@ -261,105 +264,12 @@ impl SealedCheckpoint {
     }
 }
 
-impl Verifier<'_> {
-    /// Like [`Verifier::verify`], additionally requiring that the
-    /// provenance still contains each anchored record with its exact
-    /// checksum, and that the object's chain has not moved *backwards* past
-    /// an anchor.
-    pub fn verify_with_anchors(
-        &self,
-        object_hash: &[u8],
-        prov: &ProvenanceObject,
-        anchors: &[TrustAnchor],
-    ) -> Verification {
-        let mut v = self.verify(object_hash, prov);
-        for anchor in anchors {
-            let anchored = prov.record(anchor.oid, anchor.seq);
-            let intact = anchored.is_some_and(|r| r.checksum == anchor.checksum);
-            if !intact {
-                v.issues.push(TamperEvidence::AnchorViolation {
-                    oid: anchor.oid,
-                    seq: anchor.seq,
-                });
-                continue;
-            }
-            // The chain must not have been rolled back before the anchor.
-            let newest = prov
-                .records
-                .iter()
-                .filter(|r| r.output_oid == anchor.oid)
-                .map(|r| r.seq_id)
-                .max();
-            if newest.is_none_or(|n| n < anchor.seq) {
-                v.issues.push(TamperEvidence::AnchorViolation {
-                    oid: anchor.oid,
-                    seq: anchor.seq,
-                });
-            }
-        }
-        v
-    }
-
-    /// Verifies provenance whose oldest records were compacted away behind
-    /// `sealed` — R2/R3 continuity attested *through* the checkpoint.
-    ///
-    /// Differences from [`Verifier::verify`]:
-    ///
-    /// * a chain-start record whose claimed predecessor is exactly its
-    ///   object's anchored `(seq, checksum)` slot resolves cleanly — the
-    ///   record's signature is verified over the *anchored* checksum, so a
-    ///   forged splice at the compaction boundary is still
-    ///   `BadSignature`;
-    /// * a failing seal signature is
-    ///   [`TamperEvidence::CheckpointMismatch`] (and the attested slots
-    ///   are not honored — the verdict falls back to plain verification);
-    /// * a presented record that *occupies* an anchored slot with a
-    ///   different checksum is `CheckpointMismatch` for that slot: the
-    ///   server rewrote history it had already sealed.
-    pub fn verify_through_checkpoint(
-        &self,
-        object_hash: &[u8],
-        prov: &ProvenanceObject,
-        sealed: &SealedCheckpoint,
-    ) -> Verification {
-        let mut prior: HashMap<ObjectId, (u64, Vec<u8>)> = HashMap::new();
-        let seal_ok = sealed.verify(self.keys());
-        if seal_ok {
-            for anchor in &sealed.checkpoint.anchors {
-                prior.insert(anchor.oid, (anchor.seq, anchor.checksum.clone()));
-            }
-        }
-        let mut v = self.verify_inner_with_prior(object_hash, prov, &prior);
-        if !seal_ok {
-            v.issues.push(TamperEvidence::CheckpointMismatch {
-                oid: prov.target,
-                seq: 0,
-            });
-        } else {
-            // A record presented *at* an anchored slot must carry the
-            // sealed checksum — otherwise the server rewrote history it
-            // already committed to.
-            for anchor in &sealed.checkpoint.anchors {
-                if let Some(r) = prov.record(anchor.oid, anchor.seq) {
-                    if r.checksum != anchor.checksum {
-                        v.issues.push(TamperEvidence::CheckpointMismatch {
-                            oid: anchor.oid,
-                            seq: anchor.seq,
-                        });
-                    }
-                }
-            }
-        }
-        self.record_outcome(&v);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::atomic::AtomicLedger;
     use crate::hashing::hash_atom;
+    use crate::verify::{TamperEvidence, Verifier};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;

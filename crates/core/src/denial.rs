@@ -197,26 +197,29 @@ impl DenialProof {
         })
     }
 
-    /// Verifies the gap claim against a root: it is exactly a
-    /// completeness proof for `[absent, absent]` with no members — the
-    /// witnesses authenticate at their positions, are adjacent (or pin a
-    /// shard edge), and straddle `absent`.
+    /// The gap claim as what it is: a completeness proof for
+    /// `[absent, absent]` with no members. No member is presented, so none
+    /// can be proven — the range check passing *is* the gap claim.
+    pub(crate) fn gap(&self) -> RangeProof {
+        RangeProof {
+            lo: self.absent,
+            hi: self.absent,
+            members: Vec::new(),
+            pred: self.pred.clone(),
+            succ: self.succ.clone(),
+        }
+    }
+
+    /// Verifies the gap claim against a root: the witnesses authenticate
+    /// at their positions, are adjacent (or pin a shard edge), and
+    /// straddle `absent`.
     pub fn check(
         &self,
         alg: HashAlgorithm,
         root: &[u8],
         leaf_count: u64,
     ) -> Result<(), DenialFault> {
-        let gap = RangeProof {
-            lo: self.absent,
-            hi: self.absent,
-            members: Vec::new(),
-            pred: self.pred.clone(),
-            succ: self.succ.clone(),
-        };
-        // No member is presented, so none can be proven: the range check
-        // passing *is* the gap claim.
-        gap.check(alg, root, leaf_count).map(drop)
+        self.gap().check(alg, root, leaf_count).map(drop)
     }
 
     /// Canonical encoding.

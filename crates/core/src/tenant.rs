@@ -14,10 +14,10 @@
 //! results into one [`FederatedReport`], attributing every piece of
 //! evidence (and every quarantined byte) to exactly one tenant.
 
-use crate::denial::{DenialProof, SignedRoot};
+use crate::denial::{DenialProof, SignedDenial, SignedRoot};
 use crate::merkle::shard_tree_of;
 use crate::provenance::collect;
-use crate::verify::{EvidenceKind, TamperEvidence, Verifier};
+use crate::verify::{storage_quarantine, EvidenceCounters, EvidenceKind, TamperEvidence, Verifier};
 use rand::RngCore;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,7 +26,7 @@ use tep_crypto::pki::{Certificate, CertificateAuthority, KeyDirectory, Participa
 use tep_crypto::rsa::RsaPublicKey;
 use tep_crypto::ParticipantId;
 use tep_model::{ObjectId, TenantId};
-use tep_obs::{names, Counter, Registry};
+use tep_obs::Registry;
 use tep_storage::TenantShards;
 
 /// High bits folded into every tenant signer's [`ParticipantId`], so
@@ -163,41 +163,6 @@ impl TenantDirectory {
     }
 }
 
-/// Per-tenant [`EvidenceKind`] counters: the same
-/// `tep_core_evidence_<kind>_total` family as
-/// [`crate::verify::EvidenceCounters`], with a `tenant` label baked
-/// into each name via [`names::with_tenant`] — so damage shows up both
-/// in the unlabeled aggregate (recorded by the verify paths) and
-/// attributed to the tenant it hit.
-#[derive(Clone)]
-pub(crate) struct TenantEvidenceCounters {
-    counters: Vec<Counter>,
-}
-
-impl TenantEvidenceCounters {
-    /// Registers (or re-resolves) `tenant`'s labeled counters.
-    pub(crate) fn new(registry: &Registry, tenant: TenantId) -> TenantEvidenceCounters {
-        TenantEvidenceCounters {
-            counters: EvidenceKind::ALL
-                .iter()
-                .map(|k| registry.counter(&names::with_tenant(&k.counter_name(), tenant.raw())))
-                .collect(),
-        }
-    }
-
-    /// Counts one piece of evidence of `kind` against the tenant.
-    pub(crate) fn record(&self, kind: EvidenceKind) {
-        self.counters[kind as usize].inc();
-    }
-
-    /// Counts every issue in `issues` by kind.
-    pub(crate) fn record_issues(&self, issues: &[TamperEvidence]) {
-        for issue in issues {
-            self.record(issue.kind());
-        }
-    }
-}
-
 /// One tenant's slice of a [`FederatedReport`].
 #[derive(Clone, Debug)]
 pub struct TenantReport {
@@ -260,8 +225,7 @@ impl FederatedReport {
 /// object verified under the same keys.
 ///
 /// When `registry` is given, every issue is recorded into that tenant's
-/// labeled evidence counters (`TenantEvidenceCounters`) — exact
-/// attribution, no cross-tenant bleed.
+/// labeled evidence counters — exact attribution, no cross-tenant bleed.
 pub fn federated_verify(
     dir: &TenantDirectory,
     shards: &TenantShards,
@@ -286,13 +250,8 @@ pub fn federated_verify(
                 let Ok(prov) = collect(&db, oid) else {
                     continue;
                 };
-                let hash = hash_of(tenant, oid).or_else(|| {
-                    prov.records
-                        .iter()
-                        .filter(|r| r.output_oid == oid)
-                        .max_by_key(|r| r.seq_id)
-                        .map(|r| r.output_hash.clone())
-                });
+                let hash =
+                    hash_of(tenant, oid).or_else(|| prov.latest().map(|r| r.output_hash.clone()));
                 let Some(hash) = hash else { continue };
                 let v = verifier.verify_recovered(&hash, &prov, &recovery);
                 tr.objects += 1;
@@ -303,16 +262,12 @@ pub fn federated_verify(
             // object; if the damage wiped every chain (or emptied the
             // shard) there is no object left to carry it, so surface it
             // here once instead.
-            if recovery.is_degraded()
-                && !tr
-                    .issues
-                    .iter()
-                    .any(|i| i.kind() == EvidenceKind::StorageQuarantine)
+            if !tr
+                .issues
+                .iter()
+                .any(|i| i.kind() == EvidenceKind::StorageQuarantine)
             {
-                tr.issues.push(TamperEvidence::StorageQuarantine {
-                    gaps: recovery.corruption_gaps() as u64 + recovery.decode_failures,
-                    bytes: recovery.quarantined_bytes,
-                });
+                tr.issues.extend(storage_quarantine(&recovery));
             }
             // Denial self-check: the tenant's own signer must be able to
             // prove non-membership under its own signed root.
@@ -321,28 +276,20 @@ pub fn federated_verify(
                     let tree = shard_tree_of(dir.alg(), &db);
                     let absent =
                         ObjectId(db.object_ids().iter().map(|o| o.raw()).max().unwrap_or(0) + 1);
-                    match SignedRoot::sign(&tree, db.len() as u64, &signer) {
-                        Ok(root) => match DenialProof::prove(&tree, absent) {
-                            Some(proof) => {
-                                let denial = crate::denial::SignedDenial { root, proof };
-                                if denial.check(keys).is_err() {
-                                    tr.issues.push(TamperEvidence::ForgedDenial { oid: absent });
-                                }
-                                tr.denial_checked = true;
-                            }
-                            None => {
-                                tr.issues.push(TamperEvidence::ForgedDenial { oid: absent });
-                            }
-                        },
-                        Err(_) => {
-                            tr.issues.push(TamperEvidence::ForgedDenial { oid: absent });
+                    let root = SignedRoot::sign(&tree, db.len() as u64, &signer).ok();
+                    match root.zip(DenialProof::prove(&tree, absent)) {
+                        Some((root, proof)) => {
+                            let denial = SignedDenial { root, proof };
+                            tr.issues.extend(verifier.verify_denial(&denial).issues);
+                            tr.denial_checked = true;
                         }
+                        None => tr.issues.push(TamperEvidence::ForgedDenial { oid: absent }),
                     }
                 }
             }
         }
         if let Some(reg) = registry {
-            TenantEvidenceCounters::new(reg, tenant).record_issues(&tr.issues);
+            EvidenceCounters::for_tenant(reg, tenant).record_issues(&tr.issues);
         }
         report.tenants.push(tr);
     }
@@ -357,6 +304,7 @@ mod tests {
     use rand::SeedableRng;
     use std::path::PathBuf;
     use tep_model::Value;
+    use tep_obs::names;
     use tep_storage::vfs::{FaultConfig, FaultVfs};
     use tep_storage::{shard_path, Vfs};
 

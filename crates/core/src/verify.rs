@@ -17,19 +17,30 @@
 //!
 //! All violations found are reported, not just the first, so attack
 //! forensics can see the full blast radius.
+//!
+//! ## One fold, one reference
+//!
+//! Every production history check is the [`StreamingVerifier`] fold. A
+//! transport pushes records as frames arrive; `verify_recovered`,
+//! `verify_with_anchors` and `verify_through_checkpoint` push a collected
+//! [`ProvenanceObject`] and add what they attest beyond its records.
+//! Batch [`Verifier::verify`] is the naive reference the fold is tested
+//! against, and [`Verifier::verify_slice`] keeps its own coverage walk.
 
+use crate::checkpoint::{SealedCheckpoint, TrustAnchor};
+use crate::denial::{SignedDenial, SignedRange};
 use crate::provenance::ProvenanceObject;
 use crate::record::{BatchChecksum, ChecksumFormat, ProvenanceRecord, RecordKind};
 use crate::slice::{
     backward_closure, forward_closure, polynomial_over, AggEdge, QueryAnswer, QueryOp, SliceProof,
 };
 use crate::streaming::{CheckpointError, RecordSlot, RecordStreamDigest, VerifierCheckpoint};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{KeyDirectory, ParticipantId};
-use tep_model::ObjectId;
-use tep_obs::{Counter, Histogram, Registry};
+use tep_model::{ObjectId, TenantId};
+use tep_obs::{names, Counter, Histogram, Registry};
 
 /// The kind of a piece of tamper evidence, independent of the offending
 /// record's identity — the unit both verify paths (batch/recovered and the
@@ -151,10 +162,22 @@ pub struct EvidenceCounters {
 impl EvidenceCounters {
     /// Registers (or re-resolves) the per-kind counters in `registry`.
     pub fn new(registry: &Registry) -> Self {
+        Self::named(registry, |name| name)
+    }
+
+    /// `tenant`'s copy of the same family, labelled through
+    /// [`names::with_tenant`], so damage shows up both in the unlabelled
+    /// aggregate (recorded by the verify paths) and attributed to the tenant
+    /// it hit.
+    pub(crate) fn for_tenant(registry: &Registry, tenant: TenantId) -> Self {
+        Self::named(registry, |name| names::with_tenant(&name, tenant.raw()))
+    }
+
+    fn named(registry: &Registry, name: impl Fn(String) -> String) -> Self {
         EvidenceCounters {
             counters: EvidenceKind::ALL
                 .iter()
-                .map(|k| registry.counter(&k.counter_name()))
+                .map(|k| registry.counter(&name(k.counter_name())))
                 .collect(),
         }
     }
@@ -192,15 +215,6 @@ impl VerifyObs {
             latency_ns: registry.latency_histogram("tep_core_verify_ns"),
             evidence: EvidenceCounters::new(registry),
         }
-    }
-
-    fn record_outcome(&self, v: &Verification) {
-        self.runs.inc();
-        self.records.add(v.records_checked as u64);
-        if !v.verified() {
-            self.tampered_runs.inc();
-        }
-        self.evidence.record_issues(&v.issues);
     }
 }
 
@@ -548,32 +562,34 @@ impl<'a> Verifier<'a> {
 
     /// Verifies that `prov` is an untampered history of the object whose
     /// current hash is `object_hash`.
+    ///
+    /// This is the **reference**: a naive, order-independent reading of §3's
+    /// two verification conditions over the whole record set, with no
+    /// streaming state. The production fold ([`StreamingVerifier`], and
+    /// every driver below) is tested against it for an identical evidence
+    /// multiset.
     pub fn verify(&self, object_hash: &[u8], prov: &ProvenanceObject) -> Verification {
+        self.observed(|| self.reference(object_hash, prov))
+    }
+
+    /// The one exit every entry point leaves through: times the run and
+    /// records its outcome in the attached obs.
+    fn observed(&self, run: impl FnOnce() -> Verification) -> Verification {
         let timer = self.obs.as_ref().map(|o| o.latency_ns.start_timer());
-        let v = self.verify_inner(object_hash, prov);
+        let v = run();
         if let Some(obs) = &self.obs {
-            obs.record_outcome(&v);
+            obs.runs.inc();
+            obs.records.add(v.records_checked as u64);
+            if !v.verified() {
+                obs.tampered_runs.inc();
+            }
+            obs.evidence.record_issues(&v.issues);
         }
         drop(timer);
         v
     }
 
-    fn verify_inner(&self, object_hash: &[u8], prov: &ProvenanceObject) -> Verification {
-        self.verify_inner_with_prior(object_hash, prov, &HashMap::new())
-    }
-
-    /// Like [`Self::verify_inner`], but with a map of *attested prior
-    /// records*: `oid → (seq, checksum)` slots a sealed compaction
-    /// checkpoint vouches for. A chain-start record whose predecessor was
-    /// compacted away resolves through this map — both structurally and
-    /// for signature verification (the anchor checksum substitutes for the
-    /// excised record's) — instead of surfacing as `MissingRecord`.
-    pub(crate) fn verify_inner_with_prior(
-        &self,
-        object_hash: &[u8],
-        prov: &ProvenanceObject,
-        prior: &HashMap<ObjectId, (u64, Vec<u8>)>,
-    ) -> Verification {
+    fn reference(&self, object_hash: &[u8], prov: &ProvenanceObject) -> Verification {
         let mut v = Verification::default();
         let target = prov.target;
 
@@ -590,16 +606,14 @@ impl<'a> Verifier<'a> {
         }
 
         // Condition 1: the delivered object matches the newest record.
-        let latest = match prov.latest() {
-            Some(r) => r,
-            None => {
-                v.issues.push(TamperEvidence::NoRecords { oid: target });
-                return v;
-            }
-        };
-        if latest.output_hash != object_hash {
-            v.issues
-                .push(TamperEvidence::OutputMismatch { oid: target });
+        // Without one, the other records are still checked.
+        let latest = prov.latest();
+        match latest {
+            None => v.issues.push(TamperEvidence::NoRecords { oid: target }),
+            Some(r) if r.output_hash != object_hash => v
+                .issues
+                .push(TamperEvidence::OutputMismatch { oid: target }),
+            Some(_) => {}
         }
 
         // Structural checks per object chain.
@@ -610,7 +624,7 @@ impl<'a> Verifier<'a> {
         for (oid, mut chain) in by_object {
             chain.sort_by_key(|r| r.seq_id);
             for (i, r) in chain.iter().enumerate() {
-                self.check_shape(r, &mut v);
+                check_record_shape(r, &mut v.issues);
                 let links_to_prior = match r.kind {
                     RecordKind::Insert | RecordKind::Aggregate => None,
                     RecordKind::Update => r.inputs.first().and_then(|inp| inp.prev_seq),
@@ -618,16 +632,11 @@ impl<'a> Verifier<'a> {
                 if i == 0 {
                     // Chain start: must not claim a predecessor we can't see
                     // ... unless it's an aggregate (whose "predecessors" are
-                    // the input objects, checked below), a first-touch
-                    // update (prev None), or the predecessor is an attested
-                    // prior slot (compacted away behind a sealed
-                    // checkpoint).
+                    // the input objects, checked below) or a first-touch
+                    // update (prev None).
                     if let Some(prev) = links_to_prior {
-                        let attested = prior.get(&oid).is_some_and(|(seq, _)| *seq == prev);
-                        if !attested {
-                            v.issues
-                                .push(TamperEvidence::MissingRecord { oid, seq: prev });
-                        }
+                        v.issues
+                            .push(TamperEvidence::MissingRecord { oid, seq: prev });
                     }
                 } else {
                     let prior = chain[i - 1];
@@ -643,16 +652,23 @@ impl<'a> Verifier<'a> {
         }
 
         // Condition 2: every checksum verifies over the record's fields and
-        // the stored predecessor checksums (attested prior checksums
-        // substitute for compacted-away predecessors).
+        // the stored predecessor checksums.
         for r in &prov.records {
-            self.check_signature(r, &index, prior, &mut v);
+            check_record_signature(
+                self.keys,
+                self.alg,
+                r,
+                |oid, seq| index.get(&(oid, seq)).map(|p| p.checksum.as_slice()),
+                &mut v.issues,
+            );
             v.records_checked += 1;
             v.participants.insert(r.participant);
         }
 
         // Reachability: everything presented must be part of the target's
-        // history (dangling records indicate insertion).
+        // history (dangling records indicate insertion). Without a newest
+        // target record there is nothing to reach from.
+        let Some(latest) = latest else { return v };
         let mut reachable: HashSet<(ObjectId, u64)> = HashSet::new();
         let mut queue = VecDeque::new();
         queue.push_back((target, latest.seq_id));
@@ -679,6 +695,27 @@ impl<'a> Verifier<'a> {
         v
     }
 
+    /// Runs the fold over `prov`'s records in `(oid, seq)` order, with what
+    /// `attest` says the caller vouches for beyond them, and leaves through
+    /// the one exit.
+    fn drive(
+        &self,
+        object_hash: &[u8],
+        prov: &ProvenanceObject,
+        attest: impl FnOnce(&mut Attested),
+    ) -> Verification {
+        self.observed(|| {
+            let mut fold = StreamingVerifier::new(self.keys, self.alg, prov.target);
+            attest(&mut fold.attested);
+            let mut records: Vec<&ProvenanceRecord> = prov.records.iter().collect();
+            records.sort_by_key(|r| (r.output_oid, r.seq_id));
+            for r in records {
+                fold.push_record(r);
+            }
+            fold.finish(object_hash)
+        })
+    }
+
     /// Like [`Self::verify`], but for provenance collected from a durable
     /// store that went through crash recovery: `report` is what
     /// [`tep_storage::ProvenanceDb::recovery`] found at open. A degraded
@@ -693,25 +730,54 @@ impl<'a> Verifier<'a> {
         prov: &ProvenanceObject,
         report: &tep_storage::RecoveryReport,
     ) -> Verification {
-        let mut v = self.verify(object_hash, prov);
-        if report.is_degraded() {
-            // Count only *corruption* gaps: compaction-excised ranges are
-            // intentional holes (attested by the compaction stamp), not
-            // quarantined damage.
-            let evidence = TamperEvidence::StorageQuarantine {
-                gaps: report.corruption_gaps() as u64 + report.decode_failures,
-                bytes: report.quarantined_bytes,
-            };
-            if let Some(obs) = &self.obs {
-                obs.evidence.record(evidence.kind());
-                if v.verified() {
-                    // The quarantine finding flips this run to tampered.
-                    obs.tampered_runs.inc();
-                }
-            }
-            v.issues.push(evidence);
-        }
-        v
+        self.drive(object_hash, prov, |a| {
+            a.finding = storage_quarantine(report)
+        })
+    }
+
+    /// Like [`Verifier::verify`], additionally requiring that the
+    /// provenance still contains each anchored record with its exact
+    /// checksum — so the chain was neither truncated nor rolled back past
+    /// an anchor, nor re-signed across it.
+    pub fn verify_with_anchors(
+        &self,
+        object_hash: &[u8],
+        prov: &ProvenanceObject,
+        anchors: &[TrustAnchor],
+    ) -> Verification {
+        self.drive(object_hash, prov, |a| a.heads = anchors.to_vec())
+    }
+
+    /// Verifies provenance whose oldest records were compacted away behind
+    /// `sealed` — R2/R3 continuity attested *through* the checkpoint.
+    ///
+    /// Differences from [`Verifier::verify`]:
+    ///
+    /// * a chain-start record whose claimed predecessor is exactly its
+    ///   object's anchored `(seq, checksum)` slot resolves cleanly — the
+    ///   record's signature is verified over the *anchored* checksum, so a
+    ///   forged splice at the compaction boundary is still
+    ///   `BadSignature`;
+    /// * a failing seal signature is
+    ///   [`TamperEvidence::CheckpointMismatch`] (and the attested slots
+    ///   are not honored — the verdict falls back to plain verification);
+    /// * a presented record that *occupies* an anchored slot with a
+    ///   different checksum is `CheckpointMismatch` for that slot: the
+    ///   server rewrote history it had already sealed.
+    pub fn verify_through_checkpoint(
+        &self,
+        object_hash: &[u8],
+        prov: &ProvenanceObject,
+        sealed: &SealedCheckpoint,
+    ) -> Verification {
+        let seal_ok = sealed.verify(self.keys);
+        let (oid, seq) = (prov.target, 0);
+        self.drive(object_hash, prov, |a| {
+            let anchors = sealed.checkpoint.anchors.iter().filter(|_| seal_ok);
+            a.slots
+                .extend(anchors.map(|s| ((s.oid, s.seq), s.checksum.clone())));
+            a.finding = (!seal_ok).then_some(TamperEvidence::CheckpointMismatch { oid, seq });
+        })
     }
 
     /// Re-verifies a query [`SliceProof`] without trusting the server that
@@ -741,13 +807,7 @@ impl<'a> Verifier<'a> {
     /// undetectably until authenticated denial lands — every record it
     /// *does* return is still fully verified.
     pub fn verify_slice(&self, proof: &SliceProof) -> Verification {
-        let timer = self.obs.as_ref().map(|o| o.latency_ns.start_timer());
-        let v = self.verify_slice_inner(proof);
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(&v);
-        }
-        drop(timer);
-        v
+        self.observed(|| self.verify_slice_inner(proof))
     }
 
     fn verify_slice_inner(&self, proof: &SliceProof) -> Verification {
@@ -969,70 +1029,21 @@ impl<'a> Verifier<'a> {
         v
     }
 
-    fn check_shape(&self, r: &ProvenanceRecord, v: &mut Verification) {
-        check_record_shape(r, &mut v.issues);
-    }
-
-    fn check_signature(
-        &self,
-        r: &ProvenanceRecord,
-        index: &HashMap<(ObjectId, u64), &ProvenanceRecord>,
-        prior: &HashMap<ObjectId, (u64, Vec<u8>)>,
-        v: &mut Verification,
-    ) {
-        check_record_signature(
-            self.keys,
-            self.alg,
-            r,
-            |oid, seq| {
-                index
-                    .get(&(oid, seq))
-                    .map(|p| p.checksum.as_slice())
-                    .or_else(|| {
-                        prior
-                            .get(&oid)
-                            .filter(|(s, _)| *s == seq)
-                            .map(|(_, c)| c.as_slice())
-                    })
-            },
-            &mut v.issues,
-        );
-    }
-
-    /// Resolves the key directory for crate-internal verify surfaces
-    /// (checkpoint-attested verification lives in `checkpoint.rs`).
-    pub(crate) fn keys(&self) -> &KeyDirectory {
-        self.keys
-    }
-
-    /// Records a finished verification in the attached observability (if
-    /// any) — for crate-internal verify surfaces built outside this
-    /// module.
-    pub(crate) fn record_outcome(&self, v: &Verification) {
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(v);
-        }
-    }
-
     /// Verifies a signed non-membership proof. A proof that fails — bad
     /// root signature, non-authenticating witness path, non-adjacent
     /// witnesses, or a target the witnesses do not straddle — yields
     /// [`TamperEvidence::ForgedDenial`], attributed to the signing (or
     /// claimed) server. An empty issue list means the denial is honest:
     /// the object provably has no leaf under the signed root.
-    pub fn verify_denial(&self, denial: &crate::denial::SignedDenial) -> Verification {
-        let timer = self.obs.as_ref().map(|o| o.latency_ns.start_timer());
-        let mut v = Verification::default();
-        if denial.check(self.keys).is_err() {
-            v.issues.push(TamperEvidence::ForgedDenial {
-                oid: denial.proof.absent,
-            });
-        }
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(&v);
-        }
-        drop(timer);
-        v
+    ///
+    /// A gap is the completeness proof of `[absent, absent]` with no
+    /// members, so this is [`Self::verify_range`] with nothing answered.
+    pub fn verify_denial(&self, denial: &SignedDenial) -> Verification {
+        let gap = SignedRange {
+            root: denial.root.clone(),
+            proof: denial.proof.gap(),
+        };
+        self.verify_range(&gap, &[])
     }
 
     /// Verifies a range answer against its signed completeness proof.
@@ -1043,41 +1054,48 @@ impl<'a> Verifier<'a> {
     /// [`TamperEvidence::IncompleteResponse`] (the server withheld a match
     /// it provably holds). Members in `answered` that the proof does not
     /// cover are also `ForgedDenial` — the proof denies them.
-    pub fn verify_range(
-        &self,
-        range: &crate::denial::SignedRange,
-        answered: &[ObjectId],
-    ) -> Verification {
-        let timer = self.obs.as_ref().map(|o| o.latency_ns.start_timer());
-        let mut v = Verification::default();
-        match range.check(self.keys) {
-            Err(_) => {
-                v.issues.push(TamperEvidence::ForgedDenial {
-                    oid: range.proof.lo,
-                });
-            }
-            Ok(proven) => {
-                let proven_set: HashSet<ObjectId> = proven.iter().copied().collect();
-                let answered_set: HashSet<ObjectId> = answered.iter().copied().collect();
-                if proven.iter().any(|m| !answered_set.contains(m)) {
-                    v.issues.push(TamperEvidence::IncompleteResponse {
-                        lo: range.proof.lo,
-                        hi: range.proof.hi,
+    pub fn verify_range(&self, range: &SignedRange, answered: &[ObjectId]) -> Verification {
+        self.observed(|| {
+            let mut v = Verification::default();
+            match range.check(self.keys) {
+                Err(_) => {
+                    v.issues.push(TamperEvidence::ForgedDenial {
+                        oid: range.proof.lo,
                     });
                 }
-                for &extra in answered {
-                    if !proven_set.contains(&extra) {
-                        v.issues.push(TamperEvidence::ForgedDenial { oid: extra });
+                Ok(proven) => {
+                    let proven_set: HashSet<ObjectId> = proven.iter().copied().collect();
+                    let answered_set: HashSet<ObjectId> = answered.iter().copied().collect();
+                    if proven.iter().any(|m| !answered_set.contains(m)) {
+                        v.issues.push(TamperEvidence::IncompleteResponse {
+                            lo: range.proof.lo,
+                            hi: range.proof.hi,
+                        });
+                    }
+                    for &extra in answered {
+                        if !proven_set.contains(&extra) {
+                            v.issues.push(TamperEvidence::ForgedDenial { oid: extra });
+                        }
                     }
                 }
             }
-        }
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(&v);
-        }
-        drop(timer);
-        v
+            v
+        })
     }
+}
+
+/// The evidence a crash recovery leaves: a degraded recovery (quarantined
+/// ranges or undecodable records) is [`TamperEvidence::StorageQuarantine`];
+/// a clean one, or a benign torn tail, is nothing. Only *corruption* gaps
+/// count — compaction-excised ranges are intentional holes, attested by the
+/// compaction stamp.
+pub(crate) fn storage_quarantine(report: &tep_storage::RecoveryReport) -> Option<TamperEvidence> {
+    report
+        .is_degraded()
+        .then(|| TamperEvidence::StorageQuarantine {
+            gaps: report.corruption_gaps() as u64 + report.decode_failures,
+            bytes: report.quarantined_bytes,
+        })
 }
 
 /// Checks one record's structural invariants for its kind; shared by the
@@ -1176,9 +1194,25 @@ fn check_record_signature<'a>(
     }
 }
 
-/// Incremental verifier for provenance that arrives **one record at a
-/// time** — e.g. over `tep-net` PROV frames — so a recipient can reject a
-/// transfer at the first bad record instead of buffering the whole history.
+/// What a [`Verifier`] driver hands the fold beyond the record stream; a
+/// public constructor attests nothing.
+#[derive(Default)]
+struct Attested {
+    /// Sealed-checkpoint slots: a chain start may link to one (its checksum
+    /// standing in for the excised predecessor), and a record presented at
+    /// one must carry its checksum.
+    slots: HashMap<RecordSlot, Vec<u8>>,
+    /// Remembered chain heads, each required intact at finish.
+    heads: Vec<TrustAnchor>,
+    /// Evidence against the driver's input itself (a degraded recovery, a
+    /// failing seal), reported at finish.
+    finding: Option<TamperEvidence>,
+}
+
+/// The verifier fold: provenance that arrives **one record at a time** —
+/// over `tep-net` PROV frames, or pushed from a collected history by the
+/// [`Verifier`] drivers — so a recipient can reject a transfer at the first
+/// bad record instead of buffering the whole history.
 ///
 /// Records must arrive sorted by `(output_oid, seq_id)`. That order is
 /// topological for the provenance DAG (an aggregate's inputs always carry
@@ -1189,11 +1223,8 @@ fn check_record_signature<'a>(
 /// deviation is itself suspicious.
 ///
 /// On the same sorted input, [`finish`](Self::finish) reports the same
-/// issue multiset as [`Verifier::verify`] (ordering within the list may
-/// differ; both report *all* evidence found). One intentional difference:
-/// when the stream carried records but none for the target object, the
-/// batch verifier stops at `NoRecords` while the streaming verifier also
-/// retains the per-record evidence it already emitted.
+/// issue multiset as the reference, [`Verifier::verify`] (ordering within
+/// the list may differ; both report *all* evidence found).
 pub struct StreamingVerifier<'a> {
     keys: &'a KeyDirectory,
     alg: HashAlgorithm,
@@ -1202,13 +1233,15 @@ pub struct StreamingVerifier<'a> {
     records_checked: usize,
     participants: BTreeSet<ParticipantId>,
     /// Checksums of every accepted record, for predecessor resolution.
-    checksums: HashMap<(ObjectId, u64), Vec<u8>>,
+    /// The per-record tables are ordered maps, so a checkpoint serializes
+    /// them in the sorted order its encoding requires.
+    checksums: BTreeMap<RecordSlot, Vec<u8>>,
     /// Push order (including duplicate slots), for reachability reporting.
-    order: Vec<(ObjectId, u64)>,
+    order: Vec<RecordSlot>,
     /// Predecessor edges for the final reachability sweep.
-    edges: HashMap<(ObjectId, u64), Vec<(ObjectId, u64)>>,
+    edges: BTreeMap<RecordSlot, Vec<RecordSlot>>,
     /// Highest sequence id seen so far per object chain.
-    chain_tail: HashMap<ObjectId, u64>,
+    chain_tail: BTreeMap<ObjectId, u64>,
     /// `(seq_id, output_hash)` of the newest target record.
     latest_target: Option<(u64, Vec<u8>)>,
     /// Rolling digest of the accepted records' canonical bytes, for
@@ -1217,6 +1250,8 @@ pub struct StreamingVerifier<'a> {
     /// Optional tep-obs instrumentation (shared counter names with the
     /// batch [`Verifier`]).
     obs: Option<VerifyObs>,
+    /// What the driving [`Verifier`] entry point attests beyond the stream.
+    attested: Attested,
 }
 
 impl<'a> StreamingVerifier<'a> {
@@ -1229,13 +1264,14 @@ impl<'a> StreamingVerifier<'a> {
             issues: Vec::new(),
             records_checked: 0,
             participants: BTreeSet::new(),
-            checksums: HashMap::new(),
+            checksums: BTreeMap::new(),
             order: Vec::new(),
-            edges: HashMap::new(),
-            chain_tail: HashMap::new(),
+            edges: BTreeMap::new(),
+            chain_tail: BTreeMap::new(),
             latest_target: None,
             digest: RecordStreamDigest::new(alg, target),
             obs: None,
+            attested: Attested::default(),
         }
     }
 
@@ -1284,11 +1320,14 @@ impl<'a> StreamingVerifier<'a> {
         };
         match self.chain_tail.get(&r.output_oid) {
             None => {
+                // A chain start may link only to a sealed-checkpoint slot.
                 if let Some(prev) = links_to_prior {
-                    self.issues.push(TamperEvidence::MissingRecord {
-                        oid: r.output_oid,
-                        seq: prev,
-                    });
+                    if !self.attested.slots.contains_key(&(r.output_oid, prev)) {
+                        self.issues.push(TamperEvidence::MissingRecord {
+                            oid: r.output_oid,
+                            seq: prev,
+                        });
+                    }
                 }
             }
             Some(&prior) => match (r.kind, links_to_prior) {
@@ -1303,20 +1342,40 @@ impl<'a> StreamingVerifier<'a> {
         }
         self.chain_tail.insert(r.output_oid, r.seq_id);
 
+        // A record presented at a sealed slot must be the one sealed there.
+        if self
+            .attested
+            .slots
+            .get(&key)
+            .is_some_and(|sealed| *sealed != r.checksum)
+        {
+            self.issues.push(TamperEvidence::CheckpointMismatch {
+                oid: r.output_oid,
+                seq: r.seq_id,
+            });
+        }
+
         // Signature over the record's fields and already-seen predecessor
-        // checksums (topological order guarantees they have arrived).
-        let checksums = &self.checksums;
+        // checksums (topological order guarantees they have arrived; a
+        // sealed slot stands in for a predecessor compacted away).
+        let (checksums, slots) = (&self.checksums, &self.attested.slots);
         check_record_signature(
             self.keys,
             self.alg,
             r,
-            |oid, seq| checksums.get(&(oid, seq)).map(Vec::as_slice),
+            |oid, seq| {
+                let slot = (oid, seq);
+                checksums
+                    .get(&slot)
+                    .or_else(|| slots.get(&slot))
+                    .map(Vec::as_slice)
+            },
             &mut self.issues,
         );
 
         self.checksums.insert(key, r.checksum.clone());
         self.order.push(key);
-        let preds: Vec<(ObjectId, u64)> = r
+        let preds: Vec<RecordSlot> = r
             .inputs
             .iter()
             .filter_map(|i| i.prev_seq.map(|p| (i.oid, p)))
@@ -1354,25 +1413,13 @@ impl<'a> StreamingVerifier<'a> {
     /// Serializes the verifier's full state into a sealed, self-
     /// authenticating blob (see `VerifierCheckpoint`), or `None` if any
     /// tamper evidence has been found — evidence is terminal, never
-    /// suspended and resumed past.
+    /// suspended and resumed past. The blob is what a replica keeps in its
+    /// durable checkpoint store to resume catch-up across a power cycle; a
+    /// process that merely retries keeps the verifier itself.
     pub fn checkpoint(&self) -> Option<Vec<u8>> {
         if !self.issues.is_empty() {
             return None;
         }
-        let mut participants: Vec<ParticipantId> = self.participants.iter().copied().collect();
-        participants.sort();
-        let mut chain_tail: Vec<RecordSlot> =
-            self.chain_tail.iter().map(|(&o, &s)| (o, s)).collect();
-        chain_tail.sort();
-        let mut checksums: Vec<(RecordSlot, Vec<u8>)> = self
-            .checksums
-            .iter()
-            .map(|(&k, c)| (k, c.clone()))
-            .collect();
-        checksums.sort_by_key(|(k, _)| *k);
-        let mut edges: Vec<(RecordSlot, Vec<RecordSlot>)> =
-            self.edges.iter().map(|(&k, p)| (k, p.clone())).collect();
-        edges.sort_by_key(|(k, _)| *k);
         Some(
             VerifierCheckpoint {
                 alg: self.alg,
@@ -1380,11 +1427,11 @@ impl<'a> StreamingVerifier<'a> {
                 records: self.records_checked as u64,
                 stream_digest: self.digest.current().to_vec(),
                 latest_target: self.latest_target.clone(),
-                participants,
-                chain_tail,
+                participants: self.participants.iter().copied().collect(),
+                chain_tail: self.chain_tail.iter().map(|(&o, &s)| (o, s)).collect(),
                 order: self.order.clone(),
-                checksums,
-                edges,
+                checksums: self.checksums.clone().into_iter().collect(),
+                edges: self.edges.clone().into_iter().collect(),
             }
             .seal(),
         )
@@ -1399,10 +1446,6 @@ impl<'a> StreamingVerifier<'a> {
     pub fn restore(keys: &'a KeyDirectory, blob: &[u8]) -> Result<Self, CheckpointError> {
         let cp = VerifierCheckpoint::open(blob)?;
         Ok(StreamingVerifier {
-            keys,
-            alg: cp.alg,
-            target: cp.target,
-            issues: Vec::new(),
             records_checked: cp.records as usize,
             participants: cp.participants.into_iter().collect(),
             checksums: cp.checksums.into_iter().collect(),
@@ -1411,24 +1454,56 @@ impl<'a> StreamingVerifier<'a> {
             chain_tail: cp.chain_tail.into_iter().collect(),
             latest_target: cp.latest_target,
             digest: RecordStreamDigest::resume(cp.alg, cp.stream_digest),
-            obs: None,
+            ..StreamingVerifier::new(keys, cp.alg, cp.target)
         })
     }
 
     /// Finishes: checks the delivered object hash against the newest target
-    /// record and sweeps for records unreachable from it.
+    /// record, sweeps for records unreachable from it, checks every
+    /// remembered head and adds the driver's finding.
     pub fn finish(mut self, object_hash: &[u8]) -> Verification {
         let before_finish = self.issues.len();
-        let Some((latest_seq, latest_hash)) = self.latest_target.take() else {
-            self.issues
-                .push(TamperEvidence::NoRecords { oid: self.target });
-            return self.conclude(before_finish);
-        };
-        if latest_hash != object_hash {
-            self.issues
-                .push(TamperEvidence::OutputMismatch { oid: self.target });
+        match self.latest_target.take() {
+            None => self
+                .issues
+                .push(TamperEvidence::NoRecords { oid: self.target }),
+            Some((latest_seq, latest_hash)) => {
+                if latest_hash != object_hash {
+                    self.issues
+                        .push(TamperEvidence::OutputMismatch { oid: self.target });
+                }
+                self.sweep_unreachable(latest_seq);
+            }
         }
+        let attested = std::mem::take(&mut self.attested);
+        for head in attested.heads {
+            if self.checksums.get(&(head.oid, head.seq)) != Some(&head.checksum) {
+                self.issues.push(TamperEvidence::AnchorViolation {
+                    oid: head.oid,
+                    seq: head.seq,
+                });
+            }
+        }
+        self.issues.extend(attested.finding);
 
+        // Obs for the finish-time evidence and the run as a whole.
+        if let Some(obs) = self.obs.take() {
+            obs.evidence.record_issues(&self.issues[before_finish..]);
+            obs.runs.inc();
+            if !self.issues.is_empty() {
+                obs.tampered_runs.inc();
+            }
+        }
+        Verification {
+            issues: self.issues,
+            records_checked: self.records_checked,
+            participants: self.participants,
+        }
+    }
+
+    /// Reports every pushed record the newest target record at
+    /// `latest_seq` does not reach (dangling records indicate insertion).
+    fn sweep_unreachable(&mut self, latest_seq: u64) {
         let mut reachable: HashSet<(ObjectId, u64)> = HashSet::new();
         let mut queue = VecDeque::new();
         queue.push_back((self.target, latest_seq));
@@ -1448,25 +1523,6 @@ impl<'a> StreamingVerifier<'a> {
                 self.issues
                     .push(TamperEvidence::ExtraneousRecord { oid, seq });
             }
-        }
-
-        self.conclude(before_finish)
-    }
-
-    /// Records obs for the finish-time evidence and the run as a whole,
-    /// then assembles the final [`Verification`].
-    fn conclude(mut self, before_finish: usize) -> Verification {
-        if let Some(obs) = self.obs.take() {
-            obs.evidence.record_issues(&self.issues[before_finish..]);
-            obs.runs.inc();
-            if !self.issues.is_empty() {
-                obs.tampered_runs.inc();
-            }
-        }
-        Verification {
-            issues: self.issues,
-            records_checked: self.records_checked,
-            participants: self.participants,
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Fetching client: connect/read retry with decorrelated-jitter backoff,
-//! **streaming verify-on-receive**, and checkpointed resume.
+//! **streaming verify-on-receive**, and resumable transfers.
 //!
 //! This module is the receiving side of the transfer protocol, once:
 //! [`fetch_on`] is the only function in the crate that opens a transfer
 //! and reads its PROV / DATA / DONE / DENIAL / ERR frames. [`Client`] runs
-//! it with an in-memory checkpoint and nothing to keep;
+//! it with the interrupted verifier held in memory and nothing to keep;
 //! [`Replica`](crate::Replica) runs the same function with a durable
 //! checkpoint and a [`RecordSink`] that reconciles with its store.
 //!
@@ -26,9 +26,9 @@
 //! delay, and the whole retry loop is bounded by a wall-clock
 //! [`RetryPolicy::deadline`] on top of the attempt cap.
 //!
-//! When a transfer dies after k verified records, the client seals the
-//! verifier state into a checkpoint ([`StreamingVerifier::checkpoint`]) and
-//! the next attempt opens with `RESUME` instead of `FETCH`: it claims
+//! When a transfer dies after k verified records, the client keeps the
+//! verifier that checked them, and the next attempt continues it by
+//! opening with `RESUME` instead of `FETCH`: it claims
 //! offset k and proves it with the rolling record-stream digest. The server
 //! recomputes the digest over its own first k records; only a byte-identical
 //! prefix resumes. A server that confirms a different offset or digest is
@@ -45,7 +45,7 @@
 //! idle-closed it, or restarted) is replaced by one immediate dial that is
 //! not a retry: every request is an idempotent read and nothing of the
 //! response had arrived. Once a response frame has arrived, a failure takes
-//! the checkpoint + RESUME + backoff path above.
+//! the RESUME + backoff path above.
 
 use std::fmt;
 use std::io;
@@ -415,19 +415,12 @@ impl Client {
                     };
                     if proof.spec != *spec {
                         // An answer to a different question than asked.
-                        conn.evidence(EvidenceKind::OutputMismatch);
-                        return Err(NetError::TamperDetected {
-                            frame: Some(frame),
-                            issues: vec![TamperEvidence::OutputMismatch { oid: spec.target }],
-                        });
+                        let evidence = TamperEvidence::OutputMismatch { oid: spec.target };
+                        return Err(conn.caught(frame, evidence));
                     }
                     let verification = conn.verifier(keys).verify_slice(&proof);
                     if !verification.verified() {
-                        conn.counters.verify_failure();
-                        return Err(NetError::TamperDetected {
-                            frame: Some(frame),
-                            issues: verification.issues,
-                        });
+                        return Err(conn.rejected(Some(frame), verification.issues));
                     }
                     Ok(QueryReport {
                         proof,
@@ -468,22 +461,14 @@ impl Client {
                 .ok()
                 .filter(|r| r.proof.lo == lo && r.proof.hi == hi)
             else {
-                conn.evidence(EvidenceKind::ForgedDenial);
-                return Err(NetError::TamperDetected {
-                    frame: Some(frame),
-                    issues: vec![TamperEvidence::ForgedDenial { oid: lo }],
-                });
+                return Err(conn.caught(frame, TamperEvidence::ForgedDenial { oid: lo }));
             };
             // verify_range records failing evidence itself — including a
             // member the proof covers but the answer omits
             // (IncompleteResponse).
             let verification = conn.verifier(keys).verify_range(&range, &oids);
             if !verification.verified() {
-                conn.counters.verify_failure();
-                return Err(NetError::TamperDetected {
-                    frame: Some(frame),
-                    issues: verification.issues,
-                });
+                return Err(conn.rejected(Some(frame), verification.issues));
             }
             Ok(RangeReport {
                 members: oids,
@@ -506,18 +491,12 @@ impl Client {
     ) -> Result<FetchReport, NetError> {
         let resume = self.cfg.resume;
         // Resume state carried across the attempts of this call: the
-        // verifier of the last interrupted attempt, sealed, and how many
-        // attempts continued a previous one.
-        let mut checkpoint: Option<Vec<u8>> = None;
+        // verifier of the last interrupted attempt, and how many attempts
+        // continued a previous one.
+        let mut interrupted: Option<StreamingVerifier<'_>> = None;
         let mut resumed = 0u32;
         self.with_retry(|conn| {
-            // The blob was sealed by our own verifier an attempt ago; if it
-            // no longer opens, local state is damaged — fall back to a full
-            // fetch rather than claiming a prefix we cannot prove.
-            let restored = checkpoint
-                .take()
-                .and_then(|blob| StreamingVerifier::restore(keys, &blob).ok());
-            match fetch_on(conn, oid, keys, restored, &mut ()) {
+            match fetch_on(conn, oid, keys, interrupted.take(), &mut ()) {
                 Ok(transfer) => Ok(FetchReport {
                     records: transfer.verification.records_checked as u64,
                     verification: transfer.verification,
@@ -529,16 +508,15 @@ impl Client {
                 }),
                 Err(cut) => {
                     resumed += u32::from(cut.resumed);
-                    // A retryable interruption after verified records: seal
+                    // A retryable interruption after verified records: keep
                     // the verifier so the next attempt can prove where this
                     // one stopped. Tamper evidence never reaches here
-                    // retryably, and a tainted verifier refuses to
-                    // checkpoint anyway.
+                    // retryably, and a verifier holding evidence is never
+                    // continued anyway.
                     if resume && cut.error.is_retryable() {
-                        checkpoint = cut
+                        interrupted = cut
                             .verifier
-                            .filter(|v| v.records_checked() > 0)
-                            .and_then(|v| v.checkpoint());
+                            .filter(|v| v.records_checked() > 0 && v.issues().is_empty());
                     }
                     Err(cut.error)
                 }
@@ -765,6 +743,22 @@ impl Connection {
         }
     }
 
+    /// Rejects the response arriving in `frame` on evidence this endpoint
+    /// found itself, counted as [`Self::evidence`] does.
+    fn caught(&self, frame: u64, evidence: TamperEvidence) -> NetError {
+        self.evidence(evidence.kind());
+        NetError::TamperDetected {
+            frame: Some(frame),
+            issues: vec![evidence],
+        }
+    }
+
+    /// Rejects a response on the `issues` a verifier found (and counted).
+    fn rejected(&self, frame: Option<u64>, issues: Vec<TamperEvidence>) -> NetError {
+        self.counters.verify_failure();
+        NetError::TamperDetected { frame, issues }
+    }
+
     /// A batch verifier over `keys`, recording into this endpoint's registry.
     fn verifier<'k>(&self, keys: &'k KeyDirectory) -> Verifier<'k> {
         let mut verifier = Verifier::new(keys, self.alg);
@@ -780,15 +774,12 @@ impl Connection {
     /// way the two ends disagree about history, which is an R2/R3 violation,
     /// not a retry.
     fn resume_mismatch(&self, oid: ObjectId, claimed: u64, confirmed: u64, frame: u64) -> NetError {
-        self.evidence(EvidenceKind::ResumeMismatch);
-        NetError::TamperDetected {
-            frame: Some(frame),
-            issues: vec![TamperEvidence::ResumeMismatch {
-                oid,
-                claimed,
-                confirmed,
-            }],
-        }
+        let evidence = TamperEvidence::ResumeMismatch {
+            oid,
+            claimed,
+            confirmed,
+        };
+        self.caught(frame, evidence)
     }
 
     /// Settles a DENIAL frame received in place of the provenance of `oid`.
@@ -812,11 +803,7 @@ impl Connection {
             .ok()
             .filter(|d| d.proof.absent == oid)
         else {
-            self.evidence(EvidenceKind::ForgedDenial);
-            return NetError::TamperDetected {
-                frame: Some(frame),
-                issues: vec![TamperEvidence::ForgedDenial { oid }],
-            };
+            return self.caught(frame, TamperEvidence::ForgedDenial { oid });
         };
         // verify_denial records failing evidence into the registry itself.
         let verification = self.verifier(keys).verify_denial(&denial);
@@ -826,11 +813,7 @@ impl Connection {
                 log_records: denial.root.log_records,
             }
         } else {
-            self.counters.verify_failure();
-            NetError::TamperDetected {
-                frame: Some(frame),
-                issues: verification.issues,
-            }
+            self.rejected(Some(frame), verification.issues)
         }
     }
 }
@@ -915,7 +898,7 @@ pub(crate) struct Transfer {
 pub(crate) struct Cut<'k> {
     pub(crate) error: NetError,
     /// The verifier as far as the attempt got, so a caller that retries can
-    /// seal it and open the next attempt with RESUME; `None` once the
+    /// continue it and open the next attempt with RESUME; `None` once the
     /// verdict consumed it.
     pub(crate) verifier: Option<StreamingVerifier<'k>>,
     /// Whether the attempt got as far as a confirmed RESUME.
@@ -924,8 +907,9 @@ pub(crate) struct Cut<'k> {
 
 /// The receiving side of one transfer attempt on an established connection —
 /// the only place in the crate that opens a transfer and reads its frames.
-/// Opens with RESUME at the position `resume_from` proves (a verifier the
-/// caller restored from a sealed checkpoint), or with FETCH from record zero
+/// Opens with RESUME at the position `resume_from` proves (a verifier an
+/// interrupted attempt left, or one restored from a sealed checkpoint), or
+/// with FETCH from record zero
 /// without one; streams PROV frames through the verifier and `sink` and DATA
 /// frames through the subtree hasher; settles at DONE. Whoever the receiver
 /// is, a record is believed only after it verified, the object hash only as
@@ -940,7 +924,8 @@ pub(crate) fn fetch_on<'k>(
 ) -> Result<Transfer, Box<Cut<'k>>> {
     let resuming = resume_from.is_some();
     let mut verifier = resume_from.unwrap_or_else(|| StreamingVerifier::new(keys, conn.alg, oid));
-    // A restored verifier comes back without instrumentation.
+    // A restored verifier comes back without instrumentation; a continued
+    // one re-resolves the same counters.
     if let Some(reg) = &conn.registry {
         verifier.attach_obs(reg);
     }
@@ -971,11 +956,7 @@ pub(crate) fn fetch_on<'k>(
         })
     };
     if !verification.verified() {
-        conn.counters.verify_failure();
-        return Err(terminal(NetError::TamperDetected {
-            frame: None,
-            issues: verification.issues,
-        }));
+        return Err(terminal(conn.rejected(None, verification.issues)));
     }
     if !totals_agree {
         return Err(terminal(NetError::Protocol(
@@ -1069,11 +1050,7 @@ fn stream_to_done(
                     .map_err(|e| NetError::Wire(WireError::Decode(e)))?;
                 sink.arriving(&record, frame)?;
                 if verifier.push_record(&rec) > 0 {
-                    conn.counters.verify_failure();
-                    return Err(NetError::TamperDetected {
-                        frame: Some(frame),
-                        issues: verifier.issues().to_vec(),
-                    });
+                    return Err(conn.rejected(Some(frame), verifier.issues().to_vec()));
                 }
                 sink.verified(record, verifier)?;
             }

@@ -7,6 +7,12 @@
 //! * **Tamper equivalence**: every `attack::Tamper` applied to both gives
 //!   the same evidence from `Verifier::verify`, `StreamingVerifier` and
 //!   `Verifier::verify_slice`.
+//! * **One fold against its reference**: batch `Verifier::verify` is the
+//!   naive reference. Every driver of the streaming fold —
+//!   `StreamingVerifier` uncut and checkpointed halfway, `verify_recovered`,
+//!   `verify_with_anchors`, `verify_through_checkpoint` — reports exactly
+//!   its evidence multiset, honest and under every tamper, for both
+//!   signing schemes.
 //! * **Attribution**: in a batch of *n* records, flipping one bit of one
 //!   member's index, count, path or copy of the signature flags that
 //!   member (and the record that chains onto it) and leaves the other
@@ -21,12 +27,13 @@ use tepdb::core::attack::{all_single_record_tampers, apply_tamper};
 use tepdb::core::slice::{QueryOp, QuerySpec};
 use tepdb::core::verify::StreamingVerifier;
 use tepdb::core::{
-    collect, BatchChecksum, ChecksumFormat, ProvenanceObject, ProvenanceRecord, TamperEvidence,
-    Verifier,
+    collect, BatchChecksum, Checkpoint, ChecksumFormat, ProvenanceObject, ProvenanceRecord,
+    SealedCheckpoint, TamperEvidence, Verifier,
 };
 use tepdb::obs::Registry;
 use tepdb::prelude::*;
 use tepdb::query::QueryEngine;
+use tepdb::storage::RecoveryReport;
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
 
@@ -34,6 +41,9 @@ struct World {
     signer: Participant,
     other: Participant,
     keys: KeyDirectory,
+    /// A checkpoint over an empty store, sealed by `signer`: it attests no
+    /// slot, so verifying through it must change nothing.
+    empty_seal: SealedCheckpoint,
 }
 
 fn world() -> &'static World {
@@ -46,10 +56,14 @@ fn world() -> &'static World {
         let mut keys = KeyDirectory::new(ca.public_key().clone(), ALG);
         keys.register(signer.certificate().clone()).unwrap();
         keys.register(other.certificate().clone()).unwrap();
+        let empty_seal = Checkpoint::capture(ALG, &ProvenanceDb::in_memory(), 0)
+            .seal(&signer)
+            .unwrap();
         World {
             signer,
             other,
             keys,
+            empty_seal,
         }
     })
 }
@@ -187,31 +201,70 @@ fn wire_order(prov: &ProvenanceObject) -> Vec<ProvenanceRecord> {
     recs
 }
 
-/// The three verdicts on `prov` as evidence multisets: batch verifier,
-/// streaming verifier, and `verify_slice` of the lineage proof `db`
-/// answers for the target with `prov`'s records transplanted in.
-fn verdicts(db: &Arc<ProvenanceDb>, hash: &[u8], prov: &ProvenanceObject) -> [Vec<String>; 3] {
+/// Entries `1..=DRIVERS` of [`verdicts`]: the drivers of the streaming
+/// fold, each of which must report exactly the reference's evidence.
+const DRIVERS: usize = 5;
+
+/// Every verdict on `prov` as an evidence multiset. Entry 0 is the
+/// reference, batch `Verifier::verify`. Entries `1..=DRIVERS` are the
+/// fold's drivers: a `StreamingVerifier`, `verify_recovered` with a clean
+/// report, `verify_with_anchors` with no anchors, `verify_through_checkpoint`
+/// under a checkpoint that attests no slot, and a `StreamingVerifier`
+/// checkpointed and restored halfway through. The last entry is
+/// `verify_slice` of the lineage proof `db` answers for the target with
+/// `prov`'s records transplanted in — a different question, so it is
+/// compared across schemes only.
+fn verdicts(db: &Arc<ProvenanceDb>, hash: &[u8], prov: &ProvenanceObject) -> [Vec<String>; 7] {
     let w = world();
     let verifier = Verifier::new(&w.keys, ALG);
     let batch = verifier.verify(hash, prov);
+    let recs = wire_order(prov);
 
     let mut sv = StreamingVerifier::new(&w.keys, ALG, prov.target);
-    for r in &wire_order(prov) {
+    for r in &recs {
         sv.push_record(r);
     }
     let stream = sv.finish(hash);
 
+    let recovered = verifier.verify_recovered(hash, prov, &RecoveryReport::default());
+    let anchored = verifier.verify_with_anchors(hash, prov, &[]);
+    let checkpointed = verifier.verify_through_checkpoint(hash, prov, &w.empty_seal);
+
+    let half = recs.len() / 2;
+    let mut first = StreamingVerifier::new(&w.keys, ALG, prov.target);
+    for r in &recs[..half] {
+        first.push_record(r);
+    }
+    // Evidence is never sealed into a checkpoint: a tainted verifier runs on.
+    let mut resumed = match first.checkpoint() {
+        Some(blob) => StreamingVerifier::restore(&w.keys, &blob).unwrap(),
+        None => first,
+    };
+    for r in &recs[half..] {
+        resumed.push_record(r);
+    }
+    let resumed = resumed.finish(hash);
+
     let mut proof = QueryEngine::new(Arc::clone(db), ALG)
         .execute(&QuerySpec::new(QueryOp::LineageSlice, prov.target))
         .unwrap();
-    proof.records = wire_order(prov);
+    proof.records = recs;
     let slice = verifier.verify_slice(&proof);
 
     [
         multiset(&batch.issues),
         multiset(&stream.issues),
+        multiset(&recovered.issues),
+        multiset(&anchored.issues),
+        multiset(&checkpointed.issues),
+        multiset(&resumed.issues),
         multiset(&slice.issues),
     ]
+}
+
+/// Every driver of the fold reports the reference's evidence multiset.
+fn drivers_match_reference(v: &[Vec<String>; 7]) -> bool {
+    v[1..=DRIVERS].iter().all(|d| *d == v[0])
 }
 
 proptest! {
@@ -249,8 +302,9 @@ proptest! {
             prop_assert_eq!(x, y);
         }
 
-        // Identical verdicts, honest and under every tamper, on all three
-        // verification surfaces.
+        // Identical verdicts, honest and under every tamper, on every
+        // verification surface; within a scheme, every driver of the fold
+        // agrees with the batch reference.
         for &root in &roots {
             let hash = per.object_hash(root).unwrap();
             let pa = collect(per.db(), root).unwrap();
@@ -262,9 +316,11 @@ proptest! {
             for tamper in all_single_record_tampers(&pa, w.other.id()) {
                 let (mut ta, mut tb) = (pa.clone(), pb.clone());
                 prop_assert!(apply_tamper(&mut ta, &tamper) && apply_tamper(&mut tb, &tamper));
-                let va = verdicts(per.db(), &hash, &ta);
+                let (va, vb) = (verdicts(per.db(), &hash, &ta), verdicts(amo.db(), &hash, &tb));
                 prop_assert!(va.iter().all(|v| !v.is_empty()), "{:?} undetected", tamper);
-                prop_assert_eq!(&va, &verdicts(amo.db(), &hash, &tb), "{:?}", tamper);
+                prop_assert!(drivers_match_reference(&va), "{:?}: {:?}", tamper, va);
+                prop_assert!(drivers_match_reference(&vb), "{:?}: {:?}", tamper, vb);
+                prop_assert_eq!(&va, &vb, "{:?}", tamper);
             }
         }
     }

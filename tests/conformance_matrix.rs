@@ -891,6 +891,33 @@ fn omission_in_memory_surface_detects_every_attack() {
     // The clean twin verify above recorded nothing; the counters must
     // account for exactly the checkpoint mismatch.
     assert_evidence_counters(&reg, &v.issues, ctx);
+
+    // Omission attack: truncate the newest records and roll the data back
+    // to match. The rolled-back history verifies clean on its own; only a
+    // recipient's remembered head exposes it, and that finding must reach
+    // the counters like any other evidence.
+    let ctx = "tail truncation + rollback under a trust anchor (in-memory)";
+    let anchor = TrustAnchor::capture(&collect(&a.db, a.doc).unwrap()).unwrap();
+    let rolled = omission_history(3, 3);
+    let truncated = collect(&rolled.db, rolled.doc).unwrap();
+    let reg = Registry::new();
+    let mut verifier = Verifier::new(&a.keys, ALG);
+    verifier.attach_obs(&reg);
+    let v = verifier.verify_with_anchors(&rolled.doc_hash, &truncated, &[anchor]);
+    assert_eq!(
+        v.issues,
+        vec![TamperEvidence::AnchorViolation {
+            oid: a.doc,
+            seq: anchored_seq,
+        }],
+        "{ctx}"
+    );
+    assert_evidence_counters(&reg, &v.issues, ctx);
+    assert_eq!(
+        reg.counter_value("tep_core_verify_tampered_total"),
+        1,
+        "{ctx}"
+    );
 }
 
 #[test]

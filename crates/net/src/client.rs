@@ -38,17 +38,18 @@
 //!
 //! A [`Client`] keeps its connection: dial, HELLO and the OFFER are paid
 //! once, and every later request runs on the same socket. The connection
-//! is kept **only** after a response that ended cleanly and verified; any
-//! error — retryable, terminal, a denial, tamper evidence — drops it, so a
-//! socket in an unknown state is never reused. A kept connection that
-//! turns out dead before the first frame of a response (the server
-//! idle-closed it, or restarted) is replaced by one immediate dial that is
-//! not a retry: every request is an idempotent read and nothing of the
-//! response had arrived. Once a response frame has arrived, a failure takes
-//! the RESUME + backoff path above.
+//! is kept **only** after a response that ended cleanly and verified, and
+//! only if its buffered reader holds no bytes past the response's last
+//! frame (bytes no request asked for); any error — retryable, terminal, a
+//! denial, tamper evidence — drops it, so a socket in an unknown state is
+//! never reused. A kept connection that turns out dead before the first
+//! frame of a response (the server idle-closed it, or restarted) is
+//! replaced by one immediate dial that is not a retry: every request is an
+//! idempotent read and nothing of the response had arrived. Once a response
+//! frame has arrived, a failure takes the RESUME + backoff path above.
 
 use std::fmt;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -561,7 +562,7 @@ impl Client {
 
     /// One attempt of `op`: on the kept connection when there is one, on a
     /// fresh dial otherwise. The connection is put back only after `op`
-    /// returned `Ok`; every error path drops it.
+    /// returned `Ok` (see [`Self::keep`]); every error path drops it.
     ///
     /// Stale redial: a *kept* connection that fails retryably before any
     /// frame of the response arrived (or whose only frame is the server's
@@ -581,7 +582,7 @@ impl Client {
             match outcome {
                 Ok(v) => {
                     self.counters.conn_reuse();
-                    self.conn = Some(conn);
+                    self.keep(conn);
                     return Ok(v);
                 }
                 Err(e) if e.is_retryable() => {
@@ -609,8 +610,17 @@ impl Client {
             self.registry.clone(),
         )?;
         let v = op(&mut conn)?;
-        self.conn = Some(conn);
+        self.keep(conn);
         Ok(v)
+    }
+
+    /// Puts `conn` back for the next request, unless its reader already
+    /// holds bytes past the reply: they answer no request, so the next one
+    /// would read them as its reply. Such a connection is dropped quietly —
+    /// the reply it carried verified — and the next request dials.
+    fn keep(&mut self, conn: Connection) {
+        let clean = conn.reader.get_ref().buffer().is_empty();
+        self.conn = clean.then_some(conn);
     }
 
     /// Decorrelated jitter: `min(cap, uniform(base, prev * 3))`.
@@ -638,7 +648,7 @@ impl Client {
 /// the accounts of the endpoint that dialed it: what it verifies with and
 /// where its traffic, verification failures and evidence are counted.
 pub(crate) struct Connection {
-    pub(crate) reader: FrameReader<TcpStream>,
+    pub(crate) reader: FrameReader<BufReader<TcpStream>>,
     pub(crate) writer: FrameWriter<TcpStream>,
     pub(crate) offer: Vec<OfferEntry>,
     /// A control handle on the same socket as `reader`/`writer`, kept so
@@ -668,8 +678,10 @@ impl Connection {
         stream.set_read_timeout(Some(read_timeout))?;
         stream.set_nodelay(true)?;
         let control = stream.try_clone().map_err(WireError::Io)?;
+        // One `recv` per arrival, not two per frame; 16 KiB is the server's
+        // read chunk.
         let reader = FrameReader::new(
-            stream.try_clone().map_err(WireError::Io)?,
+            BufReader::with_capacity(16 * 1024, stream.try_clone().map_err(WireError::Io)?),
             Arc::clone(&counters),
         );
         let mut conn = Connection {

@@ -12,7 +12,7 @@
 //!   decoding).
 //! * [`server`] — a std-only readiness-driven event-loop server
 //!   (nonblocking sockets multiplexed over raw `poll(2)` via `sys`,
-//!   per-connection state machine, vectored writes, bounded concurrency,
+//!   per-connection state machine, one write per turn, bounded concurrency,
 //!   graceful shutdown) serving objects out of a
 //!   [`tep_storage::ProvenanceDb`] + data forest.
 //! * [`client`] — the receiving side of a transfer, once: **streaming

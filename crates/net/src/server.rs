@@ -4,10 +4,10 @@
 //! connection over raw `poll(2)` (see `sys` — no mio/tokio).
 //! Each connection is a nonblocking socket owned by a [`Conn`] state
 //! machine (`Handshake → Ready → Streaming → Draining`) with its own read
-//! and write buffers; outbound frames are scatter-gathered onto the socket
-//! with vectored writes (pending backlog + freshly encoded frame in one
-//! syscall) so the hot path never copies a frame into the backlog buffer
-//! unless the socket is actually full.
+//! and write buffers. Outbound frames are only appended to the write
+//! buffer; one flush at the end of each turn (and one per
+//! `DATA_CHUNK_BYTES` queued while a stream runs) hands them to the
+//! socket, so a reply costs one `write`, not one per frame.
 //!
 //! Graceful degradation under load is unchanged from the worker-pool
 //! predecessor: connections arriving while the server already owns
@@ -44,7 +44,7 @@
 //! `ERR resume-mismatch` (see `tep_core::streaming::RecordStreamDigest`).
 
 use std::collections::BTreeMap;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
@@ -554,8 +554,6 @@ struct Conn<S> {
     rpos: usize,
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Frame-encode scratch, reused across frames (no per-frame allocs).
-    scratch: Vec<u8>,
     /// The tenant scope this connection was admitted under (set by a
     /// successful HELLO); every subsequent request resolves state through
     /// it. `None` until the handshake completes.
@@ -586,7 +584,6 @@ impl<S: Read + Write> Conn<S> {
             rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
-            scratch: Vec::new(),
             tenant: None,
             job: None,
             budget,
@@ -659,63 +656,24 @@ impl<S: Read + Write> Conn<S> {
         }
     }
 
-    /// Encodes `msg` into the scratch buffer and pushes it toward the
-    /// socket: pending backlog and fresh frame go out in one vectored
-    /// write (scatter-gather — the frame is only *copied* into the
-    /// backlog if the socket cannot take it right now).
-    fn queue_frame(&mut self, msg: &Message, abortable: bool, env: &Env, now: Instant) {
+    /// Encodes `msg` onto the end of the write buffer. Nothing reaches the
+    /// socket until [`Self::flush`], the one writer.
+    fn queue_frame(&mut self, msg: &Message, abortable: bool, env: &Env) {
         if self.closed {
             return;
         }
-        frame_message_into(msg, &mut self.scratch);
-        env.counters.frame_sent(self.scratch.len() as u64);
+        let start = self.wbuf.len();
+        frame_message_into(msg, &mut self.wbuf);
+        env.counters.frame_sent((self.wbuf.len() - start) as u64);
         if abortable {
             self.abort_owed = true;
-        }
-        let mut sent = 0usize;
-        loop {
-            let pending = &self.wbuf[self.wpos..];
-            let fresh = &self.scratch[sent..];
-            if pending.is_empty() && fresh.is_empty() {
-                break;
-            }
-            let slices = [IoSlice::new(pending), IoSlice::new(fresh)];
-            match self.stream.write_vectored(&slices) {
-                Ok(0) => break,
-                Ok(n) => {
-                    self.write_activity = now;
-                    let from_pending = n.min(pending.len());
-                    self.wpos += from_pending;
-                    sent += n - from_pending;
-                    if self.wpos == self.wbuf.len() {
-                        self.wbuf.clear();
-                        self.wpos = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_aborting(&env.obs);
-                    return;
-                }
-            }
-        }
-        if sent == self.scratch.len() && self.pending_write() == 0 {
-            // Fully on the wire: nothing is owed.
-            self.abort_owed = false;
-        } else {
-            self.compact_wbuf();
-            let rest_start = sent;
-            // Split borrow: scratch is a different field than wbuf.
-            let (wbuf, scratch) = (&mut self.wbuf, &self.scratch);
-            wbuf.extend_from_slice(&scratch[rest_start..]);
         }
     }
 
     /// Refuses the request in progress with `ERR code`. The reply is owed
     /// like any other (abortable) and the connection stays usable.
-    fn refuse(&mut self, code: ErrorCode, detail: impl Into<String>, env: &Env, now: Instant) {
-        self.refuse_with(code, 0, detail, true, env, now);
+    fn refuse(&mut self, code: ErrorCode, detail: impl Into<String>, env: &Env) {
+        self.refuse_with(code, 0, detail, true, env);
     }
 
     /// Queues `ERR code`, with a `Retry-After` hint when `retry_after_ms`
@@ -727,17 +685,17 @@ impl<S: Read + Write> Conn<S> {
         detail: impl Into<String>,
         abortable: bool,
         env: &Env,
-        now: Instant,
     ) {
         let refusal = Message::Error {
             code,
             retry_after_ms,
             detail: detail.into(),
         };
-        self.queue_frame(&refusal, abortable, env, now);
+        self.queue_frame(&refusal, abortable, env);
     }
 
-    /// Drains the write backlog as far as the socket allows.
+    /// Drains the write backlog as far as the socket allows — the one place
+    /// a connection writes to its socket.
     fn flush(&mut self, obs: &ServerObs, now: Instant) {
         while !self.closed && self.pending_write() > 0 {
             match self.stream.write(&self.wbuf[self.wpos..]) {
@@ -841,7 +799,7 @@ fn past_deadline(deadline: Option<Instant>) -> bool {
 /// Tells the peer its request ran out of wall-clock budget. The error
 /// is retryable client-side (reconnect + RESUME picks up where the stream
 /// stopped), so the hint is small and flat.
-fn refuse_deadline<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
+fn refuse_deadline<S: Read + Write>(conn: &mut Conn<S>, env: &Env) {
     env.obs.deadline_closes.inc();
     conn.refuse_with(
         ErrorCode::Deadline,
@@ -849,7 +807,6 @@ fn refuse_deadline<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant)
         "request deadline exceeded; reconnect and RESUME",
         true,
         env,
-        now,
     );
     conn.drain_then_close();
 }
@@ -897,7 +854,7 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
         tenant,
     } = msg
     else {
-        conn.refuse_with(ErrorCode::BadRequest, 0, "expected HELLO", false, env, now);
+        conn.refuse_with(ErrorCode::BadRequest, 0, "expected HELLO", false, env);
         conn.drain_then_close();
         return;
     };
@@ -908,7 +865,6 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
             format!("server speaks v{WIRE_VERSION}, client sent v{version}"),
             false,
             env,
-            now,
         );
         conn.drain_then_close();
         return;
@@ -925,7 +881,6 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
                 format!("tenant t{tenant} is not provisioned here"),
                 false,
                 env,
-                now,
             );
             conn.drain_then_close();
             return;
@@ -941,7 +896,6 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
             ),
             false,
             env,
-            now,
         );
         conn.drain_then_close();
         return;
@@ -958,7 +912,6 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
             format!("tenant t{tenant} connection quota reached"),
             false,
             env,
-            now,
         );
         conn.drain_then_close();
         return;
@@ -976,7 +929,6 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
         },
         false,
         env,
-        now,
     );
     conn.queue_frame(
         &Message::Offer {
@@ -984,7 +936,6 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
         },
         false,
         env,
-        now,
     );
     conn.state = ConnState::Ready;
 }
@@ -1004,13 +955,13 @@ fn on_request<S: Read + Write>(
 ) {
     conn.arm_deadline(now);
     if past_deadline(conn.deadline) {
-        refuse_deadline(conn, env, now);
+        refuse_deadline(conn, env);
         return;
     }
     match msg {
         Message::Fetch { oid } => {
             env.obs.fetches.inc();
-            if let Some(prov) = lookup(conn, oid, env, ten, now) {
+            if let Some(prov) = lookup(conn, oid, env, ten) {
                 start_stream(conn, oid, prov, 0, env, ten, now);
             }
         }
@@ -1020,7 +971,7 @@ fn on_request<S: Read + Write>(
             digest,
         } => {
             env.obs.resumes.inc();
-            let Some(prov) = lookup(conn, oid, env, ten, now) else {
+            let Some(prov) = lookup(conn, oid, env, ten) else {
                 return;
             };
             let total = prov.records.len() as u64;
@@ -1029,7 +980,6 @@ fn on_request<S: Read + Write>(
                     ErrorCode::ResumeMismatch,
                     format!("resume offset {records} beyond end of stream ({total})"),
                     env,
-                    now,
                 );
                 return;
             }
@@ -1042,7 +992,6 @@ fn on_request<S: Read + Write>(
                     ErrorCode::ResumeMismatch,
                     format!("record-stream digest disagrees at offset {records}"),
                     env,
-                    now,
                 );
                 return;
             }
@@ -1053,7 +1002,6 @@ fn on_request<S: Read + Write>(
                 },
                 true,
                 env,
-                now,
             );
             start_stream(conn, oid, prov, records as usize, env, ten, now);
         }
@@ -1065,7 +1013,6 @@ fn on_request<S: Read + Write>(
                 },
                 false,
                 env,
-                now,
             );
         }
         Message::Query { spec } => {
@@ -1081,16 +1028,15 @@ fn on_request<S: Read + Write>(
                             ErrorCode::BadRequest,
                             "slice proof exceeds frame cap; tighten the query bounds",
                             env,
-                            now,
                         );
                     } else {
-                        conn.queue_frame(&Message::QResult { proof: bytes }, true, env, now);
+                        conn.queue_frame(&Message::QResult { proof: bytes }, true, env);
                     }
                 }
                 Err(e) => {
                     let code = match e {
                         QueryError::UnknownObject(oid) => {
-                            if deny(conn, oid, env, ten, now) {
+                            if deny(conn, oid, env, ten) {
                                 return;
                             }
                             ErrorCode::UnknownObject
@@ -1099,7 +1045,7 @@ fn on_request<S: Read + Write>(
                             ErrorCode::BadRequest
                         }
                     };
-                    conn.refuse(code, e.to_string(), env, now);
+                    conn.refuse(code, e.to_string(), env);
                 }
             }
         }
@@ -1131,12 +1077,11 @@ fn on_request<S: Read + Write>(
                 })
             };
             match reply {
-                Some(resp) => conn.queue_frame(&resp, true, env, now),
+                Some(resp) => conn.queue_frame(&resp, true, env),
                 None => conn.refuse(
                     ErrorCode::BadRequest,
                     format!("no anti-entropy node at level {level} index {index}"),
                     env,
-                    now,
                 ),
             }
         }
@@ -1146,7 +1091,6 @@ fn on_request<S: Read + Write>(
                     ErrorCode::BadRequest,
                     format!("range lower bound {lo} exceeds upper bound {hi}"),
                     env,
-                    now,
                 );
                 return;
             }
@@ -1155,18 +1099,12 @@ fn on_request<S: Read + Write>(
                     ErrorCode::BadRequest,
                     "server has no signing identity; completeness proofs unavailable",
                     env,
-                    now,
                 );
                 return;
             }
             let tree = ten.shard_tree();
             let Some(root) = ten.signed_root(&tree) else {
-                conn.refuse(
-                    ErrorCode::BadRequest,
-                    "signing the shard root failed",
-                    env,
-                    now,
-                );
+                conn.refuse(ErrorCode::BadRequest, "signing the shard root failed", env);
                 return;
             };
             let range = SignedRange {
@@ -1180,12 +1118,11 @@ fn on_request<S: Read + Write>(
                     ErrorCode::BadRequest,
                     "range proof exceeds frame cap; tighten the bounds",
                     env,
-                    now,
                 );
                 return;
             }
             env.obs.range_requests.inc();
-            conn.queue_frame(&Message::RangeResp { oids, proof: bytes }, true, env, now);
+            conn.queue_frame(&Message::RangeResp { oids, proof: bytes }, true, env);
         }
         _ => {
             conn.refuse_with(
@@ -1194,7 +1131,6 @@ fn on_request<S: Read + Write>(
                 "expected FETCH, RESUME, QUERY, RANGE, AE, or STATS",
                 false,
                 env,
-                now,
             );
             conn.drain_then_close();
         }
@@ -1208,13 +1144,7 @@ fn on_request<S: Read + Write>(
 /// in the shard tree, since a present ID admits no honest gap proof: an
 /// offered-list miss on a present object stays a plain error rather than
 /// a forged denial.
-fn deny<S: Read + Write>(
-    conn: &mut Conn<S>,
-    oid: ObjectId,
-    env: &Env,
-    ten: &TenantEnv,
-    now: Instant,
-) -> bool {
+fn deny<S: Read + Write>(conn: &mut Conn<S>, oid: ObjectId, env: &Env, ten: &TenantEnv) -> bool {
     if ten.catalog.signer.is_none() {
         return false;
     }
@@ -1236,7 +1166,6 @@ fn deny<S: Read + Write>(
         },
         true,
         env,
-        now,
     );
     true
 }
@@ -1249,15 +1178,13 @@ fn lookup<S: Read + Write>(
     oid: ObjectId,
     env: &Env,
     ten: &TenantEnv,
-    now: Instant,
 ) -> Option<ProvenanceObject> {
     if !ten.catalog.is_offered(oid) || !ten.catalog.forest.contains(oid) {
-        if !deny(conn, oid, env, ten, now) {
+        if !deny(conn, oid, env, ten) {
             conn.refuse(
                 ErrorCode::UnknownObject,
                 format!("object {oid} is not offered"),
                 env,
-                now,
             );
         }
         return None;
@@ -1265,12 +1192,11 @@ fn lookup<S: Read + Write>(
     match collect(&ten.catalog.db, oid) {
         Ok(p) => Some(p),
         Err(_) => {
-            if !deny(conn, oid, env, ten, now) {
+            if !deny(conn, oid, env, ten) {
                 conn.refuse(
                     ErrorCode::UnknownObject,
                     format!("object {oid} has no provenance"),
                     env,
-                    now,
                 );
             }
             None
@@ -1324,18 +1250,26 @@ fn next_data_chunk(job: &mut StreamJob) -> Vec<DataEntry> {
 
 /// Advances a streaming job: queues PROV/DATA/DONE frames until the job
 /// finishes or the write buffer reaches its high watermark (fairness —
-/// `POLLOUT` resumes it later). The request's deadline is checked between
-/// frames; exceeding it sends `ERR deadline` and closes, which a resuming
-/// client treats as a retryable cut.
+/// `POLLOUT` resumes it later), then flushes. Each further
+/// `DATA_CHUNK_BYTES` queued is flushed on the way, so a long stream
+/// trickles out instead of waiting for the watermark. The request's
+/// deadline is checked between frames; exceeding it sends `ERR deadline`
+/// and closes, which a resuming client treats as a retryable cut.
 fn pump<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
+    let mut flush_at = conn.pending_write() + DATA_CHUNK_BYTES;
     while !conn.closed && conn.state == ConnState::Streaming && conn.pending_write() < WBUF_HIGH {
+        if conn.pending_write() >= flush_at {
+            conn.flush(&env.obs, now);
+            flush_at = conn.pending_write() + DATA_CHUNK_BYTES;
+            continue;
+        }
         let Some(done_queued) = conn.job.as_ref().map(|j| j.done_queued) else {
             conn.state = ConnState::Ready;
-            return;
+            break;
         };
         if !done_queued && past_deadline(conn.deadline) {
-            refuse_deadline(conn, env, now);
-            return;
+            refuse_deadline(conn, env);
+            break;
         }
         let step = {
             let job = conn.job.as_mut().expect("streaming connection owns a job");
@@ -1356,12 +1290,10 @@ fn pump<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
             }
         };
         match step {
-            StreamStep::Prov(msg) => conn.queue_frame(&msg, true, env, now),
-            StreamStep::Data(entries) => {
-                conn.queue_frame(&Message::Data { entries }, true, env, now)
-            }
+            StreamStep::Prov(msg) => conn.queue_frame(&msg, true, env),
+            StreamStep::Data(entries) => conn.queue_frame(&Message::Data { entries }, true, env),
             StreamStep::Done { records, nodes } => {
-                conn.queue_frame(&Message::Done { records, nodes }, true, env, now)
+                conn.queue_frame(&Message::Done { records, nodes }, true, env)
             }
             StreamStep::Finished => {
                 conn.job = None;
@@ -1369,10 +1301,10 @@ fn pump<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
                 // The idle clock measures silence *between* requests: it
                 // starts when the reply ends, not when the request arrived.
                 conn.read_activity = now;
-                return;
             }
         }
     }
+    conn.flush(&env.obs, now);
 }
 
 /// Fills the read buffer and parses/dispatches every complete frame
@@ -1394,6 +1326,7 @@ fn service_readable<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant
         // Clean close from the peer: flush whatever is queued, then close.
         conn.drain_then_close();
     }
+    conn.flush(&env.obs, now);
 }
 
 /// Parses and dispatches buffered frames while the connection is in a
@@ -1547,9 +1480,9 @@ impl EventLoop {
                             "accept queue full",
                             false,
                             &self.env,
-                            now,
                         );
                         conn.drain_then_close();
+                        conn.flush(&self.env.obs, now);
                     }
                     if !conn.closed {
                         self.conns.push(conn);
@@ -1832,6 +1765,8 @@ mod tests {
         blocked: bool,
         /// All writes return BrokenPipe.
         broken: bool,
+        /// `write` calls so far, whatever they returned.
+        writes: usize,
     }
 
     impl Read for FakeStream {
@@ -1853,6 +1788,7 @@ mod tests {
 
     impl Write for FakeStream {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
             if self.broken {
                 return Err(io::ErrorKind::BrokenPipe.into());
             }
@@ -2237,6 +2173,102 @@ mod tests {
             written_messages(&conn).last(),
             Some(Message::Done { .. })
         ));
+    }
+
+    /// Short writes split bytes, never frames: what reaches the socket is
+    /// exactly the reply frames back to back, whatever size each write took.
+    #[test]
+    fn short_writes_deliver_exactly_the_queued_frames() {
+        let (env, root) = test_env();
+        let catalog = &shared_world().0;
+        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        conn.stream.write_cap = Some(7);
+        conn.stream.to_read.push_back(frame(&hello()));
+        conn.stream
+            .to_read
+            .push_back(frame(&Message::Fetch { oid: root }));
+        drive(&mut conn, &env);
+        assert_eq!(conn.state, ConnState::Ready);
+
+        let prov = collect(&catalog.db, root).unwrap();
+        let data = catalog.data_entries(root);
+        let done = Message::Done {
+            records: prov.records.len() as u64,
+            nodes: data.len() as u64,
+        };
+        let mut expected = vec![
+            hello(),
+            Message::Offer {
+                entries: catalog.offer_entries(),
+            },
+        ];
+        expected.extend(prov.records.iter().map(|r| Message::Prov {
+            record: r.to_stored(),
+        }));
+        expected.extend([Message::Data { entries: data }, done]);
+        let bytes: Vec<u8> = expected.iter().flat_map(frame).collect();
+        assert_eq!(conn.stream.written, bytes);
+    }
+
+    /// One turn, one `write`: the handshake reply (HELLO + OFFER) and a
+    /// whole small fetch (3 PROV, DATA, DONE) each reach the socket in a
+    /// single call.
+    #[test]
+    fn each_turn_reaches_the_socket_in_one_write() {
+        let (env, root) = test_env();
+        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        conn.stream.to_read.push_back(frame(&hello()));
+        service_readable(&mut conn, &env, Instant::now());
+        assert_eq!(conn.state, ConnState::Ready);
+        assert_eq!(conn.stream.writes, 1, "HELLO + OFFER");
+        assert_eq!(written_messages(&conn).len(), 2);
+
+        conn.stream
+            .to_read
+            .push_back(frame(&Message::Fetch { oid: root }));
+        service_readable(&mut conn, &env, Instant::now());
+        assert_eq!(conn.state, ConnState::Ready);
+        assert_eq!(conn.stream.writes, 2, "3 PROV + DATA + DONE");
+        let reply = written_messages(&conn).split_off(2);
+        assert!(
+            matches!(
+                &reply[..],
+                [
+                    Message::Prov { .. },
+                    Message::Prov { .. },
+                    Message::Prov { .. },
+                    Message::Data { .. },
+                    Message::Done { .. }
+                ]
+            ),
+            "{reply:?}"
+        );
+    }
+
+    /// A stream longer than the write high watermark goes out as it is
+    /// queued — one `write` per `DATA_CHUNK_BYTES`, plus the last one —
+    /// rather than one per frame or all at the end.
+    #[test]
+    fn a_long_stream_is_flushed_once_per_data_chunk() {
+        let (env, root) = test_env();
+        let mut conn = handshaken(&env);
+        let (writes_before, sent_before) = (conn.stream.writes, conn.stream.written.len());
+        conn.job = Some(watermark_job(root));
+        conn.state = ConnState::Streaming;
+        pump(&mut conn, &env, Instant::now());
+        assert_eq!(conn.state, ConnState::Ready);
+        assert!(matches!(
+            written_messages(&conn).last(),
+            Some(Message::Done { .. })
+        ));
+        let bytes = conn.stream.written.len() - sent_before;
+        let writes = conn.stream.writes - writes_before;
+        assert!(bytes > WBUF_HIGH, "the stream out-runs the watermark");
+        assert!(writes > 1, "a long stream trickles out");
+        assert!(
+            writes <= bytes.div_ceil(DATA_CHUNK_BYTES) + 1,
+            "{writes} writes for {bytes} bytes"
+        );
     }
 
     #[test]

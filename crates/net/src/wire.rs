@@ -718,6 +718,12 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
 
 /// Reads frames off a byte stream, verifying checksums and enforcing the
 /// [`MAX_FRAME`] allocation cap, and counts them into [`TransferCounters`].
+///
+/// Each frame is two reads (header, then payload), so over a socket give
+/// it a buffered reader (`std::io::BufReader`): one `recv` then serves
+/// every frame that arrived together instead of costing two syscalls per
+/// frame. Bytes the buffer holds past the last frame read belong to no
+/// request yet, so an owner that reuses the stream must check for them.
 pub struct FrameReader<R> {
     inner: R,
     counters: Arc<TransferCounters>,
@@ -741,6 +747,11 @@ impl<R: Read> FrameReader<R> {
     /// Frames read so far on this stream.
     pub fn frames(&self) -> u64 {
         self.frames
+    }
+
+    /// The underlying reader.
+    pub(crate) fn get_ref(&self) -> &R {
+        &self.inner
     }
 
     /// Reads the next message. `Ok(None)` means the peer closed the stream
@@ -825,6 +836,7 @@ impl<W: Write> FrameWriter<W> {
 
     /// Frames and sends one message.
     pub fn write_message(&mut self, msg: &Message) -> Result<(), WireError> {
+        self.scratch.clear();
         frame_message_into(msg, &mut self.scratch);
         self.inner.write_all(&self.scratch)?;
         self.inner.flush()?;
@@ -833,19 +845,20 @@ impl<W: Write> FrameWriter<W> {
     }
 }
 
-/// Replaces `frame` with the complete wire frame (header + payload) for
-/// `msg`, reusing the buffer's capacity: the 8-byte header is reserved up
-/// front, the payload encoded directly behind it, and the length/CRC
-/// patched into the reservation — no intermediate payload `Vec`.
-pub(crate) fn frame_message_into(msg: &Message, frame: &mut Vec<u8>) {
-    frame.clear();
-    frame.extend_from_slice(&[0u8; 8]);
-    encode_message_into(msg, frame);
-    let len = (frame.len() - 8) as u32;
+/// Appends the complete wire frame (header + payload) for `msg` to `out`,
+/// reusing the buffer's capacity: the 8-byte header is reserved, the
+/// payload encoded directly behind it, and the length/CRC patched into the
+/// reservation — no intermediate payload `Vec`. Appending lets the server
+/// queue a turn's frames back to back in one write buffer.
+pub(crate) fn frame_message_into(msg: &Message, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    encode_message_into(msg, out);
+    let len = (out.len() - start - 8) as u32;
     debug_assert!(len as usize <= MAX_FRAME, "oversized outbound frame");
-    let crc = frame_crc(len, &frame[8..]);
-    frame[0..4].copy_from_slice(&len.to_be_bytes());
-    frame[4..8].copy_from_slice(&crc.to_be_bytes());
+    let crc = frame_crc(len, &out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_be_bytes());
 }
 
 #[cfg(test)]
@@ -1158,12 +1171,17 @@ mod tests {
     }
 
     /// The in-place framing helper produces byte-identical frames to the
-    /// historical encode-then-copy path (len ‖ crc ‖ payload).
+    /// historical encode-then-copy path (len ‖ crc ‖ payload), alone and
+    /// appended behind earlier frames.
     #[test]
     fn frame_message_into_matches_reference_framing() {
         let mut frame = Vec::new();
+        let mut appended = Vec::new();
+        let mut references = Vec::new();
         for msg in sample_messages() {
+            frame.clear();
             frame_message_into(&msg, &mut frame);
+            frame_message_into(&msg, &mut appended);
             let payload = encode_message(&msg);
             let len = payload.len() as u32;
             let mut reference = Vec::new();
@@ -1171,7 +1189,9 @@ mod tests {
             reference.extend_from_slice(&frame_crc(len, &payload).to_be_bytes());
             reference.extend_from_slice(&payload);
             assert_eq!(frame, reference, "framing diverged for {msg:?}");
+            references.extend_from_slice(&reference);
         }
+        assert_eq!(appended, references, "appending disturbed an earlier frame");
     }
 
     #[test]

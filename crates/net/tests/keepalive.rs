@@ -288,6 +288,72 @@ fn retryable_err_at_dispatch_on_a_reused_connection_is_redialed() {
     server.join().unwrap();
 }
 
+/// A reply followed by bytes nobody asked for: the connection is not kept,
+/// because the next request would read those bytes as its answer. A
+/// scripted server sends STATS "one" and an unrequested STATS "ghost" in
+/// one write; the second `stats()` must be answered "two" on a new
+/// connection, with no evidence recorded and no retry counted.
+#[test]
+fn a_connection_holding_unread_bytes_is_not_kept() {
+    use std::io::Write;
+    use std::net::TcpListener;
+    use tep_core::metrics::TransferCounters;
+    use tep_net::wire::{FrameReader, FrameWriter};
+    use tep_net::WIRE_VERSION;
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        // STATS replies per connection, all sent in one write.
+        let script: [&[&str]; 2] = [&["one", "ghost"], &["two"]];
+        for replies in script {
+            let (stream, _) = listener.accept().unwrap();
+            let counters = Arc::new(TransferCounters::new());
+            let mut reader = FrameReader::new(stream.try_clone().unwrap(), Arc::clone(&counters));
+            let mut writer = FrameWriter::new(stream.try_clone().unwrap(), counters);
+            assert!(matches!(
+                reader.read_message().unwrap(),
+                Some(Message::Hello { .. })
+            ));
+            writer
+                .write_message(&Message::Hello {
+                    version: WIRE_VERSION,
+                    alg: ALG,
+                    tenant: TenantId::DEFAULT.raw(),
+                })
+                .unwrap();
+            writer
+                .write_message(&Message::Offer {
+                    entries: Vec::new(),
+                })
+                .unwrap();
+            assert!(matches!(
+                reader.read_message().unwrap(),
+                Some(Message::StatsRequest)
+            ));
+            let mut frames = FrameWriter::new(Vec::new(), Arc::new(TransferCounters::new()));
+            for text in replies {
+                frames
+                    .write_message(&Message::Stats {
+                        text: (*text).into(),
+                    })
+                    .unwrap();
+            }
+            (&stream).write_all(&frames.into_inner()).unwrap();
+        }
+    });
+
+    let mut cl = Client::new(addr, client_cfg());
+    assert_eq!(cl.stats().unwrap(), "one");
+    assert_eq!(cl.stats().unwrap(), "two", "answered on a new connection");
+    let snap = cl.counters();
+    assert_eq!(snap.verify_failures, 0, "no evidence");
+    assert_eq!(snap.retries, 0);
+    assert_eq!(snap.stale_redials, 0, "the second request never saw it");
+    assert_eq!(snap.conn_reuses, 0);
+    server.join().unwrap();
+}
+
 /// (d) Evidence on the second request of a kept connection: detected,
 /// never retried, the connection is dropped, and the next fetch verifies
 /// on a new one. The mutator keys on "a DONE has passed", not on a frame

@@ -85,7 +85,7 @@ pub use merkle::{
     leaf_hash, locate_divergence, shard_tree_of, AeError, AeNodeInfo, AeOracle, AeOutcome,
     AeSummary, ShardTree,
 };
-pub use metrics::{Metrics, TransferCounters, TransferSnapshot};
+pub use metrics::Metrics;
 pub use proof::{prove, ProofError, SubtreeProof};
 pub use provenance::{collect, ProvenanceObject};
 pub use record::{BatchChecksum, ChecksumFormat, InputRef, ProvenanceRecord, RecordKind};

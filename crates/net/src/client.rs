@@ -57,7 +57,6 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tep_core::denial::{SignedDenial, SignedRange};
-use tep_core::metrics::{TransferCounters, TransferSnapshot};
 use tep_core::slice::{QuerySpec, SliceProof};
 use tep_core::streaming::{DepthStreamHasher, StreamError};
 use tep_core::verify::{
@@ -73,6 +72,7 @@ use tep_storage::StoredRecord;
 use crate::wire::{
     ErrorCode, FrameReader, FrameWriter, Message, OfferEntry, WireError, WIRE_VERSION,
 };
+use crate::{TransferCounters, TransferSnapshot};
 
 /// Retry/backoff policy for transient network failures.
 #[derive(Clone, Copy, Debug)]

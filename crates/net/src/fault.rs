@@ -218,8 +218,8 @@ fn read_full<R: Read>(src: &mut R, buf: &mut [u8]) -> Result<bool, io::Error> {
 mod tests {
     use super::*;
     use crate::wire::{FrameReader, FrameWriter, Message, WireError};
+    use crate::TransferCounters;
     use std::sync::Arc;
-    use tep_core::metrics::TransferCounters;
     use tep_model::ObjectId;
 
     /// The fault a [`FaultStream`] fires at its scheduled operation.

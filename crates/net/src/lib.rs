@@ -48,8 +48,10 @@
 //! server that cannot (or will not honestly) confirm the position is
 //! rejected as `ResumeMismatch` tamper evidence.
 //!
-//! Per-connection traffic and verification counters come from
-//! [`tep_core::metrics::TransferCounters`].
+//! The server counts into one metric registry (`tep_net_*`, readable via
+//! [`ServerHandle::registry`] or a STATS frame). A client or replica keeps
+//! its own [`TransferCounters`] — frames, bytes, verify failures, retries
+//! — readable per endpoint and mirrored into a registry it attaches.
 
 #![warn(unreachable_pub)]
 #![warn(missing_docs)]
@@ -60,6 +62,7 @@
 
 pub mod client;
 pub mod fault;
+mod metrics;
 pub mod proxy;
 pub mod replica;
 pub mod server;
@@ -70,9 +73,8 @@ pub use client::{
     Client, ClientConfig, FetchReport, NetError, QueryReport, RangeReport, RetryPolicy,
 };
 pub use fault::{FaultKind, FaultListener, FaultPlan};
+pub use metrics::{TransferCounters, TransferSnapshot};
 pub use proxy::{ProxyAction, TamperProxy};
 pub use replica::{AeReport, AeStatus, CatchUpReport, Replica, ReplicaConfig};
-pub use server::{
-    serve, serve_tenants, serve_with_registry, Catalog, ServerConfig, ServerHandle, TenantSpec,
-};
+pub use server::{serve, serve_with_registry, Catalog, ServerConfig, ServerHandle, TenantSpec};
 pub use wire::{DataEntry, ErrorCode, Message, OfferEntry, WireError, MAX_FRAME, WIRE_VERSION};

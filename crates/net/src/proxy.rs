@@ -17,9 +17,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use tep_core::metrics::TransferCounters;
-
 use crate::wire::{FrameReader, FrameWriter, Message};
+use crate::TransferCounters;
 
 /// What the mutator wants done with one server→client message.
 pub enum ProxyAction {

@@ -40,7 +40,6 @@ use tep_core::denial::SignedRoot;
 use tep_core::merkle::{
     locate_divergence, shard_tree_of, AeError, AeNodeInfo, AeOracle, AeOutcome, AeSummary,
 };
-use tep_core::metrics::TransferCounters;
 use tep_core::provenance::collect;
 use tep_core::streaming::RecordStreamDigest;
 use tep_core::verify::{EvidenceCounters, EvidenceKind, StreamingVerifier, TamperEvidence};
@@ -52,6 +51,7 @@ use tep_storage::{CheckpointStore, ProvenanceDb, StoredRecord, Vfs};
 
 use crate::client::{fetch_on, Connection, NetError, RecordSink};
 use crate::wire::{Message, WireError, AE_SUMMARY_LEVEL};
+use crate::TransferCounters;
 
 /// Tuning for one replica.
 #[derive(Clone, Copy, Debug)]
@@ -221,11 +221,6 @@ impl Replica {
     /// The replica's record store.
     pub fn db(&self) -> &Arc<ProvenanceDb> {
         &self.db
-    }
-
-    /// Transfer counters accumulated so far.
-    pub fn counters(&self) -> tep_core::metrics::TransferSnapshot {
-        self.counters.snapshot()
     }
 
     /// Tails the primary: streams every offered object with

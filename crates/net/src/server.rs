@@ -9,9 +9,9 @@
 //! `DATA_CHUNK_BYTES` queued while a stream runs) hands them to the
 //! socket, so a reply costs one `write`, not one per frame.
 //!
-//! Graceful degradation under load is unchanged from the worker-pool
-//! predecessor: connections arriving while the server already owns
-//! `queue_depth` active connections are refused with `ERR busy` *plus* a `Retry-After` hint scaled to the backlog, every
+//! Graceful degradation under load: connections arriving while the server
+//! already owns `queue_depth` active connections are refused with
+//! `ERR busy` *plus* a `Retry-After` hint scaled to the backlog, every
 //! request is bounded by a wall-clock deadline (`ERR deadline` + close,
 //! resumable) while an idle timer bounds the silence between requests, and
 //! a peer that vanishes mid-transfer is counted in
@@ -43,19 +43,18 @@
 //! the stream only if the prefix is byte-identical — otherwise
 //! `ERR resume-mismatch` (see `tep_core::streaming::RecordStreamDigest`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tep_core::denial::{DenialProof, RangeProof, SignedDenial, SignedRange, SignedRoot};
 use tep_core::merkle::{shard_tree_of, ShardTree};
-use tep_core::metrics::{TransferCounters, TransferSnapshot};
 use tep_core::provenance::{collect, ProvenanceObject};
 use tep_core::streaming::RecordStreamDigest;
 use tep_crypto::digest::HashAlgorithm;
@@ -63,13 +62,12 @@ use tep_crypto::pki::Participant;
 use tep_model::{Forest, ObjectId, TenantId};
 use tep_obs::{names, Counter, Gauge, Histogram, Registry};
 use tep_query::{QueryEngine, QueryError};
-use tep_storage::crc::frame_crc;
 use tep_storage::ProvenanceDb;
 
 use crate::sys;
 use crate::wire::{
-    decode_message, frame_message_into, DataEntry, ErrorCode, Message, OfferEntry, WireError,
-    DATA_CHUNK_BYTES, MAX_FRAME, WIRE_VERSION,
+    check_frame_crc, decode_message, frame_header, frame_message_into, DataEntry, ErrorCode,
+    Message, OfferEntry, WireError, DATA_CHUNK_BYTES, FRAME_HEADER_LEN, MAX_FRAME, WIRE_VERSION,
 };
 
 /// What a server serves: a snapshot of the data forest, the provenance
@@ -110,11 +108,6 @@ impl Catalog {
     pub fn with_signer(mut self, signer: Arc<Participant>) -> Self {
         self.signer = Some(signer);
         self
-    }
-
-    /// The hash algorithm this catalog's hashes use.
-    pub fn alg(&self) -> HashAlgorithm {
-        self.alg
     }
 
     /// The OFFER manifest.
@@ -172,15 +165,16 @@ pub struct ServerConfig {
     /// How long an outbound backlog may make zero progress (peer not
     /// reading) before the connection is closed.
     pub write_timeout: Duration,
-    /// Wall-clock budget **per request** (the name predates kept
-    /// connections): armed when a request is dispatched, checked between
-    /// the frames of its reply. Exceeding it mid-stream sends
-    /// `ERR deadline` and closes — the client can reconnect and RESUME —
-    /// so a slow-reading peer holds a connection slot for a bounded time
-    /// no matter how many frames remain. A connection that keeps issuing
-    /// requests which each finish inside the budget lives on; how long it
-    /// may sit silent between them is [`Self::read_timeout`]'s job.
-    pub connection_deadline: Duration,
+    /// Wall-clock budget of one request, the same for every tenant: armed
+    /// at accept for the handshake and again when each request is
+    /// dispatched, checked between the frames of its reply. Exceeding it
+    /// mid-stream sends `ERR deadline` and closes — the client can
+    /// reconnect and RESUME — so a slow-reading peer holds a connection
+    /// slot for a bounded time no matter how many frames remain. A
+    /// connection that keeps issuing requests which each finish inside the
+    /// budget lives on; how long it may sit silent between them is
+    /// [`Self::read_timeout`]'s job.
+    pub request_deadline: Duration,
 }
 
 impl Default for ServerConfig {
@@ -189,7 +183,7 @@ impl Default for ServerConfig {
             queue_depth: 32,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            connection_deadline: Duration::from_secs(30),
+            request_deadline: Duration::from_secs(30),
         }
     }
 }
@@ -232,35 +226,28 @@ const WBUF_COMPACT: usize = 32 * 1024;
 /// `write_timeout`) to flush queued frames before being force-closed.
 const SHUTDOWN_GRACE_CAP: Duration = Duration::from_millis(500);
 
-/// Locks `m`, recovering from poison. A thread that panicked while
-/// holding a server lock must not wedge shutdown — the protected data's
-/// invariants (a list of joinable threads) hold at every await point, so
-/// the contents are safe to reuse.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Runs one dispatch with panic isolation: a panicking connection handler
-/// is counted in [`TransferCounters::worker_panics`] and the event loop
-/// lives on to serve every other connection. Per-connection state is
-/// owned by the closure and the connection is closed afterwards, so no
-/// broken invariants escape (hence `AssertUnwindSafe`).
-fn run_isolated(counters: &TransferCounters, f: impl FnOnce()) {
+/// is counted in `panics` and the event loop lives on to serve every
+/// other connection. Per-connection state is owned by the closure and the
+/// connection is closed afterwards, so no broken invariants escape (hence
+/// `AssertUnwindSafe`).
+fn run_isolated(panics: &Counter, f: impl FnOnce()) {
     if panic::catch_unwind(AssertUnwindSafe(f)).is_err() {
-        counters.worker_panic();
+        panics.inc();
     }
 }
 
-struct Shared {
-    shutdown: AtomicBool,
-}
-
-/// Server-level counters in the metric registry (frame/byte traffic is
-/// mirrored separately by the observed [`TransferCounters`]). Names come
-/// from [`tep_obs::names`] so the harnesses asserting on them cannot
-/// drift.
-#[derive(Clone)]
+/// The server's metrics, all in its registry: counters, the event loop's
+/// connection-state gauges, and the request-frame turnaround histogram.
+/// Names come from [`tep_obs::names`] so the harnesses asserting on them
+/// cannot drift.
 struct ServerObs {
+    frames_sent: Counter,
+    frames_received: Counter,
+    bytes_sent: Counter,
+    bytes_received: Counter,
+    /// Dispatches that panicked and were isolated to their connection.
+    worker_panics: Counter,
     connections: Counter,
     busy_rejections: Counter,
     fetches: Counter,
@@ -273,18 +260,30 @@ struct ServerObs {
     shed: Counter,
     deadline_closes: Counter,
     write_aborts: Counter,
-    /// HELLOs naming an unprovisioned (or disabled) tenant. Deliberately
+    /// HELLOs naming a tenant the server does not serve. Deliberately
     /// *unlabeled*: the tenant id in a rejected HELLO is attacker-chosen,
     /// so labeling by it would hand peers unbounded metric cardinality.
     tenant_rejections: Counter,
     /// HELLOs refused because the named tenant was over its connection
     /// quota (also counted per tenant via a labeled counter).
     tenant_quota_sheds: Counter,
+    wakeups: Counter,
+    open: Gauge,
+    handshake: Gauge,
+    ready: Gauge,
+    streaming: Gauge,
+    draining: Gauge,
+    turnaround: Histogram,
 }
 
 impl ServerObs {
     fn new(registry: &Registry) -> Self {
         ServerObs {
+            frames_sent: registry.counter(names::NET_FRAMES_SENT),
+            frames_received: registry.counter(names::NET_FRAMES_RECEIVED),
+            bytes_sent: registry.counter(names::NET_BYTES_SENT),
+            bytes_received: registry.counter(names::NET_BYTES_RECEIVED),
+            worker_panics: registry.counter(names::NET_WORKER_PANICS),
             connections: registry.counter(names::NET_CONNECTIONS),
             busy_rejections: registry.counter(names::NET_BUSY_REJECTIONS),
             fetches: registry.counter(names::NET_FETCHES),
@@ -299,26 +298,6 @@ impl ServerObs {
             write_aborts: registry.counter(names::NET_WRITE_ABORTS),
             tenant_rejections: registry.counter(names::NET_TENANT_REJECTIONS),
             tenant_quota_sheds: registry.counter(names::NET_TENANT_QUOTA_SHEDS),
-        }
-    }
-}
-
-/// Event-loop instrumentation: wakeup counter, connection-state gauges,
-/// and the request-frame turnaround histogram.
-#[derive(Clone)]
-struct LoopObs {
-    wakeups: Counter,
-    open: Gauge,
-    handshake: Gauge,
-    ready: Gauge,
-    streaming: Gauge,
-    draining: Gauge,
-    turnaround: Histogram,
-}
-
-impl LoopObs {
-    fn new(registry: &Registry) -> Self {
-        LoopObs {
             wakeups: registry.counter(names::NET_EPOLL_WAKEUPS),
             open: registry.gauge(names::NET_OPEN_CONNECTIONS),
             handshake: registry.gauge(names::NET_CONNS_HANDSHAKE),
@@ -330,46 +309,31 @@ impl LoopObs {
     }
 }
 
-/// One tenant's serving surface plus its admission-control knobs, handed
-/// to [`serve_tenants`]. Each tenant gets its own catalog (typically over
-/// its own shard of a [`tep_storage::TenantShards`] root) so a fault or
-/// quarantine in one tenant's log never touches another's.
+/// One tenant's serving surface plus its connection quota, handed to
+/// [`serve`]. Each tenant gets its own catalog (typically over its own
+/// shard of a [`tep_storage::TenantShards`] root) so a fault or
+/// quarantine in one tenant's log never touches another's. A tenant not
+/// in the list is refused at HELLO with `ERR unknown-tenant`.
 pub struct TenantSpec {
     /// The tenant scope this catalog serves.
     pub tenant: TenantId,
     /// What this tenant's connections can fetch/query.
     pub catalog: Arc<Catalog>,
-    /// A disabled tenant is rejected at HELLO with `ERR unknown-tenant`,
-    /// deliberately indistinguishable from an unprovisioned one.
-    pub enabled: bool,
     /// Max concurrently admitted connections for this tenant. Beyond it,
     /// HELLO answers retryable `ERR busy` with a `Retry-After` scaled to
     /// *this tenant's* backlog — one tenant's connect storm cannot eat
     /// another tenant's slots.
     pub max_connections: usize,
-    /// Per-tenant wall-clock budget per request; the effective budget is
-    /// the tighter of this and the server-wide
-    /// [`ServerConfig::connection_deadline`].
-    pub deadline: Option<Duration>,
 }
 
 impl TenantSpec {
-    /// A spec with no quota and no extra deadline budget: enabled,
-    /// unlimited connections, server-wide deadline only.
+    /// A spec with no connection quota.
     pub fn new(tenant: TenantId, catalog: Arc<Catalog>) -> Self {
         TenantSpec {
             tenant,
             catalog,
-            enabled: true,
             max_connections: usize::MAX,
-            deadline: None,
         }
-    }
-
-    /// Marks the tenant provisioned-but-disabled (rejected at HELLO).
-    pub fn disabled(mut self) -> Self {
-        self.enabled = false;
-        self
     }
 
     /// Caps concurrently admitted connections for this tenant.
@@ -380,14 +344,12 @@ impl TenantSpec {
 }
 
 /// Per-tenant serving state: the catalog, query engine, anti-entropy
-/// caches, admission knobs, and tenant-labeled counters. Everything a
+/// caches, connection quota, and tenant-labeled counters. Everything a
 /// dispatch touches after admission lives here, so request handling for
 /// tenant A can never read (or poison) tenant B's state.
 struct TenantEnv {
     catalog: Arc<Catalog>,
-    enabled: bool,
     max_connections: usize,
-    deadline: Option<Duration>,
     /// Connections currently admitted under this tenant's scope; the
     /// quota check compares against this, the event loop decrements it
     /// when an admitted connection closes.
@@ -413,15 +375,28 @@ struct TenantEnv {
 }
 
 impl TenantEnv {
+    /// Every listed tenant's state, keyed by raw tenant id. A tenant
+    /// listed twice is refused before anything is registered: only one of
+    /// its specs could be served, yet both would leave counters behind.
+    fn all(specs: Vec<TenantSpec>, registry: &Registry) -> io::Result<BTreeMap<u64, TenantEnv>> {
+        let mut seen = BTreeSet::new();
+        if let Some(dup) = specs.iter().find(|s| !seen.insert(s.tenant)) {
+            let why = format!("tenant t{} is listed twice", dup.tenant.raw());
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+        }
+        Ok(specs
+            .into_iter()
+            .map(|spec| TenantEnv::new(spec, registry))
+            .collect())
+    }
+
     fn new(spec: TenantSpec, registry: &Registry) -> (u64, Self) {
         let t = spec.tenant.raw();
         let mut query = QueryEngine::new(Arc::clone(&spec.catalog.db), spec.catalog.alg);
         query.attach_obs(registry);
         let env = TenantEnv {
             catalog: spec.catalog,
-            enabled: spec.enabled,
             max_connections: spec.max_connections,
-            deadline: spec.deadline,
             active: AtomicUsize::new(0),
             query,
             ae_cache: Mutex::new(None),
@@ -485,10 +460,18 @@ impl TenantEnv {
 /// [`TenantEnv`] once admitted and never touches another tenant's.
 struct Env {
     tenants: BTreeMap<u64, TenantEnv>,
-    counters: Arc<TransferCounters>,
     obs: ServerObs,
-    loop_obs: LoopObs,
     registry: Registry,
+}
+
+impl Env {
+    fn new(tenants: Vec<TenantSpec>, registry: Registry) -> io::Result<Self> {
+        Ok(Env {
+            tenants: TenantEnv::all(tenants, &registry)?,
+            obs: ServerObs::new(&registry),
+            registry,
+        })
+    }
 }
 
 /// Connection state-machine phases.
@@ -516,13 +499,28 @@ struct StreamJob {
     done_queued: bool,
 }
 
-/// The next frame a streaming job wants queued (computed under a short
-/// borrow of the job, queued after the borrow ends).
-enum StreamStep {
-    Prov(Box<Message>),
-    Data(Vec<DataEntry>),
-    Done { records: u64, nodes: u64 },
-    Finished,
+impl StreamJob {
+    /// The job's next frame — PROV × N, DATA × M, then DONE — or `None`
+    /// once DONE is queued.
+    fn next_frame(&mut self) -> Option<Message> {
+        if self.next_record < self.prov.records.len() {
+            let record = self.prov.records[self.next_record].to_stored();
+            self.next_record += 1;
+            Some(Message::Prov { record })
+        } else if self.data_pos < self.data.len() {
+            Some(Message::Data {
+                entries: next_data_chunk(self),
+            })
+        } else if !self.done_queued {
+            self.done_queued = true;
+            Some(Message::Done {
+                records: self.prov.records.len() as u64,
+                nodes: self.data.len() as u64,
+            })
+        } else {
+            None
+        }
+    }
 }
 
 /// What a round of reads produced.
@@ -559,21 +557,19 @@ struct Conn<S> {
     /// it. `None` until the handshake completes.
     tenant: Option<u64>,
     job: Option<StreamJob>,
-    /// Wall-clock budget of one request: the server-wide
-    /// [`ServerConfig::connection_deadline`], tightened at HELLO by the
-    /// tenant's. `None` = unbounded.
-    budget: Option<Duration>,
+    /// Wall-clock budget of one request: [`ServerConfig::request_deadline`].
+    budget: Duration,
     /// When the request in progress runs out of `budget`: armed at accept
     /// (for the handshake) and re-armed each time a request is dispatched.
-    /// `None` when unbounded, or for budgets so large the Instant would
-    /// overflow — which means "effectively unbounded" anyway.
+    /// `None` for budgets so large the Instant would overflow — which
+    /// means "effectively unbounded" anyway.
     deadline: Option<Instant>,
     read_activity: Instant,
     write_activity: Instant,
 }
 
 impl<S: Read + Write> Conn<S> {
-    fn new(stream: S, budget: Option<Duration>, now: Instant) -> Self {
+    fn new(stream: S, budget: Duration, now: Instant) -> Self {
         let mut conn = Conn {
             stream,
             state: ConnState::Handshake,
@@ -602,7 +598,7 @@ impl<S: Read + Write> Conn<S> {
     /// Starts the deadline clock: of the handshake at accept, then of each
     /// request as it is dispatched.
     fn arm_deadline(&mut self, now: Instant) {
-        self.deadline = self.budget.and_then(|b| now.checked_add(b));
+        self.deadline = now.checked_add(self.budget);
     }
 
     /// Frames are only parsed before and between requests — never while a
@@ -664,7 +660,8 @@ impl<S: Read + Write> Conn<S> {
         }
         let start = self.wbuf.len();
         frame_message_into(msg, &mut self.wbuf);
-        env.counters.frame_sent((self.wbuf.len() - start) as u64);
+        env.obs.frames_sent.inc();
+        env.obs.bytes_sent.add((self.wbuf.len() - start) as u64);
         if abortable {
             self.abort_owed = true;
         }
@@ -761,29 +758,23 @@ impl<S: Read + Write> Conn<S> {
     /// "need more bytes"; errors (oversized, bad CRC, malformed body)
     /// close the connection — same as the blocking reader treating the
     /// stream as poisoned.
-    fn try_parse(&mut self, counters: &TransferCounters) -> Result<Option<Message>, WireError> {
-        let avail = self.rbuf.len() - self.rpos;
-        if avail < 8 {
+    fn try_parse(&mut self, obs: &ServerObs) -> Result<Option<Message>, WireError> {
+        let avail = &self.rbuf[self.rpos..];
+        let Some(&header) = avail.first_chunk::<FRAME_HEADER_LEN>() else {
             self.compact_rbuf();
             return Ok(None);
-        }
-        let header = &self.rbuf[self.rpos..self.rpos + 8];
-        let len = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes"));
-        let crc = u32::from_be_bytes(header[4..8].try_into().expect("4 bytes"));
-        if len as usize > MAX_FRAME {
-            return Err(WireError::Oversized { len });
-        }
-        if avail < 8 + len as usize {
+        };
+        let (len, crc) = frame_header(header)?;
+        let frame_len = FRAME_HEADER_LEN + len;
+        let Some(payload) = avail.get(FRAME_HEADER_LEN..frame_len) else {
             self.compact_rbuf();
             return Ok(None);
-        }
-        let payload = &self.rbuf[self.rpos + 8..self.rpos + 8 + len as usize];
-        if frame_crc(len, payload) != crc {
-            return Err(WireError::BadCrc);
-        }
+        };
+        check_frame_crc(crc, payload)?;
         let msg = decode_message(payload)?;
-        self.rpos += 8 + len as usize;
-        counters.frame_received(8 + len as u64);
+        self.rpos += frame_len;
+        obs.frames_received.inc();
+        obs.bytes_received.add(frame_len as u64);
         if self.rpos == self.rbuf.len() {
             self.rbuf.clear();
             self.rpos = 0;
@@ -814,7 +805,7 @@ fn refuse_deadline<S: Read + Write>(conn: &mut Conn<S>, env: &Env) {
 /// Routes one parsed frame through the connection's state machine.
 fn dispatch<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: Instant) {
     match conn.state {
-        ConnState::Handshake => on_hello(conn, msg, env, now),
+        ConnState::Handshake => on_hello(conn, msg, env),
         ConnState::Ready => {
             // An admitted connection always has a tenant; losing the
             // mapping mid-session (cannot happen under the current API,
@@ -830,24 +821,16 @@ fn dispatch<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
     }
 }
 
-/// The tighter of two optional budgets (`None` = unbounded).
-fn tighter_budget(a: Option<Duration>, b: Option<Duration>) -> Option<Duration> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, y) => x.or(y),
-    }
-}
-
 /// HELLO admission: wire version → tenant provisioning → algorithm →
 /// tenant connection quota, in that order.
 ///
-/// An unknown *or disabled* tenant gets a typed, non-retryable
+/// A tenant the server does not serve gets a typed, non-retryable
 /// `ERR unknown-tenant` — distinct from `busy`, so a misconfigured client
 /// fails fast instead of burning its retry budget against a scope that
 /// will never admit it. A known tenant over its connection quota gets
 /// retryable `ERR busy` with a `Retry-After` hint scaled to *that
 /// tenant's* backlog, leaving other tenants' admission untouched.
-fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: Instant) {
+fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env) {
     let Message::Hello {
         version,
         alg,
@@ -869,30 +852,25 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
         conn.drain_then_close();
         return;
     }
-    let ten = match env.tenants.get(&tenant) {
-        Some(ten) if ten.enabled => ten,
-        _ => {
-            // Unprovisioned and disabled are deliberately the same answer:
-            // a probe cannot distinguish "never existed" from "suspended".
-            env.obs.tenant_rejections.inc();
-            conn.refuse_with(
-                ErrorCode::UnknownTenant,
-                0,
-                format!("tenant t{tenant} is not provisioned here"),
-                false,
-                env,
-            );
-            conn.drain_then_close();
-            return;
-        }
+    let Some(ten) = env.tenants.get(&tenant) else {
+        env.obs.tenant_rejections.inc();
+        conn.refuse_with(
+            ErrorCode::UnknownTenant,
+            0,
+            format!("tenant t{tenant} is not provisioned here"),
+            false,
+            env,
+        );
+        conn.drain_then_close();
+        return;
     };
-    if alg != ten.catalog.alg() {
+    if alg != ten.catalog.alg {
         conn.refuse_with(
             ErrorCode::VersionMismatch,
             0,
             format!(
                 "tenant t{tenant} serves {:?}, client sent {alg:?}",
-                ten.catalog.alg()
+                ten.catalog.alg
             ),
             false,
             env,
@@ -919,12 +897,10 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: I
     ten.active.fetch_add(1, Ordering::SeqCst);
     ten.connections.inc();
     conn.tenant = Some(tenant);
-    conn.budget = tighter_budget(conn.budget, ten.deadline);
-    conn.arm_deadline(now);
     conn.queue_frame(
         &Message::Hello {
             version: WIRE_VERSION,
-            alg: ten.catalog.alg(),
+            alg: ten.catalog.alg,
             tenant,
         },
         false,
@@ -1229,9 +1205,8 @@ fn start_stream<S: Read + Write>(
 }
 
 /// The next `DATA` chunk: entries greedily packed by actual encoded size
-/// so no frame exceeds the chunk target by more than one entry (identical
-/// grouping to the worker-pool server, so resumed transfers stay
-/// byte-identical).
+/// so no frame exceeds the chunk target by more than one entry (the
+/// grouping is deterministic, so resumed transfers stay byte-identical).
 fn next_data_chunk(job: &mut StreamJob) -> Vec<DataEntry> {
     let mut chunk = Vec::new();
     let mut chunk_bytes = 0usize;
@@ -1271,31 +1246,10 @@ fn pump<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
             refuse_deadline(conn, env);
             break;
         }
-        let step = {
-            let job = conn.job.as_mut().expect("streaming connection owns a job");
-            if job.next_record < job.prov.records.len() {
-                let record = job.prov.records[job.next_record].to_stored();
-                job.next_record += 1;
-                StreamStep::Prov(Box::new(Message::Prov { record }))
-            } else if job.data_pos < job.data.len() {
-                StreamStep::Data(next_data_chunk(job))
-            } else if !job.done_queued {
-                job.done_queued = true;
-                StreamStep::Done {
-                    records: job.prov.records.len() as u64,
-                    nodes: job.data.len() as u64,
-                }
-            } else {
-                StreamStep::Finished
-            }
-        };
-        match step {
-            StreamStep::Prov(msg) => conn.queue_frame(&msg, true, env),
-            StreamStep::Data(entries) => conn.queue_frame(&Message::Data { entries }, true, env),
-            StreamStep::Done { records, nodes } => {
-                conn.queue_frame(&Message::Done { records, nodes }, true, env)
-            }
-            StreamStep::Finished => {
+        let job = conn.job.as_mut().expect("streaming connection owns a job");
+        match job.next_frame() {
+            Some(msg) => conn.queue_frame(&msg, true, env),
+            None => {
                 conn.job = None;
                 conn.state = ConnState::Ready;
                 // The idle clock measures silence *between* requests: it
@@ -1333,12 +1287,12 @@ fn service_readable<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant
 /// frame-accepting state.
 fn drain_parsed_frames<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
     while conn.wants_read() {
-        match conn.try_parse(&env.counters) {
+        match conn.try_parse(&env.obs) {
             Ok(Some(msg)) => {
                 let started = Instant::now();
                 let in_ready = conn.state == ConnState::Ready;
                 let mut completed = false;
-                run_isolated(&env.counters, || {
+                run_isolated(&env.obs.worker_panics, || {
                     dispatch(conn, msg, env, now);
                     completed = true;
                 });
@@ -1348,7 +1302,7 @@ fn drain_parsed_frames<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Inst
                     conn.close_now();
                 }
                 if in_ready {
-                    env.loop_obs.turnaround.observe_duration(started.elapsed());
+                    env.obs.turnaround.observe_duration(started.elapsed());
                 }
             }
             Ok(None) => return,
@@ -1389,7 +1343,8 @@ fn check_timers<S: Read + Write>(
 struct EventLoop {
     env: Env,
     cfg: ServerConfig,
-    shared: Arc<Shared>,
+    /// Set by [`ServerHandle`] to stop accepting and drain.
+    shutdown: Arc<AtomicBool>,
     conns: Vec<Conn<TcpStream>>,
 }
 
@@ -1399,7 +1354,7 @@ impl EventLoop {
         let mut shutdown_since: Option<Instant> = None;
         loop {
             let now = Instant::now();
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.shutdown.load(Ordering::SeqCst) {
                 let since = *shutdown_since.get_or_insert(now);
                 let grace = self.cfg.write_timeout.min(SHUTDOWN_GRACE_CAP);
                 let grace_over = now.duration_since(since) >= grace;
@@ -1432,7 +1387,7 @@ impl EventLoop {
                 fds.push(sys::PollFd::new(c.stream.as_raw_fd(), c.wanted_events()));
             }
             let _ = sys::poll_fds(&mut fds, POLL_TICK);
-            self.env.loop_obs.wakeups.inc();
+            self.env.obs.wakeups.inc();
 
             let base = usize::from(poll_listener);
             let n_existing = self.conns.len();
@@ -1465,7 +1420,7 @@ impl EventLoop {
                     }
                     let _ = stream.set_nodelay(true);
                     let active = self.conns.iter().filter(|c| !c.refused).count();
-                    let mut conn = Conn::new(stream, Some(self.cfg.connection_deadline), now);
+                    let mut conn = Conn::new(stream, self.cfg.request_deadline, now);
                     if active >= self.cfg.queue_depth {
                         // Best-effort `ERR busy` + `Retry-After` so the
                         // refused client sees a protocol answer (and a
@@ -1508,7 +1463,7 @@ impl EventLoop {
         }
         if !conn.closed && conn.state == ConnState::Streaming && conn.pending_write() < WBUF_HIGH {
             let env = &self.env;
-            run_isolated(&env.counters, || pump(conn, env, now));
+            run_isolated(&env.obs.worker_panics, || pump(conn, env, now));
         }
         let conn = &mut self.conns[i];
         if !conn.closed && pfd.readable() && conn.wants_read() {
@@ -1537,7 +1492,7 @@ impl EventLoop {
                 ConnState::Draining => draining += 1,
             }
         }
-        let lo = &self.env.loop_obs;
+        let lo = &self.env.obs;
         lo.open.set(self.conns.len() as i64);
         lo.handshake.set(handshake);
         lo.ready.set(ready);
@@ -1549,9 +1504,8 @@ impl EventLoop {
 /// A running server; dropping (or calling [`Self::shutdown`]) stops it.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    counters: Arc<TransferCounters>,
+    shutdown: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
     registry: Registry,
 }
 
@@ -1559,11 +1513,6 @@ impl ServerHandle {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Aggregated transfer counters across all connections so far.
-    pub fn counters(&self) -> TransferSnapshot {
-        self.counters.snapshot()
     }
 
     /// The server's metric registry: `tep_net_*` counters plus whatever the
@@ -1574,14 +1523,14 @@ impl ServerHandle {
 
     /// Stops accepting, drains in-flight connections (bounded grace), and
     /// joins the event-loop thread.
-    pub fn shutdown(self) {
+    pub fn shutdown(mut self) {
         self.stop();
     }
 
-    fn stop(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for t in lock_recover(&self.threads).drain(..) {
-            let _ = t.join();
+    fn stop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -1592,70 +1541,33 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `addr` (use port 0 for an ephemeral port) and serves `catalog`
-/// until the returned handle is shut down or dropped. The server records
-/// its `tep_net_*` metrics into a private registry, readable via
+/// Binds `addr` (use port 0 for an ephemeral port) and serves `tenants`
+/// from one listener until the returned handle is shut down or dropped.
+/// Each tenant has its own scope: catalog (and thus shard, caches and
+/// query engine), connection quota, and tenant-labeled admission
+/// counters. Connections pick their tenant in HELLO; a tenant not listed
+/// is refused with non-retryable `ERR unknown-tenant`, and a list naming
+/// one tenant twice is refused with [`io::ErrorKind::InvalidInput`].
+///
+/// The server counts into `registry` — so a process embedding it can
+/// expose net traffic next to its other metrics — readable via
 /// [`ServerHandle::registry`] or a STATS frame.
 pub fn serve(
-    catalog: Arc<Catalog>,
-    addr: SocketAddr,
-    cfg: ServerConfig,
-) -> io::Result<ServerHandle> {
-    serve_with_registry(catalog, addr, cfg, Registry::new())
-}
-
-/// Like [`serve`], but records metrics into the caller's `registry` — so a
-/// process embedding the server can expose net traffic next to its other
-/// metrics (and a STATS frame shows them all). Single-tenant: the catalog
-/// is provisioned under [`TenantId::DEFAULT`] with no quota, so existing
-/// clients (which state tenant 0) are admitted unchanged.
-pub fn serve_with_registry(
-    catalog: Arc<Catalog>,
-    addr: SocketAddr,
-    cfg: ServerConfig,
-    registry: Registry,
-) -> io::Result<ServerHandle> {
-    serve_tenants(
-        vec![TenantSpec::new(TenantId::DEFAULT, catalog)],
-        addr,
-        cfg,
-        registry,
-    )
-}
-
-/// Serves a set of tenants from one listener, each under its own scope:
-/// independent catalog (and thus shard/caches/query engine), its own
-/// connection quota and deadline budget, and tenant-labeled admission
-/// counters. Connections pick their tenant in HELLO; an unknown or
-/// disabled tenant is refused with non-retryable `ERR unknown-tenant`.
-pub fn serve_tenants(
     tenants: Vec<TenantSpec>,
     addr: SocketAddr,
     cfg: ServerConfig,
     registry: Registry,
 ) -> io::Result<ServerHandle> {
+    let env = Env::new(tenants, registry.clone())?;
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let shared = Arc::new(Shared {
-        shutdown: AtomicBool::new(false),
-    });
-    let counters = Arc::new(TransferCounters::observed(&registry));
-    let env = Env {
-        tenants: tenants
-            .into_iter()
-            .map(|spec| TenantEnv::new(spec, &registry))
-            .collect(),
-        counters: Arc::clone(&counters),
-        obs: ServerObs::new(&registry),
-        loop_obs: LoopObs::new(&registry),
-        registry: registry.clone(),
-    };
+    let shutdown = Arc::new(AtomicBool::new(false));
     let ev = EventLoop {
         env,
         cfg,
-        shared: Arc::clone(&shared),
+        shutdown: Arc::clone(&shutdown),
         conns: Vec::new(),
     };
     let thread = std::thread::Builder::new()
@@ -1664,11 +1576,26 @@ pub fn serve_tenants(
 
     Ok(ServerHandle {
         addr: local,
-        shared,
-        threads: Mutex::new(vec![thread]),
-        counters,
+        shutdown,
+        thread: Some(thread),
         registry,
     })
+}
+
+/// [`serve`] for one tenant: `catalog` under [`TenantId::DEFAULT`] with no
+/// quota, so clients that state tenant 0 are admitted.
+pub fn serve_with_registry(
+    catalog: Arc<Catalog>,
+    addr: SocketAddr,
+    cfg: ServerConfig,
+    registry: Registry,
+) -> io::Result<ServerHandle> {
+    serve(
+        vec![TenantSpec::new(TenantId::DEFAULT, catalog)],
+        addr,
+        cfg,
+        registry,
+    )
 }
 
 #[cfg(test)]
@@ -1679,48 +1606,38 @@ mod tests {
 
     #[test]
     fn run_isolated_catches_and_counts_panics() {
-        let counters = TransferCounters::new();
-        run_isolated(&counters, || {});
-        assert_eq!(counters.snapshot().worker_panics, 0);
-        run_isolated(&counters, || panic!("connection handler exploded"));
-        run_isolated(&counters, || panic!("again"));
-        assert_eq!(counters.snapshot().worker_panics, 2);
+        let panics = Counter::new();
+        run_isolated(&panics, || {});
+        assert_eq!(panics.value(), 0);
+        run_isolated(&panics, || panic!("connection handler exploded"));
+        run_isolated(&panics, || panic!("again"));
+        assert_eq!(panics.value(), 2);
         // The thread is still alive to run more work.
-        run_isolated(&counters, || {});
-        assert_eq!(counters.snapshot().worker_panics, 2);
+        run_isolated(&panics, || {});
+        assert_eq!(panics.value(), 2);
     }
 
+    /// Only one spec per tenant could be served, so a list naming a tenant
+    /// twice is refused before the listener is bound or anything counted.
     #[test]
-    fn lock_recover_survives_a_poisoned_mutex() {
-        let m = Arc::new(Mutex::new(VecDeque::from([1, 2, 3])));
-        let m2 = Arc::clone(&m);
-        let _ = thread::spawn(move || {
-            let _guard = m2.lock().unwrap();
-            panic!("poison the lock");
-        })
-        .join();
-        assert!(m.lock().is_err(), "mutex should be poisoned");
-        // Queue contents are still intact and usable.
-        let mut q = lock_recover(&m);
-        assert_eq!(q.pop_front(), Some(1));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn wait_timeout_recovers_from_poison() {
-        let m = Arc::new((Mutex::new(0u32), std::sync::Condvar::new()));
-        let m2 = Arc::clone(&m);
-        let _ = thread::spawn(move || {
-            let _guard = m2.0.lock().unwrap();
-            panic!("poison");
-        })
-        .join();
-        let guard = lock_recover(&m.0);
-        let (guard, timeout) =
-            m.1.wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(PoisonError::into_inner);
-        assert!(timeout.timed_out());
-        assert_eq!(*guard, 0);
+    fn serve_refuses_a_tenant_listed_twice() {
+        let (catalog, _) = shared_world();
+        let registry = Registry::new();
+        let err = serve(
+            vec![
+                TenantSpec::new(TenantId(1), Arc::clone(catalog)),
+                TenantSpec::new(TenantId(2), Arc::clone(catalog)),
+                TenantSpec::new(TenantId(1), Arc::clone(catalog)).with_max_connections(1),
+            ],
+            "127.0.0.1:0".parse().unwrap(),
+            ServerConfig::default(),
+            registry.clone(),
+        )
+        .err()
+        .expect("a duplicate tenant must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("t1"), "{err}");
+        assert!(registry.snapshot().is_empty(), "{}", registry.render_text());
     }
 
     #[test]
@@ -1749,6 +1666,7 @@ mod tests {
     use tep_model::Value;
 
     use crate::wire::FrameReader;
+    use crate::TransferCounters;
 
     const ALG: HashAlgorithm = HashAlgorithm::Sha256;
 
@@ -1842,18 +1760,12 @@ mod tests {
     }
 
     fn test_env_with(tenants: Vec<TenantSpec>, root: ObjectId) -> (Env, ObjectId) {
-        let registry = Registry::new();
-        let env = Env {
-            tenants: tenants
-                .into_iter()
-                .map(|spec| TenantEnv::new(spec, &registry))
-                .collect(),
-            counters: Arc::new(TransferCounters::new()),
-            obs: ServerObs::new(&registry),
-            loop_obs: LoopObs::new(&registry),
-            registry: registry.clone(),
-        };
-        (env, root)
+        (Env::new(tenants, Registry::new()).unwrap(), root)
+    }
+
+    /// A fresh connection whose requests never run out of budget.
+    fn unbounded_conn() -> Conn<FakeStream> {
+        Conn::new(FakeStream::default(), Duration::MAX, Instant::now())
     }
 
     fn frame(msg: &Message) -> Vec<u8> {
@@ -1897,7 +1809,7 @@ mod tests {
     }
 
     fn handshaken(env: &Env) -> Conn<FakeStream> {
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         conn.stream.to_read.push_back(frame(&hello()));
         drive(&mut conn, env);
         assert_eq!(conn.state, ConnState::Ready);
@@ -1907,7 +1819,7 @@ mod tests {
     #[test]
     fn handshake_completes_across_byte_sized_reads() {
         let (env, _) = test_env();
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         for b in frame(&hello()) {
             conn.stream.to_read.push_back(vec![b]);
         }
@@ -1922,7 +1834,7 @@ mod tests {
     #[test]
     fn handshake_version_mismatch_answers_and_closes() {
         let (env, _) = test_env();
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         conn.stream.to_read.push_back(frame(&Message::Hello {
             version: WIRE_VERSION + 1,
             alg: ALG,
@@ -1943,7 +1855,7 @@ mod tests {
     #[test]
     fn handshake_non_hello_is_a_bad_request() {
         let (env, root) = test_env();
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         conn.stream
             .to_read
             .push_back(frame(&Message::Fetch { oid: root }));
@@ -1961,7 +1873,7 @@ mod tests {
     #[test]
     fn hello_unknown_tenant_is_a_typed_nonretryable_error() {
         let (env, _) = test_env();
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         conn.stream.to_read.push_back(frame(&Message::Hello {
             version: WIRE_VERSION,
             alg: ALG,
@@ -1982,27 +1894,6 @@ mod tests {
     }
 
     #[test]
-    fn hello_disabled_tenant_is_indistinguishable_from_unknown() {
-        let (catalog, root) = shared_world();
-        let (env, _) = test_env_with(
-            vec![TenantSpec::new(TenantId::DEFAULT, Arc::clone(catalog)).disabled()],
-            *root,
-        );
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
-        conn.stream.to_read.push_back(frame(&hello()));
-        drive(&mut conn, &env);
-        assert!(conn.closed);
-        assert_eq!(env.obs.tenant_rejections.value(), 1);
-        assert!(matches!(
-            &written_messages(&conn)[..],
-            [Message::Error {
-                code: ErrorCode::UnknownTenant,
-                ..
-            }]
-        ));
-    }
-
-    #[test]
     fn tenant_quota_sheds_with_tenant_scaled_hint() {
         let (catalog, root) = shared_world();
         let (env, _) = test_env_with(
@@ -2014,7 +1905,7 @@ mod tests {
         let ten = env.tenants.get(&TenantId::DEFAULT.raw()).unwrap();
         assert_eq!(ten.active.load(Ordering::SeqCst), 2);
 
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         conn.stream.to_read.push_back(frame(&hello()));
         drive(&mut conn, &env);
         assert!(conn.closed);
@@ -2034,36 +1925,6 @@ mod tests {
         assert_eq!(ten.connections.value(), 2);
         // The refused HELLO admitted nothing.
         assert_eq!(ten.active.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn tenant_deadline_budget_tightens_the_connection_deadline() {
-        let (catalog, root) = shared_world();
-        let mut spec = TenantSpec::new(TenantId::DEFAULT, Arc::clone(catalog));
-        spec.deadline = Some(Duration::from_millis(0));
-        let (env, root) = test_env_with(vec![spec], *root);
-        // No accept-time deadline at all: the tenant budget alone binds.
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
-        conn.stream.to_read.push_back(frame(&hello()));
-        drive(&mut conn, &env);
-        assert_eq!(conn.state, ConnState::Ready, "handshake still completes");
-        assert!(
-            conn.deadline.is_some(),
-            "tenant budget installed a deadline"
-        );
-        conn.stream
-            .to_read
-            .push_back(frame(&Message::Fetch { oid: root }));
-        drive(&mut conn, &env);
-        assert!(conn.closed);
-        assert_eq!(env.obs.deadline_closes.value(), 1);
-        assert!(matches!(
-            written_messages(&conn).last(),
-            Some(Message::Error {
-                code: ErrorCode::Deadline,
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -2090,7 +1951,7 @@ mod tests {
             tenant: t,
         };
 
-        let mut one = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut one = unbounded_conn();
         one.stream.to_read.push_back(frame(&hello_t(1)));
         one.stream
             .to_read
@@ -2101,7 +1962,7 @@ mod tests {
             Some(Message::Done { .. })
         ));
 
-        let mut two = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut two = unbounded_conn();
         two.stream.to_read.push_back(frame(&hello_t(2)));
         two.stream
             .to_read
@@ -2160,7 +2021,7 @@ mod tests {
     #[test]
     fn short_writes_still_deliver_the_whole_stream() {
         let (env, root) = test_env();
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         conn.stream.write_cap = Some(3);
         conn.stream.to_read.push_back(frame(&hello()));
         conn.stream
@@ -2181,7 +2042,7 @@ mod tests {
     fn short_writes_deliver_exactly_the_queued_frames() {
         let (env, root) = test_env();
         let catalog = &shared_world().0;
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         conn.stream.write_cap = Some(7);
         conn.stream.to_read.push_back(frame(&hello()));
         conn.stream
@@ -2216,7 +2077,7 @@ mod tests {
     #[test]
     fn each_turn_reaches_the_socket_in_one_write() {
         let (env, root) = test_env();
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         conn.stream.to_read.push_back(frame(&hello()));
         service_readable(&mut conn, &env, Instant::now());
         assert_eq!(conn.state, ConnState::Ready);
@@ -2440,7 +2301,7 @@ mod tests {
         // A zero budget is spent the moment a request is dispatched — but
         // the handshake must still complete so the client gets a
         // protocol-level answer, not a hang.
-        let mut conn = Conn::new(FakeStream::default(), Some(Duration::ZERO), Instant::now());
+        let mut conn = Conn::new(FakeStream::default(), Duration::ZERO, Instant::now());
         conn.stream.to_read.push_back(frame(&hello()));
         drive(&mut conn, &env);
         assert_eq!(conn.state, ConnState::Ready);
@@ -2470,7 +2331,7 @@ mod tests {
     fn deadline_budget_is_per_request_not_per_connection() {
         let (env, root) = test_env();
         let budget = Duration::from_millis(40);
-        let mut conn = Conn::new(FakeStream::default(), Some(budget), Instant::now());
+        let mut conn = Conn::new(FakeStream::default(), budget, Instant::now());
         conn.stream.to_read.push_back(frame(&hello()));
         drive(&mut conn, &env);
         for _ in 0..2 {
@@ -2532,7 +2393,7 @@ mod tests {
     #[test]
     fn peer_eof_flushes_queued_replies_then_closes() {
         let (env, _) = test_env();
-        let mut conn = Conn::new(FakeStream::default(), None, Instant::now());
+        let mut conn = unbounded_conn();
         conn.stream.to_read.push_back(frame(&hello()));
         conn.stream.to_read.push_back(Vec::new()); // EOF
         drive(&mut conn, &env);
@@ -2596,7 +2457,7 @@ mod tests {
         // dispatch is counted, and the conn (whose mid-flight state is
         // gone) is closed rather than left half-mutated.
         let mut completed = false;
-        run_isolated(&env.counters, || {
+        run_isolated(&env.obs.worker_panics, || {
             conn.state = ConnState::Streaming;
             panic!("handler exploded");
         });
@@ -2605,6 +2466,6 @@ mod tests {
         }
         completed = true;
         assert!(completed && conn.closed);
-        assert_eq!(env.counters.snapshot().worker_panics, 1);
+        assert_eq!(env.obs.worker_panics.value(), 1);
     }
 }

@@ -32,13 +32,14 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use tep_core::metrics::TransferCounters;
 use tep_core::slice::QuerySpec;
 use tep_crypto::digest::HashAlgorithm;
 use tep_model::encode::{decode_value, encode_value, DecodeError, Reader};
 use tep_model::{ObjectId, Value};
 use tep_storage::crc::frame_crc;
 use tep_storage::StoredRecord;
+
+use crate::TransferCounters;
 
 /// Magic bytes opening every HELLO body (protocol family + format version).
 pub(crate) const WIRE_MAGIC: [u8; 8] = *b"TEPNET\x00\x01";
@@ -757,28 +758,45 @@ impl<R: Read> FrameReader<R> {
     /// Reads the next message. `Ok(None)` means the peer closed the stream
     /// cleanly *between* frames; EOF inside a frame is [`WireError::Truncated`].
     pub fn read_message(&mut self) -> Result<Option<Message>, WireError> {
-        let mut header = [0u8; 8];
+        let mut header = [0u8; FRAME_HEADER_LEN];
         match read_exact_or_eof(&mut self.inner, &mut header)? {
             ReadOutcome::Eof => return Ok(None),
             ReadOutcome::Full => {}
         }
-        let len = u32::from_be_bytes(header[0..4].try_into().expect("4 bytes"));
-        let crc = u32::from_be_bytes(header[4..8].try_into().expect("4 bytes"));
-        if len as usize > MAX_FRAME {
-            return Err(WireError::Oversized { len });
-        }
+        let (len, crc) = frame_header(header)?;
         // The length is capped, so the buffer's capacity is bounded; resize
         // reuses it across frames instead of allocating anew.
         self.payload.clear();
-        self.payload.resize(len as usize, 0);
+        self.payload.resize(len, 0);
         self.inner.read_exact(&mut self.payload)?;
-        if frame_crc(len, &self.payload) != crc {
-            return Err(WireError::BadCrc);
-        }
+        check_frame_crc(crc, &self.payload)?;
         self.frames += 1;
-        self.counters.frame_received(8 + len as u64);
+        self.counters
+            .frame_received((FRAME_HEADER_LEN + len) as u64);
         decode_message(&self.payload).map(Some)
     }
+}
+
+/// Bytes in a frame header: the payload length, then its CRC.
+pub(crate) const FRAME_HEADER_LEN: usize = 8;
+
+/// Parses a frame header into (payload length, CRC), refusing a length
+/// over [`MAX_FRAME`] before anything is allocated for the payload. The
+/// blocking [`FrameReader`] and the server's nonblocking connections both
+/// parse frames with this and [`check_frame_crc`].
+pub(crate) fn frame_header(header: [u8; FRAME_HEADER_LEN]) -> Result<(usize, u32), WireError> {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    let len = u32::from_be_bytes([l0, l1, l2, l3]);
+    if len as usize > MAX_FRAME {
+        return Err(WireError::Oversized { len });
+    }
+    Ok((len as usize, u32::from_be_bytes([c0, c1, c2, c3])))
+}
+
+/// Checks a frame's payload against the CRC its header carries.
+pub(crate) fn check_frame_crc(crc: u32, payload: &[u8]) -> Result<(), WireError> {
+    let ok = frame_crc(payload.len() as u32, payload) == crc;
+    ok.then_some(()).ok_or(WireError::BadCrc)
 }
 
 enum ReadOutcome {

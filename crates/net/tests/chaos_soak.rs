@@ -33,8 +33,8 @@ use tep_crypto::pki::{CertificateAuthority, KeyDirectory, ParticipantId};
 use tep_model::{Forest, ObjectId, Value};
 use tep_net::wire::Message;
 use tep_net::{
-    serve, Catalog, Client, ClientConfig, ErrorCode, FaultKind, FaultListener, FaultPlan, NetError,
-    ProxyAction, RetryPolicy, ServerConfig, TamperProxy,
+    serve_with_registry, Catalog, Client, ClientConfig, ErrorCode, FaultKind, FaultListener,
+    FaultPlan, NetError, ProxyAction, RetryPolicy, ServerConfig, TamperProxy,
 };
 use tep_storage::vfs::{FaultConfig, FaultVfs};
 use tep_storage::ProvenanceDb;
@@ -90,10 +90,11 @@ fn world() -> &'static ChaosWorld {
 }
 
 fn start_server() -> tep_net::ServerHandle {
-    serve(
+    serve_with_registry(
         Arc::clone(&world().catalog),
         "127.0.0.1:0".parse().unwrap(),
         ServerConfig::default(),
+        tep_obs::Registry::new(),
     )
     .unwrap()
 }
@@ -302,10 +303,11 @@ fn crash_recovered_stores_never_yield_partial_verified_results() {
             ALG,
             vec![w.chain],
         ));
-        let srv = serve(
+        let srv = serve_with_registry(
             catalog,
             "127.0.0.1:0".parse().unwrap(),
             ServerConfig::default(),
+            tep_obs::Registry::new(),
         )
         .unwrap();
         // A one-shot wire cut on top of the crash-recovered store: the
@@ -506,15 +508,16 @@ fn thousand_connection_soak_settles_every_outcome() {
     const TAMPERED: usize = 8;
 
     let w = world();
-    let srv = serve(
+    let srv = serve_with_registry(
         Arc::clone(&w.catalog),
         "127.0.0.1:0".parse().unwrap(),
         ServerConfig {
             queue_depth: 2048,
             read_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(60),
-            connection_deadline: Duration::from_secs(60),
+            request_deadline: Duration::from_secs(60),
         },
+        tep_obs::Registry::new(),
     )
     .unwrap();
     let base = Arc::new(baseline(srv.addr()));

@@ -23,7 +23,7 @@ use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{CertificateAuthority, KeyDirectory, ParticipantId};
 use tep_model::{AggregateMode, ObjectId, TenantId, Value};
 use tep_net::{
-    serve, serve_tenants, Catalog, Client, ClientConfig, FaultKind, FaultListener, FaultPlan,
+    serve, serve_with_registry, Catalog, Client, ClientConfig, FaultKind, FaultListener, FaultPlan,
     Message, NetError, OfferEntry, ProxyAction, RetryPolicy, ServerConfig, ServerHandle,
     TamperProxy, TenantSpec,
 };
@@ -90,10 +90,11 @@ fn world() -> &'static World {
 }
 
 fn start_server(cfg: ServerConfig) -> ServerHandle {
-    serve(
+    serve_with_registry(
         Arc::clone(&world().catalog),
         "127.0.0.1:0".parse().unwrap(),
         cfg,
+        Registry::new(),
     )
     .unwrap()
 }
@@ -211,7 +212,13 @@ fn server_restart_between_requests_is_redialed_without_a_counted_retry() {
     let first = cl.fetch_verified(w.chain, &w.keys).unwrap();
     srv.shutdown();
 
-    let srv = serve(Arc::clone(&w.catalog), addr, ServerConfig::default()).unwrap();
+    let srv = serve_with_registry(
+        Arc::clone(&w.catalog),
+        addr,
+        ServerConfig::default(),
+        Registry::new(),
+    )
+    .unwrap();
     let second = cl.fetch_verified(w.chain, &w.keys).unwrap();
     assert_eq!(first.stream_digest, second.stream_digest);
 
@@ -229,8 +236,8 @@ fn server_restart_between_requests_is_redialed_without_a_counted_retry() {
 #[test]
 fn retryable_err_at_dispatch_on_a_reused_connection_is_redialed() {
     use std::net::TcpListener;
-    use tep_core::metrics::TransferCounters;
     use tep_net::wire::{FrameReader, FrameWriter};
+    use tep_net::TransferCounters;
     use tep_net::{ErrorCode, WIRE_VERSION};
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -297,8 +304,8 @@ fn retryable_err_at_dispatch_on_a_reused_connection_is_redialed() {
 fn a_connection_holding_unread_bytes_is_not_kept() {
     use std::io::Write;
     use std::net::TcpListener;
-    use tep_core::metrics::TransferCounters;
     use tep_net::wire::{FrameReader, FrameWriter};
+    use tep_net::TransferCounters;
     use tep_net::WIRE_VERSION;
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -510,7 +517,7 @@ fn request_after_a_deep_fetch_runs_under_the_base_timeout() {
 fn clients_of_different_tenants_never_share_a_connection() {
     let w = world();
     let (t1, t2) = (TenantId(1), TenantId(2));
-    let srv = serve_tenants(
+    let srv = serve(
         vec![
             TenantSpec::new(t1, Arc::clone(&w.catalog)),
             TenantSpec::new(t2, Arc::clone(&w.catalog)),

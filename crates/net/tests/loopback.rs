@@ -21,7 +21,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tep_core::attack::{all_single_record_tampers, apply_tamper, Tamper};
 use tep_core::hashing::HashingStrategy;
-use tep_core::metrics::TransferCounters;
 use tep_core::provenance::{collect, ProvenanceObject};
 use tep_core::verify::TamperEvidence;
 use tep_core::{ProvenanceRecord, ProvenanceTracker, TrackerConfig};
@@ -31,9 +30,10 @@ use tep_model::{AggregateMode, ObjectId, Value};
 use tep_net::proxy::Mutator;
 use tep_net::wire::{FrameReader, FrameWriter, Message};
 use tep_net::{
-    serve, Catalog, Client, ClientConfig, ErrorCode, NetError, ProxyAction, RetryPolicy,
-    ServerConfig, TamperProxy, WIRE_VERSION,
+    serve_with_registry, Catalog, Client, ClientConfig, ErrorCode, NetError, ProxyAction,
+    RetryPolicy, ServerConfig, TamperProxy, TransferCounters, WIRE_VERSION,
 };
+use tep_obs::{names, Registry};
 use tep_storage::ProvenanceDb;
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
@@ -135,10 +135,11 @@ fn world() -> &'static NetWorld {
 }
 
 fn start_server() -> tep_net::ServerHandle {
-    serve(
+    serve_with_registry(
         Arc::clone(&world().catalog),
         "127.0.0.1:0".parse().unwrap(),
         ServerConfig::default(),
+        Registry::new(),
     )
     .unwrap()
 }
@@ -202,8 +203,23 @@ fn honest_transfer_is_accepted_and_hash_matches_sender() {
     assert!(snap.bytes_received > snap.bytes_sent);
     assert_eq!(snap.verify_failures, 0);
     assert_eq!(snap.retries, 0);
-    let server_snap = srv.counters();
-    assert!(server_snap.frames_sent >= snap.frames_received);
+    let reg = srv.registry();
+    assert_eq!(
+        reg.counter_value(names::NET_FRAMES_SENT),
+        snap.frames_received
+    );
+    assert_eq!(
+        reg.counter_value(names::NET_FRAMES_RECEIVED),
+        snap.frames_sent
+    );
+    assert_eq!(
+        reg.counter_value(names::NET_BYTES_SENT),
+        snap.bytes_received
+    );
+    assert_eq!(
+        reg.counter_value(names::NET_BYTES_RECEIVED),
+        snap.bytes_sent
+    );
     srv.shutdown();
 }
 
@@ -461,10 +477,11 @@ fn busy_server_refuses_with_protocol_error() {
         queue_depth: 0,
         ..ServerConfig::default()
     };
-    let srv = serve(
+    let srv = serve_with_registry(
         Arc::clone(&world().catalog),
         "127.0.0.1:0".parse().unwrap(),
         cfg,
+        Registry::new(),
     )
     .unwrap();
     let mut cl = impatient_client(srv.addr(), 2);

@@ -14,9 +14,10 @@ use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{CertificateAuthority, KeyDirectory, ParticipantId};
 use tep_model::{AggregateMode, ObjectId, Value};
 use tep_net::{
-    serve, Catalog, Client, ClientConfig, ErrorCode, NetError, ProxyAction, ServerConfig,
-    TamperProxy,
+    serve_with_registry, Catalog, Client, ClientConfig, ErrorCode, NetError, ProxyAction,
+    ServerConfig, TamperProxy,
 };
+use tep_obs::Registry;
 use tep_storage::ProvenanceDb;
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
@@ -75,10 +76,11 @@ fn world() -> &'static QueryWorld {
 }
 
 fn start_server() -> tep_net::ServerHandle {
-    serve(
+    serve_with_registry(
         Arc::clone(&world().catalog),
         "127.0.0.1:0".parse().unwrap(),
         ServerConfig::default(),
+        Registry::new(),
     )
     .unwrap()
 }

@@ -35,8 +35,9 @@ use tep_crypto::pki::{CertificateAuthority, KeyDirectory, Participant, Participa
 use tep_model::{AggregateMode, ObjectId, Value};
 use tep_net::wire::Message;
 use tep_net::{
-    serve, AeStatus, Catalog, Client, ClientConfig, FaultKind, FaultListener, FaultPlan, NetError,
-    ProxyAction, Replica, ReplicaConfig, ServerConfig, ServerHandle, TamperProxy,
+    serve_with_registry, AeStatus, Catalog, Client, ClientConfig, FaultKind, FaultListener,
+    FaultPlan, NetError, ProxyAction, Replica, ReplicaConfig, ServerConfig, ServerHandle,
+    TamperProxy,
 };
 use tep_obs::Registry;
 use tep_storage::vfs::{FaultConfig, FaultVfs};
@@ -116,10 +117,11 @@ impl PrimaryWorld {
             ALG,
             self.offered.clone(),
         );
-        serve(
+        serve_with_registry(
             Arc::new(catalog),
             "127.0.0.1:0".parse().unwrap(),
             ServerConfig::default(),
+            Registry::new(),
         )
         .unwrap()
     }

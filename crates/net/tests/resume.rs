@@ -12,7 +12,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tep_core::hashing::HashingStrategy;
-use tep_core::metrics::TransferCounters;
 use tep_core::provenance::{collect, ProvenanceObject};
 use tep_core::streaming::RecordStreamDigest;
 use tep_core::verify::{StreamingVerifier, TamperEvidence};
@@ -21,11 +20,12 @@ use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{CertificateAuthority, KeyDirectory, ParticipantId};
 use tep_model::{Forest, ObjectId, Value};
 use tep_net::wire::{FrameReader, FrameWriter, Message};
+use tep_net::TransferCounters;
 use tep_net::{
-    serve, Catalog, Client, ClientConfig, ErrorCode, FaultKind, FaultListener, FaultPlan, NetError,
-    ProxyAction, RetryPolicy, ServerConfig, TamperProxy, WIRE_VERSION,
+    serve_with_registry, Catalog, Client, ClientConfig, ErrorCode, FaultKind, FaultListener,
+    FaultPlan, NetError, ProxyAction, RetryPolicy, ServerConfig, TamperProxy, WIRE_VERSION,
 };
-use tep_obs::names;
+use tep_obs::{names, Registry};
 use tep_storage::ProvenanceDb;
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
@@ -82,10 +82,11 @@ fn world() -> &'static ResumeWorld {
 }
 
 fn start_server() -> tep_net::ServerHandle {
-    serve(
+    serve_with_registry(
         Arc::clone(&world().catalog),
         "127.0.0.1:0".parse().unwrap(),
         ServerConfig::default(),
+        Registry::new(),
     )
     .unwrap()
 }
@@ -520,7 +521,13 @@ fn shed_watermark_refuses_with_busy_and_retry_after_hint() {
         queue_depth: 0,
         ..ServerConfig::default()
     };
-    let srv = serve(Arc::clone(&w.catalog), "127.0.0.1:0".parse().unwrap(), cfg).unwrap();
+    let srv = serve_with_registry(
+        Arc::clone(&w.catalog),
+        "127.0.0.1:0".parse().unwrap(),
+        cfg,
+        Registry::new(),
+    )
+    .unwrap();
     let mut cl = resume_client(srv.addr());
     match cl.fetch_verified(w.chain, &w.keys).unwrap_err() {
         NetError::Remote {
@@ -558,10 +565,16 @@ fn shed_watermark_refuses_with_busy_and_retry_after_hint() {
 fn connection_deadline_closes_with_retryable_error() {
     let w = world();
     let cfg = ServerConfig {
-        connection_deadline: Duration::ZERO,
+        request_deadline: Duration::ZERO,
         ..ServerConfig::default()
     };
-    let srv = serve(Arc::clone(&w.catalog), "127.0.0.1:0".parse().unwrap(), cfg).unwrap();
+    let srv = serve_with_registry(
+        Arc::clone(&w.catalog),
+        "127.0.0.1:0".parse().unwrap(),
+        cfg,
+        Registry::new(),
+    )
+    .unwrap();
     let mut cl = resume_client(srv.addr());
     let err = cl.fetch_verified(w.chain, &w.keys).unwrap_err();
     assert!(err.is_retryable(), "deadline closes invite a reconnect");

@@ -18,7 +18,7 @@ use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{CertificateAuthority, KeyDirectory, ParticipantId};
 use tep_model::{Forest, TenantId, Value};
 use tep_net::{
-    serve_tenants, Catalog, Client, ClientConfig, ErrorCode, NetError, RetryPolicy, ServerConfig,
+    serve, Catalog, Client, ClientConfig, ErrorCode, NetError, RetryPolicy, ServerConfig,
     TenantSpec,
 };
 use tep_obs::Registry;
@@ -118,7 +118,7 @@ fn the_server_counts_a_fixed_script_exactly() {
         Vec::new(),
     ));
 
-    let srv = serve_tenants(
+    let srv = serve(
         vec![
             TenantSpec::new(A, catalog_a).with_max_connections(1),
             TenantSpec::new(B, catalog_b),

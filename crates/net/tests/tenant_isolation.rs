@@ -27,7 +27,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tep_core::attack::Tamper;
 use tep_core::hashing::HashingStrategy;
-use tep_core::metrics::TransferCounters;
 use tep_core::provenance::{collect, ProvenanceObject};
 use tep_core::tenant::{federated_verify, TenantDirectory};
 use tep_core::verify::EvidenceKind;
@@ -36,9 +35,10 @@ use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::CertificateAuthority;
 use tep_model::{Forest, ObjectId, TenantId, Value};
 use tep_net::wire::{FrameReader, FrameWriter, Message, WIRE_VERSION};
+use tep_net::TransferCounters;
 use tep_net::{
-    serve_tenants, Catalog, Client, ClientConfig, ErrorCode, FaultKind, FaultListener, FaultPlan,
-    NetError, ProxyAction, RetryPolicy, ServerConfig, TamperProxy, TenantSpec,
+    serve, Catalog, Client, ClientConfig, ErrorCode, FaultKind, FaultListener, FaultPlan, NetError,
+    ProxyAction, RetryPolicy, ServerConfig, TamperProxy, TenantSpec,
 };
 use tep_obs::{names, Registry};
 use tep_storage::vfs::{FaultConfig, FaultVfs};
@@ -51,7 +51,8 @@ const ALG: HashAlgorithm = HashAlgorithm::Sha256;
 const A: TenantId = TenantId(1);
 /// The bystander tenant that must converge byte-identically throughout.
 const B: TenantId = TenantId(2);
-/// Provisioned but disabled: probes must see exactly `ERR unknown-tenant`.
+/// Disabled, i.e. left off the served tenant list: probes must see exactly
+/// `ERR unknown-tenant`, the same answer as a tenant that never existed.
 const DISABLED: TenantId = TenantId(3);
 /// Never provisioned.
 const UNKNOWN: TenantId = TenantId(99);
@@ -276,7 +277,7 @@ fn attacks_on_tenant_a_never_reach_tenant_b() {
         let reg_b = Registry::new();
 
         // ---- Serve both tenants from their own shards, A under a
-        // 1-connection quota, plus a provisioned-but-disabled tenant.
+        // 1-connection quota; DISABLED is not listed.
         let catalog_a = Arc::new(Catalog::new(
             w.forest_a.clone(),
             shards.shard(A).unwrap(),
@@ -289,11 +290,10 @@ fn attacks_on_tenant_a_never_reach_tenant_b() {
             ALG,
             vec![w.chain_b],
         ));
-        let srv = serve_tenants(
+        let srv = serve(
             vec![
                 TenantSpec::new(A, catalog_a).with_max_connections(1),
                 TenantSpec::new(B, Arc::clone(&catalog_b)),
-                TenantSpec::new(DISABLED, catalog_b).disabled(),
             ],
             "127.0.0.1:0".parse().unwrap(),
             ServerConfig::default(),
@@ -572,7 +572,7 @@ fn attacks_on_tenant_a_never_reach_tenant_b() {
         // ---- Serve round two over the damaged store: B still converges
         // byte-identical to its pre-attack baseline; A either completes in
         // full or fails attributed — never a silently short verified result.
-        let srv2 = serve_tenants(
+        let srv2 = serve(
             vec![
                 TenantSpec::new(
                     A,

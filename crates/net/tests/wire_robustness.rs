@@ -7,11 +7,11 @@ use std::io::Cursor;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tep_core::metrics::TransferCounters;
 use tep_crypto::digest::HashAlgorithm;
 use tep_net::wire::{
     decode_message, encode_message, FrameReader, FrameWriter, Message, WIRE_VERSION,
 };
+use tep_net::TransferCounters;
 use tep_net::{ErrorCode, WireError, MAX_FRAME};
 
 fn reader_on(bytes: Vec<u8>) -> FrameReader<Cursor<Vec<u8>>> {

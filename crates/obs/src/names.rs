@@ -44,15 +44,16 @@ pub const NET_QUERIES: &str = "tep_net_queries_total";
 /// a `Retry-After` hint (a subset of, or equal to, busy rejections).
 pub const NET_SHED: &str = "tep_net_shed_total";
 
-/// Connections closed because they exceeded the per-connection deadline
-/// (the client is told via `ERR deadline` and may reconnect + RESUME).
+/// Connections closed because a request exceeded the server's request
+/// deadline (the client is told via `ERR deadline` and may reconnect +
+/// RESUME).
 pub const NET_DEADLINE_CLOSES: &str = "tep_net_deadline_closes_total";
 
 /// HELLOs refused with the typed, non-retryable `ERR unknown-tenant`
-/// because the stated tenant is not in the server's [`TenantDirectory`]
-/// or has been disabled. Distinct from `busy`/shed: retrying cannot
-/// help, so clients must not burn retry budget on it. Also emitted
-/// per-tenant via [`with_tenant`] when the tenant id is at least known.
+/// because the stated tenant is not one the server serves. Distinct from
+/// `busy`/shed: retrying cannot help, so clients must not burn retry
+/// budget on it. Deliberately unlabeled: the tenant id in a refused HELLO
+/// is chosen by the peer.
 pub const NET_TENANT_REJECTIONS: &str = "tep_net_tenant_rejections_total";
 
 /// Connections shed at HELLO because the stated tenant was over its
@@ -66,6 +67,27 @@ pub const NET_TENANT_QUOTA_SHEDS: &str = "tep_net_tenant_quota_sheds_total";
 /// write failure during PROV/DATA/DONE) — distinguishable from shed and
 /// panic counts in `render_text`.
 pub const NET_WRITE_ABORTS: &str = "tep_net_write_aborts_total";
+
+/// Wire frames written, by every endpoint counting into the registry.
+pub const NET_FRAMES_SENT: &str = "tep_net_frames_sent_total";
+
+/// Wire frames read, by every endpoint counting into the registry.
+pub const NET_FRAMES_RECEIVED: &str = "tep_net_frames_received_total";
+
+/// Bytes written (frame headers + payloads).
+pub const NET_BYTES_SENT: &str = "tep_net_bytes_sent_total";
+
+/// Bytes read (frame headers + payloads).
+pub const NET_BYTES_RECEIVED: &str = "tep_net_bytes_received_total";
+
+/// Server dispatches that panicked and were isolated to their connection.
+pub const NET_WORKER_PANICS: &str = "tep_net_worker_panics_total";
+
+/// Transfers a client or replica rejected in streaming verification.
+pub const NET_VERIFY_FAILURES: &str = "tep_net_verify_failures_total";
+
+/// Connect/read attempts a client or replica retried after a failure.
+pub const NET_RETRIES: &str = "tep_net_retries_total";
 
 /// Requests a client completed on a connection it had kept from an
 /// earlier request (no dial, no HELLO, no OFFER paid).

@@ -347,11 +347,13 @@ impl AppendLog {
     }
 
     /// Rewrites `path` to contain exactly `payloads`, via a unique O_EXCL
-    /// temp sibling + fsync + rename + parent-directory fsync.
+    /// temp sibling + fsync + rename + parent-directory fsync. Payloads are
+    /// appended as the iterator yields them, so a caller can stream frames
+    /// it never holds all at once.
     pub(crate) fn rewrite_atomically(
         vfs: &Arc<dyn Vfs>,
         path: &Path,
-        payloads: &[Vec<u8>],
+        payloads: impl IntoIterator<Item = impl AsRef<[u8]>>,
     ) -> Result<(), LogError> {
         let mut tmp_log = None;
         let mut tmp_path = PathBuf::new();
@@ -375,7 +377,7 @@ impl AppendLog {
         };
         let result = (|| {
             for p in payloads {
-                tmp_log.append(p)?;
+                tmp_log.append(p.as_ref())?;
             }
             tmp_log.sync()?;
             drop(tmp_log);

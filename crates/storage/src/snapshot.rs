@@ -6,14 +6,15 @@
 //! followed by one frame per node in parent-before-child order, so loading
 //! is a single forward pass of `insert_with_id`.
 //!
-//! Snapshots are written to a per-process unique temporary file (created
-//! with O_EXCL so concurrent savers cannot clobber each other), fsynced,
-//! atomically renamed into place, and the parent directory is fsynced so
-//! the rename itself survives power loss. A crash mid-snapshot never
-//! clobbers the previous one; a torn tail (count mismatch) is detected at
-//! load time.
+//! Snapshots are written the way a log is rewritten
+//! ([`AppendLog`]'s atomic rewrite): to a per-process unique temporary
+//! file (created with O_EXCL so concurrent savers cannot clobber each
+//! other), fsynced, atomically renamed into place, and the parent
+//! directory is fsynced so the rename itself survives power loss. A crash
+//! mid-snapshot never clobbers the previous one; a torn tail (count
+//! mismatch) is detected at load time.
 
-use crate::log::{unique_tmp_path, AppendLog, LogError};
+use crate::log::{AppendLog, LogError};
 use crate::vfs::{real_vfs, Vfs};
 use std::path::Path;
 use std::sync::Arc;
@@ -25,10 +26,8 @@ const SNAP_MAGIC: &[u8] = b"TEPSNAP\x01";
 /// Errors from snapshot save/load.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// Underlying log/file failure.
+    /// Underlying log/file failure (temp file, append, fsync, rename).
     Log(LogError),
-    /// I/O failure outside the log layer (temp file, rename).
-    Io(std::io::Error),
     /// The file is not a snapshot (bad header frame).
     BadHeader,
     /// Node count in the header does not match recovered frames —
@@ -47,7 +46,6 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::Log(e) => write!(f, "snapshot log error: {e}"),
-            SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             SnapshotError::BadHeader => write!(f, "not a forest snapshot"),
             SnapshotError::Incomplete { expected, found } => {
                 write!(
@@ -65,12 +63,6 @@ impl std::error::Error for SnapshotError {}
 impl From<LogError> for SnapshotError {
     fn from(e: LogError) -> Self {
         SnapshotError::Log(e)
-    }
-}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e)
     }
 }
 
@@ -102,52 +94,17 @@ pub fn save_forest_with(
     forest: &Forest,
     path: impl AsRef<Path>,
 ) -> Result<(), SnapshotError> {
-    let path = path.as_ref();
-    // Unique O_EXCL temp sibling: concurrent savers each get their own
-    // file instead of clobbering a shared `.tmp`.
-    let mut created = None;
-    for _ in 0..16 {
-        let candidate = unique_tmp_path(path);
-        match AppendLog::create_with(Arc::clone(&vfs), &candidate) {
-            Ok(log) => {
-                created = Some((candidate, log));
-                break;
-            }
-            Err(LogError::Io(e)) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let Some((tmp, mut log)) = created else {
-        return Err(SnapshotError::Io(std::io::Error::new(
-            std::io::ErrorKind::AlreadyExists,
-            "could not allocate a unique snapshot temp file",
-        )));
-    };
-    let result = (|| {
-        let mut header = Vec::with_capacity(16);
-        header.extend_from_slice(SNAP_MAGIC);
-        header.extend_from_slice(&(forest.len() as u64).to_be_bytes());
-        log.append(&header)?;
-        // Pre-order per root: parents always precede children.
-        let roots: Vec<ObjectId> = forest.roots().collect();
-        for root in roots {
-            for id in forest.subtree_ids(root) {
-                log.append(&encode_node(forest, id))?;
-            }
-        }
-        log.sync()?;
-        drop(log);
-        vfs.rename(&tmp, path)?;
-        // Make the rename itself durable: without this, a crash right
-        // after `save` returns could resurrect the old snapshot — or, for
-        // a first save, lose the file entirely.
-        vfs.sync_parent_dir(path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = vfs.remove_file(&tmp);
-    }
-    result
+    let mut header = Vec::with_capacity(16);
+    header.extend_from_slice(SNAP_MAGIC);
+    header.extend_from_slice(&(forest.len() as u64).to_be_bytes());
+    // Pre-order per root: parents always precede children. Each node is
+    // encoded as it is appended, never the whole forest at once.
+    let nodes = forest
+        .roots()
+        .flat_map(|root| forest.subtree_ids(root))
+        .map(|id| encode_node(forest, id));
+    AppendLog::rewrite_atomically(&vfs, path.as_ref(), std::iter::once(header).chain(nodes))?;
+    Ok(())
 }
 
 /// Loads a forest saved by [`save_forest`].

@@ -507,10 +507,11 @@ fn receivers() -> [(&'static str, Receiver); 2] {
 #[test]
 fn wire_surface_detects_every_expressible_attack() {
     let w = world();
-    let srv = serve(
+    let srv = serve_with_registry(
         Arc::clone(&w.catalog),
         "127.0.0.1:0".parse().unwrap(),
         ServerConfig::default(),
+        Registry::new(),
     )
     .unwrap();
     let mut covered = 0;
@@ -678,10 +679,11 @@ fn honest_history_verifies_on_every_surface() {
     assert_evidence_counters(&reg, &[], "honest storage reopen");
 
     // Wire.
-    let srv = serve(
+    let srv = serve_with_registry(
         Arc::clone(&w.catalog),
         "127.0.0.1:0".parse().unwrap(),
         ServerConfig::default(),
+        Registry::new(),
     )
     .unwrap();
     let reg = Registry::new();
@@ -1110,7 +1112,12 @@ fn omission_wire_surface_detects_every_attack() {
 /// the OS releases the old listener.
 fn serve_at(catalog: Arc<Catalog>, addr: SocketAddr) -> ServerHandle {
     for _ in 0..50 {
-        match serve(Arc::clone(&catalog), addr, ServerConfig::default()) {
+        match serve_with_registry(
+            Arc::clone(&catalog),
+            addr,
+            ServerConfig::default(),
+            Registry::new(),
+        ) {
             Ok(h) => return h,
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
@@ -1132,10 +1139,11 @@ fn omission_replica_surface_detects_stale_root() {
         "the rollback must look like the same shard, just older"
     );
 
-    let srv = serve(
+    let srv = serve_with_registry(
         a.catalog(),
         "127.0.0.1:0".parse().unwrap(),
         ServerConfig::default(),
+        Registry::new(),
     )
     .unwrap();
     let addr = srv.addr();
@@ -1340,11 +1348,11 @@ fn cross_tenant_replay_storage_surface_attributes_never_accepts() {
 /// cryptographically genuine, only mis-scoped) is still caught.
 #[test]
 fn cross_tenant_replay_wire_surface_attributes_never_accepts() {
-    use tepdb::net::{serve_tenants, TenantSpec};
+    use tepdb::net::TenantSpec;
 
     let w = tenant_replay_world();
     let replayed = collect(&w.shards.shard(TEN_A).unwrap(), w.chain_a).unwrap();
-    let srv = serve_tenants(
+    let srv = serve(
         vec![
             TenantSpec::new(
                 TEN_A,

@@ -43,114 +43,30 @@
 //! the stream only if the prefix is byte-identical — otherwise
 //! `ERR resume-mismatch` (see `tep_core::streaming::RecordStreamDigest`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tep_core::denial::{DenialProof, RangeProof, SignedDenial, SignedRange, SignedRoot};
-use tep_core::merkle::{shard_tree_of, ShardTree};
-use tep_core::provenance::{collect, ProvenanceObject};
-use tep_core::streaming::RecordStreamDigest;
-use tep_crypto::digest::HashAlgorithm;
-use tep_crypto::pki::Participant;
-use tep_model::{Forest, ObjectId, TenantId};
+use tep_model::TenantId;
 use tep_obs::{names, Counter, Gauge, Histogram, Registry};
-use tep_query::{QueryEngine, QueryError};
-use tep_storage::ProvenanceDb;
 
 use crate::sys;
-use crate::wire::{
-    check_frame_crc, decode_message, frame_header, frame_message_into, DataEntry, ErrorCode,
-    Message, OfferEntry, WireError, DATA_CHUNK_BYTES, FRAME_HEADER_LEN, MAX_FRAME, WIRE_VERSION,
-};
+use crate::wire::ErrorCode;
 
-/// What a server serves: a snapshot of the data forest, the provenance
-/// store, and the set of objects offered to clients.
-pub struct Catalog {
-    forest: Forest,
-    db: Arc<ProvenanceDb>,
-    alg: HashAlgorithm,
-    offered: Vec<ObjectId>,
-    /// When set, misses are answered with signed non-membership proofs
-    /// (DENIAL frames) and RANGE_REQ is served with completeness proofs;
-    /// without it the server falls back to plain `ERR unknown-object`.
-    signer: Option<Arc<Participant>>,
-}
+mod conn;
+mod dispatch;
+mod tenant;
 
-impl Catalog {
-    /// Builds a catalog offering `offered` (deduplicated, sorted).
-    pub fn new(
-        forest: Forest,
-        db: Arc<ProvenanceDb>,
-        alg: HashAlgorithm,
-        mut offered: Vec<ObjectId>,
-    ) -> Self {
-        offered.sort();
-        offered.dedup();
-        Catalog {
-            forest,
-            db,
-            alg,
-            offered,
-            signer: None,
-        }
-    }
-
-    /// Equips the catalog with a signing identity: misses become signed
-    /// DENIAL proofs, range requests carry completeness proofs, and
-    /// anti-entropy summary replies attach the signed shard root.
-    pub fn with_signer(mut self, signer: Arc<Participant>) -> Self {
-        self.signer = Some(signer);
-        self
-    }
-
-    /// The OFFER manifest.
-    pub(crate) fn offer_entries(&self) -> Vec<OfferEntry> {
-        self.offered
-            .iter()
-            .map(|&oid| OfferEntry {
-                oid,
-                records: self.db.records_for(oid).len() as u64,
-                nodes: if self.forest.contains(oid) {
-                    self.forest.subtree_ids(oid).len() as u64
-                } else {
-                    0
-                },
-            })
-            .collect()
-    }
-
-    fn is_offered(&self, oid: ObjectId) -> bool {
-        self.offered.binary_search(&oid).is_ok()
-    }
-
-    /// The depth-tagged DFS preorder walk of `root`'s data subtree.
-    fn data_entries(&self, root: ObjectId) -> Vec<DataEntry> {
-        let mut out = Vec::new();
-        let mut work = vec![(0u16, root)];
-        while let Some((depth, id)) = work.pop() {
-            let Some(node) = self.forest.node(id) else {
-                continue;
-            };
-            out.push(DataEntry {
-                depth,
-                id,
-                value: node.value().clone(),
-            });
-            let kids: Vec<ObjectId> = node.children().collect();
-            for &c in kids.iter().rev() {
-                work.push((depth + 1, c));
-            }
-        }
-        out
-    }
-}
+use conn::{Conn, ConnState, WBUF_HIGH};
+use dispatch::{pump, service_readable};
+use tenant::{shed_retry_after_ms, TenantEnv};
+pub use tenant::{Catalog, TenantSpec};
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -188,39 +104,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// The `Retry-After` hint sent with a shed connection, scaled to the
-/// backlog the refused client would have waited behind (deterministic, so
-/// tests can pin it).
-fn shed_retry_after_ms(backlog: usize) -> u64 {
-    ((backlog as u64).saturating_add(1))
-        .saturating_mul(25)
-        .min(1_000)
-}
-
 /// The poll timeout: bounds how stale the loop's view of the shutdown
 /// flag, connection deadlines, and idle timers can get.
 const POLL_TICK: Duration = Duration::from_millis(10);
 
-/// Bytes read into a connection's buffer per `read` call.
-const READ_CHUNK: usize = 16 * 1024;
-
-/// `read` calls per connection per wakeup — bounds how much one chatty
-/// peer can ingest before the loop moves on (fairness).
-const READ_ROUND_LIMIT: usize = 4;
-
-/// A streaming job stops queueing frames once this much outbound data is
-/// pending; it resumes when `POLLOUT` drains the backlog. Bounds per-
-/// connection memory against a slow reader and bounds the work one
-/// connection does per wakeup (fairness).
-const WBUF_HIGH: usize = 256 * 1024;
-
 /// Accepted connections per wakeup — bounds accept work so a connect
 /// storm cannot starve established connections.
 const ACCEPT_BURST: usize = 128;
-
-/// Backlog offset at which a partially-drained write buffer is compacted
-/// (consumed prefix memmoved away) instead of growing forever.
-const WBUF_COMPACT: usize = 32 * 1024;
 
 /// On shutdown, connections get at most this long (and never more than
 /// `write_timeout`) to flush queued frames before being force-closed.
@@ -309,151 +199,6 @@ impl ServerObs {
     }
 }
 
-/// One tenant's serving surface plus its connection quota, handed to
-/// [`serve`]. Each tenant gets its own catalog (typically over its own
-/// shard of a [`tep_storage::TenantShards`] root) so a fault or
-/// quarantine in one tenant's log never touches another's. A tenant not
-/// in the list is refused at HELLO with `ERR unknown-tenant`.
-pub struct TenantSpec {
-    /// The tenant scope this catalog serves.
-    pub tenant: TenantId,
-    /// What this tenant's connections can fetch/query.
-    pub catalog: Arc<Catalog>,
-    /// Max concurrently admitted connections for this tenant. Beyond it,
-    /// HELLO answers retryable `ERR busy` with a `Retry-After` scaled to
-    /// *this tenant's* backlog — one tenant's connect storm cannot eat
-    /// another tenant's slots.
-    pub max_connections: usize,
-}
-
-impl TenantSpec {
-    /// A spec with no connection quota.
-    pub fn new(tenant: TenantId, catalog: Arc<Catalog>) -> Self {
-        TenantSpec {
-            tenant,
-            catalog,
-            max_connections: usize::MAX,
-        }
-    }
-
-    /// Caps concurrently admitted connections for this tenant.
-    pub fn with_max_connections(mut self, n: usize) -> Self {
-        self.max_connections = n;
-        self
-    }
-}
-
-/// Per-tenant serving state: the catalog, query engine, anti-entropy
-/// caches, connection quota, and tenant-labeled counters. Everything a
-/// dispatch touches after admission lives here, so request handling for
-/// tenant A can never read (or poison) tenant B's state.
-struct TenantEnv {
-    catalog: Arc<Catalog>,
-    max_connections: usize,
-    /// Connections currently admitted under this tenant's scope; the
-    /// quota check compares against this, the event loop decrements it
-    /// when an admitted connection closes.
-    active: AtomicUsize,
-    /// Serves QUERY frames over this tenant's record log; its secondary
-    /// indexes tail the log lazily on each request.
-    query: QueryEngine,
-    /// Anti-entropy shard tree over this tenant's record log, cached
-    /// behind a record-count watermark: rebuilt only when the log has
-    /// grown since the cached build (the log is append-only, so equal
-    /// length ⇒ identical tree).
-    ae_cache: Mutex<Option<(usize, Arc<ShardTree>)>>,
-    /// Signed shard root, cached behind the same record-count watermark
-    /// as `ae_cache` (signing is an RSA operation — far too expensive to
-    /// redo per miss). `None` until first use or when the catalog has no
-    /// signer.
-    root_cache: Mutex<Option<(usize, Arc<SignedRoot>)>>,
-    /// Tenant-labeled mirrors of the admission counters (the unlabeled
-    /// aggregates stay in [`ServerObs`]).
-    connections: Counter,
-    shed: Counter,
-    quota_sheds: Counter,
-}
-
-impl TenantEnv {
-    /// Every listed tenant's state, keyed by raw tenant id. A tenant
-    /// listed twice is refused before anything is registered: only one of
-    /// its specs could be served, yet both would leave counters behind.
-    fn all(specs: Vec<TenantSpec>, registry: &Registry) -> io::Result<BTreeMap<u64, TenantEnv>> {
-        let mut seen = BTreeSet::new();
-        if let Some(dup) = specs.iter().find(|s| !seen.insert(s.tenant)) {
-            let why = format!("tenant t{} is listed twice", dup.tenant.raw());
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
-        }
-        Ok(specs
-            .into_iter()
-            .map(|spec| TenantEnv::new(spec, registry))
-            .collect())
-    }
-
-    fn new(spec: TenantSpec, registry: &Registry) -> (u64, Self) {
-        let t = spec.tenant.raw();
-        let mut query = QueryEngine::new(Arc::clone(&spec.catalog.db), spec.catalog.alg);
-        query.attach_obs(registry);
-        let env = TenantEnv {
-            catalog: spec.catalog,
-            max_connections: spec.max_connections,
-            active: AtomicUsize::new(0),
-            query,
-            ae_cache: Mutex::new(None),
-            root_cache: Mutex::new(None),
-            connections: registry.counter(&names::with_tenant(names::NET_CONNECTIONS, t)),
-            shed: registry.counter(&names::with_tenant(names::NET_SHED, t)),
-            quota_sheds: registry.counter(&names::with_tenant(names::NET_TENANT_QUOTA_SHEDS, t)),
-        };
-        (t, env)
-    }
-
-    /// The current shard tree, rebuilding on record-log growth.
-    fn shard_tree(&self) -> Arc<ShardTree> {
-        let mut cache = self.ae_cache.lock().unwrap_or_else(PoisonError::into_inner);
-        let len = self.catalog.db.len();
-        match cache.as_ref() {
-            Some((watermark, tree)) if *watermark == len => Arc::clone(tree),
-            _ => {
-                let tree = Arc::new(shard_tree_of(self.catalog.alg, &self.catalog.db));
-                *cache = Some((len, Arc::clone(&tree)));
-                tree
-            }
-        }
-    }
-
-    /// The signed shard root over `tree`, re-signed only on record-log
-    /// growth. `None` when the catalog has no signing identity (or the
-    /// signer's key refuses, which 512-bit test keys never do).
-    ///
-    /// `log_records` is the *cumulative* log high-water mark — frames
-    /// excised by compaction still count — so a replica holding an older
-    /// root can detect a server rolled back to a pre-compaction state.
-    fn signed_root(&self, tree: &ShardTree) -> Option<Arc<SignedRoot>> {
-        let signer = self.catalog.signer.as_ref()?;
-        let mut cache = self
-            .root_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let len = self.catalog.db.len();
-        if let Some((watermark, root)) = cache.as_ref() {
-            if *watermark == len {
-                return Some(Arc::clone(root));
-            }
-        }
-        let excised = self
-            .catalog
-            .db
-            .recovery()
-            .compaction
-            .map(|s| s.excised_frames)
-            .unwrap_or(0);
-        let root = Arc::new(SignedRoot::sign(tree, excised + len as u64, signer).ok()?);
-        *cache = Some((len, Arc::clone(&root)));
-        Some(root)
-    }
-}
-
 /// Everything a connection's dispatch path needs, bundled so the event
 /// loop can hand out `&Env` alongside a `&mut Conn` (disjoint fields).
 /// Per-tenant state hangs off `tenants`; a connection resolves its
@@ -471,848 +216,6 @@ impl Env {
             obs: ServerObs::new(&registry),
             registry,
         })
-    }
-}
-
-/// Connection state-machine phases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ConnState {
-    /// Accepted; waiting for the client's HELLO.
-    Handshake,
-    /// Handshake done; waiting for FETCH/RESUME/STATS.
-    Ready,
-    /// A transfer job is emitting PROV/DATA/DONE frames.
-    Streaming,
-    /// A terminal reply is queued; close once it flushes.
-    Draining,
-}
-
-/// An in-flight transfer: the collected provenance, the data subtree, and
-/// cursors marking how much of each has been queued. DONE totals always
-/// cover the *whole* object (a RESUME skips sending the verified prefix
-/// but the totals the client checks are unchanged).
-struct StreamJob {
-    prov: ProvenanceObject,
-    data: Vec<DataEntry>,
-    next_record: usize,
-    data_pos: usize,
-    done_queued: bool,
-}
-
-impl StreamJob {
-    /// The job's next frame — PROV × N, DATA × M, then DONE — or `None`
-    /// once DONE is queued.
-    fn next_frame(&mut self) -> Option<Message> {
-        if self.next_record < self.prov.records.len() {
-            let record = self.prov.records[self.next_record].to_stored();
-            self.next_record += 1;
-            Some(Message::Prov { record })
-        } else if self.data_pos < self.data.len() {
-            Some(Message::Data {
-                entries: next_data_chunk(self),
-            })
-        } else if !self.done_queued {
-            self.done_queued = true;
-            Some(Message::Done {
-                records: self.prov.records.len() as u64,
-                nodes: self.data.len() as u64,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-/// What a round of reads produced.
-enum FillOutcome {
-    /// Bytes arrived (or the socket simply had nothing more).
-    Open,
-    /// The peer closed its write side cleanly.
-    Eof,
-    /// The socket errored.
-    Error,
-}
-
-/// One connection owned by the event loop: nonblocking stream, state
-/// machine phase, and read/write buffers. Generic over the stream so the
-/// state machine is unit-testable against scripted fakes; the event loop
-/// itself uses `Conn<TcpStream>`.
-struct Conn<S> {
-    stream: S,
-    state: ConnState,
-    /// Refused at accept time (`ERR busy` queued); excluded from the
-    /// backlog count that scales other clients' `Retry-After` hints.
-    refused: bool,
-    closed: bool,
-    /// An abortable reply (PROV/DATA/DONE/ResumeOk/retryable ERR) has
-    /// bytes not yet handed to the kernel; losing the connection now is a
-    /// *write abort*, not a clean close.
-    abort_owed: bool,
-    rbuf: Vec<u8>,
-    rpos: usize,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// The tenant scope this connection was admitted under (set by a
-    /// successful HELLO); every subsequent request resolves state through
-    /// it. `None` until the handshake completes.
-    tenant: Option<u64>,
-    job: Option<StreamJob>,
-    /// Wall-clock budget of one request: [`ServerConfig::request_deadline`].
-    budget: Duration,
-    /// When the request in progress runs out of `budget`: armed at accept
-    /// (for the handshake) and re-armed each time a request is dispatched.
-    /// `None` for budgets so large the Instant would overflow — which
-    /// means "effectively unbounded" anyway.
-    deadline: Option<Instant>,
-    read_activity: Instant,
-    write_activity: Instant,
-}
-
-impl<S: Read + Write> Conn<S> {
-    fn new(stream: S, budget: Duration, now: Instant) -> Self {
-        let mut conn = Conn {
-            stream,
-            state: ConnState::Handshake,
-            refused: false,
-            closed: false,
-            abort_owed: false,
-            rbuf: Vec::new(),
-            rpos: 0,
-            wbuf: Vec::new(),
-            wpos: 0,
-            tenant: None,
-            job: None,
-            budget,
-            deadline: None,
-            read_activity: now,
-            write_activity: now,
-        };
-        conn.arm_deadline(now);
-        conn
-    }
-
-    fn pending_write(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
-
-    /// Starts the deadline clock: of the handshake at accept, then of each
-    /// request as it is dispatched.
-    fn arm_deadline(&mut self, now: Instant) {
-        self.deadline = now.checked_add(self.budget);
-    }
-
-    /// Frames are only parsed before and between requests — never while a
-    /// reply is streaming or draining (pipelined requests wait in `rbuf`).
-    fn wants_read(&self) -> bool {
-        !self.closed && matches!(self.state, ConnState::Handshake | ConnState::Ready)
-    }
-
-    fn wanted_events(&self) -> i16 {
-        let mut ev = 0;
-        if self.wants_read() {
-            ev |= sys::POLLIN;
-        }
-        if self.pending_write() > 0 {
-            ev |= sys::POLLOUT;
-        }
-        ev
-    }
-
-    fn close_now(&mut self) {
-        self.closed = true;
-    }
-
-    /// Closes a connection that still owed abortable reply bytes: the
-    /// peer vanished (or stalled past its budget) mid-transfer.
-    fn close_aborting(&mut self, obs: &ServerObs) {
-        if self.abort_owed {
-            self.abort_owed = false;
-            obs.write_aborts.inc();
-        }
-        self.closed = true;
-    }
-
-    /// Terminal reply queued: close as soon as the backlog flushes.
-    fn drain_then_close(&mut self) {
-        self.job = None;
-        if self.pending_write() == 0 {
-            self.closed = true;
-        } else {
-            self.state = ConnState::Draining;
-        }
-    }
-
-    fn compact_wbuf(&mut self) {
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        } else if self.wpos >= WBUF_COMPACT {
-            self.wbuf.drain(..self.wpos);
-            self.wpos = 0;
-        }
-    }
-
-    /// Encodes `msg` onto the end of the write buffer. Nothing reaches the
-    /// socket until [`Self::flush`], the one writer.
-    fn queue_frame(&mut self, msg: &Message, abortable: bool, env: &Env) {
-        if self.closed {
-            return;
-        }
-        let start = self.wbuf.len();
-        frame_message_into(msg, &mut self.wbuf);
-        env.obs.frames_sent.inc();
-        env.obs.bytes_sent.add((self.wbuf.len() - start) as u64);
-        if abortable {
-            self.abort_owed = true;
-        }
-    }
-
-    /// Refuses the request in progress with `ERR code`. The reply is owed
-    /// like any other (abortable) and the connection stays usable.
-    fn refuse(&mut self, code: ErrorCode, detail: impl Into<String>, env: &Env) {
-        self.refuse_with(code, 0, detail, true, env);
-    }
-
-    /// Queues `ERR code`, with a `Retry-After` hint when `retry_after_ms`
-    /// is non-zero. Whether the connection then closes is the caller's call.
-    fn refuse_with(
-        &mut self,
-        code: ErrorCode,
-        retry_after_ms: u64,
-        detail: impl Into<String>,
-        abortable: bool,
-        env: &Env,
-    ) {
-        let refusal = Message::Error {
-            code,
-            retry_after_ms,
-            detail: detail.into(),
-        };
-        self.queue_frame(&refusal, abortable, env);
-    }
-
-    /// Drains the write backlog as far as the socket allows — the one place
-    /// a connection writes to its socket.
-    fn flush(&mut self, obs: &ServerObs, now: Instant) {
-        while !self.closed && self.pending_write() > 0 {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => break,
-                Ok(n) => {
-                    self.wpos += n;
-                    self.write_activity = now;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_aborting(obs);
-                    return;
-                }
-            }
-        }
-        if self.pending_write() == 0 {
-            self.wbuf.clear();
-            self.wpos = 0;
-            self.abort_owed = false;
-            if self.state == ConnState::Draining {
-                self.closed = true;
-            }
-        } else {
-            self.compact_wbuf();
-        }
-    }
-
-    /// Reads a bounded amount into `rbuf` (nonblocking).
-    fn fill(&mut self, now: Instant) -> FillOutcome {
-        let mut tmp = [0u8; READ_CHUNK];
-        let mut rounds = 0;
-        while rounds < READ_ROUND_LIMIT {
-            match self.stream.read(&mut tmp) {
-                Ok(0) => return FillOutcome::Eof,
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&tmp[..n]);
-                    self.read_activity = now;
-                    rounds += 1;
-                    if n < tmp.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return FillOutcome::Error,
-            }
-        }
-        FillOutcome::Open
-    }
-
-    fn compact_rbuf(&mut self) {
-        if self.rpos == self.rbuf.len() {
-            self.rbuf.clear();
-            self.rpos = 0;
-        } else if self.rpos > 0 {
-            self.rbuf.drain(..self.rpos);
-            self.rpos = 0;
-        }
-    }
-
-    /// Tries to parse one complete frame out of `rbuf`. `Ok(None)` means
-    /// "need more bytes"; errors (oversized, bad CRC, malformed body)
-    /// close the connection — same as the blocking reader treating the
-    /// stream as poisoned.
-    fn try_parse(&mut self, obs: &ServerObs) -> Result<Option<Message>, WireError> {
-        let avail = &self.rbuf[self.rpos..];
-        let Some(&header) = avail.first_chunk::<FRAME_HEADER_LEN>() else {
-            self.compact_rbuf();
-            return Ok(None);
-        };
-        let (len, crc) = frame_header(header)?;
-        let frame_len = FRAME_HEADER_LEN + len;
-        let Some(payload) = avail.get(FRAME_HEADER_LEN..frame_len) else {
-            self.compact_rbuf();
-            return Ok(None);
-        };
-        check_frame_crc(crc, payload)?;
-        let msg = decode_message(payload)?;
-        self.rpos += frame_len;
-        obs.frames_received.inc();
-        obs.bytes_received.add(frame_len as u64);
-        if self.rpos == self.rbuf.len() {
-            self.rbuf.clear();
-            self.rpos = 0;
-        }
-        Ok(Some(msg))
-    }
-}
-
-fn past_deadline(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-/// Tells the peer its request ran out of wall-clock budget. The error
-/// is retryable client-side (reconnect + RESUME picks up where the stream
-/// stopped), so the hint is small and flat.
-fn refuse_deadline<S: Read + Write>(conn: &mut Conn<S>, env: &Env) {
-    env.obs.deadline_closes.inc();
-    conn.refuse_with(
-        ErrorCode::Deadline,
-        10,
-        "request deadline exceeded; reconnect and RESUME",
-        true,
-        env,
-    );
-    conn.drain_then_close();
-}
-
-/// Routes one parsed frame through the connection's state machine.
-fn dispatch<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env, now: Instant) {
-    match conn.state {
-        ConnState::Handshake => on_hello(conn, msg, env),
-        ConnState::Ready => {
-            // An admitted connection always has a tenant; losing the
-            // mapping mid-session (cannot happen under the current API,
-            // which takes the tenant set at serve time) is unrecoverable.
-            let Some(ten) = conn.tenant.and_then(|t| env.tenants.get(&t)) else {
-                conn.close_now();
-                return;
-            };
-            on_request(conn, msg, env, ten, now)
-        }
-        // Frames are never parsed in these states (`wants_read` is false).
-        ConnState::Streaming | ConnState::Draining => {}
-    }
-}
-
-/// HELLO admission: wire version → tenant provisioning → algorithm →
-/// tenant connection quota, in that order.
-///
-/// A tenant the server does not serve gets a typed, non-retryable
-/// `ERR unknown-tenant` — distinct from `busy`, so a misconfigured client
-/// fails fast instead of burning its retry budget against a scope that
-/// will never admit it. A known tenant over its connection quota gets
-/// retryable `ERR busy` with a `Retry-After` hint scaled to *that
-/// tenant's* backlog, leaving other tenants' admission untouched.
-fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env) {
-    let Message::Hello {
-        version,
-        alg,
-        tenant,
-    } = msg
-    else {
-        conn.refuse_with(ErrorCode::BadRequest, 0, "expected HELLO", false, env);
-        conn.drain_then_close();
-        return;
-    };
-    if version != WIRE_VERSION {
-        conn.refuse_with(
-            ErrorCode::VersionMismatch,
-            0,
-            format!("server speaks v{WIRE_VERSION}, client sent v{version}"),
-            false,
-            env,
-        );
-        conn.drain_then_close();
-        return;
-    }
-    let Some(ten) = env.tenants.get(&tenant) else {
-        env.obs.tenant_rejections.inc();
-        conn.refuse_with(
-            ErrorCode::UnknownTenant,
-            0,
-            format!("tenant t{tenant} is not provisioned here"),
-            false,
-            env,
-        );
-        conn.drain_then_close();
-        return;
-    };
-    if alg != ten.catalog.alg {
-        conn.refuse_with(
-            ErrorCode::VersionMismatch,
-            0,
-            format!(
-                "tenant t{tenant} serves {:?}, client sent {alg:?}",
-                ten.catalog.alg
-            ),
-            false,
-            env,
-        );
-        conn.drain_then_close();
-        return;
-    }
-    let active = ten.active.load(Ordering::SeqCst);
-    if active >= ten.max_connections {
-        env.obs.shed.inc();
-        env.obs.tenant_quota_sheds.inc();
-        ten.shed.inc();
-        ten.quota_sheds.inc();
-        conn.refuse_with(
-            ErrorCode::Busy,
-            shed_retry_after_ms(active),
-            format!("tenant t{tenant} connection quota reached"),
-            false,
-            env,
-        );
-        conn.drain_then_close();
-        return;
-    }
-    ten.active.fetch_add(1, Ordering::SeqCst);
-    ten.connections.inc();
-    conn.tenant = Some(tenant);
-    conn.queue_frame(
-        &Message::Hello {
-            version: WIRE_VERSION,
-            alg: ten.catalog.alg,
-            tenant,
-        },
-        false,
-        env,
-    );
-    conn.queue_frame(
-        &Message::Offer {
-            entries: ten.catalog.offer_entries(),
-        },
-        false,
-        env,
-    );
-    conn.state = ConnState::Ready;
-}
-
-/// One request frame in the `Ready` state. The deadline is a per-request
-/// budget: it is re-armed here, so a kept connection serves any number of
-/// requests that each finish inside it. The check right after the re-arm
-/// only fires for a zero budget — *after* the handshake, before dispatch,
-/// so even that connection completes HELLO/OFFER and gets a protocol-level
-/// `ERR deadline` instead of a hang.
-fn on_request<S: Read + Write>(
-    conn: &mut Conn<S>,
-    msg: Message,
-    env: &Env,
-    ten: &TenantEnv,
-    now: Instant,
-) {
-    conn.arm_deadline(now);
-    if past_deadline(conn.deadline) {
-        refuse_deadline(conn, env);
-        return;
-    }
-    match msg {
-        Message::Fetch { oid } => {
-            env.obs.fetches.inc();
-            if let Some(prov) = lookup(conn, oid, env, ten) {
-                start_stream(conn, oid, prov, 0, env, ten, now);
-            }
-        }
-        Message::Resume {
-            oid,
-            records,
-            digest,
-        } => {
-            env.obs.resumes.inc();
-            let Some(prov) = lookup(conn, oid, env, ten) else {
-                return;
-            };
-            let total = prov.records.len() as u64;
-            if records > total {
-                conn.refuse(
-                    ErrorCode::ResumeMismatch,
-                    format!("resume offset {records} beyond end of stream ({total})"),
-                    env,
-                );
-                return;
-            }
-            let mut ours = RecordStreamDigest::new(ten.catalog.alg, oid);
-            for record in &prov.records[..records as usize] {
-                ours.push(&record.to_stored().to_bytes());
-            }
-            if ours.current() != digest.as_slice() {
-                conn.refuse(
-                    ErrorCode::ResumeMismatch,
-                    format!("record-stream digest disagrees at offset {records}"),
-                    env,
-                );
-                return;
-            }
-            conn.queue_frame(
-                &Message::ResumeOk {
-                    records,
-                    digest: ours.current().to_vec(),
-                },
-                true,
-                env,
-            );
-            start_stream(conn, oid, prov, records as usize, env, ten, now);
-        }
-        Message::StatsRequest => {
-            env.obs.stats_requests.inc();
-            conn.queue_frame(
-                &Message::Stats {
-                    text: env.registry.render_text(),
-                },
-                false,
-                env,
-            );
-        }
-        Message::Query { spec } => {
-            env.obs.queries.inc();
-            match ten.query.execute(&spec) {
-                Ok(proof) => {
-                    let bytes = proof.to_bytes();
-                    // The whole proof must travel as one frame (payload =
-                    // type byte + proof) so the client verifies an atomic
-                    // unit; an answer past the cap is refused, not split.
-                    if bytes.len() + 1 > MAX_FRAME {
-                        conn.refuse(
-                            ErrorCode::BadRequest,
-                            "slice proof exceeds frame cap; tighten the query bounds",
-                            env,
-                        );
-                    } else {
-                        conn.queue_frame(&Message::QResult { proof: bytes }, true, env);
-                    }
-                }
-                Err(e) => {
-                    let code = match e {
-                        QueryError::UnknownObject(oid) => {
-                            if deny(conn, oid, env, ten) {
-                                return;
-                            }
-                            ErrorCode::UnknownObject
-                        }
-                        QueryError::MissingParticipant | QueryError::SliceTooLarge { .. } => {
-                            ErrorCode::BadRequest
-                        }
-                    };
-                    conn.refuse(code, e.to_string(), env);
-                }
-            }
-        }
-        Message::AeReq { level, index } => {
-            env.obs.ae_requests.inc();
-            let tree = ten.shard_tree();
-            let reply = if level == crate::wire::AE_SUMMARY_LEVEL {
-                let s = tree.summary();
-                // Summary replies from a signing server carry the signed
-                // root so replicas can pin a monotonic high-water mark;
-                // node replies stay lean (the summary already vouched).
-                let signed_root = ten.signed_root(&tree).map(|r| r.to_bytes());
-                Some(Message::AeResp {
-                    leaf_count: s.leaf_count,
-                    depth: s.depth,
-                    hash: s.root,
-                    children: Vec::new(),
-                    oid: None,
-                    signed_root,
-                })
-            } else {
-                tree.node_info(level, index).map(|info| Message::AeResp {
-                    leaf_count: tree.leaf_count(),
-                    depth: tree.depth(),
-                    hash: info.hash,
-                    children: info.children,
-                    oid: info.oid,
-                    signed_root: None,
-                })
-            };
-            match reply {
-                Some(resp) => conn.queue_frame(&resp, true, env),
-                None => conn.refuse(
-                    ErrorCode::BadRequest,
-                    format!("no anti-entropy node at level {level} index {index}"),
-                    env,
-                ),
-            }
-        }
-        Message::RangeReq { lo, hi } => {
-            if lo > hi {
-                conn.refuse(
-                    ErrorCode::BadRequest,
-                    format!("range lower bound {lo} exceeds upper bound {hi}"),
-                    env,
-                );
-                return;
-            }
-            if ten.catalog.signer.is_none() {
-                conn.refuse(
-                    ErrorCode::BadRequest,
-                    "server has no signing identity; completeness proofs unavailable",
-                    env,
-                );
-                return;
-            }
-            let tree = ten.shard_tree();
-            let Some(root) = ten.signed_root(&tree) else {
-                conn.refuse(ErrorCode::BadRequest, "signing the shard root failed", env);
-                return;
-            };
-            let range = SignedRange {
-                root: (*root).clone(),
-                proof: RangeProof::prove(&tree, lo, hi),
-            };
-            let oids: Vec<ObjectId> = range.proof.members.iter().map(|m| m.oid).collect();
-            let bytes = range.to_bytes();
-            if bytes.len() + oids.len() * 8 + 16 > MAX_FRAME {
-                conn.refuse(
-                    ErrorCode::BadRequest,
-                    "range proof exceeds frame cap; tighten the bounds",
-                    env,
-                );
-                return;
-            }
-            env.obs.range_requests.inc();
-            conn.queue_frame(&Message::RangeResp { oids, proof: bytes }, true, env);
-        }
-        _ => {
-            conn.refuse_with(
-                ErrorCode::BadRequest,
-                0,
-                "expected FETCH, RESUME, QUERY, RANGE, AE, or STATS",
-                false,
-                env,
-            );
-            conn.drain_then_close();
-        }
-    }
-}
-
-/// Tries to answer a miss on `oid` with a signed non-membership proof.
-///
-/// Returns `false` (caller falls back to `ERR unknown-object`) when the
-/// catalog has no signing identity — or when `oid` actually has records
-/// in the shard tree, since a present ID admits no honest gap proof: an
-/// offered-list miss on a present object stays a plain error rather than
-/// a forged denial.
-fn deny<S: Read + Write>(conn: &mut Conn<S>, oid: ObjectId, env: &Env, ten: &TenantEnv) -> bool {
-    if ten.catalog.signer.is_none() {
-        return false;
-    }
-    let tree = ten.shard_tree();
-    let Some(proof) = DenialProof::prove(&tree, oid) else {
-        return false;
-    };
-    let Some(root) = ten.signed_root(&tree) else {
-        return false;
-    };
-    let denial = SignedDenial {
-        root: (*root).clone(),
-        proof,
-    };
-    env.obs.denials.inc();
-    conn.queue_frame(
-        &Message::Denial {
-            proof: denial.to_bytes(),
-        },
-        true,
-        env,
-    );
-    true
-}
-
-/// Looks up `oid`'s provenance, answering misses with a signed DENIAL
-/// proof when the catalog can produce one, else `ERR unknown-object`
-/// (the connection stays usable either way).
-fn lookup<S: Read + Write>(
-    conn: &mut Conn<S>,
-    oid: ObjectId,
-    env: &Env,
-    ten: &TenantEnv,
-) -> Option<ProvenanceObject> {
-    if !ten.catalog.is_offered(oid) || !ten.catalog.forest.contains(oid) {
-        if !deny(conn, oid, env, ten) {
-            conn.refuse(
-                ErrorCode::UnknownObject,
-                format!("object {oid} is not offered"),
-                env,
-            );
-        }
-        return None;
-    }
-    match collect(&ten.catalog.db, oid) {
-        Ok(p) => Some(p),
-        Err(_) => {
-            if !deny(conn, oid, env, ten) {
-                conn.refuse(
-                    ErrorCode::UnknownObject,
-                    format!("object {oid} has no provenance"),
-                    env,
-                );
-            }
-            None
-        }
-    }
-}
-
-/// Begins streaming `prov` (records from `skip` onward — records are
-/// already sorted by `(output_oid, seq_id)`, the topological order the
-/// client's streaming verifier requires) followed by the full data
-/// subtree and DONE with whole-object totals.
-fn start_stream<S: Read + Write>(
-    conn: &mut Conn<S>,
-    oid: ObjectId,
-    prov: ProvenanceObject,
-    skip: usize,
-    env: &Env,
-    ten: &TenantEnv,
-    now: Instant,
-) {
-    conn.job = Some(StreamJob {
-        data: ten.catalog.data_entries(oid),
-        prov,
-        next_record: skip,
-        data_pos: 0,
-        done_queued: false,
-    });
-    conn.state = ConnState::Streaming;
-    pump(conn, env, now);
-}
-
-/// The next `DATA` chunk: entries greedily packed by actual encoded size
-/// so no frame exceeds the chunk target by more than one entry (the
-/// grouping is deterministic, so resumed transfers stay byte-identical).
-fn next_data_chunk(job: &mut StreamJob) -> Vec<DataEntry> {
-    let mut chunk = Vec::new();
-    let mut chunk_bytes = 0usize;
-    while job.data_pos < job.data.len() {
-        let entry = &job.data[job.data_pos];
-        let entry_bytes = 10 + tep_model::encode::value_bytes(&entry.value).len();
-        if !chunk.is_empty() && chunk_bytes + entry_bytes > DATA_CHUNK_BYTES {
-            break;
-        }
-        chunk_bytes += entry_bytes;
-        chunk.push(entry.clone());
-        job.data_pos += 1;
-    }
-    chunk
-}
-
-/// Advances a streaming job: queues PROV/DATA/DONE frames until the job
-/// finishes or the write buffer reaches its high watermark (fairness —
-/// `POLLOUT` resumes it later), then flushes. Each further
-/// `DATA_CHUNK_BYTES` queued is flushed on the way, so a long stream
-/// trickles out instead of waiting for the watermark. The request's
-/// deadline is checked between frames; exceeding it sends `ERR deadline`
-/// and closes, which a resuming client treats as a retryable cut.
-fn pump<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
-    let mut flush_at = conn.pending_write() + DATA_CHUNK_BYTES;
-    while !conn.closed && conn.state == ConnState::Streaming && conn.pending_write() < WBUF_HIGH {
-        if conn.pending_write() >= flush_at {
-            conn.flush(&env.obs, now);
-            flush_at = conn.pending_write() + DATA_CHUNK_BYTES;
-            continue;
-        }
-        let Some(done_queued) = conn.job.as_ref().map(|j| j.done_queued) else {
-            conn.state = ConnState::Ready;
-            break;
-        };
-        if !done_queued && past_deadline(conn.deadline) {
-            refuse_deadline(conn, env);
-            break;
-        }
-        let job = conn.job.as_mut().expect("streaming connection owns a job");
-        match job.next_frame() {
-            Some(msg) => conn.queue_frame(&msg, true, env),
-            None => {
-                conn.job = None;
-                conn.state = ConnState::Ready;
-                // The idle clock measures silence *between* requests: it
-                // starts when the reply ends, not when the request arrived.
-                conn.read_activity = now;
-            }
-        }
-    }
-    conn.flush(&env.obs, now);
-}
-
-/// Fills the read buffer and parses/dispatches every complete frame
-/// buffered so far. Returns after the connection stops wanting reads
-/// (streaming, draining, closed) or the buffer runs dry; pipelined
-/// requests left in `rbuf` are picked up when the state returns to
-/// `Ready`.
-fn service_readable<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
-    let outcome = conn.fill(now);
-    if matches!(outcome, FillOutcome::Error) {
-        conn.close_aborting(&env.obs);
-        return;
-    }
-    drain_parsed_frames(conn, env, now);
-    if matches!(outcome, FillOutcome::Eof)
-        && !conn.closed
-        && matches!(conn.state, ConnState::Handshake | ConnState::Ready)
-    {
-        // Clean close from the peer: flush whatever is queued, then close.
-        conn.drain_then_close();
-    }
-    conn.flush(&env.obs, now);
-}
-
-/// Parses and dispatches buffered frames while the connection is in a
-/// frame-accepting state.
-fn drain_parsed_frames<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Instant) {
-    while conn.wants_read() {
-        match conn.try_parse(&env.obs) {
-            Ok(Some(msg)) => {
-                let started = Instant::now();
-                let in_ready = conn.state == ConnState::Ready;
-                let mut completed = false;
-                run_isolated(&env.obs.worker_panics, || {
-                    dispatch(conn, msg, env, now);
-                    completed = true;
-                });
-                if !completed {
-                    // The dispatch panicked mid-flight; its state is gone
-                    // (unwound), so the connection cannot continue.
-                    conn.close_now();
-                }
-                if in_ready {
-                    env.obs.turnaround.observe_duration(started.elapsed());
-                }
-            }
-            Ok(None) => return,
-            Err(_) => {
-                // Oversized/corrupt/malformed frame: the stream is
-                // poisoned — drop it (no protocol answer is trustworthy).
-                conn.close_now();
-                return;
-            }
-        }
     }
 }
 
@@ -1600,9 +503,18 @@ pub fn serve_with_registry(
 
 #[cfg(test)]
 mod tests {
+    use super::conn::*;
+    use super::dispatch::*;
+    use super::tenant::*;
     use super::*;
+    use crate::wire::{frame_message_into, DataEntry, Message, DATA_CHUNK_BYTES, WIRE_VERSION};
     use std::collections::VecDeque;
     use std::thread;
+    use tep_core::provenance::{collect, ProvenanceObject};
+    use tep_core::streaming::RecordStreamDigest;
+    use tep_crypto::digest::HashAlgorithm;
+    use tep_model::{Forest, ObjectId};
+    use tep_storage::ProvenanceDb;
 
     #[test]
     fn run_isolated_catches_and_counts_panics() {

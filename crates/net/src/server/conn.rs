@@ -192,9 +192,22 @@ impl<S: Read + Write> Conn<S> {
         self.refuse_with(code, 0, detail, true, env);
     }
 
+    /// A terminal refusal: queues `ERR code` (with a `Retry-After` hint
+    /// when `retry_after_ms` is non-zero) and closes once it flushes.
+    pub(super) fn refuse_and_close(
+        &mut self,
+        code: ErrorCode,
+        retry_after_ms: u64,
+        detail: impl Into<String>,
+        env: &Env,
+    ) {
+        self.refuse_with(code, retry_after_ms, detail, false, env);
+        self.drain_then_close();
+    }
+
     /// Queues `ERR code`, with a `Retry-After` hint when `retry_after_ms`
     /// is non-zero. Whether the connection then closes is the caller's call.
-    pub(super) fn refuse_with(
+    fn refuse_with(
         &mut self,
         code: ErrorCode,
         retry_after_ms: u64,

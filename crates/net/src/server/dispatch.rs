@@ -87,45 +87,38 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env) {
         tenant,
     } = msg
     else {
-        conn.refuse_with(ErrorCode::BadRequest, 0, "expected HELLO", false, env);
-        conn.drain_then_close();
+        conn.refuse_and_close(ErrorCode::BadRequest, 0, "expected HELLO", env);
         return;
     };
     if version != WIRE_VERSION {
-        conn.refuse_with(
+        conn.refuse_and_close(
             ErrorCode::VersionMismatch,
             0,
             format!("server speaks v{WIRE_VERSION}, client sent v{version}"),
-            false,
             env,
         );
-        conn.drain_then_close();
         return;
     }
     let Some(ten) = env.tenants.get(&tenant) else {
         env.obs.tenant_rejections.inc();
-        conn.refuse_with(
+        conn.refuse_and_close(
             ErrorCode::UnknownTenant,
             0,
             format!("tenant t{tenant} is not provisioned here"),
-            false,
             env,
         );
-        conn.drain_then_close();
         return;
     };
     if alg != ten.catalog.alg {
-        conn.refuse_with(
+        conn.refuse_and_close(
             ErrorCode::VersionMismatch,
             0,
             format!(
                 "tenant t{tenant} serves {:?}, client sent {alg:?}",
                 ten.catalog.alg
             ),
-            false,
             env,
         );
-        conn.drain_then_close();
         return;
     }
     let active = ten.active.load(Ordering::SeqCst);
@@ -134,14 +127,12 @@ fn on_hello<S: Read + Write>(conn: &mut Conn<S>, msg: Message, env: &Env) {
         env.obs.tenant_quota_sheds.inc();
         ten.shed.inc();
         ten.quota_sheds.inc();
-        conn.refuse_with(
+        conn.refuse_and_close(
             ErrorCode::Busy,
             shed_retry_after_ms(active),
             format!("tenant t{tenant} connection quota reached"),
-            false,
             env,
         );
-        conn.drain_then_close();
         return;
     }
     ten.active.fetch_add(1, Ordering::SeqCst);
@@ -351,14 +342,12 @@ fn on_request<S: Read + Write>(
             conn.queue_frame(&Message::RangeResp { oids, proof: bytes }, true, env);
         }
         _ => {
-            conn.refuse_with(
+            conn.refuse_and_close(
                 ErrorCode::BadRequest,
                 0,
                 "expected FETCH, RESUME, QUERY, RANGE, AE, or STATS",
-                false,
                 env,
             );
-            conn.drain_then_close();
         }
     }
 }
@@ -541,12 +530,7 @@ fn drain_parsed_frames<S: Read + Write>(conn: &mut Conn<S>, env: &Env, now: Inst
             Ok(Some(msg)) => {
                 let started = Instant::now();
                 let in_ready = conn.state == ConnState::Ready;
-                let mut completed = false;
-                run_isolated(&env.obs.worker_panics, || {
-                    dispatch(conn, msg, env, now);
-                    completed = true;
-                });
-                if !completed {
+                if !run_isolated(&env.obs.worker_panics, || dispatch(conn, msg, env, now)) {
                     // The dispatch panicked mid-flight; its state is gone
                     // (unwound), so the connection cannot continue.
                     conn.close_now();

@@ -120,11 +120,13 @@ const SHUTDOWN_GRACE_CAP: Duration = Duration::from_millis(500);
 /// is counted in `panics` and the event loop lives on to serve every
 /// other connection. Per-connection state is owned by the closure and the
 /// connection is closed afterwards, so no broken invariants escape (hence
-/// `AssertUnwindSafe`).
-fn run_isolated(panics: &Counter, f: impl FnOnce()) {
-    if panic::catch_unwind(AssertUnwindSafe(f)).is_err() {
+/// `AssertUnwindSafe`). Returns whether `f` ran to completion.
+fn run_isolated(panics: &Counter, f: impl FnOnce()) -> bool {
+    let completed = panic::catch_unwind(AssertUnwindSafe(f)).is_ok();
+    if !completed {
         panics.inc();
     }
+    completed
 }
 
 /// The server's metrics, all in its registry: counters, the event loop's
@@ -332,14 +334,12 @@ impl EventLoop {
                         self.env.obs.busy_rejections.inc();
                         self.env.obs.shed.inc();
                         conn.refused = true;
-                        conn.refuse_with(
+                        conn.refuse_and_close(
                             ErrorCode::Busy,
                             shed_retry_after_ms(active),
                             "accept queue full",
-                            false,
                             &self.env,
                         );
-                        conn.drain_then_close();
                         conn.flush(&self.env.obs, now);
                     }
                     if !conn.closed {
@@ -425,22 +425,18 @@ impl ServerHandle {
     }
 
     /// Stops accepting, drains in-flight connections (bounded grace), and
-    /// joins the event-loop thread.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+    /// joins the event-loop thread — what dropping the handle does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop();
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -519,13 +515,15 @@ mod tests {
     #[test]
     fn run_isolated_catches_and_counts_panics() {
         let panics = Counter::new();
-        run_isolated(&panics, || {});
+        assert!(run_isolated(&panics, || {}));
         assert_eq!(panics.value(), 0);
-        run_isolated(&panics, || panic!("connection handler exploded"));
-        run_isolated(&panics, || panic!("again"));
+        assert!(!run_isolated(&panics, || panic!(
+            "connection handler exploded"
+        )));
+        assert!(!run_isolated(&panics, || panic!("again")));
         assert_eq!(panics.value(), 2);
         // The thread is still alive to run more work.
-        run_isolated(&panics, || {});
+        assert!(run_isolated(&panics, || {}));
         assert_eq!(panics.value(), 2);
     }
 
@@ -1368,16 +1366,14 @@ mod tests {
         // Mirror drain_parsed_frames' isolation contract: a panicking
         // dispatch is counted, and the conn (whose mid-flight state is
         // gone) is closed rather than left half-mutated.
-        let mut completed = false;
-        run_isolated(&env.obs.worker_panics, || {
+        let completed = run_isolated(&env.obs.worker_panics, || {
             conn.state = ConnState::Streaming;
             panic!("handler exploded");
         });
         if !completed {
             conn.close_now();
         }
-        completed = true;
-        assert!(completed && conn.closed);
+        assert!(!completed && conn.closed);
         assert_eq!(env.obs.worker_panics.value(), 1);
     }
 }

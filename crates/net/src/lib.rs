@@ -51,7 +51,8 @@
 //! The server counts into one metric registry (`tep_net_*`, readable via
 //! [`ServerHandle::registry`] or a STATS frame). A client or replica keeps
 //! its own [`TransferCounters`] — frames, bytes, verify failures, retries
-//! — readable per endpoint and mirrored into a registry it attaches.
+//! — mirrored into a registry it attaches; a client's stay readable per
+//! endpoint through [`Client::counters`].
 
 #![warn(unreachable_pub)]
 #![warn(missing_docs)]

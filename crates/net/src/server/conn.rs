@@ -76,7 +76,7 @@ pub(super) struct Conn<S> {
     /// it. `None` until the handshake completes.
     pub(super) tenant: Option<u64>,
     pub(super) job: Option<StreamJob>,
-    /// Wall-clock budget of one request: [`ServerConfig::request_deadline`].
+    /// Wall-clock budget of one request: [`super::ServerConfig::request_deadline`].
     budget: Duration,
     /// When the request in progress runs out of `budget`: armed at accept
     /// (for the handshake) and re-armed each time a request is dispatched.

@@ -394,29 +394,19 @@ fn lookup<S: Read + Write>(
     env: &Env,
     ten: &TenantEnv,
 ) -> Option<ProvenanceObject> {
-    if !ten.catalog.is_offered(oid) || !ten.catalog.forest.contains(oid) {
-        if !deny(conn, oid, env, ten) {
-            conn.refuse(
-                ErrorCode::UnknownObject,
-                format!("object {oid} is not offered"),
-                env,
-            );
+    let miss = if !ten.catalog.is_offered(oid) || !ten.catalog.forest.contains(oid) {
+        "is not offered"
+    } else {
+        match collect(&ten.catalog.db, oid) {
+            Ok(p) => return Some(p),
+            Err(_) => "has no provenance",
         }
-        return None;
+    };
+    if !deny(conn, oid, env, ten) {
+        let detail = format!("object {oid} {miss}");
+        conn.refuse(ErrorCode::UnknownObject, detail, env);
     }
-    match collect(&ten.catalog.db, oid) {
-        Ok(p) => Some(p),
-        Err(_) => {
-            if !deny(conn, oid, env, ten) {
-                conn.refuse(
-                    ErrorCode::UnknownObject,
-                    format!("object {oid} has no provenance"),
-                    env,
-                );
-            }
-            None
-        }
-    }
+    None
 }
 
 /// Begins streaming `prov` (records from `skip` onward — records are

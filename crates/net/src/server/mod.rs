@@ -42,6 +42,10 @@
 //! `k` records it would have sent and answers `RESUME_OK` + the tail of
 //! the stream only if the prefix is byte-identical — otherwise
 //! `ERR resume-mismatch` (see `tep_core::streaming::RecordStreamDigest`).
+//!
+//! This module is the loop: [`serve`], [`ServerHandle`], accept and
+//! timers. `conn` is one connection's buffers and refusals, `dispatch`
+//! what each frame does, and `tenant` what each tenant serves.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};

@@ -110,7 +110,7 @@ pub(super) fn shed_retry_after_ms(backlog: usize) -> u64 {
 }
 
 /// One tenant's serving surface plus its connection quota, handed to
-/// [`serve`]. Each tenant gets its own catalog (typically over its own
+/// [`super::serve`]. Each tenant gets its own catalog (typically over its own
 /// shard of a [`tep_storage::TenantShards`] root) so a fault or
 /// quarantine in one tenant's log never touches another's. A tenant not
 /// in the list is refused at HELLO with `ERR unknown-tenant`.
@@ -168,7 +168,7 @@ pub(super) struct TenantEnv {
     /// signer.
     root_cache: Mutex<Option<(usize, Arc<SignedRoot>)>>,
     /// Tenant-labeled mirrors of the admission counters (the unlabeled
-    /// aggregates stay in [`ServerObs`]).
+    /// aggregates stay in [`super::ServerObs`]).
     pub(super) connections: Counter,
     pub(super) shed: Counter,
     pub(super) quota_sheds: Counter,

@@ -7,9 +7,11 @@
 //! (56,886,125 nodes).
 //!
 //! The canonical compound hash (`h(prefix(A) ‖ h(c₁) ‖ … ‖ h(c_k) ‖ k)`)
-//! folds children incrementally, so these hashers produce **bit-identical**
-//! results to [`crate::hashing::subtree_hash`] over an equivalent in-memory
-//! forest while holding only one root-to-leaf path of digest states.
+//! folds children incrementally, so [`DepthStreamHasher`] produces
+//! **bit-identical** results to [`crate::hashing::subtree_hash`] over an
+//! equivalent in-memory forest while holding only one root-to-leaf path of
+//! digest states. A table streamed row by row is one such preorder: the
+//! table at depth 0, each row at 1 followed by its cells at 2.
 
 use tep_crypto::digest::{HashAlgorithm, Hasher};
 use tep_crypto::pki::ParticipantId;
@@ -61,7 +63,7 @@ impl std::error::Error for StreamError {}
 
 /// Incrementally computes `h(subtree(A))` for one node whose children are
 /// supplied as already-computed hashes, in `ObjectId` order — the fold
-/// every public hasher here is built from.
+/// [`DepthStreamHasher`] and [`leaf_hash`] are built from.
 struct StreamingNodeHasher {
     hasher: Hasher,
     child_count: u64,
@@ -93,11 +95,6 @@ impl StreamingNodeHasher {
         Ok(())
     }
 
-    /// Number of children folded so far.
-    fn child_count(&self) -> u64 {
-        self.child_count
-    }
-
     /// Finishes: returns `h(subtree)` for this node.
     fn finish(mut self) -> Vec<u8> {
         self.hasher.update(&self.child_count.to_be_bytes());
@@ -108,115 +105,6 @@ impl StreamingNodeHasher {
 /// Hash of a leaf node (no children).
 pub fn leaf_hash(alg: HashAlgorithm, id: ObjectId, value: &Value) -> Vec<u8> {
     StreamingNodeHasher::new(alg, id, value).finish()
-}
-
-/// Streams a whole table (table → rows → cells) one row at a time.
-///
-/// This is exactly the paper's large-database procedure: per row, hash each
-/// cell, fold cell hashes into the row hash, fold the row hash into the
-/// table hash — O(1) digest state, O(row) memory.
-///
-/// ```
-/// use tep_core::streaming::StreamingTableHasher;
-/// use tep_crypto::HashAlgorithm;
-/// use tep_model::{ObjectId, Value};
-///
-/// let mut t = StreamingTableHasher::new(HashAlgorithm::Sha1, ObjectId(1), &Value::text("Title"));
-/// for i in 0..1000u64 {
-///     let base = 2 + i * 3;
-///     t.add_row(
-///         ObjectId(base),
-///         &Value::Null,
-///         &[
-///             (ObjectId(base + 1), Value::Int(i as i64)),
-///             (ObjectId(base + 2), Value::text(format!("doc {i}"))),
-///         ],
-///     ).unwrap();
-/// }
-/// let (hash, nodes) = t.finish();
-/// assert_eq!(nodes, 1 + 1000 * 3);
-/// assert_eq!(hash.len(), 20); // SHA-1
-/// ```
-pub struct StreamingTableHasher {
-    alg: HashAlgorithm,
-    table: StreamingNodeHasher,
-    /// Total nodes hashed (table itself counted at finish).
-    nodes: u64,
-}
-
-impl StreamingTableHasher {
-    /// Starts a table node `(id, value)`.
-    pub fn new(alg: HashAlgorithm, table_id: ObjectId, table_value: &Value) -> Self {
-        StreamingTableHasher {
-            alg,
-            table: StreamingNodeHasher::new(alg, table_id, table_value),
-            nodes: 0,
-        }
-    }
-
-    /// Hashes one row (with its cells) and folds it into the table hash.
-    ///
-    /// Cells must be in increasing id order, and the row id must exceed all
-    /// previously added row ids.
-    pub fn add_row(
-        &mut self,
-        row_id: ObjectId,
-        row_value: &Value,
-        cells: &[(ObjectId, Value)],
-    ) -> Result<(), StreamError> {
-        let mut row = StreamingNodeHasher::new(self.alg, row_id, row_value);
-        for (cell_id, cell_value) in cells {
-            let ch = leaf_hash(self.alg, *cell_id, cell_value);
-            row.add_child(*cell_id, &ch)?;
-            self.nodes += 1;
-        }
-        let row_hash = row.finish();
-        self.nodes += 1;
-        self.table.add_child(row_id, &row_hash)
-    }
-
-    /// Rows folded so far.
-    pub fn row_count(&self) -> u64 {
-        self.table.child_count()
-    }
-
-    /// Finishes: `(table hash, total nodes hashed including the table)`.
-    pub fn finish(self) -> (Vec<u8>, u64) {
-        (self.table.finish(), self.nodes + 1)
-    }
-}
-
-/// Streams a whole database: fold table hashes into the root, then roots
-/// into the forest hash.
-pub struct StreamingDatabaseHasher {
-    root: StreamingNodeHasher,
-    nodes: u64,
-}
-
-impl StreamingDatabaseHasher {
-    /// Starts the database root node.
-    pub fn new(alg: HashAlgorithm, root_id: ObjectId, root_value: &Value) -> Self {
-        StreamingDatabaseHasher {
-            root: StreamingNodeHasher::new(alg, root_id, root_value),
-            nodes: 0,
-        }
-    }
-
-    /// Folds in one finished table.
-    pub fn add_table(
-        &mut self,
-        table_id: ObjectId,
-        table_hash: &[u8],
-        table_nodes: u64,
-    ) -> Result<(), StreamError> {
-        self.nodes += table_nodes;
-        self.root.add_child(table_id, table_hash)
-    }
-
-    /// Finishes: `(database hash, total nodes including the root)`.
-    pub fn finish(self) -> (Vec<u8>, u64) {
-        (self.root.finish(), self.nodes + 1)
-    }
 }
 
 /// Recomputes a canonical subtree hash from a **depth-tagged DFS preorder**
@@ -232,7 +120,27 @@ impl StreamingDatabaseHasher {
 /// unexpected.
 ///
 /// The result is bit-identical to [`crate::hashing::subtree_hash`] over the
-/// equivalent in-memory forest.
+/// equivalent in-memory forest. Streaming a table one row at a time — the
+/// paper's large-database procedure — is the preorder table, row, cells,
+/// row, cells, …: O(1) digest state, O(row) memory.
+///
+/// ```
+/// use tep_core::streaming::DepthStreamHasher;
+/// use tep_crypto::HashAlgorithm;
+/// use tep_model::{ObjectId, Value};
+///
+/// let mut t = DepthStreamHasher::new(HashAlgorithm::Sha1);
+/// t.push(0, ObjectId(1), &Value::text("Title")).unwrap();
+/// for i in 0..1000u64 {
+///     let base = 2 + i * 3;
+///     t.push(1, ObjectId(base), &Value::Null).unwrap();
+///     t.push(2, ObjectId(base + 1), &Value::Int(i as i64)).unwrap();
+///     t.push(2, ObjectId(base + 2), &Value::text(format!("doc {i}"))).unwrap();
+/// }
+/// let (hash, nodes) = t.finish().unwrap();
+/// assert_eq!(nodes, 1 + 1000 * 3);
+/// assert_eq!(hash.len(), 20); // SHA-1
+/// ```
 pub struct DepthStreamHasher {
     alg: HashAlgorithm,
     /// Open nodes along the current path, outermost (depth 0) first.
@@ -637,25 +545,16 @@ mod tests {
         .unwrap();
         let expected = subtree_hash(ALG, &f, th.id);
 
-        // Stream the identical structure.
-        let mut stream = StreamingTableHasher::new(ALG, th.id, &Value::text("title"));
+        // Stream the identical structure one row at a time.
+        let mut stream = DepthStreamHasher::new(ALG);
+        stream.push(0, th.id, &Value::text("title")).unwrap();
         for (r, row) in th.rows.iter().enumerate() {
-            let cells: Vec<(ObjectId, Value)> = row
-                .cells
-                .iter()
-                .enumerate()
-                .map(|(a, &cid)| {
-                    let v = if a == 0 {
-                        Value::Int(r as i64)
-                    } else {
-                        Value::text(format!("doc title {r}"))
-                    };
-                    (cid, v)
-                })
-                .collect();
-            stream.add_row(row.id, &Value::Null, &cells).unwrap();
+            stream.push(1, row.id, &Value::Null).unwrap();
+            stream.push(2, row.cells[0], &Value::Int(r as i64)).unwrap();
+            let title = Value::text(format!("doc title {r}"));
+            stream.push(2, row.cells[1], &title).unwrap();
         }
-        let (hash, nodes) = stream.finish();
+        let (hash, nodes) = stream.finish().unwrap();
         assert_eq!(hash, expected);
         assert_eq!(nodes, 1 + 20 + 40); // table + rows + cells
     }
@@ -674,25 +573,19 @@ mod tests {
         .unwrap();
         let expected = subtree_hash(ALG, &f, root);
 
-        let mut db = StreamingDatabaseHasher::new(ALG, root, &Value::text("db"));
-        for (th, name, rows, attrs, mult) in
-            [(&t1, "t1", 5usize, 3usize, 10i64), (&t2, "t2", 4, 2, 100)]
-        {
-            let mut st = StreamingTableHasher::new(ALG, th.id, &Value::text(name));
+        let mut db = DepthStreamHasher::new(ALG);
+        db.push(0, root, &Value::text("db")).unwrap();
+        for (th, name, mult) in [(&t1, "t1", 10i64), (&t2, "t2", 100)] {
+            db.push(1, th.id, &Value::text(name)).unwrap();
             for (r, row) in th.rows.iter().enumerate() {
-                let cells: Vec<(ObjectId, Value)> = row
-                    .cells
-                    .iter()
-                    .enumerate()
-                    .map(|(a, &cid)| (cid, Value::Int(r as i64 * mult + a as i64)))
-                    .collect();
-                st.add_row(row.id, &Value::Null, &cells).unwrap();
+                db.push(2, row.id, &Value::Null).unwrap();
+                for (a, &cid) in row.cells.iter().enumerate() {
+                    let v = Value::Int(r as i64 * mult + a as i64);
+                    db.push(3, cid, &v).unwrap();
+                }
             }
-            let (h, n) = st.finish();
-            db.add_table(th.id, &h, n).unwrap();
-            let _ = (rows, attrs);
         }
-        let (hash, nodes) = db.finish();
+        let (hash, nodes) = db.finish().unwrap();
         assert_eq!(hash, expected);
         assert_eq!(nodes as usize, f.len());
     }
@@ -819,8 +712,9 @@ mod tests {
     fn empty_table_hash_is_defined() {
         let mut f = Forest::new();
         let t = f.insert(Value::text("empty"), None).unwrap();
-        let stream = StreamingTableHasher::new(ALG, t, &Value::text("empty"));
-        let (hash, nodes) = stream.finish();
+        let mut stream = DepthStreamHasher::new(ALG);
+        stream.push(0, t, &Value::text("empty")).unwrap();
+        let (hash, nodes) = stream.finish().unwrap();
         assert_eq!(hash, subtree_hash(ALG, &f, t));
         assert_eq!(nodes, 1);
     }

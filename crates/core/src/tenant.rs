@@ -4,10 +4,9 @@
 //! the simulated PKI, its own append-log shard
 //! ([`tep_storage::TenantShards`]), its own key directory, and its own
 //! evidence counters. The [`TenantDirectory`] is the control plane — it
-//! mints tenant signers from the [`CertificateAuthority`], tracks which
-//! tenants are enabled for admission, and scopes every verification to
-//! the right key set so one tenant's records (or forged denials) can
-//! never be accepted in another tenant's scope.
+//! mints tenant signers from the [`CertificateAuthority`] and scopes
+//! every verification to the right key set so one tenant's records (or
+//! forged denials) can never be accepted in another tenant's scope.
 //!
 //! [`federated_verify`] runs the full R1–R8 + denial verification
 //! independently per tenant over a sharded store and aggregates the
@@ -35,15 +34,13 @@ use tep_storage::TenantShards;
 /// from the id for attribution.
 pub(crate) const TENANT_SIGNER_BASE: u64 = 0x7E4A_0000_0000_0000;
 
-/// One tenant's identity material and admission state.
+/// One tenant's identity material.
 struct TenantEntry {
     signer: Arc<Participant>,
     keys: KeyDirectory,
-    enabled: bool,
 }
 
-/// The tenant control plane: per-tenant signers, key directories, and
-/// enable/disable state.
+/// The tenant control plane: per-tenant signers and key directories.
 ///
 /// ```
 /// use rand::{rngs::StdRng, SeedableRng};
@@ -56,8 +53,8 @@ struct TenantEntry {
 /// let ca = CertificateAuthority::new(512, HashAlgorithm::Sha256, &mut rng);
 /// let mut dir = TenantDirectory::new(&ca);
 /// dir.mint(&ca, TenantId(1), 512, &mut rng);
-/// assert!(dir.is_enabled(TenantId(1)));
-/// assert!(!dir.is_enabled(TenantId(2))); // unknown ⇒ not admitted
+/// assert!(dir.contains(TenantId(1)));
+/// assert!(dir.signer(TenantId(2)).is_none()); // never minted
 /// ```
 pub struct TenantDirectory {
     alg: HashAlgorithm,
@@ -89,7 +86,7 @@ impl TenantDirectory {
 
     /// Mints `tenant`'s signing identity from the PKI: generates a
     /// fresh key pair, has `ca` certify it under
-    /// `TenantDirectory::signer_id`, and starts the tenant enabled.
+    /// `TenantDirectory::signer_id`.
     /// Re-minting an existing tenant rotates its key.
     pub fn mint(
         &mut self,
@@ -107,7 +104,6 @@ impl TenantDirectory {
             TenantEntry {
                 signer: Arc::clone(&signer),
                 keys,
-                enabled: true,
             },
         );
         signer
@@ -137,22 +133,7 @@ impl TenantDirectory {
         self.tenants.get(&tenant).map(|e| &e.keys)
     }
 
-    /// Enables or disables `tenant` for admission. Disabling never
-    /// deletes identity material — evidence already attributed to the
-    /// tenant stays verifiable.
-    pub fn set_enabled(&mut self, tenant: TenantId, enabled: bool) {
-        if let Some(e) = self.tenants.get_mut(&tenant) {
-            e.enabled = enabled;
-        }
-    }
-
-    /// `true` iff `tenant` is minted **and** enabled — the admission
-    /// predicate tep-net's HELLO handler asks.
-    pub fn is_enabled(&self, tenant: TenantId) -> bool {
-        self.tenants.get(&tenant).is_some_and(|e| e.enabled)
-    }
-
-    /// `true` iff `tenant` has been minted (enabled or not).
+    /// `true` iff `tenant` has been minted.
     pub fn contains(&self, tenant: TenantId) -> bool {
         self.tenants.contains_key(&tenant)
     }
@@ -353,18 +334,6 @@ mod tests {
         assert_ne!(a, b);
         assert!(a.0 >= TENANT_SIGNER_BASE);
         assert_ne!(a, ParticipantId(1));
-    }
-
-    #[test]
-    fn disabled_tenant_is_not_admitted_but_keeps_identity() {
-        let (_ca, mut dir, _rng) = two_tenant_world();
-        assert!(dir.is_enabled(TenantId(1)));
-        dir.set_enabled(TenantId(1), false);
-        assert!(!dir.is_enabled(TenantId(1)));
-        assert!(dir.contains(TenantId(1)));
-        assert!(dir.signer(TenantId(1)).is_some());
-        dir.set_enabled(TenantId(1), true);
-        assert!(dir.is_enabled(TenantId(1)));
     }
 
     #[test]

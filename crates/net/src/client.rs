@@ -101,6 +101,9 @@ impl Default for RetryPolicy {
     }
 }
 
+/// Seed for the backoff jitter (deterministic for reproducible tests).
+const JITTER_SEED: u64 = 0x7E94_E75D;
+
 /// Client configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
@@ -110,8 +113,6 @@ pub struct ClientConfig {
     pub retry: RetryPolicy,
     /// Socket read timeout.
     pub read_timeout: Duration,
-    /// Seed for the backoff jitter (deterministic for reproducible tests).
-    pub jitter_seed: u64,
     /// Resume interrupted transfers with RESUME instead of refetching from
     /// record zero (on by default; disable to measure the difference).
     pub resume: bool,
@@ -129,7 +130,6 @@ impl ClientConfig {
             alg,
             retry: RetryPolicy::default(),
             read_timeout: Duration::from_secs(5),
-            jitter_seed: 0x7E94_E75D,
             resume: true,
             tenant: TenantId::DEFAULT,
         }
@@ -339,7 +339,7 @@ impl Client {
         Client {
             addr,
             cfg,
-            rng: StdRng::seed_from_u64(cfg.jitter_seed),
+            rng: StdRng::seed_from_u64(JITTER_SEED),
             counters: Arc::new(TransferCounters::new()),
             registry: None,
             conn: None,

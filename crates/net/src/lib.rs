@@ -21,19 +21,18 @@
 //!   delivered data, and the transfer is rejected at the first bad frame —
 //!   with the frame number in the report. [`Client`] wraps it in a kept
 //!   connection and retries with decorrelated-jitter backoff.
-//! * [`proxy`] — a man-in-the-middle harness that tampers with frames *in
-//!   flight* (recomputing the CRC, as a real attacker would) so tests can
-//!   demonstrate the R1–R5 guarantees hold on the wire.
+//! * [`proxy`] — the one wire-fault relay, a man-in-the-middle harness
+//!   whose actions either tamper with frames *in flight* (recomputing the
+//!   CRC, as a real attacker would) so tests can demonstrate the R1–R5
+//!   guarantees hold on the wire, or fail the path the way a network does
+//!   (cuts, torn frames, bit flips, stalls, resets) — deterministic and
+//!   seeded, the network twin of `tep_storage::vfs::FaultVfs`.
 //! * [`replica`] — primary→replica replication: a replica tails the
 //!   primary's record log through that same receiving side, opened from
 //!   durable sealed-verifier checkpoints (crash-safe resume) and streamed
 //!   into a sink that reconciles with, and appends to, its own store; it
 //!   runs periodic Merkle anti-entropy over the object-id space to locate
 //!   divergence in O(log n) round trips.
-//! * [`fault`] — deterministic seeded fault injection (the network twin of
-//!   `tep_storage::vfs::FaultVfs`): [`fault::FaultListener`] crashes a
-//!   live TCP path at any frame — resets, torn frames, bit flips, stalls —
-//!   and the module's tests crash the codec at any byte.
 //!
 //! Beyond full transfers, QUERY/QRESULT frames serve *verifiable query
 //! answers*: the server runs a `tep_query::QueryEngine` over its record
@@ -62,7 +61,6 @@
 #![deny(unsafe_code)]
 
 pub mod client;
-pub mod fault;
 mod metrics;
 pub mod proxy;
 pub mod replica;
@@ -73,7 +71,6 @@ pub mod wire;
 pub use client::{
     Client, ClientConfig, FetchReport, NetError, QueryReport, RangeReport, RetryPolicy,
 };
-pub use fault::{FaultKind, FaultListener, FaultPlan};
 pub use metrics::{TransferCounters, TransferSnapshot};
 pub use proxy::{ProxyAction, TamperProxy};
 pub use replica::{AeReport, AeStatus, CatchUpReport, Replica, ReplicaConfig};

@@ -1,49 +1,117 @@
-//! A man-in-the-middle proxy for wire-attack testing.
+//! The wire-fault relay: a man-in-the-middle proxy for wire-attack and
+//! wire-fault testing.
 //!
 //! [`TamperProxy`] sits between a client and a server, forwards the
-//! client→server direction verbatim, and *decodes* every server→client
-//! message, hands it to a mutator, and re-encodes the (possibly replaced)
-//! message **with a valid frame CRC**. This models the paper's §2.2 threat:
-//! the CRC is accidental-corruption protection, so a deliberate attacker
-//! simply recomputes it — only the cryptographic provenance checksums stand
-//! between a tampered transfer and acceptance. Tests use this to assert
-//! that every [`tep_core::attack::Tamper`] applied *in flight* is caught by
-//! the client's streaming verifier.
+//! client→server direction verbatim, and relays server→client traffic
+//! frame by frame. Each frame is read raw and handed, decoded, to a
+//! mutator whose [`ProxyAction`] decides what reaches the client. The
+//! actions cover both threats the paper separates for provenance in
+//! transit (§2.2):
+//!
+//! * **Forgery.** [`ProxyAction::Replace`] and [`ProxyAction::Drop`] model
+//!   an attacker. A replacement is re-framed **with a valid CRC**: the CRC
+//!   is accidental-corruption protection, so a deliberate attacker simply
+//!   recomputes it — only the cryptographic provenance checksums stand
+//!   between a tampered transfer and acceptance. Tests use this to assert
+//!   that every [`tep_core::attack::Tamper`] applied *in flight* is caught
+//!   by the client's streaming verifier.
+//! * **Accidents.** `Cut`, `CutMidFrame`, `BitFlip`, `Stall` and `Reset`
+//!   model a failing network: EOF at a frame boundary, a torn frame, line
+//!   noise the CRC must catch, a peer slower than the client's read
+//!   timeout, an abrupt reset. [`at_frame`] schedules one of them at a
+//!   frame, on one connection or on every connection.
+//!
+//! Everything is seeded and deterministic: the same (action, byte stream)
+//! pair produces the same torn prefix and the same flipped bit, so a chaos
+//! run that fails can be replayed exactly from its seed.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crate::wire::{FrameReader, FrameWriter, Message};
-use crate::TransferCounters;
+use crate::wire::{
+    check_frame_crc, decode_message, frame_header, frame_message_into, read_exact_or_eof, Message,
+    ReadOutcome, WireError, FRAME_HEADER_LEN,
+};
 
-/// What the mutator wants done with one server→client message.
+/// What the mutator wants done with one server→client frame.
+#[derive(Clone, Debug)]
 pub enum ProxyAction {
-    /// Pass the message through unchanged.
+    /// Pass the frame through byte for byte.
     Forward,
     /// Substitute a different message (re-framed with a valid CRC).
     Replace(Message),
     /// Silently drop the message (models record removal / truncation).
     Drop,
+    /// Close the connection cleanly instead of forwarding the frame — the
+    /// client sees EOF at a frame boundary (a resumable interruption).
+    Cut,
+    /// Forward a seeded non-empty proper prefix of the frame, then close —
+    /// the client sees a torn frame (`Truncated`).
+    CutMidFrame {
+        /// Picks the prefix length.
+        seed: u64,
+    },
+    /// Flip one seeded bit of the frame (header or payload) without fixing
+    /// the CRC — line noise, caught as `BadCrc`/`Oversized`.
+    BitFlip {
+        /// Picks the bit.
+        seed: u64,
+    },
+    /// Sleep this long, then forward the frame — stalls a client whose
+    /// read timeout is shorter.
+    Stall(Duration),
+    /// Drop both directions abruptly instead of forwarding the frame,
+    /// without the courtesy of draining or half-close.
+    Reset,
 }
 
 /// The mutator: called with the server→client frame index (0-based,
-/// counting every message including HELLO/OFFER) and the decoded message.
+/// counting every frame of the connection including HELLO/OFFER) and the
+/// decoded message. A frame that does not decode is forwarded as is
+/// without a call, but still takes its index.
 pub type Mutator = Box<dyn FnMut(u64, &Message) -> ProxyAction + Send>;
 
-/// A proxy's shutdown flag plus the sockets of the relay in progress,
-/// shared between the accept thread and the handle. A [`Client`] keeps its
-/// connection, so a relay lasts as long as the client does; stopping the
-/// proxy must cut it rather than wait out the client (or the server's idle
-/// timeout).
+/// The mutator that applies `action` at server→client frame `frame` and
+/// forwards everything else. With `once` the action is applied on the
+/// first connection that reaches the frame and every later connection is
+/// relayed verbatim, so a retrying client recovers — the shape of a
+/// transient network failure. Without it the action hits every connection.
+pub fn at_frame(frame: u64, action: ProxyAction, once: bool) -> Mutator {
+    let mut spent = false;
+    Box::new(move |index, _| {
+        if index != frame || spent {
+            return ProxyAction::Forward;
+        }
+        spent = once;
+        action.clone()
+    })
+}
+
+/// SplitMix64 — the same tiny deterministic generator `FaultVfs` uses, so
+/// net and storage chaos schedules are seeded the same way.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A proxy's shutdown flag, applied-action count and the sockets of the
+/// relay in progress, shared between the accept thread and the handle. A
+/// [`Client`] keeps its connection, so a relay lasts as long as the client
+/// does; stopping the proxy must cut it rather than wait out the client
+/// (or the server's idle timeout).
 ///
 /// [`Client`]: crate::Client
 #[derive(Default)]
 struct RelayGate {
     stopping: AtomicBool,
+    fired: AtomicU64,
     live: Mutex<Vec<TcpStream>>,
 }
 
@@ -83,32 +151,28 @@ impl RelayGate {
 
     fn cut(&self) {
         for s in self.live().iter() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
+            let _ = s.shutdown(Shutdown::Both);
         }
     }
 }
 
-/// The relay both test proxies ([`TamperProxy`] and
-/// [`FaultListener`](crate::FaultListener)) are built on: a listener on an
-/// ephemeral localhost port that relays one connection at a time to an
-/// upstream server — client→server verbatim, server→client however the
-/// proxy's downlink decides. Dropping it stops the listener, cuts the relay
-/// in progress and joins the accept thread.
-pub(crate) struct Relay {
+/// A running man-in-the-middle proxy; dropping it stops the listener, cuts
+/// the relay in progress and joins the accept thread.
+pub struct TamperProxy {
     addr: SocketAddr,
     gate: Arc<RelayGate>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
-impl Relay {
-    /// Spawns the relay. `downlink(server, client)` carries the
-    /// server→client leg of one connection and returns when either side is
-    /// done; its errors (peer hangups, timeouts) are part of normal test
-    /// operation and end that connection only.
-    pub(crate) fn spawn(
-        upstream: SocketAddr,
-        mut downlink: impl FnMut(&TcpStream, &TcpStream) -> io::Result<()> + Send + 'static,
-    ) -> io::Result<Relay> {
+impl TamperProxy {
+    /// Spawns a proxy on an ephemeral localhost port relaying to
+    /// `upstream`. Connections are handled one at a time (attack and fault
+    /// tests are sequential by nature): a client that keeps its connection
+    /// holds the relay until it disconnects or is dropped, and a second
+    /// client is not served before then. The mutator's frame index is per
+    /// connection, so it restarts at 0 only when a client dials again.
+    /// Shutting the proxy down cuts the relay in progress.
+    pub fn spawn(upstream: SocketAddr, mut mutator: Mutator) -> io::Result<TamperProxy> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -118,27 +182,37 @@ impl Relay {
             while !shared.stopping() {
                 match listener.accept() {
                     Ok((client, _)) => {
-                        let _ = relay(client, upstream, &shared, &mut downlink);
+                        let _ = relay(client, upstream, &shared, &mut mutator);
                         shared.leave();
                     }
                     Err(_) => thread::sleep(Duration::from_millis(2)),
                 }
             }
         });
-        Ok(Relay {
+        Ok(TamperProxy {
             addr,
             gate,
             accept_thread: Some(accept_thread),
         })
     }
 
-    /// The listening address — point the client here.
-    pub(crate) fn addr(&self) -> SocketAddr {
+    /// The proxy's listening address — point the client here.
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
+
+    /// How many actions other than [`ProxyAction::Forward`] the proxy has
+    /// applied so far, over every connection.
+    pub fn fired(&self) -> u64 {
+        self.gate.fired.load(Ordering::SeqCst)
+    }
+
+    /// Stops the listener, cuts the relay in progress, and joins the
+    /// accept thread — which is what dropping the proxy does.
+    pub fn shutdown(self) {}
 }
 
-impl Drop for Relay {
+impl Drop for TamperProxy {
     fn drop(&mut self) {
         self.gate.stop();
         if let Some(t) = self.accept_thread.take() {
@@ -148,12 +222,13 @@ impl Drop for Relay {
 }
 
 /// Relays one client connection: the uplink on its own thread, the downlink
-/// on this one.
+/// on this one. Errors (peer hangups, timeouts) are part of normal test
+/// operation and end that connection only.
 fn relay(
     client: TcpStream,
     upstream: SocketAddr,
     gate: &RelayGate,
-    downlink: &mut impl FnMut(&TcpStream, &TcpStream) -> io::Result<()>,
+    mutator: &mut Mutator,
 ) -> io::Result<()> {
     let server = TcpStream::connect(upstream)?;
     gate.enter(&client, &server)?;
@@ -175,58 +250,73 @@ fn relay(
                 }
             }
         }
-        let _ = c2s_dst.shutdown(std::net::Shutdown::Write);
+        let _ = c2s_dst.shutdown(Shutdown::Write);
     });
 
-    let _ = downlink(&server, &client);
-    let _ = client.shutdown(std::net::Shutdown::Write);
+    let _ = downlink(&server, &client, mutator, &gate.fired);
+    let _ = client.shutdown(Shutdown::Write);
     let _ = uplink.join();
     Ok(())
 }
 
-/// A running man-in-the-middle proxy; dropping it stops the listener.
-pub struct TamperProxy {
-    relay: Relay,
-}
-
-impl TamperProxy {
-    /// Spawns a proxy on an ephemeral localhost port relaying to
-    /// `upstream`. Connections are handled one at a time (attack tests are
-    /// sequential by nature): a client that keeps its connection holds the
-    /// relay until it disconnects or is dropped, and a second client is not
-    /// served before then. The mutator's frame index is per connection, so
-    /// it restarts at 0 only when a client dials again. Shutting the proxy
-    /// down cuts the relay in progress.
-    pub fn spawn(upstream: SocketAddr, mut mutator: Mutator) -> io::Result<TamperProxy> {
-        // Server→client: decode, mutate, re-frame (fresh, valid CRC).
-        let relay = Relay::spawn(upstream, move |server, client| {
-            let scratch = Arc::new(TransferCounters::new());
-            let mut reader = FrameReader::new(server.try_clone()?, Arc::clone(&scratch));
-            let mut writer = FrameWriter::new(client.try_clone()?, scratch);
-            let mut frame = 0u64;
-            while let Ok(Some(msg)) = reader.read_message() {
-                let action = mutator(frame, &msg);
-                frame += 1;
-                let result = match action {
-                    ProxyAction::Forward => writer.write_message(&msg),
-                    ProxyAction::Replace(replacement) => writer.write_message(&replacement),
-                    ProxyAction::Drop => continue,
-                };
-                if result.is_err() {
-                    break;
-                }
+/// The server→client leg of one relayed connection. Each frame is read raw
+/// through the shared header check, so the relay always knows where the
+/// boundaries are, and a frame the mutator forwards reaches the client
+/// byte for byte. Returns when either side is done or an action ends the
+/// connection.
+fn downlink(
+    server: &TcpStream,
+    client: &TcpStream,
+    mutator: &mut Mutator,
+    fired: &AtomicU64,
+) -> Result<(), WireError> {
+    let mut src = BufReader::new(server.try_clone()?);
+    let mut dst = client.try_clone()?;
+    let mut bytes = Vec::new();
+    for index in 0u64.. {
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        if let ReadOutcome::Eof = read_exact_or_eof(&mut src, &mut header)? {
+            break;
+        }
+        let (len, crc) = frame_header(header)?;
+        bytes.clear();
+        bytes.extend_from_slice(&header);
+        bytes.resize(FRAME_HEADER_LEN + len, 0);
+        src.read_exact(&mut bytes[FRAME_HEADER_LEN..])?;
+        let payload = &bytes[FRAME_HEADER_LEN..];
+        let action = match check_frame_crc(crc, payload).and_then(|()| decode_message(payload)) {
+            Ok(msg) => mutator(index, &msg),
+            Err(_) => ProxyAction::Forward,
+        };
+        if !matches!(action, ProxyAction::Forward) {
+            fired.fetch_add(1, Ordering::SeqCst);
+        }
+        match action {
+            ProxyAction::Forward => {}
+            ProxyAction::Replace(msg) => {
+                bytes.clear();
+                frame_message_into(&msg, &mut bytes);
             }
-            Ok(())
-        })?;
-        Ok(TamperProxy { relay })
+            ProxyAction::Drop => continue,
+            ProxyAction::BitFlip { mut seed } => {
+                let bit = splitmix64(&mut seed) as usize % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            ProxyAction::Stall(pause) => thread::sleep(pause),
+            ProxyAction::Cut => return Ok(client.shutdown(Shutdown::Both)?),
+            ProxyAction::CutMidFrame { mut seed } => {
+                // A non-empty proper prefix: at least the first byte, never
+                // the whole frame.
+                let keep = 1 + splitmix64(&mut seed) as usize % (bytes.len() - 1);
+                dst.write_all(&bytes[..keep])?;
+                return Ok(client.shutdown(Shutdown::Both)?);
+            }
+            ProxyAction::Reset => {
+                let _ = client.shutdown(Shutdown::Both);
+                return Ok(server.shutdown(Shutdown::Both)?);
+            }
+        }
+        dst.write_all(&bytes)?;
     }
-
-    /// The proxy's listening address — point the client here.
-    pub fn addr(&self) -> SocketAddr {
-        self.relay.addr()
-    }
-
-    /// Stops the listener, cuts the relay in progress, and joins the
-    /// accept thread — which is what dropping the relay does.
-    pub fn shutdown(self) {}
+    Ok(())
 }

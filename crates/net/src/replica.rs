@@ -64,11 +64,12 @@ pub struct ReplicaConfig {
     /// replica fsyncs its log and seals a fresh verifier checkpoint, so a
     /// crash loses at most one batch of (already verified) progress.
     pub batch: u64,
-    /// Upper bound on anti-entropy locate/repair passes before
-    /// [`Replica::anti_entropy`] gives up (defends against a primary that
-    /// manufactures endless fresh divergence).
-    pub max_ae_passes: u64,
 }
+
+/// Upper bound on anti-entropy locate/repair passes before
+/// [`Replica::anti_entropy`] gives up (defends against a primary that
+/// manufactures endless fresh divergence).
+const MAX_AE_PASSES: u64 = 64;
 
 impl ReplicaConfig {
     /// Defaults for `alg`.
@@ -77,7 +78,6 @@ impl ReplicaConfig {
             alg,
             read_timeout: Duration::from_secs(5),
             batch: 32,
-            max_ae_passes: 64,
         }
     }
 }
@@ -258,7 +258,7 @@ impl Replica {
         };
         loop {
             report.passes += 1;
-            if report.passes > self.cfg.max_ae_passes {
+            if report.passes > MAX_AE_PASSES {
                 return Err(NetError::Protocol("anti-entropy failed to converge"));
             }
             let local = shard_tree_of(self.cfg.alg, &self.db);

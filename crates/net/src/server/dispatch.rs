@@ -268,13 +268,13 @@ fn on_request<S: Read + Write>(
         }
         Message::AeReq { level, index } => {
             env.obs.ae_requests.inc();
-            let tree = ten.shard_tree();
+            let (tree, root) = ten.shard_view();
             let reply = if level == crate::wire::AE_SUMMARY_LEVEL {
                 let s = tree.summary();
                 // Summary replies from a signing server carry the signed
                 // root so replicas can pin a monotonic high-water mark;
                 // node replies stay lean (the summary already vouched).
-                let signed_root = ten.signed_root(&tree).map(|r| r.to_bytes());
+                let signed_root = root.map(|r| r.to_bytes());
                 Some(Message::AeResp {
                     leaf_count: s.leaf_count,
                     depth: s.depth,
@@ -319,8 +319,7 @@ fn on_request<S: Read + Write>(
                 );
                 return;
             }
-            let tree = ten.shard_tree();
-            let Some(root) = ten.signed_root(&tree) else {
+            let (tree, Some(root)) = ten.shard_view() else {
                 conn.refuse(ErrorCode::BadRequest, "signing the shard root failed", env);
                 return;
             };
@@ -363,11 +362,10 @@ fn deny<S: Read + Write>(conn: &mut Conn<S>, oid: ObjectId, env: &Env, ten: &Ten
     if ten.catalog.signer.is_none() {
         return false;
     }
-    let tree = ten.shard_tree();
-    let Some(proof) = DenialProof::prove(&tree, oid) else {
+    let (tree, Some(root)) = ten.shard_view() else {
         return false;
     };
-    let Some(root) = ten.signed_root(&tree) else {
+    let Some(proof) = DenialProof::prove(&tree, oid) else {
         return false;
     };
     let denial = SignedDenial {

@@ -1286,6 +1286,58 @@ mod tests {
         ));
     }
 
+    /// A record appended while one request holds the shard view (a writer
+    /// sharing the served store) must not leave the next request pairing a
+    /// fresh tree with a root signed over the old one: tree and root are
+    /// built, signed and cached together, under one length.
+    #[test]
+    fn an_append_between_requests_keeps_tree_and_signed_root_together() {
+        let mut rng = StdRng::seed_from_u64(0x5A17);
+        let ca = CertificateAuthority::new(512, ALG, &mut rng);
+        let alice = Arc::new(ca.enroll(ParticipantId(1), 512, &mut rng));
+        let db = Arc::new(ProvenanceDb::in_memory());
+        let mut tracker = ProvenanceTracker::new(
+            TrackerConfig {
+                alg: ALG,
+                strategy: HashingStrategy::Economical,
+            },
+            Arc::clone(&db),
+        );
+        let (oid, _) = tracker.insert(&alice, Value::Int(0), None).unwrap();
+        let catalog = Catalog::new(tracker.forest().clone(), Arc::clone(&db), ALG, vec![oid])
+            .with_signer(Arc::clone(&alice));
+        let (env, _) = test_env_with(
+            vec![TenantSpec::new(TenantId::DEFAULT, Arc::new(catalog))],
+            oid,
+        );
+        let ten = env.tenants.get(&TenantId::DEFAULT.raw()).unwrap();
+
+        let (tree, root) = ten.shard_view();
+        assert_eq!(root.expect("the catalog signs").root, tree.root());
+        tracker.update(&alice, oid, Value::Int(1)).unwrap();
+
+        let mut conn = handshaken(&env);
+        conn.stream.to_read.push_back(frame(&Message::AeReq {
+            level: crate::wire::AE_SUMMARY_LEVEL,
+            index: 0,
+        }));
+        drive(&mut conn, &env);
+        match written_messages(&conn).last() {
+            Some(Message::AeResp {
+                hash,
+                leaf_count,
+                signed_root: Some(bytes),
+                ..
+            }) => {
+                let root = tep_core::denial::SignedRoot::from_bytes(bytes).unwrap();
+                assert_eq!(&root.root, hash, "the root must be signed over this tree");
+                assert_eq!(root.leaf_count, *leaf_count);
+                assert_eq!(root.log_records, db.len() as u64);
+            }
+            other => panic!("expected a signed AE summary, got {other:?}"),
+        }
+    }
+
     #[test]
     fn corrupt_frame_closes_without_a_reply() {
         let (env, root) = test_env();

@@ -157,16 +157,14 @@ pub(super) struct TenantEnv {
     /// Serves QUERY frames over this tenant's record log; its secondary
     /// indexes tail the log lazily on each request.
     pub(super) query: QueryEngine,
-    /// Anti-entropy shard tree over this tenant's record log, cached
-    /// behind a record-count watermark: rebuilt only when the log has
-    /// grown since the cached build (the log is append-only, so equal
-    /// length ⇒ identical tree).
-    ae_cache: Mutex<Option<(usize, Arc<ShardTree>)>>,
-    /// Signed shard root, cached behind the same record-count watermark
-    /// as `ae_cache` (signing is an RSA operation — far too expensive to
-    /// redo per miss). `None` until first use or when the catalog has no
-    /// signer.
-    root_cache: Mutex<Option<(usize, Arc<SignedRoot>)>>,
+    /// Anti-entropy shard tree over this tenant's record log and the
+    /// signed root over that tree, cached together behind one record-count
+    /// watermark: rebuilt and re-signed only when the log has grown since
+    /// the cached build (the log is append-only, so equal length ⇒
+    /// identical tree; signing is an RSA operation — far too expensive to
+    /// redo per miss). One entry under one lock, so a root is never cached
+    /// under a length its tree was not built at.
+    shard_cache: Mutex<Option<(usize, ShardView)>>,
     /// Tenant-labeled mirrors of the admission counters (the unlabeled
     /// aggregates stay in [`super::ServerObs`]).
     pub(super) connections: Counter,
@@ -202,8 +200,7 @@ impl TenantEnv {
             max_connections: spec.max_connections,
             active: AtomicUsize::new(0),
             query,
-            ae_cache: Mutex::new(None),
-            root_cache: Mutex::new(None),
+            shard_cache: Mutex::new(None),
             connections: registry.counter(&names::with_tenant(names::NET_CONNECTIONS, t)),
             shed: registry.counter(&names::with_tenant(names::NET_SHED, t)),
             quota_sheds: registry.counter(&names::with_tenant(names::NET_TENANT_QUOTA_SHEDS, t)),
@@ -211,48 +208,42 @@ impl TenantEnv {
         (t, env)
     }
 
-    /// The current shard tree, rebuilding on record-log growth.
-    pub(super) fn shard_tree(&self) -> Arc<ShardTree> {
-        let mut cache = self.ae_cache.lock().unwrap_or_else(PoisonError::into_inner);
-        let len = self.catalog.db.len();
-        match cache.as_ref() {
-            Some((watermark, tree)) if *watermark == len => Arc::clone(tree),
-            _ => {
-                let tree = Arc::new(shard_tree_of(self.catalog.alg, &self.catalog.db));
-                *cache = Some((len, Arc::clone(&tree)));
-                tree
-            }
-        }
-    }
-
-    /// The signed shard root over `tree`, re-signed only on record-log
-    /// growth. `None` when the catalog has no signing identity (or the
-    /// signer's key refuses, which 512-bit test keys never do).
+    /// The current shard tree and the signed root over that very tree,
+    /// both from one read of the log length. The root is `None` when the
+    /// catalog has no signing identity (or the signer's key refuses, which
+    /// 512-bit test keys never do).
     ///
     /// `log_records` is the *cumulative* log high-water mark — frames
     /// excised by compaction still count — so a replica holding an older
     /// root can detect a server rolled back to a pre-compaction state.
-    pub(super) fn signed_root(&self, tree: &ShardTree) -> Option<Arc<SignedRoot>> {
-        let signer = self.catalog.signer.as_ref()?;
+    pub(super) fn shard_view(&self) -> ShardView {
         let mut cache = self
-            .root_cache
+            .shard_cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let len = self.catalog.db.len();
-        if let Some((watermark, root)) = cache.as_ref() {
+        if let Some((watermark, view)) = cache.as_ref() {
             if *watermark == len {
-                return Some(Arc::clone(root));
+                return view.clone();
             }
         }
-        let excised = self
-            .catalog
-            .db
-            .recovery()
-            .compaction
-            .map(|s| s.excised_frames)
-            .unwrap_or(0);
-        let root = Arc::new(SignedRoot::sign(tree, excised + len as u64, signer).ok()?);
-        *cache = Some((len, Arc::clone(&root)));
-        Some(root)
+        let tree = Arc::new(shard_tree_of(self.catalog.alg, &self.catalog.db));
+        let root = self.catalog.signer.as_ref().and_then(|signer| {
+            let excised = self
+                .catalog
+                .db
+                .recovery()
+                .compaction
+                .map(|s| s.excised_frames)
+                .unwrap_or(0);
+            let root = SignedRoot::sign(&tree, excised + len as u64, signer).ok()?;
+            Some(Arc::new(root))
+        });
+        let view = (tree, root);
+        *cache = Some((len, view.clone()));
+        view
     }
 }
+
+/// A shard tree and, when the catalog signs, the signed root over it.
+pub(super) type ShardView = (Arc<ShardTree>, Option<Arc<SignedRoot>>);

@@ -782,8 +782,8 @@ pub(crate) const FRAME_HEADER_LEN: usize = 8;
 
 /// Parses a frame header into (payload length, CRC), refusing a length
 /// over [`MAX_FRAME`] before anything is allocated for the payload. The
-/// blocking [`FrameReader`] and the server's nonblocking connections both
-/// parse frames with this and [`check_frame_crc`].
+/// blocking [`FrameReader`], the server's nonblocking connections and the
+/// test proxy's relay all parse frames with this and [`check_frame_crc`].
 pub(crate) fn frame_header(header: [u8; FRAME_HEADER_LEN]) -> Result<(usize, u32), WireError> {
     let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
     let len = u32::from_be_bytes([l0, l1, l2, l3]);
@@ -799,14 +799,17 @@ pub(crate) fn check_frame_crc(crc: u32, payload: &[u8]) -> Result<(), WireError>
     ok.then_some(()).ok_or(WireError::BadCrc)
 }
 
-enum ReadOutcome {
+pub(crate) enum ReadOutcome {
     Full,
     Eof,
 }
 
 /// Like `read_exact`, but a clean EOF before the *first* byte is reported
 /// as [`ReadOutcome::Eof`] instead of an error.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome, WireError> {
+pub(crate) fn read_exact_or_eof(
+    r: &mut impl Read,
+    buf: &mut [u8],
+) -> Result<ReadOutcome, WireError> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
@@ -1221,5 +1224,327 @@ mod tests {
             decode_message(&payload),
             Err(WireError::Decode(DecodeError::UnexpectedEof))
         ));
+    }
+
+    // ── The codec under a faulty byte stream ───────────────────────────
+    //
+    // A `FaultStream` wraps a `Read + Write` byte stream and fires one
+    // scheduled fault at the Nth I/O operation: a connection reset, a clean
+    // EOF, a read timeout, a seeded bit flip, or a short read/write.
+    // Because `FrameReader`/`FrameWriter` are generic over the stream,
+    // every codec path can be crashed at every byte boundary here — no
+    // sockets, no threads, no timing.
+
+    use crate::proxy::splitmix64;
+
+    /// The fault a [`FaultStream`] fires at its scheduled operation.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum StreamFault {
+        /// Fail the op with `io::ErrorKind::ConnectionReset`.
+        Reset,
+        /// Read returns 0 bytes (EOF); writes report `BrokenPipe`.
+        Eof,
+        /// Fail the op with `io::ErrorKind::TimedOut` — what a socket read
+        /// returns when the peer stalls past the read timeout.
+        TimedOut,
+        /// Flip one seeded bit in the bytes the op delivers (reads only;
+        /// writes pass through).
+        BitFlip,
+        /// Deliver only a seeded 1..=len prefix of the op's buffer. Callers
+        /// using `read_exact`/`write_all` must survive this without
+        /// corruption.
+        Short,
+    }
+
+    /// When and how a [`FaultStream`] misbehaves.
+    #[derive(Clone, Copy, Debug)]
+    struct StreamFaultPlan {
+        /// The fault to fire.
+        fault: StreamFault,
+        /// The 0-based I/O operation (reads and writes share one counter) at
+        /// which to fire. `Short` keeps firing from this op onward (a slow
+        /// link is not a one-shot event); the others fire once.
+        at_op: u64,
+        /// Seed for the fault's randomness (bit position, prefix length).
+        seed: u64,
+    }
+
+    /// A `Read + Write` wrapper that injects one deterministic, scheduled
+    /// fault.
+    struct FaultStream<S> {
+        inner: S,
+        plan: StreamFaultPlan,
+        rng: u64,
+        op: u64,
+        fired: bool,
+    }
+
+    impl<S> FaultStream<S> {
+        /// Wraps `inner` with `plan`.
+        fn new(inner: S, plan: StreamFaultPlan) -> Self {
+            FaultStream {
+                inner,
+                plan,
+                rng: plan.seed ^ 0x243F_6A88_85A3_08D3,
+                op: 0,
+                fired: false,
+            }
+        }
+
+        /// The wrapped stream back (for inspecting what was actually written).
+        fn into_inner(self) -> S {
+            self.inner
+        }
+
+        /// True if this op is the scheduled one (or past it, for `Short`).
+        fn due(&self) -> bool {
+            if self.plan.fault == StreamFault::Short {
+                self.op >= self.plan.at_op
+            } else {
+                self.op == self.plan.at_op && !self.fired
+            }
+        }
+    }
+
+    impl<S: Read> Read for FaultStream<S> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let due = self.due();
+            self.op += 1;
+            if !due {
+                return self.inner.read(buf);
+            }
+            self.fired = true;
+            match self.plan.fault {
+                StreamFault::Reset => Err(io::ErrorKind::ConnectionReset.into()),
+                StreamFault::Eof => Ok(0),
+                StreamFault::TimedOut => Err(io::ErrorKind::TimedOut.into()),
+                StreamFault::BitFlip => {
+                    let n = self.inner.read(buf)?;
+                    if n > 0 {
+                        let bit = splitmix64(&mut self.rng) as usize % (n * 8);
+                        buf[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    Ok(n)
+                }
+                StreamFault::Short => {
+                    if buf.is_empty() {
+                        return self.inner.read(buf);
+                    }
+                    let take = 1 + splitmix64(&mut self.rng) as usize % buf.len();
+                    self.inner.read(&mut buf[..take])
+                }
+            }
+        }
+    }
+
+    impl<S: Write> Write for FaultStream<S> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let due = self.due();
+            self.op += 1;
+            if !due {
+                return self.inner.write(buf);
+            }
+            self.fired = true;
+            match self.plan.fault {
+                StreamFault::Reset => Err(io::ErrorKind::ConnectionReset.into()),
+                StreamFault::Eof => Err(io::ErrorKind::BrokenPipe.into()),
+                StreamFault::TimedOut => Err(io::ErrorKind::TimedOut.into()),
+                StreamFault::BitFlip => self.inner.write(buf),
+                StreamFault::Short => {
+                    if buf.is_empty() {
+                        return self.inner.write(buf);
+                    }
+                    let take = 1 + splitmix64(&mut self.rng) as usize % buf.len();
+                    self.inner.write(&buf[..take])
+                }
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// A few framed messages as raw bytes.
+    fn framed(n: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = FrameWriter::new(&mut buf, counters());
+        for i in 0..n {
+            w.write_message(&Message::Fetch { oid: ObjectId(i) })
+                .unwrap();
+        }
+        buf
+    }
+
+    fn reader_over(bytes: &[u8], plan: StreamFaultPlan) -> FrameReader<FaultStream<&[u8]>> {
+        FrameReader::new(FaultStream::new(bytes, plan), counters())
+    }
+
+    #[test]
+    fn reset_surfaces_as_io_error_not_panic() {
+        let bytes = framed(3);
+        let mut r = reader_over(
+            &bytes,
+            StreamFaultPlan {
+                fault: StreamFault::Reset,
+                at_op: 2,
+                seed: 1,
+            },
+        );
+        let mut io_errors = 0;
+        for _ in 0..4 {
+            match r.read_message() {
+                Ok(Some(_)) | Ok(None) => {}
+                Err(WireError::Io(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::ConnectionReset);
+                    io_errors += 1;
+                    break;
+                }
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert_eq!(io_errors, 1, "the scheduled reset never fired");
+    }
+
+    #[test]
+    fn timeout_fault_models_a_stalled_peer() {
+        let bytes = framed(2);
+        let mut r = reader_over(
+            &bytes,
+            StreamFaultPlan {
+                fault: StreamFault::TimedOut,
+                at_op: 0,
+                seed: 9,
+            },
+        );
+        match r.read_message() {
+            Err(WireError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn eof_mid_frame_is_truncated_eof_between_frames_is_clean() {
+        // Fire EOF at the very first read: clean end-of-stream.
+        let bytes = framed(1);
+        let mut r = reader_over(
+            &bytes,
+            StreamFaultPlan {
+                fault: StreamFault::Eof,
+                at_op: 0,
+                seed: 3,
+            },
+        );
+        assert!(matches!(r.read_message(), Ok(None)));
+
+        // Fire EOF inside the first frame's payload read: truncation.
+        let mut r = reader_over(
+            &bytes,
+            StreamFaultPlan {
+                fault: StreamFault::Eof,
+                at_op: 1,
+                seed: 3,
+            },
+        );
+        assert!(matches!(r.read_message(), Err(WireError::Truncated)));
+    }
+
+    /// Every seed's bit flip is caught — by the CRC, the length cap, or
+    /// the body decoder — and none of them panics or yields the original
+    /// message as if nothing happened.
+    #[test]
+    fn every_seeded_bit_flip_is_caught() {
+        let bytes = framed(1);
+        for seed in 0..64u64 {
+            for at_op in 0..2u64 {
+                let mut r = reader_over(
+                    &bytes,
+                    StreamFaultPlan {
+                        fault: StreamFault::BitFlip,
+                        at_op,
+                        seed,
+                    },
+                );
+                match r.read_message() {
+                    Ok(Some(Message::Fetch { oid })) => {
+                        panic!("seed {seed} op {at_op}: flipped frame decoded as FETCH {oid}")
+                    }
+                    Ok(Some(_)) => panic!("seed {seed}: flipped frame decoded cleanly"),
+                    Ok(None) | Err(_) => {} // caught (or flip landed past the stream)
+                }
+            }
+        }
+    }
+
+    /// Short reads must be invisible to the framing layer: `read_exact`
+    /// loops until the buffer fills, so every message still arrives
+    /// intact, for every seed.
+    #[test]
+    fn short_reads_never_corrupt_the_stream() {
+        let bytes = framed(5);
+        for seed in 0..32u64 {
+            let mut r = reader_over(
+                &bytes,
+                StreamFaultPlan {
+                    fault: StreamFault::Short,
+                    at_op: 0,
+                    seed,
+                },
+            );
+            let mut got = 0u64;
+            while let Some(msg) = r.read_message().unwrap() {
+                assert_eq!(msg, Message::Fetch { oid: ObjectId(got) });
+                got += 1;
+            }
+            assert_eq!(got, 5, "seed {seed} lost messages");
+        }
+    }
+
+    /// Short writes likewise: `write_all` on the other side of the wrapper
+    /// must still deliver byte-identical frames.
+    #[test]
+    fn short_writes_never_corrupt_the_stream() {
+        for seed in 0..32u64 {
+            let mut fs = FaultStream::new(
+                Vec::new(),
+                StreamFaultPlan {
+                    fault: StreamFault::Short,
+                    at_op: 0,
+                    seed,
+                },
+            );
+            {
+                let mut w = FrameWriter::new(&mut fs, counters());
+                for i in 0..4u64 {
+                    w.write_message(&Message::Fetch { oid: ObjectId(i) })
+                        .unwrap();
+                }
+            }
+            let written = fs.into_inner();
+            assert_eq!(written, framed(4), "seed {seed} corrupted the bytes");
+        }
+    }
+
+    #[test]
+    fn same_seed_same_outcome() {
+        let bytes = framed(3);
+        let plan = StreamFaultPlan {
+            fault: StreamFault::BitFlip,
+            at_op: 1,
+            seed: 2009,
+        };
+        let outcome = |plan| {
+            let mut r = reader_over(&bytes, plan);
+            let mut log = Vec::new();
+            loop {
+                match r.read_message() {
+                    Ok(Some(m)) => log.push(format!("{m:?}")),
+                    Ok(None) => break log.push("eof".into()),
+                    Err(e) => break log.push(format!("err:{e}")),
+                }
+            }
+            log
+        };
+        assert_eq!(outcome(plan), outcome(plan));
     }
 }

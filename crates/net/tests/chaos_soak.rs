@@ -1,5 +1,5 @@
-//! Chaos soak: FaultListener × FaultVfs × TamperProxy over a seeded
-//! matrix.
+//! Chaos soak: wire faults × FaultVfs × tampering, all through
+//! TamperProxy, over a seeded matrix.
 //!
 //! The invariant under test, from the robustness roadmap: **every** run
 //! ends in exactly one of
@@ -31,10 +31,11 @@ use tep_core::{ProvenanceRecord, ProvenanceTracker, TrackerConfig};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{CertificateAuthority, KeyDirectory, ParticipantId};
 use tep_model::{Forest, ObjectId, Value};
+use tep_net::proxy::at_frame;
 use tep_net::wire::Message;
 use tep_net::{
-    serve_with_registry, Catalog, Client, ClientConfig, ErrorCode, FaultKind, FaultListener,
-    FaultPlan, NetError, ProxyAction, RetryPolicy, ServerConfig, TamperProxy,
+    serve_with_registry, Catalog, Client, ClientConfig, ErrorCode, NetError, ProxyAction,
+    RetryPolicy, ServerConfig, TamperProxy,
 };
 use tep_storage::vfs::{FaultConfig, FaultVfs};
 use tep_storage::ProvenanceDb;
@@ -112,13 +113,13 @@ fn chaos_client(addr: SocketAddr, max_attempts: u32, resume: bool) -> Client {
     Client::new(addr, cfg)
 }
 
-fn to_fault_kind(fault: WireFault) -> FaultKind {
+fn to_action(fault: WireFault, seed: u64) -> ProxyAction {
     match fault {
-        WireFault::CutBoundary => FaultKind::CutBoundary,
-        WireFault::CutMidFrame => FaultKind::CutMidFrame,
-        WireFault::BitFlip => FaultKind::BitFlip,
-        WireFault::Stall => FaultKind::Stall(STALL),
-        WireFault::Reset => FaultKind::Reset,
+        WireFault::CutBoundary => ProxyAction::Cut,
+        WireFault::CutMidFrame => ProxyAction::CutMidFrame { seed },
+        WireFault::BitFlip => ProxyAction::BitFlip { seed },
+        WireFault::Stall => ProxyAction::Stall(STALL),
+        WireFault::Reset => ProxyAction::Reset,
     }
 }
 
@@ -164,14 +165,9 @@ fn seeded_fault_matrix_always_recovers_byte_identically() {
     let mut resumed_runs = 0u64;
     for seed in seeds_from_env("TEP_CHAOS_SEED") {
         for point in schedule(seed, base.frames, 2) {
-            let fl = FaultListener::spawn(
+            let fl = TamperProxy::spawn(
                 srv.addr(),
-                FaultPlan {
-                    kind: to_fault_kind(point.fault),
-                    frame: point.frame,
-                    seed: point.seed,
-                    once: true,
-                },
+                at_frame(point.frame, to_action(point.fault, point.seed), true),
             )
             .unwrap();
             let mut cl = chaos_client(fl.addr(), 5, true);
@@ -217,14 +213,9 @@ fn persistent_faults_end_in_clean_retryable_errors() {
         WireFault::Reset,
     ] {
         for frame in [0, 2, base.frames / 2, base.frames - 1] {
-            let fl = FaultListener::spawn(
+            let fl = TamperProxy::spawn(
                 srv.addr(),
-                FaultPlan {
-                    kind: to_fault_kind(kind),
-                    frame,
-                    seed: 0x5EED ^ frame,
-                    once: false,
-                },
+                at_frame(frame, to_action(kind, 0x5EED ^ frame), false),
             )
             .unwrap();
             let mut cl = chaos_client(fl.addr(), 2, false);
@@ -312,16 +303,7 @@ fn crash_recovered_stores_never_yield_partial_verified_results() {
         .unwrap();
         // A one-shot wire cut on top of the crash-recovered store: the
         // net and storage fault planes compose.
-        let fl = FaultListener::spawn(
-            srv.addr(),
-            FaultPlan {
-                kind: FaultKind::CutBoundary,
-                frame: 3,
-                seed: crash_at,
-                once: true,
-            },
-        )
-        .unwrap();
+        let fl = TamperProxy::spawn(srv.addr(), at_frame(3, ProxyAction::Cut, true)).unwrap();
         let mut cl = chaos_client(fl.addr(), 5, true);
         let ctx = format!("crash at op {crash_at} ({recovered}/{total} records recovered)");
         match cl.fetch_verified(w.chain, &w.keys) {
@@ -420,16 +402,7 @@ fn resumed_tampered_stream_reports_the_same_evidence_kind() {
 
     // Cut, resumed, tampered run: same attack, interrupted mid-stream.
     let proxy = TamperProxy::spawn(srv.addr(), tamper_mutator(tamper)).unwrap();
-    let fl = FaultListener::spawn(
-        proxy.addr(),
-        FaultPlan {
-            kind: FaultKind::CutBoundary,
-            frame: 5,
-            seed: 5,
-            once: true,
-        },
-    )
-    .unwrap();
+    let fl = TamperProxy::spawn(proxy.addr(), at_frame(5, ProxyAction::Cut, true)).unwrap();
     let mut cl = chaos_client(fl.addr(), 4, true);
     let resumed_kinds = kind_of(cl.fetch_verified(w.chain, &w.keys).unwrap_err());
     assert_eq!(
@@ -583,16 +556,11 @@ fn thousand_connection_soak_settles_every_outcome() {
             format!("soak-cut-{i}"),
             Box::new(move || {
                 let w = world();
-                let fl = FaultListener::spawn(
+                let fl = TamperProxy::spawn(
                     addr,
-                    FaultPlan {
-                        kind: FaultKind::CutBoundary,
-                        // Frames 4..9: 2-7 PROV records delivered before
-                        // the cut, so a checkpoint always exists.
-                        frame: 4 + (i as u64 % 6),
-                        seed: 0x50AC ^ i as u64,
-                        once: true,
-                    },
+                    // Frames 4..9: 2-7 PROV records delivered before the
+                    // cut, so a checkpoint always exists.
+                    at_frame(4 + (i as u64 % 6), ProxyAction::Cut, true),
                 )
                 .unwrap();
                 let mut cl = soak_client(fl.addr(), 8, true);
@@ -616,16 +584,7 @@ fn thousand_connection_soak_settles_every_outcome() {
             format!("soak-faulty-{i}"),
             Box::new(move || {
                 let w = world();
-                let fl = FaultListener::spawn(
-                    addr,
-                    FaultPlan {
-                        kind: FaultKind::CutBoundary,
-                        frame: 2,
-                        seed: 0xFA17 ^ i as u64,
-                        once: false,
-                    },
-                )
-                .unwrap();
+                let fl = TamperProxy::spawn(addr, at_frame(2, ProxyAction::Cut, false)).unwrap();
                 let mut cl = soak_client(fl.addr(), 2, false);
                 let err = cl
                     .fetch_verified(w.chain, &w.keys)

@@ -22,10 +22,10 @@ use tep_core::{ProvenanceRecord, ProvenanceTracker, TrackerConfig};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{CertificateAuthority, KeyDirectory, ParticipantId};
 use tep_model::{AggregateMode, ObjectId, TenantId, Value};
+use tep_net::proxy::at_frame;
 use tep_net::{
-    serve, serve_with_registry, Catalog, Client, ClientConfig, FaultKind, FaultListener, FaultPlan,
-    Message, NetError, OfferEntry, ProxyAction, RetryPolicy, ServerConfig, ServerHandle,
-    TamperProxy, TenantSpec,
+    serve, serve_with_registry, Catalog, Client, ClientConfig, Message, NetError, OfferEntry,
+    ProxyAction, RetryPolicy, ServerConfig, ServerHandle, TamperProxy, TenantSpec,
 };
 use tep_obs::{names, Registry};
 use tep_storage::ProvenanceDb;
@@ -433,15 +433,10 @@ fn tamper_on_a_reused_connection_is_terminal_and_drops_it() {
 fn cut_mid_stream_on_a_reused_connection_resumes_as_before() {
     let w = world();
     let srv = start_server(ServerConfig::default());
-    for kind in [FaultKind::CutBoundary, FaultKind::CutMidFrame] {
-        let fl = FaultListener::spawn(
+    for kind in [ProxyAction::Cut, ProxyAction::CutMidFrame { seed: 21 }] {
+        let fl = TamperProxy::spawn(
             srv.addr(),
-            FaultPlan {
-                kind,
-                frame: 16 + 5, // sixth PROV of the second fetch
-                seed: 21,
-                once: true,
-            },
+            at_frame(16 + 5, kind.clone(), true), // sixth PROV of the second fetch
         )
         .unwrap();
         let mut cl = Client::new(fl.addr(), client_cfg());

@@ -301,6 +301,29 @@ fn version_and_algorithm_skew_are_refused() {
     }
 }
 
+/// A proxy that forwards every frame is invisible: the relay copies the
+/// server's bytes unchanged, so a fetch through it receives exactly what a
+/// direct fetch of the same object receives.
+#[test]
+fn a_forwarding_proxy_relays_byte_for_byte() {
+    let w = world();
+    let srv = start_server();
+    let mut direct = client(srv.addr());
+    let baseline = direct.fetch_verified(w.root, &w.keys).unwrap();
+
+    let proxy =
+        TamperProxy::spawn(srv.addr(), Box::new(|_frame, _msg| ProxyAction::Forward)).unwrap();
+    let mut relayed = client(proxy.addr());
+    let rep = relayed.fetch_verified(w.root, &w.keys).unwrap();
+    assert_eq!(rep.stream_digest, baseline.stream_digest);
+    let (d, r) = (direct.counters(), relayed.counters());
+    assert_eq!(r.bytes_received, d.bytes_received);
+    assert_eq!(r.frames_received, d.frames_received);
+    assert_eq!(proxy.fired(), 0, "forwarding is not an applied action");
+    proxy.shutdown();
+    srv.shutdown();
+}
+
 /// A mutator that applies one [`Tamper`] to the matching PROV frame in
 /// flight, re-framing with a valid CRC — exactly what an attacker on the
 /// path can do (the CRC only guards against accidents).

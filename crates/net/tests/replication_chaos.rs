@@ -33,11 +33,11 @@ use tep_core::{ProvenanceRecord, ProvenanceTracker, TrackerConfig};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{CertificateAuthority, KeyDirectory, Participant, ParticipantId};
 use tep_model::{AggregateMode, ObjectId, Value};
+use tep_net::proxy::at_frame;
 use tep_net::wire::Message;
 use tep_net::{
-    serve_with_registry, AeStatus, Catalog, Client, ClientConfig, FaultKind, FaultListener,
-    FaultPlan, NetError, ProxyAction, Replica, ReplicaConfig, ServerConfig, ServerHandle,
-    TamperProxy,
+    serve_with_registry, AeStatus, Catalog, Client, ClientConfig, NetError, ProxyAction, Replica,
+    ReplicaConfig, ServerConfig, ServerHandle, TamperProxy,
 };
 use tep_obs::Registry;
 use tep_storage::vfs::{FaultConfig, FaultVfs};
@@ -471,16 +471,8 @@ fn symmetric_partition_heals_into_convergence_without_evidence() {
     for seed in seeds_from_env("TEP_CHAOS_SEED") {
         for frame in [0u64, 3, 9] {
             let reg = Registry::new();
-            let fl = FaultListener::spawn(
-                srv.addr(),
-                FaultPlan {
-                    kind: FaultKind::Reset,
-                    frame,
-                    seed,
-                    once: false,
-                },
-            )
-            .unwrap();
+            let fl =
+                TamperProxy::spawn(srv.addr(), at_frame(frame, ProxyAction::Reset, false)).unwrap();
             let (mut repl, vfs) = fresh_replica(fl.addr(), FaultConfig::default());
             repl.attach_obs(&reg);
             let err = repl.catch_up(&w.keys).unwrap_err();

@@ -19,11 +19,12 @@ use tep_core::{ProvenanceRecord, ProvenanceTracker, TrackerConfig};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{CertificateAuthority, KeyDirectory, ParticipantId};
 use tep_model::{Forest, ObjectId, Value};
+use tep_net::proxy::at_frame;
 use tep_net::wire::{FrameReader, FrameWriter, Message};
 use tep_net::TransferCounters;
 use tep_net::{
-    serve_with_registry, Catalog, Client, ClientConfig, ErrorCode, FaultKind, FaultListener,
-    FaultPlan, NetError, ProxyAction, RetryPolicy, ServerConfig, TamperProxy, WIRE_VERSION,
+    serve_with_registry, Catalog, Client, ClientConfig, ErrorCode, NetError, ProxyAction,
+    RetryPolicy, ServerConfig, TamperProxy, WIRE_VERSION,
 };
 use tep_obs::{names, Registry};
 use tep_storage::ProvenanceDb;
@@ -136,18 +137,8 @@ fn cut_transfer_resumes_and_matches_uncut_baseline() {
     // rolling digests), the same totals, and the same recomputed hash.
     let mut last_saving = 0;
     for cut_frame in [3, 7, 2 + records, 2 + records + 1] {
-        let cut = || {
-            FaultListener::spawn(
-                srv.addr(),
-                FaultPlan {
-                    kind: FaultKind::CutBoundary,
-                    frame: cut_frame,
-                    seed: cut_frame,
-                    once: true,
-                },
-            )
-            .unwrap()
-        };
+        let cut =
+            || TamperProxy::spawn(srv.addr(), at_frame(cut_frame, ProxyAction::Cut, true)).unwrap();
         let fl = cut();
         let mut cl = resume_client(fl.addr());
         let rep = cl.fetch_verified(w.chain, &w.keys).unwrap();
@@ -199,16 +190,7 @@ fn cut_transfer_resumes_and_matches_uncut_baseline() {
 fn resume_disabled_refetches_from_zero_and_still_verifies() {
     let w = world();
     let srv = start_server();
-    let fl = FaultListener::spawn(
-        srv.addr(),
-        FaultPlan {
-            kind: FaultKind::CutBoundary,
-            frame: 7,
-            seed: 7,
-            once: true,
-        },
-    )
-    .unwrap();
+    let fl = TamperProxy::spawn(srv.addr(), at_frame(7, ProxyAction::Cut, true)).unwrap();
     let mut cl = client_with(fl.addr(), false);
     let rep = cl.fetch_verified(w.chain, &w.keys).unwrap();
     assert_eq!(rep.resumed, 0, "resume is off; the retry starts over");
@@ -400,16 +382,7 @@ fn forged_resume_ok_is_tamper_evidence_and_never_retried() {
     .unwrap();
     // Cut the first connection after a few verified records so the second
     // one opens with RESUME — which the proxy then forges.
-    let fl = FaultListener::spawn(
-        proxy.addr(),
-        FaultPlan {
-            kind: FaultKind::CutBoundary,
-            frame: 6,
-            seed: 6,
-            once: true,
-        },
-    )
-    .unwrap();
+    let fl = TamperProxy::spawn(proxy.addr(), at_frame(6, ProxyAction::Cut, true)).unwrap();
     let mut cl = resume_client(fl.addr());
     match cl.fetch_verified(w.chain, &w.keys).unwrap_err() {
         NetError::TamperDetected { issues, .. } => {
@@ -479,16 +452,7 @@ fn cut_while_awaiting_resume_ok_is_retried_and_still_resumes() {
     let srv = start_server();
     // Connection 1 is cut after four verified records, so connection 2
     // opens with RESUME — and is hung up on; connection 3 goes through.
-    let fl = FaultListener::spawn(
-        srv.addr(),
-        FaultPlan {
-            kind: FaultKind::CutBoundary,
-            frame: 6,
-            seed: 6,
-            once: true,
-        },
-    )
-    .unwrap();
+    let fl = TamperProxy::spawn(srv.addr(), at_frame(6, ProxyAction::Cut, true)).unwrap();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let upstream = fl.addr();

@@ -1,5 +1,5 @@
 //! Tenant-isolation chaos soak: every fault plane — FaultVfs (disk),
-//! FaultListener (wire), TamperProxy (content) — aimed at tenant A,
+//! TamperProxy (wire faults and content) — aimed at tenant A,
 //! across the seeded matrix, while tenant B keeps fetching.
 //!
 //! The bulkhead invariant under test, from the robustness roadmap:
@@ -34,11 +34,12 @@ use tep_core::{ProvenanceRecord, ProvenanceTracker, TrackerConfig};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::CertificateAuthority;
 use tep_model::{Forest, ObjectId, TenantId, Value};
+use tep_net::proxy::at_frame;
 use tep_net::wire::{FrameReader, FrameWriter, Message, WIRE_VERSION};
 use tep_net::TransferCounters;
 use tep_net::{
-    serve, Catalog, Client, ClientConfig, ErrorCode, FaultKind, FaultListener, FaultPlan, NetError,
-    ProxyAction, RetryPolicy, ServerConfig, TamperProxy, TenantSpec,
+    serve, Catalog, Client, ClientConfig, ErrorCode, NetError, ProxyAction, RetryPolicy,
+    ServerConfig, TamperProxy, TenantSpec,
 };
 use tep_obs::{names, Registry};
 use tep_storage::vfs::{FaultConfig, FaultVfs};
@@ -415,18 +416,9 @@ fn attacks_on_tenant_a_never_reach_tenant_b() {
         b_fetches += 1;
         assert_b_identical(addr, &w, &reg_b, &base_b, "after tampered runs at A");
 
-        // ---- FaultListener at A: a persistent wire cut ends in a clean
-        // retryable error once the attempt cap is spent.
-        let fl = FaultListener::spawn(
-            addr,
-            FaultPlan {
-                kind: FaultKind::CutBoundary,
-                frame: 4,
-                seed,
-                once: false,
-            },
-        )
-        .unwrap();
+        // ---- Wire cuts at A: a persistent cut ends in a clean retryable
+        // error once the attempt cap is spent.
+        let fl = TamperProxy::spawn(addr, at_frame(4, ProxyAction::Cut, false)).unwrap();
         let mut cl = tenant_client(fl.addr(), A, 2, false);
         let err = cl
             .fetch_verified(w.chain_a, keys_a)

@@ -6,7 +6,7 @@
 //! module generates such a table lazily so databases far larger than memory
 //! can be hashed through [`tep_core::streaming`].
 
-use tep_core::streaming::{StreamingDatabaseHasher, StreamingTableHasher};
+use tep_core::streaming::DepthStreamHasher;
 use tep_crypto::digest::HashAlgorithm;
 use tep_model::{ObjectId, Value};
 
@@ -82,17 +82,21 @@ pub struct TitleHashResult {
 /// Streams and hashes a generated Title database of `rows` rows without
 /// materializing it — the paper's §5.2 experiment.
 pub fn stream_title_database(alg: HashAlgorithm, rows: u64) -> TitleHashResult {
-    let mut table = StreamingTableHasher::new(alg, TABLE_ID, &Value::text("Title"));
+    // Depth-tagged preorder: root 0, table 1, each row 2 then its cells 3.
+    let mut h = DepthStreamHasher::new(alg);
+    let mut push = |depth, id, value: &Value| {
+        h.push(depth, id, value)
+            .expect("generated ids are strictly increasing")
+    };
+    push(0, ROOT_ID, &Value::text("title-db"));
+    push(1, TABLE_ID, &Value::text("Title"));
     for row in TitleRowIter::new(rows) {
-        table
-            .add_row(row.row_id, &Value::Null, &row.cells)
-            .expect("generated ids are strictly increasing");
+        push(2, row.row_id, &Value::Null);
+        for (id, value) in &row.cells {
+            push(3, *id, value);
+        }
     }
-    let (table_hash, table_nodes) = table.finish();
-    let mut db = StreamingDatabaseHasher::new(alg, ROOT_ID, &Value::text("title-db"));
-    db.add_table(TABLE_ID, &table_hash, table_nodes)
-        .expect("single table");
-    let (hash, nodes) = db.finish();
+    let (hash, nodes) = h.finish().expect("generated ids are strictly increasing");
     TitleHashResult { hash, nodes }
 }
 

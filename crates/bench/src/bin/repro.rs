@@ -388,16 +388,17 @@ fn main() -> ExitCode {
             &t,
             args.csv,
         );
-        let mut t = TextTable::new(&["kernel/limbs", "per call (us)", "ci95"]);
+        let mut t = TextTable::new(&["kernel/size", "cost", "ci95", "unit"]);
         for r in &run_kernel_cost(&cfg) {
             t.row(&[
                 r.name.clone(),
-                format!("{:.3}", r.op_us.mean),
-                format!("{:.3}", r.op_us.ci95),
+                format!("{:.3}", r.cost.mean),
+                format!("{:.3}", r.cost.ci95),
+                r.unit.to_string(),
             ]);
         }
         emit(
-            "Extension: Montgomery kernel cost by operand width",
+            "Extension: Montgomery and CRC-32 kernel cost by operand size",
             &t,
             args.csv,
         );

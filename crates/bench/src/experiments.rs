@@ -649,30 +649,36 @@ pub fn run_verify_cost(cfg: &ExperimentConfig, lens: &[usize]) -> Vec<VerifyRow>
 /// One kernel-cost data point.
 #[derive(Clone, Debug)]
 pub struct KernelRow {
-    /// `mont_mul/<limbs>` or `modpow_65537/<limbs>`.
+    /// `mont_mul/<limbs>`, `modpow_65537/<limbs>` or `crc32/<bytes>`.
     pub name: String,
-    /// Time per call (µs).
-    pub op_us: Summary,
+    /// Cost in [`Self::unit`]s.
+    pub cost: Summary,
+    /// `"us/call"` for the Montgomery rows, `"ns/B"` for the CRC rows.
+    pub unit: &'static str,
 }
 
-/// Times the kernel under every signature check: one Montgomery product at
-/// the limb counts of an RSA-1024 prime (8), an RSA-1024 modulus / RSA-2048
-/// prime (16) and an RSA-2048 modulus (32), and the public-exponent ladder
-/// (16 squarings + 1 multiply + the two domain conversions) a verification
-/// is made of. Each of `cfg.runs` samples is the mean over a fixed batch of
-/// calls, after one unrecorded warm-up batch.
+/// Times the kernels under every signature check and every framed byte: one
+/// Montgomery product at the limb counts of an RSA-1024 prime (8), an
+/// RSA-1024 modulus / RSA-2048 prime (16) and an RSA-2048 modulus (32), the
+/// public-exponent ladder (16 squarings + 1 multiply + the two domain
+/// conversions) a verification is made of, and the CRC-32 every log, wire
+/// and sidecar frame is checked with, over a small frame, a typical PROV
+/// frame and a large buffer. Each of `cfg.runs` samples is the mean over a
+/// fixed batch of calls, after one unrecorded warm-up batch.
 pub fn run_kernel_cost(cfg: &ExperimentConfig) -> Vec<KernelRow> {
     use std::hint::black_box;
     use tep_crypto::bignum::{BigUint, MontgomeryCtx};
 
-    fn per_call_us(runs: usize, calls: u32, mut f: impl FnMut()) -> Summary {
+    /// Nanoseconds per call, divided by `per`: 1e3 gives µs per call, the
+    /// input length ns per byte.
+    fn per_call(runs: usize, calls: u32, per: f64, mut f: impl FnMut()) -> Summary {
         let samples: Vec<f64> = (0..=runs)
             .map(|_| {
                 let t = Instant::now();
                 for _ in 0..calls {
                     f();
                 }
-                t.elapsed().as_nanos() as f64 / 1e3 / f64::from(calls)
+                t.elapsed().as_nanos() as f64 / f64::from(calls) / per
             })
             .collect();
         Summary::of(&samples[1..])
@@ -692,20 +698,32 @@ pub fn run_kernel_cost(cfg: &ExperimentConfig) -> Vec<KernelRow> {
         let mut prod = vec![0u64; limbs];
         out.push(KernelRow {
             name: format!("mont_mul/{limbs}"),
-            op_us: per_call_us(cfg.runs, 20_000, || {
+            cost: per_call(cfg.runs, 20_000, 1e3, || {
                 ctx.mont_mul(black_box(&a), black_box(&b), &mut prod);
                 black_box(prod[0]);
             }),
+            unit: "us/call",
         });
         if limbs >= 16 {
             let e = BigUint::from_u64(65537);
             out.push(KernelRow {
                 name: format!("modpow_65537/{limbs}"),
-                op_us: per_call_us(cfg.runs, 1_000, || {
+                cost: per_call(cfg.runs, 1_000, 1e3, || {
                     black_box(ctx.modpow(black_box(&x), &e));
                 }),
+                unit: "us/call",
             });
         }
+    }
+    for len in [64usize, 1024, 65536] {
+        let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+        out.push(KernelRow {
+            name: format!("crc32/{len}"),
+            cost: per_call(cfg.runs, (1 << 22) / len as u32, len as f64, || {
+                black_box(tep_storage::crc::crc32(black_box(&data)));
+            }),
+            unit: "ns/B",
+        });
     }
     out
 }

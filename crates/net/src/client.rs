@@ -374,7 +374,7 @@ impl Client {
     /// frame), with retry.
     pub fn stats(&mut self) -> Result<String, NetError> {
         self.with_retry(|conn| {
-            conn.writer.write_message(&Message::StatsRequest)?;
+            conn.request(&Message::StatsRequest)?;
             match conn.read_reply()? {
                 Message::Stats { text } => Ok(text),
                 _ => Err(NetError::Protocol("expected STATS")),
@@ -403,7 +403,7 @@ impl Client {
         keys: &KeyDirectory,
     ) -> Result<QueryReport, NetError> {
         self.with_retry(|conn| {
-            conn.writer.write_message(&Message::Query { spec: *spec })?;
+            conn.request(&Message::Query { spec: *spec })?;
             let frame = conn.reader.frames();
             match conn.read_reply()? {
                 Message::QResult { proof } => {
@@ -451,7 +451,7 @@ impl Client {
         keys: &KeyDirectory,
     ) -> Result<RangeReport, NetError> {
         self.with_retry(|conn| {
-            conn.writer.write_message(&Message::RangeReq { lo, hi })?;
+            conn.request(&Message::RangeReq { lo, hi })?;
             let frame = conn.reader.frames();
             let Message::RangeResp { oids, proof } = conn.read_reply()? else {
                 return Err(NetError::Protocol("expected RANGE_RESP"));
@@ -575,11 +575,7 @@ impl Client {
     ) -> Result<T, NetError> {
         if let Some(mut conn) = self.conn.take() {
             let answered = conn.reader.frames();
-            // The previous request may have left a fetch-scaled timeout.
-            let outcome = conn
-                .set_read_timeout(self.cfg.read_timeout)
-                .and_then(|()| op(&mut conn));
-            match outcome {
+            match op(&mut conn) {
                 Ok(v) => {
                     self.counters.conn_reuse();
                     self.keep(conn);
@@ -658,6 +654,9 @@ pub(crate) struct Connection {
     alg: HashAlgorithm,
     /// The dialer's base per-read timeout; a transfer rescales it.
     read_timeout: Duration,
+    /// The timeout last set on the socket, so setting it again costs no
+    /// syscall.
+    applied_timeout: Duration,
     counters: Arc<TransferCounters>,
     registry: Option<Registry>,
 }
@@ -691,6 +690,7 @@ impl Connection {
             stream: control,
             alg,
             read_timeout,
+            applied_timeout: read_timeout,
             counters,
             registry,
         };
@@ -735,9 +735,22 @@ impl Connection {
         }
     }
 
-    /// Sets the per-read socket timeout for the request about to run.
-    fn set_read_timeout(&self, timeout: Duration) -> Result<(), NetError> {
-        Ok(self.stream.set_read_timeout(Some(timeout))?)
+    /// Sends a request whose reply is read under the base timeout (a
+    /// transfer sets its own in [`open_transfer`]).
+    fn request(&mut self, msg: &Message) -> Result<(), NetError> {
+        self.set_read_timeout(self.read_timeout)?;
+        Ok(self.writer.write_message(msg)?)
+    }
+
+    /// Sets the per-read socket timeout for the request about to run; the
+    /// timeout the socket already has costs no syscall, so a run of
+    /// requests that need the same one sets it once.
+    fn set_read_timeout(&mut self, timeout: Duration) -> Result<(), NetError> {
+        if timeout != self.applied_timeout {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.applied_timeout = timeout;
+        }
+        Ok(())
     }
 
     /// Chain length the server's OFFER claims for `oid`, if offered.
@@ -993,12 +1006,14 @@ fn open_transfer(
     keys: &KeyDirectory,
     resume_from: Option<&StreamingVerifier<'_>>,
 ) -> Result<bool, NetError> {
-    // Rescale the socket timeout to the transfer's offered size before any
-    // stream frames are read; `Client::attempt` restores the base timeout
-    // before the next request on this connection.
-    if let Some(records) = conn.offered_records(oid) {
-        conn.set_read_timeout(scaled_read_timeout(conn.read_timeout, records))?;
-    }
+    // Scale the socket timeout to the transfer's offered size before any
+    // stream frames are read (the base timeout for an object not offered);
+    // every other request sets the base timeout again (`Connection::request`).
+    let base = conn.read_timeout;
+    let timeout = conn
+        .offered_records(oid)
+        .map_or(base, |records| scaled_read_timeout(base, records));
+    conn.set_read_timeout(timeout)?;
     let Some(verifier) = resume_from else {
         conn.writer.write_message(&Message::Fetch { oid })?;
         return Ok(false);

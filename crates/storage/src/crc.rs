@@ -14,10 +14,36 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Streaming update: feed `state` from a previous call (start with
 /// `0xFFFF_FFFF`), finish by XOR-ing with `0xFFFF_FFFF`.
+///
+/// Slicing-by-16: each iteration folds 16 input bytes through 16 independent
+/// table lookups instead of a chain of 16 dependent ones, and a bytewise
+/// loop over `TABLES[0]` takes the remainder. The result is bit-identical to
+/// the one-byte-per-step definition (the `tests` module keeps it as the
+/// reference).
 pub(crate) fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        let idx = ((state ^ b as u32) & 0xFF) as usize;
-        state = TABLE[idx] ^ (state >> 8);
+    let t = &TABLES;
+    let mut blocks = data.chunks_exact(16);
+    for b in &mut blocks {
+        let lo = state ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        state = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in blocks.remainder() {
+        state = t[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
 }
@@ -36,10 +62,13 @@ pub fn frame_crc(len: u32, payload: &[u8]) -> u32 {
     state ^ CRC_INIT
 }
 
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0]` is the classic one-byte table; `TABLES[k][i]` is the CRC
+/// state after byte `i` is followed by `k` zero bytes, so one block's 16
+/// lookups can be XOR-ed together.
+static TABLES: [[u32; 256]; 16] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -52,15 +81,104 @@ const fn build_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition: one dependent table step per byte. The kernel must
+    /// equal it on every input.
+    fn crc32_update_bytewise(mut state: u32, data: &[u8]) -> u32 {
+        for &b in data {
+            state = TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+        }
+        state
+    }
+
+    /// Deterministic filler (xorshift64*), so a failure names its bytes.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    fn inputs() -> Vec<(&'static str, Vec<u8>)> {
+        vec![
+            ("zeros", vec![0u8; 1024 + 16]),
+            ("ones", vec![0xFFu8; 1024 + 16]),
+            ("random", seeded_bytes(2009, 1024 + 16)),
+        ]
+    }
+
+    #[test]
+    fn kernel_matches_bytewise_at_every_length() {
+        for (name, buf) in inputs() {
+            for len in 0..=1024 {
+                for state in [CRC_INIT, 0, 0x1234_5678] {
+                    assert_eq!(
+                        crc32_update(state, &buf[..len]),
+                        crc32_update_bytewise(state, &buf[..len]),
+                        "{name}: len {len}, state {state:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_bytewise_at_every_start_offset() {
+        for (name, buf) in inputs() {
+            for start in 0..16 {
+                for len in [0, 1, 15, 16, 17, 31, 32, 33, 255, 1000] {
+                    let data = &buf[start..start + len];
+                    assert_eq!(
+                        crc32_update(CRC_INIT, data),
+                        crc32_update_bytewise(CRC_INIT, data),
+                        "{name}: start {start}, len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_bytewise_when_streamed_in_pieces() {
+        let data = seeded_bytes(31337, 4096);
+        let whole = crc32_update_bytewise(CRC_INIT, &data);
+        for round in 0..64 {
+            // Split at arbitrary points: piece lengths 0..=63 cover empty
+            // pieces, sub-block tails and pieces spanning block boundaries.
+            let mut cuts = seeded_bytes(round, 1024).into_iter();
+            let (mut state, mut at) = (CRC_INIT, 0);
+            while at < data.len() {
+                let piece = usize::from(cuts.next().unwrap_or(16) % 64).min(data.len() - at);
+                state = crc32_update(state, &data[at..at + piece]);
+                at += piece;
+            }
+            assert_eq!(state, whole, "round {round}");
+        }
+    }
 
     #[test]
     fn known_vectors() {

@@ -1040,6 +1040,41 @@ mod tests {
         }
     }
 
+    /// Pins the wire bytes themselves. `every_message_roundtrips` passes
+    /// whenever encode and decode drift in step; this does not: the SHA-256
+    /// of every sample frame, concatenated, is the protocol as deployed.
+    /// A change here is a wire-format change and needs a `WIRE_VERSION` bump.
+    #[test]
+    fn sample_frames_are_byte_stable() {
+        let msgs = sample_messages();
+        let mut types: Vec<u8> = msgs.iter().map(|m| encode_message(m)[0]).collect();
+        types.sort_unstable();
+        types.dedup();
+        assert_eq!(
+            types,
+            (0x01..=0x12).collect::<Vec<u8>>(),
+            "a type byte lacks a sample"
+        );
+        let mut frames = Vec::new();
+        for msg in &msgs {
+            frame_message_into(msg, &mut frames);
+        }
+        let hex: String = HashAlgorithm::Sha256
+            .digest(&frames)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let frames_hex: String = frames.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            (frames.len(), hex.as_str()),
+            (
+                1386,
+                "120adb27b9b9302f75436c8e9cac528f708b46cc992fb16e0303ecf02afbf9bd"
+            ),
+            "wire bytes changed; frames: {frames_hex}"
+        );
+    }
+
     #[test]
     fn framed_stream_roundtrips_and_counts() {
         let msgs = sample_messages();

@@ -30,6 +30,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use tep_core::slice::QuerySpec;
@@ -60,79 +61,47 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// once it crosses this many encoded bytes.
 pub(crate) const DATA_CHUNK_BYTES: usize = 32 * 1024;
 
-const TYPE_HELLO: u8 = 0x01;
-const TYPE_OFFER: u8 = 0x02;
-const TYPE_FETCH: u8 = 0x03;
-const TYPE_PROV: u8 = 0x04;
-const TYPE_DATA: u8 = 0x05;
-const TYPE_DONE: u8 = 0x06;
-const TYPE_ERROR: u8 = 0x07;
-const TYPE_STATS_REQ: u8 = 0x08;
-const TYPE_STATS: u8 = 0x09;
-const TYPE_RESUME: u8 = 0x0A;
-const TYPE_RESUME_OK: u8 = 0x0B;
-const TYPE_QUERY: u8 = 0x0C;
-const TYPE_QRESULT: u8 = 0x0D;
-const TYPE_AE_REQ: u8 = 0x0E;
-const TYPE_AE_RESP: u8 = 0x0F;
-const TYPE_DENIAL: u8 = 0x10;
-const TYPE_RANGE_REQ: u8 = 0x11;
-const TYPE_RANGE_RESP: u8 = 0x12;
-
 /// `AeReq.level` value that asks for the tree summary (root exchange)
 /// instead of a specific node — a replica cannot know the primary's tree
 /// depth before the first exchange.
 pub const AE_SUMMARY_LEVEL: u32 = u32::MAX;
 
-/// Why a peer refused a request.
+/// Why a peer refused a request. The discriminant is the code's wire byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// HELLO version or hash algorithm did not match.
-    VersionMismatch,
+    VersionMismatch = 1,
     /// The requested object is not offered here.
-    UnknownObject,
+    UnknownObject = 2,
     /// The server's accept queue is full; try again later.
-    Busy,
+    Busy = 3,
     /// The peer sent a message the protocol state does not allow.
-    BadRequest,
+    BadRequest = 4,
     /// A RESUME offset/digest does not match the server's history — the
     /// claimed prefix is not byte-identical to what the server would send.
-    ResumeMismatch,
+    ResumeMismatch = 5,
     /// A request exceeded the server's per-request deadline and the
     /// connection was closed; reconnect (and resume) to continue.
-    Deadline,
-    /// The tenant named in HELLO is unknown to (or disabled at) this
-    /// server. **Non-retryable**, unlike `Busy`: no amount of backoff
-    /// makes an unprovisioned tenant exist, so clients surface it
-    /// immediately instead of burning retry budget.
-    UnknownTenant,
+    Deadline = 6,
+    /// The tenant named in HELLO is unknown to this server.
+    /// **Non-retryable**, unlike `Busy`: no amount of backoff makes an
+    /// unprovisioned tenant exist, so clients surface it immediately
+    /// instead of burning retry budget.
+    UnknownTenant = 7,
 }
 
 impl ErrorCode {
-    fn wire_id(self) -> u8 {
-        match self {
-            ErrorCode::VersionMismatch => 1,
-            ErrorCode::UnknownObject => 2,
-            ErrorCode::Busy => 3,
-            ErrorCode::BadRequest => 4,
-            ErrorCode::ResumeMismatch => 5,
-            ErrorCode::Deadline => 6,
-            ErrorCode::UnknownTenant => 7,
-        }
-    }
-
-    fn from_wire_id(id: u8) -> Option<Self> {
-        match id {
-            1 => Some(ErrorCode::VersionMismatch),
-            2 => Some(ErrorCode::UnknownObject),
-            3 => Some(ErrorCode::Busy),
-            4 => Some(ErrorCode::BadRequest),
-            5 => Some(ErrorCode::ResumeMismatch),
-            6 => Some(ErrorCode::Deadline),
-            7 => Some(ErrorCode::UnknownTenant),
-            _ => None,
-        }
-    }
+    /// Every code; the decoder searches this list for the wire byte.
+    const ALL: [ErrorCode; 7] = [
+        ErrorCode::VersionMismatch,
+        ErrorCode::UnknownObject,
+        ErrorCode::Busy,
+        ErrorCode::BadRequest,
+        ErrorCode::ResumeMismatch,
+        ErrorCode::Deadline,
+        ErrorCode::UnknownTenant,
+    ];
 }
 
 impl fmt::Display for ErrorCode {
@@ -150,200 +119,275 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// One entry of the server's OFFER manifest.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OfferEntry {
-    /// The offered object.
-    pub oid: ObjectId,
-    /// Records in the object's own chain (the full DAG a FETCH delivers
-    /// may be larger).
-    pub records: u64,
-    /// Nodes in the object's data subtree.
-    pub nodes: u64,
+/// Structs carried inside messages, each with its fields in wire order.
+macro_rules! wire_structs {
+    ($($(#[$m:meta])* pub struct $name:ident {
+        $($(#[$fm:meta])* pub $f:ident: $t:ty,)*
+    })*) => {$(
+        $(#[$m])*
+        pub struct $name {
+            $($(#[$fm])* pub $f: $t,)*
+        }
+
+        impl Codec for $name {
+            type T = Self;
+            const MIN: usize = 0 $(+ <$t as Codec>::MIN)*;
+            fn put(v: &Self, out: &mut Vec<u8>) {
+                $(<$t as Codec>::put(&v.$f, out);)*
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($name { $($f: <$t as Codec>::take(r)?,)* })
+            }
+        }
+    )*};
 }
 
-/// One depth-tagged DFS-preorder node of a DATA frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DataEntry {
-    /// Depth below the transfer's root object (root = 0).
-    pub depth: u16,
-    /// The node's object id.
-    pub id: ObjectId,
-    /// The node's value, canonically encoded on the wire.
-    pub value: Value,
+/// The message table: each message once, as its type byte and then its
+/// fields in wire order, each written and read by one [`Codec`] — the
+/// field's own type, or the codec named after `as`. The `Message` enum,
+/// `encode_message_into` and `decode_message` are all generated from it, so
+/// the two directions cannot drift apart; the table is the normative
+/// statement of the format.
+macro_rules! wire_messages {
+    (@codec $t:ty) => { $t };
+    (@codec $t:ty as $c:ty) => { $c };
+    ($(#[$m:meta])* pub enum Message {
+        $($(#[$vm:meta])* $v:ident = $tag:literal $({
+            $($(#[$fm:meta])* $f:ident: $t:ty $(as $c:ty)?,)*
+        })?,)*
+    }) => {
+        $(#[$m])*
+        pub enum Message {
+            $($(#[$vm])* $v $({ $($(#[$fm])* $f: $t,)* })?,)*
+        }
+
+        /// Appends `msg`'s payload (type byte + body) to `out` without
+        /// clearing it — the allocation-free twin of [`encode_message`].
+        /// Callers that frame messages reserve header space in `out` first
+        /// and patch it afterwards (see [`FrameWriter::write_message`]), so
+        /// a warm buffer encodes and frames with zero allocations.
+        pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
+            match msg {
+                $(Message::$v $({ $($f),* })? => {
+                    out.push($tag);
+                    $($(<wire_messages!(@codec $t $(as $c)?) as Codec>::put($f, out);)*)?
+                })*
+            }
+        }
+
+        /// Decodes one message from a complete frame payload.
+        pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
+            let mut r = Reader::new(payload);
+            let msg = match r.u8()? {
+                $($tag => Message::$v $({
+                    $($f: <wire_messages!(@codec $t $(as $c)?) as Codec>::take(&mut r)?,)*
+                })?,)*
+                t => return Err(WireError::BadType(t)),
+            };
+            r.expect_end()?;
+            Ok(msg)
+        }
+    };
 }
 
-/// A protocol message.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Message {
-    /// Connection opener, sent by both sides: magic, version, algorithm,
-    /// tenant scope.
-    Hello {
-        /// Protocol version ([`WIRE_VERSION`]).
-        version: u16,
-        /// Hash algorithm all hashes on this connection use.
-        alg: HashAlgorithm,
-        /// The tenant this connection operates in. Stated by the client,
-        /// checked against the server's tenant directory at admission,
-        /// and echoed back; every OFFER/FETCH/QUERY/DENIAL/AE frame that
-        /// follows is implicitly scoped to it. Single-tenant deployments
-        /// use [`tep_model::TenantId::DEFAULT`] (0).
-        tenant: u64,
-    },
-    /// Manifest of objects the server serves.
-    Offer {
-        /// One entry per offered object, in `ObjectId` order.
-        entries: Vec<OfferEntry>,
-    },
-    /// Client requests one object's provenance + data.
-    Fetch {
-        /// The requested object.
-        oid: ObjectId,
-    },
-    /// One provenance record, in `(output_oid, seq_id)` order.
-    Prov {
-        /// The record in storage wire format.
-        record: StoredRecord,
-    },
-    /// A chunk of the object's data subtree in depth-tagged DFS preorder.
-    Data {
-        /// The entries of this chunk.
-        entries: Vec<DataEntry>,
-    },
-    /// End of a transfer, with totals for cross-checking.
-    Done {
-        /// PROV frames sent.
-        records: u64,
-        /// Data entries sent.
-        nodes: u64,
-    },
-    /// Refusal. Fatal codes close the connection.
-    Error {
-        /// Machine-readable reason.
-        code: ErrorCode,
-        /// Backoff hint in milliseconds (0 = none): how long the peer
-        /// suggests waiting before retrying. Sent with `Busy`/`Deadline`
-        /// when the server is load-shedding.
-        retry_after_ms: u64,
-        /// Human-readable detail.
-        detail: String,
-    },
-    /// Client asks the server for its metric registry.
-    StatsRequest,
-    /// The server's metrics in text exposition format
-    /// ([`tep_obs::Registry::render_text`]).
-    Stats {
-        /// The rendered exposition (UTF-8).
-        text: String,
-    },
-    /// Client reopens a transfer that was cut after `records` records,
-    /// proving where it stopped with its verifier's rolling stream digest.
-    Resume {
-        /// The object being transferred.
-        oid: ObjectId,
-        /// Records already received **and verified** by the client.
-        records: u64,
-        /// The client's [`RecordStreamDigest`] state after those records
-        /// ([`tep_core::streaming::RecordStreamDigest`]).
-        digest: Vec<u8>,
-    },
-    /// Server accepts a RESUME: it echoes the offset and its **own**
-    /// recomputed digest over the first `records` records it would have
-    /// sent, then continues the transfer from `records + 1`. A client
-    /// whose digest disagrees rejects the transfer as `ResumeMismatch`
-    /// evidence.
-    ResumeOk {
-        /// The resume offset being honored.
-        records: u64,
-        /// The server's recomputed stream digest over its own first
-        /// `records` records.
-        digest: Vec<u8>,
-    },
-    /// Client asks the server to run a provenance query.
-    Query {
-        /// What to compute, over which object, under which bounds.
-        spec: QuerySpec,
-    },
-    /// The server's answer: an encoded `tep_core::slice::SliceProof` the
-    /// client decodes and re-verifies with `Verifier::verify_slice`. The
-    /// bytes travel opaquely — the wire layer never vouches for them.
-    QResult {
-        /// The proof in its canonical slice encoding.
-        proof: Vec<u8>,
-    },
-    /// Replica asks for one node of the primary's per-shard Merkle tree
-    /// over the object-ID space ([`tep_core::merkle::ShardTree`]) during
-    /// an anti-entropy pass. `level == `[`AE_SUMMARY_LEVEL`] requests the
-    /// root exchange (tree summary); otherwise `(level, index)` addresses
-    /// a specific node, leaves at level 0.
-    AeReq {
-        /// Tree level (leaves = 0), or [`AE_SUMMARY_LEVEL`] for the
-        /// summary.
-        level: u32,
-        /// Node index within the level (0 for the summary).
-        index: u64,
-    },
-    /// One node of the responder's shard tree. Every response carries the
-    /// shard's leaf count and depth (they are cheap and let the requester
-    /// cross-check shape claims); `children` are the node's 1–2 child
-    /// hashes (empty at leaf level), and `oid` names the leaf's object at
-    /// leaf level. The requester authenticates each response structurally:
-    /// the children must hash to the parent hash claimed one round
-    /// earlier, so a forged node or root surfaces as
-    /// `TamperEvidence::ForgedRoot` rather than steering the descent.
-    AeResp {
-        /// Leaves (objects) in the responder's shard.
-        leaf_count: u64,
-        /// Levels above the leaves.
-        depth: u32,
-        /// The addressed node's hash (the root hash for a summary).
-        hash: Vec<u8>,
-        /// The node's child hashes, in order; empty at leaf level and in
-        /// summaries.
-        children: Vec<Vec<u8>>,
-        /// At leaf level, the leaf's object id.
-        oid: Option<ObjectId>,
-        /// On summary responses from a signing server, the encoded
-        /// [`tep_core::denial::SignedRoot`] over the shard — replicas
-        /// refresh their non-membership root (and its monotonic
-        /// `log_records` high-water mark) from it each anti-entropy
-        /// round. The bytes travel opaquely; the receiver verifies the
-        /// signature itself.
-        signed_root: Option<Vec<u8>>,
-    },
-    /// Authenticated NOT_FOUND: the server's answer to a FETCH or QUERY
-    /// for an object it does not hold. Carries an encoded
-    /// [`tep_core::denial::SignedDenial`] — a signed non-membership proof
-    /// the client verifies before accepting the denial as honest; a
-    /// denial that fails verification is `ForgedDenial` evidence and is
-    /// never retried.
-    Denial {
-        /// The proof in its canonical [`SignedDenial`] encoding
-        /// ([`tep_core::denial::SignedDenial::to_bytes`]), opaque to the
-        /// wire layer.
-        proof: Vec<u8>,
-    },
-    /// Client asks which offered objects fall in an inclusive object-ID
-    /// range — with proof that the answer is complete.
-    RangeReq {
-        /// Inclusive lower bound.
-        lo: ObjectId,
-        /// Inclusive upper bound.
-        hi: ObjectId,
-    },
-    /// The server's range answer: the member object-IDs plus an encoded
-    /// [`tep_core::denial::SignedRange`] completeness proof. The client
-    /// cross-checks the served members against the proof's proven set —
-    /// an answer missing a proven member is `IncompleteResponse`
-    /// evidence.
-    RangeResp {
-        /// The members served, in ascending order.
-        oids: Vec<ObjectId>,
-        /// The completeness proof in its canonical [`SignedRange`]
-        /// encoding ([`tep_core::denial::SignedRange::to_bytes`]), opaque
-        /// to the wire layer.
-        proof: Vec<u8>,
-    },
+wire_structs! {
+    /// One entry of the server's OFFER manifest.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct OfferEntry {
+        /// The offered object.
+        pub oid: ObjectId,
+        /// Records in the object's own chain (the full DAG a FETCH delivers
+        /// may be larger).
+        pub records: u64,
+        /// Nodes in the object's data subtree.
+        pub nodes: u64,
+    }
+
+    /// One depth-tagged DFS-preorder node of a DATA frame.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct DataEntry {
+        /// Depth below the transfer's root object (root = 0).
+        pub depth: u16,
+        /// The node's object id.
+        pub id: ObjectId,
+        /// The node's value, canonically encoded on the wire.
+        pub value: Value,
+    }
+}
+
+wire_messages! {
+    /// A protocol message.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Message {
+        /// Connection opener, sent by both sides: magic, version, algorithm,
+        /// tenant scope.
+        Hello = 0x01 {
+            /// Protocol version ([`WIRE_VERSION`]), behind [`WIRE_MAGIC`].
+            version: u16 as Version,
+            /// Hash algorithm all hashes on this connection use.
+            alg: HashAlgorithm,
+            /// The tenant this connection operates in. Stated by the client,
+            /// checked against the server's tenant directory at admission,
+            /// and echoed back; every OFFER/FETCH/QUERY/DENIAL/AE frame that
+            /// follows is implicitly scoped to it. Single-tenant deployments
+            /// use [`tep_model::TenantId::DEFAULT`] (0).
+            tenant: u64,
+        },
+        /// Manifest of objects the server serves.
+        Offer = 0x02 {
+            /// One entry per offered object, in `ObjectId` order.
+            entries: Vec<OfferEntry> as List<4, OfferEntry>,
+        },
+        /// Client requests one object's provenance + data.
+        Fetch = 0x03 {
+            /// The requested object.
+            oid: ObjectId,
+        },
+        /// One provenance record, in `(output_oid, seq_id)` order.
+        Prov = 0x04 {
+            /// The record in storage wire format: the rest of the payload.
+            record: StoredRecord,
+        },
+        /// A chunk of the object's data subtree in depth-tagged DFS preorder.
+        Data = 0x05 {
+            /// The entries of this chunk.
+            entries: Vec<DataEntry> as List<4, DataEntry>,
+        },
+        /// End of a transfer, with totals for cross-checking.
+        Done = 0x06 {
+            /// PROV frames sent.
+            records: u64,
+            /// Data entries sent.
+            nodes: u64,
+        },
+        /// Refusal. Fatal codes close the connection.
+        Error = 0x07 {
+            /// Machine-readable reason.
+            code: ErrorCode,
+            /// Backoff hint in milliseconds (0 = none): how long the peer
+            /// suggests waiting before retrying. Sent with `Busy`/`Deadline`
+            /// when the server is load-shedding.
+            retry_after_ms: u64,
+            /// Human-readable detail.
+            detail: String,
+        },
+        /// Client asks the server for its metric registry.
+        StatsRequest = 0x08,
+        /// The server's metrics in text exposition format
+        /// ([`tep_obs::Registry::render_text`]).
+        Stats = 0x09 {
+            /// The rendered exposition (UTF-8).
+            text: String,
+        },
+        /// Client reopens a transfer that was cut after `records` records,
+        /// proving where it stopped with its verifier's rolling stream digest.
+        Resume = 0x0A {
+            /// The object being transferred.
+            oid: ObjectId,
+            /// Records already received **and verified** by the client.
+            records: u64,
+            /// The client's [`RecordStreamDigest`] state after those records
+            /// ([`tep_core::streaming::RecordStreamDigest`]).
+            digest: Vec<u8>,
+        },
+        /// Server accepts a RESUME: it echoes the offset and its **own**
+        /// recomputed digest over the first `records` records it would have
+        /// sent, then continues the transfer from `records + 1`. A client
+        /// whose digest disagrees rejects the transfer as `ResumeMismatch`
+        /// evidence.
+        ResumeOk = 0x0B {
+            /// The resume offset being honored.
+            records: u64,
+            /// The server's recomputed stream digest over its own first
+            /// `records` records.
+            digest: Vec<u8>,
+        },
+        /// Client asks the server to run a provenance query.
+        Query = 0x0C {
+            /// What to compute, over which object, under which bounds.
+            spec: QuerySpec,
+        },
+        /// The server's answer: an encoded `tep_core::slice::SliceProof` the
+        /// client decodes and re-verifies with `Verifier::verify_slice`. The
+        /// bytes travel opaquely — the wire layer never vouches for them.
+        QResult = 0x0D {
+            /// The proof in its canonical slice encoding.
+            proof: Vec<u8> as Rest,
+        },
+        /// Replica asks for one node of the primary's per-shard Merkle tree
+        /// over the object-ID space ([`tep_core::merkle::ShardTree`]) during
+        /// an anti-entropy pass. `level == `[`AE_SUMMARY_LEVEL`] requests the
+        /// root exchange (tree summary); otherwise `(level, index)` addresses
+        /// a specific node, leaves at level 0.
+        AeReq = 0x0E {
+            /// Tree level (leaves = 0), or [`AE_SUMMARY_LEVEL`] for the
+            /// summary.
+            level: u32,
+            /// Node index within the level (0 for the summary).
+            index: u64,
+        },
+        /// One node of the responder's shard tree. Every response carries the
+        /// shard's leaf count and depth (they are cheap and let the requester
+        /// cross-check shape claims); `children` are the node's 1–2 child
+        /// hashes (empty at leaf level), and `oid` names the leaf's object at
+        /// leaf level. The requester authenticates each response structurally:
+        /// the children must hash to the parent hash claimed one round
+        /// earlier, so a forged node or root surfaces as
+        /// `TamperEvidence::ForgedRoot` rather than steering the descent.
+        AeResp = 0x0F {
+            /// Leaves (objects) in the responder's shard.
+            leaf_count: u64,
+            /// Levels above the leaves.
+            depth: u32,
+            /// The addressed node's hash (the root hash for a summary).
+            hash: Vec<u8>,
+            /// The node's child hashes, in order; empty at leaf level and in
+            /// summaries.
+            children: Vec<Vec<u8>> as List<1, Vec<u8>>,
+            /// At leaf level, the leaf's object id.
+            oid: Option<ObjectId>,
+            /// On summary responses from a signing server, the encoded
+            /// [`tep_core::denial::SignedRoot`] over the shard — replicas
+            /// refresh their non-membership root (and its monotonic
+            /// `log_records` high-water mark) from it each anti-entropy
+            /// round. The bytes travel opaquely; the receiver verifies the
+            /// signature itself.
+            signed_root: Option<Vec<u8>>,
+        },
+        /// Authenticated NOT_FOUND: the server's answer to a FETCH or QUERY
+        /// for an object it does not hold. Carries an encoded
+        /// [`tep_core::denial::SignedDenial`] — a signed non-membership proof
+        /// the client verifies before accepting the denial as honest; a
+        /// denial that fails verification is `ForgedDenial` evidence and is
+        /// never retried.
+        Denial = 0x10 {
+            /// The proof in its canonical [`SignedDenial`] encoding
+            /// ([`tep_core::denial::SignedDenial::to_bytes`]), opaque to the
+            /// wire layer.
+            proof: Vec<u8> as Rest,
+        },
+        /// Client asks which offered objects fall in an inclusive object-ID
+        /// range — with proof that the answer is complete.
+        RangeReq = 0x11 {
+            /// Inclusive lower bound.
+            lo: ObjectId,
+            /// Inclusive upper bound.
+            hi: ObjectId,
+        },
+        /// The server's range answer: the member object-IDs plus an encoded
+        /// [`tep_core::denial::SignedRange`] completeness proof. The client
+        /// cross-checks the served members against the proof's proven set —
+        /// an answer missing a proven member is `IncompleteResponse`
+        /// evidence.
+        RangeResp = 0x12 {
+            /// The members served, in ascending order.
+            oids: Vec<ObjectId> as List<4, ObjectId>,
+            /// The completeness proof in its canonical [`SignedRange`]
+            /// encoding ([`tep_core::denial::SignedRange::to_bytes`]), opaque
+            /// to the wire layer.
+            proof: Vec<u8>,
+        },
+    }
 }
 
 /// Wire-layer failure.
@@ -409,313 +453,120 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
     out
 }
 
-/// Appends `msg`'s payload (type byte + body) to `out` without clearing
-/// it — the allocation-free twin of [`encode_message`]. Callers that frame
-/// messages reserve header space in `out` first and patch it afterwards
-/// (see [`FrameWriter::write_message`]), so a warm buffer encodes and
-/// frames with zero allocations.
-pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
-    match msg {
-        Message::Hello {
-            version,
-            alg,
-            tenant,
-        } => {
-            out.push(TYPE_HELLO);
-            out.extend_from_slice(&WIRE_MAGIC);
-            out.extend_from_slice(&version.to_be_bytes());
-            out.push(alg.wire_id());
-            out.extend_from_slice(&tenant.to_be_bytes());
-        }
-        Message::Offer { entries } => {
-            out.push(TYPE_OFFER);
-            out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-            for e in entries {
-                out.extend_from_slice(&e.oid.raw().to_be_bytes());
-                out.extend_from_slice(&e.records.to_be_bytes());
-                out.extend_from_slice(&e.nodes.to_be_bytes());
-            }
-        }
-        Message::Fetch { oid } => {
-            out.push(TYPE_FETCH);
-            out.extend_from_slice(&oid.raw().to_be_bytes());
-        }
-        Message::Prov { record } => {
-            out.push(TYPE_PROV);
-            record.encode_into(out);
-        }
-        Message::Data { entries } => {
-            out.push(TYPE_DATA);
-            out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-            for e in entries {
-                out.extend_from_slice(&e.depth.to_be_bytes());
-                out.extend_from_slice(&e.id.raw().to_be_bytes());
-                encode_value(&e.value, out);
-            }
-        }
-        Message::Done { records, nodes } => {
-            out.push(TYPE_DONE);
-            out.extend_from_slice(&records.to_be_bytes());
-            out.extend_from_slice(&nodes.to_be_bytes());
-        }
-        Message::Error {
-            code,
-            retry_after_ms,
-            detail,
-        } => {
-            out.push(TYPE_ERROR);
-            out.push(code.wire_id());
-            out.extend_from_slice(&retry_after_ms.to_be_bytes());
-            out.extend_from_slice(&(detail.len() as u64).to_be_bytes());
-            out.extend_from_slice(detail.as_bytes());
-        }
-        Message::StatsRequest => {
-            out.push(TYPE_STATS_REQ);
-        }
-        Message::Stats { text } => {
-            out.push(TYPE_STATS);
-            out.extend_from_slice(&(text.len() as u64).to_be_bytes());
-            out.extend_from_slice(text.as_bytes());
-        }
-        Message::Resume {
-            oid,
-            records,
-            digest,
-        } => {
-            out.push(TYPE_RESUME);
-            out.extend_from_slice(&oid.raw().to_be_bytes());
-            out.extend_from_slice(&records.to_be_bytes());
-            out.extend_from_slice(&(digest.len() as u64).to_be_bytes());
-            out.extend_from_slice(digest);
-        }
-        Message::ResumeOk { records, digest } => {
-            out.push(TYPE_RESUME_OK);
-            out.extend_from_slice(&records.to_be_bytes());
-            out.extend_from_slice(&(digest.len() as u64).to_be_bytes());
-            out.extend_from_slice(digest);
-        }
-        Message::Query { spec } => {
-            out.push(TYPE_QUERY);
-            spec.encode_into(out);
-        }
-        Message::QResult { proof } => {
-            out.push(TYPE_QRESULT);
-            out.extend_from_slice(proof);
-        }
-        Message::AeReq { level, index } => {
-            out.push(TYPE_AE_REQ);
-            out.extend_from_slice(&level.to_be_bytes());
-            out.extend_from_slice(&index.to_be_bytes());
-        }
-        Message::AeResp {
-            leaf_count,
-            depth,
-            hash,
-            children,
-            oid,
-            signed_root,
-        } => {
-            out.push(TYPE_AE_RESP);
-            out.extend_from_slice(&leaf_count.to_be_bytes());
-            out.extend_from_slice(&depth.to_be_bytes());
-            out.extend_from_slice(&(hash.len() as u64).to_be_bytes());
-            out.extend_from_slice(hash);
-            out.push(children.len() as u8);
-            for c in children {
-                out.extend_from_slice(&(c.len() as u64).to_be_bytes());
-                out.extend_from_slice(c);
-            }
-            match oid {
-                Some(oid) => {
-                    out.push(1);
-                    out.extend_from_slice(&oid.raw().to_be_bytes());
-                }
-                None => out.push(0),
-            }
-            match signed_root {
-                Some(root) => {
-                    out.push(1);
-                    out.extend_from_slice(&(root.len() as u64).to_be_bytes());
-                    out.extend_from_slice(root);
-                }
-                None => out.push(0),
-            }
-        }
-        Message::Denial { proof } => {
-            out.push(TYPE_DENIAL);
-            out.extend_from_slice(proof);
-        }
-        Message::RangeReq { lo, hi } => {
-            out.push(TYPE_RANGE_REQ);
-            out.extend_from_slice(&lo.raw().to_be_bytes());
-            out.extend_from_slice(&hi.raw().to_be_bytes());
-        }
-        Message::RangeResp { oids, proof } => {
-            out.push(TYPE_RANGE_RESP);
-            out.extend_from_slice(&(oids.len() as u32).to_be_bytes());
-            for oid in oids {
-                out.extend_from_slice(&oid.raw().to_be_bytes());
-            }
-            out.extend_from_slice(&(proof.len() as u64).to_be_bytes());
-            out.extend_from_slice(proof);
-        }
-    }
+/// One field encoding: how the message table writes and reads a `T`.
+trait Codec {
+    /// The value this codec carries.
+    type T;
+    /// Fewest bytes one encoded value takes; [`List`] divides the bytes
+    /// left by it to cap what a wire-supplied count may pre-allocate.
+    const MIN: usize;
+    fn put(v: &Self::T, out: &mut Vec<u8>);
+    fn take(r: &mut Reader<'_>) -> Result<Self::T, WireError>;
 }
 
-/// Decodes one message from a complete frame payload.
-pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
-    let mut r = Reader::new(payload);
-    let msg = match r.u8()? {
-        TYPE_HELLO => {
-            let magic: [u8; 8] = r.array()?;
-            if magic != WIRE_MAGIC {
-                return Err(WireError::BadMagic);
+/// The codec table, one row per encoding: `[generics] codec => carried
+/// type, MIN`, then the writer and the reader.
+macro_rules! codecs {
+    ($($(#[$m:meta])* [$($g:tt)*] $c:ty => $t:ty, $min:expr,
+        |$v:ident, $out:ident| $put:expr, |$r:ident| $take:expr;)*) => {$(
+        $(#[$m])*
+        impl<$($g)*> Codec for $c {
+            type T = $t;
+            const MIN: usize = $min;
+            fn put($v: &$t, $out: &mut Vec<u8>) {
+                $put;
             }
-            let version = u16::from_be_bytes(r.array()?);
-            let alg_id = r.u8()?;
-            let alg = HashAlgorithm::from_wire_id(alg_id)
-                .ok_or(WireError::Decode(DecodeError::BadTag(alg_id)))?;
-            let tenant = r.u64()?;
-            Message::Hello {
-                version,
-                alg,
-                tenant,
+            fn take($r: &mut Reader<'_>) -> Result<$t, WireError> {
+                Ok($take)
             }
         }
-        TYPE_OFFER => {
-            let count = r.u32()? as usize;
-            // Never trust the count for allocation; each entry is 24 bytes.
-            let mut entries = Vec::with_capacity(count.min(r.remaining() / 24 + 1));
-            for _ in 0..count {
-                entries.push(OfferEntry {
-                    oid: ObjectId(r.u64()?),
-                    records: r.u64()?,
-                    nodes: r.u64()?,
-                });
-            }
-            Message::Offer { entries }
-        }
-        TYPE_FETCH => Message::Fetch {
-            oid: ObjectId(r.u64()?),
-        },
-        TYPE_PROV => {
-            let record = StoredRecord::from_bytes(&payload[1..])?;
-            return Ok(Message::Prov { record });
-        }
-        TYPE_DATA => {
-            let count = r.u32()? as usize;
-            // Each entry is at least 11 bytes (depth + id + 1-byte value).
-            let mut entries = Vec::with_capacity(count.min(r.remaining() / 11 + 1));
-            for _ in 0..count {
-                let depth = u16::from_be_bytes(r.array()?);
-                let id = ObjectId(r.u64()?);
-                let value = decode_value(&mut r)?;
-                entries.push(DataEntry { depth, id, value });
-            }
-            Message::Data { entries }
-        }
-        TYPE_DONE => Message::Done {
-            records: r.u64()?,
-            nodes: r.u64()?,
-        },
-        TYPE_ERROR => {
-            let code_id = r.u8()?;
-            let code = ErrorCode::from_wire_id(code_id)
-                .ok_or(WireError::Decode(DecodeError::BadTag(code_id)))?;
-            let retry_after_ms = r.u64()?;
-            let detail = String::from_utf8(r.len_prefixed()?.to_vec())
-                .map_err(|_| WireError::Decode(DecodeError::BadUtf8))?;
-            Message::Error {
-                code,
-                retry_after_ms,
-                detail,
-            }
-        }
-        TYPE_STATS_REQ => Message::StatsRequest,
-        TYPE_STATS => {
-            let text = String::from_utf8(r.len_prefixed()?.to_vec())
-                .map_err(|_| WireError::Decode(DecodeError::BadUtf8))?;
-            Message::Stats { text }
-        }
-        TYPE_RESUME => Message::Resume {
-            oid: ObjectId(r.u64()?),
-            records: r.u64()?,
-            digest: r.len_prefixed()?.to_vec(),
-        },
-        TYPE_RESUME_OK => Message::ResumeOk {
-            records: r.u64()?,
-            digest: r.len_prefixed()?.to_vec(),
-        },
-        TYPE_QUERY => Message::Query {
-            spec: QuerySpec::decode(&mut r)?,
-        },
-        TYPE_QRESULT => {
-            // The proof body is the rest of the payload, verbatim; its own
-            // magic/length discipline lives in `SliceProof::from_bytes`.
-            return Ok(Message::QResult {
-                proof: payload[1..].to_vec(),
-            });
-        }
-        TYPE_AE_REQ => Message::AeReq {
-            level: r.u32()?,
-            index: r.u64()?,
-        },
-        TYPE_AE_RESP => {
-            let leaf_count = r.u64()?;
-            let depth = r.u32()?;
-            let hash = r.len_prefixed()?.to_vec();
-            let count = r.u8()? as usize;
-            // Never trust the count for allocation; each child costs at
-            // least its 8-byte length prefix.
-            let mut children = Vec::with_capacity(count.min(r.remaining() / 8 + 1));
-            for _ in 0..count {
-                children.push(r.len_prefixed()?.to_vec());
-            }
-            let oid = match r.u8()? {
-                0 => None,
-                1 => Some(ObjectId(r.u64()?)),
-                t => return Err(WireError::Decode(DecodeError::BadTag(t))),
-            };
-            let signed_root = match r.u8()? {
-                0 => None,
-                1 => Some(r.len_prefixed()?.to_vec()),
-                t => return Err(WireError::Decode(DecodeError::BadTag(t))),
-            };
-            Message::AeResp {
-                leaf_count,
-                depth,
-                hash,
-                children,
-                oid,
-                signed_root,
-            }
-        }
-        TYPE_DENIAL => {
-            // The proof body is the rest of the payload, verbatim; its own
-            // structure lives in `SignedDenial::from_bytes`.
-            return Ok(Message::Denial {
-                proof: payload[1..].to_vec(),
-            });
-        }
-        TYPE_RANGE_REQ => Message::RangeReq {
-            lo: ObjectId(r.u64()?),
-            hi: ObjectId(r.u64()?),
-        },
-        TYPE_RANGE_RESP => {
-            let count = r.u32()? as usize;
-            // Never trust the count for allocation; each oid is 8 bytes.
-            let mut oids = Vec::with_capacity(count.min(r.remaining() / 8 + 1));
-            for _ in 0..count {
-                oids.push(ObjectId(r.u64()?));
-            }
-            let proof = r.len_prefixed()?.to_vec();
-            Message::RangeResp { oids, proof }
-        }
-        t => return Err(WireError::BadType(t)),
-    };
-    r.expect_end()?;
-    Ok(msg)
+    )*};
 }
+
+codecs! {
+    /// Integers are big-endian.
+    [] u16 => u16, 2, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| {
+        u16::from_be_bytes(r.array()?)
+    };
+    [] u32 => u32, 4, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| r.u32()?;
+    [] u64 => u64, 8, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| r.u64()?;
+    [] ObjectId => ObjectId, 8, |v, out| u64::put(&v.raw(), out), |r| ObjectId(r.u64()?);
+    [] HashAlgorithm => HashAlgorithm, 1, |v, out| out.push(v.wire_id()), |r| {
+        let id = r.u8()?;
+        HashAlgorithm::from_wire_id(id).ok_or(DecodeError::BadTag(id))?
+    };
+    [] ErrorCode => ErrorCode, 1, |v, out| out.push(*v as u8), |r| {
+        let id = r.u8()?;
+        let code = ErrorCode::ALL.into_iter().find(|&c| c as u8 == id);
+        code.ok_or(DecodeError::BadTag(id))?
+    };
+    /// Length-prefixed bytes (u64 length).
+    [] Vec<u8> => Vec<u8>, 8, |v, out| put_len_prefixed(v, out), |r| r.len_prefixed()?.to_vec();
+    /// Length-prefixed UTF-8 text.
+    [] String => String, 8, |v, out| put_len_prefixed(v.as_bytes(), out), |r| {
+        String::from_utf8(r.len_prefixed()?.to_vec()).map_err(|_| DecodeError::BadUtf8)?
+    };
+    /// The rest of the payload, verbatim: a body with its own framing (a
+    /// `SliceProof`, a `SignedDenial`) that the wire layer never interprets.
+    [] Rest => Vec<u8>, 0, |v, out| out.extend_from_slice(v), |r| {
+        r.bytes(r.remaining())?.to_vec()
+    };
+    /// A PROV record: the rest of the payload, decoded strictly.
+    [] StoredRecord => StoredRecord, 0, |v, out| v.encode_into(out), |r| {
+        StoredRecord::from_bytes(r.bytes(r.remaining())?)?
+    };
+    /// At the least an op byte, the target and three absent-option tags.
+    [] QuerySpec => QuerySpec, 12, |v, out| v.encode_into(out), |r| QuerySpec::decode(r)?;
+    /// A canonical `tep_model::encode` value.
+    [] Value => Value, 1, |v, out| encode_value(v, out), |r| decode_value(r)?;
+    /// HELLO's version behind the [`WIRE_MAGIC`] that opens the body, so a
+    /// peer that is not tep-net fails as [`WireError::BadMagic`].
+    [] Version => u16, WIRE_MAGIC.len() + 2, |v, out| {
+        out.extend_from_slice(&WIRE_MAGIC);
+        u16::put(v, out)
+    }, |r| {
+        if r.array()? != WIRE_MAGIC {
+            return Err(WireError::BadMagic);
+        }
+        u16::take(r)?
+    };
+    /// A tag byte (0 absent, 1 present), then the value if present.
+    [C: Codec] Option<C> => Option<C::T>, 1, |v, out| {
+        out.push(v.is_some() as u8);
+        v.iter().for_each(|x| C::put(x, out))
+    }, |r| match r.u8()? {
+        0 => None,
+        1 => Some(C::take(r)?),
+        t => return Err(DecodeError::BadTag(t).into()),
+    };
+    /// A `W`-byte big-endian count, then that many `C`s. A count the width
+    /// cannot express is refused, not truncated.
+    [const W: usize, C: Codec] List<W, C> => Vec<C::T>, W, |v, out| {
+        let n = v.len() as u64;
+        assert!(u128::from(n) >> (8 * W) == 0, "{n} entries overflow a {W}-byte count");
+        out.extend_from_slice(&n.to_be_bytes()[8 - W..]);
+        v.iter().for_each(|x| C::put(x, out))
+    }, |r| {
+        let count = r.bytes(W)?.iter().fold(0, |n, &b| n << 8 | usize::from(b));
+        // The one allocation guard: a wire-supplied count never sizes an
+        // allocation past what the remaining bytes could hold.
+        let mut v = Vec::with_capacity(count.min(r.remaining() / C::MIN.max(1) + 1));
+        for _ in 0..count {
+            v.push(C::take(r)?);
+        }
+        v
+    };
+}
+
+fn put_len_prefixed(bytes: &[u8], out: &mut Vec<u8>) {
+    u64::put(&(bytes.len() as u64), out);
+    out.extend_from_slice(bytes);
+}
+
+/// Codec markers: encodings whose carried type is coded another way too.
+enum Rest {}
+enum Version {}
+struct List<const W: usize, C>(PhantomData<C>);
 
 /// Reads frames off a byte stream, verifying checksums and enforcing the
 /// [`MAX_FRAME`] allocation cap, and counts them into [`TransferCounters`].
@@ -1253,7 +1104,7 @@ mod tests {
     #[test]
     fn data_count_cannot_force_allocation() {
         // Claims u32::MAX entries but carries none.
-        let mut payload = vec![TYPE_DATA];
+        let mut payload = vec![0x05];
         payload.extend_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(
             decode_message(&payload),

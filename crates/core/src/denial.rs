@@ -126,7 +126,7 @@ impl DenialLeaf {
         if n > 64 {
             return Err(DecodeError::UnexpectedEof);
         }
-        let mut path = Vec::with_capacity(n);
+        let mut path = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             path.push(match r.u8()? {
                 0 => None,

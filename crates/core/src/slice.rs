@@ -342,11 +342,12 @@ impl Polynomial {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let n = r.u64()? as usize;
-        let mut terms = Vec::with_capacity(n.min(1024));
+        // Capacity never exceeds what the bytes left could hold (16 per term).
+        let mut terms = Vec::with_capacity(n.min(r.remaining() / 16 + 1));
         for _ in 0..n {
             let c = r.u64()?;
             let fs = r.u64()? as usize;
-            let mut m = Vec::with_capacity(fs.min(1024));
+            let mut m = Vec::with_capacity(fs.min(r.remaining() / 16 + 1));
             for _ in 0..fs {
                 let oid = ObjectId(r.u64()?);
                 let e = r.u64()?;
@@ -419,7 +420,7 @@ impl QueryAnswer {
         match r.u8()? {
             0 => {
                 let n = r.u64()? as usize;
-                let mut oids = Vec::with_capacity(n.min(4096));
+                let mut oids = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
                 for _ in 0..n {
                     oids.push(ObjectId(r.u64()?));
                 }
@@ -507,7 +508,9 @@ impl SliceProof {
         let spec = QuerySpec::decode(&mut r)?;
         let target_seq = r.u64()?;
         let n = r.u64()? as usize;
-        let mut records = Vec::with_capacity(n.min(4096));
+        // Capacity never exceeds what the bytes left could hold: a record
+        // costs at least its length prefix, a boundary link 24 bytes.
+        let mut records = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
         let mut reenc = Vec::new();
         for _ in 0..n {
             let bytes = r.len_prefixed()?;
@@ -525,7 +528,7 @@ impl SliceProof {
             records.push(rec);
         }
         let nb = r.u64()? as usize;
-        let mut boundary = Vec::with_capacity(nb.min(4096));
+        let mut boundary = Vec::with_capacity(nb.min(r.remaining() / 24 + 1));
         for _ in 0..nb {
             let oid = ObjectId(r.u64()?);
             let seq = r.u64()?;

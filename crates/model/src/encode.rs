@@ -156,13 +156,28 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes one canonical value from the reader.
+/// Decodes one canonical value from the reader. Only the bytes
+/// [`encode_value`] writes are accepted, so every value has exactly one
+/// encoding.
 pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
     match r.u8()? {
         VAL_NULL => Ok(Value::Null),
-        VAL_BOOL => Ok(Value::Bool(r.u8()? != 0)),
+        VAL_BOOL => match r.u8()? {
+            0 => Ok(Value::Bool(false)),
+            1 => Ok(Value::Bool(true)),
+            t => Err(DecodeError::BadTag(t)),
+        },
         VAL_INT => Ok(Value::Int(i64::from_be_bytes(r.array::<8>()?))),
-        VAL_REAL => Ok(Value::Real(CanonicalF64::new(f64::from_bits(r.u64()?)))),
+        VAL_REAL => {
+            // Only the canonical bits: a NaN payload or -0.0 that the
+            // encoder never writes would give the value a second encoding.
+            let bits = r.u64()?;
+            let real = CanonicalF64::new(f64::from_bits(bits));
+            if real.bits() != bits {
+                return Err(DecodeError::BadTag(VAL_REAL));
+            }
+            Ok(Value::Real(real))
+        }
         VAL_TEXT => {
             let bytes = r.len_prefixed()?;
             let s = std::str::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)?;
@@ -256,6 +271,19 @@ mod tests {
         bad.extend_from_slice(&2u64.to_be_bytes());
         bad.extend_from_slice(&[0xff, 0xfe]);
         assert_eq!(value_from_bytes(&bad), Err(DecodeError::BadUtf8));
+    }
+
+    #[test]
+    fn decode_rejects_non_canonical_bytes() {
+        assert_eq!(
+            value_from_bytes(&[VAL_BOOL, 2]),
+            Err(DecodeError::BadTag(2))
+        );
+        for bits in [f64::NAN.to_bits() | 1, (-0.0f64).to_bits()] {
+            let mut buf = vec![VAL_REAL];
+            buf.extend_from_slice(&bits.to_be_bytes());
+            assert_eq!(value_from_bytes(&buf), Err(DecodeError::BadTag(VAL_REAL)));
+        }
     }
 
     #[test]

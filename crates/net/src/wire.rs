@@ -891,6 +891,65 @@ mod tests {
         }
     }
 
+    /// One encoding per message: every payload `decode_message` accepts
+    /// re-encodes to exactly itself. The payloads are random bodies behind
+    /// every type byte, and 1–3 byte mutations of every sample plus a DATA
+    /// frame carrying every value kind (so a bool byte and a NaN payload
+    /// are mutated too).
+    #[test]
+    fn every_accepted_payload_reencodes_to_itself() {
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::real(f64::NAN),
+            Value::real(0.0),
+            Value::real(2.5),
+            Value::Bytes(vec![1, 2, 3]),
+        ];
+        let every_value = Message::Data {
+            entries: (0..)
+                .zip(values)
+                .map(|(i, value)| DataEntry {
+                    depth: i,
+                    id: ObjectId(u64::from(i)),
+                    value,
+                })
+                .collect(),
+        };
+        let mut corpus: Vec<Vec<u8>> = sample_messages().iter().map(encode_message).collect();
+        corpus.push(encode_message(&every_value));
+        let mut accepted = 0;
+        let mut check = |payload: &[u8]| {
+            if let Ok(msg) = decode_message(payload) {
+                assert_eq!(
+                    encode_message(&msg),
+                    payload,
+                    "{msg:?} has a second encoding"
+                );
+                accepted += 1;
+            }
+        };
+        let mut rng = 2009;
+        for tag in 0x01..=0x12u8 {
+            for _ in 0..256 {
+                let len = splitmix64(&mut rng) as usize % 48;
+                let body = (0..len).map(|_| splitmix64(&mut rng) as u8);
+                check(&std::iter::once(tag).chain(body).collect::<Vec<u8>>());
+            }
+        }
+        for base in &corpus {
+            for _ in 0..2048 {
+                let mut payload = base.clone();
+                for _ in 0..=splitmix64(&mut rng) % 3 {
+                    let i = splitmix64(&mut rng) as usize % payload.len();
+                    payload[i] = splitmix64(&mut rng) as u8;
+                }
+                check(&payload);
+            }
+        }
+        assert!(accepted > 10_000, "only {accepted} payloads decoded");
+    }
+
     /// Pins the wire bytes themselves. `every_message_roundtrips` passes
     /// whenever encode and decode drift in step; this does not: the SHA-256
     /// of every sample frame, concatenated, is the protocol as deployed.

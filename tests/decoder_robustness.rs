@@ -5,14 +5,21 @@
 //! deserializers is that hostile bytes are a matter of *when*, not *if*.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tepdb::core::checkpoint::TrustAnchor;
-use tepdb::core::{BatchChecksum, ProvenanceRecord};
-use tepdb::crypto::{HashAlgorithm, Keyring};
-use tepdb::model::encode::value_from_bytes;
-use tepdb::model::ObjectId;
+use tepdb::core::{
+    BatchChecksum, DenialProof, ProvenanceRecord, ProvenanceTracker, QueryAnswer, QueryBounds,
+    QueryOp, QuerySpec, RangeProof, ShardTree, SignedDenial, SignedRange, SignedRoot, SliceProof,
+    TrackerConfig,
+};
+use tepdb::crypto::{CertificateAuthority, HashAlgorithm, Keyring};
+use tepdb::model::encode::{value_bytes, value_from_bytes};
 use tepdb::model::ParticipantId;
+use tepdb::model::{AggregateMode, ObjectId, Value};
+use tepdb::query::QueryEngine;
 use tepdb::storage::vfs::{FaultConfig, FaultVfs, Vfs};
 use tepdb::storage::{AppendLog, ProvenanceDb, StoredRecord};
 
@@ -22,6 +29,29 @@ proptest! {
     #[test]
     fn value_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = value_from_bytes(&bytes);
+    }
+
+    /// A value has one encoding: whatever bytes decode re-encode to
+    /// themselves. Beside arbitrary bytes behind every tag, each case
+    /// tries a bool byte and a NaN (or infinite) real, the two places a
+    /// lenient decoder would accept bytes the encoder never writes.
+    #[test]
+    fn value_decoder_accepts_only_canonical_bytes(
+        tag in 0u8..6,
+        body in prop::collection::vec(any::<u8>(), 0..12),
+        bool_byte in any::<u8>(),
+        nan_payload in any::<u64>(),
+    ) {
+        let nan = 0x7FF0_0000_0000_0000 | (nan_payload & 0x800F_FFFF_FFFF_FFFF);
+        let mut candidates = vec![[&[tag][..], &body].concat(), vec![1, bool_byte]];
+        for bits in [nan, (-0.0f64).to_bits()] {
+            candidates.push([&[3u8][..], &bits.to_be_bytes()].concat());
+        }
+        for bytes in candidates {
+            if let Ok(v) = value_from_bytes(&bytes) {
+                prop_assert_eq!(value_bytes(&v), bytes, "{:?} has a second encoding", v);
+            }
+        }
     }
 
     #[test]
@@ -116,6 +146,21 @@ proptest! {
         let _ = TrustAnchor::from_bytes(&bytes);
     }
 
+    /// The bodies the wire carries opaquely take arbitrary bytes, alone
+    /// and behind the first bytes of a valid encoding, and return Ok or a
+    /// typed error.
+    #[test]
+    fn opaque_body_decoders_never_panic(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        keep in any::<usize>(),
+    ) {
+        for body in opaque_bodies() {
+            let prefix = &body.bytes[..keep % body.bytes.len()];
+            (body.decodes)(&bytes);
+            (body.decodes)(&[prefix, &bytes].concat());
+        }
+    }
+
     /// Mutating a valid record payload either round-trips to different
     /// contents or fails to decode — it never panics.
     #[test]
@@ -192,5 +237,114 @@ proptest! {
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(tepdb::storage::quarantine_path(&path));
+    }
+}
+
+/// One body the wire carries without interpreting it (QRESULT's slice
+/// proof, DENIAL's signed denial, RANGE_RESP's signed range, AE_RESP's
+/// signed root) or a proof inside one, with a valid encoding.
+struct OpaqueBody {
+    name: &'static str,
+    bytes: Vec<u8>,
+    /// Runs the decoder; true if it returned Ok.
+    decodes: fn(&[u8]) -> bool,
+}
+
+fn opaque_bodies() -> &'static [OpaqueBody] {
+    static BODIES: OnceLock<Vec<OpaqueBody>> = OnceLock::new();
+    BODIES.get_or_init(|| {
+        const ALG: HashAlgorithm = HashAlgorithm::Sha256;
+        let mut rng = StdRng::seed_from_u64(0x0B0D);
+        let ca = CertificateAuthority::new(512, ALG, &mut rng);
+        let alice = ca.enroll(ParticipantId(1), 512, &mut rng);
+        let db = Arc::new(ProvenanceDb::in_memory());
+        let mut t = ProvenanceTracker::new(TrackerConfig::default(), db.clone());
+        let (a, _) = t.insert(&alice, Value::Int(1), None).unwrap();
+        t.update(&alice, a, Value::Int(2)).unwrap();
+        let (b, _) = t.insert(&alice, Value::Int(3), None).unwrap();
+        let (c, _) = t
+            .aggregate(&alice, &[a, b], Value::Int(4), AggregateMode::Atomic)
+            .unwrap();
+        let (d, _) = t
+            .aggregate(&alice, &[a, c], Value::Int(5), AggregateMode::Atomic)
+            .unwrap();
+        let engine = QueryEngine::new(db, ALG);
+        let bounded = engine
+            .execute(&QuerySpec {
+                op: QueryOp::Ancestors,
+                target: d,
+                participant: None,
+                bounds: QueryBounds {
+                    max_depth: Some(1),
+                    seq_range: Some((0, 9)),
+                },
+            })
+            .unwrap();
+        let poly = engine
+            .execute(&QuerySpec::new(QueryOp::Polynomial, d))
+            .unwrap();
+        assert!(!bounded.boundary.is_empty());
+        assert!(matches!(poly.answer, QueryAnswer::Polynomial(_)));
+
+        let leaves = [2u64, 4, 8, 16, 32].map(|i| (ObjectId(i), ALG.digest(&i.to_be_bytes())));
+        let tree = ShardTree::build(ALG, leaves.to_vec());
+        let root = SignedRoot::sign(&tree, 5, &alice).unwrap();
+        let denial = DenialProof::prove(&tree, ObjectId(5)).unwrap();
+        let range = RangeProof::prove(&tree, ObjectId(3), ObjectId(9));
+        let body = |name, bytes, decodes| OpaqueBody {
+            name,
+            bytes,
+            decodes,
+        };
+        vec![
+            body("bounded SliceProof", bounded.to_bytes(), |b| {
+                SliceProof::from_bytes(b).is_ok()
+            }),
+            body("polynomial SliceProof", poly.to_bytes(), |b| {
+                SliceProof::from_bytes(b).is_ok()
+            }),
+            body("SignedRoot", root.to_bytes(), |b| {
+                SignedRoot::from_bytes(b).is_ok()
+            }),
+            body("DenialProof", denial.to_bytes(), |b| {
+                DenialProof::from_bytes(b).is_ok()
+            }),
+            body("RangeProof", range.to_bytes(), |b| {
+                RangeProof::from_bytes(b).is_ok()
+            }),
+            body(
+                "SignedDenial",
+                SignedDenial {
+                    root: root.clone(),
+                    proof: denial,
+                }
+                .to_bytes(),
+                |b| SignedDenial::from_bytes(b).is_ok(),
+            ),
+            body(
+                "SignedRange",
+                SignedRange { root, proof: range }.to_bytes(),
+                |b| SignedRange::from_bytes(b).is_ok(),
+            ),
+        ]
+    })
+}
+
+/// Every single-byte change of every opaque body's valid encoding — a
+/// flipped bit, and the byte forced to 0xFF so each count and length
+/// field in turn claims billions of entries — returns Ok or a typed error.
+/// No decoder sizes an allocation by such a claim: capacity is capped by
+/// the bytes left, so a short input cannot make it reserve more.
+#[test]
+fn opaque_body_decoders_survive_every_byte_change() {
+    for body in opaque_bodies() {
+        assert!((body.decodes)(&body.bytes), "{} does not decode", body.name);
+        for i in 0..body.bytes.len() {
+            for change in [body.bytes[i] ^ 0x01, 0xFF] {
+                let mut bad = body.bytes.clone();
+                bad[i] = change;
+                (body.decodes)(&bad);
+            }
+        }
     }
 }

@@ -271,10 +271,8 @@ mod tests {
         bad.extend_from_slice(&2u64.to_be_bytes());
         bad.extend_from_slice(&[0xff, 0xfe]);
         assert_eq!(value_from_bytes(&bad), Err(DecodeError::BadUtf8));
-    }
-
-    #[test]
-    fn decode_rejects_non_canonical_bytes() {
+        // Bytes the encoder never writes: a bool other than 0/1, a NaN
+        // payload, -0.0.
         assert_eq!(
             value_from_bytes(&[VAL_BOOL, 2]),
             Err(DecodeError::BadTag(2))

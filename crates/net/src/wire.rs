@@ -222,7 +222,7 @@ wire_messages! {
         /// Connection opener, sent by both sides: magic, version, algorithm,
         /// tenant scope.
         Hello = 0x01 {
-            /// Protocol version ([`WIRE_VERSION`]), behind [`WIRE_MAGIC`].
+            /// Protocol version ([`WIRE_VERSION`]).
             version: u16 as Version,
             /// Hash algorithm all hashes on this connection use.
             alg: HashAlgorithm,

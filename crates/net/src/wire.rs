@@ -119,6 +119,36 @@ impl fmt::Display for ErrorCode {
     }
 }
 
+/// One field encoding: how the message table writes and reads a `T`.
+trait Codec {
+    /// The value this codec carries.
+    type T;
+    /// Fewest bytes one encoded value takes; [`List`] divides the bytes
+    /// left by it to cap what a wire-supplied count may pre-allocate.
+    const MIN: usize;
+    fn put(v: &Self::T, out: &mut Vec<u8>);
+    fn take(r: &mut Reader<'_>) -> Result<Self::T, WireError>;
+}
+
+/// The codec table, one row per encoding: `[generics] codec => carried
+/// type, MIN`, then the writer and the reader.
+macro_rules! codecs {
+    ($($(#[$m:meta])* [$($g:tt)*] $c:ty => $t:ty, $min:expr,
+        |$v:ident, $out:ident| $put:expr, |$r:ident| $take:expr;)*) => {$(
+        $(#[$m])*
+        impl<$($g)*> Codec for $c {
+            type T = $t;
+            const MIN: usize = $min;
+            fn put($v: &$t, $out: &mut Vec<u8>) {
+                $put;
+            }
+            fn take($r: &mut Reader<'_>) -> Result<$t, WireError> {
+                Ok($take)
+            }
+        }
+    )*};
+}
+
 /// Structs carried inside messages, each with its fields in wire order.
 macro_rules! wire_structs {
     ($($(#[$m:meta])* pub struct $name:ident {
@@ -129,15 +159,10 @@ macro_rules! wire_structs {
             $($(#[$fm])* pub $f: $t,)*
         }
 
-        impl Codec for $name {
-            type T = Self;
-            const MIN: usize = 0 $(+ <$t as Codec>::MIN)*;
-            fn put(v: &Self, out: &mut Vec<u8>) {
+        codecs! {
+            [] $name => $name, 0 $(+ <$t as Codec>::MIN)*, |v, out| {
                 $(<$t as Codec>::put(&v.$f, out);)*
-            }
-            fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok($name { $($f: <$t as Codec>::take(r)?,)* })
-            }
+            }, |r| $name { $($f: <$t as Codec>::take(r)?,)* };
         }
     )*};
 }
@@ -453,36 +478,6 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
     out
 }
 
-/// One field encoding: how the message table writes and reads a `T`.
-trait Codec {
-    /// The value this codec carries.
-    type T;
-    /// Fewest bytes one encoded value takes; [`List`] divides the bytes
-    /// left by it to cap what a wire-supplied count may pre-allocate.
-    const MIN: usize;
-    fn put(v: &Self::T, out: &mut Vec<u8>);
-    fn take(r: &mut Reader<'_>) -> Result<Self::T, WireError>;
-}
-
-/// The codec table, one row per encoding: `[generics] codec => carried
-/// type, MIN`, then the writer and the reader.
-macro_rules! codecs {
-    ($($(#[$m:meta])* [$($g:tt)*] $c:ty => $t:ty, $min:expr,
-        |$v:ident, $out:ident| $put:expr, |$r:ident| $take:expr;)*) => {$(
-        $(#[$m])*
-        impl<$($g)*> Codec for $c {
-            type T = $t;
-            const MIN: usize = $min;
-            fn put($v: &$t, $out: &mut Vec<u8>) {
-                $put;
-            }
-            fn take($r: &mut Reader<'_>) -> Result<$t, WireError> {
-                Ok($take)
-            }
-        }
-    )*};
-}
-
 codecs! {
     /// Integers are big-endian.
     [] u16 => u16, 2, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| {
@@ -563,7 +558,7 @@ fn put_len_prefixed(bytes: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(bytes);
 }
 
-/// Codec markers: encodings whose carried type is coded another way too.
+/// Codecs a carried type does not imply: payload rest, HELLO version, counted list.
 enum Rest {}
 enum Version {}
 struct List<const W: usize, C>(PhantomData<C>);

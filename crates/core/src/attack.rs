@@ -58,6 +58,16 @@ pub enum Tamper {
         /// New claimed author.
         to: ParticipantId,
     },
+    /// Point an input's predecessor link at the record's own sequence id,
+    /// a slot that does not sort before the record — targets R3/R6.
+    Relink {
+        /// Record's object.
+        oid: ObjectId,
+        /// Record's seq.
+        seq: u64,
+        /// Which input.
+        input: usize,
+    },
 }
 
 /// Applies a tamper. Returns `false` if the targeted record was not found
@@ -106,6 +116,16 @@ pub fn apply_tamper(prov: &mut ProvenanceObject, tamper: &Tamper) -> bool {
             prov.records[i].participant = to;
             true
         }
+        Tamper::Relink { oid, seq, input } => {
+            let Some(i) = find(&mut prov.records, oid, seq) else {
+                return false;
+            };
+            let Some(inp) = prov.records[i].inputs.get_mut(input) else {
+                return false;
+            };
+            inp.prev_seq = Some(seq);
+            true
+        }
     }
 }
 
@@ -120,8 +140,12 @@ pub fn all_single_record_tampers(
         let (oid, seq) = (r.output_oid, r.seq_id);
         out.push(Tamper::FlipOutputHash { oid, seq });
         out.push(Tamper::FlipChecksum { oid, seq });
-        for input in 0..r.inputs.len() {
+        for (input, i) in r.inputs.iter().enumerate() {
             out.push(Tamper::FlipInputHash { oid, seq, input });
+            // An aggregate's input may already link to the aggregate's seq.
+            if i.prev_seq.is_some_and(|p| p != seq) {
+                out.push(Tamper::Relink { oid, seq, input });
+            }
         }
         out.push(Tamper::Remove { oid, seq });
         if r.participant != reattribute_to {

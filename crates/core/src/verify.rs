@@ -1108,6 +1108,9 @@ fn check_record_shape(r: &ProvenanceRecord, issues: &mut Vec<TamperEvidence>) {
             why,
         })
     };
+    if !preds_sort_before(r) {
+        flag(issues, "a predecessor must sort before its record");
+    }
     match r.kind {
         RecordKind::Insert => {
             if !r.inputs.is_empty() {
@@ -1135,9 +1138,22 @@ fn check_record_shape(r: &ProvenanceRecord, issues: &mut Vec<TamperEvidence>) {
     }
 }
 
+/// Whether every predecessor `r` names sorts before it in `(oid, seq)`
+/// order, as it does for every honest record: object ids are allocated
+/// monotonically and sequence ids grow along a chain. The fold,
+/// [`polynomial_over`] and [`forward_closure`] rely on this order.
+fn preds_sort_before(r: &ProvenanceRecord) -> bool {
+    let own = (r.output_oid, r.seq_id);
+    r.inputs
+        .iter()
+        .all(|i| i.prev_seq.is_none_or(|p| (i.oid, p) < own))
+}
+
 /// Checks one record's checksum signature, resolving predecessor checksums
 /// through `lookup_prev`; missing predecessors are R2/R7 evidence and skip
-/// the signature check (it could not possibly pass).
+/// the signature check (it could not possibly pass). A predecessor that does
+/// not sort before its record is [`check_record_shape`]'s finding: it is not
+/// resolved, and the signature is not checked.
 fn check_record_signature<'a>(
     keys: &KeyDirectory,
     alg: HashAlgorithm,
@@ -1145,6 +1161,9 @@ fn check_record_signature<'a>(
     lookup_prev: impl Fn(ObjectId, u64) -> Option<&'a [u8]>,
     issues: &mut Vec<TamperEvidence>,
 ) {
+    if !preds_sort_before(r) {
+        return;
+    }
     let mut prev_checksums: Vec<&[u8]> = Vec::new();
     let mut resolvable = true;
     for input in &r.inputs {

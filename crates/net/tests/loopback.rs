@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use tep_core::attack::{all_single_record_tampers, apply_tamper, Tamper};
 use tep_core::hashing::HashingStrategy;
 use tep_core::provenance::{collect, ProvenanceObject};
-use tep_core::verify::TamperEvidence;
+use tep_core::verify::{StreamingVerifier, TamperEvidence};
 use tep_core::{ProvenanceRecord, ProvenanceTracker, TrackerConfig};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{CertificateAuthority, KeyDirectory, ParticipantId};
@@ -351,6 +351,32 @@ fn tamper_mutator(tamper: Tamper) -> Mutator {
     })
 }
 
+/// What a client must report for `tamper` applied to the aggregate's
+/// transfer: a local `StreamingVerifier` fed the same tampered records in
+/// wire order, up to the first push that finds evidence (attributed to that
+/// record's frame), or through `finish` when no push does.
+fn local_rejection(tamper: &Tamper) -> (Option<u64>, Vec<TamperEvidence>) {
+    let w = world();
+    let mut prov = w.prov_agg.clone();
+    assert!(apply_tamper(&mut prov, tamper), "{tamper:?} applies");
+    prov.records.sort_by_key(|r| (r.output_oid, r.seq_id));
+    let mut sv = StreamingVerifier::new(&w.keys, ALG, w.agg);
+    for (i, r) in prov.records.iter().enumerate() {
+        if sv.push_record(r) > 0 {
+            // HELLO and OFFER are frames 0 and 1 of a fresh connection.
+            return (Some(2 + i as u64), sv.issues().to_vec());
+        }
+    }
+    (None, sv.finish(&w.agg_hash).issues)
+}
+
+/// Evidence as an order-independent multiset.
+fn multiset(issues: &[TamperEvidence]) -> Vec<String> {
+    let mut v: Vec<String> = issues.iter().map(|i| format!("{i:?}")).collect();
+    v.sort();
+    v
+}
+
 #[test]
 fn every_wire_tamper_is_detected_and_never_retried() {
     let w = world();
@@ -369,21 +395,11 @@ fn every_wire_tamper_is_detected_and_never_retried() {
         match err {
             NetError::TamperDetected { frame, issues } => {
                 assert!(!issues.is_empty(), "{tamper:?}: evidence must be reported");
-                // Signature-class tampers are caught the moment the
-                // offending record's frame arrives; only removal can defer
-                // evidence to end-of-transfer (chain holes found at finish).
-                if !matches!(tamper, Tamper::Remove { .. }) {
-                    assert!(
-                        frame.is_some(),
-                        "{tamper:?}: expected mid-stream frame attribution"
-                    );
-                    assert!(
-                        issues
-                            .iter()
-                            .any(|i| matches!(i, TamperEvidence::BadSignature { .. })),
-                        "{tamper:?}: expected a bad signature, got {issues:?}"
-                    );
-                }
+                // The wire reaches the verdict a local fold reaches on the
+                // same records, and pins it on the same record's frame.
+                let (want_frame, want) = local_rejection(&tamper);
+                assert_eq!(frame, want_frame, "{tamper:?}: frame attribution");
+                assert_eq!(multiset(&issues), multiset(&want), "{tamper:?}");
             }
             other => panic!("{tamper:?} produced `{other}` instead of TamperDetected"),
         }

@@ -7,11 +7,15 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use tep_core::prelude::*;
 use tep_core::verify::EvidenceKind;
+use tep_core::ProvenanceRecord;
 use tep_model::{AggregateMode, ObjectId, Value};
-use tep_query::{QueryAnswer, QueryBounds, QueryEngine, QueryOp, QuerySpec, SliceProof};
+use tep_query::{
+    BoundaryLink, QueryAnswer, QueryBounds, QueryEngine, QueryOp, QuerySpec, SliceProof,
+};
 use tep_storage::ProvenanceDb;
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
@@ -24,6 +28,12 @@ struct World {
     bounded: SliceProof,
     /// Polynomial proof over a diamond DAG.
     poly: SliceProof,
+    /// Depth-bounded ancestors proof of a second target.
+    bounded_e: SliceProof,
+    /// Descendants proof of a root object.
+    descendants: SliceProof,
+    /// Audit proof of one participant's records.
+    audit: SliceProof,
 }
 
 fn world() -> &'static World {
@@ -57,17 +67,16 @@ fn world() -> &'static World {
         let lineage = engine
             .execute(&QuerySpec::new(QueryOp::LineageSlice, d))
             .unwrap();
-        let bounded = engine
-            .execute(&QuerySpec {
-                op: QueryOp::Ancestors,
-                target: d,
-                participant: None,
-                bounds: QueryBounds {
-                    max_depth: Some(1),
-                    seq_range: None,
-                },
-            })
-            .unwrap();
+        let depth_1 = |target| QuerySpec {
+            op: QueryOp::Ancestors,
+            target,
+            participant: None,
+            bounds: QueryBounds {
+                max_depth: Some(1),
+                seq_range: None,
+            },
+        };
+        let bounded = engine.execute(&depth_1(d)).unwrap();
         let poly = engine
             .execute(&QuerySpec::new(QueryOp::Polynomial, e))
             .unwrap();
@@ -77,6 +86,11 @@ fn world() -> &'static World {
             lineage,
             bounded,
             poly,
+            bounded_e: engine.execute(&depth_1(e)).unwrap(),
+            descendants: engine
+                .execute(&QuerySpec::new(QueryOp::Descendants, a))
+                .unwrap(),
+            audit: engine.execute(&QuerySpec::audit(alice.id())).unwrap(),
         }
     })
 }
@@ -274,5 +288,236 @@ fn wrong_question_wrong_algorithm_are_flagged() {
             .any(|i| i.kind() == EvidenceKind::MalformedRecord),
         "{:?}",
         v.issues
+    );
+}
+
+/// The pinned corpus: a name and the evidence multiset `verify_slice`
+/// reports, for every mutation of six slices. Each name starts with its
+/// family, the slice and the mutation class.
+fn pin_cases() -> Vec<(String, Vec<String>)> {
+    let w = world();
+    let slices = [
+        ("lineage", &w.lineage),
+        ("bounded", &w.bounded),
+        ("bounded_e", &w.bounded_e),
+        ("poly", &w.poly),
+        ("descendants", &w.descendants),
+        ("audit", &w.audit),
+    ];
+    let mut cases = Vec::new();
+    for (slice, base) in slices {
+        let mut case = |class: &str, detail: String, proof: &SliceProof| {
+            let mut evidence: Vec<String> = verify(proof)
+                .issues
+                .iter()
+                .map(|i| format!("{i:?}"))
+                .collect();
+            evidence.sort();
+            cases.push((format!("{slice}/{class} {detail}"), evidence));
+        };
+        let link = |r: &ProvenanceRecord| BoundaryLink {
+            oid: r.output_oid,
+            seq: r.seq_id,
+            checksum: r.checksum.clone(),
+        };
+        // Inserts a link where canonical order puts it.
+        let with_link = |mut proof: SliceProof, b: BoundaryLink| {
+            let at = proof
+                .boundary
+                .partition_point(|x| (x.oid, x.seq) < (b.oid, b.seq));
+            proof.boundary.insert(at, b);
+            proof
+        };
+
+        let n = base.records.len();
+        for i in 0..n {
+            let r = &base.records[i];
+            let mut flipped = r.clone();
+            flipped.checksum[0] ^= 0x01;
+
+            let mut p = base.clone();
+            p.records.remove(i);
+            case("remove-record", format!("{i}"), &p);
+            case("record-to-link", format!("{i}"), &with_link(p, link(r)));
+
+            let mut p = base.clone();
+            p.records.insert(i + 1, r.clone());
+            case("duplicate-record", format!("{i}"), &p);
+
+            let mut p = base.clone();
+            p.records.insert(i + 1, flipped.clone());
+            case("duplicate-flipped-record", format!("{i}"), &p);
+
+            let mut p = base.clone();
+            p.records[i] = flipped.clone();
+            case("flip-record", format!("{i}"), &p);
+
+            case(
+                "shadow-link",
+                format!("{i}"),
+                &with_link(base.clone(), link(r)),
+            );
+            let shadow = with_link(base.clone(), link(&flipped));
+            case("shadow-flipped-link", format!("{i}"), &shadow);
+
+            for j in i + 1..n {
+                let mut p = base.clone();
+                p.records.swap(i, j);
+                case("swap-records", format!("{i} {j}"), &p);
+            }
+        }
+
+        let m = base.boundary.len();
+        for k in 0..m {
+            let mut p = base.clone();
+            p.boundary.remove(k);
+            case("remove-link", format!("{k}"), &p);
+
+            let mut p = base.clone();
+            p.boundary[k].checksum[0] ^= 0x01;
+            case("flip-link", format!("{k}"), &p);
+
+            let mut p = base.clone();
+            p.boundary.insert(k + 1, base.boundary[k].clone());
+            case("duplicate-link", format!("{k}"), &p);
+
+            for l in k + 1..m {
+                let mut p = base.clone();
+                p.boundary.swap(k, l);
+                case("swap-links", format!("{k} {l}"), &p);
+            }
+        }
+
+        let bytes = base.to_bytes();
+        for i in 0..bytes.len() {
+            for bit in [0, 7] {
+                let mut bad = bytes.clone();
+                bad[i] ^= 1 << bit;
+                if let Ok(p) = SliceProof::from_bytes(&bad) {
+                    case("bit-flip", format!("{i}.{bit}"), &p);
+                }
+            }
+        }
+    }
+    cases
+}
+
+fn sha256_hex(text: &str) -> String {
+    HashAlgorithm::Sha256
+        .digest(text.as_bytes())
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// `verify_slice`'s exact evidence, not just some evidence kind, under every
+/// record, boundary and encoding mutation of six slices. The pin is a
+/// SHA-256 over every case's sorted evidence multiset, and one digest per
+/// family, so a change names the first family whose evidence moved.
+#[test]
+fn slice_evidence_is_pinned_exactly() {
+    const ALL: &str = "a4c5198ed31bc21bc26649b2fb3303f22eec1e251db41cd03876273db5169b6f";
+    const FAMILIES: &[(&str, &str)] = &[
+        ("audit/bit-flip", "505122ac39ac55f0"),
+        ("audit/duplicate-flipped-record", "6af83ede02aeacfe"),
+        ("audit/duplicate-link", "80e2385d1e48e069"),
+        ("audit/duplicate-record", "b399a23f902e8e53"),
+        ("audit/flip-link", "33d0ebb5e4512f32"),
+        ("audit/flip-record", "e01cc6572af18c45"),
+        ("audit/record-to-link", "cd55b629a3ebdf28"),
+        ("audit/remove-link", "6b709c2155ba7810"),
+        ("audit/remove-record", "0881995e0a77a58e"),
+        ("audit/shadow-flipped-link", "8d18450b58c13650"),
+        ("audit/shadow-link", "555a80f77289222c"),
+        ("audit/swap-records", "d25109579ede9307"),
+        ("bounded/bit-flip", "6482b5ec0fab9d00"),
+        ("bounded/duplicate-flipped-record", "e4e532b3d5f495dc"),
+        ("bounded/duplicate-link", "290729bda4eec5d6"),
+        ("bounded/duplicate-record", "954356e09dac8b1f"),
+        ("bounded/flip-link", "9a09e69f94a71c63"),
+        ("bounded/flip-record", "f29ee65d12596750"),
+        ("bounded/record-to-link", "2c5006cbda1cc16d"),
+        ("bounded/remove-link", "2dec337c9159bbeb"),
+        ("bounded/remove-record", "fab3c448c57f24a0"),
+        ("bounded/shadow-flipped-link", "0f8517c6e5844c54"),
+        ("bounded/shadow-link", "8bbed07be5ca323b"),
+        ("bounded/swap-links", "4681f88dc4060e6c"),
+        ("bounded/swap-records", "680b913bfd7a0a66"),
+        ("bounded_e/bit-flip", "410dfbd13c03ca9c"),
+        ("bounded_e/duplicate-flipped-record", "87cb1cda86612c81"),
+        ("bounded_e/duplicate-link", "c631205e8aa68b95"),
+        ("bounded_e/duplicate-record", "7ba4c5101a6ab2ad"),
+        ("bounded_e/flip-link", "21f725f44bfbe20d"),
+        ("bounded_e/flip-record", "33d027aa41f30cc6"),
+        ("bounded_e/record-to-link", "dc2998ed1b152d33"),
+        ("bounded_e/remove-link", "3228e6848b8f7aa6"),
+        ("bounded_e/remove-record", "3f8ac4693f99ff5e"),
+        ("bounded_e/shadow-flipped-link", "bf7ecabcb88f2b0d"),
+        ("bounded_e/shadow-link", "e49f3c2a262f9127"),
+        ("bounded_e/swap-records", "432b9f5cd949e851"),
+        ("descendants/bit-flip", "6d36c4620cc8644e"),
+        ("descendants/duplicate-flipped-record", "1ddffac35d17d6f4"),
+        ("descendants/duplicate-link", "106af7e688bb5147"),
+        ("descendants/duplicate-record", "b24a3603d22417d1"),
+        ("descendants/flip-link", "9bf3c3b4af0f525a"),
+        ("descendants/flip-record", "14cb0751d265c846"),
+        ("descendants/record-to-link", "0bf9d8d8d2915b8b"),
+        ("descendants/remove-link", "a37af48245f742c8"),
+        ("descendants/remove-record", "d7fa5861bebb92b2"),
+        ("descendants/shadow-flipped-link", "4f4d81f9e9fe1fa0"),
+        ("descendants/shadow-link", "6eeea257b99aa2d2"),
+        ("descendants/swap-links", "468e7db0f50abd40"),
+        ("descendants/swap-records", "1b93f8d561008741"),
+        ("lineage/bit-flip", "fd4b2d2833026104"),
+        ("lineage/duplicate-flipped-record", "7ae1d36d7a5a48c3"),
+        ("lineage/duplicate-record", "79f9e4bfee859d96"),
+        ("lineage/flip-record", "dcbfef3247ebed27"),
+        ("lineage/record-to-link", "4552cff5c8bb7401"),
+        ("lineage/remove-record", "7152ebb76c0b1064"),
+        ("lineage/shadow-flipped-link", "b5ab0bb444924585"),
+        ("lineage/shadow-link", "13319f8869541b59"),
+        ("lineage/swap-records", "86892bf45829dd34"),
+        ("poly/bit-flip", "b819518a1168b001"),
+        ("poly/duplicate-flipped-record", "4511c33bff1781d5"),
+        ("poly/duplicate-record", "300edde349001dd9"),
+        ("poly/flip-record", "3b98aad8d4a16165"),
+        ("poly/record-to-link", "8e7eda840bd2091c"),
+        ("poly/remove-record", "7a50b9bfe8671a29"),
+        ("poly/shadow-flipped-link", "df71b91647131d27"),
+        ("poly/shadow-link", "26d96e579a785d67"),
+        ("poly/swap-records", "e02c7e0982c068c7"),
+    ];
+
+    let cases = pin_cases();
+    let mut all = String::new();
+    let mut families: BTreeMap<&str, String> = BTreeMap::new();
+    for (name, evidence) in &cases {
+        let line = format!("{name}: {evidence:?}\n");
+        all.push_str(&line);
+        let family = name.split(' ').next().unwrap_or_default();
+        families.entry(family).or_default().push_str(&line);
+    }
+    let digests: Vec<(&str, String)> = families
+        .iter()
+        .map(|(&f, text)| (f, sha256_hex(text)[..16].to_string()))
+        .collect();
+    let moved = digests
+        .iter()
+        .find(|(f, d)| !FAMILIES.contains(&(*f, d.as_str())))
+        .map_or(String::new(), |(f, _)| {
+            let text = &families[f];
+            format!(
+                "first moved family {f}:\n{}",
+                text.lines().take(40).collect::<Vec<_>>().join("\n")
+            )
+        });
+    let table: String = digests
+        .iter()
+        .map(|(f, d)| format!("(\"{f}\", \"{d}\"),\n"))
+        .collect();
+    assert_eq!(
+        (cases.len(), sha256_hex(&all).as_str()),
+        (9019, ALL),
+        "slice evidence moved; {moved}\nfamily digests now:\n{table}"
     );
 }

@@ -25,7 +25,11 @@
 //! `verify_with_anchors` and `verify_through_checkpoint` push a collected
 //! [`ProvenanceObject`] and add what they attest beyond its records.
 //! Batch [`Verifier::verify`] is the naive reference the fold is tested
-//! against, and [`Verifier::verify_slice`] keeps its own coverage walk.
+//! against. The fold's per-record step, admission, is the only other
+//! place a record's shape and signature are checked:
+//! [`Verifier::verify_slice`] admits a slice's records through it, with
+//! the boundary links as attested slots, and keeps only its coverage walk.
+//! Every path requires a record's predecessors to sort before it.
 
 use crate::checkpoint::{SealedCheckpoint, TrustAnchor};
 use crate::denial::{SignedDenial, SignedRange};
@@ -788,11 +792,11 @@ impl<'a> Verifier<'a> {
     ///
     /// 1. algorithm agreement and canonical `(oid, seq)` ordering of
     ///    records and boundary links (reordered slices are
-    ///    `MalformedRecord`, forks `DuplicateRecord`);
-    /// 2. every record's structural shape and checksum signature, with
-    ///    predecessor checksums resolving through the slice first and the
-    ///    boundary links second — an unresolvable predecessor is
-    ///    `MissingRecord`, a forged record `BadSignature`;
+    ///    `MalformedRecord`);
+    /// 2. every record passes the fold's admission step, with each
+    ///    boundary link an attested slot: forks are `DuplicateRecord` (a
+    ///    link shadowing an in-slice record too), an unresolvable
+    ///    predecessor is `MissingRecord`, a forged record `BadSignature`;
     /// 3. **coverage**: the operator's own traversal is re-run over the
     ///    slice. In-bounds nodes the traversal demands must be present as
     ///    records (`MissingRecord`), out-of-bounds crossings must carry a
@@ -844,62 +848,45 @@ impl<'a> Verifier<'a> {
             }
         }
 
-        // Index the slice; forks inside it are duplicates, and a boundary
-        // link shadowing an in-slice record is a fork too.
-        let mut index: HashMap<(ObjectId, u64), &ProvenanceRecord> = HashMap::new();
-        for r in &proof.records {
-            if index.insert((r.output_oid, r.seq_id), r).is_some() {
-                v.issues.push(TamperEvidence::DuplicateRecord {
-                    oid: r.output_oid,
-                    seq: r.seq_id,
-                });
-            }
-        }
-        let mut boundary: HashMap<(ObjectId, u64), &[u8]> = HashMap::new();
+        // Every record passes the fold's admission step, in canonical order,
+        // with each boundary link an attested slot: it stands in for a
+        // predecessor the bounds clipped, as a sealed-checkpoint checksum
+        // stands in for one compaction excised. A link shadowing an in-slice
+        // record is a fork, not a slot. A flipped link surfaces as
+        // BadSignature of the in-slice records that chain to it.
+        let mut records: Vec<&ProvenanceRecord> = proof.records.iter().collect();
+        records.sort_by_key(|r| (r.output_oid, r.seq_id));
+        // The slice's record at `slot`, the last one presented if forked.
+        let at = |slot: RecordSlot| {
+            let end = records.partition_point(|r| (r.output_oid, r.seq_id) <= slot);
+            records[..end]
+                .last()
+                .filter(|r| (r.output_oid, r.seq_id) == slot)
+        };
+        let mut fold = StreamingVerifier::new(self.keys, self.alg, spec.target);
+        let slots = &mut fold.attested.slots;
         for b in &proof.boundary {
             let key = (b.oid, b.seq);
-            if index.contains_key(&key) || boundary.insert(key, &b.checksum).is_some() {
+            if at(key).is_some() || slots.insert(key, b.checksum.clone()).is_some() {
                 v.issues.push(TamperEvidence::DuplicateRecord {
                     oid: b.oid,
                     seq: b.seq,
                 });
             }
         }
-
-        // Shape + signature of every record, predecessor checksums
-        // resolving slice-first, boundary-second. The boundary checksums
-        // are covered by the in-slice signatures that chain to them, so a
-        // flipped boundary link surfaces as BadSignature.
-        for r in &proof.records {
-            check_record_shape(r, &mut v.issues);
-            check_record_signature(
-                self.keys,
-                self.alg,
-                r,
-                |oid, seq| {
-                    index
-                        .get(&(oid, seq))
-                        .map(|p| p.checksum.as_slice())
-                        .or_else(|| boundary.get(&(oid, seq)).copied())
-                },
-                &mut v.issues,
-            );
-            v.records_checked += 1;
-            v.participants.insert(r.participant);
+        for r in &records {
+            fold.admit(r);
         }
+        v.issues.append(&mut fold.issues);
+        v.records_checked = fold.records_checked;
+        v.participants = std::mem::take(&mut fold.participants);
 
         // Coverage + answer recomputation, per operator. `allowed_boundary`
-        // accumulates every (oid, seq) a boundary link may legitimately
-        // stand for; anything else shipped in the boundary is extraneous.
-        let mut allowed_boundary: HashSet<(ObjectId, u64)> = proof
-            .records
-            .iter()
-            .flat_map(|r| {
-                r.inputs
-                    .iter()
-                    .filter_map(|i| i.prev_seq.map(|p| (i.oid, p)))
-            })
-            .collect();
+        // holds every (oid, seq) a boundary link may stand for: an admitted
+        // record (a shadowing link, already a fork), a predecessor one links
+        // to, or a clipped crossing. Any other link is extraneous.
+        let (admitted, links) = (fold.edges.keys(), fold.edges.values().flatten());
+        let mut allowed_boundary: BTreeSet<RecordSlot> = admitted.chain(links).copied().collect();
 
         let expected = match spec.op {
             QueryOp::Ancestors | QueryOp::LineageSlice | QueryOp::Polynomial => {
@@ -907,7 +894,7 @@ impl<'a> Verifier<'a> {
                     &spec.bounds,
                     (spec.target, proof.target_seq),
                     usize::MAX,
-                    |oid, seq| index.get(&(oid, seq)).map(|r| (*r).clone()),
+                    |oid, seq| at((oid, seq)).map(|r| (*r).clone()),
                 );
                 for &(oid, seq) in &closure.missing {
                     v.issues.push(TamperEvidence::MissingRecord { oid, seq });
@@ -925,7 +912,7 @@ impl<'a> Verifier<'a> {
                 // recipient can keep auditing past the bounds.
                 for &(oid, seq) in &closure.clipped {
                     allowed_boundary.insert((oid, seq));
-                    if !boundary.contains_key(&(oid, seq)) {
+                    if !fold.attested.slots.contains_key(&(oid, seq)) {
                         v.issues.push(TamperEvidence::MissingRecord { oid, seq });
                     }
                 }
@@ -950,7 +937,7 @@ impl<'a> Verifier<'a> {
                 // Anchor: the target's record at target_seq proves the
                 // subject exists and pins the traversal root.
                 let anchor = (spec.target, proof.target_seq);
-                if !index.contains_key(&anchor) {
+                if !fold.edges.contains_key(&anchor) {
                     v.issues.push(TamperEvidence::MissingRecord {
                         oid: anchor.0,
                         seq: anchor.1,
@@ -1013,7 +1000,7 @@ impl<'a> Verifier<'a> {
         };
 
         for b in &proof.boundary {
-            if !allowed_boundary.contains(&(b.oid, b.seq)) && !index.contains_key(&(b.oid, b.seq)) {
+            if !allowed_boundary.contains(&(b.oid, b.seq)) {
                 v.issues.push(TamperEvidence::ExtraneousRecord {
                     oid: b.oid,
                     seq: b.seq,
@@ -1217,9 +1204,11 @@ fn check_record_signature<'a>(
 /// public constructor attests nothing.
 #[derive(Default)]
 struct Attested {
-    /// Sealed-checkpoint slots: a chain start may link to one (its checksum
-    /// standing in for the excised predecessor), and a record presented at
-    /// one must carry its checksum.
+    /// Attested slots, each a checksum standing in for a predecessor the
+    /// records do not carry: a sealed checkpoint's (compaction excised it)
+    /// or a slice's boundary link (the query's bounds clipped it). A record
+    /// may link to one, and a record presented at one must carry its
+    /// checksum.
     slots: HashMap<RecordSlot, Vec<u8>>,
     /// Remembered chain heads, each required intact at finish.
     heads: Vec<TrustAnchor>,
@@ -1321,16 +1310,7 @@ impl<'a> StreamingVerifier<'a> {
     /// mid-transfer and attribute the failure to this record's frame.
     pub fn push_record(&mut self, r: &ProvenanceRecord) -> usize {
         let before = self.issues.len();
-        let key = (r.output_oid, r.seq_id);
-
-        if self.checksums.contains_key(&key) {
-            self.issues.push(TamperEvidence::DuplicateRecord {
-                oid: key.0,
-                seq: key.1,
-            });
-        }
-
-        check_record_shape(r, &mut self.issues);
+        self.admit(r);
 
         // Chain structure against the tail seen so far.
         let links_to_prior = match r.kind {
@@ -1360,8 +1340,42 @@ impl<'a> StreamingVerifier<'a> {
             },
         }
         self.chain_tail.insert(r.output_oid, r.seq_id);
+        self.order.push((r.output_oid, r.seq_id));
 
-        // A record presented at a sealed slot must be the one sealed there.
+        if r.output_oid == self.target {
+            let newer = self
+                .latest_target
+                .as_ref()
+                .is_none_or(|(seq, _)| r.seq_id >= *seq);
+            if newer {
+                self.latest_target = Some((r.seq_id, r.output_hash.clone()));
+            }
+        }
+
+        self.digest.push(&r.to_stored().to_bytes());
+        let new_evidence = self.issues.len() - before;
+        if let Some(obs) = &self.obs {
+            obs.records.inc();
+            obs.evidence.record_issues(&self.issues[before..]);
+        }
+        new_evidence
+    }
+
+    /// Admits one record: the per-record check of every path, histories
+    /// and slices alike. Its slot must be taken once, its shape must hold,
+    /// a record at an attested slot must carry the attested checksum, and
+    /// its signature must verify over the predecessors already admitted or
+    /// attested (topological order guarantees an honest record's have
+    /// arrived). Keeps its checksum and predecessor edges.
+    fn admit(&mut self, r: &ProvenanceRecord) {
+        let key = (r.output_oid, r.seq_id);
+        if self.checksums.contains_key(&key) {
+            self.issues.push(TamperEvidence::DuplicateRecord {
+                oid: key.0,
+                seq: key.1,
+            });
+        }
+        check_record_shape(r, &mut self.issues);
         if self
             .attested
             .slots
@@ -1373,10 +1387,6 @@ impl<'a> StreamingVerifier<'a> {
                 seq: r.seq_id,
             });
         }
-
-        // Signature over the record's fields and already-seen predecessor
-        // checksums (topological order guarantees they have arrived; a
-        // sealed slot stands in for a predecessor compacted away).
         let (checksums, slots) = (&self.checksums, &self.attested.slots);
         check_record_signature(
             self.keys,
@@ -1393,33 +1403,14 @@ impl<'a> StreamingVerifier<'a> {
         );
 
         self.checksums.insert(key, r.checksum.clone());
-        self.order.push(key);
         let preds: Vec<RecordSlot> = r
             .inputs
             .iter()
             .filter_map(|i| i.prev_seq.map(|p| (i.oid, p)))
             .collect();
         self.edges.insert(key, preds);
-
-        if r.output_oid == self.target {
-            let newer = self
-                .latest_target
-                .as_ref()
-                .is_none_or(|(seq, _)| r.seq_id >= *seq);
-            if newer {
-                self.latest_target = Some((r.seq_id, r.output_hash.clone()));
-            }
-        }
-
         self.records_checked += 1;
         self.participants.insert(r.participant);
-        self.digest.push(&r.to_stored().to_bytes());
-        let new_evidence = self.issues.len() - before;
-        if let Some(obs) = &self.obs {
-            obs.records.inc();
-            obs.evidence.record_issues(&self.issues[before..]);
-        }
-        new_evidence
     }
 
     /// The rolling digest over the canonical bytes of every record pushed

@@ -58,8 +58,10 @@ pub enum Tamper {
         /// New claimed author.
         to: ParticipantId,
     },
-    /// Point an input's predecessor link at the record's own sequence id,
-    /// a slot that does not sort before the record — targets R3/R6.
+    /// Point an input's predecessor link at the record's own sequence id:
+    /// an update then links to its own slot, which does not sort before
+    /// it, and an aggregate to another record of the input's chain —
+    /// targets R3/R6.
     Relink {
         /// Record's object.
         oid: ObjectId,
@@ -140,10 +142,10 @@ pub fn all_single_record_tampers(
         let (oid, seq) = (r.output_oid, r.seq_id);
         out.push(Tamper::FlipOutputHash { oid, seq });
         out.push(Tamper::FlipChecksum { oid, seq });
-        for (input, i) in r.inputs.iter().enumerate() {
+        for (input, inp) in r.inputs.iter().enumerate() {
             out.push(Tamper::FlipInputHash { oid, seq, input });
             // An aggregate's input may already link to the aggregate's seq.
-            if i.prev_seq.is_some_and(|p| p != seq) {
+            if inp.prev_seq.is_some_and(|p| p != seq) {
                 out.push(Tamper::Relink { oid, seq, input });
             }
         }

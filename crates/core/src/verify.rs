@@ -849,11 +849,9 @@ impl<'a> Verifier<'a> {
         }
 
         // Every record passes the fold's admission step, in canonical order,
-        // with each boundary link an attested slot: it stands in for a
-        // predecessor the bounds clipped, as a sealed-checkpoint checksum
-        // stands in for one compaction excised. A link shadowing an in-slice
-        // record is a fork, not a slot. A flipped link surfaces as
-        // BadSignature of the in-slice records that chain to it.
+        // with each boundary link an attested slot. A link shadowing an
+        // in-slice record is a fork, not a slot; a flipped link is
+        // BadSignature of the records that chain to it.
         let mut records: Vec<&ProvenanceRecord> = proof.records.iter().collect();
         records.sort_by_key(|r| (r.output_oid, r.seq_id));
         // The slice's record at `slot`, the last one presented if forked.
@@ -1365,8 +1363,8 @@ impl<'a> StreamingVerifier<'a> {
     /// and slices alike. Its slot must be taken once, its shape must hold,
     /// a record at an attested slot must carry the attested checksum, and
     /// its signature must verify over the predecessors already admitted or
-    /// attested (topological order guarantees an honest record's have
-    /// arrived). Keeps its checksum and predecessor edges.
+    /// attested (in `(oid, seq)` order an honest record's come first).
+    /// Keeps its checksum and predecessor edges.
     fn admit(&mut self, r: &ProvenanceRecord) {
         let key = (r.output_oid, r.seq_id);
         if self.checksums.contains_key(&key) {

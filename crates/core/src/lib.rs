@@ -57,6 +57,7 @@ mod chain;
 pub mod checkpoint;
 pub mod denial;
 pub mod error;
+mod evidence;
 pub mod export;
 pub mod gc;
 pub mod hashing;

@@ -40,119 +40,12 @@ use crate::slice::{
 };
 use crate::streaming::{CheckpointError, RecordSlot, RecordStreamDigest, VerifierCheckpoint};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::fmt;
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{KeyDirectory, ParticipantId};
 use tep_model::{ObjectId, TenantId};
 use tep_obs::{names, Counter, Histogram, Registry};
 
-/// The kind of a piece of tamper evidence, independent of the offending
-/// record's identity — the unit both verify paths (batch/recovered and the
-/// tep-net streaming client) report through, and the key of the
-/// `tep_core_evidence_<kind>_total` counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EvidenceKind {
-    /// [`TamperEvidence::OutputMismatch`].
-    OutputMismatch,
-    /// [`TamperEvidence::BadSignature`].
-    BadSignature,
-    /// [`TamperEvidence::MissingRecord`].
-    MissingRecord,
-    /// [`TamperEvidence::BrokenChain`].
-    BrokenChain,
-    /// [`TamperEvidence::ExtraneousRecord`].
-    ExtraneousRecord,
-    /// [`TamperEvidence::DuplicateRecord`].
-    DuplicateRecord,
-    /// [`TamperEvidence::UnknownParticipant`].
-    UnknownParticipant,
-    /// [`TamperEvidence::MalformedRecord`].
-    MalformedRecord,
-    /// [`TamperEvidence::NoRecords`].
-    NoRecords,
-    /// [`TamperEvidence::AnchorViolation`].
-    AnchorViolation,
-    /// [`TamperEvidence::StorageQuarantine`].
-    StorageQuarantine,
-    /// A provenance stream aborted with undecodable bytes — reported by
-    /// the tep-net client when a PROV/DATA frame fails structural
-    /// decoding. Has no [`TamperEvidence`] counterpart (the record never
-    /// existed to point at) but shares this enum so transport-layer
-    /// tamper shows up in the same counter family.
-    MalformedStream,
-    /// [`TamperEvidence::ResumeMismatch`].
-    ResumeMismatch,
-    /// [`TamperEvidence::ReplicaDivergence`].
-    ReplicaDivergence,
-    /// [`TamperEvidence::ForgedRoot`].
-    ForgedRoot,
-    /// [`TamperEvidence::ForgedDenial`].
-    ForgedDenial,
-    /// [`TamperEvidence::IncompleteResponse`].
-    IncompleteResponse,
-    /// [`TamperEvidence::CheckpointMismatch`].
-    CheckpointMismatch,
-}
-
-impl EvidenceKind {
-    /// Every kind, in counter/display order.
-    pub const ALL: [EvidenceKind; 18] = [
-        EvidenceKind::OutputMismatch,
-        EvidenceKind::BadSignature,
-        EvidenceKind::MissingRecord,
-        EvidenceKind::BrokenChain,
-        EvidenceKind::ExtraneousRecord,
-        EvidenceKind::DuplicateRecord,
-        EvidenceKind::UnknownParticipant,
-        EvidenceKind::MalformedRecord,
-        EvidenceKind::NoRecords,
-        EvidenceKind::AnchorViolation,
-        EvidenceKind::StorageQuarantine,
-        EvidenceKind::MalformedStream,
-        EvidenceKind::ResumeMismatch,
-        EvidenceKind::ReplicaDivergence,
-        EvidenceKind::ForgedRoot,
-        EvidenceKind::ForgedDenial,
-        EvidenceKind::IncompleteResponse,
-        EvidenceKind::CheckpointMismatch,
-    ];
-
-    /// Stable snake_case name, used as the counter-name suffix.
-    pub fn name(self) -> &'static str {
-        match self {
-            EvidenceKind::OutputMismatch => "output_mismatch",
-            EvidenceKind::BadSignature => "bad_signature",
-            EvidenceKind::MissingRecord => "missing_record",
-            EvidenceKind::BrokenChain => "broken_chain",
-            EvidenceKind::ExtraneousRecord => "extraneous_record",
-            EvidenceKind::DuplicateRecord => "duplicate_record",
-            EvidenceKind::UnknownParticipant => "unknown_participant",
-            EvidenceKind::MalformedRecord => "malformed_record",
-            EvidenceKind::NoRecords => "no_records",
-            EvidenceKind::AnchorViolation => "anchor_violation",
-            EvidenceKind::StorageQuarantine => "storage_quarantine",
-            EvidenceKind::MalformedStream => "malformed_stream",
-            EvidenceKind::ResumeMismatch => "resume_mismatch",
-            EvidenceKind::ReplicaDivergence => "replica_divergence",
-            EvidenceKind::ForgedRoot => "forged_root",
-            EvidenceKind::ForgedDenial => "forged_denial",
-            EvidenceKind::IncompleteResponse => "incomplete_response",
-            EvidenceKind::CheckpointMismatch => "checkpoint_mismatch",
-        }
-    }
-
-    /// Name of the tep-obs counter this kind increments
-    /// (`tep_core_evidence_<kind>_total`).
-    pub fn counter_name(self) -> String {
-        format!("tep_core_evidence_{}_total", self.name())
-    }
-}
-
-impl fmt::Display for EvidenceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+pub use crate::evidence::{EvidenceKind, TamperEvidence};
 
 /// One [`Counter`] per [`EvidenceKind`], registered as
 /// `tep_core_evidence_<kind>_total`. Cheap to clone; every verify surface
@@ -218,307 +111,6 @@ impl VerifyObs {
             tampered_runs: registry.counter("tep_core_verify_tampered_total"),
             latency_ns: registry.latency_histogram("tep_core_verify_ns"),
             evidence: EvidenceCounters::new(registry),
-        }
-    }
-}
-
-/// A specific piece of evidence that provenance was tampered with.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TamperEvidence {
-    /// The delivered object does not match the most recent record's output
-    /// (violates R4: undocumented data modification, or R5: provenance
-    /// reassigned from another object).
-    OutputMismatch {
-        /// The object under verification.
-        oid: ObjectId,
-    },
-    /// A record's checksum fails signature verification (R1: contents
-    /// modified, or R8: forged attribution).
-    BadSignature {
-        /// Output object of the offending record.
-        oid: ObjectId,
-        /// Its sequence id.
-        seq: u64,
-    },
-    /// A record referenced as predecessor is absent (R2/R7: records were
-    /// removed).
-    MissingRecord {
-        /// The missing record's object.
-        oid: ObjectId,
-        /// The missing record's sequence id.
-        seq: u64,
-    },
-    /// Successive records of one object's chain do not link (insertion,
-    /// reordering, or splicing — R3/R6).
-    BrokenChain {
-        /// The object whose chain is inconsistent.
-        oid: ObjectId,
-        /// Sequence id of the record that fails to link.
-        seq: u64,
-    },
-    /// A presented record is not reachable from the target's most recent
-    /// record (R3/R6: inserted records).
-    ExtraneousRecord {
-        /// The unreachable record's object.
-        oid: ObjectId,
-        /// Its sequence id.
-        seq: u64,
-    },
-    /// Two records claim the same `(object, seqID)` slot — a forked chain.
-    DuplicateRecord {
-        /// The contested object.
-        oid: ObjectId,
-        /// The contested sequence id.
-        seq: u64,
-    },
-    /// The record names a participant with no certified key.
-    UnknownParticipant {
-        /// The unknown participant.
-        participant: ParticipantId,
-    },
-    /// A record's structure violates its kind's invariants.
-    MalformedRecord {
-        /// The offending record's object.
-        oid: ObjectId,
-        /// Its sequence id.
-        seq: u64,
-        /// What is wrong.
-        why: &'static str,
-    },
-    /// No records were presented for the target object.
-    NoRecords {
-        /// The target object.
-        oid: ObjectId,
-    },
-    /// A previously trusted record (a [`crate::checkpoint::TrustAnchor`])
-    /// is no longer present with its original checksum — the chain was
-    /// truncated, rolled back, or re-signed across the anchor.
-    AnchorViolation {
-        /// The anchored object.
-        oid: ObjectId,
-        /// The anchored sequence id.
-        seq: u64,
-    },
-    /// The durable store recovered in degraded mode: interior log
-    /// corruption was excised into the quarantine sidecar (or CRC-valid
-    /// frames failed to decode), so records are missing for a
-    /// storage-layer reason. Whatever chains the damage touched also
-    /// surface as [`TamperEvidence::MissingRecord`] /
-    /// [`TamperEvidence::BrokenChain`] (R2/R3); this evidence attributes
-    /// them to quarantined storage rather than an unexplained absence.
-    StorageQuarantine {
-        /// Number of quarantined ranges plus undecodable records.
-        gaps: u64,
-        /// Corrupt bytes moved to the quarantine sidecar.
-        bytes: u64,
-    },
-    /// A resumable transfer's RESUME handshake failed: the server's record
-    /// stream up to the claimed resume point is **not** byte-identical to
-    /// the records the client already verified (its rolling
-    /// [`RecordStreamDigest`](crate::streaming::RecordStreamDigest)
-    /// disagrees), or the server claims a different resume offset than the
-    /// checkpoint proves. Either the server's history changed between
-    /// connections or the peer is lying about where the transfer stopped —
-    /// both are R2/R3-grade discontinuities, so the transfer is rejected
-    /// and never retried.
-    ResumeMismatch {
-        /// The object being transferred.
-        oid: ObjectId,
-        /// Records the client's checkpoint covers.
-        claimed: u64,
-        /// Records the peer confirmed (its echoed resume offset, or
-        /// `claimed` when the offsets agree but the digests do not).
-        confirmed: u64,
-    },
-    /// Anti-entropy located an object whose record history differs between
-    /// a replica and its primary: the per-shard Merkle trees disagree at a
-    /// leaf, and re-fetching that object did not produce a stream that
-    /// both verifies *and* extends the replica's verified local prefix.
-    /// One of the two histories was tampered with (a bit-flipped replica
-    /// log, a lying primary, or a fork where both sides verify but
-    /// diverge) — an R2/R3-grade discontinuity attributed to replication,
-    /// never silently "repaired" by overwriting verified local state.
-    ReplicaDivergence {
-        /// The divergent object.
-        oid: ObjectId,
-        /// Merkle levels descended to locate the leaf (the anti-entropy
-        /// round-trip count for this divergence).
-        depth: u32,
-    },
-    /// An anti-entropy response failed structural self-authentication:
-    /// the child hashes a peer presented do not recombine to the parent
-    /// hash the same peer claimed one round earlier. No valid tree can do
-    /// this regardless of which side's data is correct, so the root (or an
-    /// interior node) was forged in flight or by the peer itself.
-    ForgedRoot {
-        /// Tree level of the node whose children fail to authenticate
-        /// (leaves are level 0).
-        level: u32,
-        /// Index of that node within its level.
-        index: u64,
-    },
-    /// A NOT_FOUND answer's non-membership proof
-    /// ([`crate::denial::SignedDenial`]) failed verification: the root
-    /// signature is bad, a witness path does not authenticate, the
-    /// witnesses are not adjacent, or the target is in fact covered by a
-    /// leaf. Either the server denied an object it *does* hold, or the
-    /// proof was forged/mutated in flight — an attributable omission
-    /// attack (R2/R7-grade: records withheld rather than removed).
-    ForgedDenial {
-        /// The object whose absence was (falsely) claimed. For a range
-        /// completeness proof that fails verification, the range's lower
-        /// bound.
-        oid: ObjectId,
-    },
-    /// A range answer omitted a member its own completeness proof
-    /// ([`crate::denial::SignedRange`]) shows to exist: the proof verifies
-    /// — so the leaf run is authentic and gap-free — but the served
-    /// answer is missing at least one proven member. The server withheld a
-    /// match it provably holds (R2/R7-grade omission).
-    IncompleteResponse {
-        /// Inclusive lower bound of the range queried.
-        lo: ObjectId,
-        /// Inclusive upper bound of the range queried.
-        hi: ObjectId,
-    },
-    /// A sealed compaction checkpoint
-    /// ([`crate::checkpoint::SealedCheckpoint`]) conflicts with the
-    /// presented provenance: the seal itself fails signature verification,
-    /// or a record at an anchored `(object, seqID)` slot carries a
-    /// different checksum than the checkpoint attests — the excised
-    /// history was swapped out from under the checkpoint (R2/R3 across
-    /// the compaction boundary).
-    CheckpointMismatch {
-        /// The anchored object (the verification target when the seal
-        /// itself fails).
-        oid: ObjectId,
-        /// The anchored sequence id (0 when the seal itself fails).
-        seq: u64,
-    },
-}
-
-impl TamperEvidence {
-    /// The kind of this evidence, for counting and cross-path comparison.
-    pub fn kind(&self) -> EvidenceKind {
-        match self {
-            TamperEvidence::OutputMismatch { .. } => EvidenceKind::OutputMismatch,
-            TamperEvidence::BadSignature { .. } => EvidenceKind::BadSignature,
-            TamperEvidence::MissingRecord { .. } => EvidenceKind::MissingRecord,
-            TamperEvidence::BrokenChain { .. } => EvidenceKind::BrokenChain,
-            TamperEvidence::ExtraneousRecord { .. } => EvidenceKind::ExtraneousRecord,
-            TamperEvidence::DuplicateRecord { .. } => EvidenceKind::DuplicateRecord,
-            TamperEvidence::UnknownParticipant { .. } => EvidenceKind::UnknownParticipant,
-            TamperEvidence::MalformedRecord { .. } => EvidenceKind::MalformedRecord,
-            TamperEvidence::NoRecords { .. } => EvidenceKind::NoRecords,
-            TamperEvidence::AnchorViolation { .. } => EvidenceKind::AnchorViolation,
-            TamperEvidence::StorageQuarantine { .. } => EvidenceKind::StorageQuarantine,
-            TamperEvidence::ResumeMismatch { .. } => EvidenceKind::ResumeMismatch,
-            TamperEvidence::ReplicaDivergence { .. } => EvidenceKind::ReplicaDivergence,
-            TamperEvidence::ForgedRoot { .. } => EvidenceKind::ForgedRoot,
-            TamperEvidence::ForgedDenial { .. } => EvidenceKind::ForgedDenial,
-            TamperEvidence::IncompleteResponse { .. } => EvidenceKind::IncompleteResponse,
-            TamperEvidence::CheckpointMismatch { .. } => EvidenceKind::CheckpointMismatch,
-        }
-    }
-}
-
-impl fmt::Display for TamperEvidence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TamperEvidence::OutputMismatch { oid } => {
-                write!(
-                    f,
-                    "object {oid} does not match its most recent provenance record (R4/R5)"
-                )
-            }
-            TamperEvidence::BadSignature { oid, seq } => {
-                write!(
-                    f,
-                    "checksum of record ({oid}, seq {seq}) fails verification (R1/R8)"
-                )
-            }
-            TamperEvidence::MissingRecord { oid, seq } => {
-                write!(f, "referenced record ({oid}, seq {seq}) is missing (R2/R7)")
-            }
-            TamperEvidence::BrokenChain { oid, seq } => {
-                write!(
-                    f,
-                    "record ({oid}, seq {seq}) does not link to its predecessor (R3/R6)"
-                )
-            }
-            TamperEvidence::ExtraneousRecord { oid, seq } => {
-                write!(
-                    f,
-                    "record ({oid}, seq {seq}) is not part of the target's history (R3/R6)"
-                )
-            }
-            TamperEvidence::DuplicateRecord { oid, seq } => {
-                write!(
-                    f,
-                    "multiple records claim ({oid}, seq {seq}) — forked chain"
-                )
-            }
-            TamperEvidence::UnknownParticipant { participant } => {
-                write!(f, "no certified key for participant {participant}")
-            }
-            TamperEvidence::MalformedRecord { oid, seq, why } => {
-                write!(f, "record ({oid}, seq {seq}) is malformed: {why}")
-            }
-            TamperEvidence::NoRecords { oid } => {
-                write!(f, "no provenance records for object {oid}")
-            }
-            TamperEvidence::AnchorViolation { oid, seq } => {
-                write!(
-                    f,
-                    "trusted record ({oid}, seq {seq}) is missing or altered — history truncated or rolled back"
-                )
-            }
-            TamperEvidence::StorageQuarantine { gaps, bytes } => {
-                write!(
-                    f,
-                    "provenance store recovered in degraded mode: {gaps} corrupt range(s), {bytes} byte(s) quarantined (R2/R3 continuity not attestable)"
-                )
-            }
-            TamperEvidence::ResumeMismatch {
-                oid,
-                claimed,
-                confirmed,
-            } => {
-                write!(
-                    f,
-                    "resume point for object {oid} does not verify: checkpoint proves {claimed} record(s), peer confirmed {confirmed} — history diverged or peer is lying (R2/R3)"
-                )
-            }
-            TamperEvidence::ReplicaDivergence { oid, depth } => {
-                write!(
-                    f,
-                    "replica and primary histories diverge at object {oid} (located in {depth} anti-entropy round(s)) — replicated history altered or forked (R2/R3)"
-                )
-            }
-            TamperEvidence::ForgedRoot { level, index } => {
-                write!(
-                    f,
-                    "anti-entropy node (level {level}, index {index}) fails self-authentication: presented children do not hash to the claimed parent — forged root or tree (R1/R8)"
-                )
-            }
-            TamperEvidence::ForgedDenial { oid } => {
-                write!(
-                    f,
-                    "non-membership proof for object {oid} fails verification — denial forged or the object is held and withheld (R2/R7)"
-                )
-            }
-            TamperEvidence::IncompleteResponse { lo, hi } => {
-                write!(
-                    f,
-                    "range answer [{lo}, {hi}] omits a member its own completeness proof covers — match withheld (R2/R7)"
-                )
-            }
-            TamperEvidence::CheckpointMismatch { oid, seq } => {
-                write!(
-                    f,
-                    "sealed checkpoint conflicts with presented provenance at ({oid}, seq {seq}) — excised history swapped across the compaction boundary (R2/R3)"
-                )
-            }
         }
     }
 }

@@ -73,7 +73,6 @@ fn durable_log_bytes(cfg: &ExperimentConfig) -> (Vec<u8>, Vec<Vec<u8>>) {
 /// `_count`), sorted by name.
 fn run_instrumented_metrics(cfg: &ExperimentConfig) -> Vec<(String, u64)> {
     let registry = Registry::new();
-    let span = registry.span("instrumented_workload");
 
     // Crypto: signer + key directory with latency instrumentation.
     let (mut signer, mut keys) = cfg.make_signer();
@@ -158,7 +157,6 @@ fn run_instrumented_metrics(cfg: &ExperimentConfig) -> Vec<(String, u64)> {
     let rep = client.query(&QuerySpec::audit(signer.id()), &keys).unwrap();
     assert!(rep.verification.verified());
     server.shutdown();
-    span.finish();
 
     registry
         .snapshot()

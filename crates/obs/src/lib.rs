@@ -18,11 +18,6 @@
 //!   [`Registry::latency_histogram`] provides canonical exponential
 //!   nanosecond bounds for timing crypto and fsync latencies.
 //!
-//! For *where time goes* rather than *how much*, [`Registry::span`] opens a
-//! lightweight hierarchical span: monotonic timing, per-thread nesting
-//! depth, and completion events pushed into a bounded ring buffer that
-//! [`Registry::trace_dump`] renders on failure.
-//!
 //! Metric names follow the `tep_<crate>_<name>` schema documented in
 //! DESIGN.md §"Observability"; registration is idempotent (same name ⇒ same
 //! handle) so layers can attach independently without coordination.
@@ -34,7 +29,7 @@
 pub mod names;
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -42,9 +37,6 @@ use std::time::{Duration, Instant};
 
 /// Number of independent shards a [`Counter`] spreads its increments over.
 const COUNTER_SHARDS: usize = 8;
-
-/// Maximum completed-span events the trace ring retains (oldest dropped).
-const TRACE_CAPACITY: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // Counter
@@ -312,79 +304,6 @@ impl Drop for HistogramTimer {
 }
 
 // ---------------------------------------------------------------------------
-// Spans + trace ring
-// ---------------------------------------------------------------------------
-
-/// One completed span, as retained by the trace ring buffer.
-#[derive(Clone, Debug)]
-pub struct TraceEvent {
-    /// Span name.
-    pub name: String,
-    /// Nesting depth at creation (0 = top level on that thread).
-    pub depth: usize,
-    /// Start time, nanoseconds since the registry's epoch.
-    pub start_ns: u64,
-    /// Wall-clock duration in nanoseconds (monotonic clock).
-    pub duration_ns: u64,
-}
-
-thread_local! {
-    /// Per-thread span nesting depth.
-    static SPAN_DEPTH: Cell<usize> = const { Cell::new(0) };
-}
-
-/// A live hierarchical span: created by [`Registry::span`], records its
-/// monotonic duration and nesting depth into the registry's trace ring
-/// when dropped (or explicitly via [`Span::finish`]).
-pub struct Span {
-    registry: Arc<RegistryInner>,
-    name: String,
-    depth: usize,
-    start: Instant,
-}
-
-impl Span {
-    /// Nesting depth of this span on its creating thread.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Elapsed time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Ends the span now (equivalent to dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        SPAN_DEPTH.with(|d| d.set(self.depth));
-        let event = TraceEvent {
-            name: std::mem::take(&mut self.name),
-            depth: self.depth,
-            start_ns: u64::try_from(
-                self.start
-                    .saturating_duration_since(self.registry.epoch)
-                    .as_nanos(),
-            )
-            .unwrap_or(u64::MAX),
-            duration_ns: u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        };
-        let mut ring = self
-            .registry
-            .trace
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if ring.len() == TRACE_CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(event);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
@@ -405,13 +324,7 @@ impl Metric {
     }
 }
 
-struct RegistryInner {
-    metrics: Mutex<BTreeMap<String, Metric>>,
-    trace: Mutex<VecDeque<TraceEvent>>,
-    epoch: Instant,
-}
-
-/// A global-free collection of named metrics plus a span trace ring.
+/// A global-free collection of named metrics.
 ///
 /// Cloning is cheap (an `Arc` bump) and clones share all state — hand one
 /// clone to each subsystem you want instrumented. Metric registration is
@@ -431,7 +344,7 @@ struct RegistryInner {
 /// ```
 #[derive(Clone)]
 pub struct Registry {
-    inner: Arc<RegistryInner>,
+    metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
 }
 
 impl Default for Registry {
@@ -441,19 +354,15 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Creates an empty registry; its epoch (for span timestamps) is now.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Registry {
-            inner: Arc::new(RegistryInner {
-                metrics: Mutex::new(BTreeMap::new()),
-                trace: Mutex::new(VecDeque::new()),
-                epoch: Instant::now(),
-            }),
+            metrics: Arc::default(),
         }
     }
 
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
-        let mut metrics = self.inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        let mut metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         let entry = metrics.entry(name.to_string()).or_insert_with(make);
         entry.clone()
     }
@@ -495,32 +404,16 @@ impl Registry {
     /// Current value of the counter `name`, or 0 if absent. (Convenient in
     /// tests; absent and never-incremented are indistinguishable.)
     pub fn counter_value(&self, name: &str) -> u64 {
-        let metrics = self.inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        let metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         match metrics.get(name) {
             Some(Metric::Counter(c)) => c.value(),
             _ => 0,
         }
     }
 
-    /// Opens a hierarchical [`Span`]; its completion is recorded in the
-    /// trace ring when the returned guard drops.
-    pub fn span(&self, name: impl Into<String>) -> Span {
-        let depth = SPAN_DEPTH.with(|d| {
-            let depth = d.get();
-            d.set(depth + 1);
-            depth
-        });
-        Span {
-            registry: Arc::clone(&self.inner),
-            name: name.into(),
-            depth,
-            start: Instant::now(),
-        }
-    }
-
     /// Point-in-time snapshot of every metric, sorted by name.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-        let metrics = self.inner.metrics.lock().unwrap_or_else(|e| e.into_inner());
+        let metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         metrics
             .iter()
             .map(|(name, metric)| MetricSnapshot {
@@ -570,35 +463,6 @@ impl Registry {
             }
         }
         out
-    }
-
-    /// Renders the retained trace ring, oldest first, indented by nesting
-    /// depth — intended for dumping on test/verification failure.
-    pub fn trace_dump(&self) -> String {
-        let ring = self.inner.trace.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::new();
-        for ev in ring.iter() {
-            let _ = writeln!(
-                out,
-                "{:>10.3}ms {}{} {:.3}ms",
-                ev.start_ns as f64 / 1e6,
-                "  ".repeat(ev.depth),
-                ev.name,
-                ev.duration_ns as f64 / 1e6,
-            );
-        }
-        out
-    }
-
-    /// Completed-span events currently retained (oldest first).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .trace
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect()
     }
 }
 
@@ -756,22 +620,5 @@ tep_net_frame_turnaround_ns_bucket{le=\"250\"} 1
         assert_eq!(g.value(), 3);
         g.set(-7);
         assert_eq!(g.value(), -7);
-    }
-
-    #[test]
-    fn span_records_trace_event() {
-        let reg = Registry::new();
-        {
-            let _outer = reg.span("outer");
-            let inner = reg.span("inner");
-            inner.finish();
-        }
-        let events = reg.trace_events();
-        assert_eq!(events.len(), 2);
-        // Inner finishes first, at depth 1.
-        assert_eq!(events[0].name, "inner");
-        assert_eq!(events[0].depth, 1);
-        assert_eq!(events[1].name, "outer");
-        assert_eq!(events[1].depth, 0);
     }
 }

@@ -1,11 +1,10 @@
 //! Integration tests for the observability spine: concurrency correctness
-//! of sharded counters, histogram bucket-boundary properties, span
-//! nesting/timing invariants, and text-exposition format stability.
+//! of sharded counters, histogram bucket-boundary properties, and
+//! text-exposition format stability.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use tep_obs::{latency_bounds_ns, Histogram, MetricValue, Registry};
 
 /// Counters are monotonic and lose no increments under concurrent
@@ -128,58 +127,6 @@ proptest! {
         prop_assert_eq!(buckets[which], 1);
         prop_assert_eq!(buckets.iter().sum::<u64>(), 1);
     }
-}
-
-/// Spans nest per-thread: inner spans report greater depth, close before
-/// their parents, and report durations no longer than the enclosing span.
-#[test]
-fn span_nesting_and_timing_invariants() {
-    let reg = Registry::new();
-    {
-        let _a = reg.span("a");
-        std::thread::sleep(Duration::from_millis(2));
-        {
-            let _b = reg.span("b");
-            std::thread::sleep(Duration::from_millis(2));
-            let _c = reg.span("c");
-        }
-        let _d = reg.span("d");
-    }
-    let events = reg.trace_events();
-    let by_name = |n: &str| events.iter().find(|e| e.name == n).unwrap().clone();
-    let (a, b, c, d) = (by_name("a"), by_name("b"), by_name("c"), by_name("d"));
-
-    // Completion order: children before parents.
-    let order: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-    assert_eq!(order, vec!["c", "b", "d", "a"]);
-
-    // Depths reflect nesting; a sibling after a closed child reuses depth.
-    assert_eq!(a.depth, 0);
-    assert_eq!(b.depth, 1);
-    assert_eq!(c.depth, 2);
-    assert_eq!(d.depth, 1);
-
-    // Monotonic timing: children start no earlier than parents and fit
-    // inside them.
-    assert!(b.start_ns >= a.start_ns);
-    assert!(c.start_ns >= b.start_ns);
-    assert!(b.duration_ns <= a.duration_ns);
-    assert!(c.duration_ns <= b.duration_ns);
-    assert!(a.duration_ns >= Duration::from_millis(4).as_nanos() as u64);
-}
-
-/// Spans on different threads do not affect each other's depth.
-#[test]
-fn span_depth_is_per_thread() {
-    let reg = Registry::new();
-    let _outer = reg.span("outer");
-    let reg2 = reg.clone();
-    std::thread::spawn(move || {
-        let s = reg2.span("other-thread");
-        assert_eq!(s.depth(), 0);
-    })
-    .join()
-    .unwrap();
 }
 
 /// The text exposition format is pinned: sorted by name, `# TYPE` headers,

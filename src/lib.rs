@@ -10,8 +10,8 @@
 //! This crate is a facade over the workspace:
 //!
 //! * [`obs`] — zero-dependency observability spine: sharded counters,
-//!   histograms, spans, and a text-exposition registry every layer records
-//!   into.
+//!   gauges, histograms, and a text-exposition registry every layer
+//!   records into.
 //! * [`crypto`] — big integers, SHA-1/SHA-256, RSA-PKCS#1 v1.5, simulated
 //!   PKI (all implemented from scratch).
 //! * [`model`] — the forest-of-trees data model and primitive operations.

@@ -342,23 +342,15 @@ impl Metric {
 /// assert_eq!(reg.counter_value("tep_core_cache_hits_total"), 3);
 /// assert!(reg.render_text().contains("tep_core_cache_hits_total 3"));
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Registry {
     metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        Registry {
-            metrics: Arc::default(),
-        }
+        Self::default()
     }
 
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {

@@ -194,10 +194,140 @@ fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
     *state = [h0, h1, h2, h3, h4];
 }
 
+/// The rolled form of the compression: one `round!` per loop iteration,
+/// moving all five registers each round. Tests hold [`compress_blocks`]
+/// equal to it on every input.
 #[cfg(test)]
-mod tests {
+fn compress_reference(state: &mut [u32; 5], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    let [mut h0, mut h1, mut h2, mut h3, mut h4] = *state;
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 16];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+
+        let (mut a, mut b, mut c, mut d, mut e) = (h0, h1, h2, h3, h4);
+
+        macro_rules! schedule {
+            ($i:expr) => {{
+                let s = $i & 15;
+                w[s] = (w[(s + 13) & 15] ^ w[(s + 8) & 15] ^ w[(s + 2) & 15] ^ w[s]).rotate_left(1);
+                w[s]
+            }};
+        }
+        macro_rules! round {
+            ($f:expr, $k:expr, $wi:expr) => {{
+                let tmp = a
+                    .rotate_left(5)
+                    .wrapping_add($f)
+                    .wrapping_add(e)
+                    .wrapping_add($k)
+                    .wrapping_add($wi);
+                e = d;
+                d = c;
+                c = b.rotate_left(30);
+                b = a;
+                a = tmp;
+            }};
+        }
+
+        for &wi in &w {
+            round!(d ^ (b & (c ^ d)), 0x5a82_7999, wi);
+        }
+        for i in 16..20 {
+            round!(d ^ (b & (c ^ d)), 0x5a82_7999, schedule!(i));
+        }
+        for i in 20..40 {
+            round!(b ^ c ^ d, 0x6ed9_eba1, schedule!(i));
+        }
+        for i in 40..60 {
+            round!((b & c) | (d & (b | c)), 0x8f1b_bcdc, schedule!(i));
+        }
+        for i in 60..80 {
+            round!(b ^ c ^ d, 0xca62_c1d6, schedule!(i));
+        }
+
+        h0 = h0.wrapping_add(a);
+        h1 = h1.wrapping_add(b);
+        h2 = h2.wrapping_add(c);
+        h3 = h3.wrapping_add(d);
+        h4 = h4.wrapping_add(e);
+    }
+    *state = [h0, h1, h2, h3, h4];
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use crate::hex::to_hex;
+
+    /// Deterministic filler (xorshift64*), so a failure names its bytes.
+    pub(crate) fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// `Sha1::digest` computed through [`compress_reference`].
+    fn digest_reference(data: &[u8]) -> [u8; SHA1_OUTPUT_LEN] {
+        let mut state = H0;
+        let full = data.len() & !63;
+        compress_reference(&mut state, &data[..full]);
+        let mut buffer = [0u8; 64];
+        buffer[..data.len() - full].copy_from_slice(&data[full..]);
+        let tail = final_blocks(&buffer, data.len() - full, data.len() as u64);
+        compress_reference(&mut state, tail.as_slice());
+        let mut out = [0u8; SHA1_OUTPUT_LEN];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn kernel_matches_reference_at_every_length() {
+        let buf = seeded_bytes(2009, 1024);
+        for len in 0..=1024 {
+            let data = &buf[..len];
+            let want = digest_reference(data);
+            assert_eq!(Sha1::digest(data), want, "digest: len {len}");
+            // 37-byte pieces cross the block boundary at every offset mod 64.
+            let mut h = Sha1::new();
+            for piece in data.chunks(37) {
+                h.update(piece);
+            }
+            assert_eq!(h.finalize(), want, "hasher: len {len}");
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_at_every_split() {
+        let data = seeded_bytes(31337, 300);
+        let want = digest_reference(&data);
+        for split in 0..=data.len() {
+            let mut h = Sha1::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), want, "split {split}");
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_over_64_kib() {
+        let data = seeded_bytes(1, 64 * 1024);
+        let (mut kernel, mut reference) = (H0, H0);
+        compress_blocks(&mut kernel, &data);
+        compress_reference(&mut reference, &data);
+        assert_eq!(kernel, reference);
+        assert_eq!(Sha1::digest(&data), digest_reference(&data));
+    }
 
     #[test]
     fn fips_test_vectors() {

@@ -174,10 +174,126 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     }
 }
 
+/// The rolled form of the compression: one `round!` per loop iteration,
+/// moving all eight registers each round. Tests hold [`compress_blocks`]
+/// equal to it on every input.
+#[cfg(test)]
+fn compress_reference(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 16];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+        macro_rules! round {
+            ($k:expr, $wi:expr) => {{
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = g ^ (e & (f ^ g));
+                let t1 = h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add($k)
+                    .wrapping_add($wi);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) | (c & (a | b));
+                let t2 = s0.wrapping_add(maj);
+                h = g;
+                g = f;
+                f = e;
+                e = d.wrapping_add(t1);
+                d = c;
+                c = b;
+                b = a;
+                a = t1.wrapping_add(t2);
+            }};
+        }
+
+        for i in 0..16 {
+            round!(K[i], w[i]);
+        }
+        for (i, &k) in K.iter().enumerate().skip(16) {
+            let s = i & 15;
+            let w15 = w[(s + 1) & 15];
+            let w2 = w[(s + 14) & 15];
+            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+            w[s] = w[s]
+                .wrapping_add(s0)
+                .wrapping_add(w[(s + 9) & 15])
+                .wrapping_add(s1);
+            round!(k, w[s]);
+        }
+
+        let add = [a, b, c, d, e, f, g, h];
+        for (s, v) in state.iter_mut().zip(add) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hex::to_hex;
+    use crate::sha1::final_blocks;
+    use crate::sha1::tests::seeded_bytes;
+
+    /// `Sha256::digest` computed through [`compress_reference`].
+    fn digest_reference(data: &[u8]) -> [u8; SHA256_OUTPUT_LEN] {
+        let mut state = H0;
+        let full = data.len() & !63;
+        compress_reference(&mut state, &data[..full]);
+        let mut buffer = [0u8; 64];
+        buffer[..data.len() - full].copy_from_slice(&data[full..]);
+        let tail = final_blocks(&buffer, data.len() - full, data.len() as u64);
+        compress_reference(&mut state, tail.as_slice());
+        let mut out = [0u8; SHA256_OUTPUT_LEN];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn kernel_matches_reference_at_every_length() {
+        let buf = seeded_bytes(2009, 1024);
+        for len in 0..=1024 {
+            let data = &buf[..len];
+            let want = digest_reference(data);
+            assert_eq!(Sha256::digest(data), want, "digest: len {len}");
+            // 37-byte pieces cross the block boundary at every offset mod 64.
+            let mut h = Sha256::new();
+            for piece in data.chunks(37) {
+                h.update(piece);
+            }
+            assert_eq!(h.finalize(), want, "hasher: len {len}");
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_at_every_split() {
+        let data = seeded_bytes(31337, 300);
+        let want = digest_reference(&data);
+        for split in 0..=data.len() {
+            let mut h = Sha256::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), want, "split {split}");
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_over_64_kib() {
+        let data = seeded_bytes(1, 64 * 1024);
+        let (mut kernel, mut reference) = (H0, H0);
+        compress_blocks(&mut kernel, &data);
+        compress_reference(&mut reference, &data);
+        assert_eq!(kernel, reference);
+        assert_eq!(Sha256::digest(&data), digest_reference(&data));
+    }
 
     #[test]
     fn nist_test_vectors() {

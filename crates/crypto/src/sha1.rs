@@ -132,66 +132,91 @@ pub(crate) fn final_blocks(buffer: &[u8; 64], buffer_len: usize, total_len: u64)
 
 /// Compresses a run of whole 64-byte blocks into `state`.
 ///
-/// The 80-round loop is unrolled into the four 20-round stages with a
-/// 16-word rolling message schedule, eliminating the per-round stage
-/// dispatch and the 80-word schedule array of the naive form.
+/// All 80 rounds are written out, in 16 groups of five, over a 16-word
+/// rolling message schedule. A round adds into `e` and rotates `b`, then
+/// the next round takes the registers in rotated roles (`e` becomes `a`,
+/// `a` becomes `b`, …), so no round moves a register; after five rounds
+/// the roles are back where they started.
 fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
-    let [mut h0, mut h1, mut h2, mut h3, mut h4] = *state;
     for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 16];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
         }
 
-        let (mut a, mut b, mut c, mut d, mut e) = (h0, h1, h2, h3, h4);
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
 
-        macro_rules! schedule {
-            ($i:expr) => {{
-                let s = $i & 15;
-                w[s] = (w[(s + 13) & 15] ^ w[(s + 8) & 15] ^ w[(s + 2) & 15] ^ w[s]).rotate_left(1);
-                w[s]
-            }};
+        // Round `$i`'s message word. `$i` is a literal sum, so the branch
+        // folds away; `& 15` keeps the dead arm's index in range.
+        macro_rules! word {
+            ($i:expr) => {
+                if $i < 16 {
+                    w[$i & 15]
+                } else {
+                    let s = $i & 15;
+                    w[s] = (w[(s + 13) & 15] ^ w[(s + 8) & 15] ^ w[(s + 2) & 15] ^ w[s])
+                        .rotate_left(1);
+                    w[s]
+                }
+            };
         }
         macro_rules! round {
-            ($f:expr, $k:expr, $wi:expr) => {{
-                let tmp = a
-                    .rotate_left(5)
-                    .wrapping_add($f)
-                    .wrapping_add(e)
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $k:expr, $i:expr) => {
+                $e = $e
+                    .wrapping_add($a.rotate_left(5))
+                    .wrapping_add($f($b, $c, $d))
                     .wrapping_add($k)
-                    .wrapping_add($wi);
-                e = d;
-                d = c;
-                c = b.rotate_left(30);
-                b = a;
-                a = tmp;
-            }};
+                    .wrapping_add(word!($i));
+                $b = $b.rotate_left(30);
+            };
+        }
+        macro_rules! five {
+            ($f:ident, $k:expr, $i:expr) => {
+                round!(a, b, c, d, e, $f, $k, $i);
+                round!(e, a, b, c, d, $f, $k, $i + 1);
+                round!(d, e, a, b, c, $f, $k, $i + 2);
+                round!(c, d, e, a, b, $f, $k, $i + 3);
+                round!(b, c, d, e, a, $f, $k, $i + 4);
+            };
         }
 
-        for &wi in &w {
-            round!(d ^ (b & (c ^ d)), 0x5a82_7999, wi);
-        }
-        for i in 16..20 {
-            round!(d ^ (b & (c ^ d)), 0x5a82_7999, schedule!(i));
-        }
-        for i in 20..40 {
-            round!(b ^ c ^ d, 0x6ed9_eba1, schedule!(i));
-        }
-        for i in 40..60 {
-            round!((b & c) | (d & (b | c)), 0x8f1b_bcdc, schedule!(i));
-        }
-        for i in 60..80 {
-            round!(b ^ c ^ d, 0xca62_c1d6, schedule!(i));
-        }
+        five!(choose, 0x5a82_7999, 0);
+        five!(choose, 0x5a82_7999, 5);
+        five!(choose, 0x5a82_7999, 10);
+        five!(choose, 0x5a82_7999, 15);
+        five!(parity, 0x6ed9_eba1, 20);
+        five!(parity, 0x6ed9_eba1, 25);
+        five!(parity, 0x6ed9_eba1, 30);
+        five!(parity, 0x6ed9_eba1, 35);
+        five!(majority, 0x8f1b_bcdc, 40);
+        five!(majority, 0x8f1b_bcdc, 45);
+        five!(majority, 0x8f1b_bcdc, 50);
+        five!(majority, 0x8f1b_bcdc, 55);
+        five!(parity, 0xca62_c1d6, 60);
+        five!(parity, 0xca62_c1d6, 65);
+        five!(parity, 0xca62_c1d6, 70);
+        five!(parity, 0xca62_c1d6, 75);
 
-        h0 = h0.wrapping_add(a);
-        h1 = h1.wrapping_add(b);
-        h2 = h2.wrapping_add(c);
-        h3 = h3.wrapping_add(d);
-        h4 = h4.wrapping_add(e);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
     }
-    *state = [h0, h1, h2, h3, h4];
+}
+
+#[inline(always)]
+fn choose(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn majority(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (d & (b | c))
 }
 
 /// The rolled form of the compression: one `round!` per loop iteration,

@@ -115,9 +115,12 @@ impl Sha256 {
 
 /// Compresses a run of whole 64-byte blocks into `state`.
 ///
-/// Uses a 16-word rolling message schedule (the expanded word is computed in
-/// place as each round consumes it) instead of materializing the full
-/// 64-word array up front — less stack traffic and a tighter loop body.
+/// All 64 rounds are written out, in eight groups of eight, over a 16-word
+/// rolling message schedule (each expanded word is computed in place as
+/// its round consumes it). A round adds into `d` and `h`, then the next
+/// round takes the registers in rotated roles (`h` becomes `a`, `a`
+/// becomes `b`, …), so no round moves a register; after eight rounds the
+/// roles are back where they started.
 fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     debug_assert_eq!(blocks.len() % 64, 0);
     for block in blocks.chunks_exact(64) {
@@ -128,47 +131,64 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
 
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
+        // Round `$i`'s message word. `$i` is a literal sum, so the branch
+        // folds away; `& 15` keeps the dead arm's index in range.
+        macro_rules! word {
+            ($i:expr) => {
+                if $i < 16 {
+                    w[$i & 15]
+                } else {
+                    let s = $i & 15;
+                    let w15 = w[(s + 1) & 15];
+                    let w2 = w[(s + 14) & 15];
+                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                    w[s] = w[s]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[(s + 9) & 15])
+                        .wrapping_add(s1);
+                    w[s]
+                }
+            };
+        }
         macro_rules! round {
-            ($k:expr, $wi:expr) => {{
-                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-                let ch = g ^ (e & (f ^ g));
-                let t1 = h
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                let ch = $g ^ ($e & ($f ^ $g));
+                $h = $h
                     .wrapping_add(s1)
                     .wrapping_add(ch)
-                    .wrapping_add($k)
-                    .wrapping_add($wi);
-                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-                let maj = (a & b) | (c & (a | b));
-                let t2 = s0.wrapping_add(maj);
-                h = g;
-                g = f;
-                f = e;
-                e = d.wrapping_add(t1);
-                d = c;
-                c = b;
-                b = a;
-                a = t1.wrapping_add(t2);
-            }};
+                    .wrapping_add(K[$i])
+                    .wrapping_add(word!($i));
+                $d = $d.wrapping_add($h);
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                let maj = ($a & $b) | ($c & ($a | $b));
+                $h = $h.wrapping_add(s0).wrapping_add(maj);
+            };
+        }
+        macro_rules! eight {
+            ($i:expr) => {
+                round!(a, b, c, d, e, f, g, h, $i);
+                round!(h, a, b, c, d, e, f, g, $i + 1);
+                round!(g, h, a, b, c, d, e, f, $i + 2);
+                round!(f, g, h, a, b, c, d, e, $i + 3);
+                round!(e, f, g, h, a, b, c, d, $i + 4);
+                round!(d, e, f, g, h, a, b, c, $i + 5);
+                round!(c, d, e, f, g, h, a, b, $i + 6);
+                round!(b, c, d, e, f, g, h, a, $i + 7);
+            };
         }
 
-        for i in 0..16 {
-            round!(K[i], w[i]);
-        }
-        for (i, &k) in K.iter().enumerate().skip(16) {
-            let s = i & 15;
-            let w15 = w[(s + 1) & 15];
-            let w2 = w[(s + 14) & 15];
-            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-            w[s] = w[s]
-                .wrapping_add(s0)
-                .wrapping_add(w[(s + 9) & 15])
-                .wrapping_add(s1);
-            round!(k, w[s]);
-        }
+        eight!(0);
+        eight!(8);
+        eight!(16);
+        eight!(24);
+        eight!(32);
+        eight!(40);
+        eight!(48);
+        eight!(56);
 
-        let add = [a, b, c, d, e, f, g, h];
-        for (s, v) in state.iter_mut().zip(add) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }

@@ -23,7 +23,7 @@
 //! shards, where signing real records would drown the measurement).
 
 use crate::streaming::RecordStreamDigest;
-use tep_crypto::digest::HashAlgorithm;
+use tep_crypto::digest::{Digest, HashAlgorithm};
 use tep_model::ObjectId;
 use tep_storage::ProvenanceDb;
 
@@ -46,13 +46,28 @@ pub fn leaf_hash(alg: HashAlgorithm, oid: ObjectId, history_digest: &[u8]) -> Ve
 }
 
 /// Hash of an interior node over its (1 or 2) children, in order.
-pub(crate) fn combine(alg: HashAlgorithm, children: &[impl AsRef<[u8]>]) -> Vec<u8> {
-    let mut h = alg.hasher();
-    h.update(NODE_TAG);
+///
+/// The tag and two digests of at most 32 bytes fit a stack buffer, so the
+/// tree build and the path fold allocate nothing here; only a peer's
+/// oversized node spills to the heap.
+pub(crate) fn combine(alg: HashAlgorithm, children: &[impl AsRef<[u8]>]) -> Digest {
+    let len = NODE_TAG.len() + children.iter().map(|c| c.as_ref().len()).sum::<usize>();
+    let mut stack = [0u8; NODE_TAG.len() + 2 * 32];
+    let mut heap = Vec::new();
+    let buf = if len <= stack.len() {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0);
+        &mut heap[..]
+    };
+    buf[..NODE_TAG.len()].copy_from_slice(NODE_TAG);
+    let mut at = NODE_TAG.len();
     for c in children {
-        h.update(c.as_ref());
+        let c = c.as_ref();
+        buf[at..at + c.len()].copy_from_slice(c);
+        at += c.len();
     }
-    h.finalize()
+    alg.digest_fixed(buf)
 }
 
 /// A binary Merkle tree over a shard's sorted object-ID space.
@@ -89,7 +104,10 @@ impl ShardTree {
         let mut levels = vec![base];
         while levels.last().map(Vec::len).unwrap_or(0) > 1 {
             let below = levels.last().expect("at least one level");
-            let up: Vec<Vec<u8>> = below.chunks(2).map(|pair| combine(alg, pair)).collect();
+            let up: Vec<Vec<u8>> = below
+                .chunks(2)
+                .map(|pair| combine(alg, pair).to_vec())
+                .collect();
             levels.push(up);
         }
         ShardTree {
@@ -215,20 +233,21 @@ impl ShardTree {
         if path.len() != expected_depth as usize {
             return None;
         }
-        let mut h = leaf.to_vec();
+        let mut node: Digest;
+        let mut h = leaf;
         let mut idx = index;
         let mut count = leaf_count;
         for sibling in path {
-            match sibling {
+            node = match sibling {
                 Some(sib) => {
                     if idx.is_multiple_of(2) {
                         // A right sibling must actually exist at this level.
                         if idx + 1 >= count {
                             return None;
                         }
-                        h = combine(alg, &[&h, sib]);
+                        combine(alg, &[h, sib])
                     } else {
-                        h = combine(alg, &[sib, &h]);
+                        combine(alg, &[sib, h])
                     }
                 }
                 None => {
@@ -236,13 +255,14 @@ impl ShardTree {
                     if !idx.is_multiple_of(2) || idx + 1 != count {
                         return None;
                     }
-                    h = combine(alg, std::slice::from_ref(&h));
+                    combine(alg, &[h])
                 }
-            }
+            };
+            h = node.as_slice();
             idx >>= 1;
             count = count.div_ceil(2);
         }
-        Some(h)
+        Some(h.to_vec())
     }
 
     /// `true` iff [`Self::fold_leaf_path`] lands on `root`.
@@ -442,7 +462,7 @@ pub fn locate_divergence(
     while level > 0 {
         let info = oracle.node(level, index)?;
         rounds += 1;
-        if info.hash != expected || combine(local.alg, &info.children) != info.hash {
+        if info.hash != expected || combine(local.alg, &info.children) != *info.hash {
             return Ok(AeOutcome::Forged {
                 level,
                 index,

@@ -291,28 +291,40 @@ pub fn checksum_message(
     annotation: &[u8],
     prev_checksums: &[&[u8]],
 ) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(128);
+    // Input part: 0 for inserts, h(input) for updates, the digest of the
+    // concatenated input hashes for aggregates (the paper's inner hash).
+    let aggregate;
+    let input_part: &[u8] = match kind {
+        RecordKind::Insert => &[],
+        RecordKind::Update => inputs.first().map_or(&[], |i| &i.hash),
+        RecordKind::Aggregate => {
+            let mut h = alg.hasher();
+            for input in inputs {
+                h.update(&(input.hash.len() as u64).to_be_bytes());
+                h.update(&input.hash);
+            }
+            aggregate = h.finalize();
+            &aggregate
+        }
+    };
+    // Tag, alg, kind, seq, oid and the prev count are fixed; every
+    // variable-length field carries an 8-byte length prefix.
+    let len = MSG_TAG.len()
+        + 2
+        + 8
+        + (8 + input_part.len())
+        + 8
+        + (8 + output_hash.len())
+        + (8 + annotation.len())
+        + 8
+        + prev_checksums.iter().map(|p| 8 + p.len()).sum::<usize>();
+    let mut msg = Vec::with_capacity(len);
     msg.extend_from_slice(MSG_TAG);
     msg.push(alg.wire_id());
     msg.push(kind.wire_id());
     msg.extend_from_slice(&seq_id.to_be_bytes());
-
-    // Input part: 0 for inserts, h(input) for updates, the digest of the
-    // concatenated input hashes for aggregates (the paper's inner hash).
-    let input_part: Vec<u8> = match kind {
-        RecordKind::Insert => Vec::new(),
-        RecordKind::Update => inputs.first().map(|i| i.hash.clone()).unwrap_or_default(),
-        RecordKind::Aggregate => {
-            let mut concat = Vec::new();
-            for input in inputs {
-                concat.extend_from_slice(&(input.hash.len() as u64).to_be_bytes());
-                concat.extend_from_slice(&input.hash);
-            }
-            alg.digest(&concat)
-        }
-    };
     msg.extend_from_slice(&(input_part.len() as u64).to_be_bytes());
-    msg.extend_from_slice(&input_part);
+    msg.extend_from_slice(input_part);
 
     msg.extend_from_slice(&output_oid.raw().to_be_bytes());
     msg.extend_from_slice(&(output_hash.len() as u64).to_be_bytes());
@@ -326,6 +338,7 @@ pub fn checksum_message(
         msg.extend_from_slice(&(prev.len() as u64).to_be_bytes());
         msg.extend_from_slice(prev);
     }
+    debug_assert_eq!(msg.len(), len);
     msg
 }
 

@@ -398,7 +398,7 @@ fn main() -> ExitCode {
             ]);
         }
         emit(
-            "Extension: Montgomery and CRC-32 kernel cost by operand size",
+            "Extension: Montgomery, CRC-32 and SHA kernel cost by operand size",
             &t,
             args.csv,
         );

@@ -649,11 +649,13 @@ pub fn run_verify_cost(cfg: &ExperimentConfig, lens: &[usize]) -> Vec<VerifyRow>
 /// One kernel-cost data point.
 #[derive(Clone, Debug)]
 pub struct KernelRow {
-    /// `mont_mul/<limbs>`, `modpow_65537/<limbs>` or `crc32/<bytes>`.
+    /// `mont_mul/<limbs>`, `modpow_65537/<limbs>`, `crc32/<bytes>`,
+    /// `sha1/<bytes>` or `sha256/<bytes>`.
     pub name: String,
     /// Cost in [`Self::unit`]s.
     pub cost: Summary,
-    /// `"us/call"` for the Montgomery rows, `"ns/B"` for the CRC rows.
+    /// `"us/call"` for the Montgomery rows, `"ns/B"` for the CRC and SHA
+    /// rows.
     pub unit: &'static str,
 }
 
@@ -663,8 +665,11 @@ pub struct KernelRow {
 /// public-exponent ladder (16 squarings + 1 multiply + the two domain
 /// conversions) a verification is made of, and the CRC-32 every log, wire
 /// and sidecar frame is checked with, over a small frame, a typical PROV
-/// frame and a large buffer. Each of `cfg.runs` samples is the mean over a
-/// fixed batch of calls, after one unrecorded warm-up batch.
+/// frame and a large buffer, and both SHA digests every checksum, Merkle
+/// node and stream digest is made of, over one block, about one checksum
+/// message (five blocks) and a large buffer. Each of `cfg.runs` samples is
+/// the mean over a fixed batch of calls, after one unrecorded warm-up
+/// batch.
 pub fn run_kernel_cost(cfg: &ExperimentConfig) -> Vec<KernelRow> {
     use std::hint::black_box;
     use tep_crypto::bignum::{BigUint, MontgomeryCtx};
@@ -724,6 +729,21 @@ pub fn run_kernel_cost(cfg: &ExperimentConfig) -> Vec<KernelRow> {
             }),
             unit: "ns/B",
         });
+    }
+    for (name, alg) in [
+        ("sha1", HashAlgorithm::Sha1),
+        ("sha256", HashAlgorithm::Sha256),
+    ] {
+        for len in [64usize, 320, 65536] {
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+            out.push(KernelRow {
+                name: format!("{name}/{len}"),
+                cost: per_call(cfg.runs, (1 << 21) / len as u32, len as f64, || {
+                    black_box(alg.digest_fixed(black_box(&data)));
+                }),
+                unit: "ns/B",
+            });
+        }
     }
     out
 }

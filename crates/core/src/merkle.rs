@@ -554,6 +554,25 @@ mod tests {
     }
 
     #[test]
+    fn combine_equals_the_streamed_node_hash_on_and_off_the_stack() {
+        // Two SHA-256 digests fill the stack buffer exactly; a peer's third
+        // child, or one longer digest, spills to the heap.
+        let kids: Vec<Vec<u8>> = vec![vec![1; 32], vec![2; 32], vec![3; 32], vec![4; 33]];
+        for children in [&kids[..0], &kids[..1], &kids[..2], &kids[..3], &kids[1..]] {
+            let mut h = ALG.hasher();
+            h.update(NODE_TAG);
+            for c in children {
+                h.update(c);
+            }
+            assert_eq!(combine(ALG, children).as_slice(), h.finalize());
+        }
+        assert_eq!(
+            combine(ALG, &[&kids[0][..], &kids[3][..]]).as_slice(),
+            ALG.digest(&[NODE_TAG, &kids[0], &kids[3]].concat())
+        );
+    }
+
+    #[test]
     fn identical_shards_converge_in_one_round() {
         for n in [0u64, 1, 2, 3, 7, 8, 9, 100] {
             let a = ShardTree::build(ALG, shard(n));

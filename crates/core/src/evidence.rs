@@ -170,13 +170,12 @@ evidence! {
     } => "provenance store recovered in degraded mode: {gaps} corrupt range(s), {bytes} byte(s) quarantined (R2/R3 continuity not attestable)",
 
     /// A stream the tep-net client received through a valid frame CRC but
-    /// could not decode: a DATA stream whose depth-tagged nodes do not form
-    /// one tree, or a QRESULT whose slice proof does not decode. It has no
+    /// could not decode: a PROV body that is not one record in one
+    /// encoding, a DATA stream whose depth-tagged nodes do not form one
+    /// tree, or a QRESULT whose slice proof does not decode. It has no
     /// [`TamperEvidence`] counterpart (no record exists to point at) but
     /// shares this enum so transport-layer tamper shows up in the same
-    /// counter family. A PROV body that does not decode is refused as a
-    /// wire decode error and counts nothing; ROADMAP item 1(b) makes it
-    /// this kind.
+    /// counter family.
     MalformedStream = "malformed_stream",
 
     /// A resumable transfer's RESUME handshake failed: the server's record

@@ -473,15 +473,19 @@ impl ProvenanceRecord {
         }
     }
 
-    /// Reconstructs a record from storage.
+    /// Reconstructs a record from storage. The row's seq, participant and
+    /// oid columns are copies of fields the payload also encodes; a row
+    /// whose columns disagree with its payload is refused with
+    /// `BadTag(0xFD)`, so every accepted row has one encoding:
+    /// `from_stored(s)?.to_stored() == s`.
     pub fn from_stored(stored: &StoredRecord) -> Result<Self, DecodeError> {
         let mut rec = Self::decode_body(&stored.payload)?;
+        if (rec.seq_id, rec.participant, rec.output_oid)
+            != (stored.seq_id, stored.participant, stored.oid)
+        {
+            return Err(DecodeError::BadTag(0xFD));
+        }
         rec.checksum = stored.checksum.clone();
-        // The storage columns are denormalized copies; trust the payload but
-        // keep them consistent for queries.
-        rec.seq_id = stored.seq_id;
-        rec.participant = stored.participant;
-        rec.output_oid = stored.oid;
         Ok(rec)
     }
 

@@ -511,21 +511,9 @@ impl SliceProof {
         // Capacity never exceeds what the bytes left could hold: a record
         // costs at least its length prefix, a boundary link 24 bytes.
         let mut records = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-        let mut reenc = Vec::new();
         for _ in 0..n {
-            let bytes = r.len_prefixed()?;
-            let stored = StoredRecord::from_bytes(bytes)?;
-            let rec = ProvenanceRecord::from_stored(&stored)?;
-            // Canonical encoding: re-encoding must reproduce the exact
-            // bytes. The stored form carries denormalized copies of
-            // seq/participant/oid that decoding ignores; without this
-            // check those bytes would be malleable in transit.
-            reenc.clear();
-            rec.to_stored().encode_into(&mut reenc);
-            if reenc != bytes {
-                return Err(DecodeError::BadTag(0xFD));
-            }
-            records.push(rec);
+            let stored = StoredRecord::from_bytes(r.len_prefixed()?)?;
+            records.push(ProvenanceRecord::from_stored(&stored)?);
         }
         let nb = r.u64()? as usize;
         let mut boundary = Vec::with_capacity(nb.min(r.remaining() / 24 + 1));

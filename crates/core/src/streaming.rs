@@ -41,6 +41,10 @@ pub enum StreamError {
     MultipleRoots,
     /// The stream ended with no entries at all.
     EmptyStream,
+    /// A PROV body that
+    /// [`ProvenanceRecord::from_stored`](crate::ProvenanceRecord::from_stored)
+    /// refuses.
+    UndecodableRecord(DecodeError),
 }
 
 impl std::fmt::Display for StreamError {
@@ -55,6 +59,7 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::MultipleRoots => write!(f, "more than one depth-0 entry in the stream"),
             StreamError::EmptyStream => write!(f, "subtree stream carried no entries"),
+            StreamError::UndecodableRecord(e) => write!(f, "undecodable PROV body: {e}"),
         }
     }
 }

@@ -224,12 +224,14 @@ pub enum NetError {
         /// All evidence accumulated up to the abort.
         issues: Vec<TamperEvidence>,
     },
-    /// The DATA stream was structurally malformed (bad depth tags, subtree
-    /// reordering). Also treated as tamper evidence, never retried.
+    /// A transfer frame arrived intact but malformed: a PROV body that
+    /// does not decode to one record, or DATA frames whose depth-tagged
+    /// nodes do not form one tree. Counted as
+    /// [`EvidenceKind::MalformedStream`] and never retried.
     MalformedStream {
-        /// Wire frame index of the offending DATA frame.
+        /// Wire frame index of the offending PROV, DATA or DONE frame.
         frame: u64,
-        /// The structural error.
+        /// The decode or structural error.
         error: StreamError,
     },
     /// The server proved — with a verified signed non-membership proof —
@@ -265,7 +267,7 @@ impl fmt::Display for NetError {
                 Ok(())
             }
             NetError::MalformedStream { frame, error } => {
-                write!(f, "malformed data stream at frame {frame}: {error}")
+                write!(f, "malformed stream at frame {frame}: {error}")
             }
             NetError::Denied { oid, log_records } => {
                 write!(
@@ -350,7 +352,7 @@ impl Client {
     /// `registry` under `tep_net_*`, and every piece of tamper evidence a
     /// fetch detects increments its `tep_core_evidence_<kind>_total`
     /// counter (including [`EvidenceKind::MalformedStream`] for
-    /// structurally bad DATA streams and [`EvidenceKind::ResumeMismatch`]
+    /// malformed PROV or DATA frames and [`EvidenceKind::ResumeMismatch`]
     /// for resume points the peer cannot or will not honor honestly).
     /// Drops the kept connection: its frame reader tallies into the
     /// counters this call replaces.
@@ -1068,13 +1070,18 @@ fn stream_to_done(
     let mut seen_data = false;
     loop {
         let frame = conn.reader.frames(); // index of the frame about to arrive
-        match conn.read_reply()? {
+        let msg = conn.read_reply()?;
+        let malformed = |error| {
+            conn.evidence(EvidenceKind::MalformedStream);
+            NetError::MalformedStream { frame, error }
+        };
+        match msg {
             Message::Prov { record } => {
                 if seen_data {
                     return Err(NetError::Protocol("PROV after DATA"));
                 }
                 let rec = ProvenanceRecord::from_stored(&record)
-                    .map_err(|e| NetError::Wire(WireError::Decode(e)))?;
+                    .map_err(|e| malformed(StreamError::UndecodableRecord(e)))?;
                 sink.arriving(&record, frame)?;
                 if verifier.push_record(&rec) > 0 {
                     return Err(conn.rejected(Some(frame), verifier.issues().to_vec()));
@@ -1084,18 +1091,14 @@ fn stream_to_done(
             Message::Data { entries } => {
                 seen_data = true;
                 for e in &entries {
-                    if let Err(error) = hasher.push(e.depth as usize, e.id, &e.value) {
-                        conn.evidence(EvidenceKind::MalformedStream);
-                        return Err(NetError::MalformedStream { frame, error });
-                    }
+                    hasher
+                        .push(e.depth as usize, e.id, &e.value)
+                        .map_err(malformed)?;
                 }
             }
             Message::Done { records, nodes } => {
                 let received = hasher.node_count();
-                let (object_hash, _) = hasher.finish().map_err(|error| {
-                    conn.evidence(EvidenceKind::MalformedStream);
-                    NetError::MalformedStream { frame, error }
-                })?;
+                let (object_hash, _) = hasher.finish().map_err(malformed)?;
                 sink.before_verdict(verifier)?;
                 let totals_agree =
                     records == verifier.records_checked() as u64 && nodes == received;

@@ -636,16 +636,18 @@ fn tamper_after_a_checkpoint_resume_is_counted_exactly_once() {
     srv.shutdown();
 }
 
-/// Two ways to bend the stream's shape, each refused by a replica with the
-/// very rejection a fetching client gives (same variant, same frame): a
-/// PROV frame after the DATA frames, and a DATA frame whose depth tags
-/// skip a level — the latter counted as `malformed_stream` evidence.
+/// Four ways to bend the stream, each refused by a replica with the very
+/// rejection a fetching client gives (same variant, same frame): a PROV
+/// frame after the DATA frames; a DATA frame whose depth tags skip a level;
+/// a PROV row whose payload copy of the participant no longer matches its
+/// column; and a PROV body cut short by a byte. The last three are counted
+/// as `malformed_stream` evidence.
 #[test]
 fn misshapen_streams_are_refused_by_a_replica_exactly_as_by_a_client() {
     let w = build_primary(1000);
     let srv = w.serve();
     type Scenario = (&'static str, fn() -> tep_net::proxy::Mutator, u64);
-    let scenarios: [Scenario; 2] = [
+    let scenarios: [Scenario; 4] = [
         (
             "PROV after DATA",
             || {
@@ -662,7 +664,7 @@ fn misshapen_streams_are_refused_by_a_replica_exactly_as_by_a_client() {
             0,
         ),
         (
-            "malformed data stream",
+            "skips a level",
             || {
                 Box::new(|_frame, msg| {
                     let Message::Data { entries } = msg else {
@@ -671,6 +673,21 @@ fn misshapen_streams_are_refused_by_a_replica_exactly_as_by_a_client() {
                     let mut entries = entries.clone();
                     entries[0].depth = 3;
                     ProxyAction::Replace(Message::Data { entries })
+                })
+            },
+            1,
+        ),
+        (
+            // Payload copy rewritten: the row's columns are left intact.
+            "undecodable PROV body: unknown tag byte 0xfd",
+            || mutate_prov_payload(|payload| payload[17] ^= 1),
+            1,
+        ),
+        (
+            "undecodable PROV body: unexpected end of input",
+            || {
+                mutate_prov_payload(|payload| {
+                    payload.pop();
                 })
             },
             1,
@@ -707,6 +724,19 @@ fn misshapen_streams_are_refused_by_a_replica_exactly_as_by_a_client() {
         assert_verified_subset(repl.db(), &w.db);
     }
     srv.shutdown();
+}
+
+/// A proxy mutator that applies `edit` to the payload of every PROV row
+/// (byte 17 is the low byte of the payload's participant copy).
+fn mutate_prov_payload(edit: fn(&mut Vec<u8>)) -> tep_net::proxy::Mutator {
+    Box::new(move |_frame, msg| {
+        let Message::Prov { record } = msg else {
+            return ProxyAction::Forward;
+        };
+        let mut record = record.clone();
+        edit(&mut record.payload);
+        ProxyAction::Replace(Message::Prov { record })
+    })
 }
 
 /// A lying primary — same object set, conflicting history — is caught

@@ -161,8 +161,9 @@ proptest! {
         }
     }
 
-    /// Mutating a valid record payload either round-trips to different
-    /// contents or fails to decode — it never panics.
+    /// Flipping any bit of a valid row, its columns included, either fails
+    /// to decode or yields a record that re-encodes to the flipped bytes:
+    /// an accepted row has one encoding. It never panics.
     #[test]
     fn record_decoder_survives_mutation(
         flip_at in any::<usize>(),
@@ -183,10 +184,14 @@ proptest! {
             checksum: vec![0xCC; 64],
             checksum_format: tepdb::core::ChecksumFormat::PerRecord,
         };
-        let mut stored = rec.to_stored();
-        let idx = flip_at % stored.payload.len();
-        stored.payload[idx] ^= 1 << flip_bit;
-        let _ = ProvenanceRecord::from_stored(&stored);
+        let mut bytes = rec.to_stored().to_bytes();
+        let idx = flip_at % bytes.len();
+        bytes[idx] ^= 1 << flip_bit;
+        if let Ok(stored) = StoredRecord::from_bytes(&bytes) {
+            if let Ok(back) = ProvenanceRecord::from_stored(&stored) {
+                prop_assert_eq!(back.to_stored().to_bytes(), bytes);
+            }
+        }
     }
 
     /// A log file corrupted at an arbitrary position either recovers an

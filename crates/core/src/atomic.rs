@@ -221,7 +221,8 @@ impl AtomicLedger {
                 .into_iter()
                 .find(|r| r.seq_id == seq)
                 .ok_or(CoreError::NoProvenance(oid))?;
-            let record = ProvenanceRecord::from_stored(&stored)?;
+            let record = ProvenanceRecord::from_stored(&stored)
+                .map_err(|error| CoreError::UndecodableRecord { oid, seq, error })?;
             input_refs.push(InputRef {
                 oid,
                 hash: record.output_hash,

@@ -18,6 +18,15 @@ pub enum CoreError {
     Store(StoreError),
     /// A stored record could not be decoded.
     Decode(DecodeError),
+    /// The stored row at `(oid, seq)` does not decode to one record.
+    UndecodableRecord {
+        /// The row's object.
+        oid: ObjectId,
+        /// The row's sequence id.
+        seq: u64,
+        /// Why it does not decode.
+        error: DecodeError,
+    },
     /// PKI lookup/validation failed.
     Pki(PkiError),
     /// The object has no provenance records.
@@ -34,6 +43,9 @@ impl fmt::Display for CoreError {
             CoreError::Rsa(e) => write!(f, "signing failed: {e}"),
             CoreError::Store(e) => write!(f, "provenance store failed: {e}"),
             CoreError::Decode(e) => write!(f, "stored record corrupt: {e}"),
+            CoreError::UndecodableRecord { oid, seq, error } => {
+                write!(f, "stored record {oid} seq {seq} corrupt: {error}")
+            }
             CoreError::Pki(e) => write!(f, "pki failure: {e}"),
             CoreError::NoProvenance(oid) => write!(f, "object {oid} has no provenance records"),
             CoreError::AggregateInComplexOp => {
@@ -52,7 +64,7 @@ impl std::error::Error for CoreError {
             CoreError::Model(e) => Some(e),
             CoreError::Rsa(e) => Some(e),
             CoreError::Store(e) => Some(e),
-            CoreError::Decode(e) => Some(e),
+            CoreError::Decode(e) | CoreError::UndecodableRecord { error: e, .. } => Some(e),
             CoreError::Pki(e) => Some(e),
             CoreError::NoProvenance(_) | CoreError::AggregateInComplexOp => None,
         }

@@ -137,7 +137,13 @@ pub fn collect(db: &ProvenanceDb, target: ObjectId) -> Result<ProvenanceObject, 
             if collected.contains_key(&key) {
                 continue;
             }
-            let record = ProvenanceRecord::from_stored(&stored)?;
+            let record = ProvenanceRecord::from_stored(&stored).map_err(|error| {
+                CoreError::UndecodableRecord {
+                    oid,
+                    seq: stored.seq_id,
+                    error,
+                }
+            })?;
             if record.kind == RecordKind::Aggregate {
                 for input in &record.inputs {
                     let Some(prev) = input.prev_seq else { continue };

@@ -258,9 +258,9 @@ fn on_request<S: Read + Write>(
                             }
                             ErrorCode::UnknownObject
                         }
-                        QueryError::MissingParticipant | QueryError::SliceTooLarge { .. } => {
-                            ErrorCode::BadRequest
-                        }
+                        QueryError::MissingParticipant
+                        | QueryError::SliceTooLarge { .. }
+                        | QueryError::UndecodableRecord { .. } => ErrorCode::BadRequest,
                     };
                     conn.refuse(code, e.to_string(), env);
                 }

@@ -18,6 +18,7 @@ use tep_core::slice::{
 };
 use tep_core::ProvenanceRecord;
 use tep_crypto::digest::HashAlgorithm;
+use tep_model::encode::DecodeError;
 use tep_model::ObjectId;
 use tep_obs::{names, Counter, Histogram, Registry};
 use tep_storage::ProvenanceDb;
@@ -31,9 +32,10 @@ pub(crate) const MAX_SLICE_RECORDS: usize = 2048;
 /// record cap.
 const SLICE_RECORD_BOUNDS: [u64; 12] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
 
-/// Why a query could not be answered. These are *request* failures — a
-/// tampered store never errors here, it produces a proof whose
-/// verification attributes the damage.
+/// Why a query could not be answered. Apart from a stored record that does
+/// not decode, these are *request* failures — a tampered store that still
+/// decodes never errors here, it produces a proof whose verification
+/// attributes the damage.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QueryError {
     /// The target object has no (decodable) records.
@@ -46,6 +48,16 @@ pub enum QueryError {
         /// The cap that was exceeded.
         limit: usize,
     },
+    /// The answer needs the stored record at `(oid, seq)`, which does not
+    /// decode; it is never silently left out.
+    UndecodableRecord {
+        /// The record's object.
+        oid: ObjectId,
+        /// The record's sequence id.
+        seq: u64,
+        /// Why it does not decode.
+        error: DecodeError,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -55,6 +67,9 @@ impl fmt::Display for QueryError {
             QueryError::MissingParticipant => write!(f, "audit query needs a participant"),
             QueryError::SliceTooLarge { limit } => {
                 write!(f, "result slice exceeds {limit} records; narrow the bounds")
+            }
+            QueryError::UndecodableRecord { oid, seq, error } => {
+                write!(f, "stored record #{} seq {seq} corrupt: {error}", oid.raw())
             }
         }
     }
@@ -91,7 +106,9 @@ impl QueryObs {
 /// walks an update chain doesn't re-clone the whole chain per step.
 struct ChainCache<'a> {
     db: &'a ProvenanceDb,
-    chains: HashMap<ObjectId, HashMap<u64, ProvenanceRecord>>,
+    chains: HashMap<ObjectId, HashMap<u64, Result<ProvenanceRecord, DecodeError>>>,
+    /// The first record a lookup needed and could not decode.
+    undecodable: Option<QueryError>,
 }
 
 impl<'a> ChainCache<'a> {
@@ -99,19 +116,30 @@ impl<'a> ChainCache<'a> {
         ChainCache {
             db,
             chains: HashMap::new(),
+            undecodable: None,
         }
     }
 
+    /// The record at `(oid, seq)`, or `None` if the store has none. One
+    /// that does not decode is also `None` here, and is kept in
+    /// `undecodable` so the query fails instead of answering without it.
     fn get(&mut self, oid: ObjectId, seq: u64) -> Option<ProvenanceRecord> {
         let chain = self.chains.entry(oid).or_insert_with(|| {
             self.db
                 .records_for(oid)
                 .iter()
-                .filter_map(|s| ProvenanceRecord::from_stored(s).ok())
-                .map(|r| (r.seq_id, r))
+                .map(|s| (s.seq_id, ProvenanceRecord::from_stored(s)))
                 .collect()
         });
-        chain.get(&seq).cloned()
+        match chain.get(&seq)? {
+            Ok(rec) => Some(rec.clone()),
+            Err(error) => {
+                let error = error.clone();
+                self.undecodable
+                    .get_or_insert(QueryError::UndecodableRecord { oid, seq, error });
+                None
+            }
+        }
     }
 }
 
@@ -223,6 +251,11 @@ impl QueryEngine {
     }
 
     fn execute_with(&self, ix: &QueryIndex, spec: &QuerySpec) -> Result<SliceProof, QueryError> {
+        // These two read the index, which stops before a record it cannot
+        // decode.
+        if let (QueryOp::Descendants | QueryOp::AuditSlice, Some(e)) = (spec.op, &ix.stuck) {
+            return Err(e.clone());
+        }
         let mut cache = ChainCache::new(&self.db);
         let (target_seq, records, answer) = match spec.op {
             QueryOp::Ancestors | QueryOp::LineageSlice | QueryOp::Polynomial => {
@@ -341,6 +374,9 @@ impl QueryEngine {
         };
 
         let boundary = boundary_for(&records, &mut cache);
+        if let Some(e) = cache.undecodable {
+            return Err(e);
+        }
         Ok(SliceProof {
             spec: *spec,
             alg: self.alg,

@@ -18,6 +18,7 @@
 //! fails and the loader falls back to a clean rebuild. A stale or
 //! corrupted sidecar can therefore cost time, never correctness.
 
+use crate::engine::QueryError;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -68,6 +69,10 @@ pub struct QueryIndex {
     /// Reverse derivation edges: object → the aggregate records
     /// `(output, seq_id)` that consumed it.
     consumers: Postings<ObjectId>,
+    /// The record the last sync stopped before because it does not decode.
+    /// Not persisted: the watermark stays below it, so every sync meets it
+    /// again.
+    pub(crate) stuck: Option<QueryError>,
 }
 
 impl QueryIndex {
@@ -79,20 +84,29 @@ impl QueryIndex {
     /// Indexes every record appended since the last sync. Returns how
     /// many records were read.
     ///
-    /// Undecodable records still get their posting (the storage columns
-    /// carry the participant) but contribute no edges — attributing damage
-    /// is the verifier's job; the index answers questions about what *can*
-    /// be read.
+    /// A record that does not decode is not skipped: the sync stops before
+    /// it and keeps it in `stuck`, because any answer the index gives past
+    /// it could be missing that record's posting or edges.
     pub fn sync(&mut self, db: &ProvenanceDb) -> usize {
         let fresh = db.records_from(self.synced);
+        self.stuck = None;
+        let mut read = 0;
         for stored in &fresh {
+            let rec = match ProvenanceRecord::from_stored(stored) {
+                Ok(rec) => rec,
+                Err(error) => {
+                    self.stuck = Some(QueryError::UndecodableRecord {
+                        oid: stored.oid,
+                        seq: stored.seq_id,
+                        error,
+                    });
+                    break;
+                }
+            };
             self.by_participant
                 .entry(stored.participant)
                 .or_default()
                 .push((stored.oid, stored.seq_id));
-            let Ok(rec) = ProvenanceRecord::from_stored(stored) else {
-                continue;
-            };
             if rec.kind == RecordKind::Aggregate {
                 for input in rec.inputs.iter().filter(|i| i.oid != rec.output_oid) {
                     self.consumers
@@ -101,12 +115,13 @@ impl QueryIndex {
                         .push((rec.output_oid, rec.seq_id));
                 }
             }
+            read += 1;
         }
-        if let Some(last) = fresh.last() {
+        if let Some(last) = fresh[..read].last() {
             self.last_checksum.clone_from(&last.checksum);
         }
-        self.synced += fresh.len();
-        fresh.len()
+        self.synced += read;
+        read
     }
 
     /// Log position up to which this index is current.
@@ -174,6 +189,7 @@ impl QueryIndex {
                 last_checksum: r.len_prefixed()?.to_vec(),
                 by_participant: read_postings(&mut r, ParticipantId)?,
                 consumers: read_postings(&mut r, ObjectId)?,
+                stuck: None,
             };
             r.expect_end()?;
             Ok(ix)

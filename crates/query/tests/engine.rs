@@ -6,12 +6,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use tep_core::prelude::*;
+use tep_model::encode::DecodeError;
 use tep_model::{AggregateMode, ObjectId, Value};
 use tep_query::{
     Polynomial, QueryAnswer, QueryBounds, QueryEngine, QueryError, QueryIndex, QueryOp, QuerySpec,
     SliceProof,
 };
-use tep_storage::ProvenanceDb;
+use tep_storage::{ProvenanceDb, StoredRecord};
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
 
@@ -208,6 +209,48 @@ fn query_errors_are_not_evidence() {
         w.engine.execute(&bad_audit).unwrap_err(),
         QueryError::MissingParticipant
     );
+}
+
+/// A stored record that does not decode never vanishes from an answer:
+/// every request that needs it fails naming its `(oid, seq)`, and one that
+/// does not need it is still answered.
+#[test]
+fn an_undecodable_record_fails_the_requests_that_need_it() {
+    let w = world();
+    let db = w.engine.db();
+    let latest = db.latest_for(w.e).unwrap();
+    // The columns claim the next slot; the payload still says the old one.
+    let seq = latest.seq_id + 1;
+    db.append(StoredRecord {
+        seq_id: seq,
+        ..latest
+    })
+    .unwrap();
+    let undecodable = QueryError::UndecodableRecord {
+        oid: w.e,
+        seq,
+        error: DecodeError::BadTag(0xFD),
+    };
+    for spec in [
+        QuerySpec::audit(w.bob),
+        QuerySpec::new(QueryOp::Descendants, w.a),
+        QuerySpec::new(QueryOp::Ancestors, w.e),
+    ] {
+        assert_eq!(
+            w.engine.execute(&spec).unwrap_err(),
+            undecodable,
+            "{spec:?}"
+        );
+    }
+    match collect(db, w.e) {
+        Err(CoreError::UndecodableRecord { oid, seq: s, .. }) => assert_eq!((oid, s), (w.e, seq)),
+        other => panic!("collect must name the record, got {other:?}"),
+    }
+    let proof = w
+        .engine
+        .execute(&QuerySpec::new(QueryOp::Ancestors, w.d))
+        .unwrap();
+    verify_clean(&w, &proof);
 }
 
 #[test]

@@ -151,7 +151,7 @@ impl QueryBounds {
 pub struct QuerySpec {
     /// The operator.
     pub op: QueryOp,
-    /// The subject object (ignored by [`QueryOp::AuditSlice`]).
+    /// The subject object (`ObjectId(0)` for [`QueryOp::AuditSlice`]).
     pub target: ObjectId,
     /// The audited participant ([`QueryOp::AuditSlice`] only).
     pub participant: Option<ParticipantId>,

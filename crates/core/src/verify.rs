@@ -574,6 +574,15 @@ impl<'a> Verifier<'a> {
                     });
                     return v;
                 };
+                // An audit has no target, so both fields are 0; a non-zero
+                // one is bytes no other check reads.
+                if spec.target != ObjectId(0) || proof.target_seq != 0 {
+                    v.issues.push(TamperEvidence::MalformedRecord {
+                        oid: spec.target,
+                        seq: proof.target_seq,
+                        why: "audit slice names a target",
+                    });
+                }
                 for r in &proof.records {
                     if r.participant != who || !spec.bounds.seq_in_range(r.seq_id) {
                         v.issues.push(TamperEvidence::ExtraneousRecord {

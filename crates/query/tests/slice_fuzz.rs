@@ -416,9 +416,9 @@ fn sha256_hex(text: &str) -> String {
 /// family, so a change names the first family whose evidence moved.
 #[test]
 fn slice_evidence_is_pinned_exactly() {
-    const ALL: &str = "a4c5198ed31bc21bc26649b2fb3303f22eec1e251db41cd03876273db5169b6f";
+    const ALL: &str = "16271db199c0422547c99fcb0d7e35d4536e7ffc6f3c67dd898330c58be31f88";
     const FAMILIES: &[(&str, &str)] = &[
-        ("audit/bit-flip", "505122ac39ac55f0"),
+        ("audit/bit-flip", "ea31bdbe46ca8b69"),
         ("audit/duplicate-flipped-record", "6af83ede02aeacfe"),
         ("audit/duplicate-link", "80e2385d1e48e069"),
         ("audit/duplicate-record", "b399a23f902e8e53"),

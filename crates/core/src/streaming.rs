@@ -41,9 +41,7 @@ pub enum StreamError {
     MultipleRoots,
     /// The stream ended with no entries at all.
     EmptyStream,
-    /// A PROV body that
-    /// [`ProvenanceRecord::from_stored`](crate::ProvenanceRecord::from_stored)
-    /// refuses.
+    /// A PROV body that `ProvenanceRecord::from_stored` refuses.
     UndecodableRecord(DecodeError),
 }
 

@@ -684,6 +684,7 @@ fn misshapen_streams_are_refused_by_a_replica_exactly_as_by_a_client() {
             1,
         ),
         (
+            // PROV body cut short: the payload loses its last byte.
             "undecodable PROV body: unexpected end of input",
             || {
                 mutate_prov_payload(|payload| {

@@ -9,15 +9,24 @@
 //! must still hash to the constant captured before amortized signing
 //! existed — that is the proof the v2 format did not move. The same
 //! history built through `complex` pins the v3 batch-member format. A third
-//! pin freezes the bytes of the query-index sidecar (`TEPIDX`) over both.
+//! pin freezes the bytes of the query-index sidecar (`TEPIDX`) over both,
+//! and a fourth the proof, checkpoint and archive formats.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
 use std::sync::Arc;
+use tepdb::core::{
+    prove, Checkpoint, DenialProof, HashCache, QueryBounds, RangeProof, ShardTree, SignedDenial,
+    SignedRange, SignedRoot,
+};
 use tepdb::crypto::hex::to_hex;
 use tepdb::crypto::sha256::Sha256;
+use tepdb::net::wire::{encode_message, Message};
 use tepdb::prelude::*;
-use tepdb::query::QueryIndex;
+use tepdb::query::{QueryEngine, QueryIndex};
+use tepdb::storage::vfs::{FaultConfig, FaultVfs, Vfs};
+use tepdb::storage::{compact_durable_log, AppendLog, CompactionStamp};
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
 
@@ -161,4 +170,158 @@ fn query_index_sidecar_golden_pin() {
             "TEPIDX sidecar bytes changed"
         );
     }
+}
+
+/// One deterministic sample of every proof, checkpoint and archive format,
+/// as `(name, canonical bytes)`.
+fn proof_and_checkpoint_samples() -> Vec<(&'static str, Vec<u8>)> {
+    let mut rng = StdRng::seed_from_u64(0xF0A7);
+    let ca = CertificateAuthority::new(512, ALG, &mut rng);
+    let alice = ca.enroll(ParticipantId(1), 512, &mut rng);
+    let bob = ca.enroll(ParticipantId(2), 512, &mut rng);
+    let mut keys = KeyDirectory::new(ca.public_key().clone(), ALG);
+    keys.register(alice.certificate().clone()).unwrap();
+    keys.register(bob.certificate().clone()).unwrap();
+
+    let db = Arc::new(ProvenanceDb::in_memory());
+    let config = TrackerConfig {
+        alg: ALG,
+        ..Default::default()
+    };
+    let mut t = ProvenanceTracker::new(config, Arc::clone(&db));
+    let (root, _) = t.insert(&alice, Value::text("db"), None).unwrap();
+    let (row, _) = t.insert(&alice, Value::Null, Some(root)).unwrap();
+    let (cell, _) = t.insert(&bob, Value::Int(1), Some(row)).unwrap();
+    t.insert(&bob, Value::Int(2), Some(row)).unwrap();
+    t.update(&bob, cell, Value::Int(3)).unwrap();
+    let (other, _) = t.insert(&alice, Value::real(2.5), None).unwrap();
+    let (agg, _) = t
+        .aggregate(&alice, &[cell, other], Value::Int(4), AggregateMode::Atomic)
+        .unwrap();
+
+    let spec = QuerySpec {
+        op: QueryOp::Ancestors,
+        target: agg,
+        participant: Some(ParticipantId(2)),
+        bounds: QueryBounds {
+            max_depth: Some(0),
+            seq_range: Some((0, 9)),
+        },
+    };
+    let engine = QueryEngine::new(Arc::clone(&db), ALG);
+    let bounded = engine
+        .execute(&QuerySpec {
+            participant: None,
+            ..spec
+        })
+        .unwrap();
+    let poly = engine
+        .execute(&QuerySpec::new(QueryOp::Polynomial, agg))
+        .unwrap();
+    assert!(!bounded.boundary.is_empty());
+
+    let leaves = [2u64, 4, 8, 16, 32].map(|i| (ObjectId(i), ALG.digest(&i.to_be_bytes())));
+    let tree = ShardTree::build(ALG, leaves.to_vec());
+    let signed_root = SignedRoot::sign(&tree, 7, &alice).unwrap();
+    let denial = DenialProof::prove(&tree, ObjectId(5)).unwrap();
+    let range = RangeProof::prove(&tree, ObjectId(3), ObjectId(9));
+
+    let history = tepdb::core::collect(&db, agg).unwrap();
+    let anchor = TrustAnchor::capture(&history).unwrap();
+    let checkpoint = Checkpoint::capture(ALG, &db, 3);
+    let sealed = checkpoint.clone().seal(&alice).unwrap();
+    let mut verifier = StreamingVerifier::new(&keys, ALG, agg);
+    for r in &history.records {
+        verifier.push_record(r);
+    }
+    let verifier_checkpoint = verifier.checkpoint().expect("a clean history checkpoints");
+
+    let subtree = prove(t.forest(), &mut HashCache::new(ALG), root, cell).unwrap();
+
+    let vfs: Arc<dyn Vfs> = FaultVfs::new(FaultConfig::default());
+    let path = Path::new("/pin.teplog");
+    let mut log = AppendLog::create_with(Arc::clone(&vfs), path).unwrap();
+    for i in 0..4u8 {
+        log.append(&[i; 24]).unwrap();
+    }
+    log.sync().unwrap();
+    drop(log);
+    let report = compact_durable_log(
+        Arc::clone(&vfs),
+        path,
+        |i, _| i >= 3,
+        3,
+        &sealed.checkpoint.digest(),
+    )
+    .unwrap();
+    let archive = AppendLog::open_with(vfs, report.archive_path.as_deref().unwrap()).unwrap();
+    let stamp = CompactionStamp {
+        generation: 2,
+        excised_frames: 11,
+        excised_bytes: 4096,
+        watermark: 13,
+        checkpoint_digest: vec![0x5C; 32],
+    };
+
+    vec![
+        ("bounded SliceProof", bounded.to_bytes()),
+        ("polynomial SliceProof", poly.to_bytes()),
+        ("QuerySpec", encode_message(&Message::Query { spec })),
+        ("SignedRoot", signed_root.to_bytes()),
+        ("DenialProof", denial.to_bytes()),
+        ("RangeProof", range.to_bytes()),
+        (
+            "SignedDenial",
+            SignedDenial {
+                root: signed_root.clone(),
+                proof: denial,
+            }
+            .to_bytes(),
+        ),
+        (
+            "SignedRange",
+            SignedRange {
+                root: signed_root,
+                proof: range,
+            }
+            .to_bytes(),
+        ),
+        ("TrustAnchor", anchor.to_bytes()),
+        ("Checkpoint", checkpoint.to_bytes()),
+        ("SealedCheckpoint", sealed.to_bytes()),
+        ("SubtreeProof", subtree.to_bytes()),
+        ("verifier checkpoint", verifier_checkpoint),
+        ("CompactionStamp", stamp.to_bytes()),
+        ("compacted log stamp", report.stamp.to_bytes()),
+        ("archive header", archive.payloads[0].clone()),
+    ]
+}
+
+#[test]
+fn proof_and_checkpoint_formats_golden_pin() {
+    // Proofs, checkpoints and archive frames are stored and shipped: a
+    // peer or a restarted process reads what an older build wrote. One
+    // SHA-256 over every sample's name, length and bytes; a failure lists
+    // each sample's own digest so the format that moved is named.
+    const GOLDEN: &str = "86e6e09b500d054c13c9edc0671cd5726d7f85830ca34d49ac95196e185ba43d";
+    let samples = proof_and_checkpoint_samples();
+    let mut h = Sha256::new();
+    let mut table = String::new();
+    for (name, bytes) in &samples {
+        h.update(name.as_bytes());
+        h.update(&(bytes.len() as u64).to_be_bytes());
+        h.update(bytes);
+        let mut one = Sha256::new();
+        one.update(bytes);
+        table.push_str(&format!(
+            "{name}: {} bytes, {}\n",
+            bytes.len(),
+            &to_hex(&one.finalize())[..16]
+        ));
+    }
+    assert_eq!(
+        to_hex(&h.finalize()),
+        GOLDEN,
+        "proof/checkpoint bytes changed:\n{table}"
+    );
 }

@@ -278,6 +278,43 @@ fn replayed_answer_for_the_wrong_question_is_rejected() {
     proxy.shutdown();
 }
 
+/// The one bit flip a slice proof cannot catch itself: bit 1 of the op
+/// byte (byte 10) turns a lineage proof into an ancestors proof whose
+/// records answer that question too, so it verifies clean. The client's
+/// spec echo check catches it as tamper evidence, never retried.
+#[test]
+fn flipped_op_bit_is_caught_by_the_spec_echo() {
+    let w = world();
+    let srv = start_server();
+    let proxy = TamperProxy::spawn(
+        srv.addr(),
+        Box::new(|_frame, msg| match msg {
+            tep_net::Message::QResult { proof } => {
+                let mut bad = proof.clone();
+                bad[10] ^= 1 << 1;
+                ProxyAction::Replace(tep_net::Message::QResult { proof: bad })
+            }
+            _ => ProxyAction::Forward,
+        }),
+    )
+    .unwrap();
+
+    let mut cl = client(proxy.addr());
+    let err = cl
+        .query(&QuerySpec::new(QueryOp::LineageSlice, w.d), &w.keys)
+        .unwrap_err();
+    match err {
+        NetError::TamperDetected { ref issues, .. } => assert_eq!(
+            issues,
+            &[tep_core::verify::TamperEvidence::OutputMismatch { oid: w.d }]
+        ),
+        ref other => panic!("expected tamper evidence, got {other}"),
+    }
+    assert!(!err.is_retryable());
+    assert_eq!(cl.counters().retries, 0);
+    proxy.shutdown();
+}
+
 /// The QRESULT wire bytes are exactly the canonical proof encoding: what
 /// the client verified is byte-identical to what `SliceProof::to_bytes`
 /// produces for the decoded proof.

@@ -133,23 +133,6 @@ proptest! {
         prop_assert!(SliceProof::from_bytes(&bytes[..cut]).is_err());
     }
 
-    /// Any single bit flip either fails to decode or yields attributed
-    /// evidence; it never verifies clean.
-    #[test]
-    fn bit_flips_never_verify(which in 0usize..3, pos in any::<usize>(), bit in 0u32..8) {
-        let bytes = proofs()[which].to_bytes();
-        let mut bad = bytes.clone();
-        let i = pos % bad.len();
-        bad[i] ^= 1 << bit;
-        if let Ok(proof) = SliceProof::from_bytes(&bad) {
-            let v = verify(&proof);
-            prop_assert!(
-                !v.verified(),
-                "flipped bit {bit} of byte {i} verified clean"
-            );
-        }
-    }
-
     /// Omitting any record from the slice is detected — backward slices
     /// are complete relative to the signed records, so a hole is always
     /// either a missing demanded record or a broken signature chain.
@@ -217,6 +200,38 @@ proptest! {
         prop_assert!(!v.verified());
         prop_assert!(has_kind(&v, EvidenceKind::OutputMismatch), "{:?}", v.issues);
     }
+}
+
+/// Every single bit flip of the three proofs either fails to decode or
+/// yields attributed evidence, with exactly two exceptions: bit 1 of byte
+/// 10, the op byte, turns the lineage proof into an ancestors proof and
+/// the depth-bounded ancestors proof into a lineage proof. Each still
+/// verifies clean, because its records do answer the question it now
+/// states; only a recipient that compares the stated question with the one
+/// it asked can catch them, which `Client::query` does (see
+/// `crates/net/tests/query.rs`).
+#[test]
+fn bit_flips_never_verify() {
+    let mut clean = Vec::new();
+    for (which, proof) in proofs().into_iter().enumerate() {
+        let bytes = proof.to_bytes();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[i] ^= 1 << bit;
+                if let Ok(flipped) = SliceProof::from_bytes(&bad) {
+                    if verify(&flipped).verified() {
+                        clean.push((which, i, bit));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        clean,
+        [(0, 10, 1), (1, 10, 1)],
+        "(proof, byte, bit) flips that verify clean"
+    );
 }
 
 #[test]

@@ -11,17 +11,18 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use tepdb::core::checkpoint::TrustAnchor;
 use tepdb::core::{
-    BatchChecksum, DenialProof, ProvenanceRecord, ProvenanceTracker, QueryAnswer, QueryBounds,
-    QueryOp, QuerySpec, RangeProof, ShardTree, SignedDenial, SignedRange, SignedRoot, SliceProof,
+    collect, prove, BatchChecksum, Checkpoint, DenialProof, HashCache, ProvenanceRecord,
+    ProvenanceTracker, QueryAnswer, QueryBounds, QueryOp, QuerySpec, RangeProof, SealedCheckpoint,
+    ShardTree, SignedDenial, SignedRange, SignedRoot, SliceProof, StreamingVerifier, SubtreeProof,
     TrackerConfig,
 };
-use tepdb::crypto::{CertificateAuthority, HashAlgorithm, Keyring};
+use tepdb::crypto::{CertificateAuthority, HashAlgorithm, KeyDirectory, Keyring};
 use tepdb::model::encode::{value_bytes, value_from_bytes};
 use tepdb::model::ParticipantId;
 use tepdb::model::{AggregateMode, ObjectId, Value};
-use tepdb::query::QueryEngine;
+use tepdb::query::{QueryEngine, QueryIndex};
 use tepdb::storage::vfs::{FaultConfig, FaultVfs, Vfs};
-use tepdb::storage::{AppendLog, ProvenanceDb, StoredRecord};
+use tepdb::storage::{AppendLog, CompactionStamp, ProvenanceDb, StoredRecord};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -146,9 +147,9 @@ proptest! {
         let _ = TrustAnchor::from_bytes(&bytes);
     }
 
-    /// The bodies the wire carries opaquely take arbitrary bytes, alone
-    /// and behind the first bytes of a valid encoding, and return Ok or a
-    /// typed error.
+    /// The bodies the wire carries opaquely and the proofs and checkpoints
+    /// kept on disk take arbitrary bytes, alone and behind the first bytes
+    /// of a valid encoding, and return Ok or a typed error.
     #[test]
     fn opaque_body_decoders_never_panic(
         bytes in prop::collection::vec(any::<u8>(), 0..512),
@@ -156,8 +157,8 @@ proptest! {
     ) {
         for body in opaque_bodies() {
             let prefix = &body.bytes[..keep % body.bytes.len()];
-            (body.decodes)(&bytes);
-            (body.decodes)(&[prefix, &bytes].concat());
+            (body.reencode)(&bytes);
+            (body.reencode)(&[prefix, &bytes].concat());
         }
     }
 
@@ -247,12 +248,13 @@ proptest! {
 
 /// One body the wire carries without interpreting it (QRESULT's slice
 /// proof, DENIAL's signed denial, RANGE_RESP's signed range, AE_RESP's
-/// signed root) or a proof inside one, with a valid encoding.
+/// signed root) or a proof inside one, or a proof, checkpoint, stamp or
+/// sidecar kept on disk, with a valid encoding.
 struct OpaqueBody {
     name: &'static str,
     bytes: Vec<u8>,
-    /// Runs the decoder; true if it returned Ok.
-    decodes: fn(&[u8]) -> bool,
+    /// Runs the decoder; if it returned Ok, the value's encoding.
+    reencode: Box<dyn Fn(&[u8]) -> Option<Vec<u8>> + Send + Sync>,
 }
 
 fn opaque_bodies() -> &'static [OpaqueBody] {
@@ -262,6 +264,8 @@ fn opaque_bodies() -> &'static [OpaqueBody] {
         let mut rng = StdRng::seed_from_u64(0x0B0D);
         let ca = CertificateAuthority::new(512, ALG, &mut rng);
         let alice = ca.enroll(ParticipantId(1), 512, &mut rng);
+        let mut keys = KeyDirectory::new(ca.public_key().clone(), ALG);
+        keys.register(alice.certificate().clone()).unwrap();
         let db = Arc::new(ProvenanceDb::in_memory());
         let mut t = ProvenanceTracker::new(TrackerConfig::default(), db.clone());
         let (a, _) = t.insert(&alice, Value::Int(1), None).unwrap();
@@ -273,7 +277,8 @@ fn opaque_bodies() -> &'static [OpaqueBody] {
         let (d, _) = t
             .aggregate(&alice, &[a, c], Value::Int(5), AggregateMode::Atomic)
             .unwrap();
-        let engine = QueryEngine::new(db, ALG);
+        let (leaf, _) = t.insert(&alice, Value::Int(6), Some(d)).unwrap();
+        let engine = QueryEngine::new(db.clone(), ALG);
         let bounded = engine
             .execute(&QuerySpec {
                 op: QueryOp::Ancestors,
@@ -296,26 +301,49 @@ fn opaque_bodies() -> &'static [OpaqueBody] {
         let root = SignedRoot::sign(&tree, 5, &alice).unwrap();
         let denial = DenialProof::prove(&tree, ObjectId(5)).unwrap();
         let range = RangeProof::prove(&tree, ObjectId(3), ObjectId(9));
-        let body = |name, bytes, decodes| OpaqueBody {
-            name,
-            bytes,
-            decodes,
+        let checkpoint = Checkpoint::capture(ALG, &db, 0);
+        let sealed = checkpoint.clone().seal(&alice).unwrap();
+        let subtree = prove(t.forest(), &mut HashCache::new(ALG), d, leaf).unwrap();
+        let mut verifier = StreamingVerifier::new(&keys, ALG, d);
+        for r in &collect(&db, d).unwrap().records {
+            verifier.push_record(r);
+        }
+        let verifier_checkpoint = verifier.checkpoint().unwrap();
+        let stamp = CompactionStamp {
+            generation: 2,
+            excised_frames: 11,
+            excised_bytes: 4096,
+            watermark: 13,
+            checkpoint_digest: checkpoint.digest(),
         };
+        let mut index = QueryIndex::new();
+        index.sync(&db);
+
+        fn body<F>(name: &'static str, bytes: Vec<u8>, reencode: F) -> OpaqueBody
+        where
+            F: Fn(&[u8]) -> Option<Vec<u8>> + Send + Sync + 'static,
+        {
+            OpaqueBody {
+                name,
+                bytes,
+                reencode: Box::new(reencode),
+            }
+        }
         vec![
             body("bounded SliceProof", bounded.to_bytes(), |b| {
-                SliceProof::from_bytes(b).is_ok()
+                SliceProof::from_bytes(b).ok().map(|v| v.to_bytes())
             }),
             body("polynomial SliceProof", poly.to_bytes(), |b| {
-                SliceProof::from_bytes(b).is_ok()
+                SliceProof::from_bytes(b).ok().map(|v| v.to_bytes())
             }),
             body("SignedRoot", root.to_bytes(), |b| {
-                SignedRoot::from_bytes(b).is_ok()
+                SignedRoot::from_bytes(b).ok().map(|v| v.to_bytes())
             }),
             body("DenialProof", denial.to_bytes(), |b| {
-                DenialProof::from_bytes(b).is_ok()
+                DenialProof::from_bytes(b).ok().map(|v| v.to_bytes())
             }),
             body("RangeProof", range.to_bytes(), |b| {
-                RangeProof::from_bytes(b).is_ok()
+                RangeProof::from_bytes(b).ok().map(|v| v.to_bytes())
             }),
             body(
                 "SignedDenial",
@@ -324,31 +352,64 @@ fn opaque_bodies() -> &'static [OpaqueBody] {
                     proof: denial,
                 }
                 .to_bytes(),
-                |b| SignedDenial::from_bytes(b).is_ok(),
+                |b| SignedDenial::from_bytes(b).ok().map(|v| v.to_bytes()),
             ),
             body(
                 "SignedRange",
                 SignedRange { root, proof: range }.to_bytes(),
-                |b| SignedRange::from_bytes(b).is_ok(),
+                |b| SignedRange::from_bytes(b).ok().map(|v| v.to_bytes()),
             ),
+            body("Checkpoint", checkpoint.to_bytes(), |b| {
+                Checkpoint::from_bytes(b).ok().map(|v| v.to_bytes())
+            }),
+            body("SealedCheckpoint", sealed.to_bytes(), |b| {
+                SealedCheckpoint::from_bytes(b).ok().map(|v| v.to_bytes())
+            }),
+            body("SubtreeProof", subtree.to_bytes(), |b| {
+                SubtreeProof::from_bytes(b).ok().map(|v| v.to_bytes())
+            }),
+            body("CompactionStamp", stamp.to_bytes(), |b| {
+                CompactionStamp::from_bytes(b).ok().map(|v| v.to_bytes())
+            }),
+            body("verifier checkpoint", verifier_checkpoint, move |b| {
+                StreamingVerifier::restore(&keys, b)
+                    .ok()
+                    .map(|v| v.checkpoint().expect("a restored verifier is clean"))
+            }),
+            body("QueryIndex sidecar", index.to_bytes(), |b| {
+                QueryIndex::from_bytes(b).map(|v| v.to_bytes())
+            }),
         ]
     })
 }
 
 /// Every single-byte change of every opaque body's valid encoding — a
 /// flipped bit, and the byte forced to 0xFF so each count and length
-/// field in turn claims billions of entries — returns Ok or a typed error.
-/// No decoder sizes an allocation by such a claim: capacity is capped by
-/// the bytes left, so a short input cannot make it reserve more.
+/// field in turn claims billions of entries — returns Ok or a typed error,
+/// and whatever decodes re-encodes to exactly the changed bytes: an
+/// accepted body has one encoding. No decoder sizes an allocation by such
+/// a claim: capacity is capped by the bytes left, so a short input cannot
+/// make it reserve more.
 #[test]
 fn opaque_body_decoders_survive_every_byte_change() {
     for body in opaque_bodies() {
-        assert!((body.decodes)(&body.bytes), "{} does not decode", body.name);
+        assert_eq!(
+            (body.reencode)(&body.bytes).as_deref(),
+            Some(&body.bytes[..]),
+            "{} does not roundtrip",
+            body.name
+        );
         for i in 0..body.bytes.len() {
             for change in [body.bytes[i] ^ 0x01, 0xFF] {
                 let mut bad = body.bytes.clone();
                 bad[i] = change;
-                (body.decodes)(&bad);
+                if let Some(again) = (body.reencode)(&bad) {
+                    assert_eq!(
+                        again, bad,
+                        "{} byte {i} = {change:#04x} has a second encoding",
+                        body.name
+                    );
+                }
             }
         }
     }

@@ -254,8 +254,10 @@ struct OpaqueBody {
     name: &'static str,
     bytes: Vec<u8>,
     /// Runs the decoder; if it returned Ok, the value's encoding.
-    reencode: Box<dyn Fn(&[u8]) -> Option<Vec<u8>> + Send + Sync>,
+    reencode: Reencode,
 }
+
+type Reencode = Box<dyn Fn(&[u8]) -> Option<Vec<u8>> + Send + Sync>;
 
 fn opaque_bodies() -> &'static [OpaqueBody] {
     static BODIES: OnceLock<Vec<OpaqueBody>> = OnceLock::new();

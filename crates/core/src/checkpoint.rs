@@ -39,19 +39,62 @@ use crate::merkle::shard_tree_of;
 use crate::provenance::ProvenanceObject;
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{KeyDirectory, Participant, ParticipantId};
-use tep_model::encode::{DecodeError, Reader};
+use tep_model::codec_structs;
+use tep_model::encode::{Framed, List};
 use tep_model::ObjectId;
 use tep_storage::ProvenanceDb;
 
-/// A remembered chain position for one object.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TrustAnchor {
-    /// The anchored object.
-    pub oid: ObjectId,
-    /// `seqID` of the trusted record.
-    pub seq: u64,
-    /// Exact checksum bytes of the trusted record.
-    pub checksum: Vec<u8>,
+/// Magic prefix of the [`TrustAnchor`] encoding.
+const ANCHOR_MAGIC: &[u8] = b"TEPANCH\x01";
+/// Magic prefix of the [`Checkpoint`] encoding. The sealed verifier
+/// checkpoint (`crate::streaming`) opens with the same bytes.
+const CKPT_MAGIC: &[u8] = b"TEPCKPT\x01";
+
+codec_structs! {
+    /// A remembered chain position for one object. Its bytes are how a
+    /// recipient persists anchors client-side.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct TrustAnchor magic ANCHOR_MAGIC impl to_bytes, from_bytes {
+        /// The anchored object.
+        pub oid: ObjectId,
+        /// `seqID` of the trusted record.
+        pub seq: u64,
+        /// Exact checksum bytes of the trusted record.
+        pub checksum: Vec<u8>,
+    }
+
+    /// A compaction checkpoint: the forest-wide shard root plus one
+    /// [`TrustAnchor`] per object (its chain head at capture time), stamped
+    /// with the cumulative record count the checkpoint covers.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Checkpoint magic CKPT_MAGIC impl to_bytes, from_bytes {
+        /// Hash algorithm of the tree and anchors.
+        pub alg: HashAlgorithm,
+        /// Cumulative records covered: every record appended before this
+        /// checkpoint, across all prior compaction generations. Monotonic —
+        /// the high-water mark compaction truncates up to.
+        pub log_records: u64,
+        /// Leaves under `tree_root`.
+        pub leaf_count: u64,
+        /// Root of the [`ShardTree`](crate::merkle::ShardTree) over the whole
+        /// object space at capture time.
+        pub tree_root: Vec<u8>,
+        /// Chain head of every object, sorted by object id.
+        pub anchors: Vec<TrustAnchor> as List<4, Framed<TrustAnchor>>,
+    }
+
+    /// A [`Checkpoint`] signed by the compacting participant — the artifact
+    /// persisted beside the log (and referenced by digest from the compaction
+    /// stamp) that makes truncation attributable.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SealedCheckpoint impl to_bytes, from_bytes {
+        /// The sealed checkpoint.
+        pub checkpoint: Checkpoint as Framed<Checkpoint>,
+        /// Who sealed it.
+        pub signer: ParticipantId,
+        /// Signature over the domain-tagged checkpoint digest.
+        pub sig: Vec<u8>,
+    }
 }
 
 impl TrustAnchor {
@@ -64,57 +107,10 @@ impl TrustAnchor {
             checksum: r.checksum.clone(),
         })
     }
-
-    /// Stable byte encoding (for persisting anchors client-side).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.checksum.len());
-        out.extend_from_slice(b"TEPANCH\x01");
-        out.extend_from_slice(&self.oid.raw().to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&(self.checksum.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.checksum);
-        out
-    }
-
-    /// Inverse of [`Self::to_bytes`].
-    pub fn from_bytes(buf: &[u8]) -> Result<TrustAnchor, DecodeError> {
-        let mut r = Reader::new(buf);
-        let magic = r.bytes(8)?;
-        if magic != b"TEPANCH\x01" {
-            return Err(DecodeError::BadTag(magic.first().copied().unwrap_or(0)));
-        }
-        let oid = ObjectId(r.u64()?);
-        let seq = r.u64()?;
-        let checksum = r.len_prefixed()?.to_vec();
-        r.expect_end()?;
-        Ok(TrustAnchor { oid, seq, checksum })
-    }
 }
 
-/// Magic prefix of the [`Checkpoint`] encoding.
-const CKPT_MAGIC: &[u8] = b"TEPCKPT\x01";
 /// Domain separator for checkpoint seals.
 const CKPT_SIGN_TAG: &[u8] = b"tep-ckpt-sign\x01";
-
-/// A compaction checkpoint: the forest-wide shard root plus one
-/// [`TrustAnchor`] per object (its chain head at capture time), stamped
-/// with the cumulative record count the checkpoint covers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// Hash algorithm of the tree and anchors.
-    pub alg: HashAlgorithm,
-    /// Cumulative records covered: every record appended before this
-    /// checkpoint, across all prior compaction generations. Monotonic —
-    /// the high-water mark compaction truncates up to.
-    pub log_records: u64,
-    /// Root of the [`ShardTree`](crate::merkle::ShardTree) over the whole
-    /// object space at capture time.
-    pub tree_root: Vec<u8>,
-    /// Leaves under `tree_root`.
-    pub leaf_count: u64,
-    /// Chain head of every object, sorted by object id.
-    pub anchors: Vec<TrustAnchor>,
-}
 
 impl Checkpoint {
     /// Captures a checkpoint over `db`'s current state. `prior_records`
@@ -141,51 +137,6 @@ impl Checkpoint {
             leaf_count: tree.leaf_count(),
             anchors,
         }
-    }
-
-    /// Stable byte encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.anchors.len() * 64);
-        out.extend_from_slice(CKPT_MAGIC);
-        out.push(self.alg.wire_id());
-        out.extend_from_slice(&self.log_records.to_be_bytes());
-        out.extend_from_slice(&self.leaf_count.to_be_bytes());
-        out.extend_from_slice(&(self.tree_root.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.tree_root);
-        out.extend_from_slice(&(self.anchors.len() as u32).to_be_bytes());
-        for anchor in &self.anchors {
-            let bytes = anchor.to_bytes();
-            out.extend_from_slice(&(bytes.len() as u64).to_be_bytes());
-            out.extend_from_slice(&bytes);
-        }
-        out
-    }
-
-    /// Inverse of [`Self::to_bytes`].
-    pub fn from_bytes(buf: &[u8]) -> Result<Checkpoint, DecodeError> {
-        let mut r = Reader::new(buf);
-        let magic = r.bytes(CKPT_MAGIC.len())?;
-        if magic != CKPT_MAGIC {
-            return Err(DecodeError::BadTag(magic.first().copied().unwrap_or(0)));
-        }
-        let alg_id = r.u8()?;
-        let alg = HashAlgorithm::from_wire_id(alg_id).ok_or(DecodeError::BadTag(alg_id))?;
-        let log_records = r.u64()?;
-        let leaf_count = r.u64()?;
-        let tree_root = r.len_prefixed()?.to_vec();
-        let n = r.u32()? as usize;
-        let mut anchors = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            anchors.push(TrustAnchor::from_bytes(r.len_prefixed()?)?);
-        }
-        r.expect_end()?;
-        Ok(Checkpoint {
-            alg,
-            log_records,
-            tree_root,
-            leaf_count,
-            anchors,
-        })
     }
 
     /// Digest of the canonical encoding — what the seal signs and what
@@ -216,51 +167,12 @@ fn seal_message(digest: &[u8]) -> Vec<u8> {
     m
 }
 
-/// A [`Checkpoint`] signed by the compacting participant — the artifact
-/// persisted beside the log (and referenced by digest from the compaction
-/// stamp) that makes truncation attributable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SealedCheckpoint {
-    /// The sealed checkpoint.
-    pub checkpoint: Checkpoint,
-    /// Who sealed it.
-    pub signer: ParticipantId,
-    /// Signature over the domain-tagged checkpoint digest.
-    pub sig: Vec<u8>,
-}
-
 impl SealedCheckpoint {
     /// Verifies the seal against the key directory.
     pub fn verify(&self, keys: &KeyDirectory) -> bool {
         let msg = seal_message(&self.checkpoint.digest());
         keys.verify_signature(self.signer, self.checkpoint.alg, &msg, &self.sig)
             .is_ok()
-    }
-
-    /// Stable byte encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let ckpt = self.checkpoint.to_bytes();
-        let mut out = Vec::with_capacity(24 + ckpt.len() + self.sig.len());
-        out.extend_from_slice(&(ckpt.len() as u64).to_be_bytes());
-        out.extend_from_slice(&ckpt);
-        out.extend_from_slice(&self.signer.0.to_be_bytes());
-        out.extend_from_slice(&(self.sig.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.sig);
-        out
-    }
-
-    /// Inverse of [`Self::to_bytes`].
-    pub fn from_bytes(buf: &[u8]) -> Result<SealedCheckpoint, DecodeError> {
-        let mut r = Reader::new(buf);
-        let checkpoint = Checkpoint::from_bytes(r.len_prefixed()?)?;
-        let signer = ParticipantId(r.u64()?);
-        let sig = r.len_prefixed()?.to_vec();
-        r.expect_end()?;
-        Ok(SealedCheckpoint {
-            checkpoint,
-            signer,
-            sig,
-        })
     }
 }
 

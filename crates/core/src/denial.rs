@@ -27,7 +27,8 @@
 use crate::merkle::{leaf_hash, ShardTree};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{KeyDirectory, Participant};
-use tep_model::encode::{DecodeError, Reader};
+use tep_model::codec_structs;
+use tep_model::encode::{Framed, List};
 use tep_model::{ObjectId, ParticipantId};
 
 /// Domain separator for root signatures.
@@ -66,18 +67,99 @@ impl std::fmt::Display for DenialFault {
     }
 }
 
-/// One witness leaf: its position, identity, history digest (the
-/// leaf-hash preimage) and authenticated sibling path to the root.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DenialLeaf {
-    /// The leaf's index in the sorted leaf space.
-    pub index: u64,
-    /// The object stored at that leaf.
-    pub oid: ObjectId,
-    /// The object's record-history digest (leaf-hash preimage).
-    pub digest: Vec<u8>,
-    /// Sibling hash per level below the root (`None` = unpaired tail).
-    pub path: Vec<Option<Vec<u8>>>,
+codec_structs! {
+    /// One witness leaf: its position, identity, history digest (the
+    /// leaf-hash preimage) and authenticated sibling path to the root.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct DenialLeaf {
+        /// The leaf's index in the sorted leaf space.
+        pub index: u64,
+        /// The object stored at that leaf.
+        pub oid: ObjectId,
+        /// The object's record-history digest (leaf-hash preimage).
+        pub digest: Vec<u8>,
+        /// Sibling hash per level below the root (`None` = unpaired tail);
+        /// a path longer than 64 levels is impossible for a u64 ID space.
+        pub path: Vec<Option<Vec<u8>>> as List<4, Option<Vec<u8>>, 64>,
+    }
+
+    /// A non-membership ("gap") proof for one absent object ID.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct DenialProof impl to_bytes, from_bytes {
+        /// The ID claimed absent.
+        pub absent: ObjectId,
+        /// The greatest leaf below `absent` (`None` when `absent` sorts
+        /// before the whole shard).
+        pub pred: Option<DenialLeaf>,
+        /// The least leaf above `absent` (`None` when `absent` sorts after
+        /// the whole shard).
+        pub succ: Option<DenialLeaf>,
+    }
+
+    /// A completeness proof for an inclusive object-ID range: every member is
+    /// presented with an authenticated path, the members are contiguous in
+    /// the leaf space, and boundary witnesses straddle the range — no
+    /// qualifying leaf can have been withheld.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct RangeProof impl to_bytes, from_bytes {
+        /// Inclusive lower bound of the claimed range.
+        pub lo: ObjectId,
+        /// Inclusive upper bound.
+        pub hi: ObjectId,
+        /// Every leaf whose object falls in `[lo, hi]`, in leaf order.
+        pub members: Vec<DenialLeaf> as List<4, DenialLeaf>,
+        /// The greatest leaf below `lo` (`None` when the members start at
+        /// leaf 0).
+        pub pred: Option<DenialLeaf>,
+        /// The least leaf above `hi` (`None` when the members end the shard).
+        pub succ: Option<DenialLeaf>,
+    }
+
+    /// A shard root signed by the serving participant: the trust anchor every
+    /// denial and completeness proof hangs off, carrying a monotonic
+    /// `log_records` high-water mark so a rolled-back (pre-compaction, stale)
+    /// root is detectable by anyone who has seen a fresher one.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SignedRoot impl to_bytes, from_bytes {
+        /// Hash algorithm of the tree.
+        pub alg: HashAlgorithm,
+        /// The shard root hash.
+        pub root: Vec<u8>,
+        /// Leaves under the root.
+        pub leaf_count: u64,
+        /// Tree depth (levels above the leaves).
+        pub depth: u32,
+        /// Cumulative records appended when the root was signed — monotonic;
+        /// a peer presenting a *lower* value than previously attested is
+        /// serving a stale (pre-compaction rollback) view.
+        pub log_records: u64,
+        /// Who signed.
+        pub signer: ParticipantId,
+        /// Signature over the domain-tagged root statement.
+        pub sig: Vec<u8>,
+    }
+
+    /// A denial proof bundled with the signed root it verifies against —
+    /// what a NOT_FOUND wire response actually carries: the root, then the
+    /// proof, each length-prefixed.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SignedDenial impl to_bytes, from_bytes {
+        /// The serving participant's signed shard root.
+        pub root: SignedRoot as Framed<SignedRoot>,
+        /// The gap proof under that root.
+        pub proof: DenialProof as Framed<DenialProof>,
+    }
+
+    /// A completeness proof bundled with its signed root — what a range/query
+    /// response carries alongside the actual records: the root, then the
+    /// proof, each length-prefixed.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SignedRange impl to_bytes, from_bytes {
+        /// The serving participant's signed shard root.
+        pub root: SignedRoot as Framed<SignedRoot>,
+        /// The completeness proof under that root.
+        pub proof: RangeProof as Framed<RangeProof>,
+    }
 }
 
 impl DenialLeaf {
@@ -98,80 +180,6 @@ impl DenialLeaf {
         let leaf = leaf_hash(alg, self.oid, &self.digest);
         ShardTree::verify_leaf_path(alg, root, leaf_count, self.index, &leaf, &self.path)
     }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.index.to_be_bytes());
-        out.extend_from_slice(&self.oid.raw().to_be_bytes());
-        out.extend_from_slice(&(self.digest.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.digest);
-        out.extend_from_slice(&(self.path.len() as u32).to_be_bytes());
-        for entry in &self.path {
-            match entry {
-                Some(h) => {
-                    out.push(1);
-                    out.extend_from_slice(&(h.len() as u64).to_be_bytes());
-                    out.extend_from_slice(h);
-                }
-                None => out.push(0),
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let index = r.u64()?;
-        let oid = ObjectId(r.u64()?);
-        let digest = r.len_prefixed()?.to_vec();
-        let n = r.u32()? as usize;
-        // A path longer than 64 levels is impossible for a u64 ID space.
-        if n > 64 {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let mut path = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            path.push(match r.u8()? {
-                0 => None,
-                1 => Some(r.len_prefixed()?.to_vec()),
-                t => return Err(DecodeError::BadTag(t)),
-            });
-        }
-        Ok(DenialLeaf {
-            index,
-            oid,
-            digest,
-            path,
-        })
-    }
-}
-
-fn encode_opt_leaf(leaf: &Option<DenialLeaf>, out: &mut Vec<u8>) {
-    match leaf {
-        Some(l) => {
-            out.push(1);
-            l.encode_into(out);
-        }
-        None => out.push(0),
-    }
-}
-
-fn decode_opt_leaf(r: &mut Reader<'_>) -> Result<Option<DenialLeaf>, DecodeError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(DenialLeaf::decode(r)?)),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-/// A non-membership ("gap") proof for one absent object ID.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DenialProof {
-    /// The ID claimed absent.
-    pub absent: ObjectId,
-    /// The greatest leaf below `absent` (`None` when `absent` sorts
-    /// before the whole shard).
-    pub pred: Option<DenialLeaf>,
-    /// The least leaf above `absent` (`None` when `absent` sorts after
-    /// the whole shard).
-    pub succ: Option<DenialLeaf>,
 }
 
 impl DenialProof {
@@ -221,49 +229,6 @@ impl DenialProof {
     ) -> Result<(), DenialFault> {
         self.gap().check(alg, root, leaf_count).map(drop)
     }
-
-    /// Canonical encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.absent.raw().to_be_bytes());
-        encode_opt_leaf(&self.pred, &mut out);
-        encode_opt_leaf(&self.succ, &mut out);
-        out
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let absent = ObjectId(r.u64()?);
-        let pred = decode_opt_leaf(r)?;
-        let succ = decode_opt_leaf(r)?;
-        Ok(DenialProof { absent, pred, succ })
-    }
-
-    /// Decodes a [`DenialProof::to_bytes`] encoding.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let p = Self::decode(&mut r)?;
-        r.expect_end()?;
-        Ok(p)
-    }
-}
-
-/// A completeness proof for an inclusive object-ID range: every member is
-/// presented with an authenticated path, the members are contiguous in
-/// the leaf space, and boundary witnesses straddle the range — no
-/// qualifying leaf can have been withheld.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RangeProof {
-    /// Inclusive lower bound of the claimed range.
-    pub lo: ObjectId,
-    /// Inclusive upper bound.
-    pub hi: ObjectId,
-    /// Every leaf whose object falls in `[lo, hi]`, in leaf order.
-    pub members: Vec<DenialLeaf>,
-    /// The greatest leaf below `lo` (`None` when the members start at
-    /// leaf 0).
-    pub pred: Option<DenialLeaf>,
-    /// The least leaf above `hi` (`None` when the members end the shard).
-    pub succ: Option<DenialLeaf>,
 }
 
 impl RangeProof {
@@ -377,71 +342,6 @@ impl RangeProof {
         }
         Ok(self.members.iter().map(|m| m.oid).collect())
     }
-
-    /// Canonical encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.lo.raw().to_be_bytes());
-        out.extend_from_slice(&self.hi.raw().to_be_bytes());
-        out.extend_from_slice(&(self.members.len() as u32).to_be_bytes());
-        for m in &self.members {
-            m.encode_into(&mut out);
-        }
-        encode_opt_leaf(&self.pred, &mut out);
-        encode_opt_leaf(&self.succ, &mut out);
-        out
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let lo = ObjectId(r.u64()?);
-        let hi = ObjectId(r.u64()?);
-        let n = r.u32()? as usize;
-        let mut members = Vec::new();
-        for _ in 0..n {
-            members.push(DenialLeaf::decode(r)?);
-        }
-        let pred = decode_opt_leaf(r)?;
-        let succ = decode_opt_leaf(r)?;
-        Ok(RangeProof {
-            lo,
-            hi,
-            members,
-            pred,
-            succ,
-        })
-    }
-
-    /// Decodes a [`RangeProof::to_bytes`] encoding.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let p = Self::decode(&mut r)?;
-        r.expect_end()?;
-        Ok(p)
-    }
-}
-
-/// A shard root signed by the serving participant: the trust anchor every
-/// denial and completeness proof hangs off, carrying a monotonic
-/// `log_records` high-water mark so a rolled-back (pre-compaction, stale)
-/// root is detectable by anyone who has seen a fresher one.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SignedRoot {
-    /// Hash algorithm of the tree.
-    pub alg: HashAlgorithm,
-    /// The shard root hash.
-    pub root: Vec<u8>,
-    /// Leaves under the root.
-    pub leaf_count: u64,
-    /// Tree depth (levels above the leaves).
-    pub depth: u32,
-    /// Cumulative records appended when the root was signed — monotonic;
-    /// a peer presenting a *lower* value than previously attested is
-    /// serving a stale (pre-compaction rollback) view.
-    pub log_records: u64,
-    /// Who signed.
-    pub signer: ParticipantId,
-    /// Signature over the domain-tagged root statement.
-    pub sig: Vec<u8>,
 }
 
 impl SignedRoot {
@@ -500,59 +400,6 @@ impl SignedRoot {
         keys.verify_signature(self.signer, self.alg, &msg, &self.sig)
             .is_ok()
     }
-
-    /// Canonical encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40 + self.root.len() + self.sig.len());
-        out.push(self.alg.wire_id());
-        out.extend_from_slice(&(self.root.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.root);
-        out.extend_from_slice(&self.leaf_count.to_be_bytes());
-        out.extend_from_slice(&self.depth.to_be_bytes());
-        out.extend_from_slice(&self.log_records.to_be_bytes());
-        out.extend_from_slice(&self.signer.0.to_be_bytes());
-        out.extend_from_slice(&(self.sig.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.sig);
-        out
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let alg_id = r.u8()?;
-        let alg = HashAlgorithm::from_wire_id(alg_id).ok_or(DecodeError::BadTag(alg_id))?;
-        let root = r.len_prefixed()?.to_vec();
-        let leaf_count = r.u64()?;
-        let depth = r.u32()?;
-        let log_records = r.u64()?;
-        let signer = ParticipantId(r.u64()?);
-        let sig = r.len_prefixed()?.to_vec();
-        Ok(SignedRoot {
-            alg,
-            root,
-            leaf_count,
-            depth,
-            log_records,
-            signer,
-            sig,
-        })
-    }
-
-    /// Decodes a [`SignedRoot::to_bytes`] encoding.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let s = Self::decode(&mut r)?;
-        r.expect_end()?;
-        Ok(s)
-    }
-}
-
-/// A denial proof bundled with the signed root it verifies against —
-/// what a NOT_FOUND wire response actually carries.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SignedDenial {
-    /// The serving participant's signed shard root.
-    pub root: SignedRoot,
-    /// The gap proof under that root.
-    pub proof: DenialProof,
 }
 
 impl SignedDenial {
@@ -564,37 +411,6 @@ impl SignedDenial {
         self.proof
             .check(self.root.alg, &self.root.root, self.root.leaf_count)
     }
-
-    /// Canonical encoding (root, then proof, each length-prefixed).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let root = self.root.to_bytes();
-        let proof = self.proof.to_bytes();
-        let mut out = Vec::with_capacity(16 + root.len() + proof.len());
-        out.extend_from_slice(&(root.len() as u64).to_be_bytes());
-        out.extend_from_slice(&root);
-        out.extend_from_slice(&(proof.len() as u64).to_be_bytes());
-        out.extend_from_slice(&proof);
-        out
-    }
-
-    /// Decodes a [`SignedDenial::to_bytes`] encoding.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let root = SignedRoot::from_bytes(r.len_prefixed()?)?;
-        let proof = DenialProof::from_bytes(r.len_prefixed()?)?;
-        r.expect_end()?;
-        Ok(SignedDenial { root, proof })
-    }
-}
-
-/// A completeness proof bundled with its signed root — what a range/query
-/// response carries alongside the actual records.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SignedRange {
-    /// The serving participant's signed shard root.
-    pub root: SignedRoot,
-    /// The completeness proof under that root.
-    pub proof: RangeProof,
 }
 
 impl SignedRange {
@@ -606,27 +422,6 @@ impl SignedRange {
         }
         self.proof
             .check(self.root.alg, &self.root.root, self.root.leaf_count)
-    }
-
-    /// Canonical encoding (root, then proof, each length-prefixed).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let root = self.root.to_bytes();
-        let proof = self.proof.to_bytes();
-        let mut out = Vec::with_capacity(16 + root.len() + proof.len());
-        out.extend_from_slice(&(root.len() as u64).to_be_bytes());
-        out.extend_from_slice(&root);
-        out.extend_from_slice(&(proof.len() as u64).to_be_bytes());
-        out.extend_from_slice(&proof);
-        out
-    }
-
-    /// Decodes a [`SignedRange::to_bytes`] encoding.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let root = SignedRoot::from_bytes(r.len_prefixed()?)?;
-        let proof = RangeProof::from_bytes(r.len_prefixed()?)?;
-        r.expect_end()?;
-        Ok(SignedRange { root, proof })
     }
 }
 

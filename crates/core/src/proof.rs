@@ -17,35 +17,41 @@ use crate::error::CoreError;
 use crate::hashing::HashCache;
 use std::fmt;
 use tep_crypto::digest::HashAlgorithm;
-use tep_model::encode::node_prefix;
+use tep_model::codec_structs;
+use tep_model::encode::{node_prefix, List};
 use tep_model::{Forest, ModelError, ObjectId, Value};
 
-/// One level of a [`SubtreeProof`]: a node on the path from the target to
-/// the root.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProofStep {
-    /// The path node's id.
-    pub node: ObjectId,
-    /// Canonical `node_prefix(id, value)` bytes of the path node.
-    pub prefix: Vec<u8>,
-    /// Subtree hashes of siblings ordered **before** the path child.
-    pub before: Vec<Vec<u8>>,
-    /// Subtree hashes of siblings ordered **after** the path child.
-    pub after: Vec<Vec<u8>>,
-}
+/// Magic prefix of the [`SubtreeProof`] encoding.
+const PROOF_MAGIC: &[u8] = b"TEPPROOF\x01";
 
-/// An inclusion proof: `target`'s subtree hash is contained in the proven
-/// root's subtree hash.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SubtreeProof {
-    /// The object whose inclusion is proven.
-    pub target: ObjectId,
-    /// The proven root.
-    pub root: ObjectId,
-    /// Hash algorithm the tree uses.
-    pub alg: HashAlgorithm,
-    /// Path steps from the target's parent up to (and including) the root.
-    pub steps: Vec<ProofStep>,
+codec_structs! {
+    /// One level of a [`SubtreeProof`]: a node on the path from the target to
+    /// the root.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ProofStep {
+        /// The path node's id.
+        pub node: ObjectId,
+        /// Canonical `node_prefix(id, value)` bytes of the path node.
+        pub prefix: Vec<u8>,
+        /// Subtree hashes of siblings ordered **before** the path child.
+        pub before: Vec<Vec<u8>> as List<8, Vec<u8>>,
+        /// Subtree hashes of siblings ordered **after** the path child.
+        pub after: Vec<Vec<u8>> as List<8, Vec<u8>>,
+    }
+
+    /// An inclusion proof: `target`'s subtree hash is contained in the proven
+    /// root's subtree hash. Its bytes are what ships to recipients.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SubtreeProof magic PROOF_MAGIC impl to_bytes, from_bytes {
+        /// Hash algorithm the tree uses.
+        pub alg: HashAlgorithm,
+        /// The object whose inclusion is proven.
+        pub target: ObjectId,
+        /// The proven root.
+        pub root: ObjectId,
+        /// Path steps from the target's parent up to (and including) the root.
+        pub steps: Vec<ProofStep> as List<8, ProofStep>,
+    }
 }
 
 /// Why proof verification failed.
@@ -173,73 +179,6 @@ impl SubtreeProof {
             .iter()
             .map(|s| s.before.len() + s.after.len())
             .sum()
-    }
-
-    /// Stable byte encoding (for shipping proofs to recipients).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"TEPPROOF\x01");
-        out.push(self.alg.wire_id());
-        out.extend_from_slice(&self.target.raw().to_be_bytes());
-        out.extend_from_slice(&self.root.raw().to_be_bytes());
-        out.extend_from_slice(&(self.steps.len() as u64).to_be_bytes());
-        let put_hashes = |out: &mut Vec<u8>, hashes: &[Vec<u8>]| {
-            out.extend_from_slice(&(hashes.len() as u64).to_be_bytes());
-            for h in hashes {
-                out.extend_from_slice(&(h.len() as u64).to_be_bytes());
-                out.extend_from_slice(h);
-            }
-        };
-        for step in &self.steps {
-            out.extend_from_slice(&step.node.raw().to_be_bytes());
-            out.extend_from_slice(&(step.prefix.len() as u64).to_be_bytes());
-            out.extend_from_slice(&step.prefix);
-            put_hashes(&mut out, &step.before);
-            put_hashes(&mut out, &step.after);
-        }
-        out
-    }
-
-    /// Inverse of [`Self::to_bytes`].
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, tep_model::encode::DecodeError> {
-        use tep_model::encode::{DecodeError, Reader};
-        let mut r = Reader::new(buf);
-        let magic = r.bytes(9)?;
-        if magic != b"TEPPROOF\x01" {
-            return Err(DecodeError::BadTag(magic.first().copied().unwrap_or(0)));
-        }
-        let alg = HashAlgorithm::from_wire_id(r.u8()?).ok_or(DecodeError::BadTag(0xFC))?;
-        let target = ObjectId(r.u64()?);
-        let root = ObjectId(r.u64()?);
-        let step_count = r.u64()? as usize;
-        let mut steps = Vec::with_capacity(step_count.min(1024));
-        for _ in 0..step_count {
-            let node = ObjectId(r.u64()?);
-            let prefix = r.len_prefixed()?.to_vec();
-            let read_hashes = |r: &mut Reader<'_>| -> Result<Vec<Vec<u8>>, DecodeError> {
-                let n = r.u64()? as usize;
-                let mut out = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    out.push(r.len_prefixed()?.to_vec());
-                }
-                Ok(out)
-            };
-            let before = read_hashes(&mut r)?;
-            let after = read_hashes(&mut r)?;
-            steps.push(ProofStep {
-                node,
-                prefix,
-                before,
-                after,
-            });
-        }
-        r.expect_end()?;
-        Ok(SubtreeProof {
-            target,
-            root,
-            alg,
-            steps,
-        })
     }
 }
 

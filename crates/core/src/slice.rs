@@ -37,8 +37,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::ParticipantId;
-use tep_model::encode::{DecodeError, Reader};
-use tep_model::ObjectId;
+use tep_model::encode::{DecodeError, Framed, List};
+use tep_model::{codec_structs, codecs, ObjectId};
 use tep_storage::StoredRecord;
 
 /// Format tag of the slice-proof byte encoding.
@@ -119,18 +119,55 @@ impl fmt::Display for QueryOp {
     }
 }
 
-/// Bounds restricting a query's traversal. Both bounds are re-checkable by
-/// the recipient: `seq_id` is signed into every record, and depth is a
-/// property of the slice's own edge structure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueryBounds {
-    /// Maximum derivation (aggregate-edge) hops from the target. Walking an
-    /// object's own update chain is free. `None` = unbounded.
-    pub max_depth: Option<u32>,
-    /// Inclusive `seq_id` window; records outside it are clipped to
-    /// boundary links. `None` = unbounded.
-    pub seq_range: Option<(u64, u64)>,
+codec_structs! {
+    /// Bounds restricting a query's traversal. Both bounds are re-checkable by
+    /// the recipient: `seq_id` is signed into every record, and depth is a
+    /// property of the slice's own edge structure.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct QueryBounds {
+        /// Maximum derivation (aggregate-edge) hops from the target. Walking an
+        /// object's own update chain is free. `None` = unbounded.
+        pub max_depth: Option<u32>,
+        /// Inclusive `seq_id` window; records outside it are clipped to
+        /// boundary links. `None` = unbounded.
+        pub seq_range: Option<(u64, u64)> as Option<SeqRange>,
+    }
+
+    /// A fully specified provenance query: the question a [`SliceProof`]
+    /// answers. Bound into the proof encoding so the recipient can tell *which*
+    /// question the server actually answered.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct QuerySpec {
+        /// The operator.
+        pub op: QueryOp,
+        /// The subject object (`ObjectId(0)` for [`QueryOp::AuditSlice`]).
+        pub target: ObjectId,
+        /// The audited participant ([`QueryOp::AuditSlice`] only).
+        pub participant: Option<ParticipantId>,
+        /// Traversal bounds.
+        pub bounds: QueryBounds,
+    }
 }
+
+codecs! {
+    /// The operator's one-byte id.
+    [] QueryOp => QueryOp, 1, |v, out| out.push(v.wire_id()), |r| {
+        QueryOp::from_wire_id(r.u8()?).ok_or(DecodeError::BadTag(0xF0))?
+    };
+    /// An inclusive `seq_id` window; an inverted one is refused.
+    [] SeqRange => (u64, u64), 16, |v, out| <(u64, u64)>::put(v, out), |r| {
+        let (lo, hi) = <(u64, u64)>::take(r)?;
+        if lo > hi {
+            return Err(DecodeError::BadTag(0xF1));
+        }
+        (lo, hi)
+    };
+}
+
+/// The codecs of a `seq_id` window, a polynomial term and a slice record.
+enum SeqRange {}
+enum Term {}
+enum Row {}
 
 impl QueryBounds {
     /// `true` iff `seq` falls inside the (possibly absent) window.
@@ -142,21 +179,6 @@ impl QueryBounds {
     pub fn depth_ok(&self, depth: u32) -> bool {
         self.max_depth.is_none_or(|d| depth <= d)
     }
-}
-
-/// A fully specified provenance query: the question a [`SliceProof`]
-/// answers. Bound into the proof encoding so the recipient can tell *which*
-/// question the server actually answered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QuerySpec {
-    /// The operator.
-    pub op: QueryOp,
-    /// The subject object (`ObjectId(0)` for [`QueryOp::AuditSlice`]).
-    pub target: ObjectId,
-    /// The audited participant ([`QueryOp::AuditSlice`] only).
-    pub participant: Option<ParticipantId>,
-    /// Traversal bounds.
-    pub bounds: QueryBounds,
 }
 
 impl QuerySpec {
@@ -179,82 +201,33 @@ impl QuerySpec {
             bounds: QueryBounds::default(),
         }
     }
+}
 
-    /// Appends the canonical encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.op.wire_id());
-        out.extend_from_slice(&self.target.raw().to_be_bytes());
-        match self.participant {
-            Some(p) => {
-                out.push(1);
-                out.extend_from_slice(&p.0.to_be_bytes());
-            }
-            None => out.push(0),
-        }
-        match self.bounds.max_depth {
-            Some(d) => {
-                out.push(1);
-                out.extend_from_slice(&d.to_be_bytes());
-            }
-            None => out.push(0),
-        }
-        match self.bounds.seq_range {
-            Some((lo, hi)) => {
-                out.push(1);
-                out.extend_from_slice(&lo.to_be_bytes());
-                out.extend_from_slice(&hi.to_be_bytes());
-            }
-            None => out.push(0),
-        }
-    }
-
-    /// Decodes a spec from `r`.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let op = QueryOp::from_wire_id(r.u8()?).ok_or(DecodeError::BadTag(0xF0))?;
-        let target = ObjectId(r.u64()?);
-        let participant = match r.u8()? {
-            0 => None,
-            1 => Some(ParticipantId(r.u64()?)),
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        let max_depth = match r.u8()? {
-            0 => None,
-            1 => Some(r.u32()?),
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        let seq_range = match r.u8()? {
-            0 => None,
-            1 => {
-                let lo = r.u64()?;
-                let hi = r.u64()?;
-                if lo > hi {
-                    return Err(DecodeError::BadTag(0xF1));
-                }
-                Some((lo, hi))
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        Ok(QuerySpec {
-            op,
-            target,
-            participant,
-            bounds: QueryBounds {
-                max_depth,
-                seq_range,
-            },
-        })
+codec_structs! {
+    /// A provenance polynomial: an element of ℕ[X], one indeterminate per
+    /// source object (arXiv 1101.1110). Kept in canonical form — terms sorted
+    /// by monomial, factors sorted by object id, no zero coefficients.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct Polynomial {
+        /// `(monomial, coefficient)` terms; a monomial is sorted
+        /// `(variable, exponent ≥ 1)` factors. The empty monomial is the
+        /// constant term.
+        pub terms: Vec<(Vec<(ObjectId, u64)>, u64)> as List<8, Term>,
     }
 }
 
-/// A provenance polynomial: an element of ℕ[X], one indeterminate per
-/// source object (arXiv 1101.1110). Kept in canonical form — terms sorted
-/// by monomial, factors sorted by object id, no zero coefficients.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Polynomial {
-    /// `(monomial, coefficient)` terms; a monomial is sorted
-    /// `(variable, exponent ≥ 1)` factors. The empty monomial is the
-    /// constant term.
-    pub terms: Vec<(Vec<(ObjectId, u64)>, u64)>,
+/// A monomial's `(variable, exponent)` factors.
+type Monomial = List<8, (ObjectId, u64)>;
+
+codecs! {
+    /// A term: its coefficient, then its monomial.
+    [] Term => (Vec<(ObjectId, u64)>, u64), 16, |v, out| {
+        u64::put(&v.1, out);
+        Monomial::put(&v.0, out)
+    }, |r| {
+        let c = u64::take(r)?;
+        (Monomial::take(r)?, c)
+    };
 }
 
 impl Polynomial {
@@ -327,36 +300,6 @@ impl Polynomial {
         }
         total
     }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.terms.len() as u64).to_be_bytes());
-        for (m, c) in &self.terms {
-            out.extend_from_slice(&c.to_be_bytes());
-            out.extend_from_slice(&(m.len() as u64).to_be_bytes());
-            for &(oid, e) in m {
-                out.extend_from_slice(&oid.raw().to_be_bytes());
-                out.extend_from_slice(&e.to_be_bytes());
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = r.u64()? as usize;
-        // Capacity never exceeds what the bytes left could hold (16 per term).
-        let mut terms = Vec::with_capacity(n.min(r.remaining() / 16 + 1));
-        for _ in 0..n {
-            let c = r.u64()?;
-            let fs = r.u64()? as usize;
-            let mut m = Vec::with_capacity(fs.min(r.remaining() / 16 + 1));
-            for _ in 0..fs {
-                let oid = ObjectId(r.u64()?);
-                let e = r.u64()?;
-                m.push((oid, e));
-            }
-            terms.push((m, c));
-        }
-        Ok(Polynomial { terms })
-    }
 }
 
 impl fmt::Display for Polynomial {
@@ -399,140 +342,67 @@ pub enum QueryAnswer {
     Polynomial(Polynomial),
 }
 
-impl QueryAnswer {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            QueryAnswer::Objects(oids) => {
-                out.push(0);
-                out.extend_from_slice(&(oids.len() as u64).to_be_bytes());
-                for oid in oids {
-                    out.extend_from_slice(&oid.raw().to_be_bytes());
-                }
-            }
-            QueryAnswer::Polynomial(p) => {
-                out.push(1);
-                p.encode_into(out);
-            }
+codecs! {
+    /// A tag byte (0 objects, 1 polynomial), then the answer.
+    [] QueryAnswer => QueryAnswer, 9, |v, out| match v {
+        QueryAnswer::Objects(oids) => {
+            out.push(0);
+            <List<8, ObjectId>>::put(oids, out)
         }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => {
-                let n = r.u64()? as usize;
-                let mut oids = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-                for _ in 0..n {
-                    oids.push(ObjectId(r.u64()?));
-                }
-                Ok(QueryAnswer::Objects(oids))
-            }
-            1 => Ok(QueryAnswer::Polynomial(Polynomial::decode(r)?)),
-            t => Err(DecodeError::BadTag(t)),
+        QueryAnswer::Polynomial(p) => {
+            out.push(1);
+            Polynomial::put(p, out)
         }
-    }
+    }, |r| match r.u8()? {
+        0 => QueryAnswer::Objects(<List<8, ObjectId>>::take(r)?),
+        1 => QueryAnswer::Polynomial(Polynomial::take(r)?),
+        t => return Err(DecodeError::BadTag(t)),
+    };
+    /// A record as its stored row, decoded strictly: the rest of the
+    /// input, so always inside a [`Framed`].
+    [] Row => ProvenanceRecord, 0, |v, out| v.to_stored().encode_into(out), |r| {
+        ProvenanceRecord::from_stored(&StoredRecord::from_bytes(r.bytes(r.remaining())?)?)?
+    };
 }
 
-/// A checksum of a record intentionally left *outside* the slice that
-/// in-slice signatures chain to. Carrying the checksum (and only the
-/// checksum) lets the recipient verify the signatures of records at the
-/// slice boundary without shipping the whole history; the checksum itself
-/// is covered by those signatures, so flipping it breaks them.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BoundaryLink {
-    /// The out-of-slice record's object.
-    pub oid: ObjectId,
-    /// Its sequence id.
-    pub seq: u64,
-    /// Its signed checksum, verbatim.
-    pub checksum: Vec<u8>,
-}
-
-/// A self-contained, re-verifiable query result: the answer, the record
-/// subset it was computed from, and the boundary checksums needed to check
-/// every in-slice signature. See the module docs for the trust model and
-/// `Verifier::verify_slice` for the checks a recipient runs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SliceProof {
-    /// The question this slice answers.
-    pub spec: QuerySpec,
-    /// Hash algorithm of the record checksums.
-    pub alg: HashAlgorithm,
-    /// `seq_id` of the target's newest record at evaluation time (the
-    /// traversal root; 0 for audit slices).
-    pub target_seq: u64,
-    /// The slice: records sorted by `(output_oid, seq_id)`.
-    pub records: Vec<ProvenanceRecord>,
-    /// Boundary checksums, sorted by `(oid, seq)`.
-    pub boundary: Vec<BoundaryLink>,
-    /// The operator's answer.
-    pub answer: QueryAnswer,
-}
-
-impl SliceProof {
-    /// Stable byte encoding, for QRESULT frames and files.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256 + self.records.len() * 128);
-        out.extend_from_slice(SLICE_MAGIC);
-        out.push(self.alg.wire_id());
-        self.spec.encode_into(&mut out);
-        out.extend_from_slice(&self.target_seq.to_be_bytes());
-        out.extend_from_slice(&(self.records.len() as u64).to_be_bytes());
-        let mut scratch = Vec::new();
-        for r in &self.records {
-            scratch.clear();
-            r.to_stored().encode_into(&mut scratch);
-            out.extend_from_slice(&(scratch.len() as u64).to_be_bytes());
-            out.extend_from_slice(&scratch);
-        }
-        out.extend_from_slice(&(self.boundary.len() as u64).to_be_bytes());
-        for b in &self.boundary {
-            out.extend_from_slice(&b.oid.raw().to_be_bytes());
-            out.extend_from_slice(&b.seq.to_be_bytes());
-            out.extend_from_slice(&(b.checksum.len() as u64).to_be_bytes());
-            out.extend_from_slice(&b.checksum);
-        }
-        self.answer.encode_into(&mut out);
-        out
+codec_structs! {
+    /// A checksum of a record intentionally left *outside* the slice that
+    /// in-slice signatures chain to. Carrying the checksum (and only the
+    /// checksum) lets the recipient verify the signatures of records at the
+    /// slice boundary without shipping the whole history; the checksum itself
+    /// is covered by those signatures, so flipping it breaks them.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct BoundaryLink {
+        /// The out-of-slice record's object.
+        pub oid: ObjectId,
+        /// Its sequence id.
+        pub seq: u64,
+        /// Its signed checksum, verbatim.
+        pub checksum: Vec<u8>,
     }
 
-    /// Inverse of [`Self::to_bytes`]. Structural corruption (truncation,
-    /// bad tags, trailing bytes) fails here; *semantic* tampering is the
-    /// `verify_slice` layer's job.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let magic = r.bytes(SLICE_MAGIC.len())?;
-        if magic != SLICE_MAGIC {
-            return Err(DecodeError::BadTag(magic.first().copied().unwrap_or(0)));
-        }
-        let alg = HashAlgorithm::from_wire_id(r.u8()?).ok_or(DecodeError::BadTag(0xFC))?;
-        let spec = QuerySpec::decode(&mut r)?;
-        let target_seq = r.u64()?;
-        let n = r.u64()? as usize;
-        // Capacity never exceeds what the bytes left could hold: a record
-        // costs at least its length prefix, a boundary link 24 bytes.
-        let mut records = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-        for _ in 0..n {
-            let stored = StoredRecord::from_bytes(r.len_prefixed()?)?;
-            records.push(ProvenanceRecord::from_stored(&stored)?);
-        }
-        let nb = r.u64()? as usize;
-        let mut boundary = Vec::with_capacity(nb.min(r.remaining() / 24 + 1));
-        for _ in 0..nb {
-            let oid = ObjectId(r.u64()?);
-            let seq = r.u64()?;
-            let checksum = r.len_prefixed()?.to_vec();
-            boundary.push(BoundaryLink { oid, seq, checksum });
-        }
-        let answer = QueryAnswer::decode(&mut r)?;
-        r.expect_end()?;
-        Ok(SliceProof {
-            spec,
-            alg,
-            target_seq,
-            records,
-            boundary,
-            answer,
-        })
+    /// A self-contained, re-verifiable query result: the answer, the record
+    /// subset it was computed from, and the boundary checksums needed to check
+    /// every in-slice signature. See the module docs for the trust model and
+    /// `Verifier::verify_slice` for the checks a recipient runs. Its bytes
+    /// travel in QRESULT frames and files; structural corruption
+    /// (truncation, bad tags, trailing bytes) fails to decode, *semantic*
+    /// tampering is the `verify_slice` layer's job.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SliceProof magic SLICE_MAGIC impl to_bytes, from_bytes {
+        /// Hash algorithm of the record checksums.
+        pub alg: HashAlgorithm,
+        /// The question this slice answers.
+        pub spec: QuerySpec,
+        /// `seq_id` of the target's newest record at evaluation time (the
+        /// traversal root; 0 for audit slices).
+        pub target_seq: u64,
+        /// The slice: records sorted by `(output_oid, seq_id)`.
+        pub records: Vec<ProvenanceRecord> as List<8, Framed<Row>>,
+        /// Boundary checksums, sorted by `(oid, seq)`.
+        pub boundary: Vec<BoundaryLink> as List<8, BoundaryLink>,
+        /// The operator's answer.
+        pub answer: QueryAnswer,
     }
 }
 
@@ -677,6 +547,7 @@ pub fn polynomial_over(records: &[ProvenanceRecord], root: (ObjectId, u64)) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tep_model::encode::{decode_exact, Codec};
 
     #[test]
     fn spec_roundtrip() {
@@ -695,10 +566,9 @@ mod tests {
         ];
         for spec in specs {
             let mut buf = Vec::new();
-            spec.encode_into(&mut buf);
-            let mut r = Reader::new(&buf);
-            assert_eq!(QuerySpec::decode(&mut r).unwrap(), spec);
-            r.expect_end().unwrap();
+            QuerySpec::put(&spec, &mut buf);
+            let back = decode_exact::<QuerySpec>(&buf);
+            assert_eq!(back.unwrap(), spec);
         }
     }
 
@@ -714,8 +584,8 @@ mod tests {
             },
         };
         let mut buf = Vec::new();
-        spec.encode_into(&mut buf);
-        assert!(QuerySpec::decode(&mut Reader::new(&buf)).is_err());
+        QuerySpec::put(&spec, &mut buf);
+        assert!(decode_exact::<QuerySpec>(&buf).is_err());
     }
 
     #[test]

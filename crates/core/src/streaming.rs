@@ -15,7 +15,8 @@
 
 use tep_crypto::digest::{HashAlgorithm, Hasher};
 use tep_crypto::pki::ParticipantId;
-use tep_model::encode::{node_prefix, DecodeError, Reader};
+use tep_model::codec_structs;
+use tep_model::encode::{node_prefix, Codec, DecodeError, List, Reader};
 use tep_model::{ObjectId, Value};
 
 /// Error from streaming construction.
@@ -217,8 +218,9 @@ impl DepthStreamHasher {
 // Resumable-transfer checkpoints
 // ---------------------------------------------------------------------------
 
-/// Magic bytes opening every sealed verifier checkpoint (family + version).
-pub(crate) const CHECKPOINT_MAGIC: [u8; 8] = *b"TEPCKPT\x01";
+/// Magic bytes opening every sealed verifier checkpoint (family + version):
+/// the same bytes a `crate::checkpoint::Checkpoint` opens with.
+const CHECKPOINT_MAGIC: &[u8] = b"TEPCKPT\x01";
 
 /// Domain-separation tag for the rolling record-stream digest.
 const STREAM_DIGEST_TAG: &[u8] = b"tep-resume-stream\x01";
@@ -276,14 +278,12 @@ impl RecordStreamDigest {
 /// Why a sealed checkpoint blob was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The blob does not start with `CHECKPOINT_MAGIC`.
-    BadMagic,
-    /// The blob names a hash algorithm this build does not know.
-    UnknownAlgorithm(u8),
     /// The self-authenticating trailer digest does not match the body —
     /// the blob was corrupted or tampered with.
     BadSeal,
-    /// The body failed structural decoding.
+    /// The body failed structural decoding: among others a blob that does
+    /// not open with the checkpoint magic ([`DecodeError::BadMagic`]) or
+    /// names a hash algorithm this build does not know.
     Malformed(DecodeError),
     /// The body decoded but its fields contradict each other.
     Inconsistent(&'static str),
@@ -292,10 +292,6 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::BadMagic => write!(f, "not a verifier checkpoint (bad magic)"),
-            CheckpointError::UnknownAlgorithm(id) => {
-                write!(f, "checkpoint names unknown hash algorithm 0x{id:02x}")
-            }
             CheckpointError::BadSeal => {
                 write!(f, "checkpoint seal digest mismatch (corrupt or tampered)")
             }
@@ -317,100 +313,51 @@ impl From<DecodeError> for CheckpointError {
 /// checkpoint (and in the verifier it restores) is indexed by.
 pub(crate) type RecordSlot = (ObjectId, u64);
 
-/// The full resumable state of a
-/// [`StreamingVerifier`](crate::verify::StreamingVerifier), with a
-/// **self-authenticating** byte encoding: [`seal`](Self::seal) appends a
-/// digest of everything before it, and [`open`](Self::open) refuses blobs
-/// whose trailer does not match. A checkpoint restored from a sealed blob
-/// is therefore exactly the state that was saved — a flipped bit anywhere
-/// (including in the trailer itself) surfaces as
-/// [`CheckpointError::BadSeal`], never as a silently different verifier.
-///
-/// The encoding is deterministic (maps are serialized in sorted key order)
-/// so equal states seal to identical bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct VerifierCheckpoint {
-    /// Hash algorithm of the verification session.
-    pub alg: HashAlgorithm,
-    /// The object whose history is being verified.
-    pub target: ObjectId,
-    /// Records accepted so far (all clean — checkpoints of tampered
-    /// sessions do not exist; evidence is never resumed past).
-    pub records: u64,
-    /// State of the rolling [`RecordStreamDigest`] after `records` records.
-    pub stream_digest: Vec<u8>,
-    /// `(seq_id, output_hash)` of the newest target record seen, if any.
-    pub latest_target: Option<(u64, Vec<u8>)>,
-    /// Participants seen, ascending.
-    pub participants: Vec<ParticipantId>,
-    /// Highest sequence id per object chain, sorted by object.
-    pub chain_tail: Vec<RecordSlot>,
-    /// Push order of accepted record slots.
-    pub order: Vec<RecordSlot>,
-    /// Checksum of every accepted record, sorted by `(oid, seq)`.
-    pub checksums: Vec<(RecordSlot, Vec<u8>)>,
-    /// Predecessor edges per record slot, sorted by `(oid, seq)`.
-    pub edges: Vec<(RecordSlot, Vec<RecordSlot>)>,
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u64).to_be_bytes());
-    out.extend_from_slice(b);
-}
-
-fn put_key(out: &mut Vec<u8>, key: (ObjectId, u64)) {
-    out.extend_from_slice(&key.0.raw().to_be_bytes());
-    out.extend_from_slice(&key.1.to_be_bytes());
-}
-
-fn read_key(r: &mut Reader<'_>) -> Result<(ObjectId, u64), DecodeError> {
-    Ok((ObjectId(r.u64()?), r.u64()?))
+codec_structs! {
+    /// The full resumable state of a
+    /// [`StreamingVerifier`](crate::verify::StreamingVerifier), with a
+    /// **self-authenticating** byte encoding: [`seal`](Self::seal) appends a
+    /// digest of everything before it, and [`open`](Self::open) refuses blobs
+    /// whose trailer does not match. A checkpoint restored from a sealed blob
+    /// is therefore exactly the state that was saved — a flipped bit anywhere
+    /// (including in the trailer itself) surfaces as
+    /// [`CheckpointError::BadSeal`], never as a silently different verifier.
+    ///
+    /// The encoding is deterministic (maps are serialized in sorted key order)
+    /// so equal states seal to identical bytes.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub(crate) struct VerifierCheckpoint magic CHECKPOINT_MAGIC {
+        /// Hash algorithm of the verification session.
+        pub alg: HashAlgorithm,
+        /// The object whose history is being verified.
+        pub target: ObjectId,
+        /// Records accepted so far (all clean — checkpoints of tampered
+        /// sessions do not exist; evidence is never resumed past).
+        pub records: u64,
+        /// State of the rolling [`RecordStreamDigest`] after `records` records.
+        pub stream_digest: Vec<u8>,
+        /// `(seq_id, output_hash)` of the newest target record seen, if any.
+        pub latest_target: Option<(u64, Vec<u8>)>,
+        /// Participants seen, ascending.
+        pub participants: Vec<ParticipantId> as List<4, ParticipantId>,
+        /// Highest sequence id per object chain, sorted by object.
+        pub chain_tail: Vec<RecordSlot> as List<4, RecordSlot>,
+        /// Push order of accepted record slots.
+        pub order: Vec<RecordSlot> as List<4, RecordSlot>,
+        /// Checksum of every accepted record, sorted by `(oid, seq)`.
+        pub checksums: Vec<(RecordSlot, Vec<u8>)> as List<4, (RecordSlot, Vec<u8>)>,
+        /// Predecessor edges per record slot, sorted by `(oid, seq)`.
+        pub edges: Vec<(RecordSlot, Vec<RecordSlot>)> as List<4, (RecordSlot, List<4, RecordSlot>)>,
+    }
 }
 
 impl VerifierCheckpoint {
     /// Serializes and seals the checkpoint: `magic ‖ body ‖ digest(magic ‖ body)`.
     pub(crate) fn seal(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.checksums.len() * 64);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.push(self.alg.wire_id());
-        out.extend_from_slice(&self.target.raw().to_be_bytes());
-        out.extend_from_slice(&self.records.to_be_bytes());
-        put_bytes(&mut out, &self.stream_digest);
-        match &self.latest_target {
-            None => out.push(0),
-            Some((seq, hash)) => {
-                out.push(1);
-                out.extend_from_slice(&seq.to_be_bytes());
-                put_bytes(&mut out, hash);
-            }
-        }
-        out.extend_from_slice(&(self.participants.len() as u32).to_be_bytes());
-        for p in &self.participants {
-            out.extend_from_slice(&p.0.to_be_bytes());
-        }
-        out.extend_from_slice(&(self.chain_tail.len() as u32).to_be_bytes());
-        for &(oid, seq) in &self.chain_tail {
-            put_key(&mut out, (oid, seq));
-        }
-        out.extend_from_slice(&(self.order.len() as u32).to_be_bytes());
-        for &key in &self.order {
-            put_key(&mut out, key);
-        }
-        out.extend_from_slice(&(self.checksums.len() as u32).to_be_bytes());
-        for (key, checksum) in &self.checksums {
-            put_key(&mut out, *key);
-            put_bytes(&mut out, checksum);
-        }
-        out.extend_from_slice(&(self.edges.len() as u32).to_be_bytes());
-        for (key, preds) in &self.edges {
-            put_key(&mut out, *key);
-            out.extend_from_slice(&(preds.len() as u32).to_be_bytes());
-            for &p in preds {
-                put_key(&mut out, p);
-            }
-        }
+        Self::put(self, &mut out);
         let seal = self.alg.digest(&out);
-        put_bytes(&mut out, &seal);
+        Vec::<u8>::put(&seal, &mut out);
         out
     }
 
@@ -419,79 +366,15 @@ impl VerifierCheckpoint {
     /// is an error; no partially trusted checkpoint is ever returned.
     pub(crate) fn open(blob: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader::new(blob);
-        let magic: [u8; 8] = r.array()?;
-        if magic != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let alg_id = r.u8()?;
-        let alg =
-            HashAlgorithm::from_wire_id(alg_id).ok_or(CheckpointError::UnknownAlgorithm(alg_id))?;
-        let target = ObjectId(r.u64()?);
-        let records = r.u64()?;
-        let stream_digest = r.len_prefixed()?.to_vec();
-        let latest_target = match r.u8()? {
-            0 => None,
-            1 => {
-                let seq = r.u64()?;
-                let hash = r.len_prefixed()?.to_vec();
-                Some((seq, hash))
-            }
-            _ => return Err(CheckpointError::Inconsistent("bad latest-target tag")),
-        };
-        let n = r.u32()? as usize;
-        let mut participants = Vec::with_capacity(n.min(r.remaining() / 8 + 1));
-        for _ in 0..n {
-            participants.push(ParticipantId(r.u64()?));
-        }
-        let n = r.u32()? as usize;
-        let mut chain_tail = Vec::with_capacity(n.min(r.remaining() / 16 + 1));
-        for _ in 0..n {
-            chain_tail.push(read_key(&mut r)?);
-        }
-        let n = r.u32()? as usize;
-        let mut order = Vec::with_capacity(n.min(r.remaining() / 16 + 1));
-        for _ in 0..n {
-            order.push(read_key(&mut r)?);
-        }
-        let n = r.u32()? as usize;
-        let mut checksums = Vec::with_capacity(n.min(r.remaining() / 24 + 1));
-        for _ in 0..n {
-            let key = read_key(&mut r)?;
-            checksums.push((key, r.len_prefixed()?.to_vec()));
-        }
-        let n = r.u32()? as usize;
-        let mut edges = Vec::with_capacity(n.min(r.remaining() / 20 + 1));
-        for _ in 0..n {
-            let key = read_key(&mut r)?;
-            let m = r.u32()? as usize;
-            let mut preds = Vec::with_capacity(m.min(r.remaining() / 16 + 1));
-            for _ in 0..m {
-                preds.push(read_key(&mut r)?);
-            }
-            edges.push((key, preds));
-        }
-
+        let cp = Self::take(&mut r)?;
         // Authenticate: the trailer must be the digest of everything
         // before it.
         let body_len = blob.len() - r.remaining();
-        let seal = r.len_prefixed()?;
+        let seal = Vec::<u8>::take(&mut r)?;
         r.expect_end()?;
-        if seal != alg.digest(&blob[..body_len]) {
+        if seal != cp.alg.digest(&blob[..body_len]) {
             return Err(CheckpointError::BadSeal);
         }
-
-        let cp = VerifierCheckpoint {
-            alg,
-            target,
-            records,
-            stream_digest,
-            latest_target,
-            participants,
-            chain_tail,
-            order,
-            checksums,
-            edges,
-        };
         cp.check_consistency()?;
         Ok(cp)
     }

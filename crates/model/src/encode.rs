@@ -11,10 +11,23 @@
 //!   encoding can never be confused with a node encoding or a value.
 //!
 //! The same encoding doubles as the storage wire format for values.
+//!
+//! It is also the one codec every byte format in the workspace is declared
+//! with: a [`Codec`] says how one field type is written and read, the
+//! generic rows of [`codecs!`] below cover integers, ids, algorithms,
+//! length-prefixed bytes and text, values, options, counted lists, maps,
+//! pairs and framed bodies, and [`codec_structs!`] declares a struct and
+//! its codec from one field list. Proofs, checkpoints, archive frames and
+//! wire messages are each written down once, so no format has an encoder
+//! and a decoder that can drift apart.
 
 use crate::id::ObjectId;
 use crate::value::{CanonicalF64, Value};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
+use tep_crypto::digest::HashAlgorithm;
+use tep_crypto::pki::ParticipantId;
 
 /// Domain tag for `h(A, val)` atom hashes.
 pub(crate) const TAG_ATOM: u8 = 0xA1;
@@ -39,6 +52,9 @@ pub enum DecodeError {
     BadUtf8,
     /// Trailing bytes after a complete structure.
     TrailingBytes(usize),
+    /// The format tag a structure opens with is wrong: these are not the
+    /// bytes of that format.
+    BadMagic,
 }
 
 impl fmt::Display for DecodeError {
@@ -48,6 +64,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadTag(t) => write!(f, "unknown tag byte 0x{t:02x}"),
             DecodeError::BadUtf8 => write!(f, "text payload is not valid UTF-8"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
+            DecodeError::BadMagic => write!(f, "bad format magic"),
         }
     }
 }
@@ -146,6 +163,12 @@ impl<'a> Reader<'a> {
         self.bytes(len)
     }
 
+    /// Reads a `W`-byte big-endian count.
+    fn count<const W: usize>(&mut self) -> Result<usize, DecodeError> {
+        let bytes = self.bytes(W)?;
+        Ok(bytes.iter().fold(0, |n, &b| n << 8 | usize::from(b)))
+    }
+
     /// Fails unless the reader is exhausted.
     pub fn expect_end(&self) -> Result<(), DecodeError> {
         if self.remaining() == 0 {
@@ -190,11 +213,233 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
 
 /// Decodes a value from a complete buffer (no trailing bytes allowed).
 pub fn value_from_bytes(buf: &[u8]) -> Result<Value, DecodeError> {
+    decode_exact::<Value>(buf)
+}
+
+/// One field encoding: how a format writes and reads a `T`.
+pub trait Codec {
+    /// The value this codec carries.
+    type T;
+    /// Fewest bytes one encoded value takes; [`List`] divides the bytes
+    /// left by it to cap what an input-supplied count may pre-allocate.
+    const MIN: usize;
+    /// Appends the encoding of `v` to `out`.
+    fn put(v: &Self::T, out: &mut Vec<u8>);
+    /// Reads one value.
+    fn take(r: &mut Reader<'_>) -> Result<Self::T, DecodeError>;
+}
+
+/// Decodes exactly one `C` from `buf`; trailing bytes are refused.
+pub fn decode_exact<C: Codec>(buf: &[u8]) -> Result<C::T, DecodeError> {
     let mut r = Reader::new(buf);
-    let v = decode_value(&mut r)?;
+    let v = C::take(&mut r)?;
     r.expect_end()?;
     Ok(v)
 }
+
+/// The codec table, one row per encoding: `[generics] codec => carried
+/// type, MIN`, then the writer and the reader.
+#[macro_export]
+macro_rules! codecs {
+    ($($(#[$m:meta])* [$($g:tt)*] $c:ty => $t:ty, $min:expr,
+        |$v:ident, $out:ident| $put:expr, |$r:ident| $take:expr;)*) => {$(
+        $(#[$m])*
+        impl<$($g)*> $crate::encode::Codec for $c {
+            type T = $t;
+            const MIN: usize = $min;
+            fn put($v: &$t, $out: &mut Vec<u8>) {
+                $put;
+            }
+            fn take(
+                $r: &mut $crate::encode::Reader<'_>,
+            ) -> Result<$t, $crate::encode::DecodeError> {
+                Ok($take)
+            }
+        }
+    )*};
+}
+
+/// Structs with their codecs, each declared once: its fields in encoding
+/// order, each written and read by the field's own type or by the codec
+/// named after `as`. `magic NAME` opens the encoding with the bytes of the
+/// constant `NAME` (a mismatch is [`DecodeError::BadMagic`]), and `impl
+/// to_bytes, from_bytes` adds those two methods, with the struct's
+/// visibility: the encoding as a buffer, and its strict inverse.
+#[macro_export]
+macro_rules! codec_structs {
+    (@codec $t:ty) => { $t };
+    (@codec $t:ty as $c:ty) => { $c };
+    ($($(#[$m:meta])* $vis:vis struct $name:ident $(magic $magic:ident)?
+        $(impl $to:ident, $from:ident)? {
+        $($(#[$fm:meta])* $fvis:vis $f:ident: $t:ty $(as $c:ty)?,)*
+    })*) => {$(
+        $(#[$m])*
+        $vis struct $name {
+            $($(#[$fm])* $fvis $f: $t,)*
+        }
+
+        impl $crate::encode::Codec for $name {
+            type T = $name;
+            const MIN: usize = 0 $(+ $magic.len())?
+                $(+ <$crate::codec_structs!(@codec $t $(as $c)?) as $crate::encode::Codec>::MIN)*;
+            fn put(v: &$name, out: &mut Vec<u8>) {
+                $(out.extend_from_slice(&$magic[..]);)?
+                $(<$crate::codec_structs!(@codec $t $(as $c)?) as $crate::encode::Codec>::put(
+                    &v.$f, out,
+                );)*
+            }
+            fn take(
+                r: &mut $crate::encode::Reader<'_>,
+            ) -> Result<$name, $crate::encode::DecodeError> {
+                $(if r.bytes($magic.len())? != &$magic[..] {
+                    return Err($crate::encode::DecodeError::BadMagic);
+                })?
+                Ok($name {
+                    $($f: <$crate::codec_structs!(@codec $t $(as $c)?)
+                        as $crate::encode::Codec>::take(r)?,)*
+                })
+            }
+        }
+
+        $(impl $name {
+            /// The canonical encoding.
+            $vis fn $to(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                <$name as $crate::encode::Codec>::put(self, &mut out);
+                out
+            }
+
+            /// Decodes exactly one canonical encoding; trailing bytes are
+            /// refused.
+            $vis fn $from(buf: &[u8]) -> Result<$name, $crate::encode::DecodeError> {
+                $crate::encode::decode_exact::<$name>(buf)
+            }
+        })?
+    )*};
+}
+
+codecs! {
+    /// Integers are big-endian.
+    [] u16 => u16, 2, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| {
+        u16::from_be_bytes(r.array()?)
+    };
+    [] u32 => u32, 4, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| r.u32()?;
+    [] u64 => u64, 8, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| r.u64()?;
+    [] ObjectId => ObjectId, 8, |v, out| u64::put(&v.raw(), out), |r| ObjectId(r.u64()?);
+    [] ParticipantId => ParticipantId, 8, |v, out| u64::put(&v.0, out), |r| {
+        ParticipantId(r.u64()?)
+    };
+    /// The algorithm's one-byte wire id; an unknown id is refused.
+    [] HashAlgorithm => HashAlgorithm, 1, |v, out| out.push(v.wire_id()), |r| {
+        let id = r.u8()?;
+        HashAlgorithm::from_wire_id(id).ok_or(DecodeError::BadTag(id))?
+    };
+    /// Length-prefixed bytes (u64 length).
+    [] Vec<u8> => Vec<u8>, 8, |v, out| put_len_prefixed(v, out), |r| r.len_prefixed()?.to_vec();
+    /// Length-prefixed UTF-8 text.
+    [] String => String, 8, |v, out| put_len_prefixed(v.as_bytes(), out), |r| {
+        String::from_utf8(r.len_prefixed()?.to_vec()).map_err(|_| DecodeError::BadUtf8)?
+    };
+    /// The rest of the input, verbatim: a body with its own framing that
+    /// the carrying format never interprets.
+    [] Rest => Vec<u8>, 0, |v, out| out.extend_from_slice(v), |r| {
+        r.bytes(r.remaining())?.to_vec()
+    };
+    /// A canonical value ([`encode_value`]).
+    [] Value => Value, 1, |v, out| encode_value(v, out), |r| decode_value(r)?;
+    /// A tag byte (0 absent, 1 present), then the value if present.
+    [C: Codec] Option<C> => Option<C::T>, 1, |v, out| {
+        out.push(v.is_some() as u8);
+        v.iter().for_each(|x| C::put(x, out))
+    }, |r| match r.u8()? {
+        0 => None,
+        1 => Some(C::take(r)?),
+        t => return Err(DecodeError::BadTag(t)),
+    };
+    /// One value after the other.
+    [A: Codec, B: Codec] (A, B) => (A::T, B::T), A::MIN + B::MIN, |v, out| {
+        A::put(&v.0, out);
+        B::put(&v.1, out)
+    }, |r| (A::take(r)?, B::take(r)?);
+    /// A `W`-byte big-endian count, then that many `C`s. A count the width
+    /// cannot express is refused, not truncated, and so is a count over
+    /// `MAX`, as input that cannot be there.
+    [const W: usize, C: Codec, const MAX: usize] List<W, C, MAX> => Vec<C::T>, W, |v, out| {
+        put_count::<W>(v.len(), out);
+        v.iter().for_each(|x| C::put(x, out))
+    }, |r| {
+        let count = r.count::<W>()?;
+        if count > MAX {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        // The one allocation guard: an input-supplied count never sizes an
+        // allocation past what the remaining bytes could hold.
+        let mut v = Vec::with_capacity(count.min(r.remaining() / C::MIN.max(1) + 1));
+        for _ in 0..count {
+            v.push(C::take(r)?);
+        }
+        v
+    };
+    /// A `W`-byte count, then that many key-value pairs in strictly
+    /// increasing key order, so a map has one encoding.
+    [const W: usize, K: Codec<T: Ord>, V: Codec] Map<W, K, V> => BTreeMap<K::T, V::T>, W,
+    |v, out| {
+        put_count::<W>(v.len(), out);
+        v.iter().for_each(|(k, x)| {
+            K::put(k, out);
+            V::put(x, out)
+        })
+    }, |r| {
+        let mut map = BTreeMap::new();
+        for _ in 0..r.count::<W>()? {
+            let k = K::take(r)?;
+            if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(DecodeError::BadTag(0xF2));
+            }
+            let x = V::take(r)?;
+            map.insert(k, x);
+        }
+        map
+    };
+    /// A field the encoding leaves out: nothing is written, and it reads
+    /// back as its default.
+    [T: Default] Skip<T> => T, 0, |_v, _out| {}, |_r| T::default();
+    /// A u64 length, then exactly one `C` in that many bytes.
+    [C: Codec] Framed<C> => C::T, 8, |v, out| {
+        let at = out.len();
+        out.extend_from_slice(&[0; 8]);
+        C::put(v, out);
+        let len = (out.len() - at - 8) as u64;
+        out[at..at + 8].copy_from_slice(&len.to_be_bytes())
+    }, |r| decode_exact::<C>(r.len_prefixed()?)?;
+}
+
+fn put_len_prefixed(bytes: &[u8], out: &mut Vec<u8>) {
+    u64::put(&(bytes.len() as u64), out);
+    out.extend_from_slice(bytes);
+}
+
+/// Writes `n` as a `W`-byte big-endian count.
+fn put_count<const W: usize>(n: usize, out: &mut Vec<u8>) {
+    let n = n as u64;
+    assert!(
+        u128::from(n) >> (8 * W) == 0,
+        "{n} entries overflow a {W}-byte count"
+    );
+    out.extend_from_slice(&n.to_be_bytes()[8 - W..]);
+}
+
+/// Codecs a carried type does not imply: the rest of the input, a counted
+/// list, a counted map, a length-framed body, a field left out.
+pub enum Rest {}
+/// See [`codecs!`]: a `W`-byte count, then at most `MAX` `C`s.
+pub struct List<const W: usize, C, const MAX: usize = { usize::MAX }>(PhantomData<C>);
+/// See [`codecs!`]: a `W`-byte count, then key-value pairs in key order.
+pub struct Map<const W: usize, K, V>(PhantomData<(K, V)>);
+/// See [`codecs!`]: a u64 length, then exactly one `C`.
+pub struct Framed<C>(PhantomData<C>);
+/// See [`codecs!`]: a field left out of the encoding.
+pub struct Skip<T>(PhantomData<T>);
 
 /// Canonical preimage for the atomic-object hash `h(A, val)` (§3):
 /// `TAG_ATOM || id || value`.

@@ -30,13 +30,12 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 use tep_core::slice::QuerySpec;
 use tep_crypto::digest::HashAlgorithm;
-use tep_model::encode::{decode_value, encode_value, DecodeError, Reader};
-use tep_model::{ObjectId, Value};
+use tep_model::encode::{Codec, DecodeError, List, Reader, Rest};
+use tep_model::{codec_structs, codecs, ObjectId, Value};
 use tep_storage::crc::frame_crc;
 use tep_storage::StoredRecord;
 
@@ -119,60 +118,12 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// One field encoding: how the message table writes and reads a `T`.
-trait Codec {
-    /// The value this codec carries.
-    type T;
-    /// Fewest bytes one encoded value takes; [`List`] divides the bytes
-    /// left by it to cap what a wire-supplied count may pre-allocate.
-    const MIN: usize;
-    fn put(v: &Self::T, out: &mut Vec<u8>);
-    fn take(r: &mut Reader<'_>) -> Result<Self::T, WireError>;
-}
-
-/// The codec table, one row per encoding: `[generics] codec => carried
-/// type, MIN`, then the writer and the reader.
-macro_rules! codecs {
-    ($($(#[$m:meta])* [$($g:tt)*] $c:ty => $t:ty, $min:expr,
-        |$v:ident, $out:ident| $put:expr, |$r:ident| $take:expr;)*) => {$(
-        $(#[$m])*
-        impl<$($g)*> Codec for $c {
-            type T = $t;
-            const MIN: usize = $min;
-            fn put($v: &$t, $out: &mut Vec<u8>) {
-                $put;
-            }
-            fn take($r: &mut Reader<'_>) -> Result<$t, WireError> {
-                Ok($take)
-            }
-        }
-    )*};
-}
-
-/// Structs carried inside messages, each with its fields in wire order.
-macro_rules! wire_structs {
-    ($($(#[$m:meta])* pub struct $name:ident {
-        $($(#[$fm:meta])* pub $f:ident: $t:ty,)*
-    })*) => {$(
-        $(#[$m])*
-        pub struct $name {
-            $($(#[$fm])* pub $f: $t,)*
-        }
-
-        codecs! {
-            [] $name => $name, 0 $(+ <$t as Codec>::MIN)*, |v, out| {
-                $(<$t as Codec>::put(&v.$f, out);)*
-            }, |r| $name { $($f: <$t as Codec>::take(r)?,)* };
-        }
-    )*};
-}
-
 /// The message table: each message once, as its type byte and then its
-/// fields in wire order, each written and read by one [`Codec`] — the
-/// field's own type, or the codec named after `as`. The `Message` enum,
-/// `encode_message_into` and `decode_message` are all generated from it, so
-/// the two directions cannot drift apart; the table is the normative
-/// statement of the format.
+/// fields in wire order, each written and read by one
+/// [`tep_model::encode::Codec`] — the field's own type, or the codec named
+/// after `as`. The `Message` enum, `encode_message_into` and
+/// `decode_message` are all generated from it, so the two directions cannot
+/// drift apart; the table is the normative statement of the format.
 macro_rules! wire_messages {
     (@codec $t:ty) => { $t };
     (@codec $t:ty as $c:ty) => { $c };
@@ -215,7 +166,7 @@ macro_rules! wire_messages {
     };
 }
 
-wire_structs! {
+codec_structs! {
     /// One entry of the server's OFFER manifest.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct OfferEntry {
@@ -271,7 +222,7 @@ wire_messages! {
         /// One provenance record, in `(output_oid, seq_id)` order.
         Prov = 0x04 {
             /// The record in storage wire format: the rest of the payload.
-            record: StoredRecord,
+            record: StoredRecord as Row,
         },
         /// A chunk of the object's data subtree in depth-tagged DFS preorder.
         Data = 0x05 {
@@ -467,7 +418,11 @@ impl From<io::Error> for WireError {
 
 impl From<DecodeError> for WireError {
     fn from(e: DecodeError) -> Self {
-        WireError::Decode(e)
+        match e {
+            // Of the message bodies only HELLO opens with a magic.
+            DecodeError::BadMagic => WireError::BadMagic,
+            e => WireError::Decode(e),
+        }
     }
 }
 
@@ -479,41 +434,15 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
 }
 
 codecs! {
-    /// Integers are big-endian.
-    [] u16 => u16, 2, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| {
-        u16::from_be_bytes(r.array()?)
-    };
-    [] u32 => u32, 4, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| r.u32()?;
-    [] u64 => u64, 8, |v, out| out.extend_from_slice(&v.to_be_bytes()), |r| r.u64()?;
-    [] ObjectId => ObjectId, 8, |v, out| u64::put(&v.raw(), out), |r| ObjectId(r.u64()?);
-    [] HashAlgorithm => HashAlgorithm, 1, |v, out| out.push(v.wire_id()), |r| {
-        let id = r.u8()?;
-        HashAlgorithm::from_wire_id(id).ok_or(DecodeError::BadTag(id))?
-    };
     [] ErrorCode => ErrorCode, 1, |v, out| out.push(*v as u8), |r| {
         let id = r.u8()?;
         let code = ErrorCode::ALL.into_iter().find(|&c| c as u8 == id);
         code.ok_or(DecodeError::BadTag(id))?
     };
-    /// Length-prefixed bytes (u64 length).
-    [] Vec<u8> => Vec<u8>, 8, |v, out| put_len_prefixed(v, out), |r| r.len_prefixed()?.to_vec();
-    /// Length-prefixed UTF-8 text.
-    [] String => String, 8, |v, out| put_len_prefixed(v.as_bytes(), out), |r| {
-        String::from_utf8(r.len_prefixed()?.to_vec()).map_err(|_| DecodeError::BadUtf8)?
-    };
-    /// The rest of the payload, verbatim: a body with its own framing (a
-    /// `SliceProof`, a `SignedDenial`) that the wire layer never interprets.
-    [] Rest => Vec<u8>, 0, |v, out| out.extend_from_slice(v), |r| {
-        r.bytes(r.remaining())?.to_vec()
-    };
     /// A PROV record: the rest of the payload, decoded strictly.
-    [] StoredRecord => StoredRecord, 0, |v, out| v.encode_into(out), |r| {
+    [] Row => StoredRecord, 0, |v, out| v.encode_into(out), |r| {
         StoredRecord::from_bytes(r.bytes(r.remaining())?)?
     };
-    /// At the least an op byte, the target and three absent-option tags.
-    [] QuerySpec => QuerySpec, 12, |v, out| v.encode_into(out), |r| QuerySpec::decode(r)?;
-    /// A canonical `tep_model::encode` value.
-    [] Value => Value, 1, |v, out| encode_value(v, out), |r| decode_value(r)?;
     /// HELLO's version behind the [`WIRE_MAGIC`] that opens the body, so a
     /// peer that is not tep-net fails as [`WireError::BadMagic`].
     [] Version => u16, WIRE_MAGIC.len() + 2, |v, out| {
@@ -521,47 +450,15 @@ codecs! {
         u16::put(v, out)
     }, |r| {
         if r.array()? != WIRE_MAGIC {
-            return Err(WireError::BadMagic);
+            return Err(DecodeError::BadMagic);
         }
         u16::take(r)?
     };
-    /// A tag byte (0 absent, 1 present), then the value if present.
-    [C: Codec] Option<C> => Option<C::T>, 1, |v, out| {
-        out.push(v.is_some() as u8);
-        v.iter().for_each(|x| C::put(x, out))
-    }, |r| match r.u8()? {
-        0 => None,
-        1 => Some(C::take(r)?),
-        t => return Err(DecodeError::BadTag(t).into()),
-    };
-    /// A `W`-byte big-endian count, then that many `C`s. A count the width
-    /// cannot express is refused, not truncated.
-    [const W: usize, C: Codec] List<W, C> => Vec<C::T>, W, |v, out| {
-        let n = v.len() as u64;
-        assert!(u128::from(n) >> (8 * W) == 0, "{n} entries overflow a {W}-byte count");
-        out.extend_from_slice(&n.to_be_bytes()[8 - W..]);
-        v.iter().for_each(|x| C::put(x, out))
-    }, |r| {
-        let count = r.bytes(W)?.iter().fold(0, |n, &b| n << 8 | usize::from(b));
-        // The one allocation guard: a wire-supplied count never sizes an
-        // allocation past what the remaining bytes could hold.
-        let mut v = Vec::with_capacity(count.min(r.remaining() / C::MIN.max(1) + 1));
-        for _ in 0..count {
-            v.push(C::take(r)?);
-        }
-        v
-    };
 }
 
-fn put_len_prefixed(bytes: &[u8], out: &mut Vec<u8>) {
-    u64::put(&(bytes.len() as u64), out);
-    out.extend_from_slice(bytes);
-}
-
-/// Codecs a carried type does not imply: payload rest, HELLO version, counted list.
-enum Rest {}
+/// The wire-only codecs: a PROV row, the HELLO version.
+enum Row {}
 enum Version {}
-struct List<const W: usize, C>(PhantomData<C>);
 
 /// Reads frames off a byte stream, verifying checksums and enforcing the
 /// [`MAX_FRAME`] allocation cap, and counts them into [`TransferCounters`].

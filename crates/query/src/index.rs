@@ -24,7 +24,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use tep_core::{ProvenanceRecord, RecordKind};
 use tep_crypto::pki::ParticipantId;
-use tep_model::encode::{DecodeError, Reader};
+use tep_model::codec_structs;
+use tep_model::encode::{decode_exact, Codec, List, Map, Skip};
 use tep_model::ObjectId;
 use tep_storage::crc::frame_crc;
 use tep_storage::ProvenanceDb;
@@ -58,21 +59,27 @@ fn sidecar_tmp_path(path: &Path) -> PathBuf {
 /// Per-key lists of record slots `(object, seq_id)` in append order — the
 /// shape of both indexes.
 type Postings<K> = BTreeMap<K, Vec<(ObjectId, u64)>>;
+/// One posting list's codec: a u64 count, then its `(object, seq_id)` slots.
+type PostingList = List<8, (ObjectId, u64)>;
 
-/// The secondary indexes the query engine answers from. See the module
-/// docs for the sync and persistence model.
-#[derive(Clone, Debug, Default)]
-pub struct QueryIndex {
-    synced: usize,
-    last_checksum: Vec<u8>,
-    by_participant: Postings<ParticipantId>,
-    /// Reverse derivation edges: object → the aggregate records
-    /// `(output, seq_id)` that consumed it.
-    consumers: Postings<ObjectId>,
-    /// The record the last sync stopped before because it does not decode.
-    /// Not persisted: the watermark stays below it, so every sync meets it
-    /// again.
-    pub(crate) stuck: Option<QueryError>,
+codec_structs! {
+    /// The secondary indexes the query engine answers from. See the module
+    /// docs for the sync and persistence model. Its encoding is the body of
+    /// the sidecar's CRC frame: the watermark, the checksum of the record
+    /// just below it, and both indexes.
+    #[derive(Clone, Debug, Default)]
+    pub struct QueryIndex {
+        synced: u64,
+        last_checksum: Vec<u8>,
+        by_participant: Postings<ParticipantId> as Map<8, ParticipantId, PostingList>,
+        /// Reverse derivation edges: object → the aggregate records
+        /// `(output, seq_id)` that consumed it.
+        consumers: Postings<ObjectId> as Map<8, ObjectId, PostingList>,
+        /// The record the last sync stopped before because it does not decode.
+        /// Not persisted: the watermark stays below it, so every sync meets it
+        /// again.
+        pub(crate) stuck: Option<QueryError> as Skip<Option<QueryError>>,
+    }
 }
 
 impl QueryIndex {
@@ -88,7 +95,7 @@ impl QueryIndex {
     /// it and keeps it in `stuck`, because any answer the index gives past
     /// it could be missing that record's posting or edges.
     pub fn sync(&mut self, db: &ProvenanceDb) -> usize {
-        let fresh = db.records_from(self.synced);
+        let fresh = db.records_from(self.synced());
         self.stuck = None;
         let mut read = 0;
         for stored in &fresh {
@@ -120,13 +127,13 @@ impl QueryIndex {
         if let Some(last) = fresh[..read].last() {
             self.last_checksum.clone_from(&last.checksum);
         }
-        self.synced += read;
+        self.synced += read as u64;
         read
     }
 
     /// Log position up to which this index is current.
     pub fn synced(&self) -> usize {
-        self.synced
+        self.synced as usize
     }
 
     /// The aggregate records `(output, seq_id)` that consumed `oid`, in
@@ -152,12 +159,7 @@ impl QueryIndex {
     /// body carrying the watermark, its checksum binding, and both maps.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(64 + self.by_participant.len() * 32);
-        body.extend_from_slice(&(self.synced as u64).to_be_bytes());
-        body.extend_from_slice(&(self.last_checksum.len() as u64).to_be_bytes());
-        body.extend_from_slice(&self.last_checksum);
-        put_postings(&mut body, &self.by_participant, |p| p.0);
-        put_postings(&mut body, &self.consumers, ObjectId::raw);
-
+        Self::put(self, &mut body);
         let len = body.len() as u32;
         let crc = frame_crc(len, &body);
         let mut out = Vec::with_capacity(IDX_MAGIC.len() + 8 + body.len());
@@ -182,32 +184,21 @@ impl QueryIndex {
         if body.len() != len as usize || frame_crc(len, body) != crc {
             return None;
         }
-        let parse = || -> Result<QueryIndex, DecodeError> {
-            let mut r = Reader::new(body);
-            let ix = QueryIndex {
-                synced: r.u64()? as usize,
-                last_checksum: r.len_prefixed()?.to_vec(),
-                by_participant: read_postings(&mut r, ParticipantId)?,
-                consumers: read_postings(&mut r, ObjectId)?,
-                stuck: None,
-            };
-            r.expect_end()?;
-            Ok(ix)
-        };
-        parse().ok()
+        decode_exact::<Self>(body).ok()
     }
 
     /// `true` iff this index's watermark still matches `db`: the position
     /// is within the log and the record just below it carries the bound
     /// checksum. A truncated, swapped, or differently regrown log fails.
     pub fn binds_to(&self, db: &ProvenanceDb) -> bool {
-        if self.synced > db.len() {
+        let synced = self.synced();
+        if synced > db.len() {
             return false;
         }
-        if self.synced == 0 {
+        if synced == 0 {
             return self.last_checksum.is_empty();
         }
-        db.records_from(self.synced - 1)
+        db.records_from(synced - 1)
             .first()
             .is_some_and(|r| r.checksum == self.last_checksum)
     }
@@ -230,38 +221,6 @@ impl QueryIndex {
             .filter(|ix| ix.binds_to(db))
             .unwrap_or_default()
     }
-}
-
-/// Appends one posting map: entry count, then per key the key, the list
-/// length and its `(object, seq_id)` pairs, all big-endian `u64`.
-fn put_postings<K: Copy>(body: &mut Vec<u8>, map: &Postings<K>, key: impl Fn(K) -> u64) {
-    body.extend_from_slice(&(map.len() as u64).to_be_bytes());
-    for (&k, posts) in map {
-        body.extend_from_slice(&key(k).to_be_bytes());
-        body.extend_from_slice(&(posts.len() as u64).to_be_bytes());
-        for &(oid, seq) in posts {
-            body.extend_from_slice(&oid.raw().to_be_bytes());
-            body.extend_from_slice(&seq.to_be_bytes());
-        }
-    }
-}
-
-/// Reads one [`put_postings`] map.
-fn read_postings<K: Ord>(
-    r: &mut Reader<'_>,
-    key: impl Fn(u64) -> K,
-) -> Result<Postings<K>, DecodeError> {
-    let mut map = BTreeMap::new();
-    for _ in 0..r.u64()? {
-        let k = key(r.u64()?);
-        let n = r.u64()? as usize;
-        let mut posts = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            posts.push((ObjectId(r.u64()?), r.u64()?));
-        }
-        map.insert(k, posts);
-    }
-    Ok(map)
 }
 
 #[cfg(test)]

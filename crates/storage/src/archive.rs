@@ -14,12 +14,11 @@
 //!
 //! ```text
 //! live log   := log-header stamp-frame record-frame*
-//! stamp      := "TEPSTMP\x01" generation(u64) excised_frames(u64)
-//!               excised_bytes(u64) watermark(u64) ckpt_digest(len-prefixed)
 //! archive    := log-header archive-header-frame excised-record-frame*
-//! arch-hdr   := "TEPARCH\x01" generation(u64) watermark(u64)
-//!               ckpt_digest(len-prefixed)
 //! ```
+//!
+//! The stamp frame is a [`CompactionStamp`] and the archive header an
+//! `ArchiveHeader`, each laid out by its `codec_structs!` declaration below.
 //!
 //! Crash safety (every step runs under the [`Vfs`] fault injector in
 //! `tests/compaction_crash.rs`):
@@ -43,62 +42,35 @@ use crate::provenance_db::self_contained_frames;
 use crate::vfs::Vfs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tep_model::encode::{DecodeError, Reader};
+use tep_model::codec_structs;
 
 const STAMP_MAGIC: &[u8; 8] = b"TEPSTMP\x01";
 const ARCHIVE_MAGIC: &[u8; 8] = b"TEPARCH\x01";
 
-/// The leading frame of a compacted live log: what was excised, and under
-/// which sealed checkpoint's authority.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompactionStamp {
-    /// How many compactions this log has undergone (1-based).
-    pub generation: u64,
-    /// Total record frames excised across **all** generations.
-    pub excised_frames: u64,
-    /// Total live-log bytes (frame header + payload) excised across all
-    /// generations.
-    pub excised_bytes: u64,
-    /// The checkpoint watermark (cumulative append position) this
-    /// compaction truncated up to.
-    pub watermark: u64,
-    /// Digest of the sealed checkpoint that authorizes the excision.
-    pub checkpoint_digest: Vec<u8>,
-}
-
-impl CompactionStamp {
-    /// Canonical frame encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48 + self.checkpoint_digest.len());
-        out.extend_from_slice(STAMP_MAGIC);
-        out.extend_from_slice(&self.generation.to_be_bytes());
-        out.extend_from_slice(&self.excised_frames.to_be_bytes());
-        out.extend_from_slice(&self.excised_bytes.to_be_bytes());
-        out.extend_from_slice(&self.watermark.to_be_bytes());
-        out.extend_from_slice(&(self.checkpoint_digest.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.checkpoint_digest);
-        out
+codec_structs! {
+    /// The leading frame of a compacted live log: what was excised, and under
+    /// which sealed checkpoint's authority.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CompactionStamp magic STAMP_MAGIC impl to_bytes, from_bytes {
+        /// How many compactions this log has undergone (1-based).
+        pub generation: u64,
+        /// Total record frames excised across **all** generations.
+        pub excised_frames: u64,
+        /// Total live-log bytes (frame header + payload) excised across all
+        /// generations.
+        pub excised_bytes: u64,
+        /// The checkpoint watermark (cumulative append position) this
+        /// compaction truncated up to.
+        pub watermark: u64,
+        /// Digest of the sealed checkpoint that authorizes the excision.
+        pub checkpoint_digest: Vec<u8>,
     }
 
-    /// Decodes a stamp frame; fails fast on anything without the magic.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        if r.bytes(8)? != STAMP_MAGIC {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let generation = r.u64()?;
-        let excised_frames = r.u64()?;
-        let excised_bytes = r.u64()?;
-        let watermark = r.u64()?;
-        let checkpoint_digest = r.len_prefixed()?.to_vec();
-        r.expect_end()?;
-        Ok(CompactionStamp {
-            generation,
-            excised_frames,
-            excised_bytes,
-            watermark,
-            checkpoint_digest,
-        })
+    /// The leading frame of a cold archive segment.
+    struct ArchiveHeader magic ARCHIVE_MAGIC impl to_bytes, from_bytes {
+        generation: u64,
+        watermark: u64,
+        checkpoint_digest: Vec<u8>,
     }
 }
 
@@ -154,34 +126,13 @@ pub fn read_archive(vfs: Arc<dyn Vfs>, path: &Path) -> Result<ArchiveSegment, Lo
     let Some(header) = rec.payloads.first() else {
         return Err(LogError::BadHeader);
     };
-    let mut r = Reader::new(header);
-    let parsed = (|| -> Result<(u64, u64, Vec<u8>), DecodeError> {
-        if r.bytes(8)? != ARCHIVE_MAGIC {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let generation = r.u64()?;
-        let watermark = r.u64()?;
-        let digest = r.len_prefixed()?.to_vec();
-        r.expect_end()?;
-        Ok((generation, watermark, digest))
-    })();
-    let (generation, watermark, checkpoint_digest) = parsed.map_err(|_| LogError::BadHeader)?;
+    let header = ArchiveHeader::from_bytes(header).map_err(|_| LogError::BadHeader)?;
     Ok(ArchiveSegment {
-        generation,
-        watermark,
-        checkpoint_digest,
+        generation: header.generation,
+        watermark: header.watermark,
+        checkpoint_digest: header.checkpoint_digest,
         payloads: rec.payloads[1..].to_vec(),
     })
-}
-
-fn archive_header(generation: u64, watermark: u64, checkpoint_digest: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + checkpoint_digest.len());
-    out.extend_from_slice(ARCHIVE_MAGIC);
-    out.extend_from_slice(&generation.to_be_bytes());
-    out.extend_from_slice(&watermark.to_be_bytes());
-    out.extend_from_slice(&(checkpoint_digest.len() as u64).to_be_bytes());
-    out.extend_from_slice(checkpoint_digest);
-    out
 }
 
 /// Compacts the durable log at `path`: record frames failing `keep` move to
@@ -275,7 +226,12 @@ pub fn compact_durable_log(
         vfs.remove_file(&apath)?;
     }
     let mut archive = AppendLog::create_with(Arc::clone(&vfs), &apath)?;
-    archive.append(&archive_header(generation, watermark, checkpoint_digest))?;
+    let header = ArchiveHeader {
+        generation,
+        watermark,
+        checkpoint_digest: checkpoint_digest.to_vec(),
+    };
+    archive.append(&header.to_bytes())?;
     for p in &excised {
         archive.append(p)?;
     }

@@ -28,8 +28,8 @@ use crate::merkle::{leaf_hash, ShardTree};
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{Participant, ParticipantId};
 use tep_crypto::rsa::RsaError;
-use tep_model::encode::{DecodeError, Reader};
-use tep_model::ObjectId;
+use tep_model::encode::{decode_exact, Codec, DecodeError, List, Reader, Skip};
+use tep_model::{codec_structs, codecs, ObjectId};
 use tep_storage::StoredRecord;
 
 /// Wire version of the record body encoding whose checksum is the
@@ -107,47 +107,68 @@ impl RecordKind {
     }
 }
 
-/// One input of a provenance record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InputRef {
-    /// The input object.
-    pub oid: ObjectId,
-    /// `h(A, val)` (atomic) or `h(subtree(A))` (compound) of the input at
-    /// operation time.
-    pub hash: Vec<u8>,
-    /// `seqID` of the input object's then-latest provenance record, whose
-    /// checksum is chained into this record's signature. `None` for objects
-    /// with no prior record (e.g. nodes materialized inside an aggregation).
-    pub prev_seq: Option<u64>,
+codecs! {
+    /// The record body's version byte: 2 for a per-record signature, 3
+    /// for a [`BatchChecksum`]; any other version is refused as itself.
+    [] ChecksumFormat => ChecksumFormat, 1, |v, out| out.push(match v {
+        ChecksumFormat::PerRecord => RECORD_VERSION,
+        ChecksumFormat::Batched => RECORD_VERSION_BATCHED,
+    }), |r| match r.u8()? {
+        RECORD_VERSION => ChecksumFormat::PerRecord,
+        RECORD_VERSION_BATCHED => ChecksumFormat::Batched,
+        version => return Err(DecodeError::BadTag(version)),
+    };
+    /// The kind's wire id; an unknown id is refused as `BadTag(0xFE)`.
+    [] RecordKind => RecordKind, 1, |v, out| out.push(v.wire_id()), |r| {
+        RecordKind::from_wire_id(r.u8()?).ok_or(DecodeError::BadTag(0xFE))?
+    };
 }
 
-/// A provenance record with its integrity checksum.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProvenanceRecord {
-    /// Position in the output object's chain (§2.1 numbering rules).
-    pub seq_id: u64,
-    /// Who performed the operation.
-    pub participant: ParticipantId,
-    /// What kind of operation.
-    pub kind: RecordKind,
-    /// Inputs in global `ObjectId` order (empty for inserts).
-    pub inputs: Vec<InputRef>,
-    /// The output object.
-    pub output_oid: ObjectId,
-    /// Hash of the output object/subtree after the operation.
-    pub output_hash: Vec<u8>,
-    /// Application-supplied operation annotation, integrity-protected by
-    /// the checksum. The paper's footnote 4 observes the scheme "is easily
-    /// translated to a provenance model that simply logs the white-box
-    /// operations that have been performed" — this is that translation:
-    /// put the operation description (SQL text, workflow step, UDF name…)
-    /// here and it becomes as tamper-evident as the value hashes. Empty
-    /// means no annotation.
-    pub annotation: Vec<u8>,
-    /// `S_SKp(…)` — the signed integrity checksum.
-    pub checksum: Vec<u8>,
-    /// How `checksum` is to be read.
-    pub checksum_format: ChecksumFormat,
+codec_structs! {
+    /// One input of a provenance record.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct InputRef {
+        /// The input object.
+        pub oid: ObjectId,
+        /// `h(A, val)` (atomic) or `h(subtree(A))` (compound) of the input at
+        /// operation time.
+        pub hash: Vec<u8>,
+        /// `seqID` of the input object's then-latest provenance record, whose
+        /// checksum is chained into this record's signature. `None` for objects
+        /// with no prior record (e.g. nodes materialized inside an aggregation).
+        pub prev_seq: Option<u64>,
+    }
+
+    /// A provenance record with its integrity checksum. Its encoding is the
+    /// v2/v3 record body a [`StoredRecord`] carries as its payload: these
+    /// fields in this order, without the checksum, which the row holds.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ProvenanceRecord {
+        /// How `checksum` is to be read.
+        pub checksum_format: ChecksumFormat,
+        /// What kind of operation.
+        pub kind: RecordKind,
+        /// Position in the output object's chain (§2.1 numbering rules).
+        pub seq_id: u64,
+        /// Who performed the operation.
+        pub participant: ParticipantId,
+        /// The output object.
+        pub output_oid: ObjectId,
+        /// Hash of the output object/subtree after the operation.
+        pub output_hash: Vec<u8>,
+        /// Application-supplied operation annotation, integrity-protected by
+        /// the checksum. The paper's footnote 4 observes the scheme "is easily
+        /// translated to a provenance model that simply logs the white-box
+        /// operations that have been performed" — this is that translation:
+        /// put the operation description (SQL text, workflow step, UDF name…)
+        /// here and it becomes as tamper-evident as the value hashes. Empty
+        /// means no annotation.
+        pub annotation: Vec<u8>,
+        /// Inputs in global `ObjectId` order (empty for inserts).
+        pub inputs: Vec<InputRef> as List<8, InputRef>,
+        /// `S_SKp(…)` — the signed integrity checksum.
+        pub checksum: Vec<u8> as Skip<Vec<u8>>,
+    }
 }
 
 /// The checksum of one member of an amortized batch: where its leaf sits
@@ -464,12 +485,14 @@ impl ProvenanceRecord {
 
     /// Serializes for storage as a [`StoredRecord`].
     pub fn to_stored(&self) -> StoredRecord {
+        let mut payload = Vec::with_capacity(64 + self.output_hash.len());
+        Self::put(self, &mut payload);
         StoredRecord {
             seq_id: self.seq_id,
             participant: self.participant,
             oid: self.output_oid,
             checksum: self.checksum.clone(),
-            payload: self.encode_body(),
+            payload,
         }
     }
 
@@ -479,7 +502,7 @@ impl ProvenanceRecord {
     /// `BadTag(0xFD)`, so every accepted row has one encoding:
     /// `from_stored(s)?.to_stored() == s`.
     pub fn from_stored(stored: &StoredRecord) -> Result<Self, DecodeError> {
-        let mut rec = Self::decode_body(&stored.payload)?;
+        let mut rec = decode_exact::<Self>(&stored.payload)?;
         if (rec.seq_id, rec.participant, rec.output_oid)
             != (stored.seq_id, stored.participant, stored.oid)
         {
@@ -487,79 +510,6 @@ impl ProvenanceRecord {
         }
         rec.checksum = stored.checksum.clone();
         Ok(rec)
-    }
-
-    fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.output_hash.len());
-        out.push(match self.checksum_format {
-            ChecksumFormat::PerRecord => RECORD_VERSION,
-            ChecksumFormat::Batched => RECORD_VERSION_BATCHED,
-        });
-        out.push(self.kind.wire_id());
-        out.extend_from_slice(&self.seq_id.to_be_bytes());
-        out.extend_from_slice(&self.participant.0.to_be_bytes());
-        out.extend_from_slice(&self.output_oid.raw().to_be_bytes());
-        out.extend_from_slice(&(self.output_hash.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.output_hash);
-        out.extend_from_slice(&(self.annotation.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.annotation);
-        out.extend_from_slice(&(self.inputs.len() as u64).to_be_bytes());
-        for input in &self.inputs {
-            out.extend_from_slice(&input.oid.raw().to_be_bytes());
-            out.extend_from_slice(&(input.hash.len() as u64).to_be_bytes());
-            out.extend_from_slice(&input.hash);
-            match input.prev_seq {
-                Some(s) => {
-                    out.push(1);
-                    out.extend_from_slice(&s.to_be_bytes());
-                }
-                None => out.push(0),
-            }
-        }
-        out
-    }
-
-    fn decode_body(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(buf);
-        let checksum_format = match r.u8()? {
-            RECORD_VERSION => ChecksumFormat::PerRecord,
-            RECORD_VERSION_BATCHED => ChecksumFormat::Batched,
-            version => return Err(DecodeError::BadTag(version)),
-        };
-        let kind = RecordKind::from_wire_id(r.u8()?).ok_or(DecodeError::BadTag(0xFE))?;
-        let seq_id = r.u64()?;
-        let participant = ParticipantId(r.u64()?);
-        let output_oid = ObjectId(r.u64()?);
-        let output_hash = r.len_prefixed()?.to_vec();
-        let annotation = r.len_prefixed()?.to_vec();
-        let input_count = r.u64()? as usize;
-        let mut inputs = Vec::with_capacity(input_count.min(1024));
-        for _ in 0..input_count {
-            let oid = ObjectId(r.u64()?);
-            let hash = r.len_prefixed()?.to_vec();
-            let prev_seq = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            inputs.push(InputRef {
-                oid,
-                hash,
-                prev_seq,
-            });
-        }
-        r.expect_end()?;
-        Ok(ProvenanceRecord {
-            seq_id,
-            participant,
-            kind,
-            inputs,
-            output_oid,
-            output_hash,
-            annotation,
-            checksum: Vec::new(),
-            checksum_format,
-        })
     }
 }
 

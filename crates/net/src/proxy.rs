@@ -31,10 +31,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+use tep_storage::crc::FRAME_HEADER_LEN;
 
 use crate::wire::{
     check_frame_crc, decode_message, frame_header, frame_message_into, read_exact_or_eof, Message,
-    ReadOutcome, WireError, FRAME_HEADER_LEN,
+    ReadOutcome, WireError,
 };
 
 /// What the mutator wants done with one server→client frame.

@@ -3,13 +3,14 @@
 
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
+use tep_storage::crc::FRAME_HEADER_LEN;
 
 use super::dispatch::StreamJob;
 use super::{Env, ServerObs};
 use crate::sys;
 use crate::wire::{
     check_frame_crc, decode_message, frame_header, frame_message_into, ErrorCode, Message,
-    WireError, FRAME_HEADER_LEN,
+    WireError,
 };
 
 /// Bytes read into a connection's buffer per `read` call.

@@ -36,7 +36,7 @@ use tep_core::slice::QuerySpec;
 use tep_crypto::digest::HashAlgorithm;
 use tep_model::encode::{Codec, DecodeError, List, Reader, Rest};
 use tep_model::{codec_structs, codecs, ObjectId, Value};
-use tep_storage::crc::frame_crc;
+use tep_storage::crc::{self, split_frame_header, FRAME_HEADER_LEN};
 use tep_storage::StoredRecord;
 
 use crate::TransferCounters;
@@ -520,25 +520,21 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// Bytes in a frame header: the payload length, then its CRC.
-pub(crate) const FRAME_HEADER_LEN: usize = 8;
-
 /// Parses a frame header into (payload length, CRC), refusing a length
 /// over [`MAX_FRAME`] before anything is allocated for the payload. The
 /// blocking [`FrameReader`], the server's nonblocking connections and the
 /// test proxy's relay all parse frames with this and [`check_frame_crc`].
 pub(crate) fn frame_header(header: [u8; FRAME_HEADER_LEN]) -> Result<(usize, u32), WireError> {
-    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
-    let len = u32::from_be_bytes([l0, l1, l2, l3]);
+    let (len, crc) = split_frame_header(header);
     if len as usize > MAX_FRAME {
         return Err(WireError::Oversized { len });
     }
-    Ok((len as usize, u32::from_be_bytes([c0, c1, c2, c3])))
+    Ok((len as usize, crc))
 }
 
 /// Checks a frame's payload against the CRC its header carries.
 pub(crate) fn check_frame_crc(crc: u32, payload: &[u8]) -> Result<(), WireError> {
-    let ok = frame_crc(payload.len() as u32, payload) == crc;
+    let ok = split_frame_header(crc::frame_header(payload)).1 == crc;
     ok.then_some(()).ok_or(WireError::BadCrc)
 }
 
@@ -616,19 +612,19 @@ impl<W: Write> FrameWriter<W> {
 /// queue a turn's frames back to back in one write buffer.
 pub(crate) fn frame_message_into(msg: &Message, out: &mut Vec<u8>) {
     let start = out.len();
-    out.extend_from_slice(&[0u8; 8]);
+    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
     encode_message_into(msg, out);
-    let len = (out.len() - start - 8) as u32;
-    debug_assert!(len as usize <= MAX_FRAME, "oversized outbound frame");
-    let crc = frame_crc(len, &out[start + 8..]);
-    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
-    out[start + 4..start + 8].copy_from_slice(&crc.to_be_bytes());
+    let payload = start + FRAME_HEADER_LEN;
+    debug_assert!(out.len() - payload <= MAX_FRAME, "oversized outbound frame");
+    let header = crc::frame_header(&out[payload..]);
+    out[start..payload].copy_from_slice(&header);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tep_crypto::pki::ParticipantId;
+    use tep_storage::crc::frame_crc;
 
     fn counters() -> Arc<TransferCounters> {
         Arc::new(TransferCounters::new())

@@ -27,7 +27,7 @@ use tep_crypto::pki::ParticipantId;
 use tep_model::codec_structs;
 use tep_model::encode::{decode_exact, Codec, List, Map, Skip};
 use tep_model::ObjectId;
-use tep_storage::crc::frame_crc;
+use tep_storage::crc::{open_blob, seal_blob};
 use tep_storage::ProvenanceDb;
 
 /// Format tag of the sidecar encoding.
@@ -160,31 +160,14 @@ impl QueryIndex {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(64 + self.by_participant.len() * 32);
         Self::put(self, &mut body);
-        let len = body.len() as u32;
-        let crc = frame_crc(len, &body);
-        let mut out = Vec::with_capacity(IDX_MAGIC.len() + 8 + body.len());
-        out.extend_from_slice(IDX_MAGIC);
-        out.extend_from_slice(&len.to_be_bytes());
-        out.extend_from_slice(&crc.to_be_bytes());
-        out.extend_from_slice(&body);
-        out
+        seal_blob(IDX_MAGIC, &body)
     }
 
     /// Parses sidecar bytes. Returns `None` on any structural problem —
     /// bad magic, CRC mismatch, truncation, trailing bytes — because a
     /// sidecar is always safely replaceable by a rebuild.
     pub fn from_bytes(buf: &[u8]) -> Option<Self> {
-        let rest = buf.strip_prefix(IDX_MAGIC)?;
-        if rest.len() < 8 {
-            return None;
-        }
-        let len = u32::from_be_bytes(rest[0..4].try_into().ok()?);
-        let crc = u32::from_be_bytes(rest[4..8].try_into().ok()?);
-        let body = &rest[8..];
-        if body.len() != len as usize || frame_crc(len, body) != crc {
-            return None;
-        }
-        decode_exact::<Self>(body).ok()
+        decode_exact::<Self>(open_blob(IDX_MAGIC, buf)?).ok()
     }
 
     /// `true` iff this index's watermark still matches `db`: the position

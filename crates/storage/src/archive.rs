@@ -37,7 +37,8 @@
 //! the verifier can reconstruct the full append-position space without
 //! reading any archive.
 
-use crate::log::{AppendLog, LogError, FRAME_HEADER_LEN};
+use crate::crc::FRAME_HEADER_LEN;
+use crate::log::{AppendLog, LogError};
 use crate::provenance_db::self_contained_frames;
 use crate::vfs::Vfs;
 use std::path::{Path, PathBuf};

@@ -21,10 +21,10 @@ use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crate::crc::frame_crc;
+use crate::crc::{open_blob, seal_blob};
 use crate::vfs::Vfs;
 
-/// Magic prefix of a checkpoint file.
+/// Magic prefix of a checkpoint file, which is [`seal_blob`]`(MAGIC, blob)`.
 const MAGIC: &[u8; 8] = b"TEPRCKP\x01";
 
 /// Atomically-replaced durable storage for one opaque checkpoint blob.
@@ -63,13 +63,7 @@ impl CheckpointStore {
             self.vfs.remove_file(&tmp)?;
         }
         let mut file = self.vfs.create_new(&tmp)?;
-        let len = blob.len() as u32;
-        let mut framed = Vec::with_capacity(16 + blob.len());
-        framed.extend_from_slice(MAGIC);
-        framed.extend_from_slice(&len.to_be_bytes());
-        framed.extend_from_slice(&frame_crc(len, blob).to_be_bytes());
-        framed.extend_from_slice(blob);
-        file.write_all(&framed)?;
+        file.write_all(&seal_blob(MAGIC, blob))?;
         file.sync_data()?;
         drop(file);
         self.vfs.rename(&tmp, &self.path)?;
@@ -87,18 +81,7 @@ impl CheckpointStore {
         let mut file = self.vfs.open_rw(&self.path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        if bytes.len() < 16 || &bytes[..8] != MAGIC {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-        let crc = u32::from_be_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-        let Some(blob) = bytes.get(16..16 + len) else {
-            return Ok(None);
-        };
-        if bytes.len() != 16 + len || frame_crc(len as u32, blob) != crc {
-            return Ok(None);
-        }
-        Ok(Some(blob.to_vec()))
+        Ok(open_blob(MAGIC, &bytes).map(<[u8]>::to_vec))
     }
 
     /// Removes the stored blob (durably), if present.

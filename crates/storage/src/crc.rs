@@ -1,8 +1,11 @@
-//! CRC-32 (IEEE 802.3) for log-frame integrity.
+//! CRC-32 (IEEE 802.3) and the one CRC frame header built from it.
 //!
 //! This checksum protects against *accidental* corruption (torn writes,
 //! bit rot) in the storage layer. It is **not** part of the tamper-evidence
 //! story — that is what the cryptographic provenance checksums are for.
+//! This module is the one place that writes or parses a frame header
+//! (`len(u32) crc(u32)` before `len` payload bytes), and a sealed blob is
+//! a magic then one frame.
 
 /// Initial (and final-XOR) CRC-32 state.
 pub(crate) const CRC_INIT: u32 = 0xFFFF_FFFF;
@@ -49,8 +52,8 @@ pub(crate) fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
 }
 
 /// Frame checksum shared by every length-prefixed framing in the system
-/// (the [`crate::log`] durable log and the `tep-net` wire protocol):
-/// CRC-32 over the big-endian length prefix followed by the payload bytes.
+/// (the [`crate::log`] durable log, the `tep-net` wire protocol, sealed
+/// blobs): CRC-32 over the big-endian length prefix, then the payload.
 ///
 /// Covering the length keeps a run of zero bytes from parsing as a valid
 /// empty frame (`crc32("") == 0`), which matters both for the log's
@@ -60,6 +63,41 @@ pub fn frame_crc(len: u32, payload: &[u8]) -> u32 {
     state = crc32_update(state, &len.to_be_bytes());
     state = crc32_update(state, payload);
     state ^ CRC_INIT
+}
+
+/// Bytes in a frame header: the payload's big-endian u32 length, then its
+/// [`frame_crc`].
+pub const FRAME_HEADER_LEN: usize = 8;
+
+/// The header that precedes `payload` in every CRC frame: the log's, the
+/// wire's, and the sealed blobs'. Callers cap `payload` well below 4 GiB.
+pub fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let len = payload.len() as u32;
+    (u64::from(len) << 32 | u64::from(frame_crc(len, payload))).to_be_bytes()
+}
+
+/// A frame header's (payload length, CRC). The payload it claims is
+/// intact iff [`frame_header`] of it gives back the same header.
+pub fn split_frame_header(header: [u8; FRAME_HEADER_LEN]) -> (u32, u32) {
+    let header = u64::from_be_bytes(header);
+    ((header >> 32) as u32, header as u32)
+}
+
+/// A single-blob file: `magic`, then one CRC frame holding `payload`.
+pub fn seal_blob(magic: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(magic.len() + FRAME_HEADER_LEN + payload.len());
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&frame_header(payload));
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The payload of a [`seal_blob`] file; `None` if the magic differs, the
+/// frame is cut short or followed by more bytes, or the CRC fails.
+pub fn open_blob<'a>(magic: &[u8], bytes: &'a [u8]) -> Option<&'a [u8]> {
+    let (header, payload) = bytes.strip_prefix(magic)?.split_first_chunk()?;
+    let (len, _) = split_frame_header(*header);
+    (payload.len() == len as usize && frame_header(payload) == *header).then_some(payload)
 }
 
 /// `TABLES[0]` is the classic one-byte table; `TABLES[k][i]` is the CRC

@@ -31,7 +31,7 @@
 //! All I/O goes through [`crate::vfs::Vfs`], so the same code paths run
 //! against the real filesystem and the deterministic fault injector.
 
-use crate::crc::frame_crc;
+use crate::crc::{frame_header, split_frame_header, FRAME_HEADER_LEN};
 use crate::vfs::{real_vfs, Vfs, VirtualFile};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -40,7 +40,6 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"TEPLOG\x00\x01";
 const VERSION: u16 = 1;
 pub(crate) const HEADER_LEN: u64 = 12;
-pub(crate) const FRAME_HEADER_LEN: usize = 8;
 
 /// Maximum payload size (guards against reading a garbage length field).
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
@@ -162,15 +161,13 @@ fn scan_frames(rest: &[u8]) -> Scan {
     let mut good_end = 0usize;
     let mut bad_start: Option<usize> = None;
     let mut pos = 0usize;
-    while pos + FRAME_HEADER_LEN <= rest.len() {
-        let len = u32::from_be_bytes(rest[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_be_bytes(rest[pos + 4..pos + 8].try_into().expect("4 bytes"));
+    while let Some(&header) = rest[pos..].first_chunk::<FRAME_HEADER_LEN>() {
+        let (len, _) = split_frame_header(header);
         let body_start = pos + FRAME_HEADER_LEN;
-        let body_end = body_start.checked_add(len as usize);
-        let valid = len <= MAX_PAYLOAD
-            && body_end.is_some_and(|e| e <= rest.len())
-            && frame_crc(len, &rest[body_start..body_start + len as usize]) == crc;
-        if valid {
+        let payload = rest[body_start..]
+            .get(..len as usize)
+            .filter(|p| len <= MAX_PAYLOAD && frame_header(p) == header);
+        if let Some(payload) = payload {
             if let Some(bad) = bad_start.take() {
                 // Valid frame after a corrupt range: interior corruption.
                 gaps.push(LogGap {
@@ -180,8 +177,8 @@ fn scan_frames(rest: &[u8]) -> Scan {
                     bytes: (pos - bad) as u64,
                 });
             }
-            payloads.push(rest[body_start..body_start + len as usize].to_vec());
-            pos = body_start + len as usize;
+            payloads.push(payload.to_vec());
+            pos = body_start + payload.len();
             good_end = pos;
         } else {
             if bad_start.is_none() {
@@ -456,10 +453,7 @@ impl AppendLog {
             return Err(LogError::PayloadTooLarge(payload.len()));
         }
         let offset = self.end_offset;
-        self.writer
-            .write_all(&(payload.len() as u32).to_be_bytes())?;
-        self.writer
-            .write_all(&frame_crc(payload.len() as u32, payload).to_be_bytes())?;
+        self.writer.write_all(&frame_header(payload))?;
         self.writer.write_all(payload)?;
         self.end_offset += (FRAME_HEADER_LEN + payload.len()) as u64;
         Ok(offset)

@@ -2,9 +2,10 @@
 //!
 //! The paper's measurements only cover the provenance side, but a usable
 //! system also needs the user-data forest to survive restarts. A snapshot
-//! is an [`AppendLog`] whose first frame is a header (magic + node count)
-//! followed by one frame per node in parent-before-child order, so loading
-//! is a single forward pass of `insert_with_id`.
+//! is an [`AppendLog`] whose first frame is a `Header` (magic + node count)
+//! followed by one `Node` frame per node in parent-before-child order, so
+//! loading is a single forward pass of `insert_with_id`. Both frames are
+//! declared once, in the `codec_structs!` block below.
 //!
 //! Snapshots are written the way a log is rewritten
 //! ([`AppendLog`]'s atomic rewrite): to a per-process unique temporary
@@ -18,10 +19,23 @@ use crate::log::{AppendLog, LogError};
 use crate::vfs::{real_vfs, Vfs};
 use std::path::Path;
 use std::sync::Arc;
-use tep_model::encode::{decode_value, encode_value, Reader};
-use tep_model::{Forest, ObjectId};
+use tep_model::{codec_structs, Forest, ObjectId, Value};
 
 const SNAP_MAGIC: &[u8] = b"TEPSNAP\x01";
+
+codec_structs! {
+    /// The first frame: the magic, then how many node frames follow.
+    struct Header magic SNAP_MAGIC impl to_bytes, from_bytes {
+        nodes: u64,
+    }
+
+    /// One node frame; parents are written before their children.
+    struct Node impl to_bytes, from_bytes {
+        id: ObjectId,
+        parent: Option<ObjectId>,
+        value: Value,
+    }
+}
 
 /// Errors from snapshot save/load.
 #[derive(Debug)]
@@ -66,21 +80,6 @@ impl From<LogError> for SnapshotError {
     }
 }
 
-fn encode_node(forest: &Forest, id: ObjectId) -> Vec<u8> {
-    let node = forest.node(id).expect("node exists during save");
-    let mut out = Vec::with_capacity(32);
-    out.extend_from_slice(&id.raw().to_be_bytes());
-    match node.parent() {
-        Some(p) => {
-            out.push(1);
-            out.extend_from_slice(&p.raw().to_be_bytes());
-        }
-        None => out.push(0),
-    }
-    encode_value(node.value(), &mut out);
-    out
-}
-
 /// Saves `forest` to `path` atomically (unique temp file, fsync, rename,
 /// directory fsync). Any existing snapshot at `path` is replaced only
 /// after the new one is durable.
@@ -94,16 +93,28 @@ pub fn save_forest_with(
     forest: &Forest,
     path: impl AsRef<Path>,
 ) -> Result<(), SnapshotError> {
-    let mut header = Vec::with_capacity(16);
-    header.extend_from_slice(SNAP_MAGIC);
-    header.extend_from_slice(&(forest.len() as u64).to_be_bytes());
+    let header = Header {
+        nodes: forest.len() as u64,
+    };
     // Pre-order per root: parents always precede children. Each node is
     // encoded as it is appended, never the whole forest at once.
     let nodes = forest
         .roots()
         .flat_map(|root| forest.subtree_ids(root))
-        .map(|id| encode_node(forest, id));
-    AppendLog::rewrite_atomically(&vfs, path.as_ref(), std::iter::once(header).chain(nodes))?;
+        .map(|id| {
+            let node = forest.node(id).expect("node exists during save");
+            Node {
+                id,
+                parent: node.parent(),
+                value: node.value().clone(),
+            }
+            .to_bytes()
+        });
+    AppendLog::rewrite_atomically(
+        &vfs,
+        path.as_ref(),
+        std::iter::once(header.to_bytes()).chain(nodes),
+    )?;
     Ok(())
 }
 
@@ -119,34 +130,19 @@ pub fn load_forest_with(
 ) -> Result<Forest, SnapshotError> {
     let recovered = AppendLog::open_with(vfs, path.as_ref())?;
     let mut frames = recovered.payloads.into_iter();
-    let header = frames.next().ok_or(SnapshotError::BadHeader)?;
-    let rest = header
-        .strip_prefix(SNAP_MAGIC)
-        .ok_or(SnapshotError::BadHeader)?;
-    if rest.len() != 8 {
-        return Err(SnapshotError::BadHeader);
-    }
-    let expected = u64::from_be_bytes(rest.try_into().expect("checked length"));
-
+    let expected = frames
+        .next()
+        .and_then(|header| Header::from_bytes(&header).ok())
+        .ok_or(SnapshotError::BadHeader)?
+        .nodes;
     let mut forest = Forest::new();
     let mut loaded = 0u64;
     for frame in frames {
-        let mut r = Reader::new(&frame);
-        let parse = (|| -> Result<(), tep_model::encode::DecodeError> {
-            let id = ObjectId(r.u64()?);
-            let parent = match r.u8()? {
-                0 => None,
-                1 => Some(ObjectId(r.u64()?)),
-                t => return Err(tep_model::encode::DecodeError::BadTag(t)),
-            };
-            let value = decode_value(&mut r)?;
-            r.expect_end()?;
-            forest
-                .insert_with_id(id, value, parent)
-                .map_err(|_| tep_model::encode::DecodeError::BadTag(0xFD))?;
-            Ok(())
-        })();
-        parse.map_err(|e| SnapshotError::CorruptNode(e.to_string()))?;
+        let Node { id, parent, value } =
+            Node::from_bytes(&frame).map_err(|e| SnapshotError::CorruptNode(e.to_string()))?;
+        forest
+            .insert_with_id(id, value, parent)
+            .map_err(|e| SnapshotError::CorruptNode(e.to_string()))?;
         loaded += 1;
     }
     if loaded != expected {

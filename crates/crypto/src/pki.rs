@@ -240,7 +240,8 @@ impl Keyring {
         }
         let count = u32::from_be_bytes(rest[..4].try_into().ok()?) as usize;
         let mut rest = &rest[4..];
-        let mut certs = Vec::with_capacity(count.min(4096));
+        // At least 16 bytes per certificate: the bytes left bound the reservation.
+        let mut certs = Vec::with_capacity(count.min(rest.len() / 16));
         for _ in 0..count {
             let (cert, r) = Certificate::from_bytes(rest)?;
             certs.push(cert);
@@ -559,6 +560,28 @@ mod tests {
         // Corrupt bytes rejected.
         assert!(Keyring::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(Keyring::from_bytes(b"not a keyring").is_none());
+    }
+
+    #[test]
+    fn keyring_with_a_padded_ca_modulus_is_refused() {
+        let (ca, mut rng) = setup();
+        let p = ca.enroll(ParticipantId(1), 512, &mut rng);
+        let mut ring = Keyring::new(ca.public_key().clone(), ALG);
+        ring.add(p.certificate().clone());
+        let bytes = ring.to_bytes();
+        // The CA modulus behind a leading zero byte, its length raised by
+        // one: the same key under a second encoding.
+        let key = ca.public_key().to_bytes();
+        let n_len = u32::from_be_bytes(key[..4].try_into().unwrap());
+        let mut padded = (n_len + 1).to_be_bytes().to_vec();
+        padded.push(0);
+        padded.extend_from_slice(&key[4..]);
+        assert!(RsaPublicKey::from_bytes(&padded).is_none());
+        let mut forged = bytes[..9].to_vec();
+        forged.extend_from_slice(&(padded.len() as u32).to_be_bytes());
+        forged.extend_from_slice(&padded);
+        forged.extend_from_slice(&bytes[13 + key.len()..]);
+        assert!(Keyring::from_bytes(&forged).is_none());
     }
 
     #[test]

@@ -164,11 +164,12 @@ impl RsaPublicKey {
         out
     }
 
-    /// Inverse of [`Self::to_bytes`].
+    /// Inverse of [`Self::to_bytes`]. A component with a leading zero byte,
+    /// which the encoding never writes, is refused: one key, one encoding.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let (n, rest) = read_len_prefixed(bytes)?;
         let (e, rest) = read_len_prefixed(rest)?;
-        if !rest.is_empty() {
+        if !rest.is_empty() || n.first() == Some(&0) || e.first() == Some(&0) {
             return None;
         }
         Some(RsaPublicKey::new(

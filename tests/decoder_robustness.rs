@@ -16,7 +16,9 @@ use tepdb::core::{
     ShardTree, SignedDenial, SignedRange, SignedRoot, SliceProof, StreamingVerifier, SubtreeProof,
     TrackerConfig,
 };
-use tepdb::crypto::{CertificateAuthority, HashAlgorithm, KeyDirectory, Keyring};
+use tepdb::crypto::{
+    Certificate, CertificateAuthority, HashAlgorithm, KeyDirectory, Keyring, RsaPublicKey,
+};
 use tepdb::model::encode::{value_bytes, value_from_bytes};
 use tepdb::model::ParticipantId;
 use tepdb::model::{AggregateMode, ObjectId, Value};
@@ -248,8 +250,8 @@ proptest! {
 
 /// One body the wire carries without interpreting it (QRESULT's slice
 /// proof, DENIAL's signed denial, RANGE_RESP's signed range, AE_RESP's
-/// signed root) or a proof inside one, or a proof, checkpoint, stamp or
-/// sidecar kept on disk, with a valid encoding.
+/// signed root) or a proof inside one, or a proof, checkpoint, stamp,
+/// sidecar or keyring kept on disk, with a valid encoding.
 struct OpaqueBody {
     name: &'static str,
     bytes: Vec<u8>,
@@ -320,6 +322,8 @@ fn opaque_bodies() -> &'static [OpaqueBody] {
         };
         let mut index = QueryIndex::new();
         index.sync(&db);
+        let mut keyring = Keyring::new(ca.public_key().clone(), ALG);
+        keyring.add(alice.certificate().clone());
 
         fn body<F>(name: &'static str, bytes: Vec<u8>, reencode: F) -> OpaqueBody
         where
@@ -380,6 +384,17 @@ fn opaque_bodies() -> &'static [OpaqueBody] {
             }),
             body("QueryIndex sidecar", index.to_bytes(), |b| {
                 QueryIndex::from_bytes(b).map(|v| v.to_bytes())
+            }),
+            body("Keyring", keyring.to_bytes(), |b| {
+                Keyring::from_bytes(b).map(|v| v.to_bytes())
+            }),
+            body("Certificate", alice.certificate().to_bytes(), |b| {
+                Certificate::from_bytes(b)
+                    .filter(|(_, rest)| rest.is_empty())
+                    .map(|(v, _)| v.to_bytes())
+            }),
+            body("RsaPublicKey", ca.public_key().to_bytes(), |b| {
+                RsaPublicKey::from_bytes(b).map(|v| v.to_bytes())
             }),
         ]
     })

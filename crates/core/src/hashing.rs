@@ -14,7 +14,8 @@
 //! * **Economical** — keep per-node hashes, invalidate only the nodes an
 //!   operation dirtied (the touched node plus its root path), and recompute
 //!   bottom-up reusing every clean child hash; cost tracks the size of the
-//!   change.
+//!   change. [`HashCache::rehash_roots`] visits only the roots a
+//!   [`HashCache::sync`] dirtied, so not even the number of roots shows.
 
 use tep_crypto::digest::{Digest, HashAlgorithm};
 use tep_model::encode::{atom_preimage, node_prefix_into};
@@ -59,6 +60,13 @@ pub struct HashCache {
     /// Subtree hash computations performed since the last counter reset
     /// (one per node hashed) — the work metric behind Figure 7.
     nodes_hashed: u64,
+    /// `true` once [`Self::rehash_roots`] has walked every root since the
+    /// cache was created or cleared. From then on every live root is
+    /// cached except those in `dirty_roots`.
+    warm: bool,
+    /// Roots whose paths `sync` evicted since the last `rehash_roots`
+    /// (noted only while warm; may repeat, may name deleted objects).
+    dirty_roots: Vec<ObjectId>,
     /// Optional tep-obs counters (hit/miss/eviction).
     obs: Option<CacheObs>,
 }
@@ -70,6 +78,8 @@ impl HashCache {
             alg,
             hashes: IdMap::default(),
             nodes_hashed: 0,
+            warm: false,
+            dirty_roots: Vec::new(),
             obs: None,
         }
     }
@@ -129,7 +139,8 @@ impl HashCache {
     ///
     /// This is the economical mode's incremental step: after `sync`, a
     /// [`Self::get_or_compute`] on a root rehashes only the dirtied paths
-    /// and reuses every clean subtree hash.
+    /// and reuses every clean subtree hash. A warm cache also notes the
+    /// root each evicted path ends in, for [`Self::rehash_roots`].
     pub fn sync(&mut self, forest: &mut Forest) {
         let marks = forest.drain_dirty();
         for mark in marks {
@@ -151,23 +162,61 @@ impl HashCache {
     /// turns out to be already absent the rest of its path is absent too.
     /// (The start node is evicted unconditionally — a freshly inserted
     /// node is absent while its ancestors still hold stale entries.)
+    /// A warm cache then walks on to the root and notes it.
     fn evict_path(&mut self, forest: &Forest, id: ObjectId) {
+        let parent = |n: ObjectId| forest.node(n).and_then(|n| n.parent());
         let mut evicted = u64::from(self.hashes.remove(&id).is_some());
-        let mut cur = forest.node(id).and_then(|n| n.parent());
-        while let Some(p) = cur {
+        let mut top = id;
+        while let Some(p) = parent(top) {
             if self.hashes.remove(&p).is_none() {
                 break;
             }
             evicted += 1;
-            cur = forest.node(p).and_then(|n| n.parent());
+            top = p;
         }
         self.count_evictions(evicted);
+        if self.warm {
+            while let Some(p) = parent(top) {
+                top = p;
+            }
+            self.dirty_roots.push(top);
+        }
     }
 
     /// Clears everything (the Basic strategy does this before each walk).
+    /// The next [`Self::rehash_roots`] walks every root again.
     pub fn clear(&mut self) {
         self.count_evictions(self.hashes.len() as u64);
         self.hashes.clear();
+        self.warm = false;
+        self.dirty_roots.clear();
+    }
+
+    /// Makes every live root's hash current, visiting only the roots the
+    /// [`Self::sync`]s since the last call dirtied.
+    ///
+    /// A cold cache — new, [`Self::clear`]ed, or never walked over every
+    /// root — walks every root once. After that walk each live root is
+    /// cached except the ones `sync` notes, so a warm call probes only the
+    /// noted roots that are still live roots: an operation's hashing work
+    /// is proportional to what it dirtied, not to the number of roots.
+    pub fn rehash_roots(&mut self, forest: &Forest) {
+        if !self.warm {
+            for root in forest.roots() {
+                self.compute(forest, root);
+            }
+            self.warm = true;
+            return;
+        }
+        let mut roots = std::mem::take(&mut self.dirty_roots);
+        roots.sort_unstable();
+        roots.dedup();
+        for root in roots.drain(..) {
+            if forest.node(root).is_some_and(|n| n.parent().is_none()) {
+                self.compute(forest, root);
+            }
+        }
+        self.dirty_roots = roots;
     }
 
     /// Returns `h(subtree(id))`, computing any missing entries bottom-up and
@@ -176,11 +225,16 @@ impl HashCache {
     /// # Panics
     /// Panics if `id` is not in the forest.
     pub fn get_or_compute(&mut self, forest: &Forest, id: ObjectId) -> Vec<u8> {
-        if let Some(h) = self.hashes.get(&id) {
+        self.compute(forest, id).to_vec()
+    }
+
+    /// [`Self::get_or_compute`] without copying the digest out.
+    fn compute(&mut self, forest: &Forest, id: ObjectId) -> &Digest {
+        if self.hashes.contains_key(&id) {
             if let Some(obs) = &self.obs {
                 obs.hits.inc();
             }
-            return h.to_vec();
+            return &self.hashes[&id];
         }
         let mut hits = 0u64;
         let mut misses = 0u64;
@@ -227,7 +281,7 @@ impl HashCache {
             obs.hits.add(hits);
             obs.misses.add(misses);
         }
-        self.hashes[&id].to_vec()
+        &self.hashes[&id]
     }
 }
 

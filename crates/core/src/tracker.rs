@@ -424,22 +424,10 @@ impl ProvenanceTracker {
         let mut metrics = Metrics::default();
 
         // Phase 1 — make sure every pre-existing node has a cached pre-state
-        // hash ("input tree" walk). Basic re-walks everything; Economical
-        // reuses the warm cache from previous operations (syncing any dirty
-        // marks left by out-of-band forest construction).
+        // hash ("input tree" walk). Economical reuses the warm cache from
+        // previous operations.
         let t = Instant::now();
-        self.cache.reset_counter();
-        if self.config.strategy == HashingStrategy::Basic {
-            self.forest.clear_dirty();
-            self.cache.clear();
-        } else {
-            self.cache.sync(&mut self.forest);
-        }
-        let roots: Vec<ObjectId> = self.forest.roots().collect();
-        for root in &roots {
-            self.cache.get_or_compute(&self.forest, *root);
-        }
-        metrics.nodes_hashed += self.cache.nodes_hashed();
+        metrics.nodes_hashed += self.rehash();
         metrics.hash_input_ns += t.elapsed().as_nanos() as u64;
 
         // Phase 2 — apply primitives, lazily capturing before-hashes from
@@ -469,24 +457,9 @@ impl ProvenanceTracker {
         }
 
         // Phase 3 — recompute hashes ("output tree" walk). Economical
-        // drains the forest's dirty log: exactly the mutated nodes' root
-        // paths are invalidated, so the walk below rehashes only those.
+        // rehashes exactly the mutated nodes' root paths.
         let t = Instant::now();
-        self.cache.reset_counter();
-        match self.config.strategy {
-            HashingStrategy::Basic => {
-                self.forest.clear_dirty();
-                self.cache.clear();
-            }
-            HashingStrategy::Economical => {
-                self.cache.sync(&mut self.forest);
-            }
-        }
-        let roots: Vec<ObjectId> = self.forest.roots().collect();
-        for root in &roots {
-            self.cache.get_or_compute(&self.forest, *root);
-        }
-        metrics.nodes_hashed += self.cache.nodes_hashed();
+        metrics.nodes_hashed += self.rehash();
         metrics.hash_output_ns += t.elapsed().as_nanos() as u64;
 
         // Phase 4 — emit one record per surviving touched object. Each
@@ -616,6 +589,22 @@ impl ProvenanceTracker {
             deleted: deleted_order,
             metrics,
         })
+    }
+
+    /// Brings every root's cached hash up to date and returns the number
+    /// of nodes hashed. Basic clears the cache, so every root is rehashed;
+    /// Economical drains the forest's dirty log and rehashes only the roots
+    /// it dirtied (every root while the cache is cold: new or restored).
+    fn rehash(&mut self) -> u64 {
+        self.cache.reset_counter();
+        if self.config.strategy == HashingStrategy::Basic {
+            self.forest.clear_dirty();
+            self.cache.clear();
+        } else {
+            self.cache.sync(&mut self.forest);
+        }
+        self.cache.rehash_roots(&self.forest);
+        self.cache.nodes_hashed()
     }
 
     #[allow(clippy::too_many_arguments)]

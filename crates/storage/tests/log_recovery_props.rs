@@ -15,10 +15,10 @@ use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use tep_storage::crc::FRAME_HEADER_LEN;
 use tep_storage::{quarantine_path, AppendLog, LogError};
 
 const HEADER_LEN: usize = 12;
-const FRAME_HEADER_LEN: usize = 8;
 
 fn temp_path(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);

@@ -162,23 +162,26 @@ impl HashCache {
     /// turns out to be already absent the rest of its path is absent too.
     /// (The start node is evicted unconditionally — a freshly inserted
     /// node is absent while its ancestors still hold stale entries.)
-    /// A warm cache then walks on to the root and notes it.
+    ///
+    /// A warm cache notes the root when the walk reaches it. An early exit
+    /// needs no note: the absent ancestor went, by an earlier eviction or
+    /// as a fresh insert whose own mark came first, since the last
+    /// [`Self::rehash_roots`], and its root was noted then.
     fn evict_path(&mut self, forest: &Forest, id: ObjectId) {
-        let parent = |n: ObjectId| forest.node(n).and_then(|n| n.parent());
         let mut evicted = u64::from(self.hashes.remove(&id).is_some());
         let mut top = id;
-        while let Some(p) = parent(top) {
-            if self.hashes.remove(&p).is_none() {
-                break;
+        let reached_root = loop {
+            match forest.node(top).and_then(|n| n.parent()) {
+                None => break true,
+                Some(p) if self.hashes.remove(&p).is_some() => {
+                    evicted += 1;
+                    top = p;
+                }
+                Some(_) => break false,
             }
-            evicted += 1;
-            top = p;
-        }
+        };
         self.count_evictions(evicted);
-        if self.warm {
-            while let Some(p) = parent(top) {
-                top = p;
-            }
+        if self.warm && reached_root {
             self.dirty_roots.push(top);
         }
     }

@@ -68,18 +68,20 @@ fn f_op() -> impl Strategy<Value = FOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After every mutation, syncing the dirty log and reading any root
-    /// from the warm cache gives exactly the hash a from-scratch recompute
-    /// gives — for arbitrary interleavings of inserts, updates, deletes and
-    /// aggregations (both modes).
+    /// After every sync, rehashing the roots it dirtied leaves every root's
+    /// cached hash equal to a from-scratch recompute — for arbitrary
+    /// interleavings of inserts, updates, deletes and aggregations (both
+    /// modes), synced after one to several mutations at a time.
     #[test]
-    fn cached_hashes_equal_full_recompute(ops in prop::collection::vec(f_op(), 1..32)) {
+    fn cached_hashes_equal_full_recompute(
+        ops in prop::collection::vec((f_op(), any::<bool>()), 1..32),
+    ) {
         let mut f = Forest::new();
         let mut cache = HashCache::new(ALG);
         let seed_root = f.insert(Value::Int(0), None).unwrap();
         let mut live: Vec<ObjectId> = vec![seed_root];
 
-        for op in &ops {
+        for (i, (op, sync)) in ops.iter().enumerate() {
             match op {
                 FOp::Insert { parent_choice, value } => {
                     let parent = if parent_choice % 4 == 0 {
@@ -120,6 +122,9 @@ proptest! {
                     let id = f.aggregate(&[a, b], Value::Int(-1), mode).unwrap();
                     live.push(id);
                 }
+            }
+            if !sync && i + 1 < ops.len() {
+                continue;
             }
 
             // The incremental step: drain dirty marks and rehash the roots

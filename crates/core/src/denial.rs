@@ -178,7 +178,7 @@ impl DenialLeaf {
     /// positional sibling path.
     pub fn check(&self, alg: HashAlgorithm, root: &[u8], leaf_count: u64) -> bool {
         let leaf = leaf_hash(alg, self.oid, &self.digest);
-        ShardTree::verify_leaf_path(alg, root, leaf_count, self.index, &leaf, &self.path)
+        ShardTree::verify_leaf_path(alg, root, leaf_count, self.index, leaf, &self.path)
     }
 }
 

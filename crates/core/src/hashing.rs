@@ -24,9 +24,10 @@ use tep_model::{DirtyMark, Forest, ObjectId, Value};
 use tep_obs::{Counter, Registry};
 
 /// Cache instrumentation: `tep_core_cache_{hits,misses,evictions}_total`.
-/// Hits count cached entries reused (at the walk root or as a clean child
-/// subtree); misses count nodes actually hashed; evictions count entries
-/// dropped by invalidation, dirty-log sync, or a Basic-strategy clear.
+/// Hits count the clean child subtrees a recompute reuses (a probe of a
+/// walk root that is already cached does no work and counts nothing);
+/// misses count nodes actually hashed; evictions count entries dropped by
+/// invalidation, dirty-log sync, or a Basic-strategy clear.
 #[derive(Clone, Debug)]
 struct CacheObs {
     hits: Counter,
@@ -234,9 +235,6 @@ impl HashCache {
     /// [`Self::get_or_compute`] without copying the digest out.
     fn compute(&mut self, forest: &Forest, id: ObjectId) -> &Digest {
         if self.hashes.contains_key(&id) {
-            if let Some(obs) = &self.obs {
-                obs.hits.inc();
-            }
             return &self.hashes[&id];
         }
         let mut hits = 0u64;

@@ -88,8 +88,10 @@ pub use merkle::{
 };
 pub use metrics::Metrics;
 pub use proof::{prove, ProofError, SubtreeProof};
-pub use provenance::{collect, ProvenanceObject};
-pub use record::{BatchChecksum, ChecksumFormat, InputRef, ProvenanceRecord, RecordKind};
+pub use provenance::{collect, collect_rows, ProvenanceObject};
+pub use record::{
+    BatchChecksum, ChecksumFormat, InputRef, ProvenanceRecord, RecordKind, RecordRow,
+};
 pub use slice::{
     BoundaryLink, Polynomial, QueryAnswer, QueryBounds, QueryOp, QuerySpec, SliceProof,
 };

@@ -37,12 +37,12 @@ const EMPTY_TAG: &[u8] = b"tep-ae-empty\x01";
 /// Hash of one leaf: binds the object's identity to its record-history
 /// digest, so two shards that store *different objects* at the same
 /// position disagree even if the history digests collide positionally.
-pub fn leaf_hash(alg: HashAlgorithm, oid: ObjectId, history_digest: &[u8]) -> Vec<u8> {
+pub fn leaf_hash(alg: HashAlgorithm, oid: ObjectId, history_digest: &[u8]) -> Digest {
     let mut h = alg.hasher();
     h.update(LEAF_TAG);
     h.update(&oid.raw().to_be_bytes());
     h.update(history_digest);
-    h.finalize()
+    h.finalize_fixed()
 }
 
 /// Hash of an interior node over its (1 or 2) children, in order.
@@ -98,7 +98,7 @@ impl ShardTree {
         let oids: Vec<ObjectId> = leaves.iter().map(|(oid, _)| *oid).collect();
         let base: Vec<Vec<u8>> = leaves
             .iter()
-            .map(|(oid, d)| leaf_hash(alg, *oid, d))
+            .map(|(oid, d)| leaf_hash(alg, *oid, d).to_vec())
             .collect();
         let digests: Vec<Vec<u8>> = leaves.into_iter().map(|(_, d)| d).collect();
         let mut levels = vec![base];
@@ -212,14 +212,15 @@ impl ShardTree {
     /// checking the path's **position** at every level: a `Some` sibling
     /// combines on the side `index` dictates, and a `None` entry is only
     /// legal where the tree shape for `leaf_count` really has an unpaired
-    /// tail node. `None` when the path does not fit that shape.
-    pub(crate) fn fold_leaf_path(
+    /// tail node. `None` when the path does not fit that shape. Every
+    /// node of the fold is a [`Digest`] on the stack.
+    pub(crate) fn fold_leaf_path<S: AsRef<[u8]>>(
         alg: HashAlgorithm,
         leaf_count: u64,
         index: u64,
-        leaf: &[u8],
-        path: &[Option<Vec<u8>>],
-    ) -> Option<Vec<u8>> {
+        leaf: Digest,
+        path: impl ExactSizeIterator<Item = Option<S>>,
+    ) -> Option<Digest> {
         if index >= leaf_count {
             return None;
         }
@@ -233,21 +234,21 @@ impl ShardTree {
         if path.len() != expected_depth as usize {
             return None;
         }
-        let mut node: Digest;
         let mut h = leaf;
         let mut idx = index;
         let mut count = leaf_count;
         for sibling in path {
-            node = match sibling {
+            h = match sibling {
                 Some(sib) => {
+                    let sib = sib.as_ref();
                     if idx.is_multiple_of(2) {
                         // A right sibling must actually exist at this level.
                         if idx + 1 >= count {
                             return None;
                         }
-                        combine(alg, &[h, sib])
+                        combine(alg, &[h.as_slice(), sib])
                     } else {
-                        combine(alg, &[sib, h])
+                        combine(alg, &[sib, h.as_slice()])
                     }
                 }
                 None => {
@@ -258,11 +259,10 @@ impl ShardTree {
                     combine(alg, &[h])
                 }
             };
-            h = node.as_slice();
             idx >>= 1;
             count = count.div_ceil(2);
         }
-        Some(h.to_vec())
+        Some(h)
     }
 
     /// `true` iff [`Self::fold_leaf_path`] lands on `root`.
@@ -271,10 +271,17 @@ impl ShardTree {
         root: &[u8],
         leaf_count: u64,
         index: u64,
-        leaf: &[u8],
+        leaf: Digest,
         path: &[Option<Vec<u8>>],
     ) -> bool {
-        Self::fold_leaf_path(alg, leaf_count, index, leaf, path).as_deref() == Some(root)
+        Self::fold_leaf_path(
+            alg,
+            leaf_count,
+            index,
+            leaf,
+            path.iter().map(Option::as_ref),
+        )
+        .is_some_and(|folded| folded == *root)
     }
 
     /// This shard's [`AeSummary`] (what a root exchange ships).
@@ -309,13 +316,14 @@ impl ShardTree {
 /// so a primary and a fully-caught-up replica build byte-identical
 /// trees from their independent stores.
 pub fn shard_tree_of(alg: HashAlgorithm, db: &ProvenanceDb) -> ShardTree {
+    let mut scratch = Vec::new();
     let leaves = db
         .object_ids()
         .into_iter()
         .map(|oid| {
             let mut d = RecordStreamDigest::new(alg, oid);
-            for rec in db.records_for(oid) {
-                d.push(&rec.to_bytes());
+            for row in db.records_for(oid) {
+                d.push_row(&row, &mut scratch);
             }
             (oid, d.current().to_vec())
         })

@@ -12,7 +12,7 @@ use crate::record::{ProvenanceRecord, RecordKind};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use tep_model::ObjectId;
-use tep_storage::ProvenanceDb;
+use tep_storage::{ProvenanceDb, StoredRecord};
 
 /// A provenance object: the records documenting one data object's history.
 #[derive(Clone, Debug)]
@@ -116,6 +116,28 @@ impl ProvenanceObject {
 /// chain plus, transitively, every aggregation input's chain up to the
 /// version that was aggregated.
 pub fn collect(db: &ProvenanceDb, target: ObjectId) -> Result<ProvenanceObject, CoreError> {
+    Ok(ProvenanceObject {
+        target,
+        records: gather(db, target, |_, record| record)?,
+    })
+}
+
+/// The rows [`collect`] reads for `target`, in the same `(object, seqID)`
+/// order, as the store holds them: what a server sends and what a resume
+/// digest hashes, with no record re-encoded. Every row has been decoded
+/// once (an aggregate's inputs extend the walk), so a row that does not
+/// decode fails here as it fails `collect`.
+pub fn collect_rows(db: &ProvenanceDb, target: ObjectId) -> Result<Vec<StoredRecord>, CoreError> {
+    gather(db, target, |row, _| row)
+}
+
+/// The walk behind [`collect`] and [`collect_rows`]: `keep` picks what of
+/// each row and its decoded record the result holds.
+fn gather<T>(
+    db: &ProvenanceDb,
+    target: ObjectId,
+    keep: impl Fn(StoredRecord, ProvenanceRecord) -> T,
+) -> Result<Vec<T>, CoreError> {
     let latest = db
         .latest_for(target)
         .ok_or(CoreError::NoProvenance(target))?;
@@ -124,8 +146,8 @@ pub fn collect(db: &ProvenanceDb, target: ObjectId) -> Result<ProvenanceObject, 
     let mut needed: HashMap<ObjectId, u64> = HashMap::new();
     needed.insert(target, latest.seq_id);
     let mut worklist = vec![target];
-    // (oid, seq) -> decoded record, collected as we expand.
-    let mut collected: BTreeMap<(ObjectId, u64), ProvenanceRecord> = BTreeMap::new();
+    // (oid, seq) -> what is kept of that row, collected as we expand.
+    let mut collected: BTreeMap<(ObjectId, u64), T> = BTreeMap::new();
 
     while let Some(oid) = worklist.pop() {
         let up_to = needed[&oid];
@@ -154,14 +176,11 @@ pub fn collect(db: &ProvenanceDb, target: ObjectId) -> Result<ProvenanceObject, 
                     worklist.push(input.oid);
                 }
             }
-            collected.insert(key, record);
+            collected.insert(key, keep(stored, record));
         }
     }
 
-    Ok(ProvenanceObject {
-        target,
-        records: collected.into_values().collect(),
-    })
+    Ok(collected.into_values().collect())
 }
 
 #[cfg(test)]
@@ -269,6 +288,21 @@ mod tests {
             from: (a, 1),
             to: (a, 0)
         }));
+    }
+
+    #[test]
+    fn collect_rows_are_the_rows_of_the_collected_records() {
+        let (t, _, a, b, c, d) = figure2();
+        for oid in [a, b, c, d] {
+            let rows = collect_rows(t.db(), oid).unwrap();
+            let records = collect(t.db(), oid).unwrap().records;
+            let encoded: Vec<StoredRecord> = records.iter().map(|r| r.to_stored()).collect();
+            assert_eq!(rows, encoded, "object {oid}");
+        }
+        assert!(matches!(
+            collect_rows(t.db(), ObjectId(42)),
+            Err(CoreError::NoProvenance(_))
+        ));
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! signature — that verifies alone ([`ChecksumFormat::Batched`]).
 
 use crate::merkle::{leaf_hash, ShardTree};
-use tep_crypto::digest::HashAlgorithm;
+use std::borrow::Cow;
+use tep_crypto::digest::{Digest, HashAlgorithm};
 use tep_crypto::pki::{Participant, ParticipantId};
 use tep_crypto::rsa::RsaError;
 use tep_model::encode::{decode_exact, Codec, DecodeError, List, Reader, Skip};
@@ -201,22 +202,20 @@ pub struct BatchChecksum {
 
 /// Domain-separated digest of one member's [`checksum_message`]; the
 /// member's leaf is [`leaf_hash`] of its output object and this digest.
-fn batch_leaf_digest(alg: HashAlgorithm, message: &[u8]) -> Vec<u8> {
+fn batch_leaf_digest(alg: HashAlgorithm, message: &[u8]) -> Digest {
     let mut h = alg.hasher();
     h.update(BATCH_LEAF_TAG);
     h.update(message);
-    h.finalize()
+    h.finalize_fixed()
 }
 
-/// The one message a batch's signature covers.
-fn batch_root_message(alg: HashAlgorithm, count: u32, root: &[u8]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(BATCH_ROOT_TAG.len() + 13 + root.len());
-    msg.extend_from_slice(BATCH_ROOT_TAG);
-    msg.push(alg.wire_id());
-    msg.extend_from_slice(&count.to_be_bytes());
-    msg.extend_from_slice(&(root.len() as u64).to_be_bytes());
-    msg.extend_from_slice(root);
-    msg
+/// Appends the one message a batch's signature covers to `out`.
+fn batch_root_message_into(alg: HashAlgorithm, count: u32, root: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(BATCH_ROOT_TAG);
+    out.push(alg.wire_id());
+    out.extend_from_slice(&count.to_be_bytes());
+    out.extend_from_slice(&(root.len() as u64).to_be_bytes());
+    out.extend_from_slice(root);
 }
 
 impl BatchChecksum {
@@ -237,6 +236,33 @@ impl BatchChecksum {
     /// Decodes a checksum whose path digests are `alg`'s. Total on
     /// arbitrary bytes.
     pub fn decode(alg: HashAlgorithm, buf: &[u8]) -> Result<Self, DecodeError> {
+        let view = BatchChecksumView::decode(alg, buf)?;
+        Ok(BatchChecksum {
+            index: view.index,
+            count: view.count,
+            path: view.path().map(|s| s.map(<[u8]>::to_vec)).collect(),
+            signature: view.signature.to_vec(),
+        })
+    }
+}
+
+/// An encoded [`BatchChecksum`] read in place: what the verifier checks,
+/// allocating nothing. It is the one decoder of the encoding;
+/// [`BatchChecksum::decode`] copies a view out.
+#[derive(Clone, Copy)]
+pub(crate) struct BatchChecksumView<'a> {
+    index: u32,
+    count: u32,
+    /// The siblings that exist, concatenated, one digest each.
+    siblings: &'a [u8],
+    digest_len: usize,
+    pub(crate) signature: &'a [u8],
+}
+
+impl<'a> BatchChecksumView<'a> {
+    /// Reads a checksum whose path digests are `alg`'s. Total on arbitrary
+    /// bytes.
+    pub(crate) fn decode(alg: HashAlgorithm, buf: &'a [u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(buf);
         let version = r.u8()?;
         if version != BATCH_CHECKSUM_VERSION {
@@ -248,47 +274,65 @@ impl BatchChecksum {
             return Err(DecodeError::BadTag(0xFD));
         }
         // At most 32 levels: the shape, not the input, sizes the path.
-        let mut path = Vec::new();
-        let (mut idx, mut width) = (index, count);
-        while width > 1 {
-            path.push(if idx ^ 1 < width {
-                Some(r.bytes(alg.output_len())?.to_vec())
-            } else {
-                None
-            });
-            idx >>= 1;
-            width = width.div_ceil(2);
-        }
-        let signature = r.bytes(r.remaining())?.to_vec();
+        let digest_len = alg.output_len();
+        let present = path_shape(index, count).filter(|&sibling| sibling).count();
+        let siblings = r.bytes(present * digest_len)?;
+        let signature = r.bytes(r.remaining())?;
         if signature.is_empty() {
             return Err(DecodeError::UnexpectedEof);
         }
-        Ok(BatchChecksum {
+        Ok(BatchChecksumView {
             index,
             count,
-            path,
+            siblings,
+            digest_len,
             signature,
         })
     }
 
-    /// The message `signature` must verify over if the record with output
-    /// object `oid` and checksum message `message` is the member this
-    /// checksum claims it is; `None` when the path does not fit the shape.
-    pub(crate) fn signed_message(
+    /// The sibling path in [`ShardTree::leaf_path`] form.
+    fn path(&self) -> impl ExactSizeIterator<Item = Option<&'a [u8]>> {
+        let mut siblings = self.siblings.chunks_exact(self.digest_len);
+        let mut levels = [None; 32];
+        let mut depth = 0;
+        for sibling in path_shape(self.index, self.count) {
+            levels[depth] = sibling.then(|| siblings.next().expect("decode sized the path"));
+            depth += 1;
+        }
+        levels.into_iter().take(depth)
+    }
+
+    /// Replaces `message`, the checksum message of the record with output
+    /// object `oid`, by the message `signature` must verify over if that
+    /// record is the member this checksum claims it is. The leaf, every
+    /// node of the path and the root stay on the stack.
+    pub(crate) fn signed_message_into(
         &self,
         alg: HashAlgorithm,
         oid: ObjectId,
-        message: &[u8],
-    ) -> Option<Vec<u8>> {
-        let root = ShardTree::fold_leaf_path(
-            alg,
-            self.count.into(),
-            self.index.into(),
-            &leaf_hash(alg, oid, &batch_leaf_digest(alg, message)),
-            &self.path,
-        )?;
-        Some(batch_root_message(alg, self.count, &root))
+        message: &mut Vec<u8>,
+    ) {
+        let leaf = leaf_hash(alg, oid, batch_leaf_digest(alg, message).as_slice());
+        let root =
+            ShardTree::fold_leaf_path(alg, self.count.into(), self.index.into(), leaf, self.path())
+                .expect("a decoded path fits its shape");
+        message.clear();
+        batch_root_message_into(alg, self.count, root.as_slice(), message);
     }
+}
+
+/// For each level of a batch tree of `count` leaves below its root,
+/// whether leaf `index`'s ancestor there has a sibling.
+fn path_shape(index: u32, count: u32) -> impl Iterator<Item = bool> {
+    let (mut idx, mut width) = (index, count);
+    std::iter::from_fn(move || {
+        (width > 1).then(|| {
+            let sibling = idx ^ 1 < width;
+            idx >>= 1;
+            width = width.div_ceil(2);
+            sibling
+        })
+    })
 }
 
 /// Assembles the canonical byte string the checksum signs.
@@ -312,6 +356,36 @@ pub fn checksum_message(
     annotation: &[u8],
     prev_checksums: &[&[u8]],
 ) -> Vec<u8> {
+    let mut msg = Vec::new();
+    checksum_message_into(
+        alg,
+        kind,
+        seq_id,
+        inputs,
+        output_oid,
+        output_hash,
+        annotation,
+        prev_checksums.iter().copied(),
+        &mut msg,
+    );
+    msg
+}
+
+/// Appends [`checksum_message`] to `out`, taking the predecessor
+/// checksums from an iterator, so a verifier builds every message in one
+/// reused buffer.
+#[allow(clippy::too_many_arguments)] // mirrors the record's field list
+fn checksum_message_into<'p>(
+    alg: HashAlgorithm,
+    kind: RecordKind,
+    seq_id: u64,
+    inputs: &[InputRef],
+    output_oid: ObjectId,
+    output_hash: &[u8],
+    annotation: &[u8],
+    prev_checksums: impl IntoIterator<Item = &'p [u8]>,
+    out: &mut Vec<u8>,
+) {
     // Input part: 0 for inserts, h(input) for updates, the digest of the
     // concatenated input hashes for aggregates (the paper's inner hash).
     let aggregate;
@@ -324,43 +398,36 @@ pub fn checksum_message(
                 h.update(&(input.hash.len() as u64).to_be_bytes());
                 h.update(&input.hash);
             }
-            aggregate = h.finalize();
-            &aggregate
+            aggregate = h.finalize_fixed();
+            aggregate.as_slice()
         }
     };
     // Tag, alg, kind, seq, oid and the prev count are fixed; every
     // variable-length field carries an 8-byte length prefix.
-    let len = MSG_TAG.len()
-        + 2
-        + 8
-        + (8 + input_part.len())
-        + 8
-        + (8 + output_hash.len())
-        + (8 + annotation.len())
-        + 8
-        + prev_checksums.iter().map(|p| 8 + p.len()).sum::<usize>();
-    let mut msg = Vec::with_capacity(len);
-    msg.extend_from_slice(MSG_TAG);
-    msg.push(alg.wire_id());
-    msg.push(kind.wire_id());
-    msg.extend_from_slice(&seq_id.to_be_bytes());
-    msg.extend_from_slice(&(input_part.len() as u64).to_be_bytes());
-    msg.extend_from_slice(input_part);
+    out.extend_from_slice(MSG_TAG);
+    out.push(alg.wire_id());
+    out.push(kind.wire_id());
+    out.extend_from_slice(&seq_id.to_be_bytes());
+    out.extend_from_slice(&(input_part.len() as u64).to_be_bytes());
+    out.extend_from_slice(input_part);
 
-    msg.extend_from_slice(&output_oid.raw().to_be_bytes());
-    msg.extend_from_slice(&(output_hash.len() as u64).to_be_bytes());
-    msg.extend_from_slice(output_hash);
+    out.extend_from_slice(&output_oid.raw().to_be_bytes());
+    out.extend_from_slice(&(output_hash.len() as u64).to_be_bytes());
+    out.extend_from_slice(output_hash);
 
-    msg.extend_from_slice(&(annotation.len() as u64).to_be_bytes());
-    msg.extend_from_slice(annotation);
+    out.extend_from_slice(&(annotation.len() as u64).to_be_bytes());
+    out.extend_from_slice(annotation);
 
-    msg.extend_from_slice(&(prev_checksums.len() as u64).to_be_bytes());
+    // The count leads the checksums: written once they are counted.
+    let count_at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let mut count = 0u64;
     for prev in prev_checksums {
-        msg.extend_from_slice(&(prev.len() as u64).to_be_bytes());
-        msg.extend_from_slice(prev);
+        out.extend_from_slice(&(prev.len() as u64).to_be_bytes());
+        out.extend_from_slice(prev);
+        count += 1;
     }
-    debug_assert_eq!(msg.len(), len);
-    msg
+    out[count_at..count_at + 8].copy_from_slice(&count.to_be_bytes());
 }
 
 impl ProvenanceRecord {
@@ -426,7 +493,19 @@ impl ProvenanceRecord {
     /// This record's [`checksum_message`] over the given predecessor
     /// checksums.
     pub fn message(&self, alg: HashAlgorithm, prev_checksums: &[&[u8]]) -> Vec<u8> {
-        checksum_message(
+        let mut msg = Vec::new();
+        self.message_into(alg, prev_checksums.iter().copied(), &mut msg);
+        msg
+    }
+
+    /// Appends [`Self::message`] to `out`.
+    pub(crate) fn message_into<'p>(
+        &self,
+        alg: HashAlgorithm,
+        prev_checksums: impl IntoIterator<Item = &'p [u8]>,
+        out: &mut Vec<u8>,
+    ) {
+        checksum_message_into(
             alg,
             self.kind,
             self.seq_id,
@@ -435,6 +514,7 @@ impl ProvenanceRecord {
             &self.output_hash,
             &self.annotation,
             prev_checksums,
+            out,
         )
     }
 
@@ -453,10 +533,12 @@ impl ProvenanceRecord {
         let leaves = records
             .iter()
             .zip(messages)
-            .map(|(r, m)| (r.output_oid, batch_leaf_digest(alg, m)))
+            .map(|(r, m)| (r.output_oid, batch_leaf_digest(alg, m).to_vec()))
             .collect();
         let tree = ShardTree::build(alg, leaves);
-        let signature = signer.sign(alg, &batch_root_message(alg, count, &tree.root()))?;
+        let mut root_message = Vec::new();
+        batch_root_message_into(alg, count, &tree.root(), &mut root_message);
+        let signature = signer.sign(alg, &root_message)?;
         for r in records {
             let index = tree
                 .oid_position(r.output_oid)
@@ -510,6 +592,48 @@ impl ProvenanceRecord {
         }
         rec.checksum = stored.checksum.clone();
         Ok(rec)
+    }
+}
+
+/// A record and the store row it was decoded from: what the verifier
+/// fold takes, so that its stream digest hashes the row as it arrived
+/// instead of an encoding of the record. A transport hands the pair
+/// (`(&record, &row)`, the record being `from_stored(&row)`); a record
+/// pushed bare — from a collected history, or built in process — has its
+/// canonical row encoded once here, which is the same row because every
+/// accepted row has one encoding.
+pub struct RecordRow<'r> {
+    record: &'r ProvenanceRecord,
+    row: Cow<'r, StoredRecord>,
+}
+
+impl RecordRow<'_> {
+    /// The decoded record.
+    pub fn record(&self) -> &ProvenanceRecord {
+        self.record
+    }
+
+    /// The row the record was decoded from.
+    pub fn row(&self) -> &StoredRecord {
+        &self.row
+    }
+}
+
+impl<'r> From<&'r ProvenanceRecord> for RecordRow<'r> {
+    fn from(record: &'r ProvenanceRecord) -> Self {
+        RecordRow {
+            record,
+            row: Cow::Owned(record.to_stored()),
+        }
+    }
+}
+
+impl<'r> From<(&'r ProvenanceRecord, &'r StoredRecord)> for RecordRow<'r> {
+    fn from((record, row): (&'r ProvenanceRecord, &'r StoredRecord)) -> Self {
+        RecordRow {
+            record,
+            row: Cow::Borrowed(row),
+        }
     }
 }
 

@@ -18,6 +18,7 @@ use tep_crypto::pki::ParticipantId;
 use tep_model::codec_structs;
 use tep_model::encode::{node_prefix, Codec, DecodeError, List, Reader};
 use tep_model::{ObjectId, Value};
+use tep_storage::StoredRecord;
 
 /// Error from streaming construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -266,7 +267,16 @@ impl RecordStreamDigest {
         let mut h = self.alg.hasher();
         h.update(&self.state);
         h.update(record_bytes);
-        self.state = h.finalize();
+        self.state.clear();
+        self.state.extend_from_slice(h.finalize_fixed().as_slice());
+    }
+
+    /// Folds the next record's row, its bytes built in `scratch` (which
+    /// the caller reuses across rows).
+    pub fn push_row(&mut self, row: &StoredRecord, scratch: &mut Vec<u8>) {
+        scratch.clear();
+        row.encode_into(scratch);
+        self.push(scratch);
     }
 
     /// The current digest state.

@@ -34,7 +34,7 @@
 use crate::checkpoint::{SealedCheckpoint, TrustAnchor};
 use crate::denial::{SignedDenial, SignedRange};
 use crate::provenance::ProvenanceObject;
-use crate::record::{BatchChecksum, ChecksumFormat, ProvenanceRecord, RecordKind};
+use crate::record::{BatchChecksumView, ChecksumFormat, ProvenanceRecord, RecordKind, RecordRow};
 use crate::slice::{
     backward_closure, forward_closure, polynomial_over, AggEdge, QueryAnswer, QueryOp, SliceProof,
 };
@@ -249,12 +249,14 @@ impl<'a> Verifier<'a> {
 
         // Condition 2: every checksum verifies over the record's fields and
         // the stored predecessor checksums.
+        let mut msg = Vec::new();
         for r in &prov.records {
             check_record_signature(
                 self.keys,
                 self.alg,
                 r,
                 |oid, seq| index.get(&(oid, seq)).map(|p| p.checksum.as_slice()),
+                &mut msg,
                 &mut v.issues,
             );
             v.records_checked += 1;
@@ -739,30 +741,30 @@ fn preds_sort_before(r: &ProvenanceRecord) -> bool {
 /// through `lookup_prev`; missing predecessors are R2/R7 evidence and skip
 /// the signature check (it could not possibly pass). A predecessor that does
 /// not sort before its record is [`check_record_shape`]'s finding: it is not
-/// resolved, and the signature is not checked.
+/// resolved, and the signature is not checked. The signed message is built
+/// in `msg`, a buffer the caller reuses, and a batch checksum is read in
+/// place, so the check allocates nothing.
 fn check_record_signature<'a>(
     keys: &KeyDirectory,
     alg: HashAlgorithm,
     r: &ProvenanceRecord,
     lookup_prev: impl Fn(ObjectId, u64) -> Option<&'a [u8]>,
+    msg: &mut Vec<u8>,
     issues: &mut Vec<TamperEvidence>,
 ) {
     if !preds_sort_before(r) {
         return;
     }
-    let mut prev_checksums: Vec<&[u8]> = Vec::new();
+    let prevs = || {
+        r.inputs
+            .iter()
+            .filter_map(|i| i.prev_seq.map(|prev| (i.oid, prev)))
+    };
     let mut resolvable = true;
-    for input in &r.inputs {
-        let Some(prev) = input.prev_seq else { continue };
-        match lookup_prev(input.oid, prev) {
-            Some(c) => prev_checksums.push(c),
-            None => {
-                issues.push(TamperEvidence::MissingRecord {
-                    oid: input.oid,
-                    seq: prev,
-                });
-                resolvable = false;
-            }
+    for (oid, seq) in prevs() {
+        if lookup_prev(oid, seq).is_none() {
+            issues.push(TamperEvidence::MissingRecord { oid, seq });
+            resolvable = false;
         }
     }
     if !resolvable {
@@ -775,20 +777,23 @@ fn check_record_signature<'a>(
         });
         return;
     }
-    let msg = r.message(alg, &prev_checksums);
+    msg.clear();
+    r.message_into(
+        alg,
+        prevs().map(|(oid, seq)| lookup_prev(oid, seq).expect("resolved above")),
+        msg,
+    );
     // A batch member proves itself: its path folds its own leaf up to the
     // root the participant signed, so a bad index, path, leaf or signature
     // fails this record and no other.
     let genuine = match r.checksum_format {
         ChecksumFormat::PerRecord => keys
-            .verify_signature(r.participant, alg, &msg, &r.checksum)
+            .verify_signature(r.participant, alg, msg, &r.checksum)
             .is_ok(),
-        ChecksumFormat::Batched => BatchChecksum::decode(alg, &r.checksum).is_ok_and(|c| {
-            c.signed_message(alg, r.output_oid, &msg)
-                .is_some_and(|signed| {
-                    keys.verify_signature(r.participant, alg, &signed, &c.signature)
-                        .is_ok()
-                })
+        ChecksumFormat::Batched => BatchChecksumView::decode(alg, &r.checksum).is_ok_and(|c| {
+            c.signed_message_into(alg, r.output_oid, msg);
+            keys.verify_signature(r.participant, alg, msg, c.signature)
+                .is_ok()
         }),
     };
     if !genuine {
@@ -851,9 +856,12 @@ pub struct StreamingVerifier<'a> {
     chain_tail: BTreeMap<ObjectId, u64>,
     /// `(seq_id, output_hash)` of the newest target record.
     latest_target: Option<(u64, Vec<u8>)>,
-    /// Rolling digest of the accepted records' canonical bytes, for
-    /// proving a resume point to a sender ([`Self::stream_digest`]).
+    /// Rolling digest of the accepted records' rows, for proving a resume
+    /// point to a sender ([`Self::stream_digest`]).
     digest: RecordStreamDigest,
+    /// One buffer every record's signed message and row bytes are built
+    /// in, in turn.
+    scratch: Vec<u8>,
     /// Optional tep-obs instrumentation (shared counter names with the
     /// batch [`Verifier`]).
     obs: Option<VerifyObs>,
@@ -877,6 +885,7 @@ impl<'a> StreamingVerifier<'a> {
             chain_tail: BTreeMap::new(),
             latest_target: None,
             digest: RecordStreamDigest::new(alg, target),
+            scratch: Vec::new(),
             obs: None,
             attested: Attested::default(),
         }
@@ -907,7 +916,13 @@ impl<'a> StreamingVerifier<'a> {
     /// Feeds the next record; returns how many **new** pieces of evidence
     /// this record produced (0 ⇒ clean so far), letting a transport abort
     /// mid-transfer and attribute the failure to this record's frame.
-    pub fn push_record(&mut self, r: &ProvenanceRecord) -> usize {
+    ///
+    /// The stream digest hashes the record's row: a transport passes the
+    /// row it received with the record decoded from it, so the digest
+    /// covers the bytes as they arrived (see [`RecordRow`]).
+    pub fn push_record<'r>(&mut self, pushed: impl Into<RecordRow<'r>>) -> usize {
+        let pushed = pushed.into();
+        let r = pushed.record();
         let before = self.issues.len();
         self.admit(r);
 
@@ -942,16 +957,18 @@ impl<'a> StreamingVerifier<'a> {
         self.order.push((r.output_oid, r.seq_id));
 
         if r.output_oid == self.target {
-            let newer = self
-                .latest_target
-                .as_ref()
-                .is_none_or(|(seq, _)| r.seq_id >= *seq);
-            if newer {
-                self.latest_target = Some((r.seq_id, r.output_hash.clone()));
+            match &mut self.latest_target {
+                Some((seq, hash)) if r.seq_id >= *seq => {
+                    *seq = r.seq_id;
+                    hash.clear();
+                    hash.extend_from_slice(&r.output_hash);
+                }
+                Some(_) => {}
+                None => self.latest_target = Some((r.seq_id, r.output_hash.clone())),
             }
         }
 
-        self.digest.push(&r.to_stored().to_bytes());
+        self.digest.push_row(pushed.row(), &mut self.scratch);
         let new_evidence = self.issues.len() - before;
         if let Some(obs) = &self.obs {
             obs.records.inc();
@@ -998,6 +1015,7 @@ impl<'a> StreamingVerifier<'a> {
                     .or_else(|| slots.get(&slot))
                     .map(Vec::as_slice)
             },
+            &mut self.scratch,
             &mut self.issues,
         );
 
@@ -1012,9 +1030,9 @@ impl<'a> StreamingVerifier<'a> {
         self.participants.insert(r.participant);
     }
 
-    /// The rolling digest over the canonical bytes of every record pushed
-    /// so far — the proof-of-position a resumable transfer sends in its
-    /// RESUME frame.
+    /// The rolling digest over the rows of every record pushed so far —
+    /// the proof-of-position a resumable transfer sends in its RESUME
+    /// frame.
     pub fn stream_digest(&self) -> &[u8] {
         self.digest.current()
     }

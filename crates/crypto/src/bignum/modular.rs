@@ -67,14 +67,15 @@ impl MontgomeryCtx {
     pub fn to_mont(&self, x: &BigUint) -> Vec<u64> {
         let k = self.limb_count();
         let (mut stack, mut heap) = ([0u64; STACK_LIMBS], Vec::new());
+        let padded = scratch(&mut stack, &mut heap, k);
+        self.reduce_into(x, padded);
         let mut out = vec![0u64; k];
-        self.to_mont_into(x, scratch(&mut stack, &mut heap, k), &mut out);
+        self.mont_mul(padded, &self.rr, &mut out);
         out
     }
 
-    /// `out = x·R mod n` for any `x` (reduced first if `x >= n`); `padded`
-    /// is `k` limbs of scratch.
-    fn to_mont_into(&self, x: &BigUint, padded: &mut [u64], out: &mut [u64]) {
+    /// `out = x mod n`, as `k` limbs.
+    fn reduce_into(&self, x: &BigUint, out: &mut [u64]) {
         let reduced;
         let x = if x < &self.n {
             x
@@ -82,19 +83,25 @@ impl MontgomeryCtx {
             reduced = x.rem_ref(&self.n);
             &reduced
         };
-        padded.fill(0);
-        padded[..x.limbs.len()].copy_from_slice(&x.limbs);
-        self.mont_mul(padded, &self.rr, out);
+        out.fill(0);
+        out[..x.limbs.len()].copy_from_slice(&x.limbs);
     }
 
     /// Converts a Montgomery-domain value back to the ordinary domain.
     pub fn from_mont(&self, x: &[u64]) -> BigUint {
         let k = self.limb_count();
-        let (mut stack, mut heap) = ([0u64; 2 * STACK_LIMBS], Vec::new());
-        let (one, out) = scratch(&mut stack, &mut heap, 2 * k).split_at_mut(k);
+        let (mut stack, mut heap) = ([0u64; STACK_LIMBS], Vec::new());
+        let out = scratch(&mut stack, &mut heap, k);
+        self.leave_mont(x, out);
+        BigUint::from_limbs(out.to_vec())
+    }
+
+    /// `out = x·R^{-1} mod n`: one product with 1.
+    fn leave_mont(&self, x: &[u64], out: &mut [u64]) {
+        let (mut stack, mut heap) = ([0u64; STACK_LIMBS], Vec::new());
+        let one = scratch(&mut stack, &mut heap, self.limb_count());
         one[0] = 1;
         self.mont_mul(x, one, out);
-        BigUint::from_limbs(out.to_vec())
     }
 
     /// CIOS Montgomery multiplication: `out = a·b·R^{-1} mod n`.
@@ -105,6 +112,8 @@ impl MontgomeryCtx {
     /// # Panics
     /// Panics if a slice is not exactly `k` limbs.
     pub fn mont_mul(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        #[cfg(test)]
+        tests::PRODUCTS.with(|p| p.set(p.get() + 1));
         let (n, n0inv) = (&self.n.limbs[..], self.n0inv);
         match n.len() {
             4 => cios_fixed::<4>(a, b, n, n0inv, out),
@@ -126,17 +135,73 @@ impl MontgomeryCtx {
     /// Modular exponentiation `base^exp mod n` using this precomputed
     /// context.
     pub fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one();
-        }
-        let (mut stack, mut heap) = ([0u64; STACK_LIMBS], Vec::new());
-        let x = scratch(&mut stack, &mut heap, self.limb_count());
-        self.pow_mont(base, exp, x);
-        self.from_mont(x)
+        let k = self.limb_count();
+        let (mut stack, mut heap) = ([0u64; 2 * STACK_LIMBS], Vec::new());
+        let (b, x) = scratch(&mut stack, &mut heap, 2 * k).split_at_mut(k);
+        self.reduce_into(base, b);
+        self.pow_into(b, exp, x);
+        BigUint::from_limbs(x.to_vec())
     }
 
-    /// `out = base^exp · R mod n`: the power, left in the Montgomery domain
-    /// (Miller–Rabin keeps squaring it there). `exp` must be nonzero.
+    /// `base^exp mod n` over big-endian bytes, allocating nothing up to
+    /// [`STACK_LIMBS`] limbs: `base` is read as an integer, and `out` gets
+    /// the power left-padded to its length, which must hold `n`. `false`
+    /// (and `out` untouched) when `base >= n`.
+    pub(crate) fn pow_be_bytes(&self, base: &[u8], exp: &BigUint, out: &mut [u8]) -> bool {
+        let k = self.limb_count();
+        let (mut stack, mut heap) = ([0u64; 2 * STACK_LIMBS], Vec::new());
+        let (b, x) = scratch(&mut stack, &mut heap, 2 * k).split_at_mut(k);
+        let mut chunks = base.rchunks(8);
+        for (limb, chunk) in b.iter_mut().zip(&mut chunks) {
+            *limb = chunk.iter().fold(0, |l, &byte| (l << 8) | u64::from(byte));
+        }
+        if chunks.flatten().any(|&byte| byte != 0) || ge(b, &self.n.limbs) {
+            return false;
+        }
+        self.pow_into(b, exp, x);
+        out.fill(0);
+        for (chunk, limb) in out.rchunks_mut(8).zip(&*x) {
+            chunk.copy_from_slice(&limb.to_be_bytes()[8 - chunk.len()..]);
+        }
+        true
+    }
+
+    /// `out = base^exp mod n`, in the ordinary domain, for a `k`-limb
+    /// `base < n`.
+    ///
+    /// An odd exponent of at most 32 bits other than 1 (RSA's e = 65537)
+    /// takes one product fewer than entering and leaving the Montgomery
+    /// domain around the power: the ladder builds `base^(e−1)·R`, and one
+    /// product with the *plain* base gives `base^(e−1)·R · base · R^{-1} =
+    /// base^e`, already out of the domain. For e = 65537 that is 18
+    /// products: into the domain, 16 squarings, the plain product. The
+    /// plain operand is why `base < n` is required.
+    pub(crate) fn pow_into(&self, base: &[u64], exp: &BigUint, out: &mut [u64]) {
+        let k = self.limb_count();
+        let (mut stack, mut heap) = ([0u64; STACK_LIMBS], Vec::new());
+        let x = scratch(&mut stack, &mut heap, k);
+        match exp.limbs() {
+            [] => {
+                out.fill(0);
+                out[0] = 1;
+            }
+            &[e] if e & 1 == 1 && e > 1 && e <= u64::from(u32::MAX) => {
+                let even = e - 1;
+                let bits = (u64::BITS - even.leading_zeros()) as usize;
+                self.pow_mont(base, bits, |i| even >> i & 1 == 1, x);
+                self.mont_mul(x, base, out);
+            }
+            _ => {
+                self.pow_mont(base, exp.bit_len(), |i| exp.bit(i), x);
+                self.leave_mont(x, out);
+            }
+        }
+    }
+
+    /// `out = base^exp · R mod n`: the power of a `k`-limb `base < n`,
+    /// left in the Montgomery domain (Miller–Rabin keeps squaring it
+    /// there). The exponent is `e_bits` bits long, bit `i` being `bit(i)`;
+    /// it must be nonzero.
     ///
     /// Strategy selection:
     /// - small exponents (≤ 32 bits, e.g. the RSA public exponent 65537)
@@ -148,15 +213,27 @@ impl MontgomeryCtx {
     /// Either way the accumulator alternates between two buffers, one
     /// product reading the one and writing the other, and every buffer is
     /// carved from one stack array up to [`STACK_LIMBS`] limbs.
-    pub(crate) fn pow_mont(&self, base: &BigUint, exp: &BigUint, out: &mut [u64]) {
-        assert!(!exp.is_zero(), "pow_mont exponent must be nonzero");
+    pub(crate) fn pow_mont(
+        &self,
+        base: &[u64],
+        e_bits: usize,
+        bit: impl Fn(usize) -> bool,
+        out: &mut [u64],
+    ) {
+        assert!(e_bits > 0, "pow_mont exponent must be nonzero");
         let k = self.limb_count();
-        let e_bits = exp.bit_len();
-        let (mut stack, mut heap) = ([0u64; (TABLE + 2) * STACK_LIMBS], Vec::new());
-        // The ladder needs the base alone; the window, its odd powers.
-        let powers = if e_bits <= 32 { 1 } else { TABLE };
-        let (table, rest) =
-            scratch(&mut stack, &mut heap, (powers + 2) * k).split_at_mut(powers * k);
+        // The ladder needs the base alone; the window, its odd powers. Only
+        // the stack array the strategy uses is zeroed.
+        let (mut ladder, mut window, mut heap);
+        let (powers, stack): (usize, &mut [u64]) = if e_bits <= 32 {
+            ladder = [0u64; 3 * STACK_LIMBS];
+            (1, &mut ladder)
+        } else {
+            window = [0u64; (TABLE + 2) * STACK_LIMBS];
+            (TABLE, &mut window)
+        };
+        heap = Vec::new();
+        let (table, rest) = scratch(stack, &mut heap, (powers + 2) * k).split_at_mut(powers * k);
         let (mut acc, mut tmp) = rest.split_at_mut(k);
         // One product, then the roles of the two buffers swap.
         macro_rules! step {
@@ -165,14 +242,14 @@ impl MontgomeryCtx {
                 std::mem::swap(&mut acc, &mut tmp);
             }};
         }
-        self.to_mont_into(base, tmp, &mut table[..k]);
+        self.mont_mul(base, &self.rr, &mut table[..k]);
 
         if e_bits <= 32 {
             // Binary ladder: e_bits-1 squarings + (popcount-1) multiplies.
             acc.copy_from_slice(table);
             for i in (0..e_bits - 1).rev() {
                 step!(acc);
-                if exp.bit(i) {
+                if bit(i) {
                     step!(table);
                 }
             }
@@ -189,18 +266,16 @@ impl MontgomeryCtx {
             let mut rem = e_bits; // unprocessed bits are exp[..rem]
             let mut started = false;
             while rem > 0 {
-                if !exp.bit(rem - 1) {
+                if !bit(rem - 1) {
                     step!(acc);
                     rem -= 1;
                     continue;
                 }
                 let mut low = rem.saturating_sub(WINDOW);
-                while !exp.bit(low) {
+                while !bit(low) {
                     low += 1;
                 }
-                let digit = (low..rem)
-                    .rev()
-                    .fold(0, |d, i| (d << 1) | exp.bit(i) as usize);
+                let digit = (low..rem).rev().fold(0, |d, i| (d << 1) | bit(i) as usize);
                 let power = &table[(digit >> 1) * k..][..k];
                 if started {
                     for _ in low..rem {
@@ -533,9 +608,81 @@ impl Signed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Montgomery products this thread has run.
+        pub(super) static PRODUCTS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn n(v: u64) -> BigUint {
         BigUint::from_u64(v)
+    }
+
+    #[test]
+    fn short_odd_exponents_match_naive() {
+        let mut rng = StdRng::seed_from_u64(42);
+        // 4, 8, 16 and 32 limbs take the compiled widths; 3 and 5 the
+        // run-time one.
+        for limbs in [3usize, 4, 5, 8, 16, 32] {
+            let mut m = BigUint::from_limbs((0..limbs).map(|_| rng.next_u64()).collect());
+            m.limbs.resize(limbs, 0);
+            m.limbs[limbs - 1] |= 1 << 63;
+            m.limbs[0] |= 1;
+            let ctx = MontgomeryCtx::new(&m);
+            let mut exps = vec![3u64, 5, 65537, u64::from(u32::MAX)];
+            exps.extend((0..12).map(|_| u64::from(rng.next_u32() | 1)));
+            for e in exps {
+                let e = n(e);
+                let random = BigUint::random_below(&m, &mut rng);
+                for base in [n(0), n(1), n(2), random, m.sub_ref(&n(1))] {
+                    assert_eq!(
+                        ctx.modpow(&base, &e),
+                        base.modpow_naive(&e, &m),
+                        "limbs={limbs} e={e} base={base}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn public_exponent_takes_eighteen_products() {
+        let m = BigUint::from_hex("c3a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5b3").unwrap();
+        let ctx = MontgomeryCtx::new(&m);
+        let base = BigUint::from_hex("1234567890abcdef998877").unwrap();
+        let products = |e: u64| {
+            let before = PRODUCTS.with(Cell::get);
+            ctx.modpow(&base, &n(e));
+            PRODUCTS.with(Cell::get) - before
+        };
+        // Into the domain, 16 squarings, one product with the plain base.
+        assert_eq!(products(65537), 18);
+        assert_eq!(products(3), 3);
+        // An even exponent still enters and leaves the domain.
+        assert_eq!(products(65536), 18);
+    }
+
+    #[test]
+    fn pow_be_bytes_refuses_a_base_at_or_above_the_modulus() {
+        let m = BigUint::from_hex("c3a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5b3").unwrap();
+        let ctx = MontgomeryCtx::new(&m);
+        let len = m.to_bytes_be().len();
+        let e = n(65537);
+        let mut out = vec![0u8; len];
+        for base in [m.clone(), m.add_ref(&n(1))] {
+            let bytes = base.to_bytes_be_padded(len + 8).unwrap();
+            assert!(!ctx.pow_be_bytes(&bytes, &e, &mut out));
+        }
+        let base = m.sub_ref(&n(2));
+        // Leading zero bytes beyond the limb width are only padding.
+        assert!(ctx.pow_be_bytes(&base.to_bytes_be_padded(len + 9).unwrap(), &e, &mut out));
+        assert_eq!(
+            out,
+            base.modpow_naive(&e, &m).to_bytes_be_padded(len).unwrap()
+        );
     }
 
     #[test]

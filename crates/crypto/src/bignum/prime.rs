@@ -100,10 +100,13 @@ pub(crate) fn is_probable_prime(n: &BigUint, rounds: u32, rng: &mut dyn RngCore)
     let minus_one_m = ctx.to_mont(&n_minus_1);
     let mut x = vec![0u64; ctx.limb_count()];
     let mut sq = x.clone();
+    let mut base = x.clone();
 
     'witness: for _ in 0..rounds {
         let a = BigUint::random_below(&bound, rng).add_ref(&two);
-        ctx.pow_mont(&a, &d, &mut x);
+        base.fill(0);
+        base[..a.limbs.len()].copy_from_slice(&a.limbs);
+        ctx.pow_mont(&base, d.bit_len(), |i| d.bit(i), &mut x);
         if x == one_m || x == minus_one_m {
             continue;
         }

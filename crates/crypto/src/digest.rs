@@ -178,6 +178,14 @@ impl Hasher {
         }
     }
 
+    /// Finishes and returns the digest inline (no allocation).
+    pub fn finalize_fixed(self) -> Digest {
+        match self {
+            Hasher::Sha1(h) => h.finalize().into(),
+            Hasher::Sha256(h) => h.finalize().into(),
+        }
+    }
+
     /// The algorithm this hasher runs.
     pub fn algorithm(&self) -> HashAlgorithm {
         match self {

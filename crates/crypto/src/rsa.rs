@@ -22,6 +22,9 @@ use rand::RngCore;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+/// Widest signature whose verification runs in stack buffers (2048 bits).
+const STACK_BYTES: usize = 256;
+
 /// Errors from RSA operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsaError {
@@ -119,6 +122,12 @@ impl RsaPublicKey {
     }
 
     /// Verifies a PKCS#1 v1.5 signature over `message`.
+    ///
+    /// The expected EMSA-PKCS1-v1_5 block is built and compared with the
+    /// recovered one over all `k` bytes; the recovered block is never
+    /// parsed, because a lenient parse accepts forgeries. Both blocks live
+    /// in stack buffers up to a 2048-bit modulus, so a verification
+    /// allocates nothing.
     pub fn verify(
         &self,
         alg: HashAlgorithm,
@@ -129,23 +138,32 @@ impl RsaPublicKey {
         if signature.len() != k {
             return Err(RsaError::BadSignature);
         }
-        let s = BigUint::from_bytes_be(signature);
-        if s >= self.n {
-            return Err(RsaError::BadSignature);
+        let (mut stack, mut heap) = ([0u8; 2 * STACK_BYTES], Vec::new());
+        let (em, expected) = if 2 * k <= stack.len() {
+            &mut stack[..2 * k]
+        } else {
+            heap.resize(2 * k, 0);
+            &mut heap[..]
         }
+        .split_at_mut(k);
         // Well-formed RSA moduli are odd products of two primes; hostile or
         // corrupted key material (even / degenerate n) takes the total
         // fallback path instead of panicking in the Montgomery setup.
-        let em = if self.n.is_even() || self.n.is_one() {
-            s.modpow(&self.e, &self.n)
+        if self.n.is_even() || self.n.is_one() {
+            let s = BigUint::from_bytes_be(signature);
+            if s >= self.n {
+                return Err(RsaError::BadSignature);
+            }
+            let recovered = s.modpow(&self.e, &self.n).to_bytes_be_padded(k);
+            em.copy_from_slice(&recovered.ok_or(RsaError::BadSignature)?);
         } else {
-            self.verify_ctx
-                .get_or_init(|| MontgomeryCtx::new(&self.n))
-                .modpow(&s, &self.e)
-        };
-        let em_bytes = em.to_bytes_be_padded(k).ok_or(RsaError::BadSignature)?;
-        let expected = emsa_pkcs1_v15_encode(alg, message, k)?;
-        if em_bytes == expected {
+            let ctx = self.verify_ctx.get_or_init(|| MontgomeryCtx::new(&self.n));
+            if !ctx.pow_be_bytes(signature, &self.e, em) {
+                return Err(RsaError::BadSignature);
+            }
+        }
+        emsa_pkcs1_v15_encode(alg, message, expected)?;
+        if em == expected {
             Ok(())
         } else {
             Err(RsaError::BadSignature)
@@ -228,7 +246,8 @@ impl RsaPrivateKey {
     /// Signs `message` with PKCS#1 v1.5 over the given hash.
     pub(crate) fn sign(&self, alg: HashAlgorithm, message: &[u8]) -> Result<Vec<u8>, RsaError> {
         let k = self.public.modulus_len();
-        let em = emsa_pkcs1_v15_encode(alg, message, k)?;
+        let mut em = vec![0u8; k];
+        emsa_pkcs1_v15_encode(alg, message, &mut em)?;
         let m = BigUint::from_bytes_be(&em);
         if m >= self.public.n {
             return Err(RsaError::MessageTooLong);
@@ -328,28 +347,28 @@ impl KeyPair {
     }
 }
 
-/// EMSA-PKCS1-v1_5 encoding (RFC 8017 §9.2):
-/// `EM = 0x00 || 0x01 || 0xFF…FF || 0x00 || DigestInfo`.
+/// EMSA-PKCS1-v1_5 encoding (RFC 8017 §9.2) into `em`, whose length is
+/// the block's: `EM = 0x00 || 0x01 || 0xFF…FF || 0x00 || DigestInfo`.
 fn emsa_pkcs1_v15_encode(
     alg: HashAlgorithm,
     message: &[u8],
-    em_len: usize,
-) -> Result<Vec<u8>, RsaError> {
+    em: &mut [u8],
+) -> Result<(), RsaError> {
     let hash = alg.digest_fixed(message);
     let prefix = digest_info_prefix(alg);
     let t_len = prefix.len() + hash.len();
-    if em_len < t_len + 11 {
+    if em.len() < t_len + 11 {
         return Err(RsaError::InvalidKey("modulus too small for digest info"));
     }
-    let mut em = Vec::with_capacity(em_len);
-    em.push(0x00);
-    em.push(0x01);
-    em.resize(em_len - t_len - 1, 0xff);
-    em.push(0x00);
-    em.extend_from_slice(prefix);
-    em.extend_from_slice(hash.as_slice());
-    debug_assert_eq!(em.len(), em_len);
-    Ok(em)
+    let (padding, t) = em.split_at_mut(em.len() - t_len);
+    padding.fill(0xff);
+    padding[0] = 0x00;
+    padding[1] = 0x01;
+    padding[padding.len() - 1] = 0x00;
+    let (p, h) = t.split_at_mut(prefix.len());
+    p.copy_from_slice(prefix);
+    h.copy_from_slice(hash.as_slice());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -496,8 +515,8 @@ mod tests {
 
     #[test]
     fn emsa_layout() {
-        let em = emsa_pkcs1_v15_encode(HashAlgorithm::Sha256, b"data", 128).unwrap();
-        assert_eq!(em.len(), 128);
+        let mut em = [0u8; 128];
+        emsa_pkcs1_v15_encode(HashAlgorithm::Sha256, b"data", &mut em).unwrap();
         assert_eq!(em[0], 0x00);
         assert_eq!(em[1], 0x01);
         let sep = em.iter().skip(2).position(|&b| b == 0x00).unwrap() + 2;
@@ -509,9 +528,46 @@ mod tests {
     #[test]
     fn emsa_rejects_tiny_modulus() {
         assert!(matches!(
-            emsa_pkcs1_v15_encode(HashAlgorithm::Sha256, b"data", 32),
+            emsa_pkcs1_v15_encode(HashAlgorithm::Sha256, b"data", &mut [0u8; 32]),
             Err(RsaError::InvalidKey(_))
         ));
+    }
+
+    /// A signature whose block differs from the expected one in any single
+    /// byte is refused: the block is compared whole, never parsed. Each
+    /// changed block is signed with the private key, so only the block
+    /// check can refuse it.
+    #[test]
+    fn every_single_byte_change_of_the_block_is_refused() {
+        for (bits, alg) in [(512, HashAlgorithm::Sha256), (1024, HashAlgorithm::Sha1)] {
+            let kp = KeyPair::generate(bits, &mut StdRng::seed_from_u64(11));
+            let (public, k) = (kp.public(), kp.public().modulus_len());
+            let mut valid = vec![0u8; k];
+            emsa_pkcs1_v15_encode(alg, b"msg", &mut valid).unwrap();
+            let sign_block = |em: &[u8]| {
+                let m = BigUint::from_bytes_be(em);
+                (m < *public.n()).then(|| kp.secret.private_op(&m).to_bytes_be_padded(k).unwrap())
+            };
+            public
+                .verify(alg, b"msg", &sign_block(&valid).unwrap())
+                .unwrap();
+            let mut refused = 0;
+            for at in 0..k {
+                for change in [0x01u8, 0x80, 0xff] {
+                    let mut em = valid.clone();
+                    em[at] ^= change;
+                    let Some(sig) = sign_block(&em) else { continue };
+                    assert_eq!(
+                        public.verify(alg, b"msg", &sig),
+                        Err(RsaError::BadSignature),
+                        "{bits}-bit key, byte {at} ^ {change:#04x}"
+                    );
+                    refused += 1;
+                }
+            }
+            // Only a changed leading byte can push the block past n.
+            assert!(refused >= 3 * (k - 1), "{bits}-bit key: {refused} refused");
+        }
     }
 
     #[test]

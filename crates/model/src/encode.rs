@@ -23,6 +23,7 @@
 
 use crate::id::ObjectId;
 use crate::value::{CanonicalF64, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
@@ -264,25 +265,27 @@ macro_rules! codecs {
 /// named after `as`. `magic NAME` opens the encoding with the bytes of the
 /// constant `NAME` (a mismatch is [`DecodeError::BadMagic`]), and `impl
 /// to_bytes, from_bytes` adds those two methods, with the struct's
-/// visibility: the encoding as a buffer, and its strict inverse.
+/// visibility: the encoding as a buffer, and its strict inverse. A struct
+/// may take one lifetime, so that it can encode a borrowed field (a
+/// `Cow`) without copying it.
 #[macro_export]
 macro_rules! codec_structs {
     (@codec $t:ty) => { $t };
     (@codec $t:ty as $c:ty) => { $c };
-    ($($(#[$m:meta])* $vis:vis struct $name:ident $(magic $magic:ident)?
+    ($($(#[$m:meta])* $vis:vis struct $name:ident $(<$lt:lifetime>)? $(magic $magic:ident)?
         $(impl $to:ident, $from:ident)? {
         $($(#[$fm:meta])* $fvis:vis $f:ident: $t:ty $(as $c:ty)?,)*
     })*) => {$(
         $(#[$m])*
-        $vis struct $name {
+        $vis struct $name $(<$lt>)? {
             $($(#[$fm])* $fvis $f: $t,)*
         }
 
-        impl $crate::encode::Codec for $name {
-            type T = $name;
+        impl $(<$lt>)? $crate::encode::Codec for $name $(<$lt>)? {
+            type T = $name $(<$lt>)?;
             const MIN: usize = 0 $(+ $magic.len())?
                 $(+ <$crate::codec_structs!(@codec $t $(as $c)?) as $crate::encode::Codec>::MIN)*;
-            fn put(v: &$name, out: &mut Vec<u8>) {
+            fn put(v: &Self::T, out: &mut Vec<u8>) {
                 $(out.extend_from_slice(&$magic[..]);)?
                 $(<$crate::codec_structs!(@codec $t $(as $c)?) as $crate::encode::Codec>::put(
                     &v.$f, out,
@@ -290,7 +293,7 @@ macro_rules! codec_structs {
             }
             fn take(
                 r: &mut $crate::encode::Reader<'_>,
-            ) -> Result<$name, $crate::encode::DecodeError> {
+            ) -> Result<Self::T, $crate::encode::DecodeError> {
                 $(if r.bytes($magic.len())? != &$magic[..] {
                     return Err($crate::encode::DecodeError::BadMagic);
                 })?
@@ -301,21 +304,25 @@ macro_rules! codec_structs {
             }
         }
 
-        $(impl $name {
+        $crate::codec_structs!(@methods [$($lt)?] $vis $name $($to $from)?);
+    )*};
+    (@methods [$($lt:lifetime)?] $vis:vis $name:ident) => {};
+    (@methods [$($lt:lifetime)?] $vis:vis $name:ident $to:ident $from:ident) => {
+        impl $(<$lt>)? $name $(<$lt>)? {
             /// The canonical encoding.
             $vis fn $to(&self) -> Vec<u8> {
                 let mut out = Vec::new();
-                <$name as $crate::encode::Codec>::put(self, &mut out);
+                <Self as $crate::encode::Codec>::put(self, &mut out);
                 out
             }
 
             /// Decodes exactly one canonical encoding; trailing bytes are
             /// refused.
-            $vis fn $from(buf: &[u8]) -> Result<$name, $crate::encode::DecodeError> {
-                $crate::encode::decode_exact::<$name>(buf)
+            $vis fn $from(buf: &[u8]) -> Result<Self, $crate::encode::DecodeError> {
+                $crate::encode::decode_exact::<Self>(buf)
             }
-        })?
-    )*};
+        }
+    };
 }
 
 codecs! {
@@ -347,6 +354,10 @@ codecs! {
     };
     /// A canonical value ([`encode_value`]).
     [] Value => Value, 1, |v, out| encode_value(v, out), |r| decode_value(r)?;
+    /// A value that encodes borrowed and decodes owned.
+    ['a] Cow<'a, Value> => Cow<'a, Value>, 1, |v, out| encode_value(v, out), |r| {
+        Cow::Owned(decode_value(r)?)
+    };
     /// A tag byte (0 absent, 1 present), then the value if present.
     [C: Codec] Option<C> => Option<C::T>, 1, |v, out| {
         out.push(v.is_some() as u8);

@@ -1083,7 +1083,7 @@ fn stream_to_done(
                 let rec = ProvenanceRecord::from_stored(&record)
                     .map_err(|e| malformed(StreamError::UndecodableRecord(e)))?;
                 sink.arriving(&record, frame)?;
-                if verifier.push_record(&rec) > 0 {
+                if verifier.push_record((&rec, &record)) > 0 {
                     return Err(conn.rejected(Some(frame), verifier.issues().to_vec()));
                 }
                 sink.verified(record, verifier)?;

@@ -40,7 +40,7 @@ use tep_core::denial::SignedRoot;
 use tep_core::merkle::{
     locate_divergence, shard_tree_of, AeError, AeNodeInfo, AeOracle, AeOutcome, AeSummary,
 };
-use tep_core::provenance::collect;
+use tep_core::provenance::collect_rows;
 use tep_core::streaming::RecordStreamDigest;
 use tep_core::verify::{EvidenceCounters, EvidenceKind, StreamingVerifier, TamperEvidence};
 use tep_crypto::digest::HashAlgorithm;
@@ -489,15 +489,16 @@ impl Replica {
         if claimed == 0 {
             return true;
         }
-        let Ok(prov) = collect(&self.db, oid) else {
+        let Ok(rows) = collect_rows(&self.db, oid) else {
             return false;
         };
-        if prov.records.len() < claimed {
+        if rows.len() < claimed {
             return false;
         }
         let mut d = RecordStreamDigest::new(self.cfg.alg, oid);
-        for rec in &prov.records[..claimed] {
-            d.push(&rec.to_stored().to_bytes());
+        let mut scratch = Vec::new();
+        for row in &rows[..claimed] {
+            d.push_row(row, &mut scratch);
         }
         d.current() == v.stream_digest()
     }

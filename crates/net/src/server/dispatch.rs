@@ -6,24 +6,27 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use tep_core::denial::{DenialProof, RangeProof, SignedDenial, SignedRange};
-use tep_core::provenance::{collect, ProvenanceObject};
+use tep_core::provenance::collect_rows;
 use tep_core::streaming::RecordStreamDigest;
 use tep_model::ObjectId;
 use tep_query::QueryError;
+use tep_storage::StoredRecord;
 
 use super::conn::{past_deadline, refuse_deadline, Conn, ConnState, FillOutcome, WBUF_HIGH};
 use super::tenant::{shed_retry_after_ms, TenantEnv};
 use super::{run_isolated, Env};
 use crate::wire::{DataEntry, ErrorCode, Message, DATA_CHUNK_BYTES, MAX_FRAME, WIRE_VERSION};
 
-/// An in-flight transfer: the collected provenance, the data subtree, and
-/// cursors marking how much of each has been queued. DONE totals always
-/// cover the *whole* object (a RESUME skips sending the verified prefix
-/// but the totals the client checks are unchanged).
+/// An in-flight transfer: the provenance rows still to send, the data
+/// subtree, and cursors marking how much of it has been queued. DONE
+/// totals always cover the *whole* object (a RESUME skips sending the
+/// verified prefix but the totals the client checks are unchanged).
 pub(super) struct StreamJob {
-    pub(super) prov: ProvenanceObject,
+    /// The rows as `collect_rows` read them, each moved into its PROV
+    /// frame: the server sends the row it read.
+    pub(super) rows: std::vec::IntoIter<StoredRecord>,
+    pub(super) records: u64,
     pub(super) data: Vec<DataEntry>,
-    pub(super) next_record: usize,
     pub(super) data_pos: usize,
     pub(super) done_queued: bool,
 }
@@ -32,9 +35,7 @@ impl StreamJob {
     /// The job's next frame — PROV × N, DATA × M, then DONE — or `None`
     /// once DONE is queued.
     fn next_frame(&mut self) -> Option<Message> {
-        if self.next_record < self.prov.records.len() {
-            let record = self.prov.records[self.next_record].to_stored();
-            self.next_record += 1;
+        if let Some(record) = self.rows.next() {
             Some(Message::Prov { record })
         } else if self.data_pos < self.data.len() {
             Some(Message::Data {
@@ -43,7 +44,7 @@ impl StreamJob {
         } else if !self.done_queued {
             self.done_queued = true;
             Some(Message::Done {
-                records: self.prov.records.len() as u64,
+                records: self.records,
                 nodes: self.data.len() as u64,
             })
         } else {
@@ -178,8 +179,8 @@ fn on_request<S: Read + Write>(
     match msg {
         Message::Fetch { oid } => {
             env.obs.fetches.inc();
-            if let Some(prov) = lookup(conn, oid, env, ten) {
-                start_stream(conn, oid, prov, 0, env, ten, now);
+            if let Some(rows) = lookup(conn, oid, env, ten) {
+                start_stream(conn, oid, rows, 0, env, ten, now);
             }
         }
         Message::Resume {
@@ -188,10 +189,10 @@ fn on_request<S: Read + Write>(
             digest,
         } => {
             env.obs.resumes.inc();
-            let Some(prov) = lookup(conn, oid, env, ten) else {
+            let Some(rows) = lookup(conn, oid, env, ten) else {
                 return;
             };
-            let total = prov.records.len() as u64;
+            let total = rows.len() as u64;
             if records > total {
                 conn.refuse(
                     ErrorCode::ResumeMismatch,
@@ -201,8 +202,9 @@ fn on_request<S: Read + Write>(
                 return;
             }
             let mut ours = RecordStreamDigest::new(ten.catalog.alg, oid);
-            for record in &prov.records[..records as usize] {
-                ours.push(&record.to_stored().to_bytes());
+            let mut scratch = Vec::new();
+            for row in &rows[..records as usize] {
+                ours.push_row(row, &mut scratch);
             }
             if ours.current() != digest.as_slice() {
                 conn.refuse(
@@ -220,7 +222,7 @@ fn on_request<S: Read + Write>(
                 true,
                 env,
             );
-            start_stream(conn, oid, prov, records as usize, env, ten, now);
+            start_stream(conn, oid, rows, records as usize, env, ten, now);
         }
         Message::StatsRequest => {
             env.obs.stats_requests.inc();
@@ -383,19 +385,19 @@ fn deny<S: Read + Write>(conn: &mut Conn<S>, oid: ObjectId, env: &Env, ten: &Ten
     true
 }
 
-/// Looks up `oid`'s provenance, answering misses with a signed DENIAL
-/// proof when the catalog can produce one, else `ERR unknown-object`
-/// (the connection stays usable either way).
+/// Looks up `oid`'s provenance rows, answering misses with a signed
+/// DENIAL proof when the catalog can produce one, else `ERR
+/// unknown-object` (the connection stays usable either way).
 fn lookup<S: Read + Write>(
     conn: &mut Conn<S>,
     oid: ObjectId,
     env: &Env,
     ten: &TenantEnv,
-) -> Option<ProvenanceObject> {
+) -> Option<Vec<StoredRecord>> {
     let miss = if !ten.catalog.is_offered(oid) || !ten.catalog.forest.contains(oid) {
         "is not offered"
     } else {
-        match collect(&ten.catalog.db, oid) {
+        match collect_rows(&ten.catalog.db, oid) {
             Ok(p) => return Some(p),
             Err(_) => "has no provenance",
         }
@@ -407,23 +409,25 @@ fn lookup<S: Read + Write>(
     None
 }
 
-/// Begins streaming `prov` (records from `skip` onward — records are
-/// already sorted by `(output_oid, seq_id)`, the topological order the
-/// client's streaming verifier requires) followed by the full data
-/// subtree and DONE with whole-object totals.
+/// Begins streaming `rows` (from `skip` onward — rows are already sorted
+/// by `(output_oid, seq_id)`, the topological order the client's
+/// streaming verifier requires) followed by the full data subtree and
+/// DONE with whole-object totals.
 fn start_stream<S: Read + Write>(
     conn: &mut Conn<S>,
     oid: ObjectId,
-    prov: ProvenanceObject,
+    mut rows: Vec<StoredRecord>,
     skip: usize,
     env: &Env,
     ten: &TenantEnv,
     now: Instant,
 ) {
+    let records = rows.len() as u64;
+    rows.drain(..skip);
     conn.job = Some(StreamJob {
         data: ten.catalog.data_entries(oid),
-        prov,
-        next_record: skip,
+        rows: rows.into_iter(),
+        records,
         data_pos: 0,
         done_queued: false,
     });

@@ -510,7 +510,7 @@ mod tests {
     use crate::wire::{frame_message_into, DataEntry, Message, DATA_CHUNK_BYTES, WIRE_VERSION};
     use std::collections::VecDeque;
     use std::thread;
-    use tep_core::provenance::{collect, ProvenanceObject};
+    use tep_core::provenance::collect;
     use tep_core::streaming::RecordStreamDigest;
     use tep_crypto::digest::HashAlgorithm;
     use tep_model::{Forest, ObjectId};
@@ -1025,10 +1025,10 @@ mod tests {
     /// rather than one per frame or all at the end.
     #[test]
     fn a_long_stream_is_flushed_once_per_data_chunk() {
-        let (env, root) = test_env();
+        let (env, _) = test_env();
         let mut conn = handshaken(&env);
         let (writes_before, sent_before) = (conn.stream.writes, conn.stream.written.len());
-        conn.job = Some(watermark_job(root));
+        conn.job = Some(watermark_job());
         conn.state = ConnState::Streaming;
         pump(&mut conn, &env, Instant::now());
         assert_eq!(conn.state, ConnState::Ready);
@@ -1075,12 +1075,10 @@ mod tests {
 
     /// A synthetic job big enough to out-run the write high watermark
     /// (600 × 1 KiB of DATA against `WBUF_HIGH` = 256 KiB).
-    fn watermark_job(target: ObjectId) -> StreamJob {
+    fn watermark_job() -> StreamJob {
         StreamJob {
-            prov: ProvenanceObject {
-                target,
-                records: Vec::new(),
-            },
+            rows: Vec::new().into_iter(),
+            records: 0,
             data: vec![
                 DataEntry {
                     depth: 0,
@@ -1089,7 +1087,6 @@ mod tests {
                 };
                 600
             ],
-            next_record: 0,
             data_pos: 0,
             done_queued: false,
         }
@@ -1097,10 +1094,10 @@ mod tests {
 
     #[test]
     fn streaming_pauses_at_the_write_high_watermark() {
-        let (env, root) = test_env();
+        let (env, _) = test_env();
         let mut conn = handshaken(&env);
         conn.stream.blocked = true;
-        conn.job = Some(watermark_job(root));
+        conn.job = Some(watermark_job());
         conn.state = ConnState::Streaming;
         pump(&mut conn, &env, Instant::now());
         // Paused: job unfinished, backlog parked just past the watermark.
@@ -1267,7 +1264,7 @@ mod tests {
         // One request that stalls (peer not reading) past its own budget.
         conn.stream.blocked = true;
         conn.arm_deadline(Instant::now());
-        conn.job = Some(watermark_job(root));
+        conn.job = Some(watermark_job());
         conn.state = ConnState::Streaming;
         pump(&mut conn, &env, Instant::now());
         assert_eq!(conn.state, ConnState::Streaming, "paused at the watermark");

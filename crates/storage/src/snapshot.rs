@@ -17,6 +17,7 @@
 
 use crate::log::{AppendLog, LogError};
 use crate::vfs::{real_vfs, Vfs};
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 use tep_model::{codec_structs, Forest, ObjectId, Value};
@@ -29,11 +30,12 @@ codec_structs! {
         nodes: u64,
     }
 
-    /// One node frame; parents are written before their children.
-    struct Node impl to_bytes, from_bytes {
+    /// One node frame; parents are written before their children. A save
+    /// encodes the forest's value in place; a load owns what it decodes.
+    struct Node<'a> impl to_bytes, from_bytes {
         id: ObjectId,
         parent: Option<ObjectId>,
-        value: Value,
+        value: Cow<'a, Value>,
     }
 }
 
@@ -106,7 +108,7 @@ pub fn save_forest_with(
             Node {
                 id,
                 parent: node.parent(),
-                value: node.value().clone(),
+                value: Cow::Borrowed(node.value()),
             }
             .to_bytes()
         });
@@ -141,7 +143,7 @@ pub fn load_forest_with(
         let Node { id, parent, value } =
             Node::from_bytes(&frame).map_err(|e| SnapshotError::CorruptNode(e.to_string()))?;
         forest
-            .insert_with_id(id, value, parent)
+            .insert_with_id(id, value.into_owned(), parent)
             .map_err(|e| SnapshotError::CorruptNode(e.to_string()))?;
         loaded += 1;
     }

@@ -383,9 +383,13 @@ fn checksum_message_into<'p>(
     output_oid: ObjectId,
     output_hash: &[u8],
     annotation: &[u8],
-    prev_checksums: impl IntoIterator<Item = &'p [u8]>,
+    prev_checksums: impl IntoIterator<Item = &'p [u8], IntoIter: Clone>,
     out: &mut Vec<u8>,
 ) {
+    let prev_checksums = prev_checksums.into_iter();
+    let (count, prev_len) = prev_checksums
+        .clone()
+        .fold((0u64, 0), |(n, len), p| (n + 1, len + 8 + p.len()));
     // Input part: 0 for inserts, h(input) for updates, the digest of the
     // concatenated input hashes for aggregates (the paper's inner hash).
     let aggregate;
@@ -404,6 +408,17 @@ fn checksum_message_into<'p>(
     };
     // Tag, alg, kind, seq, oid and the prev count are fixed; every
     // variable-length field carries an 8-byte length prefix.
+    out.reserve(
+        MSG_TAG.len()
+            + 2
+            + 8
+            + (8 + input_part.len())
+            + 8
+            + (8 + output_hash.len())
+            + (8 + annotation.len())
+            + 8
+            + prev_len,
+    );
     out.extend_from_slice(MSG_TAG);
     out.push(alg.wire_id());
     out.push(kind.wire_id());
@@ -418,16 +433,11 @@ fn checksum_message_into<'p>(
     out.extend_from_slice(&(annotation.len() as u64).to_be_bytes());
     out.extend_from_slice(annotation);
 
-    // The count leads the checksums: written once they are counted.
-    let count_at = out.len();
-    out.extend_from_slice(&[0; 8]);
-    let mut count = 0u64;
+    out.extend_from_slice(&count.to_be_bytes());
     for prev in prev_checksums {
         out.extend_from_slice(&(prev.len() as u64).to_be_bytes());
         out.extend_from_slice(prev);
-        count += 1;
     }
-    out[count_at..count_at + 8].copy_from_slice(&count.to_be_bytes());
 }
 
 impl ProvenanceRecord {
@@ -493,16 +503,23 @@ impl ProvenanceRecord {
     /// This record's [`checksum_message`] over the given predecessor
     /// checksums.
     pub fn message(&self, alg: HashAlgorithm, prev_checksums: &[&[u8]]) -> Vec<u8> {
-        let mut msg = Vec::new();
-        self.message_into(alg, prev_checksums.iter().copied(), &mut msg);
-        msg
+        checksum_message(
+            alg,
+            self.kind,
+            self.seq_id,
+            &self.inputs,
+            self.output_oid,
+            &self.output_hash,
+            &self.annotation,
+            prev_checksums,
+        )
     }
 
     /// Appends [`Self::message`] to `out`.
     pub(crate) fn message_into<'p>(
         &self,
         alg: HashAlgorithm,
-        prev_checksums: impl IntoIterator<Item = &'p [u8]>,
+        prev_checksums: impl IntoIterator<Item = &'p [u8], IntoIter: Clone>,
         out: &mut Vec<u8>,
     ) {
         checksum_message_into(
@@ -603,20 +620,8 @@ impl ProvenanceRecord {
 /// canonical row encoded once here, which is the same row because every
 /// accepted row has one encoding.
 pub struct RecordRow<'r> {
-    record: &'r ProvenanceRecord,
-    row: Cow<'r, StoredRecord>,
-}
-
-impl RecordRow<'_> {
-    /// The decoded record.
-    pub fn record(&self) -> &ProvenanceRecord {
-        self.record
-    }
-
-    /// The row the record was decoded from.
-    pub fn row(&self) -> &StoredRecord {
-        &self.row
-    }
+    pub(crate) record: &'r ProvenanceRecord,
+    pub(crate) row: Cow<'r, StoredRecord>,
 }
 
 impl<'r> From<&'r ProvenanceRecord> for RecordRow<'r> {

@@ -922,7 +922,7 @@ impl<'a> StreamingVerifier<'a> {
     /// covers the bytes as they arrived (see [`RecordRow`]).
     pub fn push_record<'r>(&mut self, pushed: impl Into<RecordRow<'r>>) -> usize {
         let pushed = pushed.into();
-        let r = pushed.record();
+        let r = pushed.record;
         let before = self.issues.len();
         self.admit(r);
 
@@ -968,7 +968,7 @@ impl<'a> StreamingVerifier<'a> {
             }
         }
 
-        self.digest.push_row(pushed.row(), &mut self.scratch);
+        self.digest.push_row(&pushed.row, &mut self.scratch);
         let new_evidence = self.issues.len() - before;
         if let Some(obs) = &self.obs {
             obs.records.inc();

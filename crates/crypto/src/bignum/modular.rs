@@ -112,8 +112,6 @@ impl MontgomeryCtx {
     /// # Panics
     /// Panics if a slice is not exactly `k` limbs.
     pub fn mont_mul(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        #[cfg(test)]
-        tests::PRODUCTS.with(|p| p.set(p.get() + 1));
         let (n, n0inv) = (&self.n.limbs[..], self.n0inv);
         match n.len() {
             4 => cios_fixed::<4>(a, b, n, n0inv, out),
@@ -176,7 +174,7 @@ impl MontgomeryCtx {
     /// base^e`, already out of the domain. For e = 65537 that is 18
     /// products: into the domain, 16 squarings, the plain product. The
     /// plain operand is why `base < n` is required.
-    pub(crate) fn pow_into(&self, base: &[u64], exp: &BigUint, out: &mut [u64]) {
+    fn pow_into(&self, base: &[u64], exp: &BigUint, out: &mut [u64]) {
         let k = self.limb_count();
         let (mut stack, mut heap) = ([0u64; STACK_LIMBS], Vec::new());
         let x = scratch(&mut stack, &mut heap, k);
@@ -610,12 +608,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Montgomery products this thread has run.
-        pub(super) static PRODUCTS: Cell<u64> = const { Cell::new(0) };
-    }
 
     fn n(v: u64) -> BigUint {
         BigUint::from_u64(v)
@@ -646,23 +638,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn public_exponent_takes_eighteen_products() {
-        let m = BigUint::from_hex("c3a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5b3").unwrap();
-        let ctx = MontgomeryCtx::new(&m);
-        let base = BigUint::from_hex("1234567890abcdef998877").unwrap();
-        let products = |e: u64| {
-            let before = PRODUCTS.with(Cell::get);
-            ctx.modpow(&base, &n(e));
-            PRODUCTS.with(Cell::get) - before
-        };
-        // Into the domain, 16 squarings, one product with the plain base.
-        assert_eq!(products(65537), 18);
-        assert_eq!(products(3), 3);
-        // An even exponent still enters and leaves the domain.
-        assert_eq!(products(65536), 18);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::CoreError;
 use crate::record::{ProvenanceRecord, RecordKind};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use tep_model::ObjectId;
 use tep_storage::{ProvenanceDb, StoredRecord};
@@ -118,7 +118,7 @@ impl ProvenanceObject {
 pub fn collect(db: &ProvenanceDb, target: ObjectId) -> Result<ProvenanceObject, CoreError> {
     Ok(ProvenanceObject {
         target,
-        records: gather(db, target, |_, record| record)?,
+        records: gather(db, target, |_, record| record.clone())?,
     })
 }
 
@@ -132,55 +132,64 @@ pub fn collect_rows(db: &ProvenanceDb, target: ObjectId) -> Result<Vec<StoredRec
 }
 
 /// The walk behind [`collect`] and [`collect_rows`]: `keep` picks what of
-/// each row and its decoded record the result holds.
+/// each row and its decoded record the result holds. Every row is decoded
+/// into one scratch record, once: a chain walked again, because an
+/// aggregate needs more of it, reads only the rows past the last walk.
+/// The rows are put in `(object, seqID)` order at the end, the first of a
+/// duplicated slot kept.
 fn gather<T>(
     db: &ProvenanceDb,
     target: ObjectId,
-    keep: impl Fn(StoredRecord, ProvenanceRecord) -> T,
+    keep: impl Fn(StoredRecord, &ProvenanceRecord) -> T,
 ) -> Result<Vec<T>, CoreError> {
     let latest = db
         .latest_for(target)
         .ok_or(CoreError::NoProvenance(target))?;
 
-    // needed[oid] = highest seq of that object's chain we must include.
+    // needed[oid] = highest seq of that object's chain we must include;
+    // walked[oid] = highest seq a walk of that chain has covered.
     let mut needed: HashMap<ObjectId, u64> = HashMap::new();
+    let mut walked: HashMap<ObjectId, u64> = HashMap::new();
     needed.insert(target, latest.seq_id);
     let mut worklist = vec![target];
-    // (oid, seq) -> what is kept of that row, collected as we expand.
-    let mut collected: BTreeMap<(ObjectId, u64), T> = BTreeMap::new();
+    let mut collected: Vec<((ObjectId, u64), T)> = Vec::new();
+    let mut record = ProvenanceRecord::default();
 
     while let Some(oid) = worklist.pop() {
         let up_to = needed[&oid];
-        for stored in db.records_for(oid) {
-            if stored.seq_id > up_to {
+        let from = walked.insert(oid, up_to);
+        if from == Some(up_to) {
+            continue;
+        }
+        let rows = db.records_for(oid);
+        collected.reserve(rows.len());
+        for stored in rows {
+            if stored.seq_id > up_to || from.is_some_and(|w| stored.seq_id <= w) {
                 continue;
             }
-            let key = (oid, stored.seq_id);
-            if collected.contains_key(&key) {
-                continue;
-            }
-            let record = ProvenanceRecord::from_stored(&stored).map_err(|error| {
-                CoreError::UndecodableRecord {
+            record
+                .read_stored(&stored)
+                .map_err(|error| CoreError::UndecodableRecord {
                     oid,
                     seq: stored.seq_id,
                     error,
-                }
-            })?;
+                })?;
             if record.kind == RecordKind::Aggregate {
                 for input in &record.inputs {
                     let Some(prev) = input.prev_seq else { continue };
-                    let entry = needed.entry(input.oid).or_insert(prev);
-                    if *entry < prev {
-                        *entry = prev;
+                    if needed.get(&input.oid).is_none_or(|&want| want < prev) {
+                        needed.insert(input.oid, prev);
+                        worklist.push(input.oid);
                     }
-                    worklist.push(input.oid);
                 }
             }
-            collected.insert(key, keep(stored, record));
+            collected.push(((oid, stored.seq_id), keep(stored, &record)));
         }
     }
 
-    Ok(collected.into_values().collect())
+    collected.sort_by_key(|(slot, _)| *slot);
+    collected.dedup_by_key(|(slot, _)| *slot);
+    Ok(collected.into_iter().map(|(_, kept)| kept).collect())
 }
 
 #[cfg(test)]

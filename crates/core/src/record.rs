@@ -29,7 +29,7 @@ use std::borrow::Cow;
 use tep_crypto::digest::{Digest, HashAlgorithm};
 use tep_crypto::pki::{Participant, ParticipantId};
 use tep_crypto::rsa::RsaError;
-use tep_model::encode::{decode_exact, Codec, DecodeError, List, Reader, Skip};
+use tep_model::encode::{decode_exact_into, Codec, DecodeError, List, Reader, Skip};
 use tep_model::{codec_structs, codecs, ObjectId};
 use tep_storage::StoredRecord;
 
@@ -67,9 +67,10 @@ pub enum ChecksumFormat {
 }
 
 /// The kind of operation a record documents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecordKind {
     /// A new object came into existence with no inputs.
+    #[default]
     Insert,
     /// An existing object's (sub)tree changed — includes *inherited*
     /// records on ancestors (§4.2) and first-touch updates of objects
@@ -127,7 +128,7 @@ codecs! {
 
 codec_structs! {
     /// One input of a provenance record.
-    #[derive(Clone, Debug, PartialEq, Eq)]
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct InputRef {
         /// The input object.
         pub oid: ObjectId,
@@ -143,7 +144,8 @@ codec_structs! {
     /// A provenance record with its integrity checksum. Its encoding is the
     /// v2/v3 record body a [`StoredRecord`] carries as its payload: these
     /// fields in this order, without the checksum, which the row holds.
-    #[derive(Clone, Debug, PartialEq, Eq)]
+    /// The default is an empty record to decode rows into.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct ProvenanceRecord {
         /// How `checksum` is to be read.
         pub checksum_format: ChecksumFormat,
@@ -595,20 +597,31 @@ impl ProvenanceRecord {
         }
     }
 
-    /// Reconstructs a record from storage. The row's seq, participant and
-    /// oid columns are copies of fields the payload also encodes; a row
-    /// whose columns disagree with its payload is refused with
-    /// `BadTag(0xFD)`, so every accepted row has one encoding:
-    /// `from_stored(s)?.to_stored() == s`.
+    /// Reconstructs a record from storage: [`Self::read_stored`] into a
+    /// fresh record.
     pub fn from_stored(stored: &StoredRecord) -> Result<Self, DecodeError> {
-        let mut rec = decode_exact::<Self>(&stored.payload)?;
-        if (rec.seq_id, rec.participant, rec.output_oid)
+        let mut record = Self::default();
+        record.read_stored(stored)?;
+        Ok(record)
+    }
+
+    /// Decodes a stored row into this record, reusing its buffers, so a
+    /// reader that keeps one record per stream allocates nothing per row.
+    /// The row's seq, participant and oid columns are copies of fields the
+    /// payload also encodes; a row whose columns disagree with its payload
+    /// is refused with `BadTag(0xFD)`, so every accepted row has one
+    /// encoding: `from_stored(s)?.to_stored() == s`. After an error the
+    /// record holds a partly read row.
+    pub fn read_stored(&mut self, stored: &StoredRecord) -> Result<(), DecodeError> {
+        decode_exact_into::<Self>(&stored.payload, self)?;
+        if (self.seq_id, self.participant, self.output_oid)
             != (stored.seq_id, stored.participant, stored.oid)
         {
             return Err(DecodeError::BadTag(0xFD));
         }
-        rec.checksum = stored.checksum.clone();
-        Ok(rec)
+        self.checksum.clear();
+        self.checksum.extend_from_slice(&stored.checksum);
+        Ok(())
     }
 }
 

@@ -13,10 +13,10 @@
 //! digest states. A table streamed row by row is one such preorder: the
 //! table at depth 0, each row at 1 followed by its cells at 2.
 
-use tep_crypto::digest::{HashAlgorithm, Hasher};
+use tep_crypto::digest::{Digest, HashAlgorithm, Hasher};
 use tep_crypto::pki::ParticipantId;
 use tep_model::codec_structs;
-use tep_model::encode::{node_prefix, Codec, DecodeError, List, Reader};
+use tep_model::encode::{node_prefix_into, Codec, DecodeError, List, Reader};
 use tep_model::{ObjectId, Value};
 use tep_storage::StoredRecord;
 
@@ -76,10 +76,13 @@ struct StreamingNodeHasher {
 }
 
 impl StreamingNodeHasher {
-    /// Starts hashing node `(id, value)`.
-    fn new(alg: HashAlgorithm, id: ObjectId, value: &Value) -> Self {
+    /// Starts hashing node `(id, value)`, its prefix built in `prefix`, a
+    /// buffer the caller reuses.
+    fn new(alg: HashAlgorithm, id: ObjectId, value: &Value, prefix: &mut Vec<u8>) -> Self {
+        prefix.clear();
+        node_prefix_into(id, value, prefix);
         let mut hasher = alg.hasher();
-        hasher.update(&node_prefix(id, value));
+        hasher.update(prefix);
         StreamingNodeHasher {
             hasher,
             child_count: 0,
@@ -101,15 +104,17 @@ impl StreamingNodeHasher {
     }
 
     /// Finishes: returns `h(subtree)` for this node.
-    fn finish(mut self) -> Vec<u8> {
+    fn finish(mut self) -> Digest {
         self.hasher.update(&self.child_count.to_be_bytes());
-        self.hasher.finalize()
+        self.hasher.finalize_fixed()
     }
 }
 
 /// Hash of a leaf node (no children).
 pub fn leaf_hash(alg: HashAlgorithm, id: ObjectId, value: &Value) -> Vec<u8> {
-    StreamingNodeHasher::new(alg, id, value).finish()
+    StreamingNodeHasher::new(alg, id, value, &mut Vec::new())
+        .finish()
+        .to_vec()
 }
 
 /// Recomputes a canonical subtree hash from a **depth-tagged DFS preorder**
@@ -117,7 +122,9 @@ pub fn leaf_hash(alg: HashAlgorithm, id: ObjectId, value: &Value) -> Vec<u8> {
 /// carry, and the natural order a sender produces by walking its forest.
 ///
 /// The hasher keeps one node hasher per level of the current
-/// root-to-leaf path, so memory is O(tree depth), never O(tree size). An
+/// root-to-leaf path, so memory is O(tree depth), never O(tree size), and
+/// builds each node's prefix in one reused buffer and each finished child
+/// hash on the stack, so it allocates O(tree depth) times too. An
 /// entry at depth `d` first folds every open node deeper than `d` into its
 /// parent, then opens a new node as a child of the node at depth `d - 1`.
 /// Sibling order is enforced as each child is folded in, so a
@@ -152,7 +159,9 @@ pub struct DepthStreamHasher {
     stack: Vec<(ObjectId, StreamingNodeHasher)>,
     nodes: u64,
     /// Set once the depth-0 node has been fully folded.
-    root_hash: Option<Vec<u8>>,
+    root_hash: Option<Digest>,
+    /// The buffer every node prefix is built in, in turn.
+    prefix: Vec<u8>,
 }
 
 impl DepthStreamHasher {
@@ -163,6 +172,7 @@ impl DepthStreamHasher {
             stack: Vec::new(),
             nodes: 0,
             root_hash: None,
+            prefix: Vec::new(),
         }
     }
 
@@ -180,8 +190,8 @@ impl DepthStreamHasher {
         if self.root_hash.is_some() {
             return Err(StreamError::MultipleRoots);
         }
-        self.stack
-            .push((id, StreamingNodeHasher::new(self.alg, id, value)));
+        let node = StreamingNodeHasher::new(self.alg, id, value, &mut self.prefix);
+        self.stack.push((id, node));
         Ok(())
     }
 
@@ -196,7 +206,7 @@ impl DepthStreamHasher {
             self.fold_top()?;
         }
         match self.root_hash {
-            Some(h) => Ok((h, self.nodes)),
+            Some(h) => Ok((h.to_vec(), self.nodes)),
             None => Err(StreamError::EmptyStream),
         }
     }
@@ -206,7 +216,7 @@ impl DepthStreamHasher {
         let hash = hasher.finish();
         self.nodes += 1;
         match self.stack.last_mut() {
-            Some((_, parent)) => parent.add_child(id, &hash),
+            Some((_, parent)) => parent.add_child(id, hash.as_slice()),
             None => {
                 self.root_hash = Some(hash);
                 Ok(())
@@ -395,7 +405,9 @@ impl VerifierCheckpoint {
                 "record count disagrees with push order",
             ));
         }
-        if self.checksums.len() > self.order.len() || self.edges.len() != self.checksums.len() {
+        // A clean session pushed each slot once, so each table holds one
+        // entry per pushed slot.
+        if self.checksums.len() != self.order.len() || self.edges.len() != self.checksums.len() {
             return Err(CheckpointError::Inconsistent(
                 "checksum/edge tables disagree with push order",
             ));
@@ -488,7 +500,7 @@ mod tests {
 
     #[test]
     fn out_of_order_children_rejected() {
-        let mut n = StreamingNodeHasher::new(ALG, ObjectId(0), &Value::Null);
+        let mut n = StreamingNodeHasher::new(ALG, ObjectId(0), &Value::Null, &mut Vec::new());
         n.add_child(ObjectId(5), &[0u8; 32]).unwrap();
         assert_eq!(
             n.add_child(ObjectId(5), &[0u8; 32]),

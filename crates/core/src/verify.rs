@@ -40,6 +40,7 @@ use crate::slice::{
 };
 use crate::streaming::{CheckpointError, RecordSlot, RecordStreamDigest, VerifierCheckpoint};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{KeyDirectory, ParticipantId};
 use tep_model::{ObjectId, TenantId};
@@ -470,15 +471,17 @@ impl<'a> Verifier<'a> {
             fold.admit(r);
         }
         v.issues.append(&mut fold.issues);
-        v.records_checked = fold.records_checked;
+        v.records_checked = fold.records_checked();
         v.participants = std::mem::take(&mut fold.participants);
 
         // Coverage + answer recomputation, per operator. `allowed_boundary`
         // holds every (oid, seq) a boundary link may stand for: an admitted
         // record (a shadowing link, already a fork), a predecessor one links
         // to, or a clipped crossing. Any other link is extraneous.
-        let (admitted, links) = (fold.edges.keys(), fold.edges.values().flatten());
-        let mut allowed_boundary: BTreeSet<RecordSlot> = admitted.chain(links).copied().collect();
+        let admitted = &fold.admitted;
+        let links = admitted.newest.values().flat_map(|&i| admitted.get(i).1);
+        let mut allowed_boundary: BTreeSet<RecordSlot> =
+            admitted.newest.keys().chain(links).copied().collect();
 
         let expected = match spec.op {
             QueryOp::Ancestors | QueryOp::LineageSlice | QueryOp::Polynomial => {
@@ -529,7 +532,7 @@ impl<'a> Verifier<'a> {
                 // Anchor: the target's record at target_seq proves the
                 // subject exists and pins the traversal root.
                 let anchor = (spec.target, proof.target_seq);
-                if !fold.edges.contains_key(&anchor) {
+                if !fold.admitted.newest.contains_key(&anchor) {
                     v.issues.push(TamperEvidence::MissingRecord {
                         oid: anchor.0,
                         seq: anchor.1,
@@ -821,6 +824,44 @@ struct Attested {
     finding: Option<TamperEvidence>,
 }
 
+/// The fold's admitted records, flat: each admission appends its checksum
+/// to one byte arena and its predecessor slots to one slot list, so
+/// admitting a record allocates only the amortized growth of those lists
+/// and of the slot index.
+#[derive(Default)]
+struct Admitted {
+    /// Every admission in push order (duplicate slots included): its slot
+    /// and where its checksum sits in `arena` and its predecessors in
+    /// `preds`.
+    log: Vec<(RecordSlot, Range<usize>, Range<usize>)>,
+    arena: Vec<u8>,
+    preds: Vec<RecordSlot>,
+    /// Each slot's newest admission, sorted as a checkpoint encodes it.
+    newest: BTreeMap<RecordSlot, usize>,
+}
+
+impl Admitted {
+    fn push(&mut self, slot: RecordSlot, checksum: &[u8], preds: impl Iterator<Item = RecordSlot>) {
+        let (at, from) = (self.arena.len(), self.preds.len());
+        self.arena.extend_from_slice(checksum);
+        self.preds.extend(preds);
+        self.newest.insert(slot, self.log.len());
+        self.log
+            .push((slot, at..self.arena.len(), from..self.preds.len()));
+    }
+
+    /// Admission `i`'s checksum and predecessors.
+    fn get(&self, i: usize) -> (&[u8], &[RecordSlot]) {
+        let (_, checksum, preds) = &self.log[i];
+        (&self.arena[checksum.clone()], &self.preds[preds.clone()])
+    }
+
+    /// The checksum and predecessors `slot` was last admitted with.
+    fn of(&self, slot: &RecordSlot) -> Option<(&[u8], &[RecordSlot])> {
+        self.newest.get(slot).map(|&i| self.get(i))
+    }
+}
+
 /// The verifier fold: provenance that arrives **one record at a time** —
 /// over `tep-net` PROV frames, or pushed from a collected history by the
 /// [`Verifier`] drivers — so a recipient can reject a transfer at the first
@@ -842,16 +883,10 @@ pub struct StreamingVerifier<'a> {
     alg: HashAlgorithm,
     target: ObjectId,
     issues: Vec<TamperEvidence>,
-    records_checked: usize,
     participants: BTreeSet<ParticipantId>,
-    /// Checksums of every accepted record, for predecessor resolution.
-    /// The per-record tables are ordered maps, so a checkpoint serializes
-    /// them in the sorted order its encoding requires.
-    checksums: BTreeMap<RecordSlot, Vec<u8>>,
-    /// Push order (including duplicate slots), for reachability reporting.
-    order: Vec<RecordSlot>,
-    /// Predecessor edges for the final reachability sweep.
-    edges: BTreeMap<RecordSlot, Vec<RecordSlot>>,
+    /// Every admitted record's checksum, for predecessor resolution, and
+    /// its predecessor edges, for the final reachability sweep.
+    admitted: Admitted,
     /// Highest sequence id seen so far per object chain.
     chain_tail: BTreeMap<ObjectId, u64>,
     /// `(seq_id, output_hash)` of the newest target record.
@@ -877,11 +912,8 @@ impl<'a> StreamingVerifier<'a> {
             alg,
             target,
             issues: Vec::new(),
-            records_checked: 0,
             participants: BTreeSet::new(),
-            checksums: BTreeMap::new(),
-            order: Vec::new(),
-            edges: BTreeMap::new(),
+            admitted: Admitted::default(),
             chain_tail: BTreeMap::new(),
             latest_target: None,
             digest: RecordStreamDigest::new(alg, target),
@@ -910,7 +942,13 @@ impl<'a> StreamingVerifier<'a> {
 
     /// Records pushed so far.
     pub fn records_checked(&self) -> usize {
-        self.records_checked
+        self.admitted.log.len()
+    }
+
+    /// The `(object, seqID)` slots pushed so far, in push order: the
+    /// prefix a checkpoint of this verifier has verified.
+    pub fn pushed(&self) -> impl Iterator<Item = (ObjectId, u64)> + '_ {
+        self.admitted.log.iter().map(|&(slot, ..)| slot)
     }
 
     /// Feeds the next record; returns how many **new** pieces of evidence
@@ -954,7 +992,6 @@ impl<'a> StreamingVerifier<'a> {
             },
         }
         self.chain_tail.insert(r.output_oid, r.seq_id);
-        self.order.push((r.output_oid, r.seq_id));
 
         if r.output_oid == self.target {
             match &mut self.latest_target {
@@ -985,7 +1022,7 @@ impl<'a> StreamingVerifier<'a> {
     /// Keeps its checksum and predecessor edges.
     fn admit(&mut self, r: &ProvenanceRecord) {
         let key = (r.output_oid, r.seq_id);
-        if self.checksums.contains_key(&key) {
+        if self.admitted.newest.contains_key(&key) {
             self.issues.push(TamperEvidence::DuplicateRecord {
                 oid: key.0,
                 seq: key.1,
@@ -1003,30 +1040,27 @@ impl<'a> StreamingVerifier<'a> {
                 seq: r.seq_id,
             });
         }
-        let (checksums, slots) = (&self.checksums, &self.attested.slots);
+        let (admitted, slots) = (&self.admitted, &self.attested.slots);
         check_record_signature(
             self.keys,
             self.alg,
             r,
             |oid, seq| {
                 let slot = (oid, seq);
-                checksums
-                    .get(&slot)
-                    .or_else(|| slots.get(&slot))
-                    .map(Vec::as_slice)
+                admitted
+                    .of(&slot)
+                    .map(|(checksum, _)| checksum)
+                    .or_else(|| slots.get(&slot).map(Vec::as_slice))
             },
             &mut self.scratch,
             &mut self.issues,
         );
 
-        self.checksums.insert(key, r.checksum.clone());
-        let preds: Vec<RecordSlot> = r
+        let preds = r
             .inputs
             .iter()
-            .filter_map(|i| i.prev_seq.map(|p| (i.oid, p)))
-            .collect();
-        self.edges.insert(key, preds);
-        self.records_checked += 1;
+            .filter_map(|i| i.prev_seq.map(|p| (i.oid, p)));
+        self.admitted.push(key, &r.checksum, preds);
         self.participants.insert(r.participant);
     }
 
@@ -1047,18 +1081,20 @@ impl<'a> StreamingVerifier<'a> {
         if !self.issues.is_empty() {
             return None;
         }
+        let admitted = &self.admitted;
+        let newest = admitted.newest.iter().map(|(&s, &i)| (s, admitted.get(i)));
         Some(
             VerifierCheckpoint {
                 alg: self.alg,
                 target: self.target,
-                records: self.records_checked as u64,
+                records: self.records_checked() as u64,
                 stream_digest: self.digest.current().to_vec(),
                 latest_target: self.latest_target.clone(),
                 participants: self.participants.iter().copied().collect(),
                 chain_tail: self.chain_tail.iter().map(|(&o, &s)| (o, s)).collect(),
-                order: self.order.clone(),
-                checksums: self.checksums.clone().into_iter().collect(),
-                edges: self.edges.clone().into_iter().collect(),
+                order: self.pushed().collect(),
+                checksums: newest.clone().map(|(s, (c, _))| (s, c.to_vec())).collect(),
+                edges: newest.map(|(s, (_, p))| (s, p.to_vec())).collect(),
             }
             .seal(),
         )
@@ -1072,12 +1108,21 @@ impl<'a> StreamingVerifier<'a> {
     /// same verdict as an uninterrupted run.
     pub fn restore(keys: &'a KeyDirectory, blob: &[u8]) -> Result<Self, CheckpointError> {
         let cp = VerifierCheckpoint::open(blob)?;
+        // The tables are sorted by slot and hold each pushed slot once.
+        let mut admitted = Admitted::default();
+        for slot in cp.order {
+            let at = cp.checksums.binary_search_by_key(&slot, |&(s, _)| s);
+            let fresh = |&k: &usize| cp.edges[k].0 == slot && !admitted.newest.contains_key(&slot);
+            let Some(k) = at.ok().filter(fresh) else {
+                return Err(CheckpointError::Inconsistent(
+                    "push order must name each table slot once",
+                ));
+            };
+            admitted.push(slot, &cp.checksums[k].1, cp.edges[k].1.iter().copied());
+        }
         Ok(StreamingVerifier {
-            records_checked: cp.records as usize,
             participants: cp.participants.into_iter().collect(),
-            checksums: cp.checksums.into_iter().collect(),
-            order: cp.order,
-            edges: cp.edges.into_iter().collect(),
+            admitted,
             chain_tail: cp.chain_tail.into_iter().collect(),
             latest_target: cp.latest_target,
             digest: RecordStreamDigest::resume(cp.alg, cp.stream_digest),
@@ -1104,7 +1149,8 @@ impl<'a> StreamingVerifier<'a> {
         }
         let attested = std::mem::take(&mut self.attested);
         for head in attested.heads {
-            if self.checksums.get(&(head.oid, head.seq)) != Some(&head.checksum) {
+            let admitted = self.admitted.of(&(head.oid, head.seq));
+            if admitted.map(|(checksum, _)| checksum) != Some(&head.checksum[..]) {
                 self.issues.push(TamperEvidence::AnchorViolation {
                     oid: head.oid,
                     seq: head.seq,
@@ -1122,8 +1168,8 @@ impl<'a> StreamingVerifier<'a> {
             }
         }
         Verification {
+            records_checked: self.records_checked(),
             issues: self.issues,
-            records_checked: self.records_checked,
             participants: self.participants,
         }
     }
@@ -1138,14 +1184,11 @@ impl<'a> StreamingVerifier<'a> {
             if !reachable.insert(key) {
                 continue;
             }
-            let Some(preds) = self.edges.get(&key) else {
-                continue;
-            };
-            for &p in preds {
-                queue.push_back(p);
+            if let Some((_, preds)) = self.admitted.of(&key) {
+                queue.extend(preds);
             }
         }
-        for &(oid, seq) in &self.order {
+        for &((oid, seq), ..) in &self.admitted.log {
             if !reachable.contains(&(oid, seq)) {
                 self.issues
                     .push(TamperEvidence::ExtraneousRecord { oid, seq });
@@ -1579,6 +1622,29 @@ mod tests {
             assert!(v.verified(), "cut {cut}: {:?}", v.issues);
             assert_eq!(v.records_checked, baseline.records_checked);
             assert_eq!(v.participants, baseline.participants);
+        }
+    }
+
+    /// A sealed checkpoint whose push order does not name each table slot
+    /// exactly once — a slot pushed twice, or one the tables lack — is
+    /// refused, never restored as some other verifier.
+    #[test]
+    fn restore_refuses_a_push_order_the_tables_do_not_match() {
+        let (w, d) = dag_world();
+        let mut sv = StreamingVerifier::new(&w.keys, ALG, d);
+        for r in &wire_order(&collect(w.tracker.db(), d).unwrap()) {
+            sv.push_record(r);
+        }
+        let cp = VerifierCheckpoint::open(&sv.checkpoint().unwrap()).unwrap();
+        let mut twice = cp.clone();
+        twice.order[1] = twice.order[0];
+        let mut unknown = cp;
+        unknown.order[0].1 += 1_000;
+        for bad in [twice, unknown] {
+            assert!(matches!(
+                StreamingVerifier::restore(&w.keys, &bad.seal()),
+                Err(CheckpointError::Inconsistent(_))
+            ));
         }
     }
 

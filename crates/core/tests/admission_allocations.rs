@@ -1,7 +1,8 @@
 //! Heap allocations per admitted record, counted by a thread-local
-//! counting allocator: the recipient's fold must pay a constant number per
-//! record — its bookkeeping of the record's checksum and predecessor
-//! edges — and nothing per signature check, however long the history.
+//! counting allocator: the recipient's fold keeps a record's checksum and
+//! predecessor edges in flat lists and pays nothing per signature check,
+//! however long the history, and decoding an arriving row into the one
+//! record a transfer keeps reuses that record's buffers.
 //!
 //! `cargo test -p tep-core --test admission_allocations -- --nocapture`
 //! prints the counts.
@@ -14,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tep_core::hashing::HashingStrategy;
 use tep_core::provenance::{collect, collect_rows};
+use tep_core::streaming::DepthStreamHasher;
 use tep_core::verify::StreamingVerifier;
 use tep_core::{ChecksumFormat, ProvenanceRecord, ProvenanceTracker, TrackerConfig};
 use tep_crypto::digest::HashAlgorithm;
@@ -57,11 +59,17 @@ fn allocations() -> u64 {
 
 const ALG: HashAlgorithm = HashAlgorithm::Sha256;
 
-/// Allocations a record costs the fold, at most: a copy of its checksum
-/// for its successors and its predecessor list, plus the amortized growth
-/// of the fold's ordered maps and push-order log. The signature check
-/// itself — message, batch path, digests, RSA block — allocates nothing.
-const PER_RECORD: f64 = 2.5;
+/// Allocations a record costs the fold, at most: the amortized growth of
+/// its checksum arena, predecessor list, push-order log and slot index.
+/// The signature check itself — message, batch path, digests, RSA block —
+/// allocates nothing.
+const PER_RECORD: f64 = 0.5;
+
+/// Allocations an arriving record costs, at most: its row's two owned
+/// buffers (checksum and payload) and its admission. Decoding the row into
+/// the transfer's record allocates nothing once that record has held a
+/// row as large.
+const PER_ARRIVAL: f64 = 2.5;
 
 /// A history of `rounds` updates of a cell in a table row. The table's
 /// provenance is its insert (signed alone: v2) and one inherited record
@@ -104,7 +112,7 @@ fn history(
 /// Pushes every record as a transport does, with the row it arrived as;
 /// returns the records and the allocations the pushes made, then the
 /// allocations the arrivals made as a whole: decoding the row's bytes,
-/// decoding the record, and pushing it.
+/// decoding the record into the one the transfer keeps, and pushing it.
 fn count(rounds: i64) -> (u64, u64, u64) {
     let (history, keys, target) = history(rounds);
     let mut verifier = StreamingVerifier::new(&keys, ALG, target);
@@ -117,10 +125,11 @@ fn count(rounds: i64) -> (u64, u64, u64) {
 
     let frames: Vec<Vec<u8>> = history.iter().map(|(row, _)| row.to_bytes()).collect();
     let mut verifier = StreamingVerifier::new(&keys, ALG, target);
+    let mut record = ProvenanceRecord::default();
     let before = allocations();
     for bytes in &frames {
         let row = StoredRecord::from_bytes(bytes).unwrap();
-        let record = ProvenanceRecord::from_stored(&row).unwrap();
+        record.read_stored(&row).unwrap();
         assert_eq!(verifier.push_record((&record, &row)), 0);
     }
     let arrivals = allocations() - before;
@@ -145,4 +154,39 @@ fn admission_allocations_per_record_stay_constant() {
         admission <= PER_RECORD,
         "{admission:.2} allocations per admitted record"
     );
+    assert!(
+        arrival <= PER_ARRIVAL,
+        "{arrival:.2} allocations per arriving record"
+    );
+}
+
+/// Allocations one `DepthStreamHasher` makes over the preorder of a table
+/// of `rows` rows of four cells: three levels, `1 + 5 * rows` nodes.
+fn stream_allocations(rows: u64) -> (u64, u64) {
+    let mut hasher = DepthStreamHasher::new(ALG);
+    let before = allocations();
+    hasher.push(0, ObjectId(1), &Value::text("")).unwrap();
+    for row in 0..rows {
+        let id = 2 + row * 5;
+        hasher.push(1, ObjectId(id), &Value::Null).unwrap();
+        for cell in 1..=4 {
+            let value = Value::Int((row * 4 + cell) as i64);
+            hasher.push(2, ObjectId(id + cell), &value).unwrap();
+        }
+    }
+    let (_, nodes) = hasher.finish().unwrap();
+    (nodes, allocations() - before)
+}
+
+/// A DATA stream costs the recipient's hasher allocations per level of the
+/// tree, never per node: every node prefix is built in one reused buffer
+/// and every child hash folds in from the stack.
+#[test]
+fn depth_stream_hashing_allocates_per_level_not_per_node() {
+    let (small_nodes, small) = stream_allocations(20);
+    let (nodes, large) = stream_allocations(200);
+    println!("depth-stream allocations: {small} over {small_nodes} nodes, {large} over {nodes}");
+    assert_eq!(nodes, 1_001);
+    assert_eq!(large, small, "allocations grew with the node count");
+    assert!(large <= 2 * 3 + 1, "{large} allocations over three levels");
 }

@@ -56,7 +56,7 @@ impl VerifyObs {
 }
 
 /// Identity of a participant (user, process, transaction, …).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParticipantId(pub u64);
 
 impl fmt::Display for ParticipantId {

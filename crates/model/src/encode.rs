@@ -228,6 +228,14 @@ pub trait Codec {
     fn put(v: &Self::T, out: &mut Vec<u8>);
     /// Reads one value.
     fn take(r: &mut Reader<'_>) -> Result<Self::T, DecodeError>;
+    /// Reads one value into `out`, reusing the buffers it holds: the same
+    /// value or the same error as [`Self::take`], except that a [`Skip`]
+    /// field keeps what it held. After an error `out` holds a partly read
+    /// value.
+    fn take_into(r: &mut Reader<'_>, out: &mut Self::T) -> Result<(), DecodeError> {
+        *out = Self::take(r)?;
+        Ok(())
+    }
 }
 
 /// Decodes exactly one `C` from `buf`; trailing bytes are refused.
@@ -238,12 +246,22 @@ pub fn decode_exact<C: Codec>(buf: &[u8]) -> Result<C::T, DecodeError> {
     Ok(v)
 }
 
+/// Decodes exactly one `C` from `buf` into `out` ([`Codec::take_into`]);
+/// trailing bytes are refused.
+pub fn decode_exact_into<C: Codec>(buf: &[u8], out: &mut C::T) -> Result<(), DecodeError> {
+    let mut r = Reader::new(buf);
+    C::take_into(&mut r, out)?;
+    r.expect_end()
+}
+
 /// The codec table, one row per encoding: `[generics] codec => carried
-/// type, MIN`, then the writer and the reader.
+/// type, MIN`, then the writer, the reader and, where it reuses what the
+/// value holds, the reader into a value.
 #[macro_export]
 macro_rules! codecs {
     ($($(#[$m:meta])* [$($g:tt)*] $c:ty => $t:ty, $min:expr,
-        |$v:ident, $out:ident| $put:expr, |$r:ident| $take:expr;)*) => {$(
+        |$v:ident, $out:ident| $put:expr, |$r:ident| $take:expr
+        $(, |$ri:ident, $into:ident| $take_into:expr)?;)*) => {$(
         $(#[$m])*
         impl<$($g)*> $crate::encode::Codec for $c {
             type T = $t;
@@ -256,6 +274,13 @@ macro_rules! codecs {
             ) -> Result<$t, $crate::encode::DecodeError> {
                 Ok($take)
             }
+            $(fn take_into(
+                $ri: &mut $crate::encode::Reader<'_>,
+                $into: &mut $t,
+            ) -> Result<(), $crate::encode::DecodeError> {
+                $take_into;
+                Ok(())
+            })?
         }
     )*};
 }
@@ -302,6 +327,17 @@ macro_rules! codec_structs {
                         as $crate::encode::Codec>::take(r)?,)*
                 })
             }
+            fn take_into(
+                r: &mut $crate::encode::Reader<'_>,
+                out: &mut Self::T,
+            ) -> Result<(), $crate::encode::DecodeError> {
+                $(if r.bytes($magic.len())? != &$magic[..] {
+                    return Err($crate::encode::DecodeError::BadMagic);
+                })?
+                $(<$crate::codec_structs!(@codec $t $(as $c)?)
+                    as $crate::encode::Codec>::take_into(r, &mut out.$f)?;)*
+                Ok(())
+            }
         }
 
         $crate::codec_structs!(@methods [$($lt)?] $vis $name $($to $from)?);
@@ -342,7 +378,12 @@ codecs! {
         HashAlgorithm::from_wire_id(id).ok_or(DecodeError::BadTag(id))?
     };
     /// Length-prefixed bytes (u64 length).
-    [] Vec<u8> => Vec<u8>, 8, |v, out| put_len_prefixed(v, out), |r| r.len_prefixed()?.to_vec();
+    [] Vec<u8> => Vec<u8>, 8, |v, out| put_len_prefixed(v, out), |r| r.len_prefixed()?.to_vec(),
+    |r, out| {
+        let bytes = r.len_prefixed()?;
+        out.clear();
+        out.extend_from_slice(bytes)
+    };
     /// Length-prefixed UTF-8 text.
     [] String => String, 8, |v, out| put_len_prefixed(v.as_bytes(), out), |r| {
         String::from_utf8(r.len_prefixed()?.to_vec()).map_err(|_| DecodeError::BadUtf8)?
@@ -390,6 +431,20 @@ codecs! {
             v.push(C::take(r)?);
         }
         v
+    }, |r, out| {
+        let count = r.count::<W>()?;
+        if count > MAX {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        // The values kept are read into; a new one is pushed only once it
+        // has been read, so the count sizes nothing.
+        out.truncate(count);
+        for i in 0..count {
+            match out.get_mut(i) {
+                Some(x) => C::take_into(r, x)?,
+                None => out.push(C::take(r)?),
+            }
+        }
     };
     /// A `W`-byte count, then that many key-value pairs in strictly
     /// increasing key order, so a map has one encoding.
@@ -413,8 +468,9 @@ codecs! {
         map
     };
     /// A field the encoding leaves out: nothing is written, and it reads
-    /// back as its default.
-    [T: Default] Skip<T> => T, 0, |_v, _out| {}, |_r| T::default();
+    /// back as its default; read into a value, it is left as it was, for
+    /// the caller to fill.
+    [T: Default] Skip<T> => T, 0, |_v, _out| {}, |_r| T::default(), |_r, _out| {};
     /// A u64 length, then exactly one `C` in that many bytes.
     [C: Codec] Framed<C> => C::T, 8, |v, out| {
         let at = out.len();

@@ -7,7 +7,7 @@ use std::fmt;
 /// The paper assumes "a pre-defined total order over atomic objects" used to
 /// sort aggregation inputs and subtree children before hashing; `ObjectId`'s
 /// numeric ordering is that global order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u64);
 
 impl ObjectId {

@@ -157,8 +157,9 @@ pub struct FetchReport {
     /// Data nodes received.
     pub nodes: u64,
     /// The manifest read when the connection this transfer finished on was
-    /// dialed (call [`Client::offer`] to refresh).
-    pub offer: Vec<OfferEntry>,
+    /// dialed (call [`Client::offer`] to refresh), shared with that
+    /// connection.
+    pub offer: Arc<[OfferEntry]>,
     /// How many attempts continued a previous attempt via RESUME (0 for an
     /// uninterrupted transfer).
     pub resumed: u32,
@@ -389,7 +390,7 @@ impl Client {
     /// manifest — and keeps the new connection for later requests.
     pub fn offer(&mut self) -> Result<Vec<OfferEntry>, NetError> {
         self.conn = None;
-        self.with_retry(|conn| Ok(conn.offer.clone()))
+        self.with_retry(|conn| Ok(conn.offer.to_vec()))
     }
 
     /// Runs a provenance query on the server and **re-verifies the slice
@@ -505,7 +506,7 @@ impl Client {
                     verification: transfer.verification,
                     object_hash: transfer.object_hash,
                     nodes: transfer.nodes,
-                    offer: conn.offer.clone(),
+                    offer: Arc::clone(&conn.offer),
                     resumed: resumed + u32::from(transfer.resumed),
                     stream_digest: transfer.stream_digest,
                 }),
@@ -648,7 +649,7 @@ impl Client {
 pub(crate) struct Connection {
     pub(crate) reader: FrameReader<BufReader<TcpStream>>,
     pub(crate) writer: FrameWriter<TcpStream>,
-    pub(crate) offer: Vec<OfferEntry>,
+    pub(crate) offer: Arc<[OfferEntry]>,
     /// A control handle on the same socket as `reader`/`writer`, kept so
     /// the read timeout can be set per request (`set_read_timeout` acts on
     /// the shared fd, so the reader's clone sees the new value).
@@ -688,7 +689,7 @@ impl Connection {
         let mut conn = Connection {
             reader,
             writer: FrameWriter::new(stream, Arc::clone(&counters)),
-            offer: Vec::new(),
+            offer: Arc::from([]),
             stream: control,
             alg,
             read_timeout,
@@ -710,7 +711,7 @@ impl Connection {
             _ => return Err(NetError::Protocol("expected HELLO")),
         }
         match conn.read_reply()? {
-            Message::Offer { entries } => conn.offer = entries,
+            Message::Offer { entries } => conn.offer = entries.into(),
             _ => return Err(NetError::Protocol("expected OFFER")),
         }
         Ok(conn)
@@ -1067,6 +1068,8 @@ fn stream_to_done(
     sink: &mut impl RecordSink,
 ) -> Result<(Vec<u8>, u64, bool), NetError> {
     let mut hasher = DepthStreamHasher::new(conn.alg);
+    // The one record every PROV row of the transfer is decoded into.
+    let mut rec = ProvenanceRecord::default();
     let mut seen_data = false;
     loop {
         let frame = conn.reader.frames(); // index of the frame about to arrive
@@ -1080,7 +1083,7 @@ fn stream_to_done(
                 if seen_data {
                     return Err(NetError::Protocol("PROV after DATA"));
                 }
-                let rec = ProvenanceRecord::from_stored(&record)
+                rec.read_stored(&record)
                     .map_err(|e| malformed(StreamError::UndecodableRecord(e)))?;
                 sink.arriving(&record, frame)?;
                 if verifier.push_record((&rec, &record)) > 0 {

@@ -40,7 +40,6 @@ use tep_core::denial::SignedRoot;
 use tep_core::merkle::{
     locate_divergence, shard_tree_of, AeError, AeNodeInfo, AeOracle, AeOutcome, AeSummary,
 };
-use tep_core::provenance::collect_rows;
 use tep_core::streaming::RecordStreamDigest;
 use tep_core::verify::{EvidenceCounters, EvidenceKind, StreamingVerifier, TamperEvidence};
 use tep_crypto::digest::HashAlgorithm;
@@ -454,7 +453,7 @@ impl Replica {
         let restored = ckpt
             .load()?
             .and_then(|blob| StreamingVerifier::restore(keys, &blob).ok())
-            .filter(|v| self.checkpoint_covers_local(oid, v));
+            .filter(|v| self.checkpoint_covers_local(oid, v, local));
         let mut sink = Reconciler {
             replica: self,
             ckpt,
@@ -478,27 +477,23 @@ impl Replica {
     }
 
     /// `true` when the sealed checkpoint's verified prefix is still
-    /// locally reconstructible: the rolling stream digest over the first
-    /// `records_checked` records of the *local* provenance of `oid`
-    /// (collected and ordered exactly as the primary orders its stream)
-    /// equals the checkpoint's digest. A replica whose log lost records —
-    /// torn tail, quarantined corruption — fails this and falls back to a
-    /// full reconciling fetch, which repairs the hole.
-    fn checkpoint_covers_local(&self, oid: ObjectId, v: &StreamingVerifier<'_>) -> bool {
-        let claimed = v.records_checked();
-        if claimed == 0 {
-            return true;
-        }
-        let Ok(rows) = collect_rows(&self.db, oid) else {
-            return false;
-        };
-        if rows.len() < claimed {
-            return false;
-        }
+    /// locally reconstructible: the rolling stream digest over the local
+    /// rows of the slots the restored verifier was pushed, in its push
+    /// order, equals the checkpoint's digest. A replica whose log lost
+    /// records — torn tail, quarantined corruption — fails this and falls
+    /// back to a full reconciling fetch, which repairs the hole.
+    fn checkpoint_covers_local(
+        &self,
+        oid: ObjectId,
+        v: &StreamingVerifier<'_>,
+        local: &LocalIndex,
+    ) -> bool {
         let mut d = RecordStreamDigest::new(self.cfg.alg, oid);
-        let mut scratch = Vec::new();
-        for row in &rows[..claimed] {
-            d.push_row(row, &mut scratch);
+        for slot in v.pushed() {
+            let Some(row) = local.get(&slot) else {
+                return false;
+            };
+            d.push(row);
         }
         d.current() == v.stream_digest()
     }

@@ -8,6 +8,7 @@ use std::time::Instant;
 use tep_core::denial::{DenialProof, RangeProof, SignedDenial, SignedRange};
 use tep_core::provenance::collect_rows;
 use tep_core::streaming::RecordStreamDigest;
+use tep_model::encode::encode_value;
 use tep_model::ObjectId;
 use tep_query::QueryError;
 use tep_storage::StoredRecord;
@@ -24,20 +25,37 @@ use crate::wire::{DataEntry, ErrorCode, Message, DATA_CHUNK_BYTES, MAX_FRAME, WI
 pub(super) struct StreamJob {
     /// The rows as `collect_rows` read them, each moved into its PROV
     /// frame: the server sends the row it read.
-    pub(super) rows: std::vec::IntoIter<StoredRecord>,
-    pub(super) records: u64,
-    pub(super) data: Vec<DataEntry>,
-    pub(super) data_pos: usize,
-    pub(super) done_queued: bool,
+    rows: std::vec::IntoIter<StoredRecord>,
+    records: u64,
+    /// The data subtree's entries still to send, each moved into its DATA
+    /// frame.
+    data: std::vec::IntoIter<DataEntry>,
+    nodes: u64,
+    done_queued: bool,
+    /// The buffer each entry's value is encoded in to size it.
+    scratch: Vec<u8>,
 }
 
 impl StreamJob {
+    /// A job streaming `rows`, then `data`; DONE reports `records`, which
+    /// counts the rows a RESUME skips too, and `data`'s length.
+    pub(super) fn new(rows: Vec<StoredRecord>, records: u64, data: Vec<DataEntry>) -> Self {
+        StreamJob {
+            rows: rows.into_iter(),
+            records,
+            nodes: data.len() as u64,
+            data: data.into_iter(),
+            done_queued: false,
+            scratch: Vec::new(),
+        }
+    }
+
     /// The job's next frame — PROV × N, DATA × M, then DONE — or `None`
     /// once DONE is queued.
     fn next_frame(&mut self) -> Option<Message> {
         if let Some(record) = self.rows.next() {
             Some(Message::Prov { record })
-        } else if self.data_pos < self.data.len() {
+        } else if self.data.len() > 0 {
             Some(Message::Data {
                 entries: next_data_chunk(self),
             })
@@ -45,7 +63,7 @@ impl StreamJob {
             self.done_queued = true;
             Some(Message::Done {
                 records: self.records,
-                nodes: self.data.len() as u64,
+                nodes: self.nodes,
             })
         } else {
             None
@@ -424,13 +442,7 @@ fn start_stream<S: Read + Write>(
 ) {
     let records = rows.len() as u64;
     rows.drain(..skip);
-    conn.job = Some(StreamJob {
-        data: ten.catalog.data_entries(oid),
-        rows: rows.into_iter(),
-        records,
-        data_pos: 0,
-        done_queued: false,
-    });
+    conn.job = Some(StreamJob::new(rows, records, ten.catalog.data_entries(oid)));
     conn.state = ConnState::Streaming;
     pump(conn, env, now);
 }
@@ -441,15 +453,15 @@ fn start_stream<S: Read + Write>(
 fn next_data_chunk(job: &mut StreamJob) -> Vec<DataEntry> {
     let mut chunk = Vec::new();
     let mut chunk_bytes = 0usize;
-    while job.data_pos < job.data.len() {
-        let entry = &job.data[job.data_pos];
-        let entry_bytes = 10 + tep_model::encode::value_bytes(&entry.value).len();
+    while let Some(entry) = job.data.as_slice().first() {
+        job.scratch.clear();
+        encode_value(&entry.value, &mut job.scratch);
+        let entry_bytes = 10 + job.scratch.len();
         if !chunk.is_empty() && chunk_bytes + entry_bytes > DATA_CHUNK_BYTES {
             break;
         }
         chunk_bytes += entry_bytes;
-        chunk.push(entry.clone());
-        job.data_pos += 1;
+        chunk.extend(job.data.next());
     }
     chunk
 }

@@ -1076,20 +1076,12 @@ mod tests {
     /// A synthetic job big enough to out-run the write high watermark
     /// (600 × 1 KiB of DATA against `WBUF_HIGH` = 256 KiB).
     fn watermark_job() -> StreamJob {
-        StreamJob {
-            rows: Vec::new().into_iter(),
-            records: 0,
-            data: vec![
-                DataEntry {
-                    depth: 0,
-                    id: ObjectId(1),
-                    value: Value::Text("x".repeat(1024)),
-                };
-                600
-            ],
-            data_pos: 0,
-            done_queued: false,
-        }
+        let entry = DataEntry {
+            depth: 0,
+            id: ObjectId(1),
+            value: Value::Text("x".repeat(1024)),
+        };
+        StreamJob::new(Vec::new(), 0, vec![entry; 600])
     }
 
     #[test]

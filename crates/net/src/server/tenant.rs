@@ -91,10 +91,10 @@ impl Catalog {
                 id,
                 value: node.value().clone(),
             });
-            let kids: Vec<ObjectId> = node.children().collect();
-            for &c in kids.iter().rev() {
-                work.push((depth + 1, c));
-            }
+            // Children pushed in reverse, so the smallest id pops first.
+            let from = work.len();
+            work.extend(node.children().map(|c| (depth + 1, c)));
+            work[from..].reverse();
         }
         out
     }

@@ -232,3 +232,63 @@ fn client_server_replica_and_reference_digests_agree_on_mixed_bodies() {
         srv.shutdown();
     }
 }
+
+/// A replica cut halfway through the aggregate's stream holds a prefix of
+/// its inputs' chains and none of the aggregate's own records. It rebuilds
+/// the verified prefix from the slots its sealed checkpoint was pushed, in
+/// push order, resumes there, and lands the reference digest.
+#[test]
+fn a_replica_cut_midway_resumes_from_the_slots_it_verified() {
+    for seed in 1..=4u64 {
+        let (db, forest, keys, target) = history(seed);
+        let total = collect(&db, target).unwrap().records.len();
+        let reference = reference_digest(&db, target, total);
+        let catalog = Catalog::new(forest, Arc::clone(&db), ALG, vec![target]);
+        let srv = serve_with_registry(
+            Arc::new(catalog),
+            "127.0.0.1:0".parse().unwrap(),
+            ServerConfig::default(),
+            Registry::new(),
+        )
+        .unwrap();
+        let vfs = FaultVfs::new(FaultConfig::default());
+        let replica_db = Arc::new(ProvenanceDb::durable_with(vfs.clone(), "/replica.db").unwrap());
+        let mut cfg = ReplicaConfig::new(ALG);
+        cfg.batch = 1;
+        let replica = |addr| {
+            Replica::new(
+                addr,
+                cfg,
+                Arc::clone(&replica_db),
+                vfs.clone(),
+                PathBuf::from("/ckpt"),
+            )
+        };
+        // HELLO = 0, OFFER = 1, PROV from 2: half the records arrive.
+        let cut = 2 + total as u64 / 2;
+        let proxy = TamperProxy::spawn(srv.addr(), at_frame(cut, ProxyAction::Cut, true)).unwrap();
+        assert!(replica(proxy.addr()).catch_up(&keys).is_err());
+        proxy.shutdown();
+        let held = replica_db.len();
+        assert_eq!(held, total / 2, "seed {seed}: every record before the cut");
+        assert!(
+            replica_db.latest_for(target).is_none(),
+            "seed {seed}: the cut comes before the aggregate's records"
+        );
+        let report = replica(srv.addr()).catch_up(&keys).unwrap();
+        assert_eq!(report.resumed, 1, "seed {seed}: the replica resumed");
+        assert_eq!(report.new_records, (total - held) as u64);
+        let mut local = RecordStreamDigest::new(ALG, target);
+        let mut scratch = Vec::new();
+        for row in &collect_rows(&replica_db, target).unwrap() {
+            local.push_row(row, &mut scratch);
+        }
+        assert_eq!(
+            local.current(),
+            reference.as_slice(),
+            "seed {seed}: replica"
+        );
+
+        srv.shutdown();
+    }
+}
